@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt linkcheck flagcheck bench bench-query bench-federation bench-wire bench-tiers bench-failover bench-models bench-smoke fuzz-smoke test-durable test-federation test-failover test-models ci
+.PHONY: all build test race vet fmt loc linkcheck flagcheck bench bench-query bench-federation bench-wire bench-tiers bench-failover bench-models bench-smoke bench-e2e-smoke fuzz-smoke test-durable test-federation test-failover test-models ci
 
 all: build
 
@@ -20,6 +20,12 @@ vet:
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
+
+# loc prints the net non-test Go line count the ROADMAP tracks: every
+# *.go file except tests and the separate cmd/benche2e module.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './cmd/benche2e/*' ! -path './.*' -print0 | \
+		xargs -0 cat | wc -l
 
 # linkcheck validates relative Markdown links (stdlib-only, no network).
 linkcheck:
@@ -76,6 +82,12 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench '^BenchmarkFailover' -benchtime 1x ./internal/federation
 	$(GO) test -run '^$$' -bench '^BenchmarkModels' -benchtime 1x ./internal/models
 
+# bench-e2e-smoke vets and tests the end-to-end benchmark, a separate Go
+# module that root `go test ./...` skips, so a server API change that
+# breaks the benchmark's build fails CI.
+bench-e2e-smoke:
+	cd cmd/benche2e && $(GO) vet ./... && $(GO) test ./...
+
 # fuzz-smoke runs the wire-frame decoder fuzzer briefly: long enough to
 # exercise the mutation engine over the checked-in corpus, short enough
 # for CI.
@@ -110,4 +122,4 @@ test-models:
 	$(GO) test -race -count=1 ./internal/models/ ./internal/drift/
 	$(GO) test -race -count=1 -run 'TTBS|RTBS|NewSampler|Model' ./internal/core/ ./internal/server/ ./internal/client/
 
-ci: fmt build vet linkcheck flagcheck test race bench-smoke fuzz-smoke test-durable test-federation test-failover test-models
+ci: fmt build vet linkcheck flagcheck test race bench-smoke bench-e2e-smoke fuzz-smoke test-durable test-federation test-failover test-models

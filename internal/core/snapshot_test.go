@@ -180,7 +180,12 @@ func TestSnapshotHammer(t *testing.T) {
 	s := NewSynchronized(b)
 
 	const writers, batches, batchLen = 4, 200, 25
-	var next atomic.Uint64
+	// Samplers require points in arrival order, so a writer assigns its
+	// indices and applies its batch as one step; otherwise a batch with
+	// later indices could land first and the reservoir would legitimately
+	// hold an index above its T.
+	var order sync.Mutex
+	var next uint64
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for w := 0; w < writers; w++ {
@@ -188,13 +193,14 @@ func TestSnapshotHammer(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < batches; i++ {
-				base := next.Add(batchLen) - batchLen
+				order.Lock()
 				pts := make([]stream.Point, batchLen)
 				for j := range pts {
-					idx := base + uint64(j) + 1
-					pts[j] = stream.Point{Index: idx, Values: []float64{float64(idx)}, Weight: 1}
+					next++
+					pts[j] = stream.Point{Index: next, Values: []float64{float64(next)}, Weight: 1}
 				}
 				s.AddBatch(pts)
+				order.Unlock()
 			}
 		}()
 	}

@@ -79,3 +79,86 @@ func TestSnapshotConsistency(t *testing.T) {
 		t.Fatal("snapshot probability function changed after subsequent Adds")
 	}
 }
+
+// SnapshotFor routes a horizon to the ladder tier SelectTier picks, serves
+// untiered samplers from the stream cache, and a Swap is visible to the
+// next read — while writers and readers run concurrently (run with -race).
+func TestSynchronizedSnapshotForAndSwap(t *testing.T) {
+	build := func(seed uint64) *TieredReservoir {
+		fresh, err := SamplerFactory(SamplerConfig{Policy: "variable", Lambda: 0.05, Capacity: 20, Tiers: 3, TierRatio: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := fresh(xrand.New(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s.(*TieredReservoir)
+	}
+	s := NewSynchronized(build(1))
+
+	var next uint64
+	var order sync.Mutex
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				order.Lock()
+				pts := make([]stream.Point, 10)
+				for j := range pts {
+					next++
+					pts[j] = stream.Point{Index: next, Values: []float64{1}, Weight: 1}
+				}
+				s.AddBatch(pts)
+				order.Unlock()
+			}
+		}()
+	}
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				h := uint64(i % 120)
+				snap, tier := s.SnapshotFor(h)
+				if want := s.Tiered().SelectTier(h); tier != want {
+					t.Errorf("h=%d routed to tier %d, want %d", h, tier, want)
+					return
+				}
+				if len(snap.Points) != len(snap.Probs) {
+					t.Error("torn tier snapshot")
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	var processed uint64
+	s.View(func(sm Sampler) { processed = sm.Processed() })
+	if processed != 2000 {
+		t.Fatalf("processed = %d, want 2000", processed)
+	}
+	if snap, _ := s.SnapshotFor(0); snap.T != 2000 {
+		t.Fatalf("deepest tier snapshot at T=%d, want 2000", snap.T)
+	}
+
+	swapped := false
+	s.Swap(build(2), func() { swapped = true })
+	if !swapped {
+		t.Fatal("Swap did not run its hook")
+	}
+	if snap, tier := s.SnapshotFor(0); snap.T != 0 || tier != 2 {
+		t.Fatalf("after Swap: tier %d snapshot at T=%d, want tier 2 at T=0", tier, snap.T)
+	}
+	if s.AcquireSnapshot().T != 0 {
+		t.Fatal("stream snapshot survived the Swap")
+	}
+
+	plain := NewSynchronized(build(3).Tier(0).(PersistentSampler))
+	if snap, tier := plain.SnapshotFor(5); tier != -1 || snap != plain.AcquireSnapshot() {
+		t.Fatalf("untiered SnapshotFor served tier %d", tier)
+	}
+}

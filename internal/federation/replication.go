@@ -108,6 +108,22 @@ type createStreamRequest struct {
 	Replicas int `json:"replicas,omitempty"`
 }
 
+// createConflicts reports whether a create of name with the given shard
+// count must answer 409. A stream created through a coordinator conflicts.
+// An entry adopted from peer hints alone (no config) does not, as long as
+// it hints no more shards than the create asks for: a health sweep can
+// adopt the first shards of a create still in flight, and the create then
+// completes that entry with its own shape and config. Called with co.mu
+// held.
+func (co *Coordinator) createConflicts(name string, shards int) bool {
+	fs, ok := co.fstreams[name]
+	if !ok {
+		return false
+	}
+	_, hasCfg := fs.config()
+	return hasCfg || fs.shards > shards
+}
+
 func (co *Coordinator) handleStreamCreate(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	if err := validFederatedName(name); err != nil {
@@ -126,7 +142,10 @@ func (co *Coordinator) handleStreamCreate(w http.ResponseWriter, r *http.Request
 	if replicas <= 0 {
 		replicas = co.cfg.Replication
 	}
-	if _, exists := co.lookupFed(name); exists {
+	co.mu.RLock()
+	conflict := co.createConflicts(name, shards)
+	co.mu.RUnlock()
+	if conflict {
 		httpError(w, http.StatusConflict, "stream %q already exists", name)
 		return
 	}
@@ -167,7 +186,7 @@ func (co *Coordinator) handleStreamCreate(w http.ResponseWriter, r *http.Request
 
 	fs := &fedStream{shards: shards, replicas: replicas, cfg: req.StreamConfig, hasCfg: true}
 	co.mu.Lock()
-	if _, exists := co.fstreams[name]; exists {
+	if co.createConflicts(name, shards) {
 		co.mu.Unlock()
 		httpError(w, http.StatusConflict, "stream %q already exists", name)
 		return

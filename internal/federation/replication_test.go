@@ -378,6 +378,54 @@ func TestCoordinatorAdoptsHintedStreams(t *testing.T) {
 	}
 }
 
+// TestCreateCompletesPartlyAdoptedStream: a health sweep that runs while a
+// create is in flight adopts the shard replicas already made, with too few
+// shards and no config. The create must complete that entry — 201 with
+// its own shape — so ingest and reads cover every shard, not a subset.
+func TestCreateCompletesPartlyAdoptedStream(t *testing.T) {
+	nodes := startNodes(t, 3)
+	co, fed := startCoordinator(t, nodes, testCfg())
+	req := managedCfg(2, 2)
+
+	// The create's first shard landed on one of its replicas; a sweep
+	// adopts it before the create registers the stream.
+	first := co.placement("s", 0, 2)[0].addr
+	for _, n := range nodes {
+		if n.ts.URL == first {
+			if err := n.c.CreateStream(shardStream("s", 0), req.StreamConfig); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	co.Sweep(context.Background())
+	if fs, ok := co.lookupFed("s"); !ok || fs.shards != 1 {
+		t.Fatalf("sweep did not adopt the partial stream: %v %+v", ok, fs)
+	}
+
+	status, body := fedDo(t, http.MethodPut, fed.URL+"/streams/s", req)
+	if status != http.StatusCreated {
+		t.Fatalf("create over the adopted entry: status %d body %v, want 201", status, body)
+	}
+	if body["shards"].(float64) != 2 {
+		t.Fatalf("create echoed %v, want shards=2", body)
+	}
+	const n = 500
+	if status, body := fedDo(t, http.MethodPost, fed.URL+"/streams/s/points",
+		map[string]any{"points": testPoints(n)}); status != http.StatusOK {
+		t.Fatalf("ingest: status %d body %v", status, body)
+	}
+	est, body := mustCount(t, fed.URL, "s", 0)
+	if est != n {
+		t.Fatalf("count = %v, want %d across both shards", est, n)
+	}
+	wantShards(t, body, 2, 2, false)
+
+	// The completed stream now has a config: a second create conflicts.
+	if status, _ := fedDo(t, http.MethodPut, fed.URL+"/streams/s", req); status != http.StatusConflict {
+		t.Fatalf("second create: status %d, want 409", status)
+	}
+}
+
 // TestCoordinatorWireSink: the coordinator accepts binary ingest frames
 // (wire.Sink) and fans them out like HTTP ingest; unknown streams are
 // authoritative errors, not retries.

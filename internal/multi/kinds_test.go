@@ -27,6 +27,11 @@ func TestRegisterKind(t *testing.T) {
 	if err := m.RegisterKind("x", Kind("nope"), 50); err == nil {
 		t.Fatal("unknown kind accepted")
 	}
+	for _, k := range Kinds() {
+		if !core.ValidPolicy(string(k)) {
+			t.Fatalf("kind %q is not a core sampler policy", k)
+		}
+	}
 	// R-TBS is uncapped: a share beyond ⌊1/λ⌋ = 100 is legal there but not
 	// for the variable family.
 	if err := m.RegisterKind("big-r", KindRTBS, 500); err != nil {

@@ -33,33 +33,22 @@ type Manager struct {
 	streams map[string]*entry
 }
 
-// managedSampler is what the manager requires of a stream's sampler: the
-// persistable core contract (fleet checkpoints marshal every stream) plus
-// the current insertion probability for StreamStats. Both
-// core.VariableReservoir (Register) and core.TieredReservoir
-// (RegisterTiered, delegating to its shortest-horizon tier) satisfy it.
-type managedSampler interface {
-	core.PersistentSampler
-	PIn() float64
-}
-
+// entry is one registered stream: its sampler behind the shared locked
+// wrapper (lock, snapshot cache and tier routing), plus the budget
+// bookkeeping.
 type entry struct {
-	mu      sync.Mutex
-	sampler managedSampler
+	sm *core.Synchronized
 	// kind names the sampler family the entry was built from (KindVariable
 	// for tiered ladders, whose tiers are variable reservoirs).
 	kind Kind
 	// share is the total slot charge against the budget (for tiered
 	// streams: per-tier share × tiers).
 	share int
-	// snap caches the read path: mutations invalidate it, estimator
-	// calls are served lock-free from the published snapshot.
-	snap core.SnapshotCache
 }
 
-// Kind names a sampler family the manager can build for a stream. The
-// registry below maps each kind to its constructor; Register picks
-// KindVariable, RegisterKind picks explicitly.
+// Kind names a sampler family the manager can build for a stream: one of
+// the core sampler registry's policies. Register picks KindVariable,
+// RegisterKind picks explicitly.
 type Kind string
 
 const (
@@ -74,58 +63,21 @@ const (
 	KindRTBS Kind = "rtbs"
 )
 
-// kindSpec is one sampler family's registry entry.
-type kindSpec struct {
-	// build constructs the sampler for a stream with the given share.
-	build func(lambda float64, share int, rng *xrand.Source) (managedSampler, error)
-	// capped applies the ⌊1/λ⌋ maximum-requirement share cap (Corollary
-	// 2.1) before construction; families whose constructors enforce their
-	// own parameter bounds leave it false.
-	capped bool
-}
-
-// samplerKinds is the sampler-family registry. Adding a family means
-// adding one entry here; Register/RegisterKind, the fleet checkpoint
-// decoder and the stats path all go through it.
-var samplerKinds = map[Kind]kindSpec{
-	KindVariable: {
-		build: func(lambda float64, share int, rng *xrand.Source) (managedSampler, error) {
-			return core.NewVariableReservoir(lambda, share, rng)
-		},
-		capped: true,
-	},
-	KindTTBS: {
-		// NewTTBSReservoir enforces its own bound n ≤ 1/(1-e^{-λ}).
-		build: func(lambda float64, share int, rng *xrand.Source) (managedSampler, error) {
-			return core.NewTTBSReservoir(lambda, share, rng)
-		},
-	},
-	KindRTBS: {
-		// R-TBS accepts any positive capacity.
-		build: func(lambda float64, share int, rng *xrand.Source) (managedSampler, error) {
-			return core.NewRTBSReservoir(lambda, share, rng)
-		},
-	},
-}
+// kinds are the core policies the manager offers, sorted. Each is built
+// from core.SamplerFactory with the manager's λ and the stream's share as
+// capacity.
+var kinds = []Kind{KindRTBS, KindTTBS, KindVariable}
 
 // Kinds returns the registered sampler-family names, sorted.
-func Kinds() []Kind {
-	out := make([]Kind, 0, len(samplerKinds))
-	for k := range samplerKinds {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
+func Kinds() []Kind { return append([]Kind(nil), kinds...) }
 
-// acquireSnapshot returns the entry's current snapshot, taking the entry
-// lock only when a mutation happened since the last read.
-func (e *entry) acquireSnapshot() *core.Snapshot {
-	return e.snap.Acquire(func() *core.Snapshot {
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		return core.BuildSnapshot(e.sampler)
-	})
+func knownKind(k Kind) bool {
+	for _, kk := range kinds {
+		if kk == k {
+			return true
+		}
+	}
+	return false
 }
 
 // NewManager returns a manager distributing `budget` total reservoir slots
@@ -153,7 +105,7 @@ func (m *Manager) Register(name string, share int) error {
 }
 
 // RegisterKind allocates `share` reservoir slots to a new stream sampled by
-// the named family. For capped families the share is limited by the bias
+// the named family. For KindVariable the share is limited by the bias
 // function's maximum requirement ⌊1/λ⌋ (a larger reservoir could not
 // satisfy the bias, Corollary 2.1) — the same rule the samplers themselves
 // enforce, so the manager can never admit a share its reservoir constructor
@@ -161,36 +113,53 @@ func (m *Manager) Register(name string, share int) error {
 // taken, the share is not positive, or the remaining budget is
 // insufficient.
 func (m *Manager) RegisterKind(name string, kind Kind, share int) error {
-	spec, ok := samplerKinds[kind]
-	if !ok {
+	if !knownKind(kind) {
 		return fmt.Errorf("multi: unknown sampler kind %q (have %v)", kind, Kinds())
 	}
 	if share <= 0 {
 		return fmt.Errorf("multi: share must be positive, got %d", share)
 	}
-	if spec.capped {
-		maxShare, err := core.ReservoirCapacity(m.lambda)
-		if err != nil {
-			return fmt.Errorf("multi: %w", err)
+	// T-TBS and R-TBS constructors enforce their own parameter bounds.
+	if kind == KindVariable {
+		if err := m.checkShare(share); err != nil {
+			return err
 		}
-		if share > maxShare {
-			return fmt.Errorf("multi: share %d exceeds the maximum requirement 1/λ = %d", share, maxShare)
-		}
+	}
+	return m.register(name, kind, share, core.SamplerConfig{Policy: string(kind), Lambda: m.lambda, Capacity: share})
+}
+
+// checkShare applies the ⌊1/λ⌋ maximum-requirement cap (Corollary 2.1).
+func (m *Manager) checkShare(share int) error {
+	maxShare, err := core.ReservoirCapacity(m.lambda)
+	if err != nil {
+		return fmt.Errorf("multi: %w", err)
+	}
+	if share > maxShare {
+		return fmt.Errorf("multi: share %d exceeds the maximum requirement 1/λ = %d", share, maxShare)
+	}
+	return nil
+}
+
+// register builds cfg's sampler and charges total slots for it.
+func (m *Manager) register(name string, kind Kind, total int, cfg core.SamplerConfig) error {
+	fresh, err := core.SamplerFactory(cfg)
+	if err != nil {
+		return fmt.Errorf("multi: %w", err)
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if _, ok := m.streams[name]; ok {
 		return fmt.Errorf("multi: stream %q already registered", name)
 	}
-	if m.used+share > m.budget {
-		return fmt.Errorf("multi: budget exhausted: %d used + %d requested > %d total", m.used, share, m.budget)
+	if m.used+total > m.budget {
+		return fmt.Errorf("multi: budget exhausted: %d used + %d requested > %d total", m.used, total, m.budget)
 	}
-	sampler, err := spec.build(m.lambda, share, m.rng.Split())
+	sampler, err := fresh(m.rng.Split())
 	if err != nil {
 		return fmt.Errorf("multi: creating %s reservoir for %q: %w", kind, name, err)
 	}
-	m.streams[name] = &entry{sampler: sampler, kind: kind, share: share}
-	m.used += share
+	m.streams[name] = &entry{sm: core.NewSynchronized(sampler), kind: kind, share: total}
+	m.used += total
 	return nil
 }
 
@@ -208,40 +177,18 @@ func (m *Manager) RegisterTiered(name string, share, tiers int, ratio float64) e
 		return fmt.Errorf("multi: tiered registration needs >= 2 tiers, got %d", tiers)
 	}
 	if ratio == 0 {
-		ratio = 8
+		ratio = core.DefaultTierRatio
 	}
 	if !(ratio > 1) {
 		return fmt.Errorf("multi: tier ratio must be > 1, got %v", ratio)
 	}
 	// Tier 0 runs the largest λ and therefore the tightest capacity cap
 	// ⌊1/λ⌋; deeper tiers only relax it, so one check covers the ladder.
-	maxShare, err := core.ReservoirCapacity(m.lambda)
-	if err != nil {
-		return fmt.Errorf("multi: %w", err)
+	if err := m.checkShare(share); err != nil {
+		return err
 	}
-	if share > maxShare {
-		return fmt.Errorf("multi: share %d exceeds the maximum requirement 1/λ = %d", share, maxShare)
-	}
-	total := share * tiers
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, ok := m.streams[name]; ok {
-		return fmt.Errorf("multi: stream %q already registered", name)
-	}
-	if m.used+total > m.budget {
-		return fmt.Errorf("multi: budget exhausted: %d used + %d requested (%d slots x %d tiers) > %d total",
-			m.used, total, share, tiers, m.budget)
-	}
-	sampler, err := core.NewTieredReservoir(m.lambda, ratio, tiers, m.rng.Split(),
-		func(_ int, lambda float64, rng *xrand.Source) (core.PersistentSampler, error) {
-			return core.NewVariableReservoir(lambda, share, rng)
-		})
-	if err != nil {
-		return fmt.Errorf("multi: creating tiered reservoir for %q: %w", name, err)
-	}
-	m.streams[name] = &entry{sampler: sampler, kind: KindVariable, share: total}
-	m.used += total
-	return nil
+	return m.register(name, KindVariable, share*tiers, core.SamplerConfig{
+		Policy: string(KindVariable), Lambda: m.lambda, Capacity: share, Tiers: tiers, TierRatio: ratio})
 }
 
 // RegisterEven registers all names with equal shares of the whole budget
@@ -282,18 +229,24 @@ func (m *Manager) Unregister(name string) error {
 	return nil
 }
 
-// Add feeds one point to the named stream's reservoir.
-func (m *Manager) Add(name string, p stream.Point) error {
+// lookup returns the named stream's entry.
+func (m *Manager) lookup(name string) (*entry, error) {
 	m.mu.RLock()
 	e, ok := m.streams[name]
 	m.mu.RUnlock()
 	if !ok {
-		return fmt.Errorf("multi: stream %q not registered", name)
+		return nil, fmt.Errorf("multi: stream %q not registered", name)
 	}
-	e.mu.Lock()
-	e.sampler.Add(p)
-	e.snap.Invalidate()
-	e.mu.Unlock()
+	return e, nil
+}
+
+// Add feeds one point to the named stream's reservoir.
+func (m *Manager) Add(name string, p stream.Point) error {
+	e, err := m.lookup(name)
+	if err != nil {
+		return err
+	}
+	e.sm.Add(p)
 	return nil
 }
 
@@ -304,16 +257,11 @@ func (m *Manager) Add(name string, p stream.Point) error {
 // skips — the random draws, so it is the preferred ingest call when points
 // arrive in groups.
 func (m *Manager) AddBatch(name string, pts []stream.Point) error {
-	m.mu.RLock()
-	e, ok := m.streams[name]
-	m.mu.RUnlock()
-	if !ok {
-		return fmt.Errorf("multi: stream %q not registered", name)
+	e, err := m.lookup(name)
+	if err != nil {
+		return err
 	}
-	e.mu.Lock()
-	core.AddBatch(e.sampler, pts)
-	e.snap.Invalidate()
-	e.mu.Unlock()
+	e.sm.AddBatch(pts)
 	return nil
 }
 
@@ -321,28 +269,23 @@ func (m *Manager) AddBatch(name string, pts []stream.Point) error {
 // view of its immutable snapshot — lock-free and copy-free when the
 // snapshot cache is warm. Callers must not modify the returned slice.
 func (m *Manager) Sample(name string) ([]stream.Point, error) {
-	m.mu.RLock()
-	e, ok := m.streams[name]
-	m.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("multi: stream %q not registered", name)
+	snap, err := m.Snapshot(name)
+	if err != nil {
+		return nil, err
 	}
-	return e.acquireSnapshot().Points, nil
+	return snap.Points, nil
 }
 
 // With evaluates fn against the named stream's sampler while holding its
 // lock — the safe way to run any estimator against a concurrently fed
 // reservoir. fn must not retain the sampler beyond the call.
 func (m *Manager) With(name string, fn func(core.Sampler) error) error {
-	m.mu.RLock()
-	e, ok := m.streams[name]
-	m.mu.RUnlock()
-	if !ok {
-		return fmt.Errorf("multi: stream %q not registered", name)
+	e, err := m.lookup(name)
+	if err != nil {
+		return err
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return fn(e.sampler)
+	e.sm.View(func(s core.Sampler) { err = fn(s) })
+	return err
 }
 
 // Snapshot returns the named stream's current sampler snapshot — lock-free
@@ -350,13 +293,11 @@ func (m *Manager) With(name string, fn func(core.Sampler) error) error {
 // number of query kernels (query.EstimateOn and friends) against it
 // without blocking the stream's ingest.
 func (m *Manager) Snapshot(name string) (*core.Snapshot, error) {
-	m.mu.RLock()
-	e, ok := m.streams[name]
-	m.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("multi: stream %q not registered", name)
+	e, err := m.lookup(name)
+	if err != nil {
+		return nil, err
 	}
-	return e.acquireSnapshot(), nil
+	return e.sm.AcquireSnapshot(), nil
 }
 
 // SnapshotFor returns the snapshot that should serve a query over the last
@@ -365,23 +306,12 @@ func (m *Manager) Snapshot(name string) (*core.Snapshot, error) {
 // streams it is Snapshot. The second return is the tier index served, -1
 // for untiered streams.
 func (m *Manager) SnapshotFor(name string, h uint64) (*core.Snapshot, int, error) {
-	m.mu.RLock()
-	e, ok := m.streams[name]
-	m.mu.RUnlock()
-	if !ok {
-		return nil, -1, fmt.Errorf("multi: stream %q not registered", name)
+	e, err := m.lookup(name)
+	if err != nil {
+		return nil, -1, err
 	}
-	tr, tiered := e.sampler.(*core.TieredReservoir)
-	if !tiered {
-		return e.acquireSnapshot(), -1, nil
-	}
-	i := tr.SelectTier(h)
-	snap := tr.TierCache(i).Acquire(func() *core.Snapshot {
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		return core.BuildSnapshot(tr.Tier(i))
-	})
-	return snap, i, nil
+	snap, tier := e.sm.SnapshotFor(h)
+	return snap, tier, nil
 }
 
 // Average estimates the per-dimension average of the named stream's last h
@@ -440,24 +370,19 @@ func (m *Manager) StreamStats() []Stats {
 	sort.Strings(names)
 	out := make([]Stats, 0, len(names))
 	for _, name := range names {
-		m.mu.RLock()
-		e, ok := m.streams[name]
-		m.mu.RUnlock()
-		if !ok {
-			continue
+		e, err := m.lookup(name)
+		if err != nil {
+			continue // unregistered since the listing
 		}
-		e.mu.Lock()
-		st := Stats{
-			Name:      name,
-			Kind:      e.kind,
-			Share:     e.share,
-			Len:       e.sampler.Len(),
-			Processed: e.sampler.Processed(),
-			PIn:       e.sampler.PIn(),
-			Fill:      core.Fill(e.sampler),
-		}
-		e.mu.Unlock()
-		cs := e.snap.Stats()
+		st := Stats{Name: name, Kind: e.kind, Share: e.share}
+		e.sm.View(func(s core.Sampler) {
+			st.Len, st.Processed, st.Fill = s.Len(), s.Processed(), core.Fill(s)
+			st.PIn = 1
+			if p, ok := s.(interface{ PIn() float64 }); ok {
+				st.PIn = p.PIn()
+			}
+		})
+		cs := e.sm.SnapshotStats()
 		st.SnapshotHits, st.SnapshotMisses, st.SnapshotRebuilds = cs.Hits, cs.Misses, cs.Rebuilds
 		out = append(out, st)
 	}

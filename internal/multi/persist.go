@@ -51,25 +51,21 @@ func (m *Manager) SaveTo(w io.Writer) error {
 	}
 	m.mu.RUnlock()
 	for _, name := range names {
-		m.mu.RLock()
-		e, ok := m.streams[name]
-		m.mu.RUnlock()
-		if !ok {
+		e, err := m.lookup(name)
+		if err != nil {
 			continue // unregistered mid-save
 		}
-		e.mu.Lock()
-		blob, err := e.sampler.MarshalBinary()
-		share, kind := e.share, e.kind
-		var tiers int
-		var ratio float64
-		if tr, ok := e.sampler.(*core.TieredReservoir); ok {
-			tiers, ratio = tr.NumTiers(), tr.Ratio()
-		}
-		e.mu.Unlock()
+		st := streamState{Share: e.share, Kind: string(e.kind)}
+		e.sm.View(func(s core.Sampler) {
+			st.Snapshot, err = s.(core.PersistentSampler).MarshalBinary()
+			if tr := e.sm.Tiered(); tr != nil {
+				st.Tiers, st.Ratio = tr.NumTiers(), tr.Ratio()
+			}
+		})
 		if err != nil {
 			return fmt.Errorf("multi: snapshotting %q: %w", name, err)
 		}
-		state.Streams[name] = streamState{Share: share, Snapshot: blob, Tiers: tiers, Ratio: ratio, Kind: string(kind)}
+		state.Streams[name] = st
 	}
 	if err := gob.NewEncoder(w).Encode(state); err != nil {
 		return fmt.Errorf("multi: encoding fleet checkpoint: %w", err)
@@ -102,11 +98,10 @@ func LoadFrom(r io.Reader, seed uint64) (*Manager, error) {
 		if kind == "" {
 			kind = KindVariable
 		}
-		spec, ok := samplerKinds[kind]
-		if !ok {
+		if !knownKind(kind) {
 			return nil, fmt.Errorf("multi: stream %q has unknown sampler kind %q in checkpoint", name, st.Kind)
 		}
-		var sampler managedSampler
+		cfg := core.SamplerConfig{Policy: string(kind), Lambda: state.Lambda, Capacity: st.Share}
 		if st.Tiers > 1 {
 			if kind != KindVariable {
 				return nil, fmt.Errorf("multi: stream %q is tiered but has kind %q in checkpoint", name, kind)
@@ -117,26 +112,20 @@ func LoadFrom(r io.Reader, seed uint64) (*Manager, error) {
 				return nil, fmt.Errorf("multi: stream %q share %d is not divisible by its %d tiers",
 					name, st.Share, st.Tiers)
 			}
-			perTier := st.Share / st.Tiers
-			tr, err := core.NewTieredReservoir(state.Lambda, st.Ratio, st.Tiers, xrand.New(0),
-				func(_ int, lambda float64, rng *xrand.Source) (core.PersistentSampler, error) {
-					return core.NewVariableReservoir(lambda, perTier, rng)
-				})
-			if err != nil {
-				return nil, fmt.Errorf("multi: rebuilding %q: %w", name, err)
-			}
-			sampler = tr
-		} else {
-			s, err := spec.build(state.Lambda, st.Share, xrand.New(0))
-			if err != nil {
-				return nil, fmt.Errorf("multi: rebuilding %q: %w", name, err)
-			}
-			sampler = s
+			cfg.Capacity, cfg.Tiers, cfg.TierRatio = st.Share/st.Tiers, st.Tiers, st.Ratio
+		}
+		fresh, err := core.SamplerFactory(cfg)
+		if err != nil {
+			return nil, fmt.Errorf("multi: rebuilding %q: %w", name, err)
+		}
+		sampler, err := fresh(xrand.New(0))
+		if err != nil {
+			return nil, fmt.Errorf("multi: rebuilding %q: %w", name, err)
 		}
 		if err := sampler.UnmarshalBinary(st.Snapshot); err != nil {
 			return nil, fmt.Errorf("multi: restoring %q: %w", name, err)
 		}
-		m.streams[name] = &entry{sampler: sampler, kind: kind, share: st.Share}
+		m.streams[name] = &entry{sm: core.NewSynchronized(sampler), kind: kind, share: st.Share}
 		m.used += st.Share
 	}
 	return m, nil

@@ -176,13 +176,19 @@ func (v *vec) child(values []string, mk func() any) any {
 }
 
 // snapshot returns the children sorted by label values for deterministic
-// rendering.
+// rendering. The maps are copies: child inserts children concurrently with
+// a scrape, so the live maps must not be read outside the lock.
 func (v *vec) snapshot() (keys []string, values map[string][]string, children map[string]any) {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
 	keys = append([]string(nil), v.order...)
 	sort.Strings(keys)
-	return keys, v.values, v.children
+	values = make(map[string][]string, len(keys))
+	children = make(map[string]any, len(keys))
+	for _, k := range keys {
+		values[k], children[k] = v.values[k], v.children[k]
+	}
+	return keys, values, children
 }
 
 // labelPairs formats the {k="v",...} block; empty when there are no labels.

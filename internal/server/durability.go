@@ -1,6 +1,7 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -83,8 +84,13 @@ func durableMeta(name string, req CreateRequest) durable.StreamMeta {
 	}
 }
 
-// createRequestOf inverts durableMeta for recovery.
+// createRequestOf inverts durableMeta for recovery and transfer install.
+// Checkpoints written without a policy predate policies: they hold the
+// paper's variable reservoir.
 func createRequestOf(meta durable.StreamMeta) CreateRequest {
+	if meta.Policy == "" {
+		meta.Policy = "variable"
+	}
 	return CreateRequest{
 		Policy:    meta.Policy,
 		Lambda:    meta.Lambda,
@@ -105,9 +111,9 @@ func journalOps(batch []stream.Point) []durable.Op {
 }
 
 // appendJournal frames one applied batch onto the stream's journal. Called
-// on the apply paths (sync handler, shard worker) while ms.mu is held, so
-// journal order matches apply order. Failures degrade durability, not
-// availability: they are logged and counted, and ingest continues.
+// under the sampler lock (apply, the timed ingest path), so journal order
+// matches apply order. Failures degrade durability, not availability: they
+// are logged and counted, and ingest continues.
 func (s *Server) appendJournal(name string, ops []durable.Op) {
 	if s.durable == nil || len(ops) == 0 {
 		return
@@ -119,62 +125,65 @@ func (s *Server) appendJournal(name string, ops []durable.Op) {
 	}
 }
 
-// samplerVersion reads a sampler's mutation counter (0 when the sampler
-// does not expose one; such a stream is checkpointed every interval).
-func samplerVersion(sm core.Sampler) (uint64, bool) {
+// version reads a sampler's mutation counter; every core sampler keeps one.
+func version(sm core.Sampler) uint64 {
 	if vs, ok := sm.(core.VersionedSampler); ok {
-		return vs.Version(), true
+		return vs.Version()
 	}
-	return 0, false
+	return 0
+}
+
+// errQuiescent abandons a checkpointer cut of a stream that has not
+// changed enough since its last checkpoint.
+var errQuiescent = errors.New("stream quiescent since its last checkpoint")
+
+// cut is the one checkpoint cut of a live stream, shared by GET /snapshot,
+// GET /transfer and the checkpointer. It captures (next, dim) under qmu and
+// takes the sampler lock before letting qmu go, so the pair matches the
+// marshaled sampler state; the marshal then runs under the sampler lock
+// alone, never blocking ingest admission. rotate, when non-nil, runs under
+// the same sampler lock just before the marshal with the sampler's
+// version: it returns the sequence of the journal cut the checkpoint
+// starts, or an error to abandon the cut. A cut with rotate also records
+// the version it captured for the checkpointer's quiescence test.
+func (s *Server) cut(name string, ms *managedStream, rotate func(ver uint64) (uint64, error)) (durable.Checkpoint, error) {
+	ck := durable.Checkpoint{Seq: 1, Meta: durableMeta(name, ms.req)}
+	var err error
+	ms.qmu.Lock()
+	ck.Next, ck.Dim = ms.next, ms.dim
+	ms.sm.View(func(sm core.Sampler) {
+		ms.qmu.Unlock()
+		ver := version(sm)
+		if rotate != nil {
+			if ck.Seq, err = rotate(ver); err != nil {
+				return
+			}
+		}
+		if ck.Snapshot, err = sm.(core.PersistentSampler).MarshalBinary(); err == nil && rotate != nil {
+			ms.lastCkptVer = ver
+		}
+	})
+	return ck, err
 }
 
 // checkpointStream cuts and writes one stream's checkpoint. force skips
-// the quiescence test (restore, shutdown). It returns false when the
-// stream was skipped as quiescent.
+// the quiescence test (restore, shutdown, retention). It returns false when
+// no checkpoint was written.
 func (s *Server) checkpointStream(name string, ms *managedStream, force bool) bool {
-	// Lock order matches handleSnapshot: capture next/dim under qmu, take
-	// the sampler lock, release qmu before the slow work.
-	ms.qmu.Lock()
-	next, dim := ms.next, ms.dim
-	ms.mu.Lock()
-	ms.qmu.Unlock()
-	ver, versioned := samplerVersion(ms.sampler)
-	if !force && versioned && ver-ms.lastCkptVer < s.dcfg.CheckpointMinOps {
-		ms.mu.Unlock()
-		return false
+	ck, err := s.cut(name, ms, func(ver uint64) (uint64, error) {
+		if !force && ver-ms.lastCkptVer < s.dcfg.CheckpointMinOps {
+			return 0, errQuiescent
+		}
+		// Journal <seq> then holds exactly the ops applied after this
+		// snapshot: both happen under the sampler lock.
+		return s.durable.Rotate(name)
+	})
+	if err == nil {
+		err = s.durable.WriteCheckpoint(name, ck)
 	}
-	// Cut the journal at the exact sampler state being marshaled: both
-	// happen under ms.mu, so journal <seq> holds exactly the ops applied
-	// after this snapshot.
-	seq, err := s.durable.Rotate(name)
 	if err != nil {
-		ms.mu.Unlock()
-		if s.log != nil {
-			s.log.Warn("checkpoint rotation failed", "stream", name, "error", err)
-		}
-		return false
-	}
-	blob, merr := ms.sampler.MarshalBinary()
-	if merr == nil {
-		ms.lastCkptVer = ver
-	}
-	ms.mu.Unlock()
-	if merr != nil {
-		if s.log != nil {
-			s.log.Warn("checkpoint marshal failed", "stream", name, "error", merr)
-		}
-		return false
-	}
-	ck := durable.Checkpoint{
-		Seq:      seq,
-		Meta:     durableMeta(name, ms.createReq),
-		Next:     next,
-		Dim:      dim,
-		Snapshot: blob,
-	}
-	if err := s.durable.WriteCheckpoint(name, ck); err != nil {
-		if s.log != nil {
-			s.log.Warn("checkpoint write failed", "stream", name, "error", err)
+		if !errors.Is(err, errQuiescent) && s.log != nil {
+			s.log.Warn("checkpoint failed", "stream", name, "error", err)
 		}
 		return false
 	}
@@ -183,18 +192,8 @@ func (s *Server) checkpointStream(name string, ms *managedStream, force bool) bo
 
 // checkpointAll sweeps every stream once.
 func (s *Server) checkpointAll(force bool) {
-	s.mu.RLock()
-	type pair struct {
-		name string
-		ms   *managedStream
-	}
-	streams := make([]pair, 0, len(s.streams))
-	for name, ms := range s.streams {
-		streams = append(streams, pair{name, ms})
-	}
-	s.mu.RUnlock()
-	for _, p := range streams {
-		s.checkpointStream(p.name, p.ms, force)
+	for _, ns := range s.streamList() {
+		s.checkpointStream(ns.name, ns.ms, force)
 	}
 }
 
@@ -230,31 +229,40 @@ func (s *Server) runDurability() {
 	}
 }
 
+// applyOps applies journal ops to a sampler in order: time-decay samplers
+// (including time-decay ladders) take AddAt for ops carrying a timestamp
+// and Add otherwise, reproducing their clock; everything else takes the
+// batch path. It returns how many ops were applied before an error.
+func applyOps(sm core.Sampler, ops []durable.Op) (int, error) {
+	td, timed := core.AsTimed(sm)
+	if !timed {
+		batch := make([]stream.Point, len(ops))
+		for i, op := range ops {
+			batch[i] = op.P
+		}
+		core.AddBatch(sm, batch)
+		return len(ops), nil
+	}
+	for i, op := range ops {
+		if !op.HasTS {
+			td.Add(op.P)
+			continue
+		}
+		if err := td.AddAt(op.P, op.TS); err != nil {
+			return i, err
+		}
+	}
+	return len(ops), nil
+}
+
 // replayTail applies a journal tail to a freshly restored sampler, in
 // order, and advances the (next, dim) ingest bookkeeping past every
-// replayed op. Time-decay streams (including time-decay tier ladders)
-// replay through AddAt to reproduce their clock; everything else takes
-// the batch path. Shared by startup recovery and transfer install — both
-// turn a checkpoint + tail chain into a live sampler.
-func replayTail(sampler persistentSampler, tail []durable.Record, next uint64, dim int) (uint64, int, error) {
-	td, timed := core.AsTimed(sampler)
+// replayed op. Install runs it for startup recovery and transfers alike —
+// both turn a checkpoint + tail chain into a live sampler.
+func replayTail(sampler core.Sampler, tail []durable.Record, next uint64, dim int) (uint64, int, error) {
 	for _, r := range tail {
-		if timed {
-			for _, op := range r.Ops {
-				if op.HasTS {
-					if err := td.AddAt(op.P, op.TS); err != nil {
-						return next, dim, fmt.Errorf("replaying journal: %w", err)
-					}
-				} else {
-					td.Add(op.P)
-				}
-			}
-		} else {
-			batch := make([]stream.Point, len(r.Ops))
-			for i, op := range r.Ops {
-				batch[i] = op.P
-			}
-			core.AddBatch(sampler, batch)
+		if _, err := applyOps(sampler, r.Ops); err != nil {
+			return next, dim, fmt.Errorf("replaying journal: %w", err)
 		}
 		for _, op := range r.Ops {
 			if op.P.Index > next {
@@ -279,7 +287,11 @@ func (s *Server) recoverDurable() error {
 	}
 	for _, rec := range recs {
 		name := rec.Checkpoint.Meta.Name
-		if err := s.adoptRecovered(rec); err != nil {
+		// Rebaseline: one fresh checkpoint above every sequence the disk
+		// holds (including corrupt newer generations), so the replayed
+		// state is durable again before the stream serves traffic.
+		from := &durable.Transfer{Checkpoint: rec.Checkpoint, Tail: rec.Tail}
+		if _, _, err := s.install(name, createRequestOf(rec.Checkpoint.Meta), from, rec.MaxSeq+1); err != nil {
 			s.durable.QuarantineStream(name)
 			if s.log != nil {
 				s.log.Warn("stream recovery failed; files quarantined", "stream", name, "error", err)
@@ -291,75 +303,5 @@ func (s *Server) recoverDurable() error {
 				"seq", rec.Checkpoint.Seq, "replayed_records", len(rec.Tail), "torn_tail", rec.TornTail)
 		}
 	}
-	return nil
-}
-
-// adoptRecovered turns one recovered chain into a live managed stream and
-// rebaselines it with a fresh checkpoint above every on-disk sequence.
-func (s *Server) adoptRecovered(rec durable.Recovered) error {
-	name := rec.Checkpoint.Meta.Name
-	req := createRequestOf(rec.Checkpoint.Meta)
-	if req.Policy == "" {
-		req.Policy = "variable"
-	}
-	fresh, err := samplerFactory(req)
-	if err != nil {
-		return fmt.Errorf("resolving policy: %w", err)
-	}
-	s.mu.Lock()
-	rng := s.seeds.Split()
-	s.mu.Unlock()
-	sampler, err := fresh(rng)
-	if err != nil {
-		return fmt.Errorf("rebuilding sampler: %w", err)
-	}
-	if err := sampler.UnmarshalBinary(rec.Checkpoint.Snapshot); err != nil {
-		return fmt.Errorf("restoring snapshot: %w", err)
-	}
-
-	next, dim, err := replayTail(sampler, rec.Tail, rec.Checkpoint.Next, rec.Checkpoint.Dim)
-	if err != nil {
-		return err
-	}
-
-	ms := &managedStream{
-		sampler:   sampler,
-		policy:    req.Policy,
-		lambda:    req.Lambda,
-		createReq: req,
-		fresh:     fresh,
-		next:      next,
-		dim:       dim,
-	}
-	ver, _ := samplerVersion(sampler)
-	ms.lastCkptVer = ver
-
-	// Rebaseline: one fresh checkpoint above every sequence the disk holds
-	// (including corrupt newer generations), so the replayed state is
-	// durable again before the stream serves traffic.
-	blob, err := sampler.MarshalBinary()
-	if err != nil {
-		return fmt.Errorf("marshaling recovered sampler: %w", err)
-	}
-	ck := durable.Checkpoint{
-		Seq:      rec.MaxSeq + 1,
-		Meta:     durableMeta(name, req),
-		Next:     next,
-		Dim:      dim,
-		Snapshot: blob,
-	}
-	if err := s.durable.Attach(name, ck); err != nil {
-		return fmt.Errorf("rebaselining: %w", err)
-	}
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, exists := s.streams[name]; exists {
-		return fmt.Errorf("stream %q already registered", name)
-	}
-	if s.ingestWorkers > 0 && req.Policy != "timedecay" {
-		s.startIngestShard(name, ms)
-	}
-	s.streams[name] = ms
 	return nil
 }

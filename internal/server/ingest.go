@@ -3,7 +3,6 @@ package server
 import (
 	"encoding/json"
 	"net/http"
-	"sort"
 	"strconv"
 
 	"biasedres/internal/core"
@@ -36,28 +35,49 @@ func (s *Server) startIngestShard(name string, ms *managedStream) {
 // runIngestShard drains one stream's queue. The global worker semaphore
 // bounds how many shards apply batches simultaneously (the -ingest-workers
 // flag), so thousands of idle streams cost goroutines but not CPU
-// contention.
+// contention. Model scoring runs inside the semaphore slot too:
+// classification is CPU work and must respect -ingest-workers.
 func (s *Server) runIngestShard(name string, ms *managedStream) {
 	defer s.ingestWG.Done()
 	for batch := range ms.shard.ch {
 		s.ingestSem <- struct{}{}
-		ms.mu.Lock()
-		core.AddBatch(ms.sampler, batch)
-		ms.snap.Invalidate()
-		if s.durable != nil {
-			// Journaled under ms.mu so append order matches apply order
-			// and a concurrent checkpoint's journal cut (Rotate, also
-			// under ms.mu) cleanly separates pre- from post-snapshot ops.
-			s.appendJournal(name, journalOps(batch))
-		}
-		ms.mu.Unlock()
-		// Model scoring runs on the worker inside the semaphore slot:
-		// classification is CPU work and must respect -ingest-workers.
-		s.observeModel(ms, batch)
+		s.apply(name, ms, batch, nil)
 		<-s.ingestSem
 		ms.pending.Add(-int64(len(batch)))
 		s.applied.With(name).Inc()
 	}
+}
+
+// apply is the one path by which a live ingest batch reaches a stream's
+// sampler, for HTTP, wire and sharded ingest alike: under the sampler lock
+// it runs core.AddBatch, frames the batch onto the journal (so journal
+// order is apply order, and a checkpoint's journal cut — also under the
+// sampler lock — cleanly separates pre- from post-snapshot ops) and
+// invalidates the snapshot cache. release, when non-nil, runs next: the
+// synchronous paths pass their qmu unlock, so the model scoring that
+// follows never holds up admission. It returns the stream position after
+// the batch.
+func (s *Server) apply(name string, ms *managedStream, batch []stream.Point, release func()) uint64 {
+	var processed uint64
+	ms.sm.Update(func(sm core.Sampler) {
+		core.AddBatch(sm, batch)
+		if s.durable != nil {
+			s.appendJournal(name, journalOps(batch))
+		}
+		processed = sm.Processed()
+	})
+	if release != nil {
+		release()
+	}
+	s.observeModel(ms, batch)
+	return processed
+}
+
+// countIngest records the ingest metrics of an accepted batch of n points,
+// for every ingest path.
+func (s *Server) countIngest(name string, n int) {
+	s.ingest.With(name).Add(uint64(n))
+	s.batchSize.Observe(float64(n))
 }
 
 // closeShard marks the stream closed and shuts its ingest lane down. Safe
@@ -87,14 +107,8 @@ func (s *Server) Close() {
 		// Fail readiness first so load balancers and federation
 		// coordinators stop routing here while the queues drain.
 		s.ready.Store(false)
-		s.mu.RLock()
-		streams := make([]*managedStream, 0, len(s.streams))
-		for _, ms := range s.streams {
-			streams = append(streams, ms)
-		}
-		s.mu.RUnlock()
-		for _, ms := range streams {
-			closeShard(ms)
+		for _, ns := range s.streamList() {
+			closeShard(ns.ms)
 		}
 		s.ingestWG.Wait()
 		if s.retStop != nil {
@@ -117,25 +131,20 @@ func (s *Server) Close() {
 	})
 }
 
-// enqueueIngest tries to hand a validated batch to the stream's shard.
-// Called with ms.qmu held. It assigns arrival indices only on success, so
-// a rejected batch consumes nothing: no indices, no sampler state — the
-// "no partial application" half of the backpressure contract.
-func (s *Server) enqueueIngest(ms *managedStream, req IngestRequest, dim int) (queued bool) {
-	batch := make([]stream.Point, len(req.Points))
-	next := ms.next
-	for i, ip := range req.Points {
-		next++
-		batch[i] = ingestPoint(next, ip)
-	}
+// enqueue hands a validated, index-assigned batch to the stream's ingest
+// lane: the one enqueue path of HTTP and wire ingest. Called with ms.qmu
+// held. next and dim commit only when the batch is queued, so a rejected
+// batch consumes nothing — no indices, no sampler state: the "no partial
+// application" half of the backpressure contract. A full queue counts a
+// rejection and reports ok=false.
+func (s *Server) enqueue(name string, ms *managedStream, batch []stream.Point, next uint64, dim int) (pending int64, ok bool) {
 	select {
 	case ms.shard.ch <- batch:
-		ms.next = next
-		ms.dim = dim
-		ms.pending.Add(int64(len(batch)))
-		return true
+		ms.next, ms.dim = next, dim
+		return ms.pending.Add(int64(len(batch))), true
 	default:
-		return false
+		s.rejected.With(name).Inc()
+		return 0, false
 	}
 }
 
@@ -151,18 +160,16 @@ func (s *Server) handleIngestAsync(w http.ResponseWriter, name string, ms *manag
 		httpError(w, http.StatusServiceUnavailable, "stream %q is shutting down", name)
 		return
 	}
-	queued := s.enqueueIngest(ms, req, dim)
-	pending := ms.pending.Load()
+	batch, next := ingestBatch(req.Points, ms.next)
+	pending, queued := s.enqueue(name, ms, batch, next, dim)
 	ms.qmu.Unlock()
 	if !queued {
-		s.rejected.With(name).Inc()
 		w.Header().Set("Retry-After", "1")
 		httpError(w, http.StatusTooManyRequests,
 			"ingest queue for stream %q is full (%d batches); retry later", name, s.ingestQueue)
 		return
 	}
-	s.batchSize.Observe(float64(len(req.Points)))
-	s.ingest.With(name).Add(uint64(len(req.Points)))
+	s.countIngest(name, len(req.Points))
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("X-Biasedres-Pending-Points", strconv.FormatInt(pending, 10))
 	w.WriteHeader(http.StatusAccepted)
@@ -176,24 +183,12 @@ func (s *Server) collectIngest() []obs.Family {
 	if s.ingestWorkers == 0 {
 		return nil
 	}
-	s.mu.RLock()
-	names := make([]string, 0, len(s.streams))
-	for name := range s.streams {
-		names = append(names, name)
-	}
-	byName := make(map[string]*managedStream, len(names))
-	for name, ms := range s.streams {
-		byName[name] = ms
-	}
-	s.mu.RUnlock()
-	sort.Strings(names)
-
 	depth := obs.Family{Name: "biasedres_ingest_queue_depth", Type: "gauge",
 		Help: "Batches waiting in the stream's ingest queue."}
 	pendPts := obs.Family{Name: "biasedres_ingest_pending_points", Type: "gauge",
 		Help: "Points accepted (202) but not yet applied to the stream's sampler."}
-	for _, name := range names {
-		ms := byName[name]
+	for _, ns := range s.streamList() {
+		name, ms := ns.name, ns.ms
 		// The scrape runs concurrently with enqueues, deletion, and Close,
 		// all of which mutate the queue state under qmu. Reading shard and
 		// the (depth, pending) pair under the same lock keeps the sample

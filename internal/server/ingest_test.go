@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"biasedres/internal/core"
 )
 
 // newShardedServer returns a server with async ingest plus its test
@@ -152,7 +154,7 @@ func TestShardedIngestConcurrent(t *testing.T) {
 
 // A full queue must reject the batch with 429 + Retry-After and consume
 // nothing: no arrival indices, no sampler state, no pending count. The
-// worker is deterministically stalled by holding the sampler mutex from
+// worker is deterministically stalled by holding the sampler lock from
 // the test (white-box), so the queue can be filled exactly.
 func TestShardedIngestBackpressureNoPartialApply(t *testing.T) {
 	srv, ts := newShardedServer(t, 1, 1)
@@ -163,8 +165,9 @@ func TestShardedIngestBackpressureNoPartialApply(t *testing.T) {
 	}
 
 	// Stall the worker: it will take the first batch off the queue and
-	// block acquiring ms.mu, leaving queue capacity 1 for the second.
-	ms.mu.Lock()
+	// block acquiring the sampler lock, leaving queue capacity 1 for the
+	// second.
+	unstall := stallSampler(ms)
 	post := func() (*http.Response, map[string]any) {
 		return do(t, http.MethodPost, ts.URL+"/streams/s/points", IngestRequest{Points: floatVals(4)})
 	}
@@ -202,7 +205,7 @@ func TestShardedIngestBackpressureNoPartialApply(t *testing.T) {
 	if got := ms.pending.Load(); got != pendingBefore {
 		t.Errorf("rejected batch changed pending count: %d -> %d", pendingBefore, got)
 	}
-	ms.mu.Unlock()
+	unstall()
 
 	waitPending(t, srv, "s")
 	resp, sbody := do(t, http.MethodGet, ts.URL+"/streams/s", nil)
@@ -235,13 +238,13 @@ func TestShardedRestoreRequiresQuiescedStream(t *testing.T) {
 	blob := body["raw"].([]byte)
 
 	ms, _ := srv.lookup("s")
-	ms.mu.Lock() // stall the worker so pending stays non-zero
+	unstall := stallSampler(ms) // stall the worker so pending stays non-zero
 	ingestAsync(10)
 	resp, body = do(t, http.MethodPost, ts.URL+"/streams/s/restore", blob)
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("restore with pending points: status %d body %v, want 409", resp.StatusCode, body)
 	}
-	ms.mu.Unlock()
+	unstall()
 
 	waitPending(t, srv, "s")
 	resp, _ = do(t, http.MethodPost, ts.URL+"/streams/s/restore", blob)
@@ -266,9 +269,7 @@ func TestShardedCloseDrains(t *testing.T) {
 	}
 	srv.Close()
 	ms, _ := srv.lookup("s")
-	ms.mu.Lock()
-	processed := ms.sampler.Processed()
-	ms.mu.Unlock()
+	processed := ms.sm.Processed()
 	if processed != total {
 		t.Fatalf("after Close: processed = %d, want %d", processed, total)
 	}
@@ -318,11 +319,11 @@ func TestShardedIngestMetrics(t *testing.T) {
 	createStream(t, ts.URL, "s", CreateRequest{Policy: "variable", Lambda: 1e-2, Capacity: 50})
 	ms, _ := srv.lookup("s")
 
-	ms.mu.Lock()
+	unstall := stallSampler(ms)
 	for i := 0; i < 3; i++ { // 1 in-flight + 1 queued + 1 rejected
 		do(t, http.MethodPost, ts.URL+"/streams/s/points", IngestRequest{Points: floatVals(4)})
 	}
-	ms.mu.Unlock()
+	unstall()
 	waitPending(t, srv, "s")
 
 	resp, body := do(t, http.MethodGet, ts.URL+"/metrics", nil)
@@ -342,4 +343,17 @@ func TestShardedIngestMetrics(t *testing.T) {
 			t.Errorf("/metrics missing %q", want)
 		}
 	}
+}
+
+// stallSampler holds the stream's sampler lock from the test (white-box)
+// until the returned function is called, stalling the shard worker and
+// every synchronous apply.
+func stallSampler(ms *managedStream) (unstall func()) {
+	held, release := make(chan struct{}), make(chan struct{})
+	go ms.sm.View(func(core.Sampler) {
+		close(held)
+		<-release
+	})
+	<-held
+	return func() { close(release) }
 }

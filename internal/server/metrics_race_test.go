@@ -99,11 +99,19 @@ func TestMetricsScrapeRaceHammer(t *testing.T) {
 	// come back 201 (its shard then drained by Close) or 503 (refused by
 	// the readiness check) — never a leaked worker.
 	var lateCreated, lateRefused atomic.Int64
+	// Close waits until every late creator has sent a create, so the race
+	// is exercised on every run rather than only when the scheduler
+	// happens to start the creators first.
+	var started sync.WaitGroup
 	for c := 0; c < 2; c++ {
 		wg.Add(1)
+		started.Add(1)
 		go func(c int) {
 			defer wg.Done()
 			for i := 0; ; i++ {
+				if i == 1 {
+					started.Done()
+				}
 				select {
 				case <-stop:
 					return
@@ -123,6 +131,7 @@ func TestMetricsScrapeRaceHammer(t *testing.T) {
 		}(c)
 	}
 
+	started.Wait()
 	srv.Close()
 	close(stop)
 	wg.Wait()

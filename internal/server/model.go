@@ -2,7 +2,6 @@ package server
 
 import (
 	"net/http"
-	"sort"
 
 	"biasedres/internal/models"
 	"biasedres/internal/obs"
@@ -81,7 +80,7 @@ func (s *Server) handleModelCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	// Materialize the initial training set from whatever the reservoir
 	// holds right now; an empty stream trains on the first ingested batch.
-	m.Retrain(ms.acquireSnapshot())
+	m.Retrain(ms.sm.AcquireSnapshot())
 	if s.log != nil {
 		s.log.Info("model attached", "stream", name, "k", m.Config().K,
 			"dim", req.Dim, "short_h", req.ShortH, "long_h", req.LongH)
@@ -140,20 +139,13 @@ func (s *Server) handleModelDelete(w http.ResponseWriter, r *http.Request) {
 // retrain reads the stream's snapshot cache.
 func (s *Server) observeModel(ms *managedStream, batch []stream.Point) {
 	if m := ms.model.Load(); m != nil {
-		m.ObserveBatch(batch, ms.acquireSnapshot)
+		m.ObserveBatch(batch, ms.sm.AcquireSnapshot)
 	}
 }
 
 // collectModels exports the biasedres_model_* family for every stream with
 // an attached model.
 func (s *Server) collectModels() []obs.Family {
-	s.mu.RLock()
-	names := make([]string, 0, len(s.streams))
-	for name := range s.streams {
-		names = append(names, name)
-	}
-	s.mu.RUnlock()
-	sort.Strings(names)
 
 	label := func(name string) []obs.Label { return []obs.Label{{Key: "stream", Value: name}} }
 	trainSize := obs.Family{Name: "biasedres_model_train_size", Type: "gauge",
@@ -177,11 +169,8 @@ func (s *Server) collectModels() []obs.Family {
 	lastZ := obs.Family{Name: "biasedres_model_last_drift_z", Type: "gauge",
 		Help: "Max per-dimension z-score of the most recent drift check."}
 
-	for _, name := range names {
-		ms, ok := s.lookup(name)
-		if !ok {
-			continue
-		}
+	for _, ns := range s.streamList() {
+		name, ms := ns.name, ns.ms
 		m := ms.model.Load()
 		if m == nil {
 			continue

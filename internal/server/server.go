@@ -68,63 +68,50 @@ import (
 // unbounded read into memory.
 const defaultMaxBodyBytes = 8 << 20
 
-// persistentSampler is a sampler that supports checkpointing.
-type persistentSampler = core.PersistentSampler
-
-// managedStream is one named stream. Two locks split its state so async
-// ingest handlers never wait on sampler work:
+// managedStream is one named stream: its sampler behind the shared locked
+// wrapper (core.Synchronized: sampler lock, snapshot cache, tier routing)
+// plus the ingest bookkeeping. Two locks split the state so async ingest
+// handlers never wait on sampler work:
 //
 //   - qmu guards the ingest bookkeeping: next (arrival indexing), dim,
 //     closed, and the enqueue onto the shard. Handlers hold it briefly.
-//   - mu guards the sampler itself: Adds (the shard worker, or the
-//     synchronous path), queries, snapshots.
+//   - the sampler lock inside sm guards the sampler: applies (the shard
+//     worker, or the synchronous paths), checkpoint cuts, restores.
 //
-// When both are needed (synchronous ingest, restore, snapshot) the order
-// is always qmu → mu.
+// When both are needed (synchronous ingest, restore, cut) the order is
+// always qmu → sampler lock. Reads are served from sm's snapshot caches
+// without either lock.
 type managedStream struct {
-	qmu     sync.Mutex
-	mu      sync.Mutex
-	sampler persistentSampler
-	policy  string
-	lambda  float64
-	next    uint64 // next arrival index; guarded by qmu
-	dim     int    // fixed by the first ingested point; 0 = none yet; guarded by qmu
-	// createReq is the stream's creation request, embedded in durable
-	// checkpoints so recovery can rebuild the sampler factory.
-	createReq CreateRequest
+	qmu sync.Mutex
+	sm  *core.Synchronized
+	// req is the stream's configuration, embedded in durable checkpoints
+	// so recovery can rebuild the sampler.
+	req  CreateRequest
+	next uint64 // next arrival index; guarded by qmu
+	dim  int    // fixed by the first ingested point; 0 = none yet; guarded by qmu
 	// lastCkptVer is the sampler's mutation counter at the last durable
 	// checkpoint; the checkpointer skips quiescent streams by comparing
-	// it to the live counter. Guarded by mu.
+	// it to the live counter. Guarded by the sampler lock.
 	lastCkptVer uint64
 	// fresh builds a new empty sampler with this stream's configuration;
 	// restores deserialize into a fresh instance so a rejected checkpoint
 	// cannot corrupt the live sampler.
-	fresh func(rng *xrand.Source) (persistentSampler, error)
+	fresh func(rng *xrand.Source) (core.PersistentSampler, error)
+	// timed marks a time-decay stream (core.AsTimed): it ingests by
+	// timestamp, synchronously, because its timestamp check must observe
+	// the sampler clock.
+	timed bool
 	// shard is the stream's async ingest lane (nil when the server runs
-	// synchronous ingest); closed marks the lane shut down. pending counts
-	// points accepted onto the lane but not yet applied to the sampler.
+	// synchronous ingest or the stream is timed); closed marks the
+	// lane shut down. pending counts points accepted onto the lane but not
+	// yet applied to the sampler.
 	shard   *ingestShard
 	closed  bool // guarded by qmu
 	pending atomic.Int64
-	// snap caches the read path: every sampler mutation invalidates it,
-	// and queries/samples/stats are served from the published snapshot
-	// without touching mu (see core.SnapshotCache).
-	snap core.SnapshotCache
 	// model is the stream's managed classifier (nil = none). Swapped
 	// atomically so the ingest hot path costs one load when no model is
 	// attached.
 	model atomic.Pointer[models.Model]
-}
-
-// acquireSnapshot returns the stream's current sampler snapshot. When
-// nothing has mutated since the last read this is lock-free (two atomic
-// loads); otherwise the sampler lock is taken once to rebuild.
-func (ms *managedStream) acquireSnapshot() *core.Snapshot {
-	return ms.snap.Acquire(func() *core.Snapshot {
-		ms.mu.Lock()
-		defer ms.mu.Unlock()
-		return core.BuildSnapshot(ms.sampler)
-	})
 }
 
 // Server is the HTTP handler. Create with New and mount it as an
@@ -242,21 +229,12 @@ func WithDefaultPolicy(policy string) Option {
 	}
 }
 
-// Policies lists the sampler families samplerFactory accepts, in the
-// order the documentation presents them.
-func Policies() []string {
-	return []string{"variable", "biased", "constrained", "unbiased", "window", "timedecay", "ttbs", "rtbs"}
-}
+// Policies lists the sampler families a create request accepts, in the
+// order the documentation presents them (the core sampler registry).
+func Policies() []string { return core.Policies() }
 
 // ValidPolicy reports whether name is a known sampler family.
-func ValidPolicy(name string) bool {
-	for _, p := range Policies() {
-		if p == name {
-			return true
-		}
-	}
-	return false
-}
+func ValidPolicy(name string) bool { return core.ValidPolicy(name) }
 
 // WithMaxBodyBytes bounds request bodies at n bytes (default 8 MiB).
 // Oversized ingest/restore/create bodies are refused with 413 and a JSON
@@ -336,6 +314,10 @@ func New(seed uint64, opts ...Option) *Server {
 	mux.Handle("GET /metrics", s.instrument("GET /metrics", s.metrics.Handler()))
 	s.mux = mux
 
+	// Nothing can reach the server before New returns, so readiness opens
+	// here: recovered streams then register through install exactly like
+	// created ones.
+	s.ready.Store(true)
 	if s.durable != nil {
 		s.metrics.Register(obs.CollectorFunc(s.durable.Collect))
 		if err := s.recoverDurable(); err != nil && s.log != nil {
@@ -353,9 +335,6 @@ func New(seed uint64, opts ...Option) *Server {
 		s.retWG.Add(1)
 		go s.runRetention()
 	}
-	// Recovery (if any) has run and the ingest shards are accepting:
-	// the server is ready for traffic.
-	s.ready.Store(true)
 	return s
 }
 
@@ -384,13 +363,6 @@ func (s *Server) instrument(route string, h http.Handler) http.Handler {
 
 // collectStreams exports per-stream sampler gauges at scrape time.
 func (s *Server) collectStreams() []obs.Family {
-	s.mu.RLock()
-	names := make([]string, 0, len(s.streams))
-	for name := range s.streams {
-		names = append(names, name)
-	}
-	s.mu.RUnlock()
-	sort.Strings(names)
 
 	label := func(name string) []obs.Label { return []obs.Label{{Key: "stream", Value: name}} }
 	processed := obs.Family{Name: "biasedres_stream_processed_total", Type: "counter",
@@ -414,28 +386,24 @@ func (s *Server) collectStreams() []obs.Family {
 	snapRebuilds := obs.Family{Name: "biasedres_snapshot_cache_rebuilds_total", Type: "counter",
 		Help: "Snapshots rebuilt under the sampler lock (at most one per mutation)."}
 
-	for _, name := range names {
-		ms, ok := s.lookup(name)
-		if !ok {
-			continue
-		}
-		ms.mu.Lock()
-		sm := ms.sampler
-		processed.Samples = append(processed.Samples, obs.Sample{Labels: label(name), Value: float64(sm.Processed())})
-		size.Samples = append(size.Samples, obs.Sample{Labels: label(name), Value: float64(sm.Len())})
-		capacity.Samples = append(capacity.Samples, obs.Sample{Labels: label(name), Value: float64(sm.Capacity())})
-		fill.Samples = append(fill.Samples, obs.Sample{Labels: label(name), Value: core.Fill(sm)})
-		if a, ok := sm.(interface{ Admitted() uint64 }); ok {
-			admitted.Samples = append(admitted.Samples, obs.Sample{Labels: label(name), Value: float64(a.Admitted())})
-		}
-		if p, ok := sm.(interface{ PIn() float64 }); ok {
-			pin.Samples = append(pin.Samples, obs.Sample{Labels: label(name), Value: p.PIn()})
-		}
-		if ph, ok := sm.(interface{ Phases() int }); ok {
-			phases.Samples = append(phases.Samples, obs.Sample{Labels: label(name), Value: float64(ph.Phases())})
-		}
-		ms.mu.Unlock()
-		st := ms.snap.Stats()
+	for _, ns := range s.streamList() {
+		name, ms := ns.name, ns.ms
+		ms.sm.View(func(sm core.Sampler) {
+			processed.Samples = append(processed.Samples, obs.Sample{Labels: label(name), Value: float64(sm.Processed())})
+			size.Samples = append(size.Samples, obs.Sample{Labels: label(name), Value: float64(sm.Len())})
+			capacity.Samples = append(capacity.Samples, obs.Sample{Labels: label(name), Value: float64(sm.Capacity())})
+			fill.Samples = append(fill.Samples, obs.Sample{Labels: label(name), Value: core.Fill(sm)})
+			if a, ok := sm.(interface{ Admitted() uint64 }); ok {
+				admitted.Samples = append(admitted.Samples, obs.Sample{Labels: label(name), Value: float64(a.Admitted())})
+			}
+			if p, ok := sm.(interface{ PIn() float64 }); ok {
+				pin.Samples = append(pin.Samples, obs.Sample{Labels: label(name), Value: p.PIn()})
+			}
+			if ph, ok := sm.(interface{ Phases() int }); ok {
+				phases.Samples = append(phases.Samples, obs.Sample{Labels: label(name), Value: float64(ph.Phases())})
+			}
+		})
+		st := ms.sm.SnapshotStats()
 		snapHits.Samples = append(snapHits.Samples, obs.Sample{Labels: label(name), Value: float64(st.Hits)})
 		snapMisses.Samples = append(snapMisses.Samples, obs.Sample{Labels: label(name), Value: float64(st.Misses)})
 		snapRebuilds.Samples = append(snapRebuilds.Samples, obs.Sample{Labels: label(name), Value: float64(st.Rebuilds)})
@@ -495,6 +463,25 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool 
 	return true
 }
 
+// namedStream pairs a stream with its registered name.
+type namedStream struct {
+	name string
+	ms   *managedStream
+}
+
+// streamList snapshots the stream map, sorted by name, for the scrapes,
+// sweeps and listings that must not hold s.mu while they work.
+func (s *Server) streamList() []namedStream {
+	s.mu.RLock()
+	out := make([]namedStream, 0, len(s.streams))
+	for name, ms := range s.streams {
+		out = append(out, namedStream{name, ms})
+	}
+	s.mu.RUnlock()
+	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
+	return out
+}
+
 func (s *Server) lookup(name string) (*managedStream, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -502,7 +489,8 @@ func (s *Server) lookup(name string) (*managedStream, bool) {
 	return ms, ok
 }
 
-// CreateRequest is the body of PUT /streams/{name}.
+// CreateRequest is the body of PUT /streams/{name}: core.SamplerConfig
+// field for field, plus JSON names, so install converts it directly.
 type CreateRequest struct {
 	// Policy is one of "variable" (default), "biased", "constrained",
 	// "unbiased", "window", "timedecay", "ttbs", "rtbs".
@@ -536,110 +524,81 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	if req.Policy == "" {
 		req.Policy = s.defaultPolicy
 	}
-	fresh, err := samplerFactory(req)
+	ms, code, err := s.install(name, req, nil, 1)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+		httpError(w, code, "%v", err)
 		return
 	}
+	capacity := ms.sm.Capacity()
+	if s.log != nil {
+		s.log.Info("stream created", "stream", name, "policy", req.Policy,
+			"lambda", req.Lambda, "capacity", capacity)
+	}
+	w.WriteHeader(http.StatusCreated)
+	writeJSON(w, map[string]any{"name": name, "policy": req.Policy, "capacity": capacity})
+}
+
+// install is the one path by which a stream comes to exist — create,
+// startup recovery and transfer all call it. It builds the sampler for
+// req, restores it from `from` (checkpoint plus journal tail) when given,
+// makes it durable as checkpoint seq, starts its ingest lane and registers
+// it under name. On failure it returns the HTTP status to answer with.
+func (s *Server) install(name string, req CreateRequest, from *durable.Transfer, seq uint64) (*managedStream, int, error) {
+	fresh, err := core.SamplerFactory(core.SamplerConfig(req))
+	if err != nil {
+		return nil, http.StatusBadRequest, err
+	}
+	ms := &managedStream{req: req, fresh: fresh}
+	s.mu.Lock()
+	rng := s.seeds.Split()
+	s.mu.Unlock()
+	sampler, err := fresh(rng)
+	if err != nil {
+		return nil, http.StatusBadRequest, fmt.Errorf("creating sampler: %w", err)
+	}
+	if from != nil {
+		if err := sampler.UnmarshalBinary(from.Checkpoint.Snapshot); err != nil {
+			return nil, http.StatusBadRequest, fmt.Errorf("restoring snapshot: %w", err)
+		}
+		ms.next, ms.dim, err = replayTail(sampler, from.Tail, from.Checkpoint.Next, from.Checkpoint.Dim)
+		if err != nil {
+			return nil, http.StatusBadRequest, err
+		}
+	}
+	ms.sm = core.NewSynchronized(sampler)
+	ms.lastCkptVer = version(sampler)
+	_, ms.timed = core.AsTimed(sampler)
+
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	// Close fails readiness before snapshotting the stream map; checking it
-	// under s.mu means a create either lands before Close's snapshot (and
+	// under s.mu means an install either lands before Close's snapshot (and
 	// gets its shard closed and drained like every other stream) or is
 	// refused here — never after, where its worker would leak and its
 	// ingestWG.Add would race Close's Wait.
 	if !s.ready.Load() {
-		httpError(w, http.StatusServiceUnavailable, "not ready: recovering or shutting down")
-		return
+		return nil, http.StatusServiceUnavailable, errors.New("not ready: recovering or shutting down")
 	}
 	if _, ok := s.streams[name]; ok {
-		httpError(w, http.StatusConflict, "stream %q already exists", name)
-		return
-	}
-	sampler, err := fresh(s.seeds.Split())
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "creating sampler: %v", err)
-		return
+		return nil, http.StatusConflict, fmt.Errorf("stream %q already exists", name)
 	}
 	if s.durable != nil {
-		// A stream exists once its empty checkpoint is durable; a crash
-		// after the 201 must not forget the stream.
+		// A stream exists once a checkpoint of it is durable; a crash after
+		// the install must not forget it.
 		blob, err := sampler.MarshalBinary()
-		if err != nil {
-			httpError(w, http.StatusInternalServerError, "checkpointing new stream: %v", err)
-			return
+		if err == nil {
+			err = s.durable.Attach(name, durable.Checkpoint{
+				Seq: seq, Meta: durableMeta(name, req), Next: ms.next, Dim: ms.dim, Snapshot: blob})
 		}
-		ck := durable.Checkpoint{Seq: 1, Meta: durableMeta(name, req), Snapshot: blob}
-		if err := s.durable.Attach(name, ck); err != nil {
-			httpError(w, http.StatusInternalServerError, "checkpointing new stream: %v", err)
-			return
+		if err != nil {
+			return nil, http.StatusInternalServerError, fmt.Errorf("checkpointing stream: %w", err)
 		}
 	}
-	ms := &managedStream{sampler: sampler, policy: req.Policy, lambda: req.Lambda, createReq: req, fresh: fresh}
-	if s.ingestWorkers > 0 && req.Policy != "timedecay" {
-		// Time-decay streams validate timestamps against the sampler
-		// clock, which only the synchronous path can observe coherently.
+	if s.ingestWorkers > 0 && !ms.timed {
 		s.startIngestShard(name, ms)
 	}
 	s.streams[name] = ms
-	if s.log != nil {
-		s.log.Info("stream created", "stream", name, "policy", req.Policy,
-			"lambda", req.Lambda, "capacity", sampler.Capacity())
-	}
-	w.WriteHeader(http.StatusCreated)
-	writeJSON(w, map[string]any{"name": name, "policy": req.Policy, "capacity": sampler.Capacity()})
-}
-
-// samplerFactory resolves a create request into a constructor for the
-// requested policy; the constructor is kept on the stream so restores can
-// build a scratch instance of the same configuration.
-func samplerFactory(req CreateRequest) (func(rng *xrand.Source) (persistentSampler, error), error) {
-	if req.Tiers > 1 {
-		return tieredFactory(req)
-	}
-	if req.Tiers < 0 {
-		return nil, fmt.Errorf("tiers must be >= 0, got %d", req.Tiers)
-	}
-	switch req.Policy {
-	case "variable":
-		return func(rng *xrand.Source) (persistentSampler, error) {
-			return core.NewVariableReservoir(req.Lambda, req.Capacity, rng)
-		}, nil
-	case "biased":
-		if req.Capacity == 0 {
-			return func(rng *xrand.Source) (persistentSampler, error) {
-				return core.NewBiasedReservoir(req.Lambda, rng)
-			}, nil
-		}
-		return func(rng *xrand.Source) (persistentSampler, error) {
-			return core.NewConstrainedReservoir(req.Lambda, req.Capacity, rng)
-		}, nil
-	case "constrained":
-		return func(rng *xrand.Source) (persistentSampler, error) {
-			return core.NewConstrainedReservoir(req.Lambda, req.Capacity, rng)
-		}, nil
-	case "unbiased":
-		return func(rng *xrand.Source) (persistentSampler, error) {
-			return core.NewUnbiasedReservoir(req.Capacity, rng)
-		}, nil
-	case "window":
-		return func(rng *xrand.Source) (persistentSampler, error) {
-			return core.NewWindowReservoir(req.Window, req.Capacity, rng)
-		}, nil
-	case "timedecay":
-		return func(rng *xrand.Source) (persistentSampler, error) {
-			return core.NewTimeDecayReservoir(req.Lambda, req.Capacity, rng)
-		}, nil
-	case "ttbs":
-		return func(rng *xrand.Source) (persistentSampler, error) {
-			return core.NewTTBSReservoir(req.Lambda, req.Capacity, rng)
-		}, nil
-	case "rtbs":
-		return func(rng *xrand.Source) (persistentSampler, error) {
-			return core.NewRTBSReservoir(req.Lambda, req.Capacity, rng)
-		}, nil
-	}
-	return nil, fmt.Errorf("unknown policy %q", req.Policy)
+	return ms, 0, nil
 }
 
 // handleReady is GET /readyz: 200 once the server can take traffic
@@ -679,7 +638,6 @@ func (s *Server) handleAccum(w http.ResponseWriter, r *http.Request) {
 	}
 	ms.qmu.Lock()
 	streamDim := ms.dim
-	tr := ms.tiered()
 	ms.qmu.Unlock()
 	dim, err := parseUint(q.Get("dim"), uint64(streamDim))
 	if err != nil {
@@ -695,7 +653,7 @@ func (s *Server) handleAccum(w http.ResponseWriter, r *http.Request) {
 		}
 		rect = &r
 	}
-	snap, tier := ms.snapshotFor(tr, h)
+	snap, tier := ms.sm.SnapshotFor(h)
 	s.countTierQuery(r.PathValue("name"), tier)
 	writeJSON(w, query.AccumulateRange(snap, h, int(dim), rect).Wire())
 }
@@ -705,9 +663,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	streams := len(s.streams)
 	var points uint64
 	for _, e := range s.streams {
-		e.mu.Lock()
-		points += e.sampler.Processed()
-		e.mu.Unlock()
+		points += e.sm.Processed()
 	}
 	s.mu.RUnlock()
 	out := map[string]any{"status": "ok", "streams": streams, "points": points}
@@ -718,13 +674,11 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
-	s.mu.RLock()
-	names := make([]string, 0, len(s.streams))
-	for name := range s.streams {
-		names = append(names, name)
+	list := s.streamList()
+	names := make([]string, len(list))
+	for i, ns := range list {
+		names[i] = ns.name
 	}
-	s.mu.RUnlock()
-	sort.Strings(names)
 	writeJSON(w, map[string]any{"streams": names})
 }
 
@@ -800,113 +754,99 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	_, timed := core.AsTimed(ms.sampler)
-	if ms.shard != nil && !timed {
-		// Sharded fast path: enqueue for the stream's worker and return.
-		// handleIngestAsync releases qmu itself; the sampler lock is
-		// never taken on this path.
+	// Each path releases qmu itself.
+	switch {
+	case ms.shard != nil:
+		// Sharded fast path: enqueue for the stream's worker and return;
+		// the sampler lock is never taken on this path.
 		s.handleIngestAsync(w, name, ms, req, dim)
-		return
+	case ms.timed:
+		s.handleIngestTimed(w, name, ms, req, dim)
+	default:
+		s.handleIngestSync(w, name, ms, req, dim)
 	}
-	s.handleIngestSync(w, name, ms, req, dim)
 }
 
-// handleIngestSync applies a validated batch inline, holding the sampler
-// lock for the duration — the default mode, and always the mode for
-// time-decay streams (their timestamp validation reads the sampler clock).
+// handleIngestSync applies a validated batch inline, the default mode.
 // Called with ms.qmu held; releases it.
 func (s *Server) handleIngestSync(w http.ResponseWriter, name string, ms *managedStream, req IngestRequest, dim int) {
-	ms.mu.Lock()
-	td, timed := core.AsTimed(ms.sampler)
-	if timed {
-		// Time-decay timestamps must be non-decreasing and no older than
-		// the stream's current clock; points without a timestamp advance
-		// the clock by one unit (AddAt semantics). Checked up front so a
-		// mid-batch violation cannot leave earlier points sampled.
+	batch, next := ingestBatch(req.Points, ms.next)
+	ms.next, ms.dim = next, dim
+	processed := s.apply(name, ms, batch, ms.qmu.Unlock)
+	s.countIngest(name, len(req.Points))
+	writeJSON(w, map[string]any{"ingested": len(req.Points), "processed": processed})
+}
+
+// handleIngestTimed is the synchronous ingest of time-decay streams, the
+// one special case beside apply: point timestamps must be non-decreasing
+// and no older than the stream's clock, and points without one advance the
+// clock by one unit (AddAt semantics). The check runs against the sampler
+// clock before anything is applied, so a violation leaves no point
+// sampled. Called with ms.qmu held; releases it.
+func (s *Server) handleIngestTimed(w http.ResponseWriter, name string, ms *managedStream, req IngestRequest, dim int) {
+	ops := make([]durable.Op, len(req.Points))
+	for i, ip := range req.Points {
+		ops[i] = durable.Op{P: ingestPoint(ms.next+uint64(i)+1, ip)}
+		if ip.TS != nil {
+			ops[i].TS, ops[i].HasTS = *ip.TS, true
+		}
+	}
+	var bad, err error
+	var applied int
+	var processed uint64
+	ms.sm.Update(func(sm core.Sampler) {
+		td, _ := core.AsTimed(sm)
 		clock := td.Now()
-		for i, ip := range req.Points {
-			if ip.TS == nil {
+		for i, op := range ops {
+			if !op.HasTS {
 				clock++
 				continue
 			}
-			if *ip.TS < clock {
-				ms.mu.Unlock()
-				ms.qmu.Unlock()
-				httpError(w, http.StatusBadRequest,
-					"point %d: timestamp %v precedes the stream clock %v", i, *ip.TS, clock)
+			if op.TS < clock {
+				bad = fmt.Errorf("point %d: timestamp %v precedes the stream clock %v", i, op.TS, clock)
 				return
 			}
-			clock = *ip.TS
+			clock = op.TS
 		}
+		// A sampler rejecting mid-batch is unreachable after the check; if
+		// it happens, the applied prefix is journaled and reported so the
+		// client can resume rather than resend.
+		applied, err = applyOps(sm, ops)
+		s.appendJournal(name, ops[:applied])
+		processed = sm.Processed()
+	})
+	if bad != nil {
+		ms.qmu.Unlock()
+		httpError(w, http.StatusBadRequest, "%v", bad)
+		return
 	}
-	var ops []durable.Op // applied ops, framed onto the journal below
-	if s.durable != nil {
-		ops = make([]durable.Op, 0, len(req.Points))
-	}
-	// batch holds the applied points for the model hook below; the
-	// arrival-indexed path builds it anyway for core.AddBatch.
-	var batch []stream.Point
-	if timed {
-		if ms.model.Load() != nil {
-			batch = make([]stream.Point, 0, len(req.Points))
-		}
-		for i, ip := range req.Points {
-			ms.next++
-			p := ingestPoint(ms.next, ip)
-			if ip.TS != nil {
-				if err := td.AddAt(p, *ip.TS); err != nil {
-					// Unreachable after prevalidation, but if a sampler
-					// ever rejects mid-batch, report how many points
-					// already applied so the client can resume rather
-					// than resend.
-					ms.next--
-					ms.dim = dim
-					ms.snap.Invalidate()
-					s.appendJournal(name, ops)
-					ms.mu.Unlock()
-					ms.qmu.Unlock()
-					httpErrorIngested(w, http.StatusBadRequest, i, "point %d: %v", i, err)
-					return
-				}
-				if ops != nil {
-					ops = append(ops, durable.Op{P: p, TS: *ip.TS, HasTS: true})
-				}
-				if batch != nil {
-					batch = append(batch, p)
-				}
-				continue
-			}
-			td.Add(p)
-			if ops != nil {
-				ops = append(ops, durable.Op{P: p})
-			}
-			if batch != nil {
-				batch = append(batch, p)
-			}
-		}
-	} else {
-		// Arrival-indexed policies take the batch fast path: one
-		// core.AddBatch amortizes admission coins across the request.
-		batch = make([]stream.Point, len(req.Points))
-		for i, ip := range req.Points {
-			ms.next++
-			batch[i] = ingestPoint(ms.next, ip)
-		}
-		core.AddBatch(ms.sampler, batch)
-		if ops != nil {
-			ops = journalOps(batch)
-		}
-	}
-	s.appendJournal(name, ops)
+	ms.next += uint64(applied)
 	ms.dim = dim
-	processed := ms.sampler.Processed()
-	ms.snap.Invalidate()
-	ms.mu.Unlock()
 	ms.qmu.Unlock()
-	s.observeModel(ms, batch)
-	s.ingest.With(name).Add(uint64(len(req.Points)))
-	s.batchSize.Observe(float64(len(req.Points)))
+	if err != nil {
+		httpErrorIngested(w, http.StatusBadRequest, applied, "point %d: %v", applied, err)
+		return
+	}
+	if ms.model.Load() != nil {
+		batch := make([]stream.Point, len(ops))
+		for i := range ops {
+			batch[i] = ops[i].P
+		}
+		s.observeModel(ms, batch)
+	}
+	s.countIngest(name, len(req.Points))
 	writeJSON(w, map[string]any{"ingested": len(req.Points), "processed": processed})
+}
+
+// ingestBatch converts request points into a batch with provisional
+// arrival indices after next, and returns the batch's last index.
+func ingestBatch(pts []IngestPoint, next uint64) ([]stream.Point, uint64) {
+	batch := make([]stream.Point, len(pts))
+	for i, ip := range pts {
+		next++
+		batch[i] = ingestPoint(next, ip)
+	}
+	return batch, next
 }
 
 // ingestPoint converts one wire point into a stream.Point with the given
@@ -931,14 +871,13 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	ms.qmu.Lock()
 	dim := ms.dim
-	tr := ms.tiered()
 	ms.qmu.Unlock()
 	// Serve from the snapshot: no sampler lock, and nothing is held
 	// during JSON encoding or the network write.
-	snap := ms.acquireSnapshot()
+	snap := ms.sm.AcquireSnapshot()
 	out := map[string]any{
-		"policy":    ms.policy,
-		"lambda":    ms.lambda,
+		"policy":    ms.req.Policy,
+		"lambda":    ms.req.Lambda,
 		"dim":       dim,
 		"processed": snap.T,
 		"size":      snap.Len(),
@@ -946,7 +885,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"fill":      snap.Fill(),
 		"pending":   ms.pending.Load(),
 	}
-	if tr != nil {
+	if tr := ms.sm.Tiered(); tr != nil {
 		out["tiers"] = ms.tierInfo(tr)
 	}
 	writeJSON(w, out)
@@ -969,7 +908,7 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 	// The snapshot's probability slice was materialized once at capture
 	// time, so the response costs no per-point InclusionProb calls and no
 	// sampler lock at all on a cache hit.
-	snap := ms.acquireSnapshot()
+	snap := ms.sm.AcquireSnapshot()
 	out := make([]SamplePoint, len(snap.Points))
 	for i := range snap.Points {
 		p := &snap.Points[i]
@@ -992,14 +931,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	ms.qmu.Lock()
 	streamDim := ms.dim
-	tr := ms.tiered()
 	ms.qmu.Unlock()
 	// One snapshot serves the whole request: on a cache hit the handler
 	// acquires no sampler lock, and the fused kernels answer every query
 	// type in a single reservoir pass. Nothing is held during JSON
 	// encoding or the network write. Tiered streams route the horizon to
 	// the best-covering tier's snapshot.
-	snap, tier := ms.snapshotFor(tr, h)
+	snap, tier := ms.sm.SnapshotFor(h)
 	s.countTierQuery(r.PathValue("name"), tier)
 	switch q.Get("type") {
 	case "count":
@@ -1084,23 +1022,14 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "stream %q not found", r.PathValue("name"))
 		return
 	}
-	// Capture next under qmu and take the sampler lock before letting qmu
-	// go, so the (next, sampler state) pair stays coherent — but release
-	// qmu before the gob encode so ingest admission is never blocked on
-	// serialization work.
-	ms.qmu.Lock()
-	next := ms.next
-	ms.mu.Lock()
-	ms.qmu.Unlock()
-	blob, err := ms.sampler.MarshalBinary()
-	ms.mu.Unlock()
+	ck, err := s.cut(r.PathValue("name"), ms, nil)
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, "snapshot: %v", err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("X-Biasedres-Next-Index", strconv.FormatUint(next, 10))
-	_, _ = w.Write(blob)
+	w.Header().Set("X-Biasedres-Next-Index", strconv.FormatUint(ck.Next, 10))
+	_, _ = w.Write(ck.Snapshot)
 }
 
 func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
@@ -1157,33 +1086,29 @@ func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 			"stream %q has %d pending ingest points; retry once the queue drains", name, p)
 		return
 	}
-	ms.mu.Lock()
-	ms.sampler = restored
-	ms.dim = dim
-	ms.next = restored.Processed()
 	processed, size := restored.Processed(), restored.Len()
-	ms.snap.Invalidate()
+	ms.dim = dim
+	ms.next = processed
 	// Re-anchor durability on the restored state while the stream is
-	// still quiesced: cut the journal here (ops journaled before the
-	// restore must not replay on top of it) and persist the uploaded
-	// snapshot itself as the new checkpoint outside the locks.
+	// still quiesced: cut the journal in the same sampler-lock hold as the
+	// swap (ops journaled before the restore must not replay on top of it)
+	// and persist the uploaded snapshot itself as the new checkpoint
+	// outside the locks.
 	var ckpt *durable.Checkpoint
-	if s.durable != nil {
-		if seq, err := s.durable.Rotate(name); err == nil {
-			ver, _ := samplerVersion(restored)
-			ms.lastCkptVer = ver
-			ckpt = &durable.Checkpoint{
-				Seq:      seq,
-				Meta:     durableMeta(name, ms.createReq),
-				Next:     ms.next,
-				Dim:      dim,
-				Snapshot: blob,
-			}
-		} else if s.log != nil {
-			s.log.Warn("journal rotation after restore failed", "stream", name, "error", err)
+	ms.sm.Swap(restored, func() {
+		if s.durable == nil {
+			return
 		}
-	}
-	ms.mu.Unlock()
+		seq, err := s.durable.Rotate(name)
+		if err != nil {
+			if s.log != nil {
+				s.log.Warn("journal rotation after restore failed", "stream", name, "error", err)
+			}
+			return
+		}
+		ms.lastCkptVer = version(restored)
+		ckpt = &durable.Checkpoint{Seq: seq, Meta: durableMeta(name, ms.req), Next: ms.next, Dim: dim, Snapshot: blob}
+	})
 	ms.qmu.Unlock()
 	if ckpt != nil {
 		if err := s.durable.WriteCheckpoint(name, *ckpt); err != nil && s.log != nil {

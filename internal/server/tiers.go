@@ -1,31 +1,21 @@
 package server
 
 import (
-	"fmt"
 	"net/http"
-	"sort"
 	"strconv"
 	"time"
 
 	"biasedres/internal/core"
 	"biasedres/internal/obs"
 	"biasedres/internal/query"
-	"biasedres/internal/xrand"
 )
 
 // Multi-horizon tier support: streams created with "tiers" > 1 run a
 // core.TieredReservoir — a ladder of reservoirs at geometrically-spaced λ
-// fed by the same ingest fan-out — and this file holds everything the
-// server layers on top of it: the create-request factory, horizon-aware
-// snapshot routing, the GET /streams/{name}/range endpoint, the retention
-// sweep, and the biasedres_tier_* metrics.
-
-// defaultTierRatio is the λ spacing between consecutive tiers when the
-// create request leaves tier_ratio unset. Consecutive horizons then differ
-// by 8×, so four tiers span three orders of magnitude while the worst-case
-// horizon overshoot (the variance cost of routing, docs/THEORY.md §10) stays
-// bounded by one ratio step.
-const defaultTierRatio = 8
+// fed by the same ingest fan-out, built by core.SamplerFactory and routed
+// by core.Synchronized.SnapshotFor — and this file holds what the server
+// layers on top of it: the GET /streams/{name}/range endpoint, the
+// retention sweep, and the biasedres_tier_* metrics.
 
 // rangeMaxPointsDefault/Cap bound the GET /range bucket budget: the
 // response allocates one bucket per point, so the cap keeps a hostile
@@ -34,94 +24,6 @@ const (
 	rangeMaxPointsDefault = 200
 	rangeMaxPointsCap     = 10000
 )
-
-// tieredFactory resolves a create request with Tiers > 1: every tier runs
-// the request's policy with the same per-tier capacity at its own λ_i.
-func tieredFactory(req CreateRequest) (func(rng *xrand.Source) (persistentSampler, error), error) {
-	ratio := req.TierRatio
-	if ratio == 0 {
-		ratio = defaultTierRatio
-	}
-	if !(ratio > 1) {
-		return nil, fmt.Errorf("tier_ratio must be > 1, got %v", ratio)
-	}
-	var tierBuild func(i int, lambda float64, rng *xrand.Source) (core.PersistentSampler, error)
-	switch req.Policy {
-	case "variable":
-		tierBuild = func(_ int, lambda float64, rng *xrand.Source) (core.PersistentSampler, error) {
-			return core.NewVariableReservoir(lambda, req.Capacity, rng)
-		}
-	case "biased":
-		if req.Capacity == 0 {
-			// Uncapped Algorithm 2.1 tiers each take their maximum
-			// requirement ⌊1/λ_i⌋ — memory grows by ratio× per tier; see
-			// the tier-tuning runbook in docs/OPERATIONS.md.
-			tierBuild = func(_ int, lambda float64, rng *xrand.Source) (core.PersistentSampler, error) {
-				return core.NewBiasedReservoir(lambda, rng)
-			}
-		} else {
-			tierBuild = func(_ int, lambda float64, rng *xrand.Source) (core.PersistentSampler, error) {
-				return core.NewConstrainedReservoir(lambda, req.Capacity, rng)
-			}
-		}
-	case "constrained":
-		tierBuild = func(_ int, lambda float64, rng *xrand.Source) (core.PersistentSampler, error) {
-			return core.NewConstrainedReservoir(lambda, req.Capacity, rng)
-		}
-	case "timedecay":
-		tierBuild = func(_ int, lambda float64, rng *xrand.Source) (core.PersistentSampler, error) {
-			return core.NewTimeDecayReservoir(lambda, req.Capacity, rng)
-		}
-	case "ttbs":
-		// Tier 0 runs the steepest λ and therefore the tightest target
-		// bound n ≤ 1/(1-e^{-λ}); deeper tiers only relax it.
-		tierBuild = func(_ int, lambda float64, rng *xrand.Source) (core.PersistentSampler, error) {
-			return core.NewTTBSReservoir(lambda, req.Capacity, rng)
-		}
-	case "rtbs":
-		tierBuild = func(_ int, lambda float64, rng *xrand.Source) (core.PersistentSampler, error) {
-			return core.NewRTBSReservoir(lambda, req.Capacity, rng)
-		}
-	default:
-		// Uniform policies have no λ to space tiers over.
-		return nil, fmt.Errorf("policy %q does not support tiers", req.Policy)
-	}
-	tiers, lambda := req.Tiers, req.Lambda
-	return func(rng *xrand.Source) (persistentSampler, error) {
-		return core.NewTieredReservoir(lambda, ratio, tiers, rng, tierBuild)
-	}, nil
-}
-
-// tiered returns the stream's tier ladder, nil for single-reservoir
-// streams. Callers must hold ms.qmu (the lock restore's sampler swap is
-// serialized under).
-func (ms *managedStream) tiered() *core.TieredReservoir {
-	tr, _ := ms.sampler.(*core.TieredReservoir)
-	return tr
-}
-
-// tierSnapshot serves tier i of ladder tr through the tier's own snapshot
-// cache: lock-free on a hit, one sampler-lock hold to rebuild after a
-// mutation — the same read-path contract as the stream-level cache.
-func (ms *managedStream) tierSnapshot(tr *core.TieredReservoir, i int) *core.Snapshot {
-	return tr.TierCache(i).Acquire(func() *core.Snapshot {
-		ms.mu.Lock()
-		defer ms.mu.Unlock()
-		return core.BuildSnapshot(tr.Tier(i))
-	})
-}
-
-// snapshotFor picks the snapshot that serves a query with horizon h: the
-// best-covering tier of a tiered stream (tr from ms.tiered()), the
-// stream's own snapshot otherwise. The second return is the tier index
-// served, -1 for untiered streams.
-func (ms *managedStream) snapshotFor(tr *core.TieredReservoir, h uint64) (*core.Snapshot, int) {
-	if tr == nil {
-		return ms.acquireSnapshot(), -1
-	}
-	i := tr.SelectTier(h)
-	return ms.tierSnapshot(tr, i), i
-}
 
 // countTierQuery records a horizon-routed read. Untiered streams (tier -1)
 // are not counted — the metric exists to show ladder utilization.
@@ -134,12 +36,7 @@ func (s *Server) countTierQuery(name string, tier int) {
 
 // tierInfo renders the ladder's per-tier state for GET /streams/{name}.
 func (ms *managedStream) tierInfo(tr *core.TieredReservoir) []map[string]any {
-	ms.mu.Lock()
-	stats := make([]core.TierStats, tr.NumTiers())
-	for i := range stats {
-		stats[i] = tr.Stats(i)
-	}
-	ms.mu.Unlock()
+	stats := ms.tierStats(tr)
 	out := make([]map[string]any, len(stats))
 	for i, st := range stats {
 		out[i] = map[string]any{
@@ -153,6 +50,17 @@ func (ms *managedStream) tierInfo(tr *core.TieredReservoir) []map[string]any {
 		}
 	}
 	return out
+}
+
+// tierStats reads every tier's metrics under the sampler lock.
+func (ms *managedStream) tierStats(tr *core.TieredReservoir) []core.TierStats {
+	stats := make([]core.TierStats, tr.NumTiers())
+	ms.sm.View(func(core.Sampler) {
+		for i := range stats {
+			stats[i] = tr.Stats(i)
+		}
+	})
+	return stats
 }
 
 // RangeBucket is one grouping interval in a GET /range response.
@@ -199,7 +107,6 @@ func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
 	}
 	ms.qmu.Lock()
 	streamDim := ms.dim
-	tr := ms.tiered()
 	ms.qmu.Unlock()
 	dim, err := parseUint(q.Get("dim"), uint64(streamDim))
 	if err != nil {
@@ -209,9 +116,7 @@ func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
 
 	// The stream position decides the end default and the routing horizon;
 	// every tier shares it, so one brief sampler-lock read suffices.
-	ms.mu.Lock()
-	t := ms.sampler.Processed()
-	ms.mu.Unlock()
+	t := ms.sm.Processed()
 	end, err := parseUint(q.Get("end"), t+1)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "bad end: %v", err)
@@ -228,7 +133,7 @@ func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
 	if start <= t {
 		h = t - start + 1
 	}
-	snap, tier := ms.snapshotFor(tr, h)
+	snap, tier := ms.sm.SnapshotFor(h)
 	s.countTierQuery(name, tier)
 
 	step := query.GranularityFor(end-start, int(maxPoints))
@@ -256,7 +161,7 @@ func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
 		"granularity": step,
 		"buckets":     out,
 	}
-	if tier >= 0 {
+	if tr := ms.sm.Tiered(); tier >= 0 && tr != nil {
 		resp["tier"] = map[string]any{
 			"index":   tier,
 			"lambda":  tr.TierLambda(tier),
@@ -310,40 +215,27 @@ func (s *Server) runRetention() {
 // compacted/drop totals surface through collectTiers.
 func (s *Server) sweepRetention() {
 	s.retSweeps.Add(1)
-	s.mu.RLock()
-	type pair struct {
-		name string
-		ms   *managedStream
-	}
-	streams := make([]pair, 0, len(s.streams))
-	for name, ms := range s.streams {
-		streams = append(streams, pair{name, ms})
-	}
-	s.mu.RUnlock()
-	for _, p := range streams {
-		p.ms.mu.Lock()
-		c, ok := p.ms.sampler.(core.Compactor)
+	for _, ns := range s.streamList() {
+		name, ms := ns.name, ns.ms
 		removed := 0
-		if ok {
-			removed = c.CompactBelow(s.retFloor)
-		}
-		if removed > 0 {
-			p.ms.snap.Invalidate()
-		}
-		p.ms.mu.Unlock()
+		ms.sm.Update(func(sm core.Sampler) {
+			if c, ok := sm.(core.Compactor); ok {
+				removed = c.CompactBelow(s.retFloor)
+			}
+		})
 		if removed == 0 {
 			continue
 		}
-		s.retRemoved.With(p.name).Add(uint64(removed))
+		s.retRemoved.With(name).Add(uint64(removed))
 		if s.log != nil {
 			s.log.Info("retention sweep compacted stream",
-				"stream", p.name, "removed", removed, "floor", s.retFloor)
+				"stream", name, "removed", removed, "floor", s.retFloor)
 		}
 		if s.durable != nil {
 			// Persist the compacted state right away: recovery must
 			// restore the post-compaction ladder byte-identically rather
 			// than resurrect dropped residents from an older checkpoint.
-			s.checkpointStream(p.name, p.ms, true)
+			s.checkpointStream(name, ms, true)
 		}
 	}
 }
@@ -356,13 +248,6 @@ func (s *Server) RetentionSweeps() uint64 { return s.retSweeps.Load() }
 // collectTiers exports per-tier gauges for every tiered stream plus the
 // sweep counter when retention is on.
 func (s *Server) collectTiers() []obs.Family {
-	s.mu.RLock()
-	names := make([]string, 0, len(s.streams))
-	for name := range s.streams {
-		names = append(names, name)
-	}
-	s.mu.RUnlock()
-	sort.Strings(names)
 
 	tierLabel := func(name string, i int) []obs.Label {
 		return []obs.Label{{Key: "stream", Value: name}, {Key: "tier", Value: strconv.Itoa(i)}}
@@ -380,24 +265,13 @@ func (s *Server) collectTiers() []obs.Family {
 	drops := obs.Family{Name: "biasedres_tier_drops_total", Type: "counter",
 		Help: "Retention sweeps that emptied the tier (its data had fully decayed)."}
 
-	for _, name := range names {
-		ms, ok := s.lookup(name)
-		if !ok {
-			continue
-		}
-		ms.qmu.Lock()
-		tr := ms.tiered()
-		ms.qmu.Unlock()
+	for _, ns := range s.streamList() {
+		name, ms := ns.name, ns.ms
+		tr := ms.sm.Tiered()
 		if tr == nil {
 			continue
 		}
-		ms.mu.Lock()
-		stats := make([]core.TierStats, tr.NumTiers())
-		for i := range stats {
-			stats[i] = tr.Stats(i)
-		}
-		ms.mu.Unlock()
-		for i, st := range stats {
+		for i, st := range ms.tierStats(tr) {
 			l := tierLabel(name, i)
 			size.Samples = append(size.Samples, obs.Sample{Labels: l, Value: float64(st.Len)})
 			capacity.Samples = append(capacity.Samples, obs.Sample{Labels: l, Value: float64(st.Capacity)})

@@ -33,27 +33,12 @@ func (s *Server) handleTransferGet(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "stream %q not found", name)
 		return
 	}
-	// Same lock discipline as handleSnapshot: capture next/dim under qmu,
-	// take the sampler lock before letting qmu go, marshal outside qmu.
-	ms.qmu.Lock()
-	next, dim := ms.next, ms.dim
-	ms.mu.Lock()
-	ms.qmu.Unlock()
-	blob, err := ms.sampler.MarshalBinary()
-	ms.mu.Unlock()
+	ck, err := s.cut(name, ms, nil)
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, "transfer: %v", err)
 		return
 	}
-	out, err := durable.EncodeTransfer(durable.Transfer{
-		Checkpoint: durable.Checkpoint{
-			Seq:      1,
-			Meta:     durableMeta(name, ms.createReq),
-			Next:     next,
-			Dim:      dim,
-			Snapshot: blob,
-		},
-	})
+	out, err := durable.EncodeTransfer(durable.Transfer{Checkpoint: ck})
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, "transfer: %v", err)
 		return
@@ -87,87 +72,14 @@ func (s *Server) handleTransferPost(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "transfer: %v", err)
 		return
 	}
-	req := createRequestOf(tr.Checkpoint.Meta)
-	if req.Policy == "" {
-		req.Policy = "variable"
-	}
-	fresh, err := samplerFactory(req)
+	// The installed stream is durable from its first moment: one
+	// checkpoint holding the replayed state, above the shipped seq.
+	ms, code, err := s.install(name, createRequestOf(tr.Checkpoint.Meta), &tr, tr.Checkpoint.Seq+1)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "transfer meta: %v", err)
+		httpError(w, code, "transfer: %v", err)
 		return
 	}
-	s.mu.Lock()
-	rng := s.seeds.Split()
-	s.mu.Unlock()
-	sampler, err := fresh(rng)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "rebuilding sampler: %v", err)
-		return
-	}
-	if err := sampler.UnmarshalBinary(tr.Checkpoint.Snapshot); err != nil {
-		httpError(w, http.StatusBadRequest, "restoring snapshot: %v", err)
-		return
-	}
-	next, dim, err := replayTail(sampler, tr.Tail, tr.Checkpoint.Next, tr.Checkpoint.Dim)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "replaying tail: %v", err)
-		return
-	}
-
-	ms := &managedStream{
-		sampler:   sampler,
-		policy:    req.Policy,
-		lambda:    req.Lambda,
-		createReq: req,
-		fresh:     fresh,
-		next:      next,
-		dim:       dim,
-	}
-	ver, _ := samplerVersion(sampler)
-	ms.lastCkptVer = ver
-
-	s.mu.Lock()
-	// Same registration discipline as handleCreate: refuse during
-	// shutdown so the shard worker cannot leak past Close's snapshot.
-	if !s.ready.Load() {
-		s.mu.Unlock()
-		httpError(w, http.StatusServiceUnavailable, "not ready: recovering or shutting down")
-		return
-	}
-	if _, exists := s.streams[name]; exists {
-		s.mu.Unlock()
-		httpError(w, http.StatusConflict, "stream %q already exists", name)
-		return
-	}
-	if s.durable != nil {
-		// The installed stream is durable from its first moment: one
-		// checkpoint holding the replayed state, above the shipped seq.
-		blob, merr := sampler.MarshalBinary()
-		if merr != nil {
-			s.mu.Unlock()
-			httpError(w, http.StatusInternalServerError, "checkpointing installed stream: %v", merr)
-			return
-		}
-		ck := durable.Checkpoint{
-			Seq:      tr.Checkpoint.Seq + 1,
-			Meta:     durableMeta(name, req),
-			Next:     next,
-			Dim:      dim,
-			Snapshot: blob,
-		}
-		if err := s.durable.Attach(name, ck); err != nil {
-			s.mu.Unlock()
-			httpError(w, http.StatusInternalServerError, "checkpointing installed stream: %v", err)
-			return
-		}
-	}
-	if s.ingestWorkers > 0 && req.Policy != "timedecay" {
-		s.startIngestShard(name, ms)
-	}
-	s.streams[name] = ms
-	s.mu.Unlock()
-
-	processed, size := sampler.Processed(), sampler.Len()
+	processed, size := ms.sm.Processed(), ms.sm.Len()
 	if s.log != nil {
 		s.log.Info("stream installed from transfer", "stream", name,
 			"processed", processed, "size", size, "tail_records", len(tr.Tail))

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"biasedres/internal/core"
 	"biasedres/internal/stream"
 	"biasedres/internal/wire"
 )
@@ -68,43 +67,25 @@ func (s *Server) IngestFrame(f *wire.Frame) wire.Reply {
 		next = sequenceWireBatch(batch, ms.next)
 	}
 
-	_, timed := ms.sampler.(*core.TimeDecayReservoir)
-	if ms.shard != nil && !timed {
-		// Async lane, mirroring handleIngestAsync: hand the batch to the
-		// stream's worker under qmu only. A full queue is backpressure —
-		// NACK with the HTTP Retry-After hint, nothing consumed.
-		select {
-		case ms.shard.ch <- batch:
-			ms.next = next
-			ms.dim = dim
-			ms.pending.Add(int64(len(batch)))
-		default:
-			ms.qmu.Unlock()
-			s.rejected.With(string(f.Name)).Inc()
+	name := string(f.Name)
+	if ms.shard != nil {
+		// Async lane: hand the batch to the stream's worker under qmu only.
+		// A full queue is backpressure — NACK with the HTTP Retry-After
+		// hint, nothing consumed.
+		pending, queued := s.enqueue(name, ms, batch, next, dim)
+		ms.qmu.Unlock()
+		if !queued {
 			return wire.Nack(1000)
 		}
-		pending := ms.pending.Load()
-		ms.qmu.Unlock()
-		s.countWireBatch(f)
+		s.countIngest(name, f.Count)
 		return wire.Ack(pending)
 	}
-
-	// Synchronous apply, mirroring handleIngestSync's batch branch. Wire
-	// frames carry no timestamps, so time-decay streams advance their
-	// clock one unit per point (the TS-less HTTP semantics) — AddBatch
-	// degrades to in-order Adds for them.
-	ms.mu.Lock()
-	core.AddBatch(ms.sampler, batch)
-	if s.durable != nil {
-		s.appendJournal(string(f.Name), journalOps(batch))
-	}
-	ms.next = next
-	ms.dim = dim
-	ms.snap.Invalidate()
-	ms.mu.Unlock()
-	ms.qmu.Unlock()
-	s.observeModel(ms, batch)
-	s.countWireBatch(f)
+	// Synchronous apply. Wire frames carry no timestamps, so time-decay
+	// streams advance their clock one unit per point (the TS-less HTTP
+	// semantics) — AddBatch degrades to in-order Adds for them.
+	ms.next, ms.dim = next, dim
+	s.apply(name, ms, batch, ms.qmu.Unlock)
+	s.countIngest(name, f.Count)
 	return wire.Ack(0)
 }
 
@@ -144,10 +125,4 @@ func sequenceWireBatch(batch []stream.Point, next uint64) uint64 {
 		batch[i].Index = next
 	}
 	return next
-}
-
-// countWireBatch records the shared ingest metrics for an accepted frame.
-func (s *Server) countWireBatch(f *wire.Frame) {
-	s.ingest.With(string(f.Name)).Add(uint64(f.Count))
-	s.batchSize.Observe(float64(f.Count))
 }

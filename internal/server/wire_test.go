@@ -67,49 +67,88 @@ func createOn(t *testing.T, srv *Server, name string, req CreateRequest) {
 // path (end to end: client.WireConn → TCP → wire.Listener → IngestFrame)
 // must leave byte-identical sampler state, proven on the marshaled
 // checkpoint. Both servers share a seed, so any divergence in point
-// content, ordering or RNG consumption shows up in the bytes.
+// content, ordering or RNG consumption shows up in the bytes. It runs for
+// every policy plus a tier ladder, with synchronous ingest and with
+// sharded async ingest (compared once both queues have drained).
 func TestWireHTTPEquivalence(t *testing.T) {
 	const points, dim = 300, 2
-	cfg := CreateRequest{Policy: "variable", Lambda: 1e-2, Capacity: 64}
+	configs := map[string]CreateRequest{
+		"variable":    {Policy: "variable", Lambda: 1e-2, Capacity: 64},
+		"biased":      {Policy: "biased", Lambda: 1e-2},
+		"constrained": {Policy: "constrained", Lambda: 1e-2, Capacity: 64},
+		"unbiased":    {Policy: "unbiased", Capacity: 64},
+		"window":      {Policy: "window", Window: 100, Capacity: 16},
+		"timedecay":   {Policy: "timedecay", Lambda: 1e-2, Capacity: 64},
+		"ttbs":        {Policy: "ttbs", Lambda: 1e-2, Capacity: 64},
+		"rtbs":        {Policy: "rtbs", Lambda: 1e-2, Capacity: 64},
+		"tiered":      {Policy: "variable", Lambda: 1e-2, Capacity: 32, Tiers: 3},
+	}
+	cases := append(Policies(), "tiered")
+	for _, c := range cases {
+		if _, ok := configs[c]; !ok {
+			t.Fatalf("policy %q has no equivalence config", c)
+		}
+	}
+	modes := []struct {
+		name string
+		opts []Option
+	}{{"sync", nil}, {"sharded", []Option{WithIngestShards(2, 8)}}}
 
-	httpSrv := New(42)
-	createOn(t, httpSrv, "s", cfg)
-	ts := httptest.NewServer(httpSrv)
-	defer ts.Close()
-	ingest(t, ts.URL, "s", wireHTTPPoints(points, dim))
+	for _, mode := range modes {
+		for _, c := range cases {
+			t.Run(mode.name+"/"+c, func(t *testing.T) {
+				cfg := configs[c]
+				httpSrv := New(42, mode.opts...)
+				defer httpSrv.Close()
+				createOn(t, httpSrv, "s", cfg)
+				ts := httptest.NewServer(httpSrv)
+				defer ts.Close()
+				resp, body := do(t, http.MethodPost, ts.URL+"/streams/s/points",
+					IngestRequest{Points: wireHTTPPoints(points, dim)})
+				if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusAccepted {
+					t.Fatalf("HTTP ingest: status %d body %v", resp.StatusCode, body)
+				}
 
-	wireSrv := New(42)
-	createOn(t, wireSrv, "s", cfg)
-	wl, addr := startWireListener(t, wireSrv)
-	defer wl.Close()
-	wc, err := client.DialWire(addr, client.WireConnConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer wc.Close()
-	var cpts []client.Point
-	for _, ip := range wireHTTPPoints(points, dim) {
-		cpts = append(cpts, client.Point{Values: ip.Values, Label: ip.Label})
-	}
-	if err := wc.Push("s", cpts); err != nil {
-		t.Fatalf("wire push: %v", err)
-	}
+				wireSrv := New(42, mode.opts...)
+				defer wireSrv.Close()
+				createOn(t, wireSrv, "s", cfg)
+				wl, addr := startWireListener(t, wireSrv)
+				defer wl.Close()
+				wc, err := client.DialWire(addr, client.WireConnConfig{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer wc.Close()
+				var cpts []client.Point
+				for _, ip := range wireHTTPPoints(points, dim) {
+					cpts = append(cpts, client.Point{Values: ip.Values, Label: ip.Label})
+				}
+				if err := wc.Push("s", cpts); err != nil {
+					t.Fatalf("wire push: %v", err)
+				}
+				waitPending(t, httpSrv, "s")
+				waitPending(t, wireSrv, "s")
 
-	httpCkpt := snapshotBytes(t, httpSrv, "s")
-	wireCkpt := snapshotBytes(t, wireSrv, "s")
-	if string(httpCkpt) != string(wireCkpt) {
-		t.Fatalf("checkpoints diverge: HTTP %d bytes, wire %d bytes", len(httpCkpt), len(wireCkpt))
-	}
-	// Both paths must also agree on the arrival cursor.
-	httpSrv.mu.RLock()
-	hms := httpSrv.streams["s"]
-	httpSrv.mu.RUnlock()
-	wireSrv.mu.RLock()
-	wms := wireSrv.streams["s"]
-	wireSrv.mu.RUnlock()
-	if hms.next != wms.next || hms.dim != wms.dim {
-		t.Fatalf("cursors diverge: HTTP (next=%d dim=%d), wire (next=%d dim=%d)",
-			hms.next, hms.dim, wms.next, wms.dim)
+				httpCkpt := snapshotBytes(t, httpSrv, "s")
+				wireCkpt := snapshotBytes(t, wireSrv, "s")
+				if string(httpCkpt) != string(wireCkpt) {
+					t.Fatalf("checkpoints diverge: HTTP %d bytes, wire %d bytes", len(httpCkpt), len(wireCkpt))
+				}
+				// Both paths must also agree on the arrival cursor.
+				cursor := func(srv *Server) (uint64, int) {
+					ms, _ := srv.lookup("s")
+					ms.qmu.Lock()
+					defer ms.qmu.Unlock()
+					return ms.next, ms.dim
+				}
+				hNext, hDim := cursor(httpSrv)
+				wNext, wDim := cursor(wireSrv)
+				if hNext != wNext || hDim != wDim || hNext != points {
+					t.Fatalf("cursors diverge: HTTP (next=%d dim=%d), wire (next=%d dim=%d), want next=%d",
+						hNext, hDim, wNext, wDim, points)
+				}
+			})
+		}
 	}
 }
 
@@ -181,9 +220,7 @@ func TestWireIngestValidation(t *testing.T) {
 	if next != 4 {
 		t.Fatalf("next = %d after one accepted frame of 4 points", next)
 	}
-	ms.mu.Lock()
-	processed := ms.sampler.Processed()
-	ms.mu.Unlock()
+	processed := ms.sm.Processed()
 	if processed != 4 {
 		t.Fatalf("sampler processed %d, want 4", processed)
 	}
@@ -225,7 +262,7 @@ func TestWireIngestBackpressure(t *testing.T) {
 	ms := srv.streams["s"]
 	srv.mu.RUnlock()
 
-	ms.mu.Lock() // pin the shard worker mid-apply
+	unstall := stallSampler(ms) // pin the shard worker mid-apply
 	var acked, nacked int
 	var nack wire.Reply
 	for i := 0; i < 8 && nacked == 0; i++ {
@@ -238,11 +275,11 @@ func TestWireIngestBackpressure(t *testing.T) {
 			nacked++
 			nack = r
 		default:
-			ms.mu.Unlock()
+			unstall()
 			t.Fatalf("unexpected reply %+v", r)
 		}
 	}
-	ms.mu.Unlock()
+	unstall()
 	if nacked == 0 {
 		t.Fatal("queue of 1 batch never backpressured")
 	}
@@ -257,9 +294,7 @@ func TestWireIngestBackpressure(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	ms.mu.Lock()
-	processed := ms.sampler.Processed()
-	ms.mu.Unlock()
+	processed := ms.sm.Processed()
 	if processed != uint64(4*acked) {
 		t.Fatalf("sampler processed %d, want %d (4 × %d ACKed frames)", processed, 4*acked, acked)
 	}
@@ -302,9 +337,7 @@ func TestWireIngestTimeDecay(t *testing.T) {
 	srv.mu.RLock()
 	ms := srv.streams["td"]
 	srv.mu.RUnlock()
-	ms.mu.Lock()
-	processed := ms.sampler.Processed()
-	ms.mu.Unlock()
+	processed := ms.sm.Processed()
 	if processed != 5 {
 		t.Fatalf("processed = %d, want 5", processed)
 	}
@@ -343,9 +376,7 @@ func TestWireEndToEndAsync(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	ms.mu.Lock()
-	processed := ms.sampler.Processed()
-	ms.mu.Unlock()
+	processed := ms.sm.Processed()
 	if processed != total {
 		t.Fatalf("processed = %d, want %d", processed, total)
 	}
@@ -386,9 +417,7 @@ func TestWireConnReconnect(t *testing.T) {
 	srv.mu.RLock()
 	ms := srv.streams["s"]
 	srv.mu.RUnlock()
-	ms.mu.Lock()
-	processed := ms.sampler.Processed()
-	ms.mu.Unlock()
+	processed := ms.sm.Processed()
 	if processed != 2 {
 		t.Fatalf("processed = %d, want 2", processed)
 	}
@@ -415,20 +444,20 @@ func TestWireConnBackpressureRetry(t *testing.T) {
 
 	// Wedge the worker long enough that the queue fills and at least one
 	// push is NACKed, then release.
-	ms.mu.Lock()
+	unstall := stallSampler(ms)
 	seed := []client.Point{{Values: []float64{0}}}
-	if err := wc.Push("s", seed); err != nil { // worker picks this up, blocks on mu
-		ms.mu.Unlock()
+	if err := wc.Push("s", seed); err != nil { // worker picks this up, blocks on the sampler lock
+		unstall()
 		t.Fatal(err)
 	}
 	if err := wc.Push("s", seed); err != nil { // fills the queue
-		ms.mu.Unlock()
+		unstall()
 		t.Fatal(err)
 	}
 	done := make(chan error, 1)
 	go func() { done <- wc.Push("s", seed) }() // must NACK until the lock lifts
 	time.Sleep(50 * time.Millisecond)
-	ms.mu.Unlock()
+	unstall()
 	if err := <-done; err != nil {
 		t.Fatalf("backpressured push failed: %v", err)
 	}
@@ -439,9 +468,7 @@ func TestWireConnBackpressureRetry(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	ms.mu.Lock()
-	processed := ms.sampler.Processed()
-	ms.mu.Unlock()
+	processed := ms.sm.Processed()
 	if processed != 3 {
 		t.Fatalf("processed = %d, want exactly 3 (no duplicates, no drops)", processed)
 	}
