@@ -3,6 +3,8 @@ package durable
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/gob"
+	"hash/crc32"
 	"reflect"
 	"testing"
 
@@ -74,17 +76,45 @@ func TestCheckpointCorruptionDetected(t *testing.T) {
 	}
 }
 
-// journalBytes builds a journal file image: header for base seq plus one
-// frame per record.
-func journalBytes(t *testing.T, seq uint64, recs ...Record) []byte {
+// journalFormat builds journal file images of one on-disk version: a
+// header for base seq plus one frame per record. v1 is still decoded but
+// no longer written by the store, so its encoder lives here.
+type journalFormat struct {
+	name  string
+	bytes func(t testing.TB, seq uint64, recs ...Record) []byte
+}
+
+var journalFormats = []journalFormat{
+	{"v1", journalBytesV1},
+	{"v2", journalBytes},
+}
+
+// journalBytes builds a v2 journal file image.
+func journalBytes(t testing.TB, seq uint64, recs ...Record) []byte {
 	t.Helper()
 	buf := encodeJournalHeader(seq)
 	for _, rec := range recs {
-		frame, err := encodeRecord(rec)
-		if err != nil {
-			t.Fatalf("encodeRecord: %v", err)
+		var err error
+		if buf, err = appendRecord(buf, rec.Ops); err != nil {
+			t.Fatalf("appendRecord: %v", err)
 		}
-		buf = append(buf, frame...)
+	}
+	return buf
+}
+
+// journalBytesV1 builds a BRESJRN1 journal file image: gob payloads.
+func journalBytesV1(t testing.TB, seq uint64, recs ...Record) []byte {
+	t.Helper()
+	buf := append(journalMagicV1[:len(journalMagicV1):len(journalMagicV1)], make([]byte, 8)...)
+	binary.LittleEndian.PutUint64(buf[8:], seq)
+	for _, rec := range recs {
+		var payload bytes.Buffer
+		if err := gob.NewEncoder(&payload).Encode(rec); err != nil {
+			t.Fatalf("gob: %v", err)
+		}
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(payload.Len()))
+		buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(payload.Bytes(), castagnoli))
+		buf = append(buf, payload.Bytes()...)
 	}
 	return buf
 }
@@ -96,81 +126,106 @@ func opWithValue(v float64) Op {
 func TestJournalRoundtrip(t *testing.T) {
 	r1 := Record{Ops: []Op{opWithValue(1), opWithValue(2)}}
 	r2 := Record{Ops: []Op{{P: stream.Point{Index: 3, Values: []float64{3}}, TS: 9.5, HasTS: true}}}
-	data := journalBytes(t, 4, r1, r2)
-	scan, err := decodeJournal(bytes.NewReader(data))
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if scan.base != 4 {
-		t.Fatalf("base = %d, want 4", scan.base)
-	}
-	if scan.tornTail || scan.corrupt {
-		t.Fatalf("clean journal flagged torn=%v corrupt=%v", scan.tornTail, scan.corrupt)
-	}
-	if len(scan.records) != 2 || !reflect.DeepEqual(scan.records[0], r1) || !reflect.DeepEqual(scan.records[1], r2) {
-		t.Fatalf("records mismatch: %+v", scan.records)
+	for _, jf := range journalFormats {
+		t.Run(jf.name, func(t *testing.T) {
+			data := jf.bytes(t, 4, r1, r2)
+			scan, err := decodeJournal(bytes.NewReader(data))
+			if err != nil {
+				t.Fatalf("decode: %v", err)
+			}
+			if scan.base != 4 {
+				t.Fatalf("base = %d, want 4", scan.base)
+			}
+			if scan.tornTail || scan.corrupt {
+				t.Fatalf("clean journal flagged torn=%v corrupt=%v", scan.tornTail, scan.corrupt)
+			}
+			if len(scan.records) != 2 || !reflect.DeepEqual(scan.records[0], r1) || !reflect.DeepEqual(scan.records[1], r2) {
+				t.Fatalf("records mismatch: %+v", scan.records)
+			}
+		})
 	}
 }
 
 func TestJournalTornTailIsNotCorrupt(t *testing.T) {
 	r1 := Record{Ops: []Op{opWithValue(1)}}
 	r2 := Record{Ops: []Op{opWithValue(2)}}
-	full := journalBytes(t, 1, r1, r2)
-	headerAndFirst := len(journalBytes(t, 1, r1))
-	// Every truncation point inside the second frame must classify as a
-	// torn tail with the first record intact.
-	for cut := headerAndFirst + 1; cut < len(full); cut++ {
-		scan, err := decodeJournal(bytes.NewReader(full[:cut]))
-		if err != nil {
-			t.Fatalf("cut %d: decode: %v", cut, err)
-		}
-		if !scan.tornTail {
-			t.Fatalf("cut %d: truncated frame not flagged torn", cut)
-		}
-		if scan.corrupt {
-			t.Fatalf("cut %d: truncation misclassified as corruption", cut)
-		}
-		if len(scan.records) != 1 || !reflect.DeepEqual(scan.records[0], r1) {
-			t.Fatalf("cut %d: prefix lost: %+v", cut, scan.records)
-		}
-	}
-	// A truncation exactly at a frame boundary is indistinguishable from a
-	// cleanly ended journal.
-	scan, err := decodeJournal(bytes.NewReader(full[:headerAndFirst]))
-	if err != nil || scan.tornTail || scan.corrupt || len(scan.records) != 1 {
-		t.Fatalf("boundary cut: scan=%+v err=%v", scan, err)
+	for _, jf := range journalFormats {
+		t.Run(jf.name, func(t *testing.T) {
+			full := jf.bytes(t, 1, r1, r2)
+			headerAndFirst := len(jf.bytes(t, 1, r1))
+			// Every truncation point inside the second frame must classify
+			// as a torn tail with the first record intact.
+			for cut := headerAndFirst + 1; cut < len(full); cut++ {
+				scan, err := decodeJournal(bytes.NewReader(full[:cut]))
+				if err != nil {
+					t.Fatalf("cut %d: decode: %v", cut, err)
+				}
+				if !scan.tornTail {
+					t.Fatalf("cut %d: truncated frame not flagged torn", cut)
+				}
+				if scan.corrupt {
+					t.Fatalf("cut %d: truncation misclassified as corruption", cut)
+				}
+				if len(scan.records) != 1 || !reflect.DeepEqual(scan.records[0], r1) {
+					t.Fatalf("cut %d: prefix lost: %+v", cut, scan.records)
+				}
+			}
+			// A truncation exactly at a frame boundary is indistinguishable
+			// from a cleanly ended journal.
+			scan, err := decodeJournal(bytes.NewReader(full[:headerAndFirst]))
+			if err != nil || scan.tornTail || scan.corrupt || len(scan.records) != 1 {
+				t.Fatalf("boundary cut: scan=%+v err=%v", scan, err)
+			}
+		})
 	}
 }
 
 func TestJournalCorruptionClassified(t *testing.T) {
 	r1 := Record{Ops: []Op{opWithValue(1)}}
 	r2 := Record{Ops: []Op{opWithValue(2)}}
-	data := journalBytes(t, 1, r1, r2)
+	for _, jf := range journalFormats {
+		t.Run(jf.name, func(t *testing.T) {
+			data := jf.bytes(t, 1, r1, r2)
 
-	// Flip a byte inside the second record's payload: CRC mismatch mid-file.
-	flipped := append([]byte(nil), data...)
-	flipped[len(flipped)-1] ^= 0x10
-	scan, err := decodeJournal(bytes.NewReader(flipped))
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if !scan.corrupt || scan.tornTail {
-		t.Fatalf("CRC mismatch: corrupt=%v torn=%v, want corrupt only", scan.corrupt, scan.tornTail)
-	}
-	if len(scan.records) != 1 {
-		t.Fatalf("valid prefix lost: %d records", len(scan.records))
-	}
+			// Flip a byte inside the second record's payload: CRC mismatch
+			// mid-file.
+			flipped := append([]byte(nil), data...)
+			flipped[len(flipped)-1] ^= 0x10
+			scan, err := decodeJournal(bytes.NewReader(flipped))
+			if err != nil {
+				t.Fatalf("decode: %v", err)
+			}
+			if !scan.corrupt || scan.tornTail {
+				t.Fatalf("CRC mismatch: corrupt=%v torn=%v, want corrupt only", scan.corrupt, scan.tornTail)
+			}
+			if len(scan.records) != 1 {
+				t.Fatalf("valid prefix lost: %d records", len(scan.records))
+			}
 
-	// A garbage length field must not be treated as truncation (or allocated).
-	garbage := journalBytes(t, 1, r1)
-	garbage = binary.LittleEndian.AppendUint32(garbage, maxRecordBytes+1)
-	garbage = binary.LittleEndian.AppendUint32(garbage, 0)
-	scan, err = decodeJournal(bytes.NewReader(garbage))
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if !scan.corrupt {
-		t.Fatal("garbage length field not flagged corrupt")
+			// A garbage length field must not be treated as truncation (or
+			// allocated).
+			garbage := jf.bytes(t, 1, r1)
+			garbage = binary.LittleEndian.AppendUint32(garbage, maxRecordBytes+1)
+			garbage = binary.LittleEndian.AppendUint32(garbage, 0)
+			scan, err = decodeJournal(bytes.NewReader(garbage))
+			if err != nil {
+				t.Fatalf("decode: %v", err)
+			}
+			if !scan.corrupt {
+				t.Fatal("garbage length field not flagged corrupt")
+			}
+
+			// A CRC-valid payload that does not parse is corruption too.
+			bogus := jf.bytes(t, 1, r1)
+			junk := []byte("not a record payload")
+			bogus = binary.LittleEndian.AppendUint32(bogus, uint32(len(junk)))
+			bogus = binary.LittleEndian.AppendUint32(bogus, crc32.Checksum(junk, castagnoli))
+			bogus = append(bogus, junk...)
+			scan, err = decodeJournal(bytes.NewReader(bogus))
+			if err != nil || !scan.corrupt || scan.tornTail || len(scan.records) != 1 {
+				t.Fatalf("undecodable payload: scan=%+v err=%v, want corrupt after 1 record", scan, err)
+			}
+		})
 	}
 
 	// A header failure poisons the whole file.

@@ -12,14 +12,15 @@
 // directory (stream names are path-escaped):
 //
 //	st-<name>.<seq>.ckpt     checkpoint: header + CRC32-guarded gob payload
-//	st-<name>.<seq>.journal  ops appended since checkpoint <seq> was cut
+//	st-<name>.<seq>.journal  ops appended since checkpoint <seq> was cut (BRESJRN2)
 //	quarantine/              corrupt files moved aside during recovery
 //
 // Checkpoints are written via temp file + fsync + atomic rename, so a
 // crash mid-write leaves either the old chain or the new one, never a torn
-// file. Journals are append-only with a per-record length + CRC32 frame;
-// fsyncs are coalesced by the caller's sync loop, bounding loss after a
-// hard kill to the coalescing window. Recovery loads the newest checkpoint
+// file. Journals are append-only with a per-record length + CRC32 frame
+// around a binary columnar payload (format.go; journals written as gob by
+// older versions still replay); fsyncs are coalesced by the caller's sync
+// loop, bounding loss after a hard kill to the coalescing window. Recovery loads the newest checkpoint
 // whose checksum verifies, replays every journal at or above it, and
 // quarantines (never deletes, never crashes on) anything corrupt.
 //

@@ -55,7 +55,15 @@ type streamChain struct {
 	journal  File
 	dirty    bool // journal has appends not yet fsynced
 	lastCkpt time.Time
+	// buf is the record encoding buffer Append reuses, so a steady stream
+	// of batches encodes without allocating.
+	buf []byte
 }
+
+// maxReusedRecordBuf caps the encoding buffer a chain keeps between
+// appends: one oversized batch must not pin its buffer for the stream's
+// lifetime.
+const maxReusedRecordBuf = 1 << 20
 
 // checkpointRetention is how many checkpoint generations stay on disk:
 // the newest plus one fallback in case the newest fails verification.
@@ -228,15 +236,18 @@ func (s *Store) Append(name string, ops []Op) error {
 	if len(ops) == 0 {
 		return nil
 	}
-	data, err := encodeRecord(Record{Ops: ops})
-	if err != nil {
-		return err
-	}
 	c := s.chain(name)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.journal == nil {
 		return fmt.Errorf("durable: stream %q has no active journal", name)
+	}
+	data, err := appendRecord(c.buf[:0], ops)
+	if err != nil {
+		return err
+	}
+	if cap(data) <= maxReusedRecordBuf {
+		c.buf = data
 	}
 	if _, err := c.journal.Write(data); err != nil {
 		s.writeErrors.Add(1)

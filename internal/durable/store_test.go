@@ -5,7 +5,10 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
+
+	"biasedres/internal/stream"
 )
 
 // countSnapshot is the fake sampler snapshot the store tests use: 8 bytes
@@ -436,4 +439,81 @@ func TestQuarantineStream(t *testing.T) {
 			t.Fatalf("quarantine holds %d files, want 4: %v", len(qentries), qentries)
 		}
 	})
+}
+
+// TestAppendConcurrent has several writers append to two streams at once:
+// each stream's chain reuses one encoding buffer, so every record must
+// come back whole — all of one writer's batch — and none may be lost.
+func TestAppendConcurrent(t *testing.T) {
+	const writers, batches, batchLen = 4, 40, 16
+	fs := NewMemFS()
+	st, err := Open(fs, "data")
+	if err != nil {
+		t.Fatal(err)
+	}
+	streams := []string{"a", "b"}
+	for _, name := range streams {
+		if err := st.Attach(name, Checkpoint{Seq: 1, Meta: StreamMeta{Name: name}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for k := 0; k < batches; k++ {
+				// Every op of a batch carries the writer and batch number,
+				// and batches differ in dim so their records differ in size.
+				ops := make([]Op, batchLen)
+				for i := range ops {
+					vals := make([]float64, 1+(w+k)%3)
+					for d := range vals {
+						vals[d] = float64(w*1000 + k)
+					}
+					ops[i] = Op{P: stream.Point{Index: uint64(i), Values: vals, Label: w, Weight: 1}}
+				}
+				if err := st.Append(streams[k%2], ops); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st2, err := Open(fs, "data")
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := st2.Recover()
+	if err != nil || len(recs) != len(streams) {
+		t.Fatalf("Recover: %d streams, err %v", len(recs), err)
+	}
+	total := 0
+	for _, rec := range recs {
+		for _, r := range rec.Tail {
+			if len(r.Ops) != batchLen {
+				t.Fatalf("record of %d ops, want %d", len(r.Ops), batchLen)
+			}
+			first := r.Ops[0]
+			tag := first.P.Values[0]
+			for i, op := range r.Ops {
+				if op.P.Index != uint64(i) || op.P.Label != first.P.Label || len(op.P.Values) != len(first.P.Values) {
+					t.Fatalf("record mixes batches: op %d is %+v, op 0 is %+v", i, op, first)
+				}
+				for _, v := range op.P.Values {
+					if v != tag {
+						t.Fatalf("record mixes batches: value %v beside %v", v, tag)
+					}
+				}
+			}
+			total++
+		}
+	}
+	if total != writers*batches {
+		t.Fatalf("recovered %d records, want %d", total, writers*batches)
+	}
 }

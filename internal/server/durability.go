@@ -101,13 +101,12 @@ func createRequestOf(meta durable.StreamMeta) CreateRequest {
 	}
 }
 
-// journalOps converts an applied batch into journal ops.
-func journalOps(batch []stream.Point) []durable.Op {
-	ops := make([]durable.Op, len(batch))
-	for i, p := range batch {
-		ops[i] = durable.Op{P: p}
+// journalOps appends an applied batch to dst as journal ops.
+func journalOps(dst []durable.Op, batch []stream.Point) []durable.Op {
+	for _, p := range batch {
+		dst = append(dst, durable.Op{P: p})
 	}
-	return ops
+	return dst
 }
 
 // appendJournal frames one applied batch onto the stream's journal. Called

@@ -230,3 +230,100 @@ func TestGoldenCheckpointsRestore(t *testing.T) {
 		}
 	}
 }
+
+// loadGoldenFS copies the golden data directory into a fresh MemFS.
+func loadGoldenFS(t *testing.T) *durable.MemFS {
+	t.Helper()
+	entries, err := os.ReadDir(filepath.Join(goldenDir, "data"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := durable.NewMemFS()
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(goldenDir, "data", e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fs.WriteFile(path.Join("data", e.Name()), data)
+	}
+	return fs
+}
+
+// TestGoldenUpgradeThenCrash upgrades the golden directory, whose journals
+// are gob-encoded BRESJRN1 files, and keeps ingesting into BRESJRN2
+// journals. It then stops the process three ways: cleanly, by a crash that
+// kills the final checkpoint, and by that crash plus a scribbled-over
+// newest checkpoint, which forces recovery back onto the golden checkpoint
+// and a chain of one v1 and one v2 journal. Each recovers to the same
+// counts, snapshots and answers. Pure crashes quarantine nothing.
+func TestGoldenUpgradeThenCrash(t *testing.T) {
+	const extra = 30 // points past the golden 210
+	run := func(t *testing.T, stop string) map[string]goldenStream {
+		fs := loadGoldenFS(t)
+		ts, srv, store := newDurableServer(t, fs)
+		for _, gs := range goldenStreams {
+			ingest(t, ts.URL, gs.name, goldenPoints(211, extra, gs.req.Policy == "timedecay"))
+		}
+		if err := store.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		for _, gs := range goldenStreams {
+			data, ok := fs.ReadFile("data/st-" + gs.name + ".3.journal")
+			if !ok || !strings.HasPrefix(string(data), "BRESJRN2") || len(data) <= 16 {
+				t.Fatalf("%s: the post-upgrade journal is not a non-empty BRESJRN2 file", gs.name)
+			}
+		}
+		if stop != "clean" {
+			fs.CrashAt(1) // the shutdown's final checkpoint dies on its first write
+		}
+		ts.Close()
+		srv.Close()
+		fs.Reboot()
+		for _, gs := range goldenStreams {
+			if _, ok := fs.ReadFile("data/st-" + gs.name + ".4.ckpt"); ok != (stop == "clean") {
+				t.Fatalf("%s: final checkpoint on disk = %v after a %s stop", gs.name, ok, stop)
+			}
+			if stop == "fallback" {
+				fs.WriteFile("data/st-"+gs.name+".3.ckpt", []byte("scribbled over by a dying disk"))
+			}
+		}
+
+		ts2, _, _ := newDurableServer(t, fs)
+		wantQuarantined := 0.0
+		if stop == "fallback" {
+			wantQuarantined = float64(len(goldenStreams))
+		}
+		if q := scrape(t, ts2.URL)["biasedres_durable_quarantined_total"]; q != wantQuarantined {
+			t.Fatalf("quarantined %v files, want %v", q, wantQuarantined)
+		}
+		out := make(map[string]goldenStream, len(goldenStreams))
+		for _, gs := range goldenStreams {
+			if got := streamProcessed(t, ts2.URL, gs.name); got != 210+extra {
+				t.Fatalf("%s: processed %v after recovery, want %d", gs.name, got, 210+extra)
+			}
+			out[gs.name] = goldenRead(t, ts2.URL, gs.name)
+		}
+		return out
+	}
+	clean := run(t, "clean")
+	for _, stop := range []string{"crash", "fallback"} {
+		t.Run(stop, func(t *testing.T) {
+			got := run(t, stop)
+			for _, gs := range goldenStreams {
+				want, have := clean[gs.name], got[gs.name]
+				if have.Next != want.Next {
+					t.Errorf("%s: next index %s, want %s", gs.name, have.Next, want.Next)
+				}
+				if string(have.Snapshot) != string(want.Snapshot) {
+					t.Errorf("%s: snapshot differs from the uncrashed twin's (%d vs %d bytes)",
+						gs.name, len(have.Snapshot), len(want.Snapshot))
+				}
+				for q, body := range want.Responses {
+					if have.Responses[q] != body {
+						t.Errorf("%s %s: got %s want %s", gs.name, q, have.Responses[q], body)
+					}
+				}
+			}
+		})
+	}
+}

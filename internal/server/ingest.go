@@ -62,7 +62,8 @@ func (s *Server) apply(name string, ms *managedStream, batch []stream.Point, rel
 	ms.sm.Update(func(sm core.Sampler) {
 		core.AddBatch(sm, batch)
 		if s.durable != nil {
-			s.appendJournal(name, journalOps(batch))
+			ms.jops = journalOps(ms.jops[:0], batch)
+			s.appendJournal(name, ms.jops)
 		}
 		processed = sm.Processed()
 	})

@@ -93,6 +93,9 @@ type managedStream struct {
 	// checkpoint; the checkpointer skips quiescent streams by comparing
 	// it to the live counter. Guarded by the sampler lock.
 	lastCkptVer uint64
+	// jops is the journal op buffer apply reuses for every batch, so
+	// journaling a batch allocates nothing. Guarded by the sampler lock.
+	jops []durable.Op
 	// fresh builds a new empty sampler with this stream's configuration;
 	// restores deserialize into a fresh instance so a rejected checkpoint
 	// cannot corrupt the live sampler.
