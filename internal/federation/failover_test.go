@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"biasedres/internal/client"
 	"biasedres/internal/faulty"
 )
 
@@ -257,6 +258,38 @@ func TestFailoverKillDuringMigration(t *testing.T) {
 		if !strings.Contains(text, fam) {
 			t.Fatalf("/metrics missing %s after failover traffic", fam)
 		}
+	}
+}
+
+// TestFailoverEvictedHandsOnShard: a hands-on shard on an evicted,
+// blackholed peer still counts in shards_total, but a read never dials
+// it — the answer is a fast partial, not one PeerTimeout late.
+func TestFailoverEvictedHandsOnShard(t *testing.T) {
+	pnodes := startProxiedNodes(t, 3)
+	cfg := failoverCfg()
+	cfg.PeerTimeout = time.Second // well above the 10×HedgeDelay latency bound
+	co, fedURL := startProxiedCoordinator(t, pnodes, cfg)
+	nodes := make([]*node, len(pnodes))
+	for i, pn := range pnodes {
+		nodes[i] = pn.node
+	}
+	shardRoundRobin(t, nodes, "s", client.StreamConfig{Policy: "unbiased", Capacity: 600}, testPoints(1500))
+	ctx := context.Background()
+	co.Sweep(ctx)
+
+	pnodes[2].blackhole()
+	co.Sweep(ctx)
+	co.Sweep(ctx)
+
+	start := time.Now()
+	est, body := mustCount(t, fedURL, "s", 900)
+	elapsed := time.Since(start)
+	wantShards(t, body, 2, 3, true)
+	if est != 600 {
+		t.Fatalf("h=900 estimate %v, want exactly 600 (2 shards x 300)", est)
+	}
+	if limit := 10 * cfg.HedgeDelay; elapsed >= limit {
+		t.Fatalf("read with an evicted peer took %v, want < %v", elapsed, limit)
 	}
 }
 

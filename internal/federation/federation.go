@@ -1,8 +1,8 @@
 // Package federation is the cross-node coordination layer: one
 // Coordinator owns a registry of reservoird data nodes, health-checks
-// them, and serves the familiar query API by scatter-gathering to every
-// healthy node holding the named stream and merging the per-shard
-// results.
+// them, and serves the familiar query API by gathering one answer per
+// shard of the named stream from the healthy peers holding it and
+// merging the per-shard results.
 //
 // Correctness rests on the linearity of the paper's Section-4 estimator:
 // H(t) = Σ I(r,t)·c_r·h(X_r)/p(r,t) is a sum over points whose inclusion
@@ -27,9 +27,9 @@
 //	GET    /readyz                      ready once a health sweep ran and ≥1 peer is up
 //	GET    /metrics                     Prometheus text exposition (biasedres_fed_*)
 //
-// Partial failure degrades, never fails: every fan-out applies a per-peer
-// timeout and one hedged retry, and a response assembled from fewer
-// shards than were attempted carries "partial": true alongside
+// Partial failure degrades, never fails: every peer call applies a
+// per-peer timeout and one hedged retry, and a response assembled from
+// fewer shards than the stream has carries "partial": true alongside
 // shards_ok/shards_total instead of an error status.
 package federation
 
@@ -273,7 +273,7 @@ func writeJSON(w http.ResponseWriter, v any) {
 
 // --- scatter-gather machinery ---
 
-// outcome is one shard's contribution to a fan-out.
+// outcome is one peer's answer in a fan-out.
 type outcome[T any] struct {
 	addr     string
 	val      T
@@ -281,11 +281,37 @@ type outcome[T any] struct {
 	notFound bool // peer answered 404: it does not hold the stream
 }
 
-// fanOut runs call against every target concurrently. Each shard call is
+// callPeer is the one way the coordinator calls a peer. The call is
 // bounded by the per-peer timeout and gets one hedged retry: a duplicate
 // attempt after HedgeDelay of silence, or immediately when the primary
-// fails with a retryable error; first success wins. 404s are classified
-// as "does not hold the stream", not as failures.
+// fails with a retryable error; first success wins. A 404 is classified
+// as "does not hold the stream", not as a failure.
+func callPeer[T any](ctx context.Context, co *Coordinator, p *peer, call func(context.Context, *peer) (T, error)) outcome[T] {
+	ctx, cancel := context.WithTimeout(ctx, co.cfg.PeerTimeout)
+	defer cancel()
+	co.peerReqs.With(p.addr).Inc()
+	val, err := hedged(ctx, co.cfg.HedgeDelay, retryable, func() {
+		co.hedges.Inc()
+		co.peerReqs.With(p.addr).Inc()
+	}, func(ctx context.Context) (T, error) {
+		return call(ctx, p)
+	})
+	o := outcome[T]{addr: p.addr, val: val, err: err}
+	var apiErr *client.APIError
+	switch {
+	case err == nil:
+	case errors.As(err, &apiErr) && apiErr.StatusCode == http.StatusNotFound:
+		o.notFound, o.err = true, nil
+	default:
+		co.peerErrs.With(p.addr).Inc()
+		if co.log != nil {
+			co.log.Warn("peer call failed", "peer", p.addr, "error", err)
+		}
+	}
+	return o
+}
+
+// fanOut calls every target concurrently and waits for all of them.
 func fanOut[T any](ctx context.Context, co *Coordinator, targets []*peer, call func(context.Context, *peer) (T, error)) []outcome[T] {
 	outs := make([]outcome[T], len(targets))
 	var wg sync.WaitGroup
@@ -293,31 +319,39 @@ func fanOut[T any](ctx context.Context, co *Coordinator, targets []*peer, call f
 		wg.Add(1)
 		go func(i int, p *peer) {
 			defer wg.Done()
-			pctx, cancel := context.WithTimeout(ctx, co.cfg.PeerTimeout)
-			defer cancel()
-			co.peerReqs.With(p.addr).Inc()
-			val, err := hedged(pctx, co.cfg.HedgeDelay, retryable, func() {
-				co.hedges.Inc()
-				co.peerReqs.With(p.addr).Inc()
-			}, func(ctx context.Context) (T, error) {
-				return call(ctx, p)
-			})
-			outs[i] = outcome[T]{addr: p.addr, val: val, err: err}
-			if err != nil {
-				var apiErr *client.APIError
-				if errors.As(err, &apiErr) && apiErr.StatusCode == http.StatusNotFound {
-					outs[i].notFound = true
-					outs[i].err = nil
-					return
-				}
-				co.peerErrs.With(p.addr).Inc()
-				if co.log != nil {
-					co.log.Warn("shard call failed", "peer", p.addr, "error", err)
-				}
-			}
+			outs[i] = callPeer(ctx, co, p, call)
 		}(i, p)
 	}
 	wg.Wait()
+	return outs
+}
+
+// fanOutFirst calls every target concurrently and returns once all have
+// answered or once at least one succeeded and a HedgeDelay grace has
+// passed — a blackholed replica costs one grace period, not a full
+// PeerTimeout. Abandoned calls are simply absent from the result.
+func fanOutFirst[T any](ctx context.Context, co *Coordinator, targets []*peer, call func(context.Context, *peer) (T, error)) []outcome[T] {
+	ch := make(chan outcome[T], len(targets))
+	for _, p := range targets {
+		go func(p *peer) { ch <- callPeer(ctx, co, p, call) }(p)
+	}
+	outs := make([]outcome[T], 0, len(targets))
+	var graceC <-chan time.Time
+	for len(outs) < len(targets) {
+		select {
+		case o := <-ch:
+			outs = append(outs, o)
+			if o.err == nil && !o.notFound && graceC == nil {
+				t := time.NewTimer(co.cfg.HedgeDelay)
+				defer t.Stop()
+				graceC = t.C
+			}
+		case <-graceC:
+			return outs
+		case <-ctx.Done():
+			return outs
+		}
+	}
 	return outs
 }
 
@@ -399,35 +433,123 @@ func splitHorizon(h uint64, n int) uint64 {
 	return (h + uint64(n) - 1) / uint64(n)
 }
 
-// gatherAccums fans the accumulator fetch out to the stream's targets.
-// The horizon is split by the stream's total shard count, not by how many
-// targets happen to be reachable: a down shard still owns its share of
-// the last h global arrivals, and dividing by the healthy count would
-// make each surviving shard answer with a deeper window than the query
-// asked for — a partial answer whose *per-point* horizon silently widened
-// rather than one that is merely missing shards.
-func (co *Coordinator) gatherAccums(ctx context.Context, name string, h uint64, rect *query.Rect) []outcome[*query.Accum] {
-	targets := co.targets(name)
-	per := splitHorizon(h, co.shardCount(name, len(targets)))
-	return fanOut(ctx, co, targets, func(ctx context.Context, p *peer) (*query.Accum, error) {
-		return p.c.AccumContext(ctx, name, per, rect)
-	})
+// --- the federated read path: layout → gatherShards → shardStatus ---
+
+// shardRef is one shard of a federated stream: the data-node stream that
+// holds it and the peers holding a replica of that stream.
+type shardRef struct {
+	stream   string
+	replicas []*peer
 }
 
-// shardStatus folds fan-out outcomes into (ok, total): peers that
-// answered 404 are excluded entirely — they do not hold the stream.
-func shardStatus[T any](outs []outcome[T]) (ok, total int) {
-	for _, o := range outs {
-		switch {
-		case o.notFound:
-		case o.err != nil:
-			total++
-		default:
-			ok++
-			total++
+// layout lists the shards a read of name merges. A coordinator-managed
+// stream's shards are its HRW placements ("name@i"). Any other name is a
+// hands-on stream, created on the nodes directly: one single-replica
+// shard per registered peer whose routing hint may hold it, healthy or
+// not. An evicted peer's shard stays in the layout, so a read without it
+// says it is partial, and the horizon split does not widen the windows of
+// the shards that did answer.
+func (co *Coordinator) layout(name string) []shardRef {
+	if fs, ok := co.lookupFed(name); ok {
+		refs := make([]shardRef, fs.shards)
+		for i := range refs {
+			refs[i] = shardRef{shardStream(name, i), co.placement(name, i, fs.replicas)}
+		}
+		return refs
+	}
+	var refs []shardRef
+	for _, p := range co.peerList() {
+		if p.mayHold(name) {
+			refs = append(refs, shardRef{name, []*peer{p}})
 		}
 	}
-	return ok, total
+	return refs
+}
+
+// shardRead is one shard's result in a gather.
+type shardRead[T any] struct {
+	val      T
+	addr     string // the replica whose answer was kept
+	ok       bool   // some replica answered
+	notFound bool   // every replica asked answered 404
+}
+
+// gatherShards reads every shard of refs concurrently. Each shard races
+// its healthy replicas and keeps the answer with the highest stream
+// position pos: the replicas hold the same shard stream, so merging two
+// of them would count every Horvitz–Thompson term twice. A shard with no
+// healthy replica fails without a call.
+func gatherShards[T any](ctx context.Context, co *Coordinator, route string, refs []shardRef, pos func(T) uint64, call func(ctx context.Context, p *peer, stream string) (T, error)) []shardRead[T] {
+	start := time.Now()
+	co.fanouts.With(route).Inc()
+	reads := make([]shardRead[T], len(refs))
+	var wg sync.WaitGroup
+	for i, ref := range refs {
+		var healthy []*peer
+		for _, p := range ref.replicas {
+			if p.isHealthy() {
+				healthy = append(healthy, p)
+			}
+		}
+		if len(healthy) == 0 {
+			continue
+		}
+		wg.Add(1)
+		go func(rd *shardRead[T], stream string, healthy []*peer) {
+			defer wg.Done()
+			outs := fanOutFirst(ctx, co, healthy, func(ctx context.Context, p *peer) (T, error) {
+				return call(ctx, p, stream)
+			})
+			notFound := 0
+			for _, o := range outs {
+				switch {
+				case o.notFound:
+					notFound++
+				case o.err != nil:
+				case !rd.ok || pos(o.val) > pos(rd.val):
+					if rd.ok {
+						co.dedupDropped.Inc()
+					}
+					rd.val, rd.addr, rd.ok = o.val, o.addr, true
+				default:
+					co.dedupDropped.Inc()
+				}
+			}
+			rd.notFound = notFound > 0 && notFound == len(outs)
+		}(&reads[i], ref.stream, healthy)
+	}
+	wg.Wait()
+	co.fanLat.With(route).Observe(time.Since(start).Seconds())
+	return reads
+}
+
+// shardStatus is the one status rule of a federated read. It answers 404
+// when the layout is empty or every shard answered 404, and 503 when no
+// shard answered. Otherwise it returns the response envelope: shards_ok
+// counts the shards some replica answered for, shards_total the whole
+// layout, and partial is set when some shard is missing.
+func shardStatus[T any](co *Coordinator, w http.ResponseWriter, name string, reads []shardRead[T]) (map[string]any, bool) {
+	ok, notFound := 0, 0
+	for _, rd := range reads {
+		if rd.ok {
+			ok++
+		} else if rd.notFound {
+			notFound++
+		}
+	}
+	if notFound == len(reads) {
+		httpError(w, http.StatusNotFound, "stream %q not found on any peer", name)
+		return nil, false
+	}
+	if ok == 0 {
+		httpError(w, http.StatusServiceUnavailable, "all %d shards of stream %q failed", len(reads), name)
+		return nil, false
+	}
+	partial := ok < len(reads)
+	if partial {
+		co.partials.Inc()
+	}
+	return map[string]any{"shards_ok": ok, "shards_total": len(reads), "partial": partial}, true
 }
 
 // federatedTypes are the query types the coordinator can merge. Quantile
@@ -465,84 +587,51 @@ func (co *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 		rect = &rc
 	}
 
-	// A coordinator-managed stream reads through placement: one deduped
-	// replica response per shard.
-	if fs, managed := co.lookupFed(name); managed {
-		co.managedQuery(w, r, name, fs, typ, h, rect)
-		return
-	}
-
-	start := time.Now()
-	co.fanouts.With("query").Inc()
-	outs := co.gatherAccums(r.Context(), name, h, rect)
-	co.fanLat.With("query").Observe(time.Since(start).Seconds())
-
-	ok, total := shardStatus(outs)
-	if total == 0 {
-		httpError(w, http.StatusNotFound, "stream %q not found on any healthy peer", name)
-		return
-	}
-	if ok == 0 {
-		httpError(w, http.StatusServiceUnavailable,
-			"all %d shards holding stream %q failed", total, name)
+	// The horizon splits by the whole layout, not by the shards that
+	// answer: a missing shard still owns its share of the last h arrivals.
+	refs := co.layout(name)
+	per := splitHorizon(h, len(refs))
+	reads := gatherShards(r.Context(), co, "query", refs,
+		func(a *query.Accum) uint64 { return a.T },
+		func(ctx context.Context, p *peer, stream string) (*query.Accum, error) {
+			return p.c.AccumContext(ctx, stream, per, rect)
+		})
+	resp, ok := shardStatus(co, w, name, reads)
+	if !ok {
 		return
 	}
 	merged := query.NewMergeAccum(h)
-	for _, o := range outs {
-		if o.err == nil && !o.notFound {
-			merged.Merge(o.val)
+	for _, rd := range reads {
+		if rd.ok {
+			merged.Merge(rd.val)
 		}
 	}
-	co.writeMergedQuery(w, typ, merged, ok, total)
-}
-
-// writeMergedQuery renders a merged accumulator as the federated query
-// response — shared by the legacy per-node shard path and the managed
-// placement path.
-func (co *Coordinator) writeMergedQuery(w http.ResponseWriter, typ string, merged *query.Accum, ok, total int) {
-	partial := ok < total
-	if partial {
-		co.partials.Inc()
-	}
-	resp := map[string]any{"shards_ok": ok, "shards_total": total, "partial": partial}
 
 	switch typ {
 	case "count":
 		resp["estimate"], resp["variance"] = merged.Count, merged.CountVar
 	case "average":
-		avg, err := merged.Average()
-		if err != nil {
-			httpError(w, http.StatusConflict, "%v", err)
-			return
-		}
-		resp["average"] = avg
+		resp["average"], err = merged.Average()
 	case "classdist":
-		dist, err := merged.Distribution()
-		if err != nil {
-			httpError(w, http.StatusConflict, "%v", err)
-			return
-		}
+		var dist map[int]float64
+		dist, err = merged.Distribution()
 		resp["distribution"] = stringKeys(dist)
 	case "groupavg":
-		groups, err := merged.GroupAverage()
-		if err != nil {
-			httpError(w, http.StatusConflict, "%v", err)
-			return
-		}
+		var groups map[int][]float64
+		groups, err = merged.GroupAverage()
 		resp["groups"] = stringKeys(groups)
 	case "selectivity":
-		sel, err := merged.Selectivity()
-		if err != nil {
-			httpError(w, http.StatusConflict, "%v", err)
-			return
-		}
-		resp["selectivity"] = sel
+		resp["selectivity"], err = merged.Selectivity()
+	}
+	if err != nil {
+		httpError(w, http.StatusConflict, "%v", err)
+		return
 	}
 	writeJSON(w, resp)
 }
 
 // fedSamplePoint is one reservoir point in a federated sample, tagged
-// with the shard it came from.
+// with the peer it came from.
 type fedSamplePoint struct {
 	Index  uint64    `json:"index"`
 	Values []float64 `json:"values"`
@@ -553,51 +642,30 @@ type fedSamplePoint struct {
 
 func (co *Coordinator) handleSample(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	if fs, managed := co.lookupFed(name); managed {
-		co.managedSample(w, r, name, fs)
-		return
-	}
-	start := time.Now()
-	co.fanouts.With("sample").Inc()
-	targets := co.targets(name)
-	outs := fanOut(r.Context(), co, targets, func(ctx context.Context, p *peer) (*client.Sample, error) {
-		return p.c.SampleContext(ctx, name)
-	})
-	co.fanLat.With("sample").Observe(time.Since(start).Seconds())
-
-	ok, total := shardStatus(outs)
-	if total == 0 {
-		httpError(w, http.StatusNotFound, "stream %q not found on any healthy peer", name)
-		return
-	}
-	if ok == 0 {
-		httpError(w, http.StatusServiceUnavailable,
-			"all %d shards holding stream %q failed", total, name)
+	reads := gatherShards(r.Context(), co, "sample", co.layout(name),
+		func(s *client.Sample) uint64 { return s.T },
+		func(ctx context.Context, p *peer, stream string) (*client.Sample, error) {
+			return p.c.SampleContext(ctx, stream)
+		})
+	resp, ok := shardStatus(co, w, name, reads)
+	if !ok {
 		return
 	}
 	var maxT uint64
 	points := []fedSamplePoint{}
-	for _, o := range outs {
-		if o.err != nil || o.notFound {
+	for _, rd := range reads {
+		if !rd.ok {
 			continue
 		}
-		if o.val.T > maxT {
-			maxT = o.val.T
-		}
-		for _, sp := range o.val.Points {
+		maxT = max(maxT, rd.val.T)
+		for _, sp := range rd.val.Points {
 			points = append(points, fedSamplePoint{
-				Index: sp.Index, Values: sp.Values, Label: sp.Label, Prob: sp.Prob, Origin: o.addr,
+				Index: sp.Index, Values: sp.Values, Label: sp.Label, Prob: sp.Prob, Origin: rd.addr,
 			})
 		}
 	}
-	partial := ok < total
-	if partial {
-		co.partials.Inc()
-	}
-	writeJSON(w, map[string]any{
-		"t": maxT, "points": points,
-		"shards_ok": ok, "shards_total": total, "partial": partial,
-	})
+	resp["t"], resp["points"] = maxT, points
+	writeJSON(w, resp)
 }
 
 func (co *Coordinator) handleStreams(w http.ResponseWriter, r *http.Request) {

@@ -9,6 +9,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -33,10 +34,11 @@ func testCfg() Config {
 // listener, with a switchable "down" mode that 503s every request so
 // health transitions can be exercised without losing the listener address.
 type node struct {
-	srv  *server.Server
-	ts   *httptest.Server
-	c    *client.Client
-	down atomic.Bool
+	srv       *server.Server
+	ts        *httptest.Server
+	c         *client.Client
+	down      atomic.Bool
+	failAccum atomic.Int32 // 503 this many upcoming /accum calls
 }
 
 func startNode(t testing.TB, seed uint64) *node {
@@ -45,6 +47,10 @@ func startNode(t testing.TB, seed uint64) *node {
 	n.ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if n.down.Load() {
 			http.Error(w, `{"error":"induced outage"}`, http.StatusServiceUnavailable)
+			return
+		}
+		if strings.HasSuffix(r.URL.Path, "/accum") && n.failAccum.Add(-1) >= 0 {
+			http.Error(w, `{"error":"induced accum failure"}`, http.StatusServiceUnavailable)
 			return
 		}
 		n.srv.ServeHTTP(w, r)
@@ -334,7 +340,7 @@ func TestFederatedPartialFailure(t *testing.T) {
 }
 
 // TestPartialFailureHorizonSplit is the regression test for horizon
-// splitting under partial failure: gatherAccums used to divide the
+// splitting under partial failure: the read path used to divide the
 // global horizon by len(targets) — the peers it could reach — instead of
 // the stream's shard count, so losing one of three shards silently
 // widened each survivor's window from ⌈h/3⌉ to ⌈h/2⌉ and inflated the
@@ -361,7 +367,8 @@ func TestPartialFailureHorizonSplit(t *testing.T) {
 
 	// Evict node 2 (Fall = 2 sweeps). Its cached stream set survives the
 	// failed probes, so the coordinator still knows the stream spans 3
-	// shards even though it can only reach 2.
+	// shards even though it can only reach 2, and says the answer is
+	// missing one.
 	nodes[2].down.Store(true)
 	co.Sweep(ctx)
 	co.Sweep(ctx)
@@ -370,7 +377,7 @@ func TestPartialFailureHorizonSplit(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("degraded count: status %d body %v", status, body)
 	}
-	wantShards(t, body, 2, 2, false)
+	wantShards(t, body, 2, 3, true)
 	// Each surviving shard must still answer for its ⌈900/3⌉ = 300 share:
 	// 600 total. The pre-fix split by reachable peers gave ⌈900/2⌉ per
 	// shard = 900, overstating the degraded estimate by half.
@@ -386,6 +393,91 @@ func TestPartialFailureHorizonSplit(t *testing.T) {
 	}
 	if est := body["estimate"].(float64); math.Abs(est-1000) > 1e-6 {
 		t.Fatalf("degraded h=0 estimate %v, want exactly 1000", est)
+	}
+}
+
+// TestHandsOnStreamBeforeSweep pins where a hands-on stream is read
+// from: the peers whose routing hint names it. Created behind the
+// coordinator's back on 2 of 3 nodes, it is not found until the next
+// sweep refreshes the hints, and then it is exactly 2 shards — never 3
+// shards' worth of horizon split over the 2 that answer.
+func TestHandsOnStreamBeforeSweep(t *testing.T) {
+	nodes := startNodes(t, 3)
+	co, fed := startCoordinator(t, nodes, testCfg())
+	shardRoundRobin(t, nodes[:2], "s",
+		client.StreamConfig{Policy: "unbiased", Capacity: 600}, testPoints(1000))
+
+	status, body := fedGet(t, fed.URL+"/streams/s/query?type=count&h=900")
+	if status != http.StatusNotFound {
+		t.Fatalf("count before the sweep: status %d body %v, want 404", status, body)
+	}
+
+	co.Sweep(context.Background())
+	status, body = fedGet(t, fed.URL+"/streams/s/query?type=count&h=900")
+	if status != http.StatusOK {
+		t.Fatalf("count after the sweep: status %d body %v", status, body)
+	}
+	wantShards(t, body, 2, 2, false)
+	// h=900 splits into ⌈900/2⌉ = 450 per shard, all retained at p=1.
+	if est := body["estimate"].(float64); est != 900 {
+		t.Fatalf("h=900 estimate %v, want exactly 900 (2 shards x 450)", est)
+	}
+}
+
+// TestSingleReplicaShardHedges: a shard with one replica still gets the
+// hedged retry every peer call has, so a replica that fails one /accum
+// call fast costs a retry, not the shard.
+func TestSingleReplicaShardHedges(t *testing.T) {
+	cfg := testCfg()
+	// Long enough that no healthy call is hedged for being slow: the one
+	// hedge counted is the fast-failure retry.
+	cfg.HedgeDelay = time.Second
+	const n = 400
+	for _, tc := range []struct {
+		name   string
+		shards int
+		// setup creates the stream and returns the node to fail.
+		setup func(t *testing.T, co *Coordinator, fedURL string, nodes []*node) *node
+	}{
+		{"hands-on", 2, func(t *testing.T, co *Coordinator, fedURL string, nodes []*node) *node {
+			shardRoundRobin(t, nodes, "s", client.StreamConfig{Policy: "unbiased", Capacity: 600}, testPoints(n))
+			co.Sweep(context.Background())
+			return nodes[0]
+		}},
+		{"managed replicas:1", 1, func(t *testing.T, co *Coordinator, fedURL string, nodes []*node) *node {
+			if status, body := fedDo(t, http.MethodPut, fedURL+"/streams/s", managedCfg(1, 1)); status != http.StatusCreated {
+				t.Fatalf("create: status %d body %v", status, body)
+			}
+			if status, body := fedDo(t, http.MethodPost, fedURL+"/streams/s/points",
+				map[string]any{"points": testPoints(n)}); status != http.StatusOK {
+				t.Fatalf("ingest: status %d body %v", status, body)
+			}
+			holder := co.placement("s", 0, 1)[0].addr
+			for _, nd := range nodes {
+				if nd.ts.URL == holder {
+					return nd
+				}
+			}
+			t.Fatalf("placement chose unknown peer %q", holder)
+			return nil
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			nodes := startNodes(t, 2)
+			co, fed := startCoordinator(t, nodes, cfg)
+			victim := tc.setup(t, co, fed.URL, nodes)
+
+			hedges := co.hedges.Value()
+			victim.failAccum.Store(1)
+			est, body := mustCount(t, fed.URL, "s", 0)
+			wantShards(t, body, tc.shards, tc.shards, false)
+			if est != n {
+				t.Fatalf("count %v, want exactly %d", est, n)
+			}
+			if got := co.hedges.Value() - hedges; got != 1 {
+				t.Fatalf("hedged requests rose by %d, want 1", got)
+			}
+		})
 	}
 }
 
@@ -418,13 +510,13 @@ func TestHealthRiseFall(t *testing.T) {
 		t.Fatal("peer still healthy after 2 consecutive failed probes")
 	}
 
-	// The unhealthy peer is out of rotation: full-shard answer from the
-	// one remaining node, not a partial.
+	// The unhealthy peer is out of rotation, but its shard still counts:
+	// the remaining node answers, and the response is a partial 1 of 2.
 	status, body := fedGet(t, fed.URL+"/streams/s/query?type=count&h=0")
 	if status != http.StatusOK {
 		t.Fatalf("query with evicted peer: status %d", status)
 	}
-	wantShards(t, body, 1, 1, false)
+	wantShards(t, body, 1, 2, true)
 
 	nodes[1].down.Store(false)
 	co.Sweep(ctx)

@@ -14,9 +14,9 @@ import (
 
 // peer is one data node in the registry. Health state is mutated only by
 // the health checker; the stream set is a routing hint refreshed on each
-// probe, never authoritative — fan-outs fall back to every healthy peer
-// when no holder is known, and a peer whose set has never been fetched is
-// always included.
+// probe. A hands-on stream is read from the peers whose hint names it, so
+// one created since the last sweep is served from the next; a peer whose
+// set has never been fetched is always included.
 type peer struct {
 	addr string
 	c    *client.Client
@@ -113,45 +113,6 @@ func (co *Coordinator) healthyPeers() []*peer {
 		}
 	}
 	return out
-}
-
-// targets returns the healthy peers a fan-out for the named stream should
-// hit: those whose cached stream set includes it plus those whose set is
-// unknown. If the hint eliminates everyone (e.g. the stream was created
-// after the last sweep on every node), it falls back to all healthy peers
-// — a wasted 404 per peer is cheaper than a false "not found".
-func (co *Coordinator) targets(name string) []*peer {
-	healthy := co.healthyPeers()
-	var out []*peer
-	for _, p := range healthy {
-		if p.mayHold(name) {
-			out = append(out, p)
-		}
-	}
-	if len(out) == 0 {
-		return healthy
-	}
-	return out
-}
-
-// shardCount returns how many shards the named stream spans: every
-// registered peer — healthy or not — whose cached stream set contains it
-// (or has never been fetched, the same benefit of the doubt mayHold gives
-// routing). Horizon splitting divides by this so a shard's share of the
-// global window does not change when a sibling goes down. Floored at the
-// live target count, which covers the targets() fallback where no cached
-// set names the stream but every healthy peer is queried anyway.
-func (co *Coordinator) shardCount(name string, healthyTargets int) int {
-	n := 0
-	for _, p := range co.peerList() {
-		if p.mayHold(name) {
-			n++
-		}
-	}
-	if n < healthyTargets {
-		n = healthyTargets
-	}
-	return n
 }
 
 // peerInfo is the JSON shape of one registry entry.

@@ -9,10 +9,8 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"biasedres/internal/client"
-	"biasedres/internal/query"
 	"biasedres/internal/wire"
 )
 
@@ -431,236 +429,6 @@ func (co *Coordinator) IngestFrame(f *wire.Frame) wire.Reply {
 		return wire.Errorf("%v", err)
 	}
 	return wire.Ack(0)
-}
-
-// --- replicated reads ---
-
-// fanOutFirst runs call against every target concurrently and returns
-// once all have answered or once at least one succeeded and a HedgeDelay
-// grace has passed — a blackholed replica costs one grace period, not a
-// full PeerTimeout. Abandoned calls are simply absent from the result.
-func fanOutFirst[T any](ctx context.Context, co *Coordinator, targets []*peer, call func(context.Context, *peer) (T, error)) []outcome[T] {
-	ch := make(chan outcome[T], len(targets))
-	for _, p := range targets {
-		go func(p *peer) {
-			pctx, cancel := context.WithTimeout(ctx, co.cfg.PeerTimeout)
-			defer cancel()
-			co.peerReqs.With(p.addr).Inc()
-			val, err := call(pctx, p)
-			o := outcome[T]{addr: p.addr, val: val, err: err}
-			if err != nil {
-				var apiErr *client.APIError
-				if errors.As(err, &apiErr) && apiErr.StatusCode == http.StatusNotFound {
-					o.notFound = true
-					o.err = nil
-				} else {
-					co.peerErrs.With(p.addr).Inc()
-				}
-			}
-			ch <- o
-		}(p)
-	}
-	outs := make([]outcome[T], 0, len(targets))
-	var graceC <-chan time.Time
-	for len(outs) < len(targets) {
-		select {
-		case o := <-ch:
-			outs = append(outs, o)
-			if o.err == nil && !o.notFound && graceC == nil {
-				t := time.NewTimer(co.cfg.HedgeDelay)
-				defer t.Stop()
-				graceC = t.C
-			}
-		case <-graceC:
-			return outs
-		case <-ctx.Done():
-			return outs
-		}
-	}
-	return outs
-}
-
-// shardAccum gathers one shard's accumulator from its replicas and keeps
-// the single most advanced response (max stream position T): replicas
-// hold the same shard stream, so counting two of them would double every
-// Horvitz–Thompson term. Returns (nil, false, …) when no replica
-// answered, plus whether every answering replica 404'd.
-func (co *Coordinator) shardAccum(ctx context.Context, name string, fs *fedStream, shard int, h uint64, rect *query.Rect) (best *query.Accum, ok, absent bool) {
-	replicas := co.placement(name, shard, fs.replicas)
-	targets := make([]*peer, 0, len(replicas))
-	for _, p := range replicas {
-		if p.isHealthy() {
-			targets = append(targets, p)
-		}
-	}
-	if len(targets) == 0 {
-		targets = replicas
-	}
-	ss := shardStream(name, shard)
-	per := splitHorizon(h, fs.shards)
-	outs := fanOutFirst(ctx, co, targets, func(ctx context.Context, p *peer) (*query.Accum, error) {
-		return p.c.AccumContext(ctx, ss, per, rect)
-	})
-	answered, notFound := 0, 0
-	for _, o := range outs {
-		switch {
-		case o.notFound:
-			notFound++
-		case o.err == nil:
-			answered++
-			if best == nil || o.val.T > best.T {
-				if best != nil {
-					co.dedupDropped.Inc()
-				}
-				best = o.val
-			} else {
-				co.dedupDropped.Inc()
-			}
-		}
-	}
-	return best, answered > 0, answered == 0 && notFound > 0 && notFound == len(outs)
-}
-
-// managedQuery answers a federated query for a coordinator-managed
-// stream: one deduped accumulator per shard, merged exactly as the
-// legacy path merges per-node shards.
-func (co *Coordinator) managedQuery(w http.ResponseWriter, r *http.Request, name string, fs *fedStream, typ string, h uint64, rect *query.Rect) {
-	start := time.Now()
-	co.fanouts.With("query").Inc()
-	type shardRes struct {
-		acc    *query.Accum
-		ok     bool
-		absent bool
-	}
-	results := make([]shardRes, fs.shards)
-	var wg sync.WaitGroup
-	for shard := 0; shard < fs.shards; shard++ {
-		wg.Add(1)
-		go func(shard int) {
-			defer wg.Done()
-			acc, ok, absent := co.shardAccum(r.Context(), name, fs, shard, h, rect)
-			results[shard] = shardRes{acc, ok, absent}
-		}(shard)
-	}
-	wg.Wait()
-	co.fanLat.With("query").Observe(time.Since(start).Seconds())
-
-	okShards, absentShards := 0, 0
-	merged := query.NewMergeAccum(h)
-	for _, res := range results {
-		if res.ok {
-			okShards++
-			merged.Merge(res.acc)
-		} else if res.absent {
-			absentShards++
-		}
-	}
-	if absentShards == fs.shards {
-		httpError(w, http.StatusNotFound, "stream %q not found on any replica", name)
-		return
-	}
-	if okShards == 0 {
-		httpError(w, http.StatusServiceUnavailable,
-			"all %d shards of stream %q failed", fs.shards, name)
-		return
-	}
-	co.writeMergedQuery(w, typ, merged, okShards, fs.shards)
-}
-
-// managedSample concatenates one deduped reservoir per shard.
-func (co *Coordinator) managedSample(w http.ResponseWriter, r *http.Request, name string, fs *fedStream) {
-	start := time.Now()
-	co.fanouts.With("sample").Inc()
-	type shardRes struct {
-		sample *client.Sample
-		addr   string
-		ok     bool
-		absent bool
-	}
-	results := make([]shardRes, fs.shards)
-	var wg sync.WaitGroup
-	for shard := 0; shard < fs.shards; shard++ {
-		wg.Add(1)
-		go func(shard int) {
-			defer wg.Done()
-			replicas := co.placement(name, shard, fs.replicas)
-			targets := make([]*peer, 0, len(replicas))
-			for _, p := range replicas {
-				if p.isHealthy() {
-					targets = append(targets, p)
-				}
-			}
-			if len(targets) == 0 {
-				targets = replicas
-			}
-			ss := shardStream(name, shard)
-			outs := fanOutFirst(r.Context(), co, targets, func(ctx context.Context, p *peer) (*client.Sample, error) {
-				return p.c.SampleContext(ctx, ss)
-			})
-			answered, notFound := 0, 0
-			var best *client.Sample
-			var bestAddr string
-			for _, o := range outs {
-				switch {
-				case o.notFound:
-					notFound++
-				case o.err == nil:
-					answered++
-					if best == nil || o.val.T > best.T {
-						if best != nil {
-							co.dedupDropped.Inc()
-						}
-						best, bestAddr = o.val, o.addr
-					} else {
-						co.dedupDropped.Inc()
-					}
-				}
-			}
-			results[shard] = shardRes{
-				sample: best, addr: bestAddr, ok: answered > 0,
-				absent: answered == 0 && notFound > 0 && notFound == len(outs),
-			}
-		}(shard)
-	}
-	wg.Wait()
-	co.fanLat.With("sample").Observe(time.Since(start).Seconds())
-
-	okShards, absentShards := 0, 0
-	var maxT uint64
-	points := []fedSamplePoint{}
-	for _, res := range results {
-		switch {
-		case res.ok:
-			okShards++
-			if res.sample.T > maxT {
-				maxT = res.sample.T
-			}
-			for _, sp := range res.sample.Points {
-				points = append(points, fedSamplePoint{
-					Index: sp.Index, Values: sp.Values, Label: sp.Label, Prob: sp.Prob, Origin: res.addr,
-				})
-			}
-		case res.absent:
-			absentShards++
-		}
-	}
-	if absentShards == fs.shards {
-		httpError(w, http.StatusNotFound, "stream %q not found on any replica", name)
-		return
-	}
-	if okShards == 0 {
-		httpError(w, http.StatusServiceUnavailable,
-			"all %d shards of stream %q failed", fs.shards, name)
-		return
-	}
-	partial := okShards < fs.shards
-	if partial {
-		co.partials.Inc()
-	}
-	writeJSON(w, map[string]any{
-		"t": maxT, "points": points,
-		"shards_ok": okShards, "shards_total": fs.shards, "partial": partial,
-	})
 }
 
 // fedStreamNames folds shard-replica names back into their federated
