@@ -40,8 +40,8 @@ flagcheck:
 bench:
 	$(GO) run ./cmd/benchingest
 
-# bench-query regenerates BENCH_query.json: fused vs legacy query kernels
-# and query p50 latency under concurrent ingest.
+# bench-query regenerates BENCH_query.json: the fused query walk's ns/op
+# at dim 2/8/32 and its p50 latency under concurrent ingest.
 bench-query:
 	$(GO) run ./cmd/benchingest -suite query
 

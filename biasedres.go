@@ -206,12 +206,12 @@ func ExpMaxRequirement(lambda float64, t uint64) float64 {
 // Estimate evaluates a linear query on a sampler via the Horvitz-Thompson
 // estimator of Equation 8 (unbiased for any sampling policy, Observation
 // 4.1).
-func Estimate(s Sampler, q Linear) float64 { return query.Estimate(s, q) }
+func Estimate(s Sampler, q Linear) float64 { return EstimateOn(TakeSnapshot(s), q) }
 
 // EstimateWithVariance additionally returns the HT estimate of the
 // estimator's own variance (Lemma 4.1).
 func EstimateWithVariance(s Sampler, q Linear) (estimate, variance float64) {
-	return query.EstimateWithVariance(s, q)
+	return EstimateWithVarianceOn(TakeSnapshot(s), q)
 }
 
 // CountQuery returns the count query over the last h arrivals (h = 0 for
@@ -234,31 +234,31 @@ func NewRect(dims []int, lo, hi []float64) (Rect, error) { return query.NewRect(
 // HorizonAverage estimates the per-dimension average of the last h
 // arrivals.
 func HorizonAverage(s Sampler, h uint64, dim int) ([]float64, error) {
-	return query.HorizonAverage(s, h, dim)
+	return HorizonAverageOn(TakeSnapshot(s), h, dim)
 }
 
 // ClassDistribution estimates the fractional class distribution of the
 // last h arrivals.
 func ClassDistribution(s Sampler, h uint64) (map[int]float64, error) {
-	return query.ClassDistribution(s, h)
+	return ClassDistributionOn(TakeSnapshot(s), h)
 }
 
 // RangeSelectivity estimates the fraction of the last h arrivals inside
 // rect.
 func RangeSelectivity(s Sampler, h uint64, rect Rect) (float64, error) {
-	return query.RangeSelectivity(s, h, rect)
+	return RangeSelectivityOn(TakeSnapshot(s), h, rect)
 }
 
 // GroupAverage estimates the per-dimension average of each label's points
 // among the last h arrivals.
 func GroupAverage(s Sampler, h uint64, dim int) (map[int][]float64, error) {
-	return query.GroupAverage(s, h, dim)
+	return GroupAverageOn(TakeSnapshot(s), h, dim)
 }
 
 // GroupCount estimates the number of points of each label among the last h
 // arrivals.
 func GroupCount(s Sampler, h uint64) (map[int]float64, error) {
-	return query.GroupCount(s, h)
+	return GroupCountOn(TakeSnapshot(s), h)
 }
 
 // LabelCount is one entry of a TopK report.
@@ -267,7 +267,7 @@ type LabelCount = query.LabelCount
 // TopK estimates the k most frequent labels among the last h arrivals,
 // each with a standard error.
 func TopK(s Sampler, h uint64, k int) ([]LabelCount, error) {
-	return query.TopK(s, h, k)
+	return TopKOn(TakeSnapshot(s), h, k)
 }
 
 // EstimateOn evaluates a linear query against a snapshot. Combined with
@@ -281,32 +281,32 @@ func EstimateWithVarianceOn(snap *SamplerSnapshot, q Linear) (estimate, variance
 
 // HorizonAverageOn is HorizonAverage against a snapshot.
 func HorizonAverageOn(snap *SamplerSnapshot, h uint64, dim int) ([]float64, error) {
-	return query.HorizonAverageOn(snap, h, dim)
+	return query.Accumulate(snap, h, dim, nil).Average()
 }
 
 // ClassDistributionOn is ClassDistribution against a snapshot.
 func ClassDistributionOn(snap *SamplerSnapshot, h uint64) (map[int]float64, error) {
-	return query.ClassDistributionOn(snap, h)
+	return query.Accumulate(snap, h, 0, nil).Distribution()
 }
 
 // RangeSelectivityOn is RangeSelectivity against a snapshot.
 func RangeSelectivityOn(snap *SamplerSnapshot, h uint64, rect Rect) (float64, error) {
-	return query.RangeSelectivityOn(snap, h, rect)
+	return query.Accumulate(snap, h, 0, &rect).Selectivity()
 }
 
 // GroupAverageOn is GroupAverage against a snapshot.
 func GroupAverageOn(snap *SamplerSnapshot, h uint64, dim int) (map[int][]float64, error) {
-	return query.GroupAverageOn(snap, h, dim)
+	return query.Accumulate(snap, h, dim, nil).GroupAverage()
 }
 
 // GroupCountOn is GroupCount against a snapshot.
 func GroupCountOn(snap *SamplerSnapshot, h uint64) (map[int]float64, error) {
-	return query.GroupCountOn(snap, h)
+	return query.Accumulate(snap, h, 0, nil).GroupCount()
 }
 
 // TopKOn is TopK against a snapshot.
 func TopKOn(snap *SamplerSnapshot, h uint64, k int) ([]LabelCount, error) {
-	return query.TopKOn(snap, h, k)
+	return query.Accumulate(snap, h, 0, nil).TopK(k)
 }
 
 // QuantileOn estimates the q-quantile of dimension dim over the last h

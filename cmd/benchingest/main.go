@@ -9,11 +9,10 @@
 //
 // parses the standard benchmark output (including custom metrics such as
 // "points/s" and "p50-ns"), and emits one JSON document with a
-// per-benchmark record plus suite-specific comparisons: batch-vs-single
-// ingest speedup per sampling policy, or — with -suite query — the fused
-// single-pass kernels against the legacy per-statistic query plan and
-// query p50 latency under concurrent ingest with and without the snapshot
-// read path. Run it from the repository root:
+// per-benchmark record plus suite-specific comparisons, such as the
+// batch-vs-single ingest speedup per sampling policy. The query suite
+// records the fused walk's ns/op per dimensionality and its p50 latency
+// under concurrent ingest. Run it from the repository root:
 //
 //	go run ./cmd/benchingest                     # writes BENCH_ingest.json
 //	go run ./cmd/benchingest -suite query        # writes BENCH_query.json
@@ -81,24 +80,6 @@ type Speedup struct {
 	Speedup         float64 `json:"speedup"`
 }
 
-// FusedSpeedup compares the fused single-pass query kernel against the
-// legacy per-statistic plan at one dimensionality.
-type FusedSpeedup struct {
-	Case     string  `json:"case"`
-	LegacyNs float64 `json:"legacy_ns_per_op"`
-	FusedNs  float64 `json:"fused_ns_per_op"`
-	Speedup  float64 `json:"speedup"`
-}
-
-// UnderIngest compares query p50 latency under sustained concurrent
-// ingest with the mutex read path against the snapshot read path, from
-// the same harness run.
-type UnderIngest struct {
-	MutexP50Ns    float64 `json:"mutex_p50_ns"`
-	SnapshotP50Ns float64 `json:"snapshot_p50_ns"`
-	Improvement   float64 `json:"improvement"`
-}
-
 // FedLatency is one row of the federated-query latency table: end-to-end
 // coordinator p50/p99 at a given data-node count, under concurrent ingest.
 type FedLatency struct {
@@ -159,8 +140,6 @@ type Report struct {
 	BenchTime   string            `json:"benchtime"`
 	Benchmarks  []Result          `json:"benchmarks"`
 	Speedups    []Speedup         `json:"batch_vs_single,omitempty"`
-	Fused       []FusedSpeedup    `json:"fused_vs_legacy,omitempty"`
-	UnderIngest *UnderIngest      `json:"query_under_ingest,omitempty"`
 	FedLatency  []FedLatency      `json:"federated_query_latency,omitempty"`
 	Wire        *WireVsHTTP       `json:"wire_vs_http,omitempty"`
 	TierLatency []TierLatency     `json:"tiered_range_latency,omitempty"`
@@ -238,9 +217,6 @@ func run(suite, out, benchtime string, count int) error {
 	switch suite {
 	case "ingest":
 		report.Speedups = speedups(report.Benchmarks)
-	case "query":
-		report.Fused = fusedSpeedups(report.Benchmarks)
-		report.UnderIngest = underIngest(report.Benchmarks)
 	case "federation":
 		report.FedLatency = fedLatency(report.Benchmarks)
 	case "wire":
@@ -264,13 +240,6 @@ func run(suite, out, benchtime string, count int) error {
 	fmt.Fprintf(os.Stderr, "wrote %s (%d benchmarks)\n", out, len(report.Benchmarks))
 	for _, s := range report.Speedups {
 		fmt.Fprintf(os.Stderr, "  %-12s batch/single = %.2fx\n", s.Policy, s.Speedup)
-	}
-	for _, f := range report.Fused {
-		fmt.Fprintf(os.Stderr, "  %-12s fused/legacy = %.2fx\n", f.Case, f.Speedup)
-	}
-	if u := report.UnderIngest; u != nil {
-		fmt.Fprintf(os.Stderr, "  query p50 under ingest: mutex %.0fns, snapshot %.0fns (%.2fx)\n",
-			u.MutexP50Ns, u.SnapshotP50Ns, u.Improvement)
 	}
 	for _, f := range report.FedLatency {
 		fmt.Fprintf(os.Stderr, "  federated query, %d node(s): p50 %.0fns, p99 %.0fns\n",
@@ -443,35 +412,6 @@ func speedups(results []Result) []Speedup {
 	return out
 }
 
-// fusedSpeedups pairs BenchmarkQueryHorizonAverage/fused/<case> against
-// .../legacy/<case> on ns/op.
-func fusedSpeedups(results []Result) []FusedSpeedup {
-	legacy := map[string]float64{}
-	fused := map[string]float64{}
-	for _, r := range results {
-		parts := strings.Split(r.Name, "/")
-		if len(parts) != 3 || parts[0] != "BenchmarkQueryHorizonAverage" {
-			continue
-		}
-		switch parts[1] {
-		case "legacy":
-			legacy[parts[2]] = r.NsPerOp
-		case "fused":
-			fused[parts[2]] = r.NsPerOp
-		}
-	}
-	var out []FusedSpeedup
-	for c, l := range legacy {
-		f, ok := fused[c]
-		if !ok || f == 0 {
-			continue
-		}
-		out = append(out, FusedSpeedup{Case: c, LegacyNs: l, FusedNs: f, Speedup: l / f})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Case < out[j].Case })
-	return out
-}
-
 // tierLatency extracts the BenchmarkTiersRange/tiers=N p50/p99 rows.
 func tierLatency(results []Result) []TierLatency {
 	var out []TierLatency
@@ -551,23 +491,4 @@ func wireVsHTTP(results []Result) *WireVsHTTP {
 	}
 	wv.Speedup = wv.BinaryPointsSec / wv.HTTPJSONPointsSec
 	return wv
-}
-
-// underIngest pairs BenchmarkQueryUnderIngest/mutex against .../snapshot
-// on the p50-ns metric.
-func underIngest(results []Result) *UnderIngest {
-	var u UnderIngest
-	for _, r := range results {
-		switch r.Name {
-		case "BenchmarkQueryUnderIngest/mutex":
-			u.MutexP50Ns = r.P50Ns
-		case "BenchmarkQueryUnderIngest/snapshot":
-			u.SnapshotP50Ns = r.P50Ns
-		}
-	}
-	if u.MutexP50Ns == 0 || u.SnapshotP50Ns == 0 {
-		return nil
-	}
-	u.Improvement = u.MutexP50Ns / u.SnapshotP50Ns
-	return &u
 }

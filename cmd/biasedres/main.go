@@ -219,9 +219,10 @@ func buildSampler(cfg *config) (core.Sampler, error) {
 }
 
 func runQuery(w io.Writer, s core.Sampler, cfg *config, dim int) error {
+	snap := core.SnapshotOf(s)
 	switch cfg.queryTy {
 	case "avg":
-		avg, err := query.HorizonAverage(s, cfg.horizon, dim)
+		avg, err := query.Accumulate(snap, cfg.horizon, dim, nil).Average()
 		if err != nil {
 			return err
 		}
@@ -230,7 +231,7 @@ func runQuery(w io.Writer, s core.Sampler, cfg *config, dim int) error {
 			fmt.Fprintf(w, "  dim %-3d %.6f\n", d, v)
 		}
 	case "classdist":
-		dist, err := query.ClassDistribution(s, cfg.horizon)
+		dist, err := query.Accumulate(snap, cfg.horizon, 0, nil).Distribution()
 		if err != nil {
 			return err
 		}
@@ -250,7 +251,7 @@ func runQuery(w io.Writer, s core.Sampler, cfg *config, dim int) error {
 	case "median":
 		fmt.Fprintf(w, "median over last %d arrivals:\n", cfg.horizon)
 		for d := 0; d < dim; d++ {
-			m, err := query.Median(s, cfg.horizon, d)
+			m, err := query.QuantileOn(snap, cfg.horizon, d, 0.5)
 			if err != nil {
 				return err
 			}

@@ -3,7 +3,6 @@ package biasedres
 import (
 	"biasedres/internal/cluster"
 	"biasedres/internal/core"
-	"biasedres/internal/query"
 	"biasedres/internal/xrand"
 )
 
@@ -94,12 +93,12 @@ func MergeUnbiased(n int, seed uint64, sources ...*UnbiasedReservoir) (*Unbiased
 // Quantile estimates the q-quantile of one dimension over the last h
 // arrivals from a reservoir, weighting sampled points by 1/p(r,t).
 func Quantile(s Sampler, h uint64, dim int, q float64) (float64, error) {
-	return query.Quantile(s, h, dim, q)
+	return QuantileOn(TakeSnapshot(s), h, dim, q)
 }
 
 // Median estimates the median of one dimension over the last h arrivals.
 func Median(s Sampler, h uint64, dim int) (float64, error) {
-	return query.Median(s, h, dim)
+	return QuantileOn(TakeSnapshot(s), h, dim, 0.5)
 }
 
 // KMeans clusters a sample (e.g. a reservoir's Points) with Lloyd's

@@ -435,10 +435,15 @@ func (c *Client) ListStreamsContext(ctx context.Context) ([]string, error) {
 // AccumContext fetches the stream's fused Horvitz–Thompson accumulator
 // (GET /streams/{name}/accum): the per-shard terms of the paper's
 // Equation-8 estimator, mergeable across disjoint shard streams with
-// query.Accum.Merge. rect, when non-nil, asks the shard to accumulate the
-// range-selectivity numerator too.
-func (c *Client) AccumContext(ctx context.Context, name string, h uint64, rect *query.Rect) (*query.Accum, error) {
+// query.Accum.Merge. sums false asks the shard to skip the per-dimension
+// sums (dim=0); true leaves dim to the stream's dimensionality. rect, when
+// non-nil, asks the shard to accumulate the range-selectivity numerator
+// too.
+func (c *Client) AccumContext(ctx context.Context, name string, h uint64, sums bool, rect *query.Rect) (*query.Accum, error) {
 	params := url.Values{"h": {strconv.FormatUint(h, 10)}}
+	if !sums {
+		params.Set("dim", "0")
+	}
 	if rect != nil {
 		dims, lo, hi := rect.Params()
 		params.Set("dims", dims)

@@ -90,7 +90,8 @@ func BuildSnapshot(s Sampler) *Snapshot {
 
 // SnapshotOf returns a snapshot of s: through the sampler's own cache when
 // it has one (lock-free on a cache hit), otherwise by building a fresh one.
-// It is the entry point the internal/query compatibility shims use.
+// It is how a caller holding a Sampler reaches the internal/query kernels,
+// which take only snapshots.
 func SnapshotOf(s Sampler) *Snapshot {
 	if sp, ok := s.(SnapshotProvider); ok {
 		return sp.AcquireSnapshot()

@@ -168,7 +168,7 @@ func timeDecayMean(td *core.TimeDecayReservoir, now, delta float64) (float64, bo
 // idxMeanErr evaluates an arrival-horizon mean estimate against the exact
 // time-window answer, treating "no mass" as a zero estimate.
 func idxMeanErr(s core.Sampler, h uint64, exact float64) float64 {
-	est, err := query.HorizonAverage(s, h, 1)
+	est, err := query.Accumulate(core.SnapshotOf(s), h, 1, nil).Average()
 	if err != nil {
 		return math.Abs(exact)
 	}

@@ -100,7 +100,7 @@ func Fig6(cfg Config) (*Result, error) {
 // against the exact answer, treating "no relevant sample" as a zero
 // estimate (the null result).
 func sampleAvgError(s core.Sampler, h uint64, dim int, exact []float64) (float64, error) {
-	est, err := query.HorizonAverage(s, h, dim)
+	est, err := query.Accumulate(core.SnapshotOf(s), h, dim, nil).Average()
 	if err != nil {
 		est = make([]float64, dim)
 	}

@@ -139,7 +139,7 @@ func averageEval(dim int) horizonEval {
 		if err != nil {
 			return 0, err
 		}
-		est, estErr := query.HorizonAverage(s, h, dim)
+		est, estErr := query.Accumulate(core.SnapshotOf(s), h, dim, nil).Average()
 		if estErr != nil {
 			est = make([]float64, dim) // null result
 		}
@@ -155,7 +155,7 @@ func classDistEval() horizonEval {
 		if err != nil {
 			return 0, err
 		}
-		est, estErr := query.ClassDistribution(s, h)
+		est, estErr := query.Accumulate(core.SnapshotOf(s), h, 0, nil).Distribution()
 		if estErr != nil {
 			est = map[int]float64{} // null result
 		}
@@ -171,7 +171,7 @@ func selectivityEval(rect query.Rect) horizonEval {
 		if err != nil {
 			return 0, err
 		}
-		est, estErr := query.RangeSelectivity(s, h, rect)
+		est, estErr := query.Accumulate(core.SnapshotOf(s), h, 0, &rect).Selectivity()
 		if estErr != nil {
 			est = 0 // null result
 		}

@@ -39,8 +39,8 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"maps"
 	"net/http"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -552,81 +552,46 @@ func shardStatus[T any](co *Coordinator, w http.ResponseWriter, name string, rea
 	return map[string]any{"shards_ok": ok, "shards_total": len(reads), "partial": partial}, true
 }
 
-// federatedTypes are the query types the coordinator can merge. Quantile
-// is deliberately absent: a weighted quantile is not a linear statistic,
-// so per-shard quantiles do not compose.
-var federatedTypes = map[string]bool{
-	"count": true, "average": true, "classdist": true, "groupavg": true, "selectivity": true,
-}
-
 func (co *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	q := r.URL.Query()
-	typ := q.Get("type")
-	if !federatedTypes[typ] {
-		if typ == "quantile" {
-			httpError(w, http.StatusBadRequest,
-				"quantile is not linearly mergeable across shards; query a node directly")
-			return
-		}
-		httpError(w, http.StatusBadRequest, "unknown federated query type %q", typ)
-		return
-	}
-	h, err := parseUint(q.Get("h"))
+	req, err := query.ParseRequest(r.URL.Query())
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "bad horizon: %v", err)
+		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	var rect *query.Rect
-	if typ == "selectivity" {
-		rc, err := query.ParseRect(q.Get("dims"), q.Get("lo"), q.Get("hi"))
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		rect = &rc
+	// A weighted quantile is not a linear statistic, so per-shard
+	// quantiles do not compose.
+	if !req.Linear() {
+		httpError(w, http.StatusBadRequest,
+			"quantile is not linearly mergeable across shards; query a node directly")
+		return
 	}
 
 	// The horizon splits by the whole layout, not by the shards that
 	// answer: a missing shard still owns its share of the last h arrivals.
 	refs := co.layout(name)
-	per := splitHorizon(h, len(refs))
+	per := splitHorizon(req.H, len(refs))
 	reads := gatherShards(r.Context(), co, "query", refs,
 		func(a *query.Accum) uint64 { return a.T },
 		func(ctx context.Context, p *peer, stream string) (*query.Accum, error) {
-			return p.c.AccumContext(ctx, stream, per, rect)
+			return p.c.AccumContext(ctx, stream, per, req.ReadsSums(), req.Rect)
 		})
 	resp, ok := shardStatus(co, w, name, reads)
 	if !ok {
 		return
 	}
-	merged := query.NewMergeAccum(h)
+	merged := query.NewMergeAccum(req.H)
 	for _, rd := range reads {
 		if rd.ok {
 			merged.Merge(rd.val)
 		}
 	}
-
-	switch typ {
-	case "count":
-		resp["estimate"], resp["variance"] = merged.Count, merged.CountVar
-	case "average":
-		resp["average"], err = merged.Average()
-	case "classdist":
-		var dist map[int]float64
-		dist, err = merged.Distribution()
-		resp["distribution"] = stringKeys(dist)
-	case "groupavg":
-		var groups map[int][]float64
-		groups, err = merged.GroupAverage()
-		resp["groups"] = stringKeys(groups)
-	case "selectivity":
-		resp["selectivity"], err = merged.Selectivity()
-	}
+	fields, err := query.Answer(req.Type, merged)
 	if err != nil {
 		httpError(w, http.StatusConflict, "%v", err)
 		return
 	}
+	maps.Copy(resp, fields)
 	writeJSON(w, resp)
 }
 
@@ -773,21 +738,4 @@ func (co *Coordinator) readyErr() error {
 		}
 	}
 	return nil
-}
-
-// stringKeys converts an int-keyed map to the string-keyed form JSON
-// objects need.
-func stringKeys[V any](in map[int]V) map[string]V {
-	out := make(map[string]V, len(in))
-	for k, v := range in {
-		out[fmt.Sprintf("%d", k)] = v
-	}
-	return out
-}
-
-func parseUint(s string) (uint64, error) {
-	if s == "" {
-		return 0, nil
-	}
-	return strconv.ParseUint(s, 10, 64)
 }

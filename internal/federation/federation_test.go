@@ -34,11 +34,12 @@ func testCfg() Config {
 // listener, with a switchable "down" mode that 503s every request so
 // health transitions can be exercised without losing the listener address.
 type node struct {
-	srv       *server.Server
-	ts        *httptest.Server
-	c         *client.Client
-	down      atomic.Bool
-	failAccum atomic.Int32 // 503 this many upcoming /accum calls
+	srv        *server.Server
+	ts         *httptest.Server
+	c          *client.Client
+	down       atomic.Bool
+	failAccum  atomic.Int32 // 503 this many upcoming /accum calls
+	accumQuery atomic.Value // raw query string of the last /accum call
 }
 
 func startNode(t testing.TB, seed uint64) *node {
@@ -48,6 +49,9 @@ func startNode(t testing.TB, seed uint64) *node {
 		if n.down.Load() {
 			http.Error(w, `{"error":"induced outage"}`, http.StatusServiceUnavailable)
 			return
+		}
+		if strings.HasSuffix(r.URL.Path, "/accum") {
+			n.accumQuery.Store(r.URL.RawQuery)
 		}
 		if strings.HasSuffix(r.URL.Path, "/accum") && n.failAccum.Add(-1) >= 0 {
 			http.Error(w, `{"error":"induced accum failure"}`, http.StatusServiceUnavailable)

@@ -315,14 +315,14 @@ func (m *Manager) SnapshotFor(name string, h uint64) (*core.Snapshot, int, error
 }
 
 // Average estimates the per-dimension average of the named stream's last h
-// arrivals (see query.HorizonAverage) in one fused pass over the stream's
+// arrivals (see query.Accum.Average) in one fused pass over the stream's
 // snapshot — the best-covering tier's snapshot when the stream is tiered.
 func (m *Manager) Average(name string, h uint64, dim int) ([]float64, error) {
 	snap, _, err := m.SnapshotFor(name, h)
 	if err != nil {
 		return nil, err
 	}
-	return query.HorizonAverageOn(snap, h, dim)
+	return query.Accumulate(snap, h, dim, nil).Average()
 }
 
 // ClassDistribution estimates the fractional class distribution of the
@@ -332,7 +332,7 @@ func (m *Manager) ClassDistribution(name string, h uint64) (map[int]float64, err
 	if err != nil {
 		return nil, err
 	}
-	return query.ClassDistributionOn(snap, h)
+	return query.Accumulate(snap, h, 0, nil).Distribution()
 }
 
 // Estimate evaluates an arbitrary linear query against the named stream.

@@ -36,27 +36,17 @@ func benchReservoir(b *testing.B, capacity, dim int) (*core.Synchronized, uint64
 	return s, n
 }
 
-// BenchmarkQueryHorizonAverage compares the pre-snapshot per-statistic
-// query plan (one Estimate pass for the count plus one per dimension, each
-// paying a lock and an InclusionProb call per point) against the fused
-// single-pass kernel on a cached snapshot.
+// BenchmarkQueryHorizonAverage measures the fused single-pass walk over a
+// cached snapshot answering a horizon average, at three dimensionalities.
 func BenchmarkQueryHorizonAverage(b *testing.B) {
 	for _, dim := range []int{2, 8, 32} {
 		s, n := benchReservoir(b, 1000, dim)
 		h := uint64(n / 2)
-		b.Run(fmt.Sprintf("legacy/dim=%d", dim), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := legacyHorizonAverage(s, h, dim); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 		b.Run(fmt.Sprintf("fused/dim=%d", dim), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				snap := s.AcquireSnapshot()
-				if _, err := HorizonAverageOn(snap, h, dim); err != nil {
+				if _, err := Accumulate(snap, h, dim, nil).Average(); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -66,64 +56,53 @@ func BenchmarkQueryHorizonAverage(b *testing.B) {
 
 // BenchmarkQueryUnderIngest measures query latency while a writer
 // goroutine ingests batches as fast as the sampler lock admits them — the
-// serving pattern the snapshot layer exists for. The mutex mode is the
-// pre-snapshot plan (every point access takes the sampler lock and
-// recomputes its probability); the snapshot mode acquires a snapshot per
-// query, rebuilding only when ingest invalidated it. Each mode reports its
-// p50 query latency as "p50-ns" so one run yields a like-for-like
-// comparison.
+// serving pattern the snapshot layer exists for. Each query acquires a
+// snapshot, rebuilding only when ingest invalidated it, and reports its p50
+// latency as "p50-ns".
 func BenchmarkQueryUnderIngest(b *testing.B) {
 	const dim, capacity = 8, 1000
 	h := uint64(25000)
-	for _, mode := range []string{"mutex", "snapshot"} {
-		b.Run(mode, func(b *testing.B) {
-			s, n := benchReservoir(b, capacity, dim)
-			next := n
-			stop := make(chan struct{})
-			var wg sync.WaitGroup
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				rng := xrand.New(11)
-				for {
-					select {
-					case <-stop:
-						return
-					default:
+	b.Run("snapshot", func(b *testing.B) {
+		s, n := benchReservoir(b, capacity, dim)
+		next := n
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := xrand.New(11)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				batch := make([]stream.Point, 64)
+				for j := range batch {
+					next++
+					vals := make([]float64, dim)
+					for d := range vals {
+						vals[d] = rng.Float64()
 					}
-					batch := make([]stream.Point, 64)
-					for j := range batch {
-						next++
-						vals := make([]float64, dim)
-						for d := range vals {
-							vals[d] = rng.Float64()
-						}
-						batch[j] = stream.Point{Index: next, Label: int(next % 5), Weight: 1, Values: vals}
-					}
-					s.AddBatch(batch)
+					batch[j] = stream.Point{Index: next, Label: int(next % 5), Weight: 1, Values: vals}
 				}
-			}()
-
-			lats := make([]time.Duration, 0, b.N)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				start := time.Now()
-				var err error
-				if mode == "mutex" {
-					_, err = legacyHorizonAverage(s, h, dim)
-				} else {
-					_, err = HorizonAverageOn(s.AcquireSnapshot(), h, dim)
-				}
-				if err != nil {
-					b.Fatal(err)
-				}
-				lats = append(lats, time.Since(start))
+				s.AddBatch(batch)
 			}
-			b.StopTimer()
-			close(stop)
-			wg.Wait()
-			sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-			b.ReportMetric(float64(lats[len(lats)/2].Nanoseconds()), "p50-ns")
-		})
-	}
+		}()
+
+		lats := make([]time.Duration, 0, b.N)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			start := time.Now()
+			if _, err := Accumulate(s.AcquireSnapshot(), h, dim, nil).Average(); err != nil {
+				b.Fatal(err)
+			}
+			lats = append(lats, time.Since(start))
+		}
+		b.StopTimer()
+		close(stop)
+		wg.Wait()
+		sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
+		b.ReportMetric(float64(lats[len(lats)/2].Nanoseconds()), "p50-ns")
+	})
 }

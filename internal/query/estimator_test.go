@@ -45,8 +45,8 @@ func TestEstimatorUnbiasedness(t *testing.T) {
 			b.Add(p)
 			u.Add(p)
 		}
-		sumBiased += Estimate(b, q)
-		sumUnbiased += Estimate(u, q)
+		sumBiased += EstimateOn(core.SnapshotOf(b), q)
+		sumUnbiased += EstimateOn(core.SnapshotOf(u), q)
 	}
 	meanB := sumBiased / trials
 	meanU := sumUnbiased / trials
@@ -94,12 +94,12 @@ func TestBiasedBeatsUnbiasedAtSmallHorizons(t *testing.T) {
 			b.Add(p)
 			u.Add(p)
 		}
-		if est, err := HorizonAverage(b, horizon, 1); err != nil {
+		if est, err := Accumulate(core.SnapshotOf(b), horizon, 1, nil).Average(); err != nil {
 			failB++
 		} else {
 			errB += math.Abs(est[0] - exact[0])
 		}
-		if est, err := HorizonAverage(u, horizon, 1); err != nil {
+		if est, err := Accumulate(core.SnapshotOf(u), horizon, 1, nil).Average(); err != nil {
 			failU++
 		} else {
 			errU += math.Abs(est[0] - exact[0])
@@ -154,7 +154,7 @@ func TestEstimateWithVarianceMatchesLemma41(t *testing.T) {
 		for _, p := range pts {
 			b.Add(p)
 		}
-		est, v := EstimateWithVariance(b, q)
+		est, v := EstimateWithVarianceOn(core.SnapshotOf(b), q)
 		sum += est
 		sumsq += est * est
 		estVarSum += v
@@ -184,11 +184,11 @@ func TestTrueVarianceRejectsZeroProb(t *testing.T) {
 
 func TestHorizonAverageValidation(t *testing.T) {
 	b, _ := core.NewBiasedReservoir(0.1, xrand.New(1))
-	if _, err := HorizonAverage(b, 10, 0); err == nil {
+	if _, err := Accumulate(core.SnapshotOf(b), 10, 0, nil).Average(); err == nil {
 		t.Error("dim 0 accepted")
 	}
 	// Empty reservoir: no mass.
-	if _, err := HorizonAverage(b, 10, 1); err == nil {
+	if _, err := Accumulate(core.SnapshotOf(b), 10, 1, nil).Average(); err == nil {
 		t.Error("empty reservoir gave an answer")
 	}
 }
@@ -211,7 +211,7 @@ func TestClassDistributionEstimate(t *testing.T) {
 		for _, p := range pts {
 			b.Add(p)
 		}
-		dist, err := ClassDistribution(b, 500)
+		dist, err := Accumulate(core.SnapshotOf(b), 500, 0, nil).Distribution()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -231,7 +231,7 @@ func TestClassDistributionEstimate(t *testing.T) {
 		t.Fatalf("mean class distribution {0:%v, 1:%v}, want ~{0:0.9, 1:0.1}", f0, f1)
 	}
 	empty, _ := core.NewBiasedReservoir(0.1, xrand.New(1))
-	if _, err := ClassDistribution(empty, 10); err == nil {
+	if _, err := Accumulate(core.SnapshotOf(empty), 10, 0, nil).Distribution(); err == nil {
 		t.Error("empty reservoir gave a class distribution")
 	}
 }
@@ -257,7 +257,7 @@ func TestRangeSelectivityEstimate(t *testing.T) {
 		for _, p := range pts {
 			b.Add(p)
 		}
-		got, err := RangeSelectivity(b, horizon, rect)
+		got, err := Accumulate(core.SnapshotOf(b), horizon, 0, &rect).Selectivity()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -267,7 +267,7 @@ func TestRangeSelectivityEstimate(t *testing.T) {
 		t.Fatalf("mean selectivity %v, want ~0.25", got)
 	}
 	empty, _ := core.NewBiasedReservoir(0.1, xrand.New(1))
-	if _, err := RangeSelectivity(empty, 10, rect); err == nil {
+	if _, err := Accumulate(core.SnapshotOf(empty), 10, 0, &rect).Selectivity(); err == nil {
 		t.Error("empty reservoir gave a selectivity")
 	}
 }

@@ -8,20 +8,22 @@ import (
 	"biasedres/internal/core"
 )
 
-// This file is the snapshot-native query engine: every estimator evaluates
-// against an immutable core.Snapshot (points + precomputed inclusion
-// probabilities) instead of a live Sampler, so a query costs zero sampler
-// locks and zero InclusionProb calls. Multi-statistic queries share one
-// fused reservoir walk — Accumulate gathers count, per-dimension sums,
-// per-class counts/sums and Lemma 4.1 variance terms together, collapsing
-// HorizonAverage's dim+1 passes (and ClassDistribution/GroupAverage/
-// RangeSelectivity's repeated passes) into exactly one.
+// This file is the query engine. Every estimator evaluates against an
+// immutable core.Snapshot (points + precomputed inclusion probabilities),
+// never a live Sampler, so a query costs zero sampler locks and zero
+// InclusionProb calls; a caller holding a Sampler takes core.SnapshotOf
+// once. Every recent-horizon statistic comes out of one fused walk,
+// Accumulate, which gathers the count, per-dimension sums, per-class
+// counts/sums, the range numerator and the Lemma 4.1 variance terms
+// together; the statistics are Accum methods. EstimateOn and
+// EstimateWithVarianceOn evaluate an arbitrary Linear query, and QuantileOn
+// the one non-linear statistic.
 //
-// Every kernel reproduces the pre-snapshot estimators bit for bit: the same
-// skip conditions, the same operation order inside each accumulator, the
-// same association of multiplies and divides (e.g. the global sums use
-// v/pr while the grouped sums use w·v with w = 1/pr, as the originals
-// did). The regression tests in fused_test.go hold the engine to that.
+// Every kernel reproduces the per-statistic estimators it replaced bit for
+// bit: the same skip conditions, the same operation order inside each
+// accumulator, the same association of multiplies and divides (e.g. the
+// global sums use v/pr while the grouped sums use w·v with w = 1/pr). The
+// regression tests in fused_test.go hold the engine to that.
 
 // ClassAcc is one label's share of a fused walk: its Horvitz–Thompson
 // count, the Lemma 4.1 variance of that count, and per-dimension weighted
@@ -34,8 +36,8 @@ type ClassAcc struct {
 
 // Accum is everything one fused walk over a snapshot produces for a
 // recent-horizon workload. Derive final statistics with the methods
-// (Average, Distribution, GroupAverage, TopK) — they only combine
-// accumulator fields and never re-read the snapshot.
+// (Average, Distribution, GroupAverage, GroupCount, TopK, Selectivity) —
+// they only combine accumulator fields and never re-read the snapshot.
 type Accum struct {
 	// T is the stream position of the snapshot the walk ran over.
 	T uint64
@@ -56,7 +58,7 @@ type Accum struct {
 	// per-class accumulators.
 	Classes map[int]*ClassAcc
 
-	// HasRange marks a walk that was given a rect (AccumulateRange):
+	// HasRange marks a walk that was given a rect:
 	// RangeNum/RangeVar carry the range-selectivity numerator — the
 	// estimated in-horizon count inside the rect — and its Lemma 4.1
 	// variance. Zero-valued otherwise.
@@ -65,17 +67,61 @@ type Accum struct {
 	RangeVar float64
 }
 
-// Accumulate runs the fused walk: one pass over snap computing every
-// Accum statistic for the given horizon and dimensionality. dim <= 0
-// accumulates no per-dimension sums (count and class statistics only).
-// The walk itself lives in AccumulateRange (merge.go), which additionally
-// accumulates a range numerator when given a rect.
-func Accumulate(snap *core.Snapshot, h uint64, dim int) *Accum {
-	return AccumulateRange(snap, h, dim, nil)
+// Accumulate is the fused walk: one pass over snap computing every Accum
+// statistic for horizon h. dim is how many leading dimensions to sum;
+// dim <= 0 accumulates no per-dimension sums (count and class statistics
+// only). A non-nil rect additionally accumulates the Horvitz–Thompson count
+// (and Lemma 4.1 variance) of the in-horizon points inside it, the
+// range-selectivity numerator.
+func Accumulate(snap *core.Snapshot, h uint64, dim int, rect *Rect) *Accum {
+	a := &Accum{T: snap.T, Horizon: h, Dim: dim, Classes: make(map[int]*ClassAcc)}
+	if dim > 0 {
+		a.Sums = make([]float64, dim)
+	}
+	a.HasRange = rect != nil
+	t := snap.T
+	for i := range snap.Points {
+		p := &snap.Points[i]
+		if p.Index == 0 || p.Index > t {
+			continue
+		}
+		if h > 0 && t-p.Index >= h {
+			continue
+		}
+		pr := snap.Probs[i]
+		if pr <= 0 {
+			continue
+		}
+		w := 1 / pr
+		a.Count += w
+		a.CountVar += (w - 1) / pr
+		for d := 0; d < dim && d < len(p.Values); d++ {
+			a.Sums[d] += p.Values[d] / pr
+		}
+		if rect != nil && rect.Contains(*p) {
+			a.RangeNum += w
+			a.RangeVar += (w - 1) / pr
+		}
+		ca := a.Classes[p.Label]
+		if ca == nil {
+			ca = &ClassAcc{}
+			if dim > 0 {
+				ca.Sums = make([]float64, dim)
+			}
+			a.Classes[p.Label] = ca
+		}
+		ca.Count += w
+		ca.Var += (w - 1) / pr
+		for d := 0; d < dim && d < len(p.Values); d++ {
+			ca.Sums[d] += w * p.Values[d]
+		}
+	}
+	return a
 }
 
-// Average returns the per-dimension horizon average Sums[d]/Count, the
-// HorizonAverage statistic. It errors when the walk accumulated no sample
+// Average returns the per-dimension horizon average Sums[d]/Count — the
+// paper's sum-query experiments report exactly this quantity (Figures 2, 3,
+// 6). It errors when the walk accumulated no sums (dim <= 0) or no sample
 // mass.
 func (a *Accum) Average() ([]float64, error) {
 	if a.Dim <= 0 {
@@ -92,7 +138,7 @@ func (a *Accum) Average() ([]float64, error) {
 }
 
 // Distribution returns each label's estimated fraction of the horizon —
-// the ClassDistribution statistic. The accumulators are not mutated.
+// Figure 4's class-distribution query. The accumulators are not mutated.
 func (a *Accum) Distribution() (map[int]float64, error) {
 	if a.Count <= 0 {
 		return nil, fmt.Errorf("query: no sample mass in horizon %d", a.Horizon)
@@ -104,8 +150,9 @@ func (a *Accum) Distribution() (map[int]float64, error) {
 	return out, nil
 }
 
-// GroupAverage returns each label's per-dimension average — the
-// GroupAverage statistic.
+// GroupAverage returns each label's per-dimension average, answering "what
+// does each class look like right now?". Labels with no sample mass in the
+// horizon are absent.
 func (a *Accum) GroupAverage() (map[int][]float64, error) {
 	if a.Dim <= 0 {
 		return nil, fmt.Errorf("query: group average needs dim > 0, got %d", a.Dim)
@@ -124,8 +171,8 @@ func (a *Accum) GroupAverage() (map[int][]float64, error) {
 	return out, nil
 }
 
-// GroupCount returns each label's estimated in-horizon count — the
-// GroupCount statistic.
+// GroupCount returns each label's estimated in-horizon count, the
+// un-normalized form of Distribution.
 func (a *Accum) GroupCount() (map[int]float64, error) {
 	if len(a.Classes) == 0 {
 		return nil, fmt.Errorf("query: no sample mass in horizon %d", a.Horizon)
@@ -137,8 +184,19 @@ func (a *Accum) GroupCount() (map[int]float64, error) {
 	return out, nil
 }
 
+// LabelCount is one entry of a top-k report: a label, its estimated count
+// among the last h arrivals, and the standard error of that estimate
+// (from Lemma 4.1), so callers can tell a solid ranking from a statistical
+// tie.
+type LabelCount struct {
+	Label int
+	Count float64
+	Sigma float64
+}
+
 // TopK returns the k labels with the largest estimated counts, with
-// Lemma 4.1 standard errors — the TopK statistic.
+// Lemma 4.1 standard errors, sorted by count descending; fewer than k
+// entries when fewer labels have sample mass in the horizon.
 func (a *Accum) TopK(k int) ([]LabelCount, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("query: top-k needs k > 0, got %d", k)
@@ -162,8 +220,23 @@ func (a *Accum) TopK(k int) ([]LabelCount, error) {
 	return out, nil
 }
 
+// Selectivity returns the estimated fraction of in-horizon points inside
+// the rect the walk was given — Figure 5's range-selectivity query, the
+// (mergeable) range numerator over the count denominator.
+func (a *Accum) Selectivity() (float64, error) {
+	if !a.HasRange {
+		return 0, fmt.Errorf("query: accumulator carries no range terms (walk ran without a rect)")
+	}
+	if a.Count <= 0 {
+		return 0, fmt.Errorf("query: no sample mass in horizon %d", a.Horizon)
+	}
+	return a.RangeNum / a.Count, nil
+}
+
 // EstimateOn evaluates Equation 8 for an arbitrary linear query against a
-// snapshot: H(t) = Σ c·h(X)/p(r,t) over the sampled points.
+// snapshot: H(t) = Σ c·h(X)/p(r,t) over the sampled points. By Observation
+// 4.1 E[H(t)] = G(t), for biased and unbiased reservoirs alike — the bias
+// is corrected by dividing by each point's inclusion probability.
 func EstimateOn(snap *core.Snapshot, q Linear) float64 {
 	t := snap.T
 	var sum float64
@@ -182,8 +255,10 @@ func EstimateOn(snap *core.Snapshot, q Linear) float64 {
 	return sum
 }
 
-// EstimateWithVarianceOn is EstimateOn plus the Lemma 4.1 variance
-// estimate, in one pass.
+// EstimateWithVarianceOn is EstimateOn plus the Horvitz–Thompson estimate
+// of its own variance, in one pass. Lemma 4.1 gives Var[H(t)] = Σ_r K(r,t)
+// with K(r,t) = c_r²·h(X_r)²·(1/p(r,t) − 1); since only sampled points are
+// visible, each sampled term is reweighted by 1/p(r,t).
 func EstimateWithVarianceOn(snap *core.Snapshot, q Linear) (estimate, variance float64) {
 	t := snap.T
 	for i := range snap.Points {
@@ -204,74 +279,13 @@ func EstimateWithVarianceOn(snap *core.Snapshot, q Linear) (estimate, variance f
 	return estimate, variance
 }
 
-// HorizonAverageOn estimates the per-dimension average of the last h
-// arrivals in one fused pass (count and all dim sums together).
-func HorizonAverageOn(snap *core.Snapshot, h uint64, dim int) ([]float64, error) {
-	if dim <= 0 {
-		return nil, fmt.Errorf("query: horizon average needs dim > 0, got %d", dim)
-	}
-	return Accumulate(snap, h, dim).Average()
-}
-
-// ClassDistributionOn estimates the horizon's class distribution in one
-// pass.
-func ClassDistributionOn(snap *core.Snapshot, h uint64) (map[int]float64, error) {
-	return Accumulate(snap, h, 0).Distribution()
-}
-
-// GroupAverageOn estimates each label's per-dimension average in one pass.
-func GroupAverageOn(snap *core.Snapshot, h uint64, dim int) (map[int][]float64, error) {
-	if dim <= 0 {
-		return nil, fmt.Errorf("query: group average needs dim > 0, got %d", dim)
-	}
-	return Accumulate(snap, h, dim).GroupAverage()
-}
-
-// GroupCountOn estimates each label's in-horizon count in one pass.
-func GroupCountOn(snap *core.Snapshot, h uint64) (map[int]float64, error) {
-	return Accumulate(snap, h, 0).GroupCount()
-}
-
-// TopKOn estimates the k most frequent labels in one pass.
-func TopKOn(snap *core.Snapshot, h uint64, k int) ([]LabelCount, error) {
-	if k <= 0 {
-		return nil, fmt.Errorf("query: top-k needs k > 0, got %d", k)
-	}
-	return Accumulate(snap, h, 0).TopK(k)
-}
-
-// RangeSelectivityOn estimates the fraction of the last h arrivals inside
-// rect, computing the RangeCount numerator and Count denominator in a
-// single pass instead of two.
-func RangeSelectivityOn(snap *core.Snapshot, h uint64, rect Rect) (float64, error) {
-	t := snap.T
-	var num, denom float64
-	for i := range snap.Points {
-		p := &snap.Points[i]
-		if p.Index == 0 || p.Index > t {
-			continue
-		}
-		if h > 0 && t-p.Index >= h {
-			continue
-		}
-		pr := snap.Probs[i]
-		if pr <= 0 {
-			continue
-		}
-		w := 1 / pr
-		denom += w
-		if rect.Contains(*p) {
-			num += w
-		}
-	}
-	if denom <= 0 {
-		return 0, fmt.Errorf("query: no sample mass in horizon %d", h)
-	}
-	return num / denom, nil
-}
-
 // QuantileOn estimates the q-quantile (0 < q < 1) of dimension dim over
-// the last h arrivals from the snapshot's weighted empirical distribution.
+// the last h arrivals. Each sampled point is weighted by 1/p(r,t) exactly
+// as in Equation 8, so the weighted empirical distribution is an unbiased
+// estimate of the horizon's value distribution; its quantile estimates the
+// true quantile. A quantile is not linear, so it has no Accum form and does
+// not merge across shards. It errors when no sample mass falls inside the
+// horizon.
 func QuantileOn(snap *core.Snapshot, h uint64, dim int, q float64) (float64, error) {
 	if !(q > 0 && q < 1) {
 		return 0, fmt.Errorf("query: quantile needs 0 < q < 1, got %v", q)

@@ -13,10 +13,11 @@ import (
 )
 
 // The legacy* functions below are the pre-snapshot estimators, copied
-// verbatim (modulo names) from the versions that walked a live Sampler.
-// The fused snapshot kernels must reproduce them bit for bit — same skip
-// conditions, same operation order — so every comparison in this file uses
-// exact float equality, not tolerances.
+// verbatim (modulo names) from the versions that walked a live Sampler, one
+// pass per statistic. They are the oracle: the fused walk and the snapshot
+// kernels must reproduce them bit for bit — same skip conditions, same
+// operation order — so every comparison in this file uses exact float
+// equality, not tolerances.
 
 func legacyEstimate(s core.Sampler, q Linear) float64 {
 	t := s.Processed()
@@ -286,6 +287,11 @@ func TestFusedKernelsBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A rect over a dimension some points lack.
+	rect2, err := NewRect([]int{0, 2}, []float64{1, 0}, []float64{9, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
 	horizons := []uint64{0, 50, 500, 2999, 10000}
 	for name, s := range frozenSamplers(t) {
 		snap := core.SnapshotOf(s)
@@ -319,54 +325,51 @@ func TestFusedKernelsBitIdentical(t *testing.T) {
 				}
 			}
 
-			ga, gaErr := HorizonAverageOn(snap, h, 3)
-			la, laErr := legacyHorizonAverage(s, h, 3)
-			checkSame("HorizonAverage", ga, la, gaErr, laErr)
+			// The walk at dim 0 — what a count, classdist or selectivity
+			// request runs — and at the stream's dim 3.
+			for _, dim := range []int{0, 3} {
+				for _, rc := range []Rect{rect, rect2} {
+					a := Accumulate(snap, h, dim, &rc)
+					stag := fmt.Sprintf("dim=%d rect=%v", dim, rc.Dims)
 
-			gd, gdErr := ClassDistributionOn(snap, h)
-			ld, ldErr := legacyClassDistribution(s, h)
-			checkSame("ClassDistribution", gd, ld, gdErr, ldErr)
+					we, wv := legacyEstimateWithVariance(s, Count(h))
+					if a.Count != we || a.CountVar != wv {
+						t.Fatalf("%s %s: Count = (%v,%v), legacy = (%v,%v)", tag, stag, a.Count, a.CountVar, we, wv)
+					}
+					we, wv = legacyEstimateWithVariance(s, RangeCount(h, rc))
+					if a.RangeNum != we || a.RangeVar != wv {
+						t.Fatalf("%s %s: RangeNum = (%v,%v), legacy = (%v,%v)", tag, stag, a.RangeNum, a.RangeVar, we, wv)
+					}
 
-			gr, grErr := RangeSelectivityOn(snap, h, rect)
-			lr, lrErr := legacyRangeSelectivity(s, h, rect)
-			checkSame("RangeSelectivity", gr, lr, grErr, lrErr)
+					gr, grErr := a.Selectivity()
+					lr, lrErr := legacyRangeSelectivity(s, h, rc)
+					checkSame("Selectivity "+stag, gr, lr, grErr, lrErr)
 
-			gga, ggaErr := GroupAverageOn(snap, h, 3)
-			lga, lgaErr := legacyGroupAverage(s, h, 3)
-			checkSame("GroupAverage", gga, lga, ggaErr, lgaErr)
+					gd, gdErr := a.Distribution()
+					ld, ldErr := legacyClassDistribution(s, h)
+					checkSame("Distribution "+stag, gd, ld, gdErr, ldErr)
 
-			ggc, ggcErr := GroupCountOn(snap, h)
-			lgc, lgcErr := legacyGroupCount(s, h)
-			checkSame("GroupCount", ggc, lgc, ggcErr, lgcErr)
+					ggc, ggcErr := a.GroupCount()
+					lgc, lgcErr := legacyGroupCount(s, h)
+					checkSame("GroupCount "+stag, ggc, lgc, ggcErr, lgcErr)
 
-			gtk, gtkErr := TopKOn(snap, h, 3)
-			ltk, ltkErr := legacyTopK(s, h, 3)
-			checkSame("TopK", gtk, ltk, gtkErr, ltkErr)
+					gtk, gtkErr := a.TopK(3)
+					ltk, ltkErr := legacyTopK(s, h, 3)
+					checkSame("TopK "+stag, gtk, ltk, gtkErr, ltkErr)
+
+					ga, gaErr := a.Average()
+					la, laErr := legacyHorizonAverage(s, h, dim)
+					checkSame("Average "+stag, ga, la, gaErr, laErr)
+
+					gga, ggaErr := a.GroupAverage()
+					lga, lgaErr := legacyGroupAverage(s, h, dim)
+					checkSame("GroupAverage "+stag, gga, lga, ggaErr, lgaErr)
+				}
+			}
 
 			gq, gqErr := QuantileOn(snap, h, 0, 0.9)
 			lq, lqErr := legacyQuantile(s, h, 0, 0.9)
 			checkSame("Quantile", gq, lq, gqErr, lqErr)
-		}
-	}
-}
-
-// TestShimsMatchLegacy drives the public Sampler-based entry points (which
-// now snapshot internally) against the legacy references.
-func TestShimsMatchLegacy(t *testing.T) {
-	for name, s := range frozenSamplers(t) {
-		h := uint64(200)
-		if got, want := Estimate(s, Count(h)), legacyEstimate(s, Count(h)); got != want {
-			t.Errorf("%s: Estimate = %v, legacy = %v", name, got, want)
-		}
-		ga, err1 := HorizonAverage(s, h, 3)
-		la, err2 := legacyHorizonAverage(s, h, 3)
-		if err1 != nil || err2 != nil || !reflect.DeepEqual(ga, la) {
-			t.Errorf("%s: HorizonAverage = %v (%v), legacy = %v (%v)", name, ga, err1, la, err2)
-		}
-		gq, err1 := Quantile(s, h, 1, 0.5)
-		lq, err2 := legacyQuantile(s, h, 1, 0.5)
-		if err1 != nil || err2 != nil || gq != lq {
-			t.Errorf("%s: Quantile = %v (%v), legacy = %v (%v)", name, gq, err1, lq, err2)
 		}
 	}
 }
@@ -379,14 +382,18 @@ func TestFusedEmptyHorizonErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := core.SnapshotOf(u) // empty reservoir
-	if _, err := HorizonAverageOn(snap, 10, 2); err == nil {
-		t.Error("HorizonAverageOn on empty snapshot should error")
+	a := Accumulate(snap, 10, 2, nil)
+	if _, err := a.Average(); err == nil {
+		t.Error("Average on empty snapshot should error")
 	}
-	if _, err := ClassDistributionOn(snap, 10); err == nil {
-		t.Error("ClassDistributionOn on empty snapshot should error")
+	if _, err := a.Distribution(); err == nil {
+		t.Error("Distribution on empty snapshot should error")
 	}
-	if _, err := TopKOn(snap, 10, 0); err == nil {
-		t.Error("TopKOn with k=0 should error")
+	if _, err := a.TopK(0); err == nil {
+		t.Error("TopK with k=0 should error")
+	}
+	if _, err := a.Selectivity(); err == nil {
+		t.Error("Selectivity without a rect walk should error")
 	}
 	if _, err := QuantileOn(snap, 10, 0, 1.5); err == nil {
 		t.Error("QuantileOn with q out of range should error")

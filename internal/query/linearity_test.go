@@ -39,8 +39,8 @@ func TestEstimateLinearityProperty(t *testing.T) {
 		h := uint64(hRaw%3000) + 10
 		q1 := Sum(h, 0)
 		q2 := Sum(h, 1)
-		lhs := Estimate(b, combine(alpha, beta, q1, q2))
-		rhs := alpha*Estimate(b, q1) + beta*Estimate(b, q2)
+		lhs := EstimateOn(core.SnapshotOf(b), combine(alpha, beta, q1, q2))
+		rhs := alpha*EstimateOn(core.SnapshotOf(b), q1) + beta*EstimateOn(core.SnapshotOf(b), q2)
 		return math.Abs(lhs-rhs) <= 1e-9*(1+math.Abs(rhs))
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
@@ -57,10 +57,10 @@ func TestClassCountDecompositionProperty(t *testing.T) {
 	}
 	check := func(hRaw uint16) bool {
 		h := uint64(hRaw%5000) + 1
-		total := Estimate(b, Count(h))
+		total := EstimateOn(core.SnapshotOf(b), Count(h))
 		var parts float64
 		for label := 0; label < 5; label++ {
-			parts += Estimate(b, ClassCount(h, label))
+			parts += EstimateOn(core.SnapshotOf(b), ClassCount(h, label))
 		}
 		return math.Abs(total-parts) <= 1e-9*(1+total)
 	}
@@ -82,7 +82,7 @@ func TestCountMonotoneInHorizonProperty(t *testing.T) {
 		if h1 > h2 {
 			h1, h2 = h2, h1
 		}
-		return Estimate(b, Count(h1)) <= Estimate(b, Count(h2))+1e-9
+		return EstimateOn(core.SnapshotOf(b), Count(h1)) <= EstimateOn(core.SnapshotOf(b), Count(h2))+1e-9
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -102,8 +102,8 @@ func TestQuantileMonotoneProperty(t *testing.T) {
 		if q1 > q2 {
 			q1, q2 = q2, q1
 		}
-		v1, err1 := Quantile(b, 1000, 0, q1)
-		v2, err2 := Quantile(b, 1000, 0, q2)
+		v1, err1 := QuantileOn(core.SnapshotOf(b), 1000, 0, q1)
+		v2, err2 := QuantileOn(core.SnapshotOf(b), 1000, 0, q2)
 		if err1 != nil || err2 != nil {
 			return false
 		}

@@ -3,9 +3,6 @@ package query
 import (
 	"fmt"
 	"strconv"
-	"strings"
-
-	"biasedres/internal/core"
 )
 
 // This file is the cross-shard half of the query engine: the fused
@@ -27,57 +24,6 @@ import (
 // plain addition and any statistic derived from the merged accumulator
 // (Average, Distribution, Selectivity, ...) equals the statistic computed
 // from the union stream's own accumulator.
-
-// AccumulateRange is Accumulate plus the range-selectivity numerator: the
-// same single fused walk, additionally accumulating the Horvitz–Thompson
-// count (and Lemma 4.1 variance) of the in-horizon points inside rect when
-// rect is non-nil. Accumulate delegates here, so there is exactly one walk
-// implementation.
-func AccumulateRange(snap *core.Snapshot, h uint64, dim int, rect *Rect) *Accum {
-	a := &Accum{T: snap.T, Horizon: h, Dim: dim, Classes: make(map[int]*ClassAcc)}
-	if dim > 0 {
-		a.Sums = make([]float64, dim)
-	}
-	a.HasRange = rect != nil
-	t := snap.T
-	for i := range snap.Points {
-		p := &snap.Points[i]
-		if p.Index == 0 || p.Index > t {
-			continue
-		}
-		if h > 0 && t-p.Index >= h {
-			continue
-		}
-		pr := snap.Probs[i]
-		if pr <= 0 {
-			continue
-		}
-		w := 1 / pr
-		a.Count += w
-		a.CountVar += (w - 1) / pr
-		for d := 0; d < dim && d < len(p.Values); d++ {
-			a.Sums[d] += p.Values[d] / pr
-		}
-		if rect != nil && rect.Contains(*p) {
-			a.RangeNum += w
-			a.RangeVar += (w - 1) / pr
-		}
-		ca := a.Classes[p.Label]
-		if ca == nil {
-			ca = &ClassAcc{}
-			if dim > 0 {
-				ca.Sums = make([]float64, dim)
-			}
-			a.Classes[p.Label] = ca
-		}
-		ca.Count += w
-		ca.Var += (w - 1) / pr
-		for d := 0; d < dim && d < len(p.Values); d++ {
-			ca.Sums[d] += w * p.Values[d]
-		}
-	}
-	return a
-}
 
 // NewMergeAccum returns an empty accumulator ready to Merge shard results
 // into. h records the coordinator-level horizon the shards were asked
@@ -145,19 +91,6 @@ func addPadded(dst, src []float64, dim int) []float64 {
 		dst[i] += v
 	}
 	return dst
-}
-
-// Selectivity returns the estimated fraction of in-horizon points inside
-// the rect the walk was given — the RangeSelectivity statistic, derived
-// from the (mergeable) range numerator and the count denominator.
-func (a *Accum) Selectivity() (float64, error) {
-	if !a.HasRange {
-		return 0, fmt.Errorf("query: accumulator carries no range terms (walk ran without a rect)")
-	}
-	if a.Count <= 0 {
-		return 0, fmt.Errorf("query: no sample mass in horizon %d", a.Horizon)
-	}
-	return a.RangeNum / a.Count, nil
 }
 
 // ClassAccWire is ClassAcc in wire form (JSON-safe field tags).
@@ -242,60 +175,4 @@ func (w AccumWire) Accum() (*Accum, error) {
 		}
 	}
 	return a, nil
-}
-
-// ParseRect builds a Rect from the comma-separated dims/lo/hi query
-// parameters the HTTP surfaces share (e.g. dims=0,1&lo=0,0&hi=1,1).
-func ParseRect(dims, lo, hi string) (Rect, error) {
-	if dims == "" {
-		return Rect{}, fmt.Errorf("query: rect needs dims/lo/hi parameters")
-	}
-	df, err := parseFloatList(dims)
-	if err != nil {
-		return Rect{}, err
-	}
-	lf, err := parseFloatList(lo)
-	if err != nil {
-		return Rect{}, err
-	}
-	hf, err := parseFloatList(hi)
-	if err != nil {
-		return Rect{}, err
-	}
-	di := make([]int, len(df))
-	for i, v := range df {
-		di[i] = int(v)
-	}
-	return NewRect(di, lf, hf)
-}
-
-// Params renders the rect back into the dims/lo/hi parameter triple
-// ParseRect accepts — the client-side encoder.
-func (r Rect) Params() (dims, lo, hi string) {
-	ds := make([]string, len(r.Dims))
-	ls := make([]string, len(r.Lo))
-	hs := make([]string, len(r.Hi))
-	for i, d := range r.Dims {
-		ds[i] = strconv.Itoa(d)
-	}
-	for i, v := range r.Lo {
-		ls[i] = strconv.FormatFloat(v, 'g', -1, 64)
-	}
-	for i, v := range r.Hi {
-		hs[i] = strconv.FormatFloat(v, 'g', -1, 64)
-	}
-	return strings.Join(ds, ","), strings.Join(ls, ","), strings.Join(hs, ",")
-}
-
-func parseFloatList(s string) ([]float64, error) {
-	parts := strings.Split(s, ",")
-	out := make([]float64, 0, len(parts))
-	for _, p := range parts {
-		v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-		if err != nil {
-			return nil, fmt.Errorf("query: bad number %q", p)
-		}
-		out = append(out, v)
-	}
-	return out, nil
 }

@@ -46,7 +46,7 @@ func TestAccumMergeMatchesWhole(t *testing.T) {
 	whole := syntheticSnapshot(300, 1000, dim)
 	rect := Rect{Dims: []int{0}, Lo: []float64{-1}, Hi: []float64{3}}
 	for _, h := range []uint64{0, 400} {
-		want := AccumulateRange(whole, h, dim, &rect)
+		want := Accumulate(whole, h, dim, &rect)
 
 		const k = 3
 		shards := make([]*core.Snapshot, k)
@@ -60,7 +60,7 @@ func TestAccumMergeMatchesWhole(t *testing.T) {
 		}
 		got := NewMergeAccum(h)
 		for _, s := range shards {
-			got.Merge(AccumulateRange(s, h, dim, &rect))
+			got.Merge(Accumulate(s, h, dim, &rect))
 		}
 
 		const tol = 1e-9
@@ -122,8 +122,8 @@ func TestAccumMergeMatchesWhole(t *testing.T) {
 // empty (Dim 0) accumulator adopts the wider shard's dimensionality.
 func TestMergeEmptyAndDimPromotion(t *testing.T) {
 	snap := syntheticSnapshot(50, 200, 2)
-	full := Accumulate(snap, 0, 2)
-	empty := Accumulate(&core.Snapshot{T: 0, Cap: 10}, 0, 0)
+	full := Accumulate(snap, 0, 2, nil)
+	empty := Accumulate(&core.Snapshot{T: 0, Cap: 10}, 0, 0, nil)
 
 	merged := NewMergeAccum(0)
 	merged.Merge(empty)
@@ -145,7 +145,7 @@ func TestMergeEmptyAndDimPromotion(t *testing.T) {
 func TestAccumWireRoundTrip(t *testing.T) {
 	snap := syntheticSnapshot(120, 500, 2)
 	rect := Rect{Dims: []int{1}, Lo: []float64{-2}, Hi: []float64{2}}
-	orig := AccumulateRange(snap, 100, 2, &rect)
+	orig := Accumulate(snap, 100, 2, &rect)
 
 	blob, err := json.Marshal(orig.Wire())
 	if err != nil {
@@ -184,29 +184,6 @@ func TestAccumWireRoundTrip(t *testing.T) {
 
 	if _, err := (AccumWire{Classes: map[string]ClassAccWire{"nope": {}}}).Accum(); err == nil {
 		t.Fatal("bad class label survived wire decoding")
-	}
-}
-
-// TestAccumulateRangeMatchesRangeSelectivityOn: the fused range numerator
-// reproduces the standalone selectivity kernel exactly.
-func TestAccumulateRangeMatchesRangeSelectivityOn(t *testing.T) {
-	snap := syntheticSnapshot(200, 450, 3)
-	rect := Rect{Dims: []int{0, 2}, Lo: []float64{-4, -1}, Hi: []float64{2, 4}}
-	for _, h := range []uint64{0, 150} {
-		want, err := RangeSelectivityOn(snap, h, rect)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := AccumulateRange(snap, h, 0, &rect).Selectivity()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Fatalf("h=%d: fused selectivity %v, standalone %v", h, got, want)
-		}
-	}
-	if _, err := Accumulate(snap, 0, 0).Selectivity(); err == nil {
-		t.Fatal("Selectivity without a rect walk should error")
 	}
 }
 

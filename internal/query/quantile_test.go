@@ -12,15 +12,15 @@ import (
 func TestQuantileValidation(t *testing.T) {
 	b, _ := core.NewBiasedReservoir(0.1, xrand.New(1))
 	for _, q := range []float64{0, 1, -0.5, 2} {
-		if _, err := Quantile(b, 10, 0, q); err == nil {
+		if _, err := QuantileOn(core.SnapshotOf(b), 10, 0, q); err == nil {
 			t.Errorf("q=%v accepted", q)
 		}
 	}
-	if _, err := Quantile(b, 10, -1, 0.5); err == nil {
+	if _, err := QuantileOn(core.SnapshotOf(b), 10, -1, 0.5); err == nil {
 		t.Error("negative dim accepted")
 	}
 	// Empty reservoir.
-	if _, err := Quantile(b, 10, 0, 0.5); err == nil {
+	if _, err := QuantileOn(core.SnapshotOf(b), 10, 0, 0.5); err == nil {
 		t.Error("empty reservoir answered")
 	}
 }
@@ -32,14 +32,14 @@ func TestQuantileFullSample(t *testing.T) {
 		pts[i] = stream.Point{Index: uint64(i + 1), Values: []float64{float64(i + 1)}, Weight: 1}
 	}
 	full := &fullSampler{pts: pts}
-	got, err := Quantile(full, 0, 0, 0.5)
+	got, err := QuantileOn(core.SnapshotOf(full), 0, 0, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got < 49 || got > 52 {
 		t.Fatalf("median of 1..100 estimated %v", got)
 	}
-	q90, err := Quantile(full, 0, 0, 0.9)
+	q90, err := QuantileOn(core.SnapshotOf(full), 0, 0, 0.9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestMedianFromBiasedReservoir(t *testing.T) {
 		for _, p := range pts {
 			b.Add(p)
 		}
-		got, err := Median(b, horizon, 0)
+		got, err := QuantileOn(core.SnapshotOf(b), horizon, 0, 0.5)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -75,7 +75,7 @@ func GranularityFor(span uint64, maxPoints int) uint64 {
 // included, so callers can render a gap-free series. The final bucket may
 // be clipped short by end.
 //
-// Like AccumulateRange, each resident contributes weight w = 1/p(r,t) to
+// Like Accumulate, each resident contributes weight w = 1/p(r,t) to
 // its bucket's count, (w-1)/p to the count variance (Lemma 4.1), and
 // Values[d]/p to the sums.
 func AccumulateBuckets(snap *core.Snapshot, start, end, step uint64, dim int) ([]Bucket, error) {

@@ -2,6 +2,7 @@ package query
 
 import (
 	"fmt"
+	"sort"
 
 	"biasedres/internal/stream"
 )
@@ -117,4 +118,58 @@ func (tr *Truth) Evaluate(q Linear) float64 {
 		sum += q.Coeff(p, t) * q.Value(p)
 	}
 	return sum
+}
+
+// TrueVariance evaluates Lemma 4.1 exactly over a fully known stream
+// prefix: Var[H(t)] = Σ_{r=1..t} c_r²·h(X_r)²·(1/p(r,t) − 1). The prob
+// function must return p(r,t) for the sampling policy under analysis.
+// Tests use it to validate EstimateWithVarianceOn and the paper's qualitative
+// claim that recent-horizon queries have low variance under biased sampling.
+func TrueVariance(pts []stream.Point, t uint64, q Linear, prob func(r uint64) float64) (float64, error) {
+	var sum float64
+	for _, p := range pts {
+		c := q.Coeff(p, t)
+		if c == 0 {
+			continue
+		}
+		pr := prob(p.Index)
+		if pr <= 0 {
+			return 0, fmt.Errorf("query: point %d has inclusion probability %v but nonzero coefficient", p.Index, pr)
+		}
+		v := q.Value(p)
+		sum += c * c * v * v * (1/pr - 1)
+	}
+	return sum, nil
+}
+
+// TrueQuantile computes the exact q-quantile of dimension dim over the
+// points for which the horizon coefficient is 1 at stream position t; the
+// Truth type calls it with its retained suffix.
+func TrueQuantile(pts []stream.Point, t, h uint64, dim int, q float64) (float64, error) {
+	if !(q > 0 && q < 1) {
+		return 0, fmt.Errorf("query: quantile needs 0 < q < 1, got %v", q)
+	}
+	horizon := horizonCoeff(h)
+	var vals []float64
+	for _, p := range pts {
+		if horizon(p, t) == 0 || dim < 0 || dim >= len(p.Values) {
+			continue
+		}
+		vals = append(vals, p.Values[dim])
+	}
+	if len(vals) == 0 {
+		return 0, fmt.Errorf("query: no points in horizon %d", h)
+	}
+	sort.Float64s(vals)
+	idx := int(q * float64(len(vals)))
+	if idx >= len(vals) {
+		idx = len(vals) - 1
+	}
+	return vals[idx], nil
+}
+
+// Quantile returns the exact q-quantile over the last h arrivals retained
+// by the truth buffer.
+func (tr *Truth) Quantile(h uint64, dim int, q float64) (float64, error) {
+	return TrueQuantile(tr.buf.Snapshot(), tr.buf.Now(), h, dim, q)
 }

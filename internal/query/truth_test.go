@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"biasedres/internal/core"
 	"biasedres/internal/stream"
 )
 
@@ -134,7 +135,7 @@ func TestTruthVsFullSample(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := Estimate(full, Count(h)); math.Abs(got-want) > 1e-9 {
+		if got := EstimateOn(core.SnapshotOf(full), Count(h)); math.Abs(got-want) > 1e-9 {
 			t.Fatalf("h=%d: estimate %v, truth %v", h, got, want)
 		}
 	}

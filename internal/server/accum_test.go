@@ -126,6 +126,31 @@ func TestAccumEndpointEmptyAndErrors(t *testing.T) {
 	}
 }
 
+// TestAccumDimBound: /accum sums at most the stream's dimensionality. A
+// larger dim is a 400, not a per-class allocation the caller sized.
+func TestAccumDimBound(t *testing.T) {
+	ts := newTestServer(t)
+	createStream(t, ts.URL, "s", CreateRequest{Policy: "variable", Lambda: 1e-2, Capacity: 50})
+	pts := make([]IngestPoint, 30)
+	for i := range pts {
+		label := i % 3
+		pts[i] = IngestPoint{Values: []float64{float64(i), 1}, Label: &label}
+	}
+	ingest(t, ts.URL, "s", pts)
+
+	for _, dim := range []string{"0", "2"} {
+		if acc := fetchAccum(t, ts.URL+"/streams/s/accum?dim="+dim); len(acc.Sums) != acc.Dim {
+			t.Fatalf("dim=%s: %d sums for dim %d", dim, len(acc.Sums), acc.Dim)
+		}
+	}
+	for _, dim := range []string{"3", "4194304"} {
+		resp, body := do(t, http.MethodGet, ts.URL+"/streams/s/accum?dim="+dim, nil)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("dim=%s on a 2-dim stream: status %d body %v, want 400", dim, resp.StatusCode, body)
+		}
+	}
+}
+
 // TestReadyz: ready after New, 503 after Close.
 func TestReadyz(t *testing.T) {
 	srv := New(1)

@@ -623,10 +623,11 @@ func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 // handleAccum is GET /streams/{name}/accum: the stream's fused
 // Horvitz–Thompson accumulator in wire form — per-shard terms a
 // federation coordinator merges by summation rather than averaging final
-// floats. Parameters: h (horizon), dim (defaults to the stream
-// dimensionality), and optionally dims/lo/hi for the range-selectivity
-// numerator. An empty stream answers a zero accumulator, not an error:
-// merging decides whether the union has sample mass.
+// floats. Parameters: h (horizon), dim (how many leading dimensions to
+// sum; defaults to the stream dimensionality, which it may not exceed),
+// and optionally dims/lo/hi for the range-selectivity numerator. An empty
+// stream answers a zero accumulator, not an error: merging decides
+// whether the union has sample mass.
 func (s *Server) handleAccum(w http.ResponseWriter, r *http.Request) {
 	ms, ok := s.lookup(r.PathValue("name"))
 	if !ok {
@@ -647,9 +648,13 @@ func (s *Server) handleAccum(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "bad dim: %v", err)
 		return
 	}
+	if dim > uint64(streamDim) {
+		httpError(w, http.StatusBadRequest, "bad dim: %d exceeds the stream's dimensionality %d", dim, streamDim)
+		return
+	}
 	var rect *query.Rect
 	if q.Get("dims") != "" {
-		r, err := parseRect(q.Get("dims"), q.Get("lo"), q.Get("hi"))
+		r, err := query.ParseRect(q.Get("dims"), q.Get("lo"), q.Get("hi"))
 		if err != nil {
 			httpError(w, http.StatusBadRequest, "%v", err)
 			return
@@ -658,7 +663,7 @@ func (s *Server) handleAccum(w http.ResponseWriter, r *http.Request) {
 	}
 	snap, tier := ms.sm.SnapshotFor(h)
 	s.countTierQuery(r.PathValue("name"), tier)
-	writeJSON(w, query.AccumulateRange(snap, h, int(dim), rect).Wire())
+	writeJSON(w, query.Accumulate(snap, h, int(dim), rect).Wire())
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
@@ -926,97 +931,38 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "stream %q not found", r.PathValue("name"))
 		return
 	}
-	q := r.URL.Query()
-	h, err := parseUint(q.Get("h"), 0)
+	req, err := query.ParseRequest(r.URL.Query())
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "bad horizon: %v", err)
+		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	ms.qmu.Lock()
-	streamDim := ms.dim
-	ms.qmu.Unlock()
-	// One snapshot serves the whole request: on a cache hit the handler
-	// acquires no sampler lock, and the fused kernels answer every query
-	// type in a single reservoir pass. Nothing is held during JSON
-	// encoding or the network write. Tiered streams route the horizon to
-	// the best-covering tier's snapshot.
-	snap, tier := ms.sm.SnapshotFor(h)
-	s.countTierQuery(r.PathValue("name"), tier)
-	switch q.Get("type") {
-	case "count":
-		est, variance := query.EstimateWithVarianceOn(snap, query.Count(h))
-		writeJSON(w, map[string]any{"estimate": est, "variance": variance})
-	case "average":
-		dim := streamDim
-		if dim == 0 {
-			httpError(w, http.StatusConflict, "stream has no points yet")
-			return
-		}
-		avg, err := query.HorizonAverageOn(snap, h, dim)
-		if err != nil {
-			httpError(w, http.StatusConflict, "%v", err)
-			return
-		}
-		writeJSON(w, map[string]any{"average": avg})
-	case "classdist":
-		dist, err := query.ClassDistributionOn(snap, h)
-		if err != nil {
-			httpError(w, http.StatusConflict, "%v", err)
-			return
-		}
-		out := make(map[string]float64, len(dist))
-		for k, v := range dist {
-			out[strconv.Itoa(k)] = v
-		}
-		writeJSON(w, map[string]any{"distribution": out})
-	case "groupavg":
-		dim := streamDim
-		if dim == 0 {
-			httpError(w, http.StatusConflict, "stream has no points yet")
-			return
-		}
-		groups, err := query.GroupAverageOn(snap, h, dim)
-		if err != nil {
-			httpError(w, http.StatusConflict, "%v", err)
-			return
-		}
-		out := make(map[string][]float64, len(groups))
-		for k, v := range groups {
-			out[strconv.Itoa(k)] = v
-		}
-		writeJSON(w, map[string]any{"groups": out})
-	case "selectivity":
-		rect, err := parseRect(q.Get("dims"), q.Get("lo"), q.Get("hi"))
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		sel, err := query.RangeSelectivityOn(snap, h, rect)
-		if err != nil {
-			httpError(w, http.StatusConflict, "%v", err)
-			return
-		}
-		writeJSON(w, map[string]any{"selectivity": sel})
-	case "quantile":
-		dim, err := parseUint(q.Get("dim"), 0)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "bad dim: %v", err)
-			return
-		}
-		qq, err := strconv.ParseFloat(q.Get("q"), 64)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "bad q: %v", err)
-			return
-		}
-		v, err := query.QuantileOn(snap, h, int(dim), qq)
-		if err != nil {
-			httpError(w, http.StatusConflict, "%v", err)
-			return
-		}
-		writeJSON(w, map[string]any{"quantile": v})
-	default:
-		httpError(w, http.StatusBadRequest, "unknown query type %q", q.Get("type"))
+	// The walk sums dimensions only for the types that read them.
+	dim := 0
+	if req.ReadsSums() {
+		ms.qmu.Lock()
+		dim = ms.dim
+		ms.qmu.Unlock()
 	}
+	// One snapshot serves the whole request: on a cache hit the handler
+	// acquires no sampler lock, and one fused walk answers every linear
+	// type. Nothing is held during JSON encoding or the network write.
+	// Tiered streams route the horizon to the best-covering tier's
+	// snapshot.
+	snap, tier := ms.sm.SnapshotFor(req.H)
+	s.countTierQuery(r.PathValue("name"), tier)
+	var out map[string]any
+	if req.Linear() {
+		out, err = query.Answer(req.Type, query.Accumulate(snap, req.H, dim, req.Rect))
+	} else {
+		var v float64
+		v, err = query.QuantileOn(snap, req.H, req.Dim, req.Q)
+		out = map[string]any{"quantile": v}
+	}
+	if err != nil {
+		httpError(w, http.StatusConflict, "%v", err)
+		return
+	}
+	writeJSON(w, out)
 }
 
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
@@ -1151,11 +1097,4 @@ func parseUint(s string, def uint64) (uint64, error) {
 		return def, nil
 	}
 	return strconv.ParseUint(s, 10, 64)
-}
-
-// parseRect builds the selectivity rectangle from the shared dims/lo/hi
-// parameter format (the parser lives in internal/query so the federation
-// coordinator speaks the same wire form).
-func parseRect(dims, lo, hi string) (query.Rect, error) {
-	return query.ParseRect(dims, lo, hi)
 }
