@@ -9,9 +9,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/url"
 	"strconv"
+	"sync"
 	"time"
 
 	"biasedres/internal/query"
@@ -201,12 +203,75 @@ func (c *Client) Push(name string, pts []Point) (processed uint64, err error) {
 // PushContext is Push bounded by ctx: the request is abandoned (and not
 // retried by a Batcher) once ctx is done.
 func (c *Client) PushContext(ctx context.Context, name string, pts []Point) (processed uint64, err error) {
+	buf := pushBufs.Get().(*[]byte)
+	body, err := appendPush((*buf)[:0], pts)
+	if err != nil {
+		return 0, fmt.Errorf("client: encoding request: %w", err)
+	}
 	var out struct {
 		Processed uint64 `json:"processed"`
 	}
-	err = c.doCtx(ctx, http.MethodPost, "/streams/"+url.PathEscape(name)+"/points",
-		map[string]any{"points": pts}, &out)
+	err = c.doCtx(ctx, http.MethodPost, "/streams/"+url.PathEscape(name)+"/points", body, &out)
+	// A transport may still read the body after an early reply; a 2xx
+	// comes only once the server has read it whole, so reuse only then.
+	if err == nil {
+		*buf = body
+		pushBufs.Put(buf)
+	}
 	return out.Processed, err
+}
+
+// pushBufs recycles PushContext's request bodies.
+var pushBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// appendPush appends the ingest body {"points":[…]} for pts to b, with
+// the Point struct tags' fields, order and omitempty rules but without
+// reflection. Floats take their shortest round-trip form, so the server
+// decodes them bit for bit; like json.Marshal it refuses NaN and ±Inf.
+func appendPush(b []byte, pts []Point) ([]byte, error) {
+	if pts == nil {
+		return append(b, `{"points":null}`...), nil
+	}
+	var err error
+	num := func(v float64) {
+		if err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
+			err = &json.UnsupportedValueError{Str: strconv.FormatFloat(v, 'g', -1, 64)}
+		}
+		b = strconv.AppendFloat(b, v, 'g', -1, 64)
+	}
+	b = append(b, `{"points":[`...)
+	for i, p := range pts {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, `{"values":`...)
+		if p.Values == nil {
+			b = append(b, "null"...)
+		} else {
+			b = append(b, '[')
+			for j, v := range p.Values {
+				if j > 0 {
+					b = append(b, ',')
+				}
+				num(v)
+			}
+			b = append(b, ']')
+		}
+		if p.Label != nil {
+			b = append(b, `,"label":`...)
+			b = strconv.AppendInt(b, int64(*p.Label), 10)
+		}
+		if p.Weight != 0 {
+			b = append(b, `,"weight":`...)
+			num(p.Weight)
+		}
+		if p.TS != nil {
+			b = append(b, `,"ts":`...)
+			num(*p.TS)
+		}
+		b = append(b, '}')
+	}
+	return append(b, "]}"...), err
 }
 
 // Stats describes a stream's reservoir state.

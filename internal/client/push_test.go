@@ -1,0 +1,210 @@
+package client
+
+import (
+	"encoding/json"
+	"errors"
+	"math"
+	"math/rand/v2"
+	"net/http"
+	"net/http/httptest"
+	"sync/atomic"
+	"testing"
+)
+
+// randPoints draws n points with random finite floats (every exponent,
+// signed zeros, subnormals) and random optional fields.
+func randPoints(rng *rand.Rand, n int) []Point {
+	randFloat := func() float64 {
+		switch rng.IntN(8) {
+		case 0:
+			return math.Copysign(0, -1)
+		case 1:
+			return math.Float64frombits(rng.Uint64() & (1<<52 - 1)) // subnormal
+		case 2:
+			return rng.NormFloat64()
+		}
+		for {
+			if f := math.Float64frombits(rng.Uint64()); !math.IsNaN(f) && !math.IsInf(f, 0) {
+				return f
+			}
+		}
+	}
+	pts := make([]Point, n)
+	for i := range pts {
+		var p Point
+		if rng.IntN(10) > 0 {
+			p.Values = make([]float64, rng.IntN(12))
+			for d := range p.Values {
+				p.Values[d] = randFloat()
+			}
+		}
+		if rng.IntN(2) == 0 {
+			label := int(rng.Uint64())
+			p.Label = &label
+		}
+		if rng.IntN(2) == 0 {
+			p.Weight = randFloat()
+		}
+		if rng.IntN(2) == 0 {
+			ts := randFloat()
+			p.TS = &ts
+		}
+		pts[i] = p
+	}
+	return pts
+}
+
+// TestAppendPushMatchesMarshal: the append encoder's body decodes to what
+// json.Marshal's body of the same points decodes to, floats bit for bit.
+func TestAppendPushMatchesMarshal(t *testing.T) {
+	rng := rand.New(rand.NewPCG(3, 4))
+	decode := func(blob []byte) []Point {
+		t.Helper()
+		var req struct {
+			Points []Point `json:"points"`
+		}
+		if err := json.Unmarshal(blob, &req); err != nil {
+			t.Fatalf("decoding %q: %v", blob, err)
+		}
+		return req.Points
+	}
+	bits := func(f float64) uint64 { return math.Float64bits(f) }
+	cases := [][]Point{nil, {}, {{}}}
+	for i := 0; i < 200; i++ {
+		cases = append(cases, randPoints(rng, rng.IntN(30)))
+	}
+	for _, pts := range cases {
+		mine, err := appendPush(nil, pts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		theirs, err := json.Marshal(map[string]any{"points": pts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, want := decode(mine), decode(theirs)
+		if (got == nil) != (want == nil) || len(got) != len(want) {
+			t.Fatalf("appendPush %q, json.Marshal %q", mine, theirs)
+		}
+		for i, p := range got {
+			q := want[i]
+			same := (p.Values == nil) == (q.Values == nil) && len(p.Values) == len(q.Values) &&
+				(p.Label == nil) == (q.Label == nil) && (p.TS == nil) == (q.TS == nil) &&
+				bits(p.Weight) == bits(q.Weight)
+			for d := 0; same && d < len(p.Values); d++ {
+				same = bits(p.Values[d]) == bits(q.Values[d])
+			}
+			if same && p.Label != nil {
+				same = *p.Label == *q.Label
+			}
+			if same && p.TS != nil {
+				same = bits(*p.TS) == bits(*q.TS)
+			}
+			if !same {
+				t.Fatalf("point %d: appendPush decodes to %+v, json.Marshal to %+v", i, p, q)
+			}
+		}
+	}
+}
+
+// TestPushRefusesNonFinite: NaN and ±Inf anywhere a point carries a float
+// fail the push with json.Marshal's error before any request is sent.
+func TestPushRefusesNonFinite(t *testing.T) {
+	var requests atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		requests.Add(1)
+	}))
+	defer ts.Close()
+	c, err := New(ts.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inf := math.Inf(-1)
+	for name, p := range map[string]Point{
+		"values": {Values: []float64{1, math.NaN()}},
+		"weight": {Values: []float64{1}, Weight: math.Inf(1)},
+		"ts":     {Values: []float64{1}, TS: &inf},
+	} {
+		_, err := c.Push("s", []Point{{Values: []float64{0}}, p})
+		var uve *json.UnsupportedValueError
+		if !errors.As(err, &uve) {
+			t.Errorf("%s: err = %v, want a json.UnsupportedValueError", name, err)
+		}
+	}
+	if n := requests.Load(); n != 0 {
+		t.Fatalf("%d requests sent for unencodable points", n)
+	}
+}
+
+// TestWireRefusesWhatFramesCannotCarry: a label outside int32 (which used
+// to wrap to another class, or to -1 — unlabeled) and a timestamp (which
+// used to be dropped) fail Add and Push before anything is sent, and Add
+// buffers nothing.
+func TestWireRefusesWhatFramesCannotCarry(t *testing.T) {
+	sink := &ackSink{}
+	wc, err := DialWire(startSinkListener(t, sink), WireConnConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wc.Close()
+	wide, neg, ts := 1<<31, -1<<31-1, 1.5
+	for name, p := range map[string]Point{
+		"label 1<<31":    {Values: []float64{1}, Label: &wide},
+		"label -1<<31-1": {Values: []float64{1}, Label: &neg},
+		"ts":             {Values: []float64{1}, TS: &ts},
+	} {
+		if err := wc.Push("s", []Point{{Values: []float64{0}}, p}); err == nil {
+			t.Errorf("Push accepted a point with %s", name)
+		}
+		if err := wc.Add("s", p); err == nil {
+			t.Errorf("Add accepted a point with %s", name)
+		}
+	}
+	if err := wc.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if n := sink.frames.Load(); n != 0 {
+		t.Fatalf("%d frames sent", n)
+	}
+	lo, hi := math.MinInt32, math.MaxInt32
+	if err := wc.Push("s", []Point{{Values: []float64{1}, Label: &lo}, {Values: []float64{2}, Label: &hi}}); err != nil {
+		t.Fatalf("int32-range labels refused: %v", err)
+	}
+}
+
+// BenchmarkPushEncode encodes one benchmark-shaped ingest body (256
+// labelled points, dim 10) with the append encoder PushContext uses and,
+// for comparison, with json.Marshal as PushContext did before.
+func BenchmarkPushEncode(b *testing.B) {
+	rng := rand.New(rand.NewPCG(7, 7))
+	pts := make([]Point, 256)
+	for i := range pts {
+		vals := make([]float64, 10)
+		for d := range vals {
+			vals[d] = rng.NormFloat64() * 10
+		}
+		label := rng.IntN(8)
+		pts[i] = Point{Values: vals, Label: &label}
+	}
+	b.Run("append", func(b *testing.B) {
+		var buf []byte
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			var err error
+			if buf, err = appendPush(buf[:0], pts); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.SetBytes(int64(len(buf)))
+	})
+	b.Run("json_marshal", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			blob, err := json.Marshal(map[string]any{"points": pts})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(len(blob)))
+		}
+	})
+}

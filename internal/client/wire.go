@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"sync"
 	"time"
@@ -162,9 +163,9 @@ func (w *WireConn) redialCtx(ctx context.Context) error {
 }
 
 // Add buffers one point for the named stream, pushing the stream's
-// buffer as a frame once it reaches FlushSize. Point timestamps (TS) are
-// not representable on the wire; use the HTTP client for time-decay
-// streams that need explicit timestamps.
+// buffer as a frame once it reaches FlushSize. A point the frame cannot
+// carry — a label outside int32 or a timestamp (TS) — is refused and
+// nothing is buffered; use the HTTP client for those.
 func (w *WireConn) Add(stream string, p Point) error {
 	w.mu.Lock()
 	if w.closed {
@@ -176,28 +177,10 @@ func (w *WireConn) Add(stream string, p Point) error {
 		f = &frame{}
 		w.bufs[stream] = f
 	}
-	if f.count == 0 {
-		f.dim = len(p.Values)
-	} else if len(p.Values) != f.dim {
+	if err := f.add(p); err != nil {
 		w.mu.Unlock()
-		return fmt.Errorf("wire: point has dim %d, buffered batch has %d", len(p.Values), f.dim)
+		return err
 	}
-	f.values = append(f.values, p.Values...)
-	label := int32(-1)
-	if p.Label != nil {
-		label = int32(*p.Label)
-		f.anyLabel = true
-	}
-	f.labels = append(f.labels, label)
-	weight := p.Weight
-	if weight == 0 {
-		weight = 1
-	}
-	if weight != 1 {
-		f.anyWeight = true
-	}
-	f.weights = append(f.weights, weight)
-	f.count++
 	if f.count < w.cfg.FlushSize {
 		w.mu.Unlock()
 		return nil
@@ -205,6 +188,38 @@ func (w *WireConn) Add(stream string, p Point) error {
 	err := w.flushStreamLocked(context.Background(), stream, f)
 	w.mu.Unlock()
 	return err
+}
+
+// add packs p into the frame. It refuses, leaving the frame unchanged,
+// a point whose dimension differs from the frame's and what a frame
+// cannot carry: a label outside int32, which would wrap to another class
+// (or to -1, unlabeled), and a timestamp, which would be dropped.
+func (f *frame) add(p Point) error {
+	if f.count > 0 && len(p.Values) != f.dim {
+		return fmt.Errorf("wire: point has dim %d, batch has %d", len(p.Values), f.dim)
+	}
+	if p.TS != nil {
+		return fmt.Errorf("wire: point has a timestamp, which frames cannot carry")
+	}
+	label := int32(-1)
+	if p.Label != nil {
+		if *p.Label < math.MinInt32 || *p.Label > math.MaxInt32 {
+			return fmt.Errorf("wire: label %d is outside the frame's int32 range", *p.Label)
+		}
+		label = int32(*p.Label)
+		f.anyLabel = true
+	}
+	f.dim = len(p.Values)
+	f.values = append(f.values, p.Values...)
+	f.labels = append(f.labels, label)
+	weight := p.Weight
+	if weight == 0 {
+		weight = 1
+	}
+	f.anyWeight = f.anyWeight || weight != 1
+	f.weights = append(f.weights, weight)
+	f.count++
+	return nil
 }
 
 // Push sends one batch for the named stream immediately, bypassing the
@@ -223,27 +238,11 @@ func (w *WireConn) PushContext(ctx context.Context, stream string, points []Poin
 	if len(points) == 0 {
 		return nil
 	}
-	dim := len(points[0].Values)
-	f := frame{count: len(points), dim: dim}
+	var f frame
 	for _, p := range points {
-		if len(p.Values) != dim {
-			return fmt.Errorf("wire: point has dim %d, batch has %d", len(p.Values), dim)
+		if err := f.add(p); err != nil {
+			return err
 		}
-		f.values = append(f.values, p.Values...)
-		label := int32(-1)
-		if p.Label != nil {
-			label = int32(*p.Label)
-			f.anyLabel = true
-		}
-		f.labels = append(f.labels, label)
-		weight := p.Weight
-		if weight == 0 {
-			weight = 1
-		}
-		if weight != 1 {
-			f.anyWeight = true
-		}
-		f.weights = append(f.weights, weight)
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net"
 	"net/http"
 	"testing"
 
@@ -529,4 +530,45 @@ func TestReadyzTracksStreamReachability(t *testing.T) {
 		t.Fatal("readyz stayed 200 while closing")
 	}
 	co.closing.Store(false)
+}
+
+// TestFederatedIngestKeepsWideLabels: the coordinator forwards HTTP
+// ingest to replicas over the wire first, and a frame carries int32
+// labels. A label past int32 must still reach the data node intact —
+// the wire client refuses the point and the push falls back to HTTP —
+// rather than wrap to another class (2³²+3 to 3).
+func TestFederatedIngestKeepsWideLabels(t *testing.T) {
+	nodes := startNodes(t, 1)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wl := wire.NewListener(nodes[0].srv)
+	go wl.Serve(ln)
+	t.Cleanup(func() { wl.Close() })
+	nodes[0].srv.SetWireAddr(ln.Addr().String())
+	co, fed := startCoordinator(t, nodes, testCfg())
+
+	if status, body := fedDo(t, http.MethodPut, fed.URL+"/streams/s", managedCfg(1, 1)); status != http.StatusCreated {
+		t.Fatalf("create: status %d body %v", status, body)
+	}
+	label := 1<<32 + 3
+	status, body := fedDo(t, http.MethodPost, fed.URL+"/streams/s/points",
+		map[string]any{"points": []client.Point{{Values: []float64{1}, Label: &label}}})
+	if status != http.StatusOK {
+		t.Fatalf("ingest: status %d body %v", status, body)
+	}
+	co.wmu.Lock()
+	dialed := len(co.wires)
+	co.wmu.Unlock()
+	if dialed == 0 {
+		t.Fatal("the coordinator never tried the node's wire listener")
+	}
+	status, body = fedGet(t, nodes[0].ts.URL+"/streams/"+shardStream("s", 0)+"/query?type=classdist&h=0")
+	if status != http.StatusOK {
+		t.Fatalf("classdist: status %d body %v", status, body)
+	}
+	if dist := body["distribution"].(map[string]any); len(dist) != 1 || dist["4294967299"] == nil {
+		t.Fatalf("node classdist %v, want the one class 4294967299", dist)
+	}
 }

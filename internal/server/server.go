@@ -454,16 +454,22 @@ func writeJSON(w http.ResponseWriter, v any) {
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	r.Body = http.MaxBytesReader(w, r.Body, s.maxBody)
 	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			httpError(w, http.StatusRequestEntityTooLarge,
-				"request body exceeds the %d-byte limit", mbe.Limit)
-			return false
-		}
-		httpError(w, http.StatusBadRequest, "decoding request: %v", err)
+		bodyError(w, err, "decoding request: %v")
 		return false
 	}
 	return true
+}
+
+// bodyError answers a body that failed to read or decode: 413 when it
+// exceeded the body limit, else 400 with err formatted by format.
+func bodyError(w http.ResponseWriter, err error, format string) {
+	var mbe *http.MaxBytesError
+	if errors.As(err, &mbe) {
+		httpError(w, http.StatusRequestEntityTooLarge,
+			"request body exceeds the %d-byte limit", mbe.Limit)
+		return
+	}
+	httpError(w, http.StatusBadRequest, format, err)
 }
 
 // namedStream pairs a stream with its registered name.
@@ -735,8 +741,8 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "stream %q not found", name)
 		return
 	}
-	var req IngestRequest
-	if !s.decodeBody(w, r, &req) {
+	req, ok := s.readIngest(w, r)
+	if !ok {
 		return
 	}
 	if len(req.Points) == 0 {
@@ -990,13 +996,7 @@ func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 	}
 	blob, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.maxBody))
 	if err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			httpError(w, http.StatusRequestEntityTooLarge,
-				"request body exceeds the %d-byte limit", mbe.Limit)
-			return
-		}
-		httpError(w, http.StatusBadRequest, "reading body: %v", err)
+		bodyError(w, err, "reading body: %v")
 		return
 	}
 	if ms.pending.Load() != 0 {

@@ -2,7 +2,6 @@ package server
 
 import (
 	"encoding/json"
-	"errors"
 	"io"
 	"net/http"
 	"strconv"
@@ -58,13 +57,7 @@ func (s *Server) handleTransferPost(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.maxBody))
 	if err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			httpError(w, http.StatusRequestEntityTooLarge,
-				"request body exceeds the %d-byte limit", mbe.Limit)
-			return
-		}
-		httpError(w, http.StatusBadRequest, "reading body: %v", err)
+		bodyError(w, err, "reading body: %v")
 		return
 	}
 	tr, err := durable.DecodeTransfer(body)
