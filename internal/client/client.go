@@ -577,9 +577,9 @@ func (c *Client) HealthInfoContext(ctx context.Context) (*HealthInfo, error) {
 	return &out, nil
 }
 
-// TransferContext downloads the stream's full durable chain as one
-// self-verifying transfer blob (GET /streams/{name}/transfer) — the unit
-// a federation drain ships between nodes.
+// TransferContext downloads a live checkpoint of the stream (GET
+// /streams/{name}/transfer): the bytes a checkpoint file holds, and the
+// unit a federation drain ships between nodes.
 func (c *Client) TransferContext(ctx context.Context, name string) ([]byte, error) {
 	var raw []byte
 	if err := c.doCtx(ctx, http.MethodGet,
@@ -589,7 +589,7 @@ func (c *Client) TransferContext(ctx context.Context, name string) ([]byte, erro
 	return raw, nil
 }
 
-// InstallTransferContext installs a transfer blob on the peer under name
+// InstallTransferContext installs checkpoint bytes on the peer under name
 // (POST /streams/{name}/transfer). The peer refuses with 409 if it
 // already holds the stream.
 func (c *Client) InstallTransferContext(ctx context.Context, name string, blob []byte) error {

@@ -129,8 +129,10 @@ type Record struct {
 	Ops []Op
 }
 
-// encodeCheckpoint renders ck into its file bytes.
-func encodeCheckpoint(ck Checkpoint) ([]byte, error) {
+// EncodeCheckpoint renders ck into its file bytes. These bytes are the
+// one persisted form of a stream: what a .ckpt file holds and what
+// GET /streams/{name}/transfer ships to another node.
+func EncodeCheckpoint(ck Checkpoint) ([]byte, error) {
 	var payload bytes.Buffer
 	if err := gob.NewEncoder(&payload).Encode(checkpointPayload(ck)); err != nil {
 		return nil, fmt.Errorf("durable: encoding checkpoint: %w", err)
@@ -143,9 +145,11 @@ func encodeCheckpoint(ck Checkpoint) ([]byte, error) {
 	return buf, nil
 }
 
-// decodeCheckpoint parses and verifies checkpoint file bytes. Structural
-// failures return errCorrupt-wrapped errors.
-func decodeCheckpoint(data []byte) (Checkpoint, error) {
+// DecodeCheckpoint parses and verifies checkpoint file bytes, read from
+// disk or received over the network. Structural failures (bad magic, CRC
+// mismatch, truncation, an undecodable payload) return errCorrupt-wrapped
+// errors.
+func DecodeCheckpoint(data []byte) (Checkpoint, error) {
 	if len(data) < 20 {
 		return Checkpoint{}, fmt.Errorf("%w: checkpoint header truncated at %d bytes", errCorrupt, len(data))
 	}

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"fmt"
 	"hash/crc32"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -27,13 +29,32 @@ func testCheckpoint() Checkpoint {
 	}
 }
 
+// randCheckpoint builds a pseudo-random but deterministic checkpoint with
+// an opaque snapshot.
+func randCheckpoint(rng *rand.Rand) Checkpoint {
+	snap := make([]byte, 64+rng.Intn(512))
+	rng.Read(snap)
+	return Checkpoint{
+		Seq: uint64(rng.Intn(100) + 1),
+		Meta: StreamMeta{
+			Name:     fmt.Sprintf("s%d", rng.Intn(10)),
+			Policy:   "variable",
+			Lambda:   rng.Float64() / 100,
+			Capacity: rng.Intn(1000) + 1,
+		},
+		Next:     uint64(rng.Intn(10000)),
+		Dim:      rng.Intn(4) + 1,
+		Snapshot: snap,
+	}
+}
+
 func TestCheckpointRoundtrip(t *testing.T) {
 	want := testCheckpoint()
-	data, err := encodeCheckpoint(want)
+	data, err := EncodeCheckpoint(want)
 	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
-	got, err := decodeCheckpoint(data)
+	got, err := DecodeCheckpoint(data)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -42,8 +63,32 @@ func TestCheckpointRoundtrip(t *testing.T) {
 	}
 }
 
+// TestTransferRoundTrip round-trips the body a drain ships between nodes:
+// GET /transfer returns EncodeCheckpoint of the live cut, so a transfer is
+// a checkpoint with an opaque snapshot that must come back byte for byte.
+func TestTransferRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 50; i++ {
+		src := randCheckpoint(rng)
+		blob, err := EncodeCheckpoint(src)
+		if err != nil {
+			t.Fatalf("iter %d: encode: %v", i, err)
+		}
+		got, err := DecodeCheckpoint(blob)
+		if err != nil {
+			t.Fatalf("iter %d: decode: %v", i, err)
+		}
+		if !reflect.DeepEqual(got, src) {
+			t.Fatalf("iter %d: round trip changed the transfer:\n got %+v\nwant %+v", i, got, src)
+		}
+		if !bytes.Equal(got.Snapshot, src.Snapshot) {
+			t.Fatalf("iter %d: snapshot bytes differ after round trip", i)
+		}
+	}
+}
+
 func TestCheckpointCorruptionDetected(t *testing.T) {
-	data, err := encodeCheckpoint(testCheckpoint())
+	data, err := EncodeCheckpoint(testCheckpoint())
 	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
@@ -68,10 +113,35 @@ func TestCheckpointCorruptionDetected(t *testing.T) {
 		"empty":             func([]byte) []byte { return nil },
 	}
 	for name, mutate := range cases {
-		if _, err := decodeCheckpoint(mutate(data)); err == nil {
+		if _, err := DecodeCheckpoint(mutate(data)); err == nil {
 			t.Errorf("%s: corruption not detected", name)
 		} else if !IsCorrupt(err) {
 			t.Errorf("%s: error %v is not classified corrupt", name, err)
+		}
+	}
+}
+
+// TestTransferCorruptionDetected truncates and flips every region of a
+// transfer body and demands a clean IsCorrupt error — a transfer damaged
+// in flight must never install.
+func TestTransferCorruptionDetected(t *testing.T) {
+	blob, err := EncodeCheckpoint(randCheckpoint(rand.New(rand.NewSource(11))))
+	if err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	// Truncations at every boundary class: inside the magic, inside the
+	// header, mid-payload and one byte short.
+	for _, n := range []int{0, 7, 19, len(blob) / 2, len(blob) - 1} {
+		if _, err := DecodeCheckpoint(blob[:n]); err == nil || !IsCorrupt(err) {
+			t.Fatalf("truncation to %d bytes: err = %v, want IsCorrupt", n, err)
+		}
+	}
+	// Single-byte flips across magic, CRC, length and payload.
+	for _, idx := range []int{0, 9, 15, 25, len(blob) - 1} {
+		mut := append([]byte(nil), blob...)
+		mut[idx] ^= 0xff
+		if _, err := DecodeCheckpoint(mut); err == nil || !IsCorrupt(err) {
+			t.Fatalf("flip at %d: err = %v, want IsCorrupt", idx, err)
 		}
 	}
 }

@@ -147,7 +147,7 @@ func (s *Store) chain(name string) *streamChain {
 // writeCheckpointFile writes ck's bytes crash-safely: temp file, fsync,
 // atomic rename over the final name, directory fsync.
 func (s *Store) writeCheckpointFile(name string, ck Checkpoint) error {
-	data, err := encodeCheckpoint(ck)
+	data, err := EncodeCheckpoint(ck)
 	if err != nil {
 		return err
 	}
@@ -533,7 +533,7 @@ func (s *Store) recoverStream(name string, ckpts, journals []uint64) (Recovered,
 			s.quarantineSeq(name, seq, "ckpt")
 			continue
 		}
-		c, err := decodeCheckpoint(data)
+		c, err := DecodeCheckpoint(data)
 		if err != nil || c.Seq != seq || c.Meta.Name != name {
 			s.quarantineSeq(name, seq, "ckpt")
 			continue

@@ -197,7 +197,7 @@ func New(peers []string, cfg Config, opts ...Option) (*Coordinator, error) {
 	co.migrStreams = co.metrics.Counter("biasedres_fed_migration_streams_total",
 		"Streams shipped to a new placement by drain operations.").With()
 	co.migrBytes = co.metrics.Counter("biasedres_fed_migration_bytes_total",
-		"Transfer-blob bytes shipped by drain operations.").With()
+		"Checkpoint bytes shipped by drain operations.").With()
 	co.migrErrs = co.metrics.Counter("biasedres_fed_migration_errors_total",
 		"Stream migrations that failed (stream left on the source).").With()
 	co.migrSeconds = co.metrics.Histogram("biasedres_fed_migration_seconds",

@@ -14,9 +14,9 @@ import (
 
 // Live migration: POST /peers/drain moves every stream a departing node
 // holds onto its next placement before the node leaves the registry.
-// For each resident stream the coordinator ships one transfer blob —
-// the node's checkpoint-equivalent cut (GET /streams/{name}/transfer),
-// which installs byte-identically on the destination — to the highest-
+// For each resident stream the coordinator ships one checkpoint — a live
+// cut in checkpoint file bytes (GET /streams/{name}/transfer), which
+// installs byte-identically on the destination — to the highest-
 // ranked remaining peer that does not already hold it. The drained peer
 // stays registered until every stream has shipped, so placement (which
 // ranks over all registered peers) keeps routing reads at the source
@@ -119,7 +119,7 @@ func (co *Coordinator) drain(ctx context.Context, src *peer) drainReport {
 	return report
 }
 
-// migrateStream ships one stream off src: export a transfer blob (from
+// migrateStream ships one stream off src: export its checkpoint (from
 // src, or a sibling replica when src cannot answer), install it on the
 // stream's next-ranked peer, then best-effort delete the source copy.
 func (co *Coordinator) migrateStream(ctx context.Context, src *peer, name string) (migratedStream, error) {
@@ -189,7 +189,7 @@ func (co *Coordinator) migrateStream(ctx context.Context, src *peer, name string
 	return migratedStream{}, lastErr
 }
 
-// exportTransfer fetches the stream's transfer blob from src, falling
+// exportTransfer fetches the stream's checkpoint bytes from src, falling
 // back to any other healthy peer holding the same stream (a replica)
 // when src cannot answer — the path that re-homes a crashed node's
 // shards.

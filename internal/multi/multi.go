@@ -125,7 +125,7 @@ func (m *Manager) RegisterKind(name string, kind Kind, share int) error {
 			return err
 		}
 	}
-	return m.register(name, kind, share, core.SamplerConfig{Policy: string(kind), Lambda: m.lambda, Capacity: share})
+	return m.register(name, kind, share, core.SamplerConfig{Policy: string(kind), Lambda: m.lambda, Capacity: share}, nil)
 }
 
 // checkShare applies the ⌊1/λ⌋ maximum-requirement cap (Corollary 2.1).
@@ -140,8 +140,12 @@ func (m *Manager) checkShare(share int) error {
 	return nil
 }
 
-// register builds cfg's sampler and charges total slots for it.
-func (m *Manager) register(name string, kind Kind, total int, cfg core.SamplerConfig) error {
+// register builds cfg's sampler and charges total slots for it. A new
+// stream's sampler draws its seed from m.rng. A stream loaded from a
+// fleet checkpoint (from non-nil) is restored from its snapshot, which
+// carries its own generator state; it builds on a throwaway source so
+// streams registered after a load still draw the same seeds from m.rng.
+func (m *Manager) register(name string, kind Kind, total int, cfg core.SamplerConfig, from *streamState) error {
 	fresh, err := core.SamplerFactory(cfg)
 	if err != nil {
 		return fmt.Errorf("multi: %w", err)
@@ -154,9 +158,18 @@ func (m *Manager) register(name string, kind Kind, total int, cfg core.SamplerCo
 	if m.used+total > m.budget {
 		return fmt.Errorf("multi: budget exhausted: %d used + %d requested > %d total", m.used, total, m.budget)
 	}
-	sampler, err := fresh(m.rng.Split())
+	rng := xrand.New(0)
+	if from == nil {
+		rng = m.rng.Split()
+	}
+	sampler, err := fresh(rng)
 	if err != nil {
 		return fmt.Errorf("multi: creating %s reservoir for %q: %w", kind, name, err)
+	}
+	if from != nil {
+		if err := sampler.UnmarshalBinary(from.Snapshot); err != nil {
+			return fmt.Errorf("multi: restoring %q: %w", name, err)
+		}
 	}
 	m.streams[name] = &entry{sm: core.NewSynchronized(sampler), kind: kind, share: total}
 	m.used += total
@@ -188,7 +201,7 @@ func (m *Manager) RegisterTiered(name string, share, tiers int, ratio float64) e
 		return err
 	}
 	return m.register(name, KindVariable, share*tiers, core.SamplerConfig{
-		Policy: string(KindVariable), Lambda: m.lambda, Capacity: share, Tiers: tiers, TierRatio: ratio})
+		Policy: string(KindVariable), Lambda: m.lambda, Capacity: share, Tiers: tiers, TierRatio: ratio}, nil)
 }
 
 // RegisterEven registers all names with equal shares of the whole budget

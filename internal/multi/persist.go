@@ -6,7 +6,6 @@ import (
 	"io"
 
 	"biasedres/internal/core"
-	"biasedres/internal/xrand"
 )
 
 // Fleet-level checkpointing: SaveTo serializes every registered stream's
@@ -89,9 +88,6 @@ func LoadFrom(r io.Reader, seed uint64) (*Manager, error) {
 		if st.Share <= 0 {
 			return nil, fmt.Errorf("multi: stream %q has share %d in checkpoint", name, st.Share)
 		}
-		if m.used+st.Share > m.budget {
-			return nil, fmt.Errorf("multi: checkpoint overcommits budget at stream %q", name)
-		}
 		// Checkpoints written before sampler kinds existed decode with an
 		// empty Kind: the historical default, a variable reservoir.
 		kind := Kind(st.Kind)
@@ -114,19 +110,9 @@ func LoadFrom(r io.Reader, seed uint64) (*Manager, error) {
 			}
 			cfg.Capacity, cfg.Tiers, cfg.TierRatio = st.Share/st.Tiers, st.Tiers, st.Ratio
 		}
-		fresh, err := core.SamplerFactory(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("multi: rebuilding %q: %w", name, err)
+		if err := m.register(name, kind, st.Share, cfg, &st); err != nil {
+			return nil, err
 		}
-		sampler, err := fresh(xrand.New(0))
-		if err != nil {
-			return nil, fmt.Errorf("multi: rebuilding %q: %w", name, err)
-		}
-		if err := sampler.UnmarshalBinary(st.Snapshot); err != nil {
-			return nil, fmt.Errorf("multi: restoring %q: %w", name, err)
-		}
-		m.streams[name] = &entry{sm: core.NewSynchronized(sampler), kind: kind, share: st.Share}
-		m.used += st.Share
 	}
 	return m, nil
 }

@@ -254,14 +254,17 @@ func applyOps(sm core.Sampler, ops []durable.Op) (int, error) {
 	return len(ops), nil
 }
 
-// replayTail applies a journal tail to a freshly restored sampler, in
-// order, and advances the (next, dim) ingest bookkeeping past every
-// replayed op. Install runs it for startup recovery and transfers alike —
-// both turn a checkpoint + tail chain into a live sampler.
-func replayTail(sampler core.Sampler, tail []durable.Record, next uint64, dim int) (uint64, int, error) {
-	for _, r := range tail {
+// resume replays from's journal tail, in order, onto a sampler restored
+// from from's checkpoint and returns the stream's (next, dim) ingest
+// bookkeeping, advanced past every replayed op. It refuses bookkeeping
+// the sampler contradicts: a next behind the points already processed
+// would hand out arrival indices twice, and a dim other than the sample's
+// would refuse every later ingest. A dim of 0 adopts the sample's.
+func resume(sampler core.Sampler, from *durable.Recovered) (uint64, int, error) {
+	next, dim := from.Checkpoint.Next, from.Checkpoint.Dim
+	for _, r := range from.Tail {
 		if _, err := applyOps(sampler, r.Ops); err != nil {
-			return next, dim, fmt.Errorf("replaying journal: %w", err)
+			return 0, 0, fmt.Errorf("replaying journal: %w", err)
 		}
 		for _, op := range r.Ops {
 			if op.P.Index > next {
@@ -271,6 +274,18 @@ func replayTail(sampler core.Sampler, tail []durable.Record, next uint64, dim in
 				dim = len(op.P.Values)
 			}
 		}
+	}
+	if p := sampler.Processed(); next < p {
+		return 0, 0, fmt.Errorf("checkpoint next index %d is behind the %d points its sampler processed", next, p)
+	}
+	pd, err := pointsDim(sampler.Points())
+	if err != nil {
+		return 0, 0, err
+	}
+	if dim == 0 {
+		dim = pd
+	} else if pd != 0 && pd != dim {
+		return 0, 0, fmt.Errorf("checkpoint dim %d disagrees with its points' dim %d", dim, pd)
 	}
 	return next, dim, nil
 }
@@ -289,8 +304,7 @@ func (s *Server) recoverDurable() error {
 		// Rebaseline: one fresh checkpoint above every sequence the disk
 		// holds (including corrupt newer generations), so the replayed
 		// state is durable again before the stream serves traffic.
-		from := &durable.Transfer{Checkpoint: rec.Checkpoint, Tail: rec.Tail}
-		if _, _, err := s.install(name, createRequestOf(rec.Checkpoint.Meta), from, rec.MaxSeq+1); err != nil {
+		if _, _, err := s.install(name, createRequestOf(rec.Checkpoint.Meta), &rec, rec.MaxSeq+1); err != nil {
 			s.durable.QuarantineStream(name)
 			if s.log != nil {
 				s.log.Warn("stream recovery failed; files quarantined", "stream", name, "error", err)

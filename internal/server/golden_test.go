@@ -179,19 +179,7 @@ func TestGoldenCheckpointsRestore(t *testing.T) {
 	if err := json.Unmarshal(raw, &manifest); err != nil {
 		t.Fatal(err)
 	}
-	entries, err := os.ReadDir(filepath.Join(goldenDir, "data"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs := durable.NewMemFS()
-	for _, e := range entries {
-		data, err := os.ReadFile(filepath.Join(goldenDir, "data", e.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		fs.WriteFile(path.Join("data", e.Name()), data)
-	}
-	ts, _, _ := newDurableServer(t, fs)
+	ts, _, _ := newDurableServer(t, loadGoldenFS(t))
 
 	resp, body := do(t, http.MethodGet, ts.URL+"/streams", nil)
 	if resp.StatusCode != http.StatusOK {

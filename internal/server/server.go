@@ -7,6 +7,8 @@
 //
 // API (all bodies JSON unless noted):
 //
+//	GET    /healthz                   liveness, stream and point counts
+//	GET    /readyz                    readiness: 503 while recovering or shutting down
 //	PUT    /streams/{name}            create a stream   {"lambda":1e-4,"capacity":1000,"policy":"variable"}
 //	GET    /streams                   list streams
 //	GET    /streams/{name}            stream statistics
@@ -16,8 +18,10 @@
 //	GET    /streams/{name}/query      estimate; see Query parameters below
 //	GET    /streams/{name}/range      bucketed estimates over [start,end)
 //	GET    /streams/{name}/accum      fused HT accumulator (federation wire form)
-//	GET    /streams/{name}/snapshot   binary checkpoint (octet-stream)
-//	POST   /streams/{name}/restore    restore from a checkpoint body
+//	GET    /streams/{name}/snapshot   sampler snapshot (octet-stream)
+//	POST   /streams/{name}/restore    restore from a snapshot body
+//	GET    /streams/{name}/transfer   live checkpoint file bytes (octet-stream)
+//	POST   /streams/{name}/transfer   install checkpoint file bytes as a new stream
 //	POST   /streams/{name}/model      attach a managed classifier (see model.go)
 //	GET    /streams/{name}/model      model statistics
 //	GET    /streams/{name}/model/eval model confusion matrix and macro-F1
@@ -302,9 +306,9 @@ func New(seed uint64, opts ...Option) *Server {
 		{"GET /streams/{name}/query", s.handleQuery},
 		{"GET /streams/{name}/range", s.handleRange},
 		{"GET /streams/{name}/accum", s.handleAccum},
-		{"GET /streams/{name}/snapshot", s.handleSnapshot},
+		{"GET /streams/{name}/snapshot", s.handleExport(false)},
 		{"POST /streams/{name}/restore", s.handleRestore},
-		{"GET /streams/{name}/transfer", s.handleTransferGet},
+		{"GET /streams/{name}/transfer", s.handleExport(true)},
 		{"POST /streams/{name}/transfer", s.handleTransferPost},
 		{"POST /streams/{name}/model", s.handleModelCreate},
 		{"GET /streams/{name}/model", s.handleModelGet},
@@ -549,30 +553,26 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 
 // install is the one path by which a stream comes to exist — create,
 // startup recovery and transfer all call it. It builds the sampler for
-// req, restores it from `from` (checkpoint plus journal tail) when given,
-// makes it durable as checkpoint seq, starts its ingest lane and registers
-// it under name. On failure it returns the HTTP status to answer with.
-func (s *Server) install(name string, req CreateRequest, from *durable.Transfer, seq uint64) (*managedStream, int, error) {
+// req, restores it from `from` when given (a checkpoint, plus its journal
+// tail on recovery) and checks the restored bookkeeping (resume), makes
+// it durable as checkpoint seq, starts its ingest lane and registers it
+// under name. On failure it returns the HTTP status to answer with.
+func (s *Server) install(name string, req CreateRequest, from *durable.Recovered, seq uint64) (*managedStream, int, error) {
 	fresh, err := core.SamplerFactory(core.SamplerConfig(req))
 	if err != nil {
 		return nil, http.StatusBadRequest, err
 	}
 	ms := &managedStream{req: req, fresh: fresh}
-	s.mu.Lock()
-	rng := s.seeds.Split()
-	s.mu.Unlock()
-	sampler, err := fresh(rng)
-	if err != nil {
-		return nil, http.StatusBadRequest, fmt.Errorf("creating sampler: %w", err)
-	}
+	var ck *durable.Checkpoint
 	if from != nil {
-		if err := sampler.UnmarshalBinary(from.Checkpoint.Snapshot); err != nil {
-			return nil, http.StatusBadRequest, fmt.Errorf("restoring snapshot: %w", err)
-		}
-		ms.next, ms.dim, err = replayTail(sampler, from.Tail, from.Checkpoint.Next, from.Checkpoint.Dim)
-		if err != nil {
-			return nil, http.StatusBadRequest, err
-		}
+		ck = &from.Checkpoint
+	}
+	sampler, err := s.newSampler(fresh, ck)
+	if err == nil && from != nil {
+		ms.next, ms.dim, err = resume(sampler, from)
+	}
+	if err != nil {
+		return nil, http.StatusBadRequest, err
 	}
 	ms.sm = core.NewSynchronized(sampler)
 	ms.lastCkptVer = version(sampler)
@@ -971,22 +971,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, out)
 }
 
-func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	ms, ok := s.lookup(r.PathValue("name"))
-	if !ok {
-		httpError(w, http.StatusNotFound, "stream %q not found", r.PathValue("name"))
-		return
-	}
-	ck, err := s.cut(r.PathValue("name"), ms, nil)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, "snapshot: %v", err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("X-Biasedres-Next-Index", strconv.FormatUint(ck.Next, 10))
-	_, _ = w.Write(ck.Snapshot)
-}
-
 func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	ms, ok := s.lookup(name)
@@ -1009,15 +993,8 @@ func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 	}
 	// Deserialize and validate against a scratch sampler first: a corrupt
 	// or inconsistent checkpoint must leave the live stream untouched.
-	s.mu.Lock()
-	rng := s.seeds.Split()
-	s.mu.Unlock()
-	restored, err := ms.fresh(rng)
+	restored, err := s.newSampler(ms.fresh, &durable.Checkpoint{Snapshot: blob})
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, "rebuilding sampler: %v", err)
-		return
-	}
-	if err := restored.UnmarshalBinary(blob); err != nil {
 		httpError(w, http.StatusBadRequest, "restore: %v", err)
 		return
 	}
@@ -1068,6 +1045,27 @@ func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 		s.log.Info("stream restored", "stream", name, "processed", processed, "size", size, "dim", dim)
 	}
 	writeJSON(w, map[string]any{"processed": processed, "size": size})
+}
+
+// newSampler builds a scratch sampler from fresh on the next split of the
+// server's seed source and, when from is non-nil, restores it from from's
+// snapshot. Create, recovery, transfer and restore all build their
+// sampler here, so a snapshot that does not restore never reaches a live
+// stream.
+func (s *Server) newSampler(fresh func(*xrand.Source) (core.PersistentSampler, error), from *durable.Checkpoint) (core.PersistentSampler, error) {
+	s.mu.Lock()
+	rng := s.seeds.Split()
+	s.mu.Unlock()
+	sampler, err := fresh(rng)
+	if err != nil {
+		return nil, fmt.Errorf("creating sampler: %w", err)
+	}
+	if from != nil {
+		if err := sampler.UnmarshalBinary(from.Snapshot); err != nil {
+			return nil, fmt.Errorf("restoring snapshot: %w", err)
+		}
+	}
+	return sampler, nil
 }
 
 // pointsDim derives the stream dimensionality from restored reservoir

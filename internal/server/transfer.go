@@ -10,49 +10,55 @@ import (
 )
 
 // Stream transfer: the data-plane half of federated live migration. A
-// coordinator draining a node fetches each resident stream as one
-// self-verifying durable.Transfer blob (GET) and installs it on the
-// stream's new placement (POST). The blob is a live-cut checkpoint — the
-// sampler marshaled under its lock with the (next, dim) bookkeeping
-// captured coherently — with an empty journal tail, so installing it and
-// re-marshaling reproduces the source's snapshot bytes exactly (the
-// byte-identity the migration tests assert). The format also carries a
-// tail for chains shipped straight off disk; install replays it through
-// the same path startup recovery uses.
+// coordinator draining a node fetches each resident stream as checkpoint
+// file bytes (GET) and installs them on the stream's new placement
+// (POST). A checkpoint is the one persisted form of a stream: the body is
+// exactly what durable.EncodeCheckpoint writes to a .ckpt file, so a
+// checkpoint file read off a node's disk installs as is. The GET body is
+// a live cut — the sampler marshaled under its lock with the (next, dim)
+// bookkeeping captured coherently — so installing it and re-marshaling
+// reproduces the source's snapshot bytes exactly (the byte-identity the
+// migration tests assert). A journal tail is never shipped: only startup
+// recovery replays one.
 
-// handleTransferGet is GET /streams/{name}/transfer: export the stream
-// as a transfer blob. Points sitting in the async ingest queue are not in
-// the cut (exactly like GET /snapshot); the X-Biasedres-Pending header
-// reports how many, so a migrating caller can wait for quiescence when it
-// needs a loss-free cut.
-func (s *Server) handleTransferGet(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	ms, ok := s.lookup(name)
-	if !ok {
-		httpError(w, http.StatusNotFound, "stream %q not found", name)
-		return
+// handleExport serves a live cut of a stream: GET /snapshot answers the
+// sampler snapshot alone, GET /transfer (checkpoint set) the whole cut as
+// checkpoint file bytes. Points sitting in the async ingest queue are not
+// in the cut; the X-Biasedres-Pending header reports how many, so a
+// migrating caller can wait for quiescence when it needs a loss-free cut.
+// X-Biasedres-Next-Index carries the cut's last assigned arrival index.
+func (s *Server) handleExport(checkpoint bool) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		name := r.PathValue("name")
+		ms, ok := s.lookup(name)
+		if !ok {
+			httpError(w, http.StatusNotFound, "stream %q not found", name)
+			return
+		}
+		ck, err := s.cut(name, ms, nil)
+		out := ck.Snapshot
+		if err == nil && checkpoint {
+			out, err = durable.EncodeCheckpoint(ck)
+		}
+		if err != nil {
+			httpError(w, http.StatusInternalServerError, "export: %v", err)
+			return
+		}
+		w.Header().Set("Content-Type", "application/octet-stream")
+		w.Header().Set("X-Biasedres-Next-Index", strconv.FormatUint(ck.Next, 10))
+		w.Header().Set("X-Biasedres-Pending", strconv.FormatInt(ms.pending.Load(), 10))
+		_, _ = w.Write(out)
 	}
-	ck, err := s.cut(name, ms, nil)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, "transfer: %v", err)
-		return
-	}
-	out, err := durable.EncodeTransfer(durable.Transfer{Checkpoint: ck})
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, "transfer: %v", err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("X-Biasedres-Pending", strconv.FormatInt(ms.pending.Load(), 10))
-	_, _ = w.Write(out)
 }
 
-// handleTransferPost is POST /streams/{name}/transfer: install a
-// transfer blob as a new stream under the path name. The blob's embedded
-// meta supplies the configuration; its name is advisory (a transfer can
-// install under a different name). Installing over an existing stream is
-// refused with 409 — migration ships to nodes that do not hold the
-// stream, and an operator who really wants to overwrite can DELETE first.
+// handleTransferPost is POST /streams/{name}/transfer: install checkpoint
+// bytes as a new stream under the path name. The checkpoint's meta
+// supplies the configuration; its name is advisory (a checkpoint can
+// install under a different name). A checkpoint whose (next, dim)
+// bookkeeping contradicts its own sampler is refused with 400. Installing
+// over an existing stream is refused with 409 — migration ships to nodes
+// that do not hold the stream, and an operator who really wants to
+// overwrite can DELETE first.
 func (s *Server) handleTransferPost(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.maxBody))
@@ -60,22 +66,21 @@ func (s *Server) handleTransferPost(w http.ResponseWriter, r *http.Request) {
 		bodyError(w, err, "reading body: %v")
 		return
 	}
-	tr, err := durable.DecodeTransfer(body)
+	ck, err := durable.DecodeCheckpoint(body)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "transfer: %v", err)
 		return
 	}
 	// The installed stream is durable from its first moment: one
-	// checkpoint holding the replayed state, above the shipped seq.
-	ms, code, err := s.install(name, createRequestOf(tr.Checkpoint.Meta), &tr, tr.Checkpoint.Seq+1)
+	// checkpoint holding the shipped state, above the shipped seq.
+	ms, code, err := s.install(name, createRequestOf(ck.Meta), &durable.Recovered{Checkpoint: ck}, ck.Seq+1)
 	if err != nil {
 		httpError(w, code, "transfer: %v", err)
 		return
 	}
 	processed, size := ms.sm.Processed(), ms.sm.Len()
 	if s.log != nil {
-		s.log.Info("stream installed from transfer", "stream", name,
-			"processed", processed, "size", size, "tail_records", len(tr.Tail))
+		s.log.Info("stream installed from transfer", "stream", name, "processed", processed, "size", size)
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusCreated)

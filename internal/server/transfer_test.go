@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -166,5 +167,106 @@ func TestTransferInstallDurable(t *testing.T) {
 	}
 	if !bytes.Equal(before["raw"].([]byte), after["raw"].([]byte)) {
 		t.Fatal("recovered snapshot differs from the installed state")
+	}
+}
+
+// TestTransferInstallsCheckpointFile checks that a checkpoint is a
+// transfer: the newest .ckpt file a durable node wrote, POSTed as is to
+// a second node, installs a stream whose snapshot is byte-identical to
+// the source's.
+func TestTransferInstallsCheckpointFile(t *testing.T) {
+	fs := durable.NewMemFS()
+	src, srcSrv, _ := newDurableServer(t, fs)
+	createStream(t, src.URL, "s", CreateRequest{Policy: "variable", Lambda: 0.01, Capacity: 64})
+	ingest(t, src.URL, "s", floatPoints(200, 0))
+	resp, want := do(t, http.MethodGet, src.URL+"/streams/s/snapshot", nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("source snapshot: status %d", resp.StatusCode)
+	}
+	src.Close()
+	srcSrv.Close() // the final checkpoint holds all 200 points
+
+	var file string
+	var seq uint64
+	for p := range fs.Files() {
+		var n uint64
+		if _, err := fmt.Sscanf(p, "data/st-s.%d.ckpt", &n); err == nil && n > seq {
+			file, seq = p, n
+		}
+	}
+	data, ok := fs.ReadFile(file)
+	if !ok {
+		t.Fatalf("no checkpoint file of stream s on disk: %v", fs.Files())
+	}
+
+	dst := newTestServer(t)
+	installTransfer(t, dst.URL, "s", data)
+	resp, got := do(t, http.MethodGet, dst.URL+"/streams/s/snapshot", nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("installed snapshot: status %d", resp.StatusCode)
+	}
+	if !bytes.Equal(got["raw"].([]byte), want["raw"].([]byte)) {
+		t.Fatalf("stream installed from %s differs from the source's snapshot", file)
+	}
+	if n := streamProcessed(t, dst.URL, "s"); n != 200 {
+		t.Fatalf("installed stream processed %v points, want 200", n)
+	}
+}
+
+// TestTransferRefusesContradictoryBookkeeping checks that install does
+// not trust a checkpoint's (next, dim) over its own sampler. A next
+// behind the processed count would hand out arrival indices twice; a dim
+// other than the points' would refuse every later ingest. Both answer
+// 400 on /transfer, and recovery quarantines such a stream. A dim of 0
+// adopts the points' dimension.
+func TestTransferRefusesContradictoryBookkeeping(t *testing.T) {
+	src := newTestServer(t)
+	createStream(t, src.URL, "s", CreateRequest{Policy: "timedecay", Lambda: 0.05, Capacity: 30})
+	ingest(t, src.URL, "s", floatPoints(100, 0))
+	ck, err := durable.DecodeCheckpoint(fetchTransfer(t, src.URL, "s"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	edited := func(edit func(*durable.Checkpoint)) []byte {
+		c := ck
+		edit(&c)
+		data, err := durable.EncodeCheckpoint(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	behind := edited(func(c *durable.Checkpoint) { c.Next = 0 })
+	wrongDim := edited(func(c *durable.Checkpoint) { c.Dim = 7 })
+
+	dst := newTestServer(t)
+	for name, data := range map[string][]byte{"behind": behind, "dim": wrongDim} {
+		resp, body := do(t, http.MethodPost, dst.URL+"/streams/"+name+"/transfer", data)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status %d body %v, want 400", name, resp.StatusCode, body)
+		}
+		if resp, _ := do(t, http.MethodGet, dst.URL+"/streams/"+name, nil); resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("%s: refused install left a stream behind (status %d)", name, resp.StatusCode)
+		}
+	}
+
+	installTransfer(t, dst.URL, "nodim", edited(func(c *durable.Checkpoint) { c.Dim = 0 }))
+	stats := mustStats(t, dst.URL, "nodim")
+	if stats["dim"] != 1.0 {
+		t.Fatalf("dim-0 checkpoint installed with dim %v, want the points' 1", stats["dim"])
+	}
+	ingest(t, dst.URL, "nodim", floatPoints(10, 100))
+
+	fs := durable.NewMemFS()
+	fs.WriteFile("data/st-behind.1.ckpt", behind)
+	fs.WriteFile("data/st-dim.1.ckpt", wrongDim)
+	rec, _, _ := newDurableServer(t, fs)
+	for _, name := range []string{"behind", "dim"} {
+		if resp, _ := do(t, http.MethodGet, rec.URL+"/streams/"+name, nil); resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("%s: recovery installed a contradictory checkpoint (status %d)", name, resp.StatusCode)
+		}
+	}
+	if q := scrape(t, rec.URL)["biasedres_durable_quarantined_total"]; q < 2 {
+		t.Fatalf("quarantined %v files, want both checkpoints", q)
 	}
 }
