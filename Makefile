@@ -92,13 +92,15 @@ bench-e2e-smoke:
 	cd cmd/benche2e && $(GO) vet ./... && $(GO) test ./...
 
 # fuzz-smoke runs the wire-frame, journal, checkpoint and JSON ingest
-# decoder fuzzers briefly: long enough to exercise the mutation engine
-# over the checked-in corpora and seeds, short enough for CI.
+# decoder fuzzers and the wire ingest admission fuzzer briefly: long
+# enough to exercise the mutation engine over the checked-in corpora and
+# seeds, short enough for CI.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeFrame -fuzztime 10s ./internal/wire
 	$(GO) test -run '^$$' -fuzz FuzzDecodeJournal -fuzztime 10s ./internal/durable
 	$(GO) test -run '^$$' -fuzz FuzzDecodeCheckpoint -fuzztime 10s ./internal/durable
 	$(GO) test -run '^$$' -fuzz FuzzDecodeIngest -fuzztime 10s ./internal/server
+	$(GO) test -run '^$$' -fuzz FuzzIngestFrame -fuzztime 10s ./internal/server
 
 # test-durable runs the durability suite under the race detector: the
 # crash/fault-injection property tests, the server recovery tests, and the

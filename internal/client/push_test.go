@@ -172,6 +172,36 @@ func TestWireRefusesWhatFramesCannotCarry(t *testing.T) {
 	}
 }
 
+// TestWireRefusesNonFinite: NaN and ±Inf in a value or the weight fail
+// Add and Push before anything is sent, as they fail Push over HTTP.
+func TestWireRefusesNonFinite(t *testing.T) {
+	sink := &ackSink{}
+	wc, err := DialWire(startSinkListener(t, sink), WireConnConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wc.Close()
+	for name, p := range map[string]Point{
+		"NaN value":  {Values: []float64{1, math.NaN()}},
+		"+Inf value": {Values: []float64{math.Inf(1), 1}},
+		"-Inf value": {Values: []float64{1, math.Inf(-1)}},
+		"Inf weight": {Values: []float64{1, 2}, Weight: math.Inf(1)},
+	} {
+		if err := wc.Push("s", []Point{{Values: []float64{0, 0}}, p}); err == nil {
+			t.Errorf("Push accepted a point with a %s", name)
+		}
+		if err := wc.Add("s", p); err == nil {
+			t.Errorf("Add accepted a point with a %s", name)
+		}
+	}
+	if err := wc.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if n := sink.frames.Load(); n != 0 {
+		t.Fatalf("%d frames sent", n)
+	}
+}
+
 // BenchmarkPushEncode encodes one benchmark-shaped ingest body (256
 // labelled points, dim 10) with the append encoder PushContext uses and,
 // for comparison, with json.Marshal as PushContext did before.

@@ -191,15 +191,25 @@ func (w *WireConn) Add(stream string, p Point) error {
 }
 
 // add packs p into the frame. It refuses, leaving the frame unchanged,
-// a point whose dimension differs from the frame's and what a frame
-// cannot carry: a label outside int32, which would wrap to another class
-// (or to -1, unlabeled), and a timestamp, which would be dropped.
+// a point whose dimension differs from the frame's, a NaN or ±Inf value
+// or weight, which the server refuses, and what a frame cannot carry: a
+// label outside int32, which would wrap to another class (or to -1,
+// unlabeled), and a timestamp, which would be dropped.
 func (f *frame) add(p Point) error {
 	if f.count > 0 && len(p.Values) != f.dim {
 		return fmt.Errorf("wire: point has dim %d, batch has %d", len(p.Values), f.dim)
 	}
 	if p.TS != nil {
 		return fmt.Errorf("wire: point has a timestamp, which frames cannot carry")
+	}
+	nonFinite := func(v float64) bool { return math.IsNaN(v) || math.IsInf(v, 0) }
+	if nonFinite(p.Weight) {
+		return fmt.Errorf("wire: point has non-finite weight %v", p.Weight)
+	}
+	for _, v := range p.Values {
+		if nonFinite(v) {
+			return fmt.Errorf("wire: point has non-finite value %v", v)
+		}
 	}
 	label := int32(-1)
 	if p.Label != nil {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"sort"
 	"sync"
@@ -396,16 +397,29 @@ func (co *Coordinator) dropWireConns() {
 // listener of its own, fanning each binary frame out exactly like the
 // HTTP ingest path. Backpressure from every replica of a shard surfaces
 // as a NACK (the client resends); anything else that leaves a shard
-// unacknowledged is an authoritative error.
+// unacknowledged is an authoritative error. A frame with explicit
+// indices (each shard sequences its own points) or a NaN or ±Inf value
+// or weight is refused before the fan-out, so no shard applies a part of
+// it that the client's resend would duplicate.
 func (co *Coordinator) IngestFrame(f *wire.Frame) wire.Reply {
 	name := string(f.Name)
 	fs, ok := co.lookupFed(name)
 	if !ok {
 		return wire.Errorf("stream %q is not a federated stream", name)
 	}
+	if f.Indices != nil {
+		return wire.Errorf("stream %q is federated: its shards sequence points, so a frame cannot carry indices", name)
+	}
 	pts := make([]client.Point, f.Count)
 	for i := 0; i < f.Count; i++ {
 		v, label, weight := f.Point(i)
+		bad := math.IsNaN(weight) || math.IsInf(weight, 0)
+		for _, x := range v {
+			bad = bad || math.IsNaN(x) || math.IsInf(x, 0)
+		}
+		if bad {
+			return wire.Errorf("point %d has a non-finite value or weight", i)
+		}
 		pts[i] = client.Point{Values: v, Weight: weight}
 		if label >= 0 {
 			l := int(label)

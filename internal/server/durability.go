@@ -101,18 +101,23 @@ func createRequestOf(meta durable.StreamMeta) CreateRequest {
 	}
 }
 
-// journalOps appends an applied batch to dst as journal ops.
-func journalOps(dst []durable.Op, batch []stream.Point) []durable.Op {
-	for _, p := range batch {
-		dst = append(dst, durable.Op{P: p})
+// journalOps appends a batch to dst as journal ops, with the timestamps
+// ts holds (nil when no point carries one).
+func journalOps(dst []durable.Op, batch []stream.Point, ts []*float64) []durable.Op {
+	for i, p := range batch {
+		op := durable.Op{P: p}
+		if ts != nil && ts[i] != nil {
+			op.TS, op.HasTS = *ts[i], true
+		}
+		dst = append(dst, op)
 	}
 	return dst
 }
 
 // appendJournal frames one applied batch onto the stream's journal. Called
-// under the sampler lock (apply, the timed ingest path), so journal order
-// matches apply order. Failures degrade durability, not availability: they
-// are logged and counted, and ingest continues.
+// under the sampler lock by apply, so journal order matches apply order.
+// Failures degrade durability, not availability: they are logged and
+// counted, and ingest continues.
 func (s *Server) appendJournal(name string, ops []durable.Op) {
 	if s.durable == nil || len(ops) == 0 {
 		return

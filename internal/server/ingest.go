@@ -1,11 +1,12 @@
 package server
 
 import (
-	"encoding/json"
+	"fmt"
+	"math"
 	"net/http"
-	"strconv"
 
 	"biasedres/internal/core"
+	"biasedres/internal/durable"
 	"biasedres/internal/obs"
 	"biasedres/internal/stream"
 )
@@ -36,42 +37,178 @@ func (s *Server) startIngestShard(name string, ms *managedStream) {
 // bounds how many shards apply batches simultaneously (the -ingest-workers
 // flag), so thousands of idle streams cost goroutines but not CPU
 // contention. Model scoring runs inside the semaphore slot too:
-// classification is CPU work and must respect -ingest-workers.
+// classification is CPU work and must respect -ingest-workers. Queued
+// batches carry no timestamps and time-decay streams have no shard, so
+// apply cannot refuse here.
 func (s *Server) runIngestShard(name string, ms *managedStream) {
 	defer s.ingestWG.Done()
 	for batch := range ms.shard.ch {
 		s.ingestSem <- struct{}{}
 		s.apply(name, ms, batch, nil)
+		s.observeModel(ms, batch)
 		<-s.ingestSem
 		ms.pending.Add(-int64(len(batch)))
 		s.applied.With(name).Inc()
 	}
 }
 
+// admission is admit's outcome. A refusal carries the HTTP status that
+// renders it (400, 429 or 503) and consumed nothing; an accepted batch was
+// either queued on the stream's shard (pending points after it) or applied
+// inline (the stream position after it).
+type admission struct {
+	status    int // 0 when accepted
+	err       error
+	queued    bool
+	pending   int64
+	processed uint64
+}
+
+func refuse(status int, format string, args ...any) admission {
+	return admission{status: status, err: fmt.Errorf(format, args...)}
+}
+
+// admit is the one admission step of HTTP and wire ingest; the transports
+// only decode a batch and render the outcome. ts holds the points'
+// optional timestamps (nil when none carries one); indexed marks a batch
+// whose points carry explicit arrival indices (wire frames with
+// FlagIndices), which must advance the stream. Every other batch is
+// sequenced here, under qmu, so arrival indices are handed out in one
+// order. A refused batch consumes nothing: next and dim commit only once
+// the batch is queued or applied.
+func (s *Server) admit(name string, ms *managedStream, batch []stream.Point, ts []*float64, indexed bool) admission {
+	// Checks that read no stream state run before qmu.
+	if len(batch) == 0 {
+		return refuse(http.StatusBadRequest, "no points")
+	}
+	dim := len(batch[0].Values)
+	for i := range batch {
+		p := &batch[i]
+		if len(p.Values) == 0 {
+			return refuse(http.StatusBadRequest, "point %d has no values", i)
+		}
+		if len(p.Values) != dim {
+			return refuse(http.StatusBadRequest, "point %d has dim %d, batch has %d", i, len(p.Values), dim)
+		}
+		// x-x is 0 for a finite x and NaN for NaN and ±Inf, so the sum
+		// flags a non-finite value or weight with one branch per point.
+		nan := p.Weight - p.Weight
+		for _, v := range p.Values {
+			nan += v - v
+		}
+		if nan != 0 {
+			return refuse(http.StatusBadRequest, "point %d has a non-finite value or weight", i)
+		}
+	}
+
+	ms.qmu.Lock()
+	if ms.closed {
+		ms.qmu.Unlock()
+		return refuse(http.StatusServiceUnavailable, "stream %q is shutting down", name)
+	}
+	if ms.dim != 0 && ms.dim != dim {
+		ms.qmu.Unlock()
+		return refuse(http.StatusBadRequest, "batch has dim %d, stream has %d", dim, ms.dim)
+	}
+	next := ms.next
+	if !indexed && next > math.MaxUint64-uint64(len(batch)) {
+		ms.qmu.Unlock()
+		return refuse(http.StatusBadRequest, "the stream's arrival indices are exhausted (at %d)", next)
+	}
+	for i := range batch {
+		if !indexed {
+			next++
+			batch[i].Index = next
+			continue
+		}
+		if idx := batch[i].Index; idx <= next {
+			ms.qmu.Unlock()
+			return refuse(http.StatusBadRequest, "index %d at point %d does not advance the stream (at %d)", idx, i, next)
+		}
+		next = batch[i].Index
+	}
+
+	if ms.shard != nil {
+		// Async lane: hand the batch to the stream's worker under qmu
+		// only. A full queue is backpressure.
+		select {
+		case ms.shard.ch <- batch:
+		default:
+			ms.qmu.Unlock()
+			s.rejected.With(name).Inc()
+			return refuse(http.StatusTooManyRequests,
+				"ingest queue for stream %q is full (%d batches); retry later", name, s.ingestQueue)
+		}
+		ms.next, ms.dim = next, dim
+		pending := ms.pending.Add(int64(len(batch)))
+		ms.qmu.Unlock()
+		s.countIngest(name, len(batch))
+		return admission{queued: true, pending: pending}
+	}
+	processed, n, err := s.apply(name, ms, batch, ts)
+	if n > 0 {
+		ms.next, ms.dim = batch[n-1].Index, dim
+	}
+	// Model scoring runs after qmu is released so it never holds up
+	// admission.
+	ms.qmu.Unlock()
+	if err != nil {
+		return refuse(http.StatusBadRequest, "%v", err)
+	}
+	s.observeModel(ms, batch)
+	s.countIngest(name, n)
+	return admission{processed: processed}
+}
+
 // apply is the one path by which a live ingest batch reaches a stream's
-// sampler, for HTTP, wire and sharded ingest alike: under the sampler lock
-// it runs core.AddBatch, frames the batch onto the journal (so journal
-// order is apply order, and a checkpoint's journal cut — also under the
-// sampler lock — cleanly separates pre- from post-snapshot ops) and
-// invalidates the snapshot cache. release, when non-nil, runs next: the
-// synchronous paths pass their qmu unlock, so the model scoring that
-// follows never holds up admission. It returns the stream position after
-// the batch.
-func (s *Server) apply(name string, ms *managedStream, batch []stream.Point, release func()) uint64 {
-	var processed uint64
+// sampler, called only by admit (with qmu held) and the shard worker.
+// Under the sampler lock it adds the batch, frames it onto the journal (so
+// journal order is apply order, and a checkpoint's journal cut — also
+// under the sampler lock — cleanly separates pre- from post-snapshot ops)
+// and invalidates the snapshot cache. Time-decay samplers take the replay
+// step, applyOps, after a check against the sampler clock: timestamps
+// must be non-decreasing and no older than the clock, and a point without
+// one advances the clock by one unit, so a violation refuses the batch
+// with nothing applied. Every other sampler takes core.AddBatch. It
+// returns the stream position after the batch and how many of its points
+// were applied.
+func (s *Server) apply(name string, ms *managedStream, batch []stream.Point, ts []*float64) (processed uint64, n int, err error) {
 	ms.sm.Update(func(sm core.Sampler) {
-		core.AddBatch(sm, batch)
+		td, timed := core.AsTimed(sm)
+		if timed || s.durable != nil {
+			ms.jops = journalOps(ms.jops[:0], batch, ts)
+		}
+		if !timed {
+			core.AddBatch(sm, batch)
+			n = len(batch)
+		} else if err = checkClock(td.Now(), ms.jops); err == nil {
+			// The check leaves no refusal for mid-batch; should one
+			// happen, the applied prefix is journaled and reported.
+			if n, err = applyOps(sm, ms.jops); err != nil {
+				err = fmt.Errorf("point %d: %w (the %d points before it were applied)", n, err, n)
+			}
+		}
 		if s.durable != nil {
-			ms.jops = journalOps(ms.jops[:0], batch)
-			s.appendJournal(name, ms.jops)
+			s.appendJournal(name, ms.jops[:n])
 		}
 		processed = sm.Processed()
 	})
-	if release != nil {
-		release()
+	return processed, n, err
+}
+
+// checkClock refuses ops that would run a time-decay clock backwards.
+func checkClock(clock float64, ops []durable.Op) error {
+	for i, op := range ops {
+		if !op.HasTS {
+			clock++
+			continue
+		}
+		if op.TS < clock {
+			return fmt.Errorf("point %d: timestamp %v precedes the stream clock %v", i, op.TS, clock)
+		}
+		clock = op.TS
 	}
-	s.observeModel(ms, batch)
-	return processed
+	return nil
 }
 
 // countIngest records the ingest metrics of an accepted batch of n points,
@@ -81,9 +218,9 @@ func (s *Server) countIngest(name string, n int) {
 	s.batchSize.Observe(float64(n))
 }
 
-// closeShard marks the stream closed and shuts its ingest lane down. Safe
-// against concurrent enqueues: both the closed flag and the close happen
-// under ms.qmu, and enqueues check the flag under the same lock.
+// closeShard marks the stream closed and shuts its ingest lane down, if it
+// has one. Safe against concurrent ingest: the closed flag and the close
+// happen under ms.qmu, and admit checks the flag under the same lock.
 func closeShard(ms *managedStream) {
 	ms.qmu.Lock()
 	defer ms.qmu.Unlock()
@@ -130,51 +267,6 @@ func (s *Server) Close() {
 			}
 		}
 	})
-}
-
-// enqueue hands a validated, index-assigned batch to the stream's ingest
-// lane: the one enqueue path of HTTP and wire ingest. Called with ms.qmu
-// held. next and dim commit only when the batch is queued, so a rejected
-// batch consumes nothing — no indices, no sampler state: the "no partial
-// application" half of the backpressure contract. A full queue counts a
-// rejection and reports ok=false.
-func (s *Server) enqueue(name string, ms *managedStream, batch []stream.Point, next uint64, dim int) (pending int64, ok bool) {
-	select {
-	case ms.shard.ch <- batch:
-		ms.next, ms.dim = next, dim
-		return ms.pending.Add(int64(len(batch))), true
-	default:
-		s.rejected.With(name).Inc()
-		return 0, false
-	}
-}
-
-// handleIngestAsync is the sharded fast path of POST /streams/{name}/points:
-// validate, assign indices, enqueue, return 202. Only the bookkeeping lock
-// qmu is held for the queue handoff — applying the batch happens on the
-// stream's worker under the sampler lock — so handlers never contend on
-// sampler work. A full queue is backpressure: 429 with a Retry-After hint
-// and nothing consumed. Called with ms.qmu held; releases it.
-func (s *Server) handleIngestAsync(w http.ResponseWriter, name string, ms *managedStream, req IngestRequest, dim int) {
-	if ms.closed {
-		ms.qmu.Unlock()
-		httpError(w, http.StatusServiceUnavailable, "stream %q is shutting down", name)
-		return
-	}
-	batch, next := ingestBatch(req.Points, ms.next)
-	pending, queued := s.enqueue(name, ms, batch, next, dim)
-	ms.qmu.Unlock()
-	if !queued {
-		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusTooManyRequests,
-			"ingest queue for stream %q is full (%d batches); retry later", name, s.ingestQueue)
-		return
-	}
-	s.countIngest(name, len(req.Points))
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Biasedres-Pending-Points", strconv.FormatInt(pending, 10))
-	w.WriteHeader(http.StatusAccepted)
-	_ = json.NewEncoder(w).Encode(map[string]any{"queued": len(req.Points), "pending": pending})
 }
 
 // collectIngest exports the async pipeline's scrape-time state: per-stream

@@ -78,11 +78,11 @@ const defaultMaxBodyBytes = 8 << 20
 // handlers never wait on sampler work:
 //
 //   - qmu guards the ingest bookkeeping: next (arrival indexing), dim,
-//     closed, and the enqueue onto the shard. Handlers hold it briefly.
+//     closed, and the hand-off onto the shard. admit holds it briefly.
 //   - the sampler lock inside sm guards the sampler: applies (the shard
-//     worker, or the synchronous paths), checkpoint cuts, restores.
+//     worker, or admit's inline apply), checkpoint cuts, restores.
 //
-// When both are needed (synchronous ingest, restore, cut) the order is
+// When both are needed (inline ingest, restore, cut) the order is
 // always qmu → sampler lock. Reads are served from sm's snapshot caches
 // without either lock.
 type managedStream struct {
@@ -104,14 +104,11 @@ type managedStream struct {
 	// restores deserialize into a fresh instance so a rejected checkpoint
 	// cannot corrupt the live sampler.
 	fresh func(rng *xrand.Source) (core.PersistentSampler, error)
-	// timed marks a time-decay stream (core.AsTimed): it ingests by
-	// timestamp, synchronously, because its timestamp check must observe
-	// the sampler clock.
-	timed bool
 	// shard is the stream's async ingest lane (nil when the server runs
-	// synchronous ingest or the stream is timed); closed marks the
-	// lane shut down. pending counts points accepted onto the lane but not
-	// yet applied to the sampler.
+	// synchronous ingest or the stream is time-decayed: its timestamp
+	// check must observe the sampler clock); closed marks the stream shut
+	// down for ingest, lane or not. pending counts points accepted onto
+	// the lane but not yet applied to the sampler.
 	shard   *ingestShard
 	closed  bool // guarded by qmu
 	pending atomic.Int64
@@ -434,18 +431,6 @@ func httpError(w http.ResponseWriter, code int, format string, args ...any) {
 	_ = json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-// httpErrorIngested is httpError plus an "ingested" count for partial
-// batch applies: how many points of the request were already sampled
-// before the failure.
-func httpErrorIngested(w http.ResponseWriter, code, ingested int, format string, args ...any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(map[string]any{
-		"error":    fmt.Sprintf(format, args...),
-		"ingested": ingested,
-	})
-}
-
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(v)
@@ -576,7 +561,6 @@ func (s *Server) install(name string, req CreateRequest, from *durable.Recovered
 	}
 	ms.sm = core.NewSynchronized(sampler)
 	ms.lastCkptVer = version(sampler)
-	_, ms.timed = core.AsTimed(sampler)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -603,7 +587,7 @@ func (s *Server) install(name string, req CreateRequest, from *durable.Recovered
 			return nil, http.StatusInternalServerError, fmt.Errorf("checkpointing stream: %w", err)
 		}
 	}
-	if s.ingestWorkers > 0 && !ms.timed {
+	if _, timed := core.AsTimed(sampler); s.ingestWorkers > 0 && !timed {
 		s.startIngestShard(name, ms)
 	}
 	s.streams[name] = ms
@@ -734,6 +718,10 @@ type IngestRequest struct {
 	Points []IngestPoint `json:"points"`
 }
 
+// handleIngest is POST /streams/{name}/points: decode the body into a
+// batch plus the points' optional timestamps, admit it, and render the
+// outcome — 200 with the stream position when applied inline, 202 with
+// the pending count when queued, or the refusal's status.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	ms, ok := s.lookup(name)
@@ -745,136 +733,38 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	if len(req.Points) == 0 {
-		httpError(w, http.StatusBadRequest, "no points")
-		return
-	}
-	ms.qmu.Lock()
-	// Validate the whole batch before touching the sampler so a bad point
-	// rejects the request without a partial apply. The stream dimension is
-	// only committed once validation has passed.
-	dim := ms.dim
+	batch := make([]stream.Point, len(req.Points))
+	var ts []*float64
 	for i, ip := range req.Points {
-		if len(ip.Values) == 0 {
-			ms.qmu.Unlock()
-			httpError(w, http.StatusBadRequest, "point %d has no values", i)
-			return
+		batch[i] = stream.Point{Values: ip.Values, Label: -1, Weight: ip.Weight}
+		if ip.Label != nil {
+			batch[i].Label = *ip.Label
 		}
-		if dim == 0 {
-			dim = len(ip.Values)
-		} else if len(ip.Values) != dim {
-			ms.qmu.Unlock()
-			httpError(w, http.StatusBadRequest, "point %d has dim %d, stream has %d", i, len(ip.Values), dim)
-			return
+		if ip.Weight == 0 {
+			batch[i].Weight = 1
 		}
-	}
-	// Each path releases qmu itself.
-	switch {
-	case ms.shard != nil:
-		// Sharded fast path: enqueue for the stream's worker and return;
-		// the sampler lock is never taken on this path.
-		s.handleIngestAsync(w, name, ms, req, dim)
-	case ms.timed:
-		s.handleIngestTimed(w, name, ms, req, dim)
-	default:
-		s.handleIngestSync(w, name, ms, req, dim)
-	}
-}
-
-// handleIngestSync applies a validated batch inline, the default mode.
-// Called with ms.qmu held; releases it.
-func (s *Server) handleIngestSync(w http.ResponseWriter, name string, ms *managedStream, req IngestRequest, dim int) {
-	batch, next := ingestBatch(req.Points, ms.next)
-	ms.next, ms.dim = next, dim
-	processed := s.apply(name, ms, batch, ms.qmu.Unlock)
-	s.countIngest(name, len(req.Points))
-	writeJSON(w, map[string]any{"ingested": len(req.Points), "processed": processed})
-}
-
-// handleIngestTimed is the synchronous ingest of time-decay streams, the
-// one special case beside apply: point timestamps must be non-decreasing
-// and no older than the stream's clock, and points without one advance the
-// clock by one unit (AddAt semantics). The check runs against the sampler
-// clock before anything is applied, so a violation leaves no point
-// sampled. Called with ms.qmu held; releases it.
-func (s *Server) handleIngestTimed(w http.ResponseWriter, name string, ms *managedStream, req IngestRequest, dim int) {
-	ops := make([]durable.Op, len(req.Points))
-	for i, ip := range req.Points {
-		ops[i] = durable.Op{P: ingestPoint(ms.next+uint64(i)+1, ip)}
 		if ip.TS != nil {
-			ops[i].TS, ops[i].HasTS = *ip.TS, true
-		}
-	}
-	var bad, err error
-	var applied int
-	var processed uint64
-	ms.sm.Update(func(sm core.Sampler) {
-		td, _ := core.AsTimed(sm)
-		clock := td.Now()
-		for i, op := range ops {
-			if !op.HasTS {
-				clock++
-				continue
+			if ts == nil {
+				ts = make([]*float64, len(batch))
 			}
-			if op.TS < clock {
-				bad = fmt.Errorf("point %d: timestamp %v precedes the stream clock %v", i, op.TS, clock)
-				return
-			}
-			clock = op.TS
+			ts[i] = ip.TS
 		}
-		// A sampler rejecting mid-batch is unreachable after the check; if
-		// it happens, the applied prefix is journaled and reported so the
-		// client can resume rather than resend.
-		applied, err = applyOps(sm, ops)
-		s.appendJournal(name, ops[:applied])
-		processed = sm.Processed()
-	})
-	if bad != nil {
-		ms.qmu.Unlock()
-		httpError(w, http.StatusBadRequest, "%v", bad)
-		return
 	}
-	ms.next += uint64(applied)
-	ms.dim = dim
-	ms.qmu.Unlock()
-	if err != nil {
-		httpErrorIngested(w, http.StatusBadRequest, applied, "point %d: %v", applied, err)
-		return
-	}
-	if ms.model.Load() != nil {
-		batch := make([]stream.Point, len(ops))
-		for i := range ops {
-			batch[i] = ops[i].P
+	a := s.admit(name, ms, batch, ts, false)
+	switch {
+	case a.err != nil:
+		if a.status == http.StatusTooManyRequests {
+			w.Header().Set("Retry-After", "1")
 		}
-		s.observeModel(ms, batch)
+		httpError(w, a.status, "%v", a.err)
+	case a.queued:
+		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("X-Biasedres-Pending-Points", strconv.FormatInt(a.pending, 10))
+		w.WriteHeader(http.StatusAccepted)
+		_ = json.NewEncoder(w).Encode(map[string]any{"queued": len(batch), "pending": a.pending})
+	default:
+		writeJSON(w, map[string]any{"ingested": len(batch), "processed": a.processed})
 	}
-	s.countIngest(name, len(req.Points))
-	writeJSON(w, map[string]any{"ingested": len(req.Points), "processed": processed})
-}
-
-// ingestBatch converts request points into a batch with provisional
-// arrival indices after next, and returns the batch's last index.
-func ingestBatch(pts []IngestPoint, next uint64) ([]stream.Point, uint64) {
-	batch := make([]stream.Point, len(pts))
-	for i, ip := range pts {
-		next++
-		batch[i] = ingestPoint(next, ip)
-	}
-	return batch, next
-}
-
-// ingestPoint converts one wire point into a stream.Point with the given
-// arrival index, applying the label/weight defaults.
-func ingestPoint(index uint64, ip IngestPoint) stream.Point {
-	label := -1
-	if ip.Label != nil {
-		label = *ip.Label
-	}
-	weight := ip.Weight
-	if weight == 0 {
-		weight = 1
-	}
-	return stream.Point{Index: index, Values: ip.Values, Label: label, Weight: weight}
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {

@@ -164,68 +164,6 @@ func startWireListener(t testing.TB, srv *Server) (*wire.Listener, string) {
 	return wl, ln.Addr().String()
 }
 
-// TestWireIngestValidation: the error replies are authoritative and
-// consume nothing.
-func TestWireIngestValidation(t *testing.T) {
-	srv := New(1)
-	createOn(t, srv, "s", CreateRequest{Policy: "unbiased", Capacity: 32})
-
-	frameFor := func(mut func(*wire.Frame)) *wire.Frame {
-		f := wireTestFrame(4, 2)
-		mut(f)
-		return f
-	}
-	cases := []struct {
-		name string
-		f    *wire.Frame
-		want string
-	}{
-		{"unknown-stream", func() *wire.Frame {
-			f := wireTestFrame(4, 2)
-			f.Name = []byte("ghost")
-			return f
-		}(), "not found"},
-		{"non-monotone-indices", frameFor(func(f *wire.Frame) {
-			f.Name = []byte("s")
-			f.Indices = []uint64{1, 3, 2, 4}
-		}), "does not advance"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			r := srv.IngestFrame(tc.f)
-			if r.Status != wire.StatusError || !strings.Contains(r.Msg, tc.want) {
-				t.Fatalf("reply = %+v, want error containing %q", r, tc.want)
-			}
-		})
-	}
-
-	// Commit dim via a good frame, then mismatch.
-	good := wireTestFrame(4, 2)
-	good.Name = []byte("s")
-	if r := srv.IngestFrame(good); r.Status != wire.StatusOK {
-		t.Fatalf("good frame rejected: %+v", r)
-	}
-	bad := wireTestFrame(4, 3)
-	bad.Name = []byte("s")
-	if r := srv.IngestFrame(bad); r.Status != wire.StatusError || !strings.Contains(r.Msg, "dim") {
-		t.Fatalf("dim mismatch reply = %+v", r)
-	}
-	// Nothing from the rejected frames may have been consumed.
-	srv.mu.RLock()
-	ms := srv.streams["s"]
-	srv.mu.RUnlock()
-	ms.qmu.Lock()
-	next := ms.next
-	ms.qmu.Unlock()
-	if next != 4 {
-		t.Fatalf("next = %d after one accepted frame of 4 points", next)
-	}
-	processed := ms.sm.Processed()
-	if processed != 4 {
-		t.Fatalf("sampler processed %d, want 4", processed)
-	}
-}
-
 // TestWireIngestExplicitIndices: a frame carrying indices advances the
 // cursor to its last index, and a replay of the same frame is refused —
 // the idempotence hook reconnecting clients rely on.
