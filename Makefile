@@ -117,10 +117,11 @@ test-federation:
 
 # test-failover runs the fault-injection suite under the race detector:
 # the internal/faulty proxy tests plus the federation failover sweep
-# (kills across ingest/query/migration) and the replica/migration tests.
+# (kills across ingest/query/migration), the replica/migration tests and
+# the replica pushes over wire-advertising nodes.
 test-failover:
 	$(GO) test -race -count=1 ./internal/faulty/
-	$(GO) test -race -count=1 -run 'Failover|Replicated|Drain|WritesDuringOutage|Backfills|Readyz' ./internal/federation/
+	$(GO) test -race -count=1 -run 'Failover|Replicated|Drain|WritesDuringOutage|Backfills|Readyz|WireReplica' ./internal/federation/
 
 # test-models runs the sampler-family and model-management suites under
 # the race detector: T-TBS/R-TBS property tests, the models and drift

@@ -106,6 +106,7 @@ import (
 
 	"biasedres/internal/durable"
 	"biasedres/internal/federation"
+	"biasedres/internal/obs"
 	"biasedres/internal/server"
 	"biasedres/internal/wire"
 )
@@ -122,7 +123,7 @@ func main() {
 		queue = flag.Int("ingest-queue", 64,
 			"per-stream ingest queue depth in batches (used when -ingest-workers > 0)")
 		wireAddr = flag.String("wire-addr", "",
-			"serve the binary wire ingest protocol on this TCP address (empty = disabled; data node only)")
+			"serve the binary wire ingest protocol on this TCP address (empty = disabled)")
 		wireMaxFrame = flag.Int("wire-max-frame-bytes", 64<<20,
 			"maximum wire frame body size in bytes; larger frames are rejected and the connection closed")
 		dataDir = flag.String("data-dir", "",
@@ -172,11 +173,16 @@ func main() {
 		os.Exit(2)
 	}
 
-	// handler serves the listener; closeAPI drains background work after
-	// the listener stops — either the data node's ingest/durability
-	// machinery or the coordinator's health checker.
-	var handler http.Handler
-	var closeAPI func()
+	// api is the daemon's backend, a data node or a coordinator. It serves
+	// HTTP and the wire listener's frames, and its Close drains background
+	// work after the listeners stop — either the data node's
+	// ingest/durability machinery or the coordinator's health checker.
+	var api interface {
+		http.Handler
+		wire.Sink
+		Metrics() *obs.Registry
+		Close()
+	}
 	if *federate {
 		peerList := splitPeers(*peers)
 		if len(peerList) == 0 {
@@ -200,33 +206,7 @@ func main() {
 			"peer_timeout", *fedPeerTimeout, "hedge_delay", *fedHedgeDelay,
 			"health_interval", *fedHealthInterval, "rise", *fedRise, "fall", *fedFall,
 			"replication", *replication, "shards", *shards)
-		handler, closeAPI = co, co.Close
-		if *wireAddr != "" {
-			// A coordinator can front the binary ingest protocol too: each
-			// frame fans out to the stream's shard replicas exactly like an
-			// HTTP batch.
-			wl := wire.NewListener(co,
-				wire.WithLogger(logger),
-				wire.WithMetrics(co.Metrics()),
-				wire.WithMaxFrameBytes(*wireMaxFrame))
-			wln, err := net.Listen("tcp", *wireAddr)
-			if err != nil {
-				logger.Error("wire listen failed", "addr", *wireAddr, "error", err)
-				os.Exit(1)
-			}
-			go func() {
-				logger.Info("wire protocol listening", "addr", wln.Addr().String(), "role", "coordinator")
-				if err := wl.Serve(wln); err != nil {
-					logger.Error("wire serve failed", "error", err)
-				}
-			}()
-			closeAPI = func() {
-				if err := wl.Close(); err != nil {
-					logger.Warn("closing wire listener", "error", err)
-				}
-				co.Close()
-			}
-		}
+		api = co
 	} else {
 		if !server.ValidPolicy(*defaultPolicy) {
 			fmt.Fprintf(os.Stderr, "reservoird: -default-policy %q is not one of %s\n",
@@ -262,41 +242,46 @@ func main() {
 				"checkpoint_interval", *ckptInterval, "checkpoint_min_ops", *ckptMinOps,
 				"journal_sync_interval", *syncInterval)
 		}
-		api := server.New(*seed, opts...)
-		handler, closeAPI = api, api.Close
-		if *wireAddr != "" {
-			wl := wire.NewListener(api,
-				wire.WithLogger(logger),
-				wire.WithMetrics(api.Metrics()),
-				wire.WithMaxFrameBytes(*wireMaxFrame))
-			wln, err := net.Listen("tcp", *wireAddr)
-			if err != nil {
-				logger.Error("wire listen failed", "addr", *wireAddr, "error", err)
-				os.Exit(1)
-			}
+		api = server.New(*seed, opts...)
+	}
+	closeAPI := api.Close
+	if *wireAddr != "" {
+		// A data node feeds wire frames into its ingest pipeline; a
+		// coordinator fans each frame out to the stream's shard replicas
+		// exactly like an HTTP batch.
+		wl := wire.NewListener(api,
+			wire.WithLogger(logger),
+			wire.WithMetrics(api.Metrics()),
+			wire.WithMaxFrameBytes(*wireMaxFrame))
+		wln, err := net.Listen("tcp", *wireAddr)
+		if err != nil {
+			logger.Error("wire listen failed", "addr", *wireAddr, "error", err)
+			os.Exit(1)
+		}
+		if node, ok := api.(*server.Server); ok {
 			// Advertise the resolved wire address in GET /healthz so
 			// coordinators discover the binary ingest path on their own.
-			api.SetWireAddr(wln.Addr().String())
-			go func() {
-				logger.Info("wire protocol listening", "addr", wln.Addr().String())
-				if err := wl.Serve(wln); err != nil {
-					logger.Error("wire serve failed", "error", err)
-				}
-			}()
-			// Shutdown order: stop accepting wire frames first, then drain
-			// the ingest shards — a frame ACKed before the listener closed
-			// is applied by api.Close's drain.
-			closeAPI = func() {
-				if err := wl.Close(); err != nil {
-					logger.Warn("closing wire listener", "error", err)
-				}
-				api.Close()
+			node.SetWireAddr(wln.Addr().String())
+		}
+		go func() {
+			logger.Info("wire protocol listening", "addr", wln.Addr().String(), "coordinator", *federate)
+			if err := wl.Serve(wln); err != nil {
+				logger.Error("wire serve failed", "error", err)
 			}
+		}()
+		// Shutdown order: stop accepting wire frames first, then close
+		// the API — a data node's drain applies every frame ACKed before
+		// the listener closed.
+		closeAPI = func() {
+			if err := wl.Close(); err != nil {
+				logger.Warn("closing wire listener", "error", err)
+			}
+			api.Close()
 		}
 	}
 	srv := &http.Server{
 		Addr:              *addr,
-		Handler:           handler,
+		Handler:           api,
 		ReadHeaderTimeout: 10 * time.Second,
 	}
 

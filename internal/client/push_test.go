@@ -138,8 +138,7 @@ func TestPushRefusesNonFinite(t *testing.T) {
 
 // TestWireRefusesWhatFramesCannotCarry: a label outside int32 (which used
 // to wrap to another class, or to -1 — unlabeled) and a timestamp (which
-// used to be dropped) fail Add and Push before anything is sent, and Add
-// buffers nothing.
+// used to be dropped) fail Push before anything is sent.
 func TestWireRefusesWhatFramesCannotCarry(t *testing.T) {
 	sink := &ackSink{}
 	wc, err := DialWire(startSinkListener(t, sink), WireConnConfig{})
@@ -156,12 +155,6 @@ func TestWireRefusesWhatFramesCannotCarry(t *testing.T) {
 		if err := wc.Push("s", []Point{{Values: []float64{0}}, p}); err == nil {
 			t.Errorf("Push accepted a point with %s", name)
 		}
-		if err := wc.Add("s", p); err == nil {
-			t.Errorf("Add accepted a point with %s", name)
-		}
-	}
-	if err := wc.Flush(); err != nil {
-		t.Fatal(err)
 	}
 	if n := sink.frames.Load(); n != 0 {
 		t.Fatalf("%d frames sent", n)
@@ -173,7 +166,7 @@ func TestWireRefusesWhatFramesCannotCarry(t *testing.T) {
 }
 
 // TestWireRefusesNonFinite: NaN and ±Inf in a value or the weight fail
-// Add and Push before anything is sent, as they fail Push over HTTP.
+// Push before anything is sent, as they fail Push over HTTP.
 func TestWireRefusesNonFinite(t *testing.T) {
 	sink := &ackSink{}
 	wc, err := DialWire(startSinkListener(t, sink), WireConnConfig{})
@@ -190,12 +183,6 @@ func TestWireRefusesNonFinite(t *testing.T) {
 		if err := wc.Push("s", []Point{{Values: []float64{0, 0}}, p}); err == nil {
 			t.Errorf("Push accepted a point with a %s", name)
 		}
-		if err := wc.Add("s", p); err == nil {
-			t.Errorf("Add accepted a point with a %s", name)
-		}
-	}
-	if err := wc.Flush(); err != nil {
-		t.Fatal(err)
 	}
 	if n := sink.frames.Load(); n != 0 {
 		t.Fatalf("%d frames sent", n)

@@ -7,26 +7,28 @@ import (
 	"io"
 	"math"
 	"net"
+	"net/http"
 	"sync"
 	"time"
 
 	"biasedres/internal/wire"
 )
 
-// WireConn is the binary-protocol counterpart of Batcher: a persistent
-// TCP connection to a reservoird wire listener (-wire-addr), pushing
-// point batches as binary frames instead of JSON POSTs. One WireConn can
-// feed many streams — every frame names its target — and buffers points
-// per stream, flushing a stream's buffer when it reaches FlushSize (call
-// Flush to push stragglers; there is no background timer, producers that
-// trickle should Flush on their own cadence).
+// WireConn is the binary-protocol counterpart of Client.Push: a
+// persistent TCP connection to a reservoird wire listener (-wire-addr),
+// pushing point batches as binary frames instead of JSON POSTs. One
+// WireConn can feed many streams — every frame names its target. It
+// keeps no buffer: Batcher is the client-side buffer, and a producer that
+// wants one over the wire batches its points before Push.
 //
 // The backpressure contract matches HTTP exactly: a NACK reply means the
 // server consumed nothing, and the WireConn waits the server's retry
 // hint (or its own jittered exponential backoff) and resends the whole
-// frame, up to MaxRetries attempts — nothing is silently dropped. An
-// error reply is authoritative and surfaces as *WireError without
-// retrying.
+// frame, up to MaxRetries attempts; a frame still refused after them
+// fails with HTTP's backpressure error, an *APIError with StatusCode 429
+// and the last hint as RetryAfter. A frame refused whole — by the server
+// (an error reply) or before sending (a point the frame cannot carry) —
+// fails with *WireError without retrying: nothing of it was applied.
 //
 // On a transport failure the WireConn redials and resends the in-flight
 // frame once. A frame whose ACK was lost in transit may by then have
@@ -44,13 +46,12 @@ type WireConn struct {
 	conn   net.Conn
 	br     *bufio.Reader
 	bw     *bufio.Writer
-	enc    []byte            // reusable frame encode buffer
-	rep    []byte            // reusable reply read buffer
-	bufs   map[string]*frame // per-stream pending points
+	enc    []byte // reusable frame encode buffer
+	rep    []byte // reusable reply read buffer
 	closed bool
 }
 
-// frame accumulates one stream's buffered points in packed form.
+// frame is one batch of points in packed form.
 type frame struct {
 	count   int
 	dim     int
@@ -65,9 +66,6 @@ type frame struct {
 
 // WireConnConfig tunes a WireConn. Zero values pick the defaults.
 type WireConnConfig struct {
-	// FlushSize is the per-stream point count that triggers an immediate
-	// flush (default 256).
-	FlushSize int
 	// MaxRetries bounds resends of one frame after NACK backpressure
 	// (default 8).
 	MaxRetries int
@@ -82,9 +80,6 @@ type WireConnConfig struct {
 }
 
 func (cfg WireConnConfig) withDefaults() WireConnConfig {
-	if cfg.FlushSize <= 0 {
-		cfg.FlushSize = 256
-	}
 	if cfg.MaxRetries <= 0 {
 		cfg.MaxRetries = 8
 	}
@@ -109,39 +104,34 @@ func (cfg WireConnConfig) retryWait(attempt int) time.Duration {
 	return b.retryWait(attempt)
 }
 
-// WireError is an authoritative rejection from the wire listener
-// (unknown stream, dimension mismatch, malformed frame). Resending the
-// same frame cannot succeed.
+// WireError is the refusal of a whole frame, by the wire listener
+// (unknown stream, dimension mismatch, malformed frame) or by WireConn
+// before sending (a point the frame cannot carry, a closed WireConn).
+// Nothing of the frame was applied, and resending it cannot succeed.
 type WireError struct {
 	Msg string
 }
 
 // Error implements error.
-func (e *WireError) Error() string { return "wire: server rejected frame: " + e.Msg }
+func (e *WireError) Error() string { return "wire: frame refused: " + e.Msg }
+
+func refusef(format string, args ...any) error {
+	return &WireError{Msg: fmt.Sprintf(format, args...)}
+}
 
 // DialWire connects to a reservoird wire listener at addr.
 func DialWire(addr string, cfg WireConnConfig) (*WireConn, error) {
-	w := &WireConn{
-		addr: addr,
-		cfg:  cfg.withDefaults(),
-		bufs: make(map[string]*frame),
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if err := w.redial(); err != nil {
+	w := &WireConn{addr: addr, cfg: cfg.withDefaults()}
+	if err := w.redial(context.Background()); err != nil {
 		return nil, err
 	}
 	return w, nil
 }
 
-// redial (re)establishes the connection. Called with w.mu held.
-func (w *WireConn) redial() error {
-	return w.redialCtx(context.Background())
-}
-
-// redialCtx is redial honoring ctx: a canceled context aborts the dial
-// immediately, not after DialTimeout. Called with w.mu held.
-func (w *WireConn) redialCtx(ctx context.Context) error {
+// redial (re)establishes the connection; a canceled ctx aborts the dial
+// immediately, not after DialTimeout. Called with w.mu held, or before
+// w is shared.
+func (w *WireConn) redial(ctx context.Context) error {
 	if w.conn != nil {
 		w.conn.Close()
 		w.conn = nil
@@ -162,34 +152,6 @@ func (w *WireConn) redialCtx(ctx context.Context) error {
 	return nil
 }
 
-// Add buffers one point for the named stream, pushing the stream's
-// buffer as a frame once it reaches FlushSize. A point the frame cannot
-// carry — a label outside int32 or a timestamp (TS) — is refused and
-// nothing is buffered; use the HTTP client for those.
-func (w *WireConn) Add(stream string, p Point) error {
-	w.mu.Lock()
-	if w.closed {
-		w.mu.Unlock()
-		return ErrWireConnClosed
-	}
-	f := w.bufs[stream]
-	if f == nil {
-		f = &frame{}
-		w.bufs[stream] = f
-	}
-	if err := f.add(p); err != nil {
-		w.mu.Unlock()
-		return err
-	}
-	if f.count < w.cfg.FlushSize {
-		w.mu.Unlock()
-		return nil
-	}
-	err := w.flushStreamLocked(context.Background(), stream, f)
-	w.mu.Unlock()
-	return err
-}
-
 // add packs p into the frame. It refuses, leaving the frame unchanged,
 // a point whose dimension differs from the frame's, a NaN or ±Inf value
 // or weight, which the server refuses, and what a frame cannot carry: a
@@ -197,24 +159,24 @@ func (w *WireConn) Add(stream string, p Point) error {
 // unlabeled), and a timestamp, which would be dropped.
 func (f *frame) add(p Point) error {
 	if f.count > 0 && len(p.Values) != f.dim {
-		return fmt.Errorf("wire: point has dim %d, batch has %d", len(p.Values), f.dim)
+		return refusef("point has dim %d, batch has %d", len(p.Values), f.dim)
 	}
 	if p.TS != nil {
-		return fmt.Errorf("wire: point has a timestamp, which frames cannot carry")
+		return refusef("point has a timestamp, which frames cannot carry")
 	}
 	nonFinite := func(v float64) bool { return math.IsNaN(v) || math.IsInf(v, 0) }
 	if nonFinite(p.Weight) {
-		return fmt.Errorf("wire: point has non-finite weight %v", p.Weight)
+		return refusef("point has non-finite weight %v", p.Weight)
 	}
 	for _, v := range p.Values {
 		if nonFinite(v) {
-			return fmt.Errorf("wire: point has non-finite value %v", v)
+			return refusef("point has non-finite value %v", v)
 		}
 	}
 	label := int32(-1)
 	if p.Label != nil {
 		if *p.Label < math.MinInt32 || *p.Label > math.MaxInt32 {
-			return fmt.Errorf("wire: label %d is outside the frame's int32 range", *p.Label)
+			return refusef("label %d is outside the frame's int32 range", *p.Label)
 		}
 		label = int32(*p.Label)
 		f.anyLabel = true
@@ -232,9 +194,9 @@ func (f *frame) add(p Point) error {
 	return nil
 }
 
-// Push sends one batch for the named stream immediately, bypassing the
-// buffer. It blocks until the server ACKs the frame (retrying through
-// backpressure) or rejects it.
+// Push sends one batch for the named stream as one frame. It blocks
+// until the server ACKs the frame (retrying through backpressure) or
+// refuses it.
 func (w *WireConn) Push(stream string, points []Point) error {
 	return w.PushContext(context.Background(), stream, points)
 }
@@ -262,67 +224,19 @@ func (w *WireConn) PushContext(ctx context.Context, stream string, points []Poin
 	return w.sendCtxLocked(ctx, stream, &f)
 }
 
-// Flush pushes every stream's buffered points.
-func (w *WireConn) Flush() error {
-	return w.FlushContext(context.Background())
-}
-
-// FlushContext is Flush bounded by ctx.
-func (w *WireConn) FlushContext(ctx context.Context) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed {
-		return ErrWireConnClosed
-	}
-	return w.flushAllLocked(ctx)
-}
-
-func (w *WireConn) flushAllLocked(ctx context.Context) error {
-	var first error
-	for stream, f := range w.bufs {
-		if f.count == 0 {
-			continue
-		}
-		if err := w.flushStreamLocked(ctx, stream, f); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
-// ErrWireConnClosed is returned by Add/Push/Flush after Close.
+// ErrWireConnClosed is returned by Push after Close.
 var ErrWireConnClosed = &WireError{Msg: "connection closed by Close"}
 
-// Close flushes buffered points and closes the connection.
+// Close closes the connection.
 func (w *WireConn) Close() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.closed {
-		return nil
-	}
-	err := w.flushAllLocked(context.Background())
 	w.closed = true
 	if w.conn != nil {
 		w.conn.Close()
 		w.conn = nil
 	}
-	return err
-}
-
-// flushStreamLocked sends a stream's buffered frame and resets the
-// buffer (keeping its capacity) regardless of outcome: like Batcher, a
-// frame that exhausts its retries is dropped with an error, not retried
-// forever.
-func (w *WireConn) flushStreamLocked(ctx context.Context, stream string, f *frame) error {
-	err := w.sendCtxLocked(ctx, stream, f)
-	f.count = 0
-	f.dim = 0
-	f.values = f.values[:0]
-	f.labels = f.labels[:0]
-	f.weights = f.weights[:0]
-	f.anyLabel = false
-	f.anyWeight = false
-	return err
+	return nil
 }
 
 // sendCtxLocked encodes f and runs the send/reply/retry loop, honoring
@@ -341,7 +255,7 @@ func (w *WireConn) sendCtxLocked(ctx context.Context, stream string, f *frame) e
 	var err error
 	w.enc, err = wire.AppendFrame(w.enc[:0], stream, &wf)
 	if err != nil {
-		return err
+		return &WireError{Msg: err.Error()}
 	}
 	var lastNack wire.Reply
 	for attempt := 0; attempt < w.cfg.MaxRetries; attempt++ {
@@ -356,7 +270,7 @@ func (w *WireConn) sendCtxLocked(ctx context.Context, stream string, f *frame) e
 			// Transport failure: redial once and resend this frame. If the
 			// ACK (not the frame) was lost, the resend double-applies —
 			// the documented at-least-once window.
-			if rerr := w.redialCtx(ctx); rerr != nil {
+			if rerr := w.redial(ctx); rerr != nil {
 				return rerr
 			}
 			if r, err = w.roundTripLocked(ctx); err != nil {
@@ -386,8 +300,12 @@ func (w *WireConn) sendCtxLocked(ctx context.Context, stream string, f *frame) e
 			return &WireError{Msg: r.Msg}
 		}
 	}
-	return fmt.Errorf("wire: frame of %d points still backpressured after %d attempts (server hint %dms)",
-		f.count, w.cfg.MaxRetries, lastNack.RetryMS)
+	return &APIError{
+		StatusCode: http.StatusTooManyRequests,
+		Message: fmt.Sprintf("wire: frame of %d points still backpressured after %d attempts (server hint %dms)",
+			f.count, w.cfg.MaxRetries, lastNack.RetryMS),
+		RetryAfter: time.Duration(lastNack.RetryMS) * time.Millisecond,
+	}
 }
 
 // roundTripLocked writes the encoded frame in w.enc and reads one reply.

@@ -180,40 +180,3 @@ func TestWireConnCtxCancelsBackoff(t *testing.T) {
 		t.Fatalf("cancellation took %v to land; backoff not interruptible", d)
 	}
 }
-
-// TestWireConnFlushContext: FlushContext pushes the buffered points and
-// honors ctx.
-func TestWireConnFlushContext(t *testing.T) {
-	sink := &ackSink{}
-	addr := startSinkListener(t, sink)
-	wc, err := DialWire(addr, WireConnConfig{FlushSize: 1000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer wc.Close()
-	for _, pt := range wirePoints(7) {
-		if err := wc.Add("s", pt); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if sink.frames.Load() != 0 {
-		t.Fatal("Add flushed below FlushSize")
-	}
-	if err := wc.FlushContext(context.Background()); err != nil {
-		t.Fatalf("FlushContext: %v", err)
-	}
-	if sink.frames.Load() != 1 {
-		t.Fatalf("sink saw %d frames after flush, want 1", sink.frames.Load())
-	}
-	// A pre-canceled ctx refuses without sending.
-	canceled, cancel := context.WithCancel(context.Background())
-	cancel()
-	for _, pt := range wirePoints(3) {
-		if err := wc.Add("s", pt); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := wc.FlushContext(canceled); err == nil {
-		t.Fatal("FlushContext with canceled ctx succeeded")
-	}
-}

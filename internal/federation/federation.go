@@ -266,6 +266,24 @@ func httpError(w http.ResponseWriter, code int, format string, args ...any) {
 	fmt.Fprintf(w, `{"error":%q}`+"\n", fmt.Sprintf(format, args...))
 }
 
+// maxBodyBytes bounds every coordinator request body, at the data node's
+// default -max-body-bytes.
+const maxBodyBytes = 8 << 20
+
+// decodeBody decodes a JSON request body bounded by maxBodyBytes, writing
+// the HTTP error itself on failure: 413 over the limit, 400 for malformed
+// JSON. It reports whether decoding succeeded.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	var mbe *http.MaxBytesError
+	if errors.As(err, &mbe) {
+		httpError(w, http.StatusRequestEntityTooLarge, "request body exceeds the %d-byte limit", mbe.Limit)
+	} else if err != nil {
+		httpError(w, http.StatusBadRequest, "bad body: %v", err)
+	}
+	return err == nil
+}
+
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(v)

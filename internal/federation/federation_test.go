@@ -38,6 +38,8 @@ type node struct {
 	ts         *httptest.Server
 	c          *client.Client
 	down       atomic.Bool
+	busy       atomic.Bool  // 429 every HTTP ingest, with Retry-After: 1
+	ingests    atomic.Int32 // HTTP ingest requests received
 	failAccum  atomic.Int32 // 503 this many upcoming /accum calls
 	accumQuery atomic.Value // raw query string of the last /accum call
 }
@@ -49,6 +51,14 @@ func startNode(t testing.TB, seed uint64) *node {
 		if n.down.Load() {
 			http.Error(w, `{"error":"induced outage"}`, http.StatusServiceUnavailable)
 			return
+		}
+		if r.Method == http.MethodPost && strings.HasSuffix(r.URL.Path, "/points") {
+			n.ingests.Add(1)
+			if n.busy.Load() {
+				w.Header().Set("Retry-After", "1")
+				http.Error(w, `{"error":"induced backpressure"}`, http.StatusTooManyRequests)
+				return
+			}
 		}
 		if strings.HasSuffix(r.URL.Path, "/accum") {
 			n.accumQuery.Store(r.URL.RawQuery)

@@ -44,8 +44,7 @@ func (co *Coordinator) handleDrain(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Addr string `json:"addr"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad body: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if req.Addr == "" {

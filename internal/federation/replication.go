@@ -2,14 +2,15 @@ package federation
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
 	"net/http"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"biasedres/internal/client"
 	"biasedres/internal/wire"
@@ -35,7 +36,8 @@ type fedStream struct {
 	cfg    client.StreamConfig
 	hasCfg bool // cfg known (created through this coordinator), enabling 404 backfill
 
-	rr atomic.Uint64 // round-robin cursor for shard assignment
+	rr  atomic.Uint64 // round-robin cursor for shard assignment
+	dim atomic.Int64  // point dimensionality, fixed by the first batch a shard applied (0 until then)
 }
 
 func (fs *fedStream) config() (client.StreamConfig, bool) {
@@ -130,8 +132,7 @@ func (co *Coordinator) handleStreamCreate(w http.ResponseWriter, r *http.Request
 		return
 	}
 	var req createStreamRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad body: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	shards, replicas := req.Shards, req.Replicas
@@ -225,69 +226,104 @@ func (co *Coordinator) handleStreamDelete(w http.ResponseWriter, r *http.Request
 
 // --- replicated ingest ---
 
-func (co *Coordinator) handleIngest(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	fs, ok := co.lookupFed(name)
-	if !ok {
-		httpError(w, http.StatusNotFound,
-			"stream %q is not a federated stream; create it through the coordinator first", name)
-		return
-	}
-	var req struct {
-		Points []client.Point `json:"points"`
-	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad body: %v", err)
-		return
-	}
-	if len(req.Points) == 0 {
-		writeJSON(w, map[string]any{"ingested": 0})
-		return
-	}
-	if err := co.ingestFed(r.Context(), name, fs, req.Points); err != nil {
-		httpError(w, http.StatusServiceUnavailable, "%v", err)
-		return
-	}
-	writeJSON(w, map[string]any{"ingested": len(req.Points)})
+// admission is admit's outcome: status 0 when every shard acknowledged
+// the batch, else the HTTP status that renders the refusal (404, 400, 429
+// or 503) and, on 429, the node's retry hint.
+type admission struct {
+	status int
+	err    error
+	retry  time.Duration
 }
 
-// ingestFed round-robins the batch across the stream's shards and writes
-// each shard's sub-batch to all its replicas concurrently. It succeeds
-// when every non-empty shard was acknowledged by at least one replica —
-// the durability floor a kill-one-node test relies on.
-func (co *Coordinator) ingestFed(ctx context.Context, name string, fs *fedStream, pts []client.Point) error {
-	shards := fs.shards
-	if shards < 1 {
-		shards = 1
+func refuse(status int, format string, args ...any) admission {
+	return admission{status: status, err: fmt.Errorf(format, args...)}
+}
+
+// severity orders refusal statuses by what the client should do next:
+// after a 400 no resend can succeed, after a 429 one will once the hint
+// has passed, and a 503 is the rest.
+var severity = map[int]int{http.StatusServiceUnavailable: 1, http.StatusTooManyRequests: 2, http.StatusBadRequest: 3}
+
+// admit is the one admission step of the coordinator's HTTP and wire
+// ingest; the transports only decode a batch and render the outcome.
+// Before any fan-out it looks the stream up and refuses a batch without
+// points, a point without values, a second dimension (within the batch,
+// or against the stream's), and a NaN or ±Inf value or weight: a shard
+// would refuse its part while the others applied theirs, and shards of
+// two dimensions merge into a silently wrong estimate. It then
+// round-robins the batch across the stream's shards and writes each
+// shard's part to all its replicas concurrently. The batch is accepted
+// when every part was acknowledged by some replica. Otherwise a node's
+// refusal is 400, backpressure is 429 and anything else 503; the other
+// shards may have applied their parts.
+func (co *Coordinator) admit(ctx context.Context, name string, pts []client.Point) admission {
+	fs, ok := co.lookupFed(name)
+	if !ok {
+		return refuse(http.StatusNotFound,
+			"stream %q is not a federated stream; create it through the coordinator first", name)
 	}
+	if len(pts) == 0 {
+		return refuse(http.StatusBadRequest, "no points")
+	}
+	dim := len(pts[0].Values)
+	for i, p := range pts {
+		if len(p.Values) == 0 {
+			return refuse(http.StatusBadRequest, "point %d has no values", i)
+		}
+		if len(p.Values) != dim {
+			return refuse(http.StatusBadRequest, "point %d has dim %d, batch has %d", i, len(p.Values), dim)
+		}
+		// x-x is 0 for a finite x and NaN for NaN and ±Inf.
+		nan := p.Weight - p.Weight
+		for _, v := range p.Values {
+			nan += v - v
+		}
+		if nan != 0 {
+			return refuse(http.StatusBadRequest, "point %d has a non-finite value or weight", i)
+		}
+	}
+	if d := fs.dim.Load(); d != 0 && d != int64(dim) {
+		return refuse(http.StatusBadRequest, "batch has dim %d, stream has %d", dim, d)
+	}
+
+	shards := max(fs.shards, 1)
 	start := fs.rr.Add(uint64(len(pts))) - uint64(len(pts))
 	byShard := make([][]client.Point, shards)
 	for i, p := range pts {
 		s := int((start + uint64(i)) % uint64(shards))
 		byShard[s] = append(byShard[s], p)
 	}
-
+	outs := make([]admission, shards)
 	var wg sync.WaitGroup
-	errs := make([]error, shards)
 	for shard, sub := range byShard {
-		if len(sub) == 0 {
-			continue
+		if len(sub) > 0 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				outs[shard] = co.ingestShard(ctx, name, fs, shard, sub)
+			}()
 		}
-		wg.Add(1)
-		go func(shard int, sub []client.Point) {
-			defer wg.Done()
-			errs[shard] = co.ingestShard(ctx, name, fs, shard, sub)
-		}(shard, sub)
 	}
 	wg.Wait()
-	return errors.Join(errs...)
+	var worst admission
+	for shard, a := range outs {
+		if a.status == 0 && len(byShard[shard]) > 0 {
+			// A shard that applied its part fixes the stream's dim.
+			fs.dim.CompareAndSwap(0, int64(dim))
+		}
+		if severity[a.status] > severity[worst.status] {
+			worst = a
+		}
+	}
+	return worst
 }
 
 // ingestShard writes one shard's sub-batch to every healthy replica of
 // its placement. A replica that 404s (a backfilled node that has not
 // seen this stream yet) gets the stream created and the batch resent
-// once, when the coordinator knows the config.
-func (co *Coordinator) ingestShard(ctx context.Context, name string, fs *fedStream, shard int, sub []client.Point) error {
+// once, when the coordinator knows the config. When no replica
+// acknowledged, it returns the most telling replica failure.
+func (co *Coordinator) ingestShard(ctx context.Context, name string, fs *fedStream, shard int, sub []client.Point) admission {
 	replicas := co.placement(name, shard, fs.replicas)
 	targets := make([]*peer, 0, len(replicas))
 	for _, p := range replicas {
@@ -302,7 +338,7 @@ func (co *Coordinator) ingestShard(ctx context.Context, name string, fs *fedStre
 	}
 	ss := shardStream(name, shard)
 	acks := 0
-	var firstErr error
+	worst := refuse(http.StatusServiceUnavailable, "no replicas reachable")
 	var mu sync.Mutex
 	var wg sync.WaitGroup
 	for _, p := range targets {
@@ -310,16 +346,14 @@ func (co *Coordinator) ingestShard(ctx context.Context, name string, fs *fedStre
 		go func(p *peer) {
 			defer wg.Done()
 			err := co.pushReplica(ctx, p, ss, sub)
-			if err != nil {
-				var apiErr *client.APIError
-				if errors.As(err, &apiErr) && apiErr.StatusCode == http.StatusNotFound {
-					if cfg, ok := fs.config(); ok {
-						cctx, cancel := context.WithTimeout(ctx, co.cfg.PeerTimeout)
-						cerr := p.c.CreateStreamContext(cctx, ss, cfg)
-						cancel()
-						if cerr == nil {
-							err = co.pushReplica(ctx, p, ss, sub)
-						}
+			var apiErr *client.APIError
+			if errors.As(err, &apiErr) && apiErr.StatusCode == http.StatusNotFound {
+				if cfg, ok := fs.config(); ok {
+					cctx, cancel := context.WithTimeout(ctx, co.cfg.PeerTimeout)
+					cerr := p.c.CreateStreamContext(cctx, ss, cfg)
+					cancel()
+					if cerr == nil {
+						err = co.pushReplica(ctx, p, ss, sub)
 					}
 				}
 			}
@@ -328,59 +362,96 @@ func (co *Coordinator) ingestShard(ctx context.Context, name string, fs *fedStre
 			if err == nil {
 				acks++
 				co.replicaWrites.With(p.addr).Inc()
-			} else {
-				co.replicaWriteErrs.With(p.addr).Inc()
-				if firstErr == nil {
-					firstErr = fmt.Errorf("replica %s: %w", p.addr, err)
-				}
+				return
+			}
+			co.replicaWriteErrs.With(p.addr).Inc()
+			if a := pushFailure(p.addr, err); severity[a.status] >= severity[worst.status] {
+				worst = a
 			}
 		}(p)
 	}
 	wg.Wait()
-	if acks == 0 {
-		if firstErr == nil {
-			firstErr = fmt.Errorf("no replicas reachable")
-		}
-		return fmt.Errorf("shard %s: no replica acknowledged the batch: %w", ss, firstErr)
+	if acks > 0 {
+		return admission{}
 	}
-	return nil
+	worst.err = fmt.Errorf("shard %s: no replica acknowledged the batch: %w", ss, worst.err)
+	return worst
 }
 
-// pushReplica sends one sub-batch to a replica, preferring the binary
-// wire path when the peer advertises one and falling back to HTTP.
+// pushFailure classifies one replica's failed push: a node's refusal
+// (a 4xx other than 404 and 429) is 400, backpressure is 429 with the
+// node's hint, and anything else is 503.
+func pushFailure(addr string, err error) admission {
+	a := admission{status: http.StatusServiceUnavailable, err: fmt.Errorf("replica %s: %w", addr, err)}
+	var apiErr *client.APIError
+	if errors.As(err, &apiErr) {
+		switch code := apiErr.StatusCode; {
+		case code == http.StatusTooManyRequests:
+			a.status, a.retry = code, apiErr.RetryAfter
+		case code >= 400 && code < 500 && code != http.StatusNotFound:
+			a.status = http.StatusBadRequest
+		}
+	}
+	return a
+}
+
+// pushReplica sends one sub-batch to a replica: as a frame when the peer
+// advertises a wire listener, else over HTTP. HTTP carries a batch meant
+// for the wire only when the frame consumed nothing: no connection could
+// be dialed, or the frame was refused whole (*client.WireError), by
+// WireConn before sending (a timestamp, a label past int32) or by the
+// node, whose HTTP answer then drives the 404 backfill. After any other
+// wire failure the frame may have been applied, so the error is final;
+// unless it was backpressure, the pooled conn is dropped so the next push
+// dials the peer's current address.
 func (co *Coordinator) pushReplica(ctx context.Context, p *peer, stream string, pts []client.Point) error {
 	pctx, cancel := context.WithTimeout(ctx, co.cfg.PeerTimeout)
 	defer cancel()
-	if wa := p.getWireAddr(); wa != "" {
-		if wc := co.wireConnFor(p.addr, wa); wc != nil {
-			if err := wc.PushContext(pctx, stream, pts); err == nil {
-				return nil
+	if wc := co.wireConnFor(p); wc != nil {
+		err := wc.PushContext(pctx, stream, pts)
+		var refused *client.WireError
+		if !errors.As(err, &refused) {
+			var busy *client.APIError
+			if err != nil && !errors.As(err, &busy) {
+				co.dropWireConn(p.addr, wc)
 			}
-			// Wire failed (listener gone, frame refused): HTTP decides.
+			return err
 		}
 	}
 	_, err := p.c.PushContext(pctx, stream, pts)
 	return err
 }
 
-// wireConnFor returns (dialing if needed) the pooled WireConn for a
-// peer. A dial failure caches nothing and returns nil — callers fall
-// back to HTTP and the next push retries the dial.
-func (co *Coordinator) wireConnFor(peerAddr, wireAddr string) *client.WireConn {
+// wireConnFor returns the pooled WireConn of a peer that advertises a
+// wire listener, dialing its advertised address when none is pooled. It
+// returns nil when the peer advertises none or the dial fails; a failed
+// dial caches nothing, so the next push dials again.
+func (co *Coordinator) wireConnFor(p *peer) *client.WireConn {
+	wa := p.getWireAddr()
+	if wa == "" {
+		return nil
+	}
 	co.wmu.Lock()
 	defer co.wmu.Unlock()
-	if wc, ok := co.wires[peerAddr]; ok {
+	if wc, ok := co.wires[p.addr]; ok {
 		return wc
 	}
-	wc, err := client.DialWire(wireAddr, client.WireConnConfig{
-		DialTimeout: co.cfg.PeerTimeout,
-		MaxRetries:  2,
-	})
+	wc, err := client.DialWire(wa, client.WireConnConfig{DialTimeout: co.cfg.PeerTimeout, MaxRetries: 2})
 	if err != nil {
 		return nil
 	}
-	co.wires[peerAddr] = wc
+	co.wires[p.addr] = wc
 	return wc
+}
+
+// dropWireConn unpools and closes a peer's conn.
+func (co *Coordinator) dropWireConn(addr string, wc *client.WireConn) {
+	co.wmu.Lock()
+	if co.wires[addr] == wc {
+		delete(co.wires, addr)
+	}
+	co.wmu.Unlock()
+	wc.Close()
 }
 
 // dropWireConns closes every pooled wire connection (Close path).
@@ -393,33 +464,37 @@ func (co *Coordinator) dropWireConns() {
 	}
 }
 
-// IngestFrame implements wire.Sink: a coordinator can front a wire
-// listener of its own, fanning each binary frame out exactly like the
-// HTTP ingest path. Backpressure from every replica of a shard surfaces
-// as a NACK (the client resends); anything else that leaves a shard
-// unacknowledged is an authoritative error. A frame with explicit
-// indices (each shard sequences its own points) or a NaN or ±Inf value
-// or weight is refused before the fan-out, so no shard applies a part of
-// it that the client's resend would duplicate.
-func (co *Coordinator) IngestFrame(f *wire.Frame) wire.Reply {
-	name := string(f.Name)
-	fs, ok := co.lookupFed(name)
-	if !ok {
-		return wire.Errorf("stream %q is not a federated stream", name)
+func (co *Coordinator) handleIngest(w http.ResponseWriter, r *http.Request) {
+	var req struct {
+		Points []client.Point `json:"points"`
 	}
+	if !decodeBody(w, r, &req) {
+		return
+	}
+	a := co.admit(r.Context(), r.PathValue("name"), req.Points)
+	if a.err != nil {
+		if a.status == http.StatusTooManyRequests {
+			w.Header().Set("Retry-After", strconv.Itoa(max(1, int(math.Ceil(a.retry.Seconds())))))
+		}
+		httpError(w, a.status, "%v", a.err)
+		return
+	}
+	writeJSON(w, map[string]any{"ingested": len(req.Points)})
+}
+
+// IngestFrame implements wire.Sink: a coordinator can front a wire
+// listener of its own. It refuses a frame with explicit indices (each
+// shard sequences its own points), builds the batch and hands it to
+// admit, the admission step it shares with HTTP ingest. Backpressure is a
+// NACK with the node's retry hint, so the client resends; any other
+// refusal is an error reply.
+func (co *Coordinator) IngestFrame(f *wire.Frame) wire.Reply {
 	if f.Indices != nil {
-		return wire.Errorf("stream %q is federated: its shards sequence points, so a frame cannot carry indices", name)
+		return wire.Errorf("stream %q is federated: its shards sequence points, so a frame cannot carry indices", f.Name)
 	}
 	pts := make([]client.Point, f.Count)
-	for i := 0; i < f.Count; i++ {
+	for i := range pts {
 		v, label, weight := f.Point(i)
-		bad := math.IsNaN(weight) || math.IsInf(weight, 0)
-		for _, x := range v {
-			bad = bad || math.IsNaN(x) || math.IsInf(x, 0)
-		}
-		if bad {
-			return wire.Errorf("point %d has a non-finite value or weight", i)
-		}
 		pts[i] = client.Point{Values: v, Weight: weight}
 		if label >= 0 {
 			l := int(label)
@@ -428,19 +503,12 @@ func (co *Coordinator) IngestFrame(f *wire.Frame) wire.Reply {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), co.cfg.PeerTimeout)
 	defer cancel()
-	if err := co.ingestFed(ctx, name, fs, pts); err != nil {
-		var apiErr *client.APIError
-		if errors.As(err, &apiErr) && apiErr.StatusCode == http.StatusTooManyRequests {
-			retry := apiErr.RetryAfter.Milliseconds()
-			if retry < 0 {
-				retry = 0
-			}
-			if retry > 65535 {
-				retry = 65535
-			}
-			return wire.Nack(uint16(retry))
-		}
-		return wire.Errorf("%v", err)
+	a := co.admit(ctx, string(f.Name), pts)
+	switch {
+	case a.status == http.StatusTooManyRequests:
+		return wire.Nack(uint16(min(a.retry.Milliseconds(), math.MaxUint16)))
+	case a.err != nil:
+		return wire.Errorf("%v", a.err)
 	}
 	return wire.Ack(0)
 }

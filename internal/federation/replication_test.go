@@ -473,35 +473,6 @@ func TestCoordinatorWireSink(t *testing.T) {
 	}
 }
 
-// TestCoordinatorWireSinkRefusesWholeFrame: a frame that some shard would
-// refuse or mis-sequence — explicit indices, a NaN or ±Inf value — is
-// refused before the fan-out, so no shard applies part of it.
-func TestCoordinatorWireSinkRefusesWholeFrame(t *testing.T) {
-	nodes := startNodes(t, 2)
-	co, fed := startCoordinator(t, nodes, testCfg())
-	if status, _ := fedDo(t, http.MethodPut, fed.URL+"/streams/w", managedCfg(2, 1)); status != http.StatusCreated {
-		t.Fatal("create failed")
-	}
-	frame := func(mut func(f *wire.Frame)) *wire.Frame {
-		f := &wire.Frame{Name: []byte("w"), Dim: 1, Count: 4, Values: []float64{1, 2, 3, 4}}
-		mut(f)
-		return f
-	}
-	for name, f := range map[string]*wire.Frame{
-		"indices":    frame(func(f *wire.Frame) { f.Indices = []uint64{10, 11, 12, 13} }),
-		"NaN value":  frame(func(f *wire.Frame) { f.Values[1] = math.NaN() }),
-		"Inf value":  frame(func(f *wire.Frame) { f.Values[3] = math.Inf(-1) }),
-		"Inf weight": frame(func(f *wire.Frame) { f.Weights = []float64{1, math.Inf(1), 1, 1} }),
-	} {
-		if reply := co.IngestFrame(f); reply.Status != wire.StatusError {
-			t.Errorf("%s: reply %+v, want an error", name, reply)
-		}
-	}
-	if est, _ := mustCount(t, fed.URL, "w", 0); est != 0 {
-		t.Fatalf("count = %v after refused frames, want 0", est)
-	}
-}
-
 // TestReadyzTracksStreamReachability: readiness is about data, not just
 // peers — a stream whose only replica is down must flip /readyz to 503
 // even while other peers are healthy, and Close fails readiness first.

@@ -282,8 +282,8 @@ func TestWireIngestTimeDecay(t *testing.T) {
 }
 
 // TestWireEndToEndAsync drives the full stack against an async server:
-// WireConn batches, the listener decodes, frames ride the shard queue,
-// and the pending gauge drains to zero.
+// WireConn pushes 64-point frames, the listener decodes, frames ride the
+// shard queue, and the pending gauge drains to zero.
 func TestWireEndToEndAsync(t *testing.T) {
 	srv := New(1, WithIngestShards(2, 8))
 	defer srv.Close()
@@ -291,17 +291,21 @@ func TestWireEndToEndAsync(t *testing.T) {
 	wl, addr := startWireListener(t, srv)
 	defer wl.Close()
 
-	wc, err := client.DialWire(addr, client.WireConnConfig{FlushSize: 64})
+	wc, err := client.DialWire(addr, client.WireConnConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	const total = 500
-	for i := 0; i < total; i++ {
-		if err := wc.Add("s", client.Point{Values: []float64{float64(i), 1}}); err != nil {
-			t.Fatalf("Add(%d): %v", i, err)
+	for start := 0; start < total; start += 64 {
+		var batch []client.Point
+		for i := start; i < min(start+64, total); i++ {
+			batch = append(batch, client.Point{Values: []float64{float64(i), 1}})
+		}
+		if err := wc.Push("s", batch); err != nil {
+			t.Fatalf("Push(%d): %v", start, err)
 		}
 	}
-	if err := wc.Close(); err != nil { // flushes the remainder
+	if err := wc.Close(); err != nil {
 		t.Fatal(err)
 	}
 	srv.mu.RLock()
