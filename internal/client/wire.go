@@ -18,8 +18,11 @@ import (
 // persistent TCP connection to a reservoird wire listener (-wire-addr),
 // pushing point batches as binary frames instead of JSON POSTs. One
 // WireConn can feed many streams — every frame names its target. It
-// keeps no buffer: Batcher is the client-side buffer, and a producer that
-// wants one over the wire batches its points before Push.
+// buffers no points: Batcher is the client-side buffer, and a producer
+// that wants one over the wire batches its points before Push. Push packs
+// and encodes each frame into buffers the WireConn reuses, so steady
+// pushes allocate nothing, and the caller may reuse its points once Push
+// returns.
 //
 // The backpressure contract matches HTTP exactly: a NACK reply means the
 // server consumed nothing, and the WireConn waits the server's retry
@@ -46,10 +49,16 @@ type WireConn struct {
 	conn   net.Conn
 	br     *bufio.Reader
 	bw     *bufio.Writer
+	f      frame  // reusable packing buffers of the frame being sent
 	enc    []byte // reusable frame encode buffer
 	rep    []byte // reusable reply read buffer
 	closed bool
 }
+
+// maxRetainedFrame caps, in bytes, the packing and encode buffers a
+// WireConn keeps between pushes; one oversized push does not pin its
+// buffers for the connection's life.
+const maxRetainedFrame = 1 << 20
 
 // frame is one batch of points in packed form.
 type frame struct {
@@ -152,6 +161,16 @@ func (w *WireConn) redial(ctx context.Context) error {
 	return nil
 }
 
+// reset empties the frame, keeping its buffers unless they outgrew
+// maxRetainedFrame.
+func (f *frame) reset() {
+	if 8*cap(f.values)+4*cap(f.labels)+8*cap(f.weights) > maxRetainedFrame {
+		*f = frame{}
+		return
+	}
+	*f = frame{values: f.values[:0], labels: f.labels[:0], weights: f.weights[:0]}
+}
+
 // add packs p into the frame. It refuses, leaving the frame unchanged,
 // a point whose dimension differs from the frame's, a NaN or ±Inf value
 // or weight, which the server refuses, and what a frame cannot carry: a
@@ -210,18 +229,18 @@ func (w *WireConn) PushContext(ctx context.Context, stream string, points []Poin
 	if len(points) == 0 {
 		return nil
 	}
-	var f frame
-	for _, p := range points {
-		if err := f.add(p); err != nil {
-			return err
-		}
-	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {
 		return ErrWireConnClosed
 	}
-	return w.sendCtxLocked(ctx, stream, &f)
+	w.f.reset()
+	for _, p := range points {
+		if err := w.f.add(p); err != nil {
+			return err
+		}
+	}
+	return w.sendCtxLocked(ctx, stream, &w.f)
 }
 
 // ErrWireConnClosed is returned by Push after Close.
@@ -251,6 +270,9 @@ func (w *WireConn) sendCtxLocked(ctx context.Context, stream string, f *frame) e
 	}
 	if f.anyWeight {
 		wf.Weights = f.weights
+	}
+	if cap(w.enc) > maxRetainedFrame {
+		w.enc = nil
 	}
 	var err error
 	w.enc, err = wire.AppendFrame(w.enc[:0], stream, &wf)

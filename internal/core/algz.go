@@ -56,7 +56,7 @@ func (z *ZReservoir) Add(p stream.Point) {
 	z.ver++
 	z.t++
 	if len(z.pts) < z.capacity {
-		z.pts = append(z.pts, p)
+		z.pts = append(z.pts, own(p))
 		if len(z.pts) == z.capacity {
 			z.w = math.Exp(-math.Log(z.u01()) / float64(z.capacity))
 			z.skip = z.drawSkip()
@@ -67,7 +67,7 @@ func (z *ZReservoir) Add(p stream.Point) {
 		z.skip--
 		return
 	}
-	z.pts[z.rng.Intn(z.capacity)] = p
+	z.pts[z.rng.Intn(z.capacity)] = own(p)
 	z.skip = z.drawSkip()
 }
 
@@ -95,7 +95,7 @@ func (z *ZReservoir) AddBatch(pts []stream.Point) {
 		}
 		i += int(z.skip)
 		z.t += z.skip + 1
-		z.pts[z.rng.Intn(z.capacity)] = pts[i]
+		z.pts[z.rng.Intn(z.capacity)] = own(pts[i])
 		z.skip = z.drawSkip()
 		i++
 	}

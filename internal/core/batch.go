@@ -13,7 +13,8 @@ type BatchSampler interface {
 	Sampler
 
 	// AddBatch processes pts as len(pts) consecutive arrivals, in order.
-	// Like Add, the sampler retains the Point values.
+	// Like Add, the sampler copies the values of any point it retains;
+	// the caller may reuse pts and its values once the call returns.
 	AddBatch(pts []stream.Point)
 }
 

@@ -109,9 +109,9 @@ func (b *BiasedReservoir) admit(p stream.Point) {
 	b.admitted++
 	fill := float64(len(b.pts)) / float64(b.capacity)
 	if b.rng.Bernoulli(fill) {
-		b.pts[b.rng.Intn(len(b.pts))] = p
+		b.pts[b.rng.Intn(len(b.pts))] = own(p)
 	} else {
-		b.pts = append(b.pts, p)
+		b.pts = append(b.pts, own(p))
 	}
 }
 

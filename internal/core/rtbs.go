@@ -230,14 +230,14 @@ func (s *RTBSReservoir) union(p stream.Point, w float64) {
 		// Two fractions merge into one partial of weight f+w; the survivor
 		// is the new item w.p. w/(f+w), preserving both marginals.
 		if s.rng.Bernoulli(w / total) {
-			s.items[s.nFull] = p
+			s.items[s.nFull] = own(p)
 		}
 		s.frac = total
 	case total <= 1+fracEps:
 		// The weights sum to 1: one of the two becomes a full item (the
 		// new one w.p. w/(f+w) ≈ w), the other is evicted.
 		if s.rng.Bernoulli(w / total) {
-			s.items[s.nFull] = p
+			s.items[s.nFull] = own(p)
 		}
 		s.nFull++
 		s.hasPartial = false
@@ -247,7 +247,7 @@ func (s *RTBSReservoir) union(p stream.Point, w float64) {
 		// f' = f+w-1. P[new is the full] = (w-f')/(1-f') makes the new
 		// item's marginal exactly w·1 + (1-·)·f' = w, and the old one's f.
 		fp := total - 1
-		s.items = append(s.items, p) // layout: [fulls..., old, p]
+		s.items = append(s.items, own(p)) // layout: [fulls..., old, p]
 		if s.rng.Bernoulli((w - fp) / (1 - fp)) {
 			last := len(s.items) - 1
 			s.items[s.nFull], s.items[last] = s.items[last], s.items[s.nFull]
@@ -259,7 +259,7 @@ func (s *RTBSReservoir) union(p stream.Point, w float64) {
 
 // addFull appends a full item, keeping the partial (if any) at the tail.
 func (s *RTBSReservoir) addFull(p stream.Point) {
-	s.items = append(s.items, p)
+	s.items = append(s.items, own(p))
 	if s.hasPartial {
 		last := len(s.items) - 1
 		s.items[s.nFull], s.items[last] = s.items[last], s.items[s.nFull]
@@ -270,7 +270,7 @@ func (s *RTBSReservoir) addFull(p stream.Point) {
 // setPartial installs p as the partial item of weight w (no partial may
 // exist).
 func (s *RTBSReservoir) setPartial(p stream.Point, w float64) {
-	s.items = append(s.items, p)
+	s.items = append(s.items, own(p))
 	s.hasPartial = true
 	s.frac = w
 }

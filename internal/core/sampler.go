@@ -11,8 +11,8 @@ import "biasedres/internal/stream"
 // shard streams across samplers when concurrency is needed.
 type Sampler interface {
 	// Add processes the next arriving stream point. Points must be fed
-	// in arrival order. The sampler retains the Point value; callers
-	// that reuse buffers must pass Point.Clone().
+	// in arrival order. The sampler copies the values of any point it
+	// retains; the caller may reuse its buffers once the call returns.
 	Add(p stream.Point)
 
 	// Points returns the sampler's current reservoir contents as a
@@ -52,6 +52,19 @@ func Fill(s Sampler) float64 {
 		return 0
 	}
 	return float64(s.Len()) / float64(c)
+}
+
+// own returns p with its values copied into an exact-length slice the
+// sampler owns. It is called where a point enters a reservoir, and only
+// there: skipped and ejected points are never copied. An owned slice is
+// never written after it is created, because published Snapshots share it.
+func own(p stream.Point) stream.Point {
+	if p.Values != nil {
+		v := make([]float64, len(p.Values))
+		copy(v, p.Values)
+		p.Values = v
+	}
+	return p
 }
 
 func copyPoints(pts []stream.Point) []stream.Point {

@@ -95,7 +95,7 @@ func (d *TimeDecayReservoir) AddAt(p stream.Point, ts float64) error {
 		return nil
 	}
 	lifetime := d.rng.ExpFloat64() / d.lambda
-	d.insert(timeItem{p: p, ts: ts, expiry: ts + lifetime})
+	d.insert(timeItem{p: own(p), ts: ts, expiry: ts + lifetime})
 	if len(d.items) > d.capacity {
 		// Evict one uniformly random resident and rescale p_in so all
 		// presence probabilities stay proportional to p_in·f.

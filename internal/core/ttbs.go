@@ -101,7 +101,7 @@ func (s *TTBSReservoir) Add(p stream.Point) {
 func (s *TTBSReservoir) admit(p stream.Point) {
 	s.admitted++
 	life := s.rng.Geometric(s.q)
-	s.insert(ttbsItem{p: p, expiry: s.t + uint64(life)})
+	s.insert(ttbsItem{p: own(p), expiry: s.t + uint64(life)})
 }
 
 // AddBatch implements BatchSampler: distributionally identical to Add-ing

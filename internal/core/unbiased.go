@@ -44,12 +44,12 @@ func (u *UnbiasedReservoir) Add(p stream.Point) {
 	u.ver++
 	u.t++
 	if len(u.pts) < u.capacity {
-		u.pts = append(u.pts, p)
+		u.pts = append(u.pts, own(p))
 		return
 	}
 	// Replace a random resident with probability capacity/t.
 	if u.rng.Float64()*float64(u.t) < float64(u.capacity) {
-		u.pts[u.rng.Intn(u.capacity)] = p
+		u.pts[u.rng.Intn(u.capacity)] = own(p)
 	}
 }
 

@@ -152,7 +152,7 @@ func (v *VariableReservoir) admit(p stream.Point) {
 		fill = 1
 	}
 	if v.rng.Bernoulli(fill) && len(v.pts) > 0 {
-		v.pts[v.rng.Intn(len(v.pts))] = p
+		v.pts[v.rng.Intn(len(v.pts))] = own(p)
 		return
 	}
 	// Insertion path: the space limit triggers a reduction phase before
@@ -169,10 +169,10 @@ func (v *VariableReservoir) admit(p stream.Point) {
 		// p_in is at its target and the reservoir is full; F(t)=1 makes
 		// this branch unreachable in practice, but overwrite rather than
 		// grow if floating point ever lets it happen.
-		v.pts[v.rng.Intn(len(v.pts))] = p
+		v.pts[v.rng.Intn(len(v.pts))] = own(p)
 		return
 	}
-	v.pts = append(v.pts, p)
+	v.pts = append(v.pts, own(p))
 }
 
 // reducePhase multiplies p_in by the reduction factor (clamped at the

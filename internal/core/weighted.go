@@ -58,14 +58,14 @@ func (w *WeightedReservoir) Add(p stream.Point) {
 	}
 	key := math.Pow(u, 1/p.Weight)
 	if len(w.items) < w.capacity {
-		w.items = append(w.items, weightedItem{p: p, key: key})
+		w.items = append(w.items, weightedItem{p: own(p), key: key})
 		w.up(len(w.items) - 1)
 		return
 	}
 	if key <= w.items[0].key {
 		return
 	}
-	w.items[0] = weightedItem{p: p, key: key}
+	w.items[0] = weightedItem{p: own(p), key: key}
 	w.down(0)
 }
 

@@ -66,6 +66,8 @@ func (w *WindowReservoir) Add(p stream.Point) {
 	if m > w.window {
 		m = w.window
 	}
+	// Slots that capture p share one owned copy of its values.
+	owned := false
 	for i := range w.slots {
 		s := &w.slots[i]
 		// Expire the head while it has fallen out of the window and a
@@ -75,12 +77,18 @@ func (w *WindowReservoir) Add(p stream.Point) {
 		}
 		// Capture a pending chain link.
 		if s.next != 0 && s.next == w.t {
+			if !owned {
+				p, owned = own(p), true
+			}
 			s.chain = append(s.chain, p)
 			s.next = w.scheduleNext(p.Index)
 		}
 		// Fresh sample with probability 1/min(t, W): the new point
 		// replaces the whole chain.
 		if w.rng.Float64()*float64(m) < 1 {
+			if !owned {
+				p, owned = own(p), true
+			}
 			s.chain = append(s.chain[:0], p)
 			s.next = w.scheduleNext(p.Index)
 		}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -32,8 +33,20 @@ func benchWirePoints(n int) []client.Point {
 // loopback TCP → listener decode → IngestFrame → sampler, one ACKed
 // frame of 256 points per iteration.
 func BenchmarkWireTCP(b *testing.B) {
+	benchWireTCP(b, CreateRequest{Policy: "variable", Lambda: 1e-4, Capacity: 1000})
+}
+
+// BenchmarkWireTCPAdmitAll is BenchmarkWireTCP into the admitAllStreams,
+// which copy every point they receive.
+func BenchmarkWireTCPAdmitAll(b *testing.B) {
+	for _, c := range admitAllStreams {
+		b.Run(c.name, func(b *testing.B) { benchWireTCP(b, c.req) })
+	}
+}
+
+func benchWireTCP(b *testing.B, req CreateRequest) {
 	srv := New(1)
-	benchCreateStream(b, srv, "s")
+	benchCreate(b, srv, req)
 	wl, addr := startWireListener(b, srv)
 	defer wl.Close()
 	wc, err := client.DialWire(addr, client.WireConnConfig{})
@@ -82,11 +95,41 @@ func BenchmarkWireHTTPJSON(b *testing.B) {
 
 // BenchmarkWireIngestFrame isolates the server-side frame handoff —
 // decode already done, measuring IngestFrame's validate + batch build +
-// sampler apply. Allocations here are per-frame (the point slice and its
-// contiguous values backing), never per-point.
+// sampler apply. The batch buffer is pooled, so at steady state the only
+// allocations are the copies of the points the sampler admits
+// (TestIngestFrameAllocs guards this). The stream is the one
+// benchCreateStream makes, a variable reservoir with λ·capacity = 0.1,
+// so about one point in ten is admitted and copied.
 func BenchmarkWireIngestFrame(b *testing.B) {
+	benchIngestFrame(b, CreateRequest{Policy: "variable", Lambda: 1e-4, Capacity: 1000})
+}
+
+// admitAllStreams admit every point, the worst case for copying admitted
+// values: biased with λ·capacity = 1, and a 3-tier uncapped biased ladder
+// (Algorithm 2.1 per tier, capacity ⌊1/λ_i⌋), whose every tier admits
+// every point, so each point is copied three times.
+var admitAllStreams = []struct {
+	name string
+	req  CreateRequest
+}{
+	{"biased", CreateRequest{Policy: "biased", Lambda: 1e-3, Capacity: 1000}},
+	{"biased-3tier", CreateRequest{Policy: "biased", Lambda: 1e-3, Tiers: 3}},
+}
+
+// BenchmarkWireIngestFrameAdmitAll is BenchmarkWireIngestFrame into the
+// admitAllStreams.
+func BenchmarkWireIngestFrameAdmitAll(b *testing.B) {
+	for _, c := range admitAllStreams {
+		b.Run(c.name, func(b *testing.B) { benchIngestFrame(b, c.req) })
+	}
+}
+
+// benchIngestFrame runs one 256-point, 2-dim frame per iteration through
+// IngestFrame into a synchronous stream created from req.
+func benchIngestFrame(b *testing.B, req CreateRequest) {
 	srv := New(1)
-	benchCreateStream(b, srv, "s")
+	defer srv.Close()
+	benchCreate(b, srv, req)
 	f := &wire.Frame{Name: []byte("s"), Dim: 2, Count: wireBenchBatch}
 	f.Values = make([]float64, wireBenchBatch*2)
 	for i := range f.Values {
@@ -100,4 +143,15 @@ func BenchmarkWireIngestFrame(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.N)*wireBenchBatch/b.Elapsed().Seconds(), "points/s")
+}
+
+// benchCreate creates stream "s" on srv from req.
+func benchCreate(b *testing.B, srv *Server, req CreateRequest) {
+	b.Helper()
+	body, _ := json.Marshal(req)
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPut, "/streams/s", bytes.NewReader(body)))
+	if rec.Code != http.StatusCreated {
+		b.Fatalf("create: status %d: %s", rec.Code, rec.Body)
+	}
 }

@@ -4,6 +4,10 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"slices"
+	"sync"
+	"sync/atomic"
+	"unsafe"
 
 	"biasedres/internal/core"
 	"biasedres/internal/durable"
@@ -16,19 +20,71 @@ import (
 // carry.
 var ingestBatchBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384}
 
+// batchBuf is one ingest batch's storage, pooled across batches and
+// transports: the points handed to admit and, for a wire frame, the one
+// values backing they slice (an HTTP batch's points keep the values
+// decodeIngest made for each). Samplers copy the values of the points
+// they retain, so the storage is free again once the batch is applied or
+// refused. Whoever
+// applies the batch releases it: admit after an inline apply or any
+// refusal, the shard worker after apply and model scoring.
+type batchBuf struct {
+	pts  []stream.Point
+	vals []float64
+}
+
+var batchPool = sync.Pool{New: func() any { return new(batchBuf) }}
+
+// batchHook, when set, sees every batch buffer taken from the pool
+// (released false) and every release (released true), so tests can check
+// that each buffer is released exactly once.
+var batchHook atomic.Pointer[func(b *batchBuf, released bool)]
+
+// getBatch takes an empty batch buffer from the pool.
+func getBatch() *batchBuf {
+	b := batchPool.Get().(*batchBuf)
+	if h := batchHook.Load(); h != nil {
+		(*h)(b, false)
+	}
+	return b
+}
+
+// points returns b's point slice resized to n, reusing its storage.
+func (b *batchBuf) points(n int) []stream.Point {
+	b.pts = slices.Grow(b.pts[:0], n)[:n]
+	return b.pts
+}
+
+// release returns b to the pool; neither b nor its points may be used
+// afterwards. Storage over maxPooledBody bytes is left to the garbage
+// collector, as bodyPool does with bodies.
+func (b *batchBuf) release() {
+	if h := batchHook.Load(); h != nil {
+		(*h)(b, true)
+	}
+	if cap(b.vals)*8+cap(b.pts)*int(unsafe.Sizeof(stream.Point{})) > maxPooledBody {
+		return
+	}
+	// Drop the points' references to values not in vals (an HTTP body's),
+	// so the pool pins none.
+	clear(b.pts)
+	b.pts, b.vals = b.pts[:0], b.vals[:0]
+	batchPool.Put(b)
+}
+
 // ingestShard is the per-stream async ingest lane: a bounded queue of
 // pre-validated, index-assigned batches drained by one worker goroutine.
 // One worker per stream keeps arrival order — the samplers require points
 // in order — while different streams ingest fully in parallel.
 type ingestShard struct {
-	ch chan []stream.Point
+	ch chan *batchBuf
 }
 
 // startIngestShard attaches an ingest lane to ms and starts its worker.
 // Called with the stream registered; the worker runs until the shard's
 // channel is closed (stream deletion or server Close).
 func (s *Server) startIngestShard(name string, ms *managedStream) {
-	ms.shard = &ingestShard{ch: make(chan []stream.Point, s.ingestQueue)}
+	ms.shard = &ingestShard{ch: make(chan *batchBuf, s.ingestQueue)}
 	s.ingestWG.Add(1)
 	go s.runIngestShard(name, ms)
 }
@@ -39,15 +95,17 @@ func (s *Server) startIngestShard(name string, ms *managedStream) {
 // contention. Model scoring runs inside the semaphore slot too:
 // classification is CPU work and must respect -ingest-workers. Queued
 // batches carry no timestamps and time-decay streams have no shard, so
-// apply cannot refuse here.
+// apply cannot refuse here. The worker releases each batch it applied.
 func (s *Server) runIngestShard(name string, ms *managedStream) {
 	defer s.ingestWG.Done()
-	for batch := range ms.shard.ch {
+	for b := range ms.shard.ch {
+		n := len(b.pts)
 		s.ingestSem <- struct{}{}
-		s.apply(name, ms, batch, nil)
-		s.observeModel(ms, batch)
+		s.apply(name, ms, b.pts, nil)
+		s.observeModel(ms, b.pts)
 		<-s.ingestSem
-		ms.pending.Add(-int64(len(batch)))
+		b.release()
+		ms.pending.Add(-int64(n))
 		s.applied.With(name).Inc()
 	}
 }
@@ -75,8 +133,16 @@ func refuse(status int, format string, args ...any) admission {
 // FlagIndices), which must advance the stream. Every other batch is
 // sequenced here, under qmu, so arrival indices are handed out in one
 // order. A refused batch consumes nothing: next and dim commit only once
-// the batch is queued or applied.
-func (s *Server) admit(name string, ms *managedStream, batch []stream.Point, ts []*float64, indexed bool) admission {
+// the batch is queued or applied. admit takes b over: it releases b after
+// an inline apply or a refusal, and a queued b passes to the shard
+// worker.
+func (s *Server) admit(name string, ms *managedStream, b *batchBuf, ts []*float64, indexed bool) (a admission) {
+	defer func() {
+		if !a.queued {
+			b.release()
+		}
+	}()
+	batch := b.pts
 	// Checks that read no stream state run before qmu.
 	if len(batch) == 0 {
 		return refuse(http.StatusBadRequest, "no points")
@@ -132,7 +198,7 @@ func (s *Server) admit(name string, ms *managedStream, batch []stream.Point, ts 
 		// Async lane: hand the batch to the stream's worker under qmu
 		// only. A full queue is backpressure.
 		select {
-		case ms.shard.ch <- batch:
+		case ms.shard.ch <- b:
 		default:
 			ms.qmu.Unlock()
 			s.rejected.With(name).Inc()

@@ -54,13 +54,15 @@ var ingestKeys = map[string]int{"values": keyValues, "label": keyLabel, "weight"
 // duplicates, non-integer labels, out-of-range numbers, trailing bytes)
 // reports ok=false, for the caller to hand to encoding/json.
 //
-// Every point gets its own exact-length Values slice: samplers retain
-// single points, and a shared backing would let one pin the whole body.
-// Labels and timestamps are copied by value downstream, so their pointer
-// targets share one backing per batch.
+// The points' Values are exact-length slices of one backing per body:
+// samplers copy the values of the points they retain, so no retained
+// point pins the body. Every value follows a '[' or a ',', which sizes
+// the backing so it does not grow. Labels and timestamps are copied by
+// value downstream, so their pointer targets share one backing per batch.
 func decodeIngest(body []byte) (req IngestRequest, ok bool) {
 	s := ingestScanner{
 		b:      body,
+		vals:   make([]float64, 0, bytes.Count(body, []byte("["))+bytes.Count(body, []byte(","))),
 		labels: make([]int, 0, bytes.Count(body, []byte(`"label"`))),
 		ts:     make([]float64, 0, bytes.Count(body, []byte(`"ts"`))),
 	}
@@ -83,7 +85,7 @@ func decodeIngest(body []byte) (req IngestRequest, ok bool) {
 type ingestScanner struct {
 	b      []byte
 	i      int
-	vals   []float64 // one point's values, copied out per point
+	vals   []float64 // backing of the batch's Values, sized to never move
 	labels []int     // backing of the batch's Label targets, sized to never move
 	ts     []float64 // backing of the batch's TS targets, sized to never move
 }
@@ -93,12 +95,12 @@ func (s *ingestScanner) point() (p IngestPoint, ok bool) {
 	ok = s.object(func(key int) bool {
 		switch key {
 		case keyValues:
-			s.vals = s.vals[:0]
+			start := len(s.vals)
 			ok := s.list(func() bool {
 				s.vals = append(s.vals, 0)
 				return s.float(&s.vals[len(s.vals)-1])
 			})
-			p.Values = append(make([]float64, 0, len(s.vals)), s.vals...)
+			p.Values = s.vals[start:len(s.vals):len(s.vals)]
 			return ok
 		case keyLabel:
 			n, err := strconv.Atoi(s.number())

@@ -733,7 +733,8 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	batch := make([]stream.Point, len(req.Points))
+	b := getBatch()
+	batch := b.points(len(req.Points))
 	var ts []*float64
 	for i, ip := range req.Points {
 		batch[i] = stream.Point{Values: ip.Values, Label: -1, Weight: ip.Weight}
@@ -750,7 +751,8 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			ts[i] = ip.TS
 		}
 	}
-	a := s.admit(name, ms, batch, ts, false)
+	n := len(batch)
+	a := s.admit(name, ms, b, ts, false)
 	switch {
 	case a.err != nil:
 		if a.status == http.StatusTooManyRequests {
@@ -761,9 +763,9 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		w.Header().Set("X-Biasedres-Pending-Points", strconv.FormatInt(a.pending, 10))
 		w.WriteHeader(http.StatusAccepted)
-		_ = json.NewEncoder(w).Encode(map[string]any{"queued": len(batch), "pending": a.pending})
+		_ = json.NewEncoder(w).Encode(map[string]any{"queued": n, "pending": a.pending})
 	default:
-		writeJSON(w, map[string]any{"ingested": len(batch), "processed": a.processed})
+		writeJSON(w, map[string]any{"ingested": n, "processed": a.processed})
 	}
 }
 

@@ -35,29 +35,28 @@ func (s *Server) IngestFrame(f *wire.Frame) wire.Reply {
 	return wire.Ack(a.pending)
 }
 
-// buildWireBatch converts a decoded frame into the batch handed to the
-// sampler. Samplers retain their points, so the batch cannot alias the
-// frame's reusable slices: the points share one fresh contiguous values
-// backing, two allocations total regardless of point count. Indices are
-// copied when the frame carries them; admit sequences the rest.
-func buildWireBatch(f *wire.Frame) []stream.Point {
-	backing := make([]float64, len(f.Values))
-	copy(backing, f.Values)
-	batch := make([]stream.Point, f.Count)
-	for i := range batch {
-		p := &batch[i]
-		p.Values = backing[i*f.Dim : (i+1)*f.Dim : (i+1)*f.Dim]
+// buildWireBatch copies a decoded frame into a pooled batch buffer: the
+// listener reuses the frame's slices for its next frame, while a queued
+// batch outlives this call. The points slice the buffer's one values
+// backing; samplers copy the values of the points they retain, so the
+// buffer is reused once admit or the shard worker releases it, and a
+// steady stream of frames allocates nothing here. Indices are copied when
+// the frame carries them; admit sequences the rest.
+func buildWireBatch(f *wire.Frame) *batchBuf {
+	b := getBatch()
+	b.vals = append(b.vals[:0], f.Values...)
+	for i := range b.points(f.Count) {
+		p := &b.pts[i]
+		*p = stream.Point{Values: b.vals[i*f.Dim : (i+1)*f.Dim : (i+1)*f.Dim], Label: -1, Weight: 1}
 		if f.Indices != nil {
 			p.Index = f.Indices[i]
 		}
-		p.Label = -1
 		if f.Labels != nil {
 			p.Label = int(f.Labels[i])
 		}
-		p.Weight = 1
 		if f.Weights != nil && f.Weights[i] != 0 {
 			p.Weight = f.Weights[i]
 		}
 	}
-	return batch
+	return b
 }

@@ -38,8 +38,10 @@ func (p Point) Age(t uint64) uint64 {
 // Dim returns the dimensionality of the point.
 func (p Point) Dim() int { return len(p.Values) }
 
-// Clone returns a deep copy of the point. Samplers retain the points they
-// are handed, so callers that reuse value buffers must pass clones.
+// Clone returns a deep copy of the point. Samplers copy the values of the
+// points they retain, so a caller that reuses its value buffers needs no
+// clone to feed one; Clone is for a point the caller keeps beyond the
+// next reuse of its buffers.
 func (p Point) Clone() Point {
 	q := p
 	q.Values = append([]float64(nil), p.Values...)
