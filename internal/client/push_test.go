@@ -7,8 +7,12 @@ import (
 	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
+
+	"biasedres/internal/wire"
 )
 
 // randPoints draws n points with random finite floats (every exponent,
@@ -136,37 +140,51 @@ func TestPushRefusesNonFinite(t *testing.T) {
 	}
 }
 
-// TestWireRefusesWhatFramesCannotCarry: a label outside int32 (which used
-// to wrap to another class, or to -1 — unlabeled) and a timestamp (which
-// used to be dropped) fail Push before anything is sent.
-func TestWireRefusesWhatFramesCannotCarry(t *testing.T) {
-	sink := &ackSink{}
+// frameSink ACKs every frame and keeps a copy of the last one.
+type frameSink struct {
+	mu   sync.Mutex
+	last wire.Frame
+}
+
+func (s *frameSink) IngestFrame(f *wire.Frame) wire.Reply {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.last = wire.Frame{Dim: f.Dim, Count: f.Count, Labels: slices.Clone(f.Labels), Weights: slices.Clone(f.Weights),
+		TS: slices.Clone(f.TS), HasTS: slices.Clone(f.HasTS), Values: slices.Clone(f.Values)}
+	return wire.Ack(0)
+}
+
+// TestWireCarriesTimestampsAndWideLabels: labels outside int32 and
+// timestamps, which BRW1 frames could not carry, arrive intact; a point
+// without a timestamp arrives without one.
+func TestWireCarriesTimestampsAndWideLabels(t *testing.T) {
+	sink := &frameSink{}
 	wc, err := DialWire(startSinkListener(t, sink), WireConnConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer wc.Close()
 	wide, neg, ts := 1<<31, -1<<31-1, 1.5
-	for name, p := range map[string]Point{
-		"label 1<<31":    {Values: []float64{1}, Label: &wide},
-		"label -1<<31-1": {Values: []float64{1}, Label: &neg},
-		"ts":             {Values: []float64{1}, TS: &ts},
-	} {
-		if err := wc.Push("s", []Point{{Values: []float64{0}}, p}); err == nil {
-			t.Errorf("Push accepted a point with %s", name)
-		}
+	if err := wc.Push("s", []Point{
+		{Values: []float64{0}},
+		{Values: []float64{1}, Label: &wide, TS: &ts},
+		{Values: []float64{2}, Label: &neg, Weight: 2},
+	}); err != nil {
+		t.Fatalf("Push: %v", err)
 	}
-	if n := sink.frames.Load(); n != 0 {
-		t.Fatalf("%d frames sent", n)
-	}
-	lo, hi := math.MinInt32, math.MaxInt32
-	if err := wc.Push("s", []Point{{Values: []float64{1}, Label: &lo}, {Values: []float64{2}, Label: &hi}}); err != nil {
-		t.Fatalf("int32-range labels refused: %v", err)
+	sink.mu.Lock()
+	defer sink.mu.Unlock()
+	got := sink.last
+	if got.Count != 3 || !slices.Equal(got.Labels, []int64{-1, 1 << 31, -1<<31 - 1}) ||
+		!slices.Equal(got.Weights, []float64{1, 1, 2}) || !slices.Equal(got.Values, []float64{0, 1, 2}) ||
+		!slices.Equal(got.HasTS, []bool{false, true, false}) || got.TS[1] != ts {
+		t.Fatalf("sink saw %+v", got)
 	}
 }
 
-// TestWireRefusesNonFinite: NaN and ±Inf in a value or the weight fail
-// Push before anything is sent, as they fail Push over HTTP.
+// TestWireRefusesNonFinite: NaN and ±Inf in a value, the weight or the
+// timestamp fail Push before anything is sent, as they fail Push over
+// HTTP.
 func TestWireRefusesNonFinite(t *testing.T) {
 	sink := &ackSink{}
 	wc, err := DialWire(startSinkListener(t, sink), WireConnConfig{})
@@ -174,11 +192,14 @@ func TestWireRefusesNonFinite(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer wc.Close()
+	nan, negInf := math.NaN(), math.Inf(-1)
 	for name, p := range map[string]Point{
 		"NaN value":  {Values: []float64{1, math.NaN()}},
 		"+Inf value": {Values: []float64{math.Inf(1), 1}},
 		"-Inf value": {Values: []float64{1, math.Inf(-1)}},
 		"Inf weight": {Values: []float64{1, 2}, Weight: math.Inf(1)},
+		"NaN ts":     {Values: []float64{1, 2}, TS: &nan},
+		"-Inf ts":    {Values: []float64{1, 2}, TS: &negInf},
 	} {
 		if err := wc.Push("s", []Point{{Values: []float64{0, 0}}, p}); err == nil {
 			t.Errorf("Push accepted a point with a %s", name)

@@ -5,9 +5,9 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"math"
 	"net"
 	"net/http"
+	"slices"
 	"sync"
 	"time"
 
@@ -30,8 +30,10 @@ import (
 // frame, up to MaxRetries attempts; a frame still refused after them
 // fails with HTTP's backpressure error, an *APIError with StatusCode 429
 // and the last hint as RetryAfter. A frame refused whole — by the server
-// (an error reply) or before sending (a point the frame cannot carry) —
+// (an error reply) or before sending (a point the server would refuse) —
 // fails with *WireError without retrying: nothing of it was applied.
+// Frames carry everything a JSON point does: labels, weights and
+// timestamps.
 //
 // On a transport failure the WireConn redials and resends the in-flight
 // frame once. A frame whose ACK was lost in transit may by then have
@@ -49,9 +51,12 @@ type WireConn struct {
 	conn   net.Conn
 	br     *bufio.Reader
 	bw     *bufio.Writer
-	f      frame  // reusable packing buffers of the frame being sent
-	enc    []byte // reusable frame encode buffer
-	rep    []byte // reusable reply read buffer
+	f      wire.Frame // reusable columns of the frame being sent
+	w      []float64  // backs f.Weights when a weight is not 1
+	ts     []float64  // backs f.TS when a point carries a timestamp
+	hasTS  []bool     // backs f.HasTS alongside ts
+	enc    []byte     // reusable frame encode buffer
+	rep    []byte     // reusable reply read buffer
 	closed bool
 }
 
@@ -59,19 +64,6 @@ type WireConn struct {
 // WireConn keeps between pushes; one oversized push does not pin its
 // buffers for the connection's life.
 const maxRetainedFrame = 1 << 20
-
-// frame is one batch of points in packed form.
-type frame struct {
-	count   int
-	dim     int
-	values  []float64
-	labels  []int32
-	weights []float64
-	// anyLabel / anyWeight track whether the optional sections carry any
-	// non-default value; all-default sections are omitted from the wire.
-	anyLabel  bool
-	anyWeight bool
-}
 
 // WireConnConfig tunes a WireConn. Zero values pick the defaults.
 type WireConnConfig struct {
@@ -115,7 +107,7 @@ func (cfg WireConnConfig) retryWait(attempt int) time.Duration {
 
 // WireError is the refusal of a whole frame, by the wire listener
 // (unknown stream, dimension mismatch, malformed frame) or by WireConn
-// before sending (a point the frame cannot carry, a closed WireConn).
+// before sending (a point the server would refuse, a closed WireConn).
 // Nothing of the frame was applied, and resending it cannot succeed.
 type WireError struct {
 	Msg string
@@ -161,55 +153,52 @@ func (w *WireConn) redial(ctx context.Context) error {
 	return nil
 }
 
-// reset empties the frame, keeping its buffers unless they outgrew
-// maxRetainedFrame.
-func (f *frame) reset() {
-	if 8*cap(f.values)+4*cap(f.labels)+8*cap(f.weights) > maxRetainedFrame {
-		*f = frame{}
-		return
+// pack packs points into w.f, reusing its columns unless they outgrew
+// maxRetainedFrame. It refuses, sending nothing, a point whose dimension
+// differs from the first's and a NaN or ±Inf value, weight or timestamp,
+// which the server refuses. Columns of defaults — every weight 1, no
+// timestamp — are left out of the frame.
+func (w *WireConn) pack(points []Point) error {
+	f := &w.f
+	if 8*(cap(f.Values)+cap(f.Labels)+cap(w.w)+cap(w.ts))+cap(w.hasTS) > maxRetainedFrame {
+		*f, w.w, w.ts, w.hasTS = wire.Frame{}, nil, nil, nil
 	}
-	*f = frame{values: f.values[:0], labels: f.labels[:0], weights: f.weights[:0]}
-}
-
-// add packs p into the frame. It refuses, leaving the frame unchanged,
-// a point whose dimension differs from the frame's, a NaN or ±Inf value
-// or weight, which the server refuses, and what a frame cannot carry: a
-// label outside int32, which would wrap to another class (or to -1,
-// unlabeled), and a timestamp, which would be dropped.
-func (f *frame) add(p Point) error {
-	if f.count > 0 && len(p.Values) != f.dim {
-		return refusef("point has dim %d, batch has %d", len(p.Values), f.dim)
-	}
-	if p.TS != nil {
-		return refusef("point has a timestamp, which frames cannot carry")
-	}
-	nonFinite := func(v float64) bool { return math.IsNaN(v) || math.IsInf(v, 0) }
-	if nonFinite(p.Weight) {
-		return refusef("point has non-finite weight %v", p.Weight)
-	}
-	for _, v := range p.Values {
-		if nonFinite(v) {
-			return refusef("point has non-finite value %v", v)
+	n, dim := len(points), len(points[0].Values)
+	*f = wire.Frame{Count: n, Dim: dim, Values: slices.Grow(f.Values[:0], n*dim), Labels: slices.Grow(f.Labels[:0], n)[:n]}
+	w.w, w.ts, w.hasTS = slices.Grow(w.w[:0], n)[:n], slices.Grow(w.ts[:0], n)[:n], slices.Grow(w.hasTS[:0], n)[:n]
+	weighted, stamped := false, false
+	for i, p := range points {
+		if len(p.Values) != dim {
+			return refusef("point %d has dim %d, batch has %d", i, len(p.Values), dim)
 		}
-	}
-	label := int32(-1)
-	if p.Label != nil {
-		if *p.Label < math.MinInt32 || *p.Label > math.MaxInt32 {
-			return refusef("label %d is outside the frame's int32 range", *p.Label)
+		weight, ts, label := p.Weight, 0.0, int64(-1)
+		if weight == 0 {
+			weight = 1
 		}
-		label = int32(*p.Label)
-		f.anyLabel = true
+		if p.TS != nil {
+			ts = *p.TS
+		}
+		if p.Label != nil {
+			label = int64(*p.Label)
+		}
+		// x-x is 0 for a finite x and NaN for NaN and ±Inf.
+		nan := weight - weight + ts - ts
+		for _, v := range p.Values {
+			nan += v - v
+		}
+		if nan != 0 {
+			return refusef("point %d has a non-finite value, weight or timestamp", i)
+		}
+		f.Values = append(f.Values, p.Values...)
+		f.Labels[i], w.w[i], w.ts[i], w.hasTS[i] = label, weight, ts, p.TS != nil
+		weighted, stamped = weighted || weight != 1, stamped || p.TS != nil
 	}
-	f.dim = len(p.Values)
-	f.values = append(f.values, p.Values...)
-	f.labels = append(f.labels, label)
-	weight := p.Weight
-	if weight == 0 {
-		weight = 1
+	if weighted {
+		f.Weights = w.w
 	}
-	f.anyWeight = f.anyWeight || weight != 1
-	f.weights = append(f.weights, weight)
-	f.count++
+	if stamped {
+		f.TS, f.HasTS = w.ts, w.hasTS
+	}
 	return nil
 }
 
@@ -234,13 +223,10 @@ func (w *WireConn) PushContext(ctx context.Context, stream string, points []Poin
 	if w.closed {
 		return ErrWireConnClosed
 	}
-	w.f.reset()
-	for _, p := range points {
-		if err := w.f.add(p); err != nil {
-			return err
-		}
+	if err := w.pack(points); err != nil {
+		return err
 	}
-	return w.sendCtxLocked(ctx, stream, &w.f)
+	return w.sendCtxLocked(ctx, stream)
 }
 
 // ErrWireConnClosed is returned by Push after Close.
@@ -258,24 +244,17 @@ func (w *WireConn) Close() error {
 	return nil
 }
 
-// sendCtxLocked encodes f and runs the send/reply/retry loop, honoring
+// sendCtxLocked encodes w.f and runs the send/reply/retry loop, honoring
 // ctx at every blocking point: the dial, the round trip (a cancellation
 // poisons the connection deadline, so even a reply that never comes —
 // blackholed network — unblocks immediately), and the NACK backoff wait.
 // Called with w.mu held.
-func (w *WireConn) sendCtxLocked(ctx context.Context, stream string, f *frame) error {
-	wf := wire.Frame{Dim: f.dim, Count: f.count, Values: f.values}
-	if f.anyLabel {
-		wf.Labels = f.labels
-	}
-	if f.anyWeight {
-		wf.Weights = f.weights
-	}
+func (w *WireConn) sendCtxLocked(ctx context.Context, stream string) error {
 	if cap(w.enc) > maxRetainedFrame {
 		w.enc = nil
 	}
 	var err error
-	w.enc, err = wire.AppendFrame(w.enc[:0], stream, &wf)
+	w.enc, err = wire.AppendFrame(w.enc[:0], stream, &w.f)
 	if err != nil {
 		return &WireError{Msg: err.Error()}
 	}
@@ -325,7 +304,7 @@ func (w *WireConn) sendCtxLocked(ctx context.Context, stream string, f *frame) e
 	return &APIError{
 		StatusCode: http.StatusTooManyRequests,
 		Message: fmt.Sprintf("wire: frame of %d points still backpressured after %d attempts (server hint %dms)",
-			f.count, w.cfg.MaxRetries, lastNack.RetryMS),
+			w.f.Count, w.cfg.MaxRetries, lastNack.RetryMS),
 		RetryAfter: time.Duration(lastNack.RetryMS) * time.Millisecond,
 	}
 }

@@ -10,14 +10,14 @@ import (
 
 // benchOps returns n ops shaped like a wire ingest batch: consecutive
 // indices, dim values each, unit weights, no timestamps.
-func benchOps(n, dim int) []Op {
-	ops := make([]Op, n)
+func benchOps(n, dim int) []v1Op {
+	ops := make([]v1Op, n)
 	vals := make([]float64, n*dim)
 	for i := range vals {
 		vals[i] = float64(i%97) * 0.25
 	}
 	for i := range ops {
-		ops[i] = Op{P: stream.Point{
+		ops[i] = v1Op{P: stream.Point{
 			Index:  uint64(1000 + i),
 			Values: vals[i*dim : (i+1)*dim],
 			Label:  i % 5,
@@ -44,7 +44,7 @@ func (d discardFS) Create(p string) (File, error) {
 	return d.MemFS.Create(p)
 }
 
-// BenchmarkJournalAppend measures Store.Append of one 256-op, dim-10
+// BenchmarkJournalAppend measures Store.Append of one 256-point, dim-10
 // batch: record encoding plus the framed write.
 func BenchmarkJournalAppend(b *testing.B) {
 	st, err := Open(discardFS{NewMemFS()}, "data")
@@ -54,11 +54,11 @@ func BenchmarkJournalAppend(b *testing.B) {
 	if err := st.Attach("s", Checkpoint{Seq: 1, Meta: StreamMeta{Name: "s"}}); err != nil {
 		b.Fatal(err)
 	}
-	ops := benchOps(256, 10)
+	batch := frameOf(benchOps(256, 10))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := st.Append("s", ops); err != nil {
+		if err := st.Append("s", batch); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -67,7 +67,7 @@ func BenchmarkJournalAppend(b *testing.B) {
 // BenchmarkDecodeJournal measures replaying a journal of one 256-op,
 // dim-10 record: header, frame check and record decode.
 func BenchmarkDecodeJournal(b *testing.B) {
-	image := journalBytes(b, 1, Record{Ops: benchOps(256, 10)})
+	image := journalBytes(b, 1, v1Record{Ops: benchOps(256, 10)})
 	b.SetBytes(int64(len(image)))
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -5,6 +5,8 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"biasedres/internal/stream"
@@ -12,7 +14,10 @@ import (
 
 // TestGenerateJournalSeedCorpus writes the checked-in seed corpus of
 // FuzzDecodeJournal to testdata/fuzz/FuzzDecodeJournal. It only runs when
-// DURABLE_GEN_CORPUS=1 so normal test runs never rewrite testdata.
+// DURABLE_GEN_CORPUS=1 so normal test runs never rewrite testdata. The
+// checked-in v1-plain was gob-encoded when the v1 types were named Record
+// and Op; a regenerated one names them v1Record and v1Op and decodes the
+// same.
 func TestGenerateJournalSeedCorpus(t *testing.T) {
 	if os.Getenv("DURABLE_GEN_CORPUS") != "1" {
 		t.Skip("set DURABLE_GEN_CORPUS=1 to regenerate the seed corpus")
@@ -21,12 +26,7 @@ func TestGenerateJournalSeedCorpus(t *testing.T) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	plain := Record{Ops: benchOps(4, 2)}
-	mixed := Record{Ops: []Op{
-		{P: stream.Point{Index: 9, Values: []float64{1, 2, 3}, Label: math.MinInt64, Weight: math.NaN()}, TS: 4, HasTS: true},
-		{P: stream.Point{Index: 7, Label: -1, Weight: 1}, TS: 5},
-		{P: stream.Point{Index: 12, Values: []float64{math.Inf(-1)}, Label: math.MaxInt64, Weight: 0}},
-	}}
+	plain, mixed := corpusRecords()
 	v2 := journalBytes(t, 3, plain, mixed)
 	mutate := func(src []byte, fn func([]byte)) []byte {
 		out := append([]byte(nil), src...)
@@ -55,4 +55,49 @@ func TestGenerateJournalSeedCorpus(t *testing.T) {
 		}
 	}
 	t.Logf("wrote %d corpus entries to %s", len(entries), dir)
+}
+
+// corpusRecords are the records of the seed corpus: a plain batch and one
+// that needs every optional column.
+func corpusRecords() (plain, mixed v1Record) {
+	plain = v1Record{Ops: benchOps(4, 2)}
+	mixed = v1Record{Ops: []v1Op{
+		{P: stream.Point{Index: 9, Values: []float64{1, 2, 3}, Label: math.MinInt64, Weight: math.NaN()}, TS: 4, HasTS: true},
+		{P: stream.Point{Index: 7, Label: -1, Weight: 1}, TS: 5},
+		{P: stream.Point{Index: 12, Values: []float64{math.Inf(-1)}, Label: math.MaxInt64, Weight: 0}},
+	}}
+	return plain, mixed
+}
+
+// TestCorpusJournalsReplay: the checked-in v1 and v2 journals, written
+// before the batch layout moved into internal/wire and the v1 gob types
+// were renamed, still replay to the records they were written from.
+func TestCorpusJournalsReplay(t *testing.T) {
+	plain, mixed := corpusRecords()
+	for name, want := range map[string][]v1Record{
+		"v1-plain":         {plain, mixed},
+		"v2-plain":         {plain},
+		"v2-mixed-columns": {plain, mixed},
+	} {
+		t.Run(name, func(t *testing.T) {
+			data, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzDecodeJournal", name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			lit := strings.TrimSuffix(strings.TrimPrefix(strings.Split(string(data), "\n")[1], "[]byte("), ")")
+			image, err := strconv.Unquote(lit)
+			if err != nil {
+				t.Fatal(err)
+			}
+			scan, err := decodeJournal(strings.NewReader(image))
+			if err != nil || scan.corrupt || scan.tornTail || len(scan.records) != len(want) {
+				t.Fatalf("scan: %d records, corrupt %v, torn %v, err %v", len(scan.records), scan.corrupt, scan.tornTail, err)
+			}
+			for i, rec := range want {
+				if !sameOps(opsOf(scan.records[i]), rec.Ops) {
+					t.Fatalf("record %d replays as %+v, want %+v", i, opsOf(scan.records[i]), rec.Ops)
+				}
+			}
+		})
+	}
 }

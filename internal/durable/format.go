@@ -9,10 +9,10 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"slices"
 
 	"biasedres/internal/stream"
+	"biasedres/internal/wire"
 )
 
 // On-disk encodings. Both files are self-verifying:
@@ -31,27 +31,14 @@ import (
 //	then zero or more records, each:
 //	[4]  payload length (little-endian)
 //	[4]  CRC32-Castagnoli of the payload
-//	[n]  payload: one applied batch of ops
+//	[n]  payload: one applied batch
 //
-// A v2 record payload is a fixed little-endian columnar layout, one
-// column per Op field, each present only when the batch needs it:
-//
-//	[8]        count of ops
-//	[4]        dim: values per op (0 when the ragged flag is set)
-//	[1]        flags: 1 consecutive indices, 2 weights, 4 timestamps, 8 ragged
-//	[8]        first index                      if consecutive
-//	[8×count]  indices                          otherwise
-//	[8×count]  labels (int64)
-//	[8×count]  weights (float64)                if some weight is not 1
-//	[8×count]  timestamps (float64)             if some op has HasTS or TS≠0
-//	[count]    has-ts (0 or 1)                  with the timestamps
-//	[4×count]  values per op                    if dims differ (ragged)
-//	[8×Σdim]   values (float64), op after op
-//
-// Every length in a v2 payload is checked against the payload's own size
-// before anything is allocated. A v1 record payload is gob(Record); v1
-// journals are still replayed (the magic selects the decoder per file),
-// but nothing writes them any more.
+// A v2 record payload is one applied batch in the batch layout of
+// internal/wire, the layout a wire frame carries after its stream name.
+// The store frames it and checks its length and CRC; the batch decoder
+// checks every length in it before anything is allocated. A v1 record
+// payload is gob(v1Record); v1 journals are still replayed (the magic
+// selects the decoder per file), but nothing writes them any more.
 //
 // A torn tail — the normal state after a crash mid-append — fails the
 // length or CRC check of the last record and replay stops there; the
@@ -115,20 +102,6 @@ type checkpointPayload struct {
 	Snapshot []byte
 }
 
-// Op is one journaled ingest operation: the point as applied, plus the
-// explicit timestamp for time-decay streams (HasTS distinguishes "AddAt
-// ts" from "Add with clock+1").
-type Op struct {
-	P     stream.Point
-	TS    float64
-	HasTS bool
-}
-
-// Record is one journal entry: the ops of one applied ingest batch.
-type Record struct {
-	Ops []Op
-}
-
 // EncodeCheckpoint renders ck into its file bytes. These bytes are the
 // one persisted form of a stream: what a .ckpt file holds and what
 // GET /streams/{name}/transfer ships to another node.
@@ -180,242 +153,53 @@ func encodeJournalHeader(seq uint64) []byte {
 	return binary.LittleEndian.AppendUint64(buf, seq)
 }
 
-// Record flag bits of the v2 payload header.
-const (
-	recSeqIndex   = 1 << iota // indices are first, first+1, …: one index stored
-	recWeights                // weights column present
-	recTimestamps             // timestamp and has-ts columns present
-	recRagged                 // per-op value counts present; dim is 0
-	recFlagsAll   = recSeqIndex | recWeights | recTimestamps | recRagged
-)
-
-// recHeaderBytes is the fixed prefix of a v2 payload: count, dim, flags.
-const recHeaderBytes = 8 + 4 + 1
-
-// appendRecord appends one v2 journal record frame holding ops to buf and
-// returns the extended buffer. A batch whose payload would exceed
+// appendRecord appends one v2 journal record frame holding batch f to
+// buf and returns the extended buffer. A batch whose payload would exceed
 // maxRecordBytes is refused: replay would classify it as corrupt.
-func appendRecord(buf []byte, ops []Op) ([]byte, error) {
-	n := uint64(len(ops))
-	var flags byte = recSeqIndex
-	dim := 0
-	if n > 0 {
-		dim = len(ops[0].P.Values)
-	}
-	values := uint64(0)
-	for i := range ops {
-		op := &ops[i]
-		if op.P.Index != ops[0].P.Index+uint64(i) {
-			flags &^= recSeqIndex
-		}
-		if math.Float64bits(op.P.Weight) != math.Float64bits(1) {
-			flags |= recWeights
-		}
-		if op.HasTS || math.Float64bits(op.TS) != 0 {
-			flags |= recTimestamps
-		}
-		if len(op.P.Values) != dim {
-			flags |= recRagged
-		}
-		values += uint64(len(op.P.Values))
-	}
-	size := recHeaderBytes + 8*n + 8*values // labels and values
-	if flags&recSeqIndex != 0 {
-		size += 8
-	} else {
-		size += 8 * n
-	}
-	if flags&recWeights != 0 {
-		size += 8 * n
-	}
-	if flags&recTimestamps != 0 {
-		size += 9 * n
-	}
-	if flags&recRagged != 0 {
-		size += 4 * n
-		dim = 0
-	}
-	if size > maxRecordBytes {
-		return buf, fmt.Errorf("durable: journal record of %d ops is %d bytes, over the %d-byte limit",
-			n, size, maxRecordBytes)
-	}
-
+func appendRecord(buf []byte, f *wire.Frame) ([]byte, error) {
 	start := len(buf)
-	buf = slices.Grow(buf, 8+int(size))
-	le := binary.LittleEndian
-	buf = le.AppendUint32(buf, uint32(size))
-	buf = le.AppendUint32(buf, 0) // CRC, filled in below
-	buf = le.AppendUint64(buf, n)
-	buf = le.AppendUint32(buf, uint32(dim))
-	buf = append(buf, flags)
-	if flags&recSeqIndex != 0 {
-		var first uint64
-		if n > 0 {
-			first = ops[0].P.Index
-		}
-		buf = le.AppendUint64(buf, first)
-	} else {
-		for i := range ops {
-			buf = le.AppendUint64(buf, ops[i].P.Index)
-		}
+	buf = append(buf, make([]byte, 8)...) // length and CRC, filled in below
+	buf, err := wire.AppendBatch(buf, f)
+	if err != nil {
+		return buf[:start], fmt.Errorf("durable: %w", err)
 	}
-	for i := range ops {
-		buf = le.AppendUint64(buf, uint64(int64(ops[i].P.Label)))
+	if size := len(buf) - start - 8; size > maxRecordBytes {
+		return buf[:start], fmt.Errorf("durable: journal record of %d points is %d bytes, over the %d-byte limit",
+			f.Count, size, maxRecordBytes)
 	}
-	if flags&recWeights != 0 {
-		for i := range ops {
-			buf = le.AppendUint64(buf, math.Float64bits(ops[i].P.Weight))
-		}
-	}
-	if flags&recTimestamps != 0 {
-		for i := range ops {
-			buf = le.AppendUint64(buf, math.Float64bits(ops[i].TS))
-		}
-		for i := range ops {
-			var has byte
-			if ops[i].HasTS {
-				has = 1
-			}
-			buf = append(buf, has)
-		}
-	}
-	if flags&recRagged != 0 {
-		for i := range ops {
-			buf = le.AppendUint32(buf, uint32(len(ops[i].P.Values)))
-		}
-	}
-	for i := range ops {
-		for _, v := range ops[i].P.Values {
-			buf = le.AppendUint64(buf, math.Float64bits(v))
-		}
-	}
-	le.PutUint32(buf[start+4:], crc32.Checksum(buf[start+8:], castagnoli))
+	binary.LittleEndian.PutUint32(buf[start:], uint32(len(buf)-start-8))
+	binary.LittleEndian.PutUint32(buf[start+4:], crc32.Checksum(buf[start+8:], castagnoli))
 	return buf, nil
 }
 
-// errBadRecord reports a CRC-valid v2 payload whose layout does not add
-// up; decodeJournal classifies it as corruption.
-var errBadRecord = errors.New("durable: malformed journal record")
-
-// recCursor walks a v2 payload column by column; a short read marks it
-// bad and yields nil from then on.
-type recCursor struct {
-	p   []byte
-	bad bool
+// v1Record and v1Op are the gob payload of a BRESJRN1 record: the points
+// of one applied batch, each with its optional timestamp.
+type v1Record struct {
+	Ops []v1Op
 }
 
-func (c *recCursor) take(k uint64) []byte {
-	if c.bad || uint64(len(c.p)) < k {
-		c.bad = true
-		return nil
-	}
-	b := c.p[:k]
-	c.p = c.p[k:]
-	return b
+type v1Op struct {
+	P     stream.Point
+	TS    float64
+	HasTS bool
 }
 
-// decodeRecord parses one v2 payload. Every column length is checked
-// against the bytes remaining before it is allocated, so a payload that
-// claims more ops or values than it holds fails instead of allocating.
-// The decoded ops own their memory; p may be reused afterwards. Values of
-// one record share a backing array, as a decoded wire frame's do.
-func decodeRecord(p []byte) (Record, error) {
-	if len(p) < recHeaderBytes || len(p) > maxRecordBytes {
-		return Record{}, errBadRecord
+// decodeRecordV1 parses one gob payload of a BRESJRN1 journal into the
+// batch it records, every column explicit.
+func decodeRecordV1(p []byte, f *wire.Frame) error {
+	var rec v1Record
+	if err := gob.NewDecoder(bytes.NewReader(p)).Decode(&rec); err != nil {
+		return err
 	}
-	le := binary.LittleEndian
-	n := le.Uint64(p)
-	dim := uint64(le.Uint32(p[8:]))
-	flags := p[12]
-	c := recCursor{p: p[recHeaderBytes:]}
-	// Labels alone take 8 bytes per op, so this bounds n (below 2^27)
-	// before anything is allocated by it.
-	if flags&^recFlagsAll != 0 || n > uint64(len(c.p))/8 {
-		return Record{}, errBadRecord
+	n := len(rec.Ops)
+	*f = wire.Frame{Count: n, Indices: make([]uint64, n), Labels: make([]int64, n),
+		Weights: make([]float64, n), TS: make([]float64, n), HasTS: make([]bool, n), Lens: make([]uint32, n)}
+	for i, op := range rec.Ops {
+		f.Indices[i], f.Labels[i], f.Weights[i] = op.P.Index, int64(op.P.Label), op.P.Weight
+		f.TS[i], f.HasTS[i], f.Lens[i] = op.TS, op.HasTS, uint32(len(op.P.Values))
+		f.Values = append(f.Values, op.P.Values...)
 	}
-	if flags&recRagged != 0 && dim != 0 {
-		return Record{}, errBadRecord
-	}
-	var first uint64
-	var indices, weights, ts, hasTS, lens []byte
-	if flags&recSeqIndex != 0 {
-		if b := c.take(8); b != nil {
-			first = le.Uint64(b)
-		}
-	} else {
-		indices = c.take(8 * n)
-	}
-	labels := c.take(8 * n)
-	if flags&recWeights != 0 {
-		weights = c.take(8 * n)
-	}
-	if flags&recTimestamps != 0 {
-		ts, hasTS = c.take(8*n), c.take(n)
-	}
-	if flags&recRagged != 0 {
-		lens = c.take(4 * n)
-	}
-	// What remains is exactly the values column. n < 2^27 and every
-	// per-op count is below 2^32, so neither n*dim nor the sum overflows.
-	total := uint64(len(c.p)) / 8
-	if c.bad || uint64(len(c.p))%8 != 0 {
-		return Record{}, errBadRecord
-	}
-	if lens != nil {
-		sum := uint64(0)
-		for i := uint64(0); i < n; i++ {
-			sum += uint64(le.Uint32(lens[4*i:]))
-		}
-		if sum != total {
-			return Record{}, errBadRecord
-		}
-	} else if n*dim != total {
-		return Record{}, errBadRecord
-	}
-	for _, b := range hasTS {
-		if b > 1 {
-			return Record{}, errBadRecord
-		}
-	}
-
-	ops := make([]Op, n)
-	vals := make([]float64, total)
-	for i := range vals {
-		vals[i] = math.Float64frombits(le.Uint64(c.p[8*i:]))
-	}
-	off := uint64(0)
-	for i := range ops {
-		op := &ops[i]
-		op.P.Index = first + uint64(i)
-		if indices != nil {
-			op.P.Index = le.Uint64(indices[8*i:])
-		}
-		op.P.Label = int(int64(le.Uint64(labels[8*i:])))
-		op.P.Weight = 1
-		if weights != nil {
-			op.P.Weight = math.Float64frombits(le.Uint64(weights[8*i:]))
-		}
-		if ts != nil {
-			op.TS = math.Float64frombits(le.Uint64(ts[8*i:]))
-			op.HasTS = hasTS[i] == 1
-		}
-		k := dim
-		if lens != nil {
-			k = uint64(le.Uint32(lens[4*i:]))
-		}
-		if k > 0 {
-			op.P.Values = vals[off : off+k : off+k]
-		}
-		off += k
-	}
-	return Record{Ops: ops}, nil
-}
-
-// decodeRecordV1 parses one gob payload of a BRESJRN1 journal.
-func decodeRecordV1(p []byte) (Record, error) {
-	var rec Record
-	err := gob.NewDecoder(bytes.NewReader(p)).Decode(&rec)
-	return rec, err
+	return nil
 }
 
 // journalScan is the result of reading one journal file: the base
@@ -427,7 +211,7 @@ func decodeRecordV1(p []byte) (Record, error) {
 // the file deserves quarantine.
 type journalScan struct {
 	base     uint64
-	records  []Record
+	records  []*wire.Frame
 	tornTail bool
 	corrupt  bool
 }
@@ -441,10 +225,10 @@ func decodeJournal(r io.Reader) (journalScan, error) {
 	if _, err := io.ReadFull(br, head); err != nil {
 		return journalScan{}, fmt.Errorf("%w: journal header truncated: %v", errCorrupt, err)
 	}
-	var decode func([]byte) (Record, error)
+	var decode func([]byte, *wire.Frame) error
 	switch [8]byte(head[:8]) {
 	case journalMagic:
-		decode = decodeRecord
+		decode = wire.DecodeBatch
 	case journalMagicV1:
 		decode = decodeRecordV1
 	default:
@@ -475,8 +259,8 @@ func decodeJournal(r io.Reader) (journalScan, error) {
 			scan.corrupt = true
 			return scan, nil
 		}
-		rec, err := decode(payload)
-		if err != nil {
+		rec := new(wire.Frame)
+		if err := decode(payload, rec); err != nil {
 			scan.corrupt = true
 			return scan, nil
 		}

@@ -151,7 +151,7 @@ func TestTransferCorruptionDetected(t *testing.T) {
 // no longer written by the store, so its encoder lives here.
 type journalFormat struct {
 	name  string
-	bytes func(t testing.TB, seq uint64, recs ...Record) []byte
+	bytes func(t testing.TB, seq uint64, recs ...v1Record) []byte
 }
 
 var journalFormats = []journalFormat{
@@ -160,12 +160,12 @@ var journalFormats = []journalFormat{
 }
 
 // journalBytes builds a v2 journal file image.
-func journalBytes(t testing.TB, seq uint64, recs ...Record) []byte {
+func journalBytes(t testing.TB, seq uint64, recs ...v1Record) []byte {
 	t.Helper()
 	buf := encodeJournalHeader(seq)
 	for _, rec := range recs {
 		var err error
-		if buf, err = appendRecord(buf, rec.Ops); err != nil {
+		if buf, err = appendRecord(buf, frameOf(rec.Ops)); err != nil {
 			t.Fatalf("appendRecord: %v", err)
 		}
 	}
@@ -173,7 +173,7 @@ func journalBytes(t testing.TB, seq uint64, recs ...Record) []byte {
 }
 
 // journalBytesV1 builds a BRESJRN1 journal file image: gob payloads.
-func journalBytesV1(t testing.TB, seq uint64, recs ...Record) []byte {
+func journalBytesV1(t testing.TB, seq uint64, recs ...v1Record) []byte {
 	t.Helper()
 	buf := append(journalMagicV1[:len(journalMagicV1):len(journalMagicV1)], make([]byte, 8)...)
 	binary.LittleEndian.PutUint64(buf[8:], seq)
@@ -189,13 +189,13 @@ func journalBytesV1(t testing.TB, seq uint64, recs ...Record) []byte {
 	return buf
 }
 
-func opWithValue(v float64) Op {
-	return Op{P: stream.Point{Index: uint64(v), Values: []float64{v}, Label: -1, Weight: 1}}
+func opWithValue(v float64) v1Op {
+	return v1Op{P: stream.Point{Index: uint64(v), Values: []float64{v}, Label: -1, Weight: 1}}
 }
 
 func TestJournalRoundtrip(t *testing.T) {
-	r1 := Record{Ops: []Op{opWithValue(1), opWithValue(2)}}
-	r2 := Record{Ops: []Op{{P: stream.Point{Index: 3, Values: []float64{3}}, TS: 9.5, HasTS: true}}}
+	r1 := v1Record{Ops: []v1Op{opWithValue(1), opWithValue(2)}}
+	r2 := v1Record{Ops: []v1Op{{P: stream.Point{Index: 3, Values: []float64{3}}, TS: 9.5, HasTS: true}}}
 	for _, jf := range journalFormats {
 		t.Run(jf.name, func(t *testing.T) {
 			data := jf.bytes(t, 4, r1, r2)
@@ -209,7 +209,7 @@ func TestJournalRoundtrip(t *testing.T) {
 			if scan.tornTail || scan.corrupt {
 				t.Fatalf("clean journal flagged torn=%v corrupt=%v", scan.tornTail, scan.corrupt)
 			}
-			if len(scan.records) != 2 || !reflect.DeepEqual(scan.records[0], r1) || !reflect.DeepEqual(scan.records[1], r2) {
+			if len(scan.records) != 2 || !sameOps(opsOf(scan.records[0]), r1.Ops) || !sameOps(opsOf(scan.records[1]), r2.Ops) {
 				t.Fatalf("records mismatch: %+v", scan.records)
 			}
 		})
@@ -217,8 +217,8 @@ func TestJournalRoundtrip(t *testing.T) {
 }
 
 func TestJournalTornTailIsNotCorrupt(t *testing.T) {
-	r1 := Record{Ops: []Op{opWithValue(1)}}
-	r2 := Record{Ops: []Op{opWithValue(2)}}
+	r1 := v1Record{Ops: []v1Op{opWithValue(1)}}
+	r2 := v1Record{Ops: []v1Op{opWithValue(2)}}
 	for _, jf := range journalFormats {
 		t.Run(jf.name, func(t *testing.T) {
 			full := jf.bytes(t, 1, r1, r2)
@@ -236,7 +236,7 @@ func TestJournalTornTailIsNotCorrupt(t *testing.T) {
 				if scan.corrupt {
 					t.Fatalf("cut %d: truncation misclassified as corruption", cut)
 				}
-				if len(scan.records) != 1 || !reflect.DeepEqual(scan.records[0], r1) {
+				if len(scan.records) != 1 || !sameOps(opsOf(scan.records[0]), r1.Ops) {
 					t.Fatalf("cut %d: prefix lost: %+v", cut, scan.records)
 				}
 			}
@@ -251,8 +251,8 @@ func TestJournalTornTailIsNotCorrupt(t *testing.T) {
 }
 
 func TestJournalCorruptionClassified(t *testing.T) {
-	r1 := Record{Ops: []Op{opWithValue(1)}}
-	r2 := Record{Ops: []Op{opWithValue(2)}}
+	r1 := v1Record{Ops: []v1Op{opWithValue(1)}}
+	r2 := v1Record{Ops: []v1Op{opWithValue(2)}}
 	for _, jf := range journalFormats {
 		t.Run(jf.name, func(t *testing.T) {
 			data := jf.bytes(t, 1, r1, r2)

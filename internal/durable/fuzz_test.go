@@ -16,8 +16,8 @@ import (
 // more than it holds classifies as corrupt (the checked-in corpus holds
 // such claims; the decoder's length checks keep them from allocating).
 func FuzzDecodeJournal(f *testing.F) {
-	f.Add(journalBytes(f, 1, Record{Ops: benchOps(3, 2)}))
-	f.Add(journalBytesV1(f, 1, Record{Ops: benchOps(2, 1)}))
+	f.Add(journalBytes(f, 1, v1Record{Ops: benchOps(3, 2)}))
+	f.Add(journalBytesV1(f, 1, v1Record{Ops: benchOps(2, 1)}))
 	f.Add(payloadFrame(recordHeader(1<<32, 1, recSeqIndex)))
 	f.Add([]byte{})
 
@@ -33,7 +33,7 @@ func FuzzDecodeJournal(f *testing.F) {
 			t.Fatal("scan is both torn and corrupt")
 		}
 		for i, rec := range scan.records {
-			frame, err := appendRecord(nil, rec.Ops)
+			frame, err := appendRecord(nil, rec)
 			if err != nil {
 				t.Fatalf("record %d: re-encoding: %v", i, err)
 			}
@@ -41,7 +41,7 @@ func FuzzDecodeJournal(f *testing.F) {
 			if err != nil {
 				t.Fatalf("record %d: decoding its re-encoding: %v", i, err)
 			}
-			if !sameOps(again.Ops, rec.Ops) {
+			if !sameOps(opsOf(again), opsOf(rec)) {
 				t.Fatalf("record %d: re-encoding changed the ops", i)
 			}
 		}

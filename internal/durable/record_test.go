@@ -6,15 +6,87 @@ import (
 	"hash/crc32"
 	"math"
 	"math/rand/v2"
+	"os"
+	"path/filepath"
 	"runtime"
+	"sort"
 	"testing"
 
 	"biasedres/internal/stream"
+	"biasedres/internal/wire"
 )
+
+// v1Op, the per-point form BRESJRN1 journals stored, is also these
+// tests' view of a batch: frameOf packs ops into a batch as the server
+// seals one, and opsOf unpacks a batch into ops.
+
+// Batch layout constants, pinned here so a drift in the on-disk format
+// fails these tests.
+const (
+	recSeqIndex    = 1
+	recTimestamps  = 4
+	recRagged      = 8
+	recHeaderBytes = 8 + 4 + 1
+)
+
+// frameOf packs ops into a batch the way the server seals one: indices as
+// the first one when they are consecutive, and the weight, timestamp and
+// value-count columns only when some op needs them.
+func frameOf(ops []v1Op) *wire.Frame {
+	n := len(ops)
+	f := &wire.Frame{Count: n, Labels: make([]int64, n)}
+	idx, w, lens := make([]uint64, n), make([]float64, n), make([]uint32, n)
+	ts, has := make([]float64, n), make([]bool, n)
+	consecutive, weighted, stamped, ragged := true, false, false, false
+	for i, op := range ops {
+		idx[i], f.Labels[i], w[i], lens[i] = op.P.Index, int64(op.P.Label), op.P.Weight, uint32(len(op.P.Values))
+		ts[i], has[i] = op.TS, op.HasTS
+		f.Values = append(f.Values, op.P.Values...)
+		consecutive = consecutive && op.P.Index == ops[0].P.Index+uint64(i)
+		weighted = weighted || math.Float64bits(op.P.Weight) != math.Float64bits(1)
+		stamped = stamped || op.HasTS || math.Float64bits(op.TS) != 0
+		ragged = ragged || lens[i] != lens[0]
+	}
+	f.Indices = idx
+	if n > 0 {
+		f.Dim = int(lens[0])
+		if consecutive {
+			f.First, f.Indices = idx[0], nil
+		}
+	}
+	if weighted {
+		f.Weights = w
+	}
+	if stamped {
+		f.TS, f.HasTS = ts, has
+	}
+	if ragged {
+		f.Dim, f.Lens = 0, lens
+	}
+	return f
+}
+
+// decodeRecord decodes one v2 record payload into a batch of its own.
+func decodeRecord(p []byte) (*wire.Frame, error) {
+	f := new(wire.Frame)
+	return f, wire.DecodeBatch(p, f)
+}
+
+// opsOf unpacks a batch into ops.
+func opsOf(f *wire.Frame) []v1Op {
+	ops := make([]v1Op, f.Count)
+	for i, p := range f.Points(nil) {
+		ops[i].P = p
+		if f.TS != nil {
+			ops[i].TS, ops[i].HasTS = f.TS[i], f.HasTS[i]
+		}
+	}
+	return ops
+}
 
 // sameOps compares op slices bit for bit, so NaN weights and negative-zero
 // timestamps must survive too. nil and empty Values are the same point.
-func sameOps(a, b []Op) bool {
+func sameOps(a, b []v1Op) bool {
 	if len(a) != len(b) {
 		return false
 	}
@@ -36,9 +108,9 @@ func sameOps(a, b []Op) bool {
 }
 
 // roundtrip frames ops as one v2 record, checks the frame, and decodes it.
-func roundtrip(t *testing.T, ops []Op) []Op {
+func roundtrip(t *testing.T, ops []v1Op) []v1Op {
 	t.Helper()
-	frame, err := appendRecord(nil, ops)
+	frame, err := appendRecord(nil, frameOf(ops))
 	if err != nil {
 		t.Fatalf("appendRecord: %v", err)
 	}
@@ -53,17 +125,20 @@ func roundtrip(t *testing.T, ops []Op) []Op {
 	if err != nil {
 		t.Fatalf("decodeRecord: %v", err)
 	}
-	return rec.Ops
+	return opsOf(rec)
 }
 
 func pt(index uint64, label int, weight float64, values ...float64) stream.Point {
 	return stream.Point{Index: index, Label: label, Weight: weight, Values: values}
 }
 
-func TestRecordRoundtripEdgeCases(t *testing.T) {
+// edgeCases are batches at the edges of every column: ragged dims, empty
+// values, extreme labels, special floats, timestamps without has-ts, and
+// indices that are not, or only across the wrap, consecutive.
+func edgeCases() map[string][]v1Op {
 	nan, inf := math.NaN(), math.Inf(1)
 	negZero := math.Copysign(0, -1)
-	cases := map[string][]Op{
+	return map[string][]v1Op{
 		"single op":   {{P: pt(1, -1, 1, 2.5)}},
 		"ragged dims": {{P: pt(1, 0, 1, 1, 2, 3)}, {P: pt(2, 0, 1)}, {P: pt(3, 0, 1, 4)}, {P: pt(4, 0, 1, 5, 6, 7, 8, 9)}},
 		"empty values": {
@@ -93,7 +168,10 @@ func TestRecordRoundtripEdgeCases(t *testing.T) {
 		},
 		"repeated index": {{P: pt(4, 0, 1, 1)}, {P: pt(4, 0, 1, 2)}},
 	}
-	for name, ops := range cases {
+}
+
+func TestRecordRoundtripEdgeCases(t *testing.T) {
+	for name, ops := range edgeCases() {
 		t.Run(name, func(t *testing.T) {
 			if got := roundtrip(t, ops); !sameOps(got, ops) {
 				t.Fatalf("roundtrip mismatch:\n got %+v\nwant %+v", got, ops)
@@ -116,7 +194,7 @@ func TestRecordRoundtripProperty(t *testing.T) {
 		ragged, seq := r.IntN(3) == 0, r.IntN(2) == 0
 		weighted, timed := r.IntN(2) == 0, r.IntN(2) == 0
 		next := r.Uint64()
-		ops := make([]Op, n)
+		ops := make([]v1Op, n)
 		for i := range ops {
 			op := &ops[i]
 			op.P.Index = next
@@ -151,8 +229,7 @@ func TestRecordRoundtripProperty(t *testing.T) {
 // to count×(8+8·dim) plus a 21-byte header: labels and values, nothing
 // else.
 func TestRecordLayoutSize(t *testing.T) {
-	ops := benchOps(256, 10)
-	frame, err := appendRecord(nil, ops)
+	frame, err := appendRecord(nil, frameOf(benchOps(256, 10)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +257,7 @@ func recordHeader(count uint64, dim uint32, flags byte) []byte {
 // more than the payload holds. Each must classify as corrupt, and none may
 // allocate in proportion to its claim.
 func TestDecodeRecordBounded(t *testing.T) {
-	one, err := appendRecord(nil, []Op{{P: pt(1, 0, 1, 1, 2)}})
+	one, err := appendRecord(nil, frameOf([]v1Op{{P: pt(1, 0, 1, 1, 2)}}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,5 +294,38 @@ func TestDecodeRecordBounded(t *testing.T) {
 				t.Fatalf("decoding a %d-byte payload allocated %d bytes", len(p), grew)
 			}
 		})
+	}
+}
+
+// TestJournalGolden: edge-cases.journal holds edgeCases as the store
+// wrote them, one record each in name order, before the batch layout
+// moved into internal/wire. The same batches encode to the same bytes
+// today, and the file replays to them.
+func TestJournalGolden(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "edge-cases.journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := edgeCases()
+	names := make([]string, 0, len(cases))
+	for name := range cases {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	var recs []v1Record
+	for _, name := range names {
+		recs = append(recs, v1Record{Ops: cases[name]})
+	}
+	if got := journalBytes(t, 1, recs...); !bytes.Equal(got, golden) {
+		t.Fatalf("journal bytes drifted from the golden file:\n got %x\nwant %x", got, golden)
+	}
+	scan, err := decodeJournal(bytes.NewReader(golden))
+	if err != nil || scan.corrupt || scan.tornTail || len(scan.records) != len(names) {
+		t.Fatalf("golden replay: %d records, corrupt %v, torn %v, err %v", len(scan.records), scan.corrupt, scan.tornTail, err)
+	}
+	for i, name := range names {
+		if !sameOps(opsOf(scan.records[i]), cases[name]) {
+			t.Fatalf("%s: golden record replays as %+v", name, opsOf(scan.records[i]))
+		}
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"biasedres/internal/obs"
+	"biasedres/internal/wire"
 )
 
 // Store owns one data directory and the per-stream checkpoint/journal
@@ -23,7 +24,7 @@ import (
 // Lifecycle per stream:
 //
 //	Attach    write checkpoint <seq>, open journal <seq>   (create/recover)
-//	Append    frame ops onto the active journal            (every applied batch)
+//	Append    frame a batch onto the active journal        (every applied batch)
 //	Sync      fsync journals with unsynced appends         (coalescing loop)
 //	Rotate    open journal <seq+1>; appends go there       (under the sampler lock)
 //	WriteCheckpoint  write checkpoint <seq+1>, prune       (outside all locks)
@@ -229,11 +230,12 @@ func (s *Store) Attach(name string, ck Checkpoint) error {
 	return nil
 }
 
-// Append frames ops onto the stream's active journal. The bytes reach the
-// OS immediately but are only fsynced by the next Sync call — the
-// coalescing that bounds loss after a hard kill to the sync interval.
-func (s *Store) Append(name string, ops []Op) error {
-	if len(ops) == 0 {
+// Append frames the applied batch f onto the stream's active journal.
+// The bytes reach the OS immediately but are only fsynced by the next
+// Sync call — the coalescing that bounds loss after a hard kill to the
+// sync interval.
+func (s *Store) Append(name string, f *wire.Frame) error {
+	if f.Count == 0 {
 		return nil
 	}
 	c := s.chain(name)
@@ -242,7 +244,7 @@ func (s *Store) Append(name string, ops []Op) error {
 	if c.journal == nil {
 		return fmt.Errorf("durable: stream %q has no active journal", name)
 	}
-	data, err := appendRecord(c.buf[:0], ops)
+	data, err := appendRecord(c.buf[:0], f)
 	if err != nil {
 		return err
 	}
@@ -437,14 +439,14 @@ func (s *Store) quarantine(entry string) {
 }
 
 // Recovered is one stream reconstructed from disk: the checkpoint that
-// verified, plus every journal record that applies on top of it, in
-// order. MaxSeq is the highest sequence number seen on disk for the
-// stream (recovery rebaselines at MaxSeq+1 to stay above any corrupt
+// verified, plus the batch of every journal record that applies on top
+// of it, in order. MaxSeq is the highest sequence number seen on disk for
+// the stream (recovery rebaselines at MaxSeq+1 to stay above any corrupt
 // newer generation). TornTail reports that the final journal ended in a
 // partial record — the points of that record are the bounded loss.
 type Recovered struct {
 	Checkpoint Checkpoint
-	Tail       []Record
+	Tail       []*wire.Frame
 	MaxSeq     uint64
 	TornTail   bool
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"biasedres/internal/stream"
+	"biasedres/internal/wire"
 )
 
 // countSnapshot is the fake sampler snapshot the store tests use: 8 bytes
@@ -26,16 +27,16 @@ func snapshotCount(t *testing.T, blob []byte) uint64 {
 	return binary.LittleEndian.Uint64(blob)
 }
 
-// makeOps returns n ops whose point values continue the sequence after
-// `from`: op i carries value from+i+1. Recovery assertions rebuild the
-// applied prefix from these values.
-func makeOps(from uint64, n int) []Op {
-	ops := make([]Op, n)
+// makeOps returns a batch of n points whose values continue the sequence
+// after `from`: point i carries value from+i+1. Recovery assertions
+// rebuild the applied prefix from these values.
+func makeOps(from uint64, n int) *wire.Frame {
+	ops := make([]v1Op, n)
 	for i := range ops {
 		v := from + uint64(i) + 1
 		ops[i] = opWithValue(float64(v))
 	}
-	return ops
+	return frameOf(ops)
 }
 
 // tailCount verifies rec's journal tail is the exact op sequence following
@@ -44,7 +45,7 @@ func tailCount(t *testing.T, rec Recovered) uint64 {
 	t.Helper()
 	n := snapshotCount(t, rec.Checkpoint.Snapshot)
 	for _, r := range rec.Tail {
-		for _, op := range r.Ops {
+		for _, op := range opsOf(r) {
 			n++
 			if len(op.P.Values) != 1 || op.P.Values[0] != float64(n) {
 				t.Fatalf("tail op %d carries %v, want [%d] — replay is not an exact prefix",
@@ -465,15 +466,15 @@ func TestAppendConcurrent(t *testing.T) {
 			for k := 0; k < batches; k++ {
 				// Every op of a batch carries the writer and batch number,
 				// and batches differ in dim so their records differ in size.
-				ops := make([]Op, batchLen)
+				ops := make([]v1Op, batchLen)
 				for i := range ops {
 					vals := make([]float64, 1+(w+k)%3)
 					for d := range vals {
 						vals[d] = float64(w*1000 + k)
 					}
-					ops[i] = Op{P: stream.Point{Index: uint64(i), Values: vals, Label: w, Weight: 1}}
+					ops[i] = v1Op{P: stream.Point{Index: uint64(i), Values: vals, Label: w, Weight: 1}}
 				}
-				if err := st.Append(streams[k%2], ops); err != nil {
+				if err := st.Append(streams[k%2], frameOf(ops)); err != nil {
 					t.Error(err)
 					return
 				}
@@ -494,13 +495,14 @@ func TestAppendConcurrent(t *testing.T) {
 	}
 	total := 0
 	for _, rec := range recs {
-		for _, r := range rec.Tail {
-			if len(r.Ops) != batchLen {
-				t.Fatalf("record of %d ops, want %d", len(r.Ops), batchLen)
+		for _, f := range rec.Tail {
+			ops := opsOf(f)
+			if len(ops) != batchLen {
+				t.Fatalf("record of %d ops, want %d", len(ops), batchLen)
 			}
-			first := r.Ops[0]
+			first := ops[0]
 			tag := first.P.Values[0]
-			for i, op := range r.Ops {
+			for i, op := range ops {
 				if op.P.Index != uint64(i) || op.P.Label != first.P.Label || len(op.P.Values) != len(first.P.Values) {
 					t.Fatalf("record mixes batches: op %d is %+v, op 0 is %+v", i, op, first)
 				}

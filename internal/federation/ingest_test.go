@@ -123,6 +123,11 @@ func TestCoordinatorIngestParity(t *testing.T) {
 			status: http.StatusBadRequest, preFan: true},
 		{name: "indices", frame: wholeFrame(func(f *wire.Frame) { f.Indices = []uint64{10, 11, 12, 13} }),
 			status: http.StatusBadRequest, preFan: true},
+		{name: "first index", frame: wholeFrame(func(f *wire.Frame) { f.First = 10 }),
+			status: http.StatusBadRequest, preFan: true},
+		{name: "NaN timestamp", frame: wholeFrame(func(f *wire.Frame) {
+			f.TS, f.HasTS = []float64{1, 2, math.NaN(), 4}, []bool{true, true, true, true}
+		}), status: http.StatusBadRequest, preFan: true},
 		{name: "node refusal",
 			// Both shards hold dim-3 points the coordinator never saw, so
 			// it passes a dim-2 batch on and each node refuses its part.

@@ -248,9 +248,9 @@ var severity = map[int]int{http.StatusServiceUnavailable: 1, http.StatusTooManyR
 // ingest; the transports only decode a batch and render the outcome.
 // Before any fan-out it looks the stream up and refuses a batch without
 // points, a point without values, a second dimension (within the batch,
-// or against the stream's), and a NaN or ±Inf value or weight: a shard
-// would refuse its part while the others applied theirs, and shards of
-// two dimensions merge into a silently wrong estimate. It then
+// or against the stream's), and a NaN or ±Inf value, weight or timestamp:
+// a shard would refuse its part while the others applied theirs, and
+// shards of two dimensions merge into a silently wrong estimate. It then
 // round-robins the batch across the stream's shards and writes each
 // shard's part to all its replicas concurrently. The batch is accepted
 // when every part was acknowledged by some replica. Otherwise a node's
@@ -275,11 +275,14 @@ func (co *Coordinator) admit(ctx context.Context, name string, pts []client.Poin
 		}
 		// x-x is 0 for a finite x and NaN for NaN and ±Inf.
 		nan := p.Weight - p.Weight
+		if p.TS != nil {
+			nan += *p.TS - *p.TS
+		}
 		for _, v := range p.Values {
 			nan += v - v
 		}
 		if nan != 0 {
-			return refuse(http.StatusBadRequest, "point %d has a non-finite value or weight", i)
+			return refuse(http.StatusBadRequest, "point %d has a non-finite value, weight or timestamp", i)
 		}
 	}
 	if d := fs.dim.Load(); d != 0 && d != int64(dim) {
@@ -399,11 +402,11 @@ func pushFailure(addr string, err error) admission {
 // advertises a wire listener, else over HTTP. HTTP carries a batch meant
 // for the wire only when the frame consumed nothing: no connection could
 // be dialed, or the frame was refused whole (*client.WireError), by
-// WireConn before sending (a timestamp, a label past int32) or by the
-// node, whose HTTP answer then drives the 404 backfill. After any other
-// wire failure the frame may have been applied, so the error is final;
-// unless it was backpressure, the pooled conn is dropped so the next push
-// dials the peer's current address.
+// WireConn before sending or by the node: a node older than the BRW2
+// frame refuses every frame, and a node's HTTP answer drives the 404
+// backfill. After any other wire failure the frame may have been
+// applied, so the error is final; unless it was backpressure, the pooled
+// conn is dropped so the next push dials the peer's current address.
 func (co *Coordinator) pushReplica(ctx context.Context, p *peer, stream string, pts []client.Point) error {
 	pctx, cancel := context.WithTimeout(ctx, co.cfg.PeerTimeout)
 	defer cancel()
@@ -485,20 +488,21 @@ func (co *Coordinator) handleIngest(w http.ResponseWriter, r *http.Request) {
 // IngestFrame implements wire.Sink: a coordinator can front a wire
 // listener of its own. It refuses a frame with explicit indices (each
 // shard sequences its own points), builds the batch and hands it to
-// admit, the admission step it shares with HTTP ingest. Backpressure is a
-// NACK with the node's retry hint, so the client resends; any other
-// refusal is an error reply.
+// admit, the admission step it shares with HTTP ingest. Labels point into
+// one backing per frame, timestamps into the frame's column, which lives
+// until admit returns. Backpressure is a NACK with the node's retry hint,
+// so the client resends; any other refusal is an error reply.
 func (co *Coordinator) IngestFrame(f *wire.Frame) wire.Reply {
-	if f.Indices != nil {
+	if f.Indices != nil || f.First != 0 {
 		return wire.Errorf("stream %q is federated: its shards sequence points, so a frame cannot carry indices", f.Name)
 	}
 	pts := make([]client.Point, f.Count)
-	for i := range pts {
-		v, label, weight := f.Point(i)
-		pts[i] = client.Point{Values: v, Weight: weight}
-		if label >= 0 {
-			l := int(label)
-			pts[i].Label = &l
+	labels := make([]int, f.Count)
+	for i, p := range f.Points(nil) {
+		labels[i] = p.Label
+		pts[i] = client.Point{Values: p.Values, Label: &labels[i], Weight: p.Weight}
+		if f.HasTS != nil && f.HasTS[i] {
+			pts[i].TS = &f.TS[i]
 		}
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), co.cfg.PeerTimeout)

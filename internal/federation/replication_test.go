@@ -6,8 +6,8 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"net"
 	"net/http"
+	"strings"
 	"testing"
 
 	"biasedres/internal/client"
@@ -441,10 +441,10 @@ func TestCoordinatorWireSink(t *testing.T) {
 	const n = 90
 	f := &wire.Frame{Name: []byte("w"), Dim: 2, Count: n}
 	f.Values = make([]float64, 0, n*2)
-	f.Labels = make([]int32, 0, n)
+	f.Labels = make([]int64, 0, n)
 	for i := 0; i < n; i++ {
 		f.Values = append(f.Values, float64(i%10), float64(i%7))
-		f.Labels = append(f.Labels, int32(i%3))
+		f.Labels = append(f.Labels, int64(i%3))
 	}
 	if reply := co.IngestFrame(f); reply.Status != wire.StatusOK {
 		t.Fatalf("IngestFrame reply %+v, want OK", reply)
@@ -532,43 +532,63 @@ func TestReadyzTracksStreamReachability(t *testing.T) {
 	co.closing.Store(false)
 }
 
-// TestFederatedIngestKeepsWideLabels: the coordinator forwards HTTP
-// ingest to replicas over the wire first, and a frame carries int32
-// labels. A label past int32 must still reach the data node intact —
-// the wire client refuses the point and the push falls back to HTTP —
-// rather than wrap to another class (2³²+3 to 3).
+// TestFederatedIngestKeepsWideLabels: the coordinator forwards ingest to
+// replicas over the wire, and frames carry int64 labels and timestamps.
+// A label past int32 (2³²+3) and a negative label other than -1 reach the
+// data node intact, and so do a time-decay stream's timestamps; none of
+// them needs an HTTP push to the node.
 func TestFederatedIngestKeepsWideLabels(t *testing.T) {
-	nodes := startNodes(t, 1)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	n, _ := startWireNode(t, 1, nil)
+	co, fed := startCoordinator(t, []*node{n}, testCfg())
+	classdist := func(stream string) map[string]any {
+		t.Helper()
+		status, body := fedGet(t, n.ts.URL+"/streams/"+shardStream(stream, 0)+"/query?type=classdist&h=0")
+		if status != http.StatusOK {
+			t.Fatalf("classdist: status %d body %v", status, body)
+		}
+		return body["distribution"].(map[string]any)
 	}
-	wl := wire.NewListener(nodes[0].srv)
-	go wl.Serve(ln)
-	t.Cleanup(func() { wl.Close() })
-	nodes[0].srv.SetWireAddr(ln.Addr().String())
-	co, fed := startCoordinator(t, nodes, testCfg())
+	timed := managedCfg(1, 1)
+	timed.Policy, timed.Lambda = "timedecay", 0.01
+	for name, cfg := range map[string]createStreamRequest{"s": managedCfg(1, 1), "neg": managedCfg(1, 1), "td": timed} {
+		if status, body := fedDo(t, http.MethodPut, fed.URL+"/streams/"+name, cfg); status != http.StatusCreated {
+			t.Fatalf("create %s: status %d body %v", name, status, body)
+		}
+	}
 
-	if status, body := fedDo(t, http.MethodPut, fed.URL+"/streams/s", managedCfg(1, 1)); status != http.StatusCreated {
-		t.Fatalf("create: status %d body %v", status, body)
-	}
 	label := 1<<32 + 3
 	status, body := fedDo(t, http.MethodPost, fed.URL+"/streams/s/points",
 		map[string]any{"points": []client.Point{{Values: []float64{1}, Label: &label}}})
 	if status != http.StatusOK {
 		t.Fatalf("ingest: status %d body %v", status, body)
 	}
-	co.wmu.Lock()
-	dialed := len(co.wires)
-	co.wmu.Unlock()
-	if dialed == 0 {
-		t.Fatal("the coordinator never tried the node's wire listener")
-	}
-	status, body = fedGet(t, nodes[0].ts.URL+"/streams/"+shardStream("s", 0)+"/query?type=classdist&h=0")
-	if status != http.StatusOK {
-		t.Fatalf("classdist: status %d body %v", status, body)
-	}
-	if dist := body["distribution"].(map[string]any); len(dist) != 1 || dist["4294967299"] == nil {
+	if dist := classdist("s"); len(dist) != 1 || dist["4294967299"] == nil {
 		t.Fatalf("node classdist %v, want the one class 4294967299", dist)
+	}
+
+	// A frame through the coordinator's wire sink keeps its negative label.
+	f := &wire.Frame{Name: []byte("neg"), Dim: 1, Count: 2, Values: []float64{1, 2}, Labels: []int64{-5, 3}}
+	if reply := co.IngestFrame(f); reply.Status != wire.StatusOK {
+		t.Fatalf("IngestFrame: %+v", reply)
+	}
+	if dist := classdist("neg"); len(dist) != 2 || dist["-5"] != 0.5 || dist["3"] != 0.5 {
+		t.Fatalf("node classdist %v, want -5 and 3 at 0.5 each", dist)
+	}
+
+	// Timestamps reach the time-decay shard: after a frame stamped 10 and
+	// 20, a point stamped 15 is behind the node's clock.
+	f = &wire.Frame{Name: []byte("td"), Dim: 1, Count: 2, Values: []float64{1, 2},
+		TS: []float64{10, 20}, HasTS: []bool{true, true}}
+	if reply := co.IngestFrame(f); reply.Status != wire.StatusOK {
+		t.Fatalf("IngestFrame: %+v", reply)
+	}
+	if got := n.ingests.Load(); got != 0 {
+		t.Fatalf("the node got %d HTTP ingest requests, want 0: every batch goes over the wire", got)
+	}
+	ts := 15.0
+	status, body = fedDo(t, http.MethodPost, fed.URL+"/streams/td/points",
+		map[string]any{"points": []client.Point{{Values: []float64{3}, TS: &ts}}})
+	if status != http.StatusBadRequest || !strings.Contains(fmt.Sprint(body), "precedes") {
+		t.Fatalf("ingest behind the clock: status %d body %v, want 400", status, body)
 	}
 }

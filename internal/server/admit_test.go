@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"biasedres/internal/core"
 	"biasedres/internal/durable"
 	"biasedres/internal/wire"
 )
@@ -131,7 +132,14 @@ func TestIngestRefusalParity(t *testing.T) {
 			status: http.StatusBadRequest, want: "does not advance"},
 		{name: "timestamp behind the clock", policy: "timedecay",
 			body:   IngestRequest{Points: []IngestPoint{{Values: []float64{1, 2}, TS: &behind}}},
+			frame:  frame(func(f *wire.Frame) { stampFrame(f, 5, 6, behind, 7) }),
 			status: http.StatusBadRequest, want: "precedes"},
+		{name: "NaN timestamp", policy: "timedecay",
+			frame:  frame(func(f *wire.Frame) { stampFrame(f, 5, math.NaN(), 6, 7) }),
+			status: http.StatusBadRequest, want: "non-finite"},
+		{name: "infinite timestamp", policy: "timedecay",
+			frame:  frame(func(f *wire.Frame) { stampFrame(f, 5, 6, 7, math.Inf(1)) }),
+			status: http.StatusBadRequest, want: "non-finite"},
 	}
 	for _, tc := range cases {
 		for _, transport := range []string{"http", "wire"} {
@@ -203,6 +211,14 @@ func TestIngestRefusalParity(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// stampFrame gives every point of f a timestamp.
+func stampFrame(f *wire.Frame, ts ...float64) {
+	f.TS, f.HasTS = ts, make([]bool, len(ts))
+	for i := range f.HasTS {
+		f.HasTS[i] = true
 	}
 }
 
@@ -290,10 +306,10 @@ func TestWireIngestRefusesNonFinite(t *testing.T) {
 }
 
 // FuzzIngestFrame drives decoded frames through IngestFrame on one sync
-// and one async stream. A refused frame leaves next, dim, pending and
-// Processed() unchanged; an accepted frame advances Processed() by its
-// count; next never moves backwards; and every point a stream keeps is
-// finite.
+// and one async stream and one sync time-decay stream. A refused frame
+// leaves next, dim, pending and Processed() unchanged; an accepted frame
+// advances Processed() by its count; next never moves backwards; every
+// point a stream keeps is finite; and the time-decay clock stays finite.
 func FuzzIngestFrame(f *testing.F) {
 	for _, shape := range []struct {
 		n, dim  int
@@ -312,11 +328,22 @@ func FuzzIngestFrame(f *testing.F) {
 		}
 		f.Add(b)
 	}
-	syncSrv, asyncSrv := New(1), New(1, WithIngestShards(1, 4))
-	defer syncSrv.Close()
-	defer asyncSrv.Close()
-	for _, srv := range []*Server{syncSrv, asyncSrv} {
-		if _, _, err := srv.install("s", CreateRequest{Policy: "unbiased", Capacity: 16}, nil, 1); err != nil {
+	stamped := wireTestFrame(3, 2)
+	stampFrame(stamped, 2, 2.5, 9)
+	b, err := wire.AppendFrame(nil, "s", stamped)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(b)
+	syncSrv, asyncSrv, timedSrv := New(1), New(1, WithIngestShards(1, 4)), New(1)
+	servers := []*Server{syncSrv, asyncSrv, timedSrv}
+	for _, srv := range servers {
+		defer srv.Close()
+		req := CreateRequest{Policy: "unbiased", Capacity: 16}
+		if srv == timedSrv {
+			req = CreateRequest{Policy: "timedecay", Lambda: 0.01, Capacity: 16}
+		}
+		if _, _, err := srv.install("s", req, nil, 1); err != nil {
 			f.Fatal(err)
 		}
 	}
@@ -325,7 +352,7 @@ func FuzzIngestFrame(f *testing.F) {
 		if _, err := wire.DecodeFrame(data, &fr); err != nil {
 			return
 		}
-		for _, srv := range []*Server{syncSrv, asyncSrv} {
+		for _, srv := range servers {
 			ms, _ := srv.lookup("s")
 			before, processed := readAdmission(ms), ms.sm.Processed()
 			r := srv.IngestFrame(&fr)
@@ -351,6 +378,11 @@ func FuzzIngestFrame(f *testing.F) {
 					}
 				}
 			}
+			ms.sm.View(func(sm core.Sampler) {
+				if td, ok := core.AsTimed(sm); ok && (math.IsNaN(td.Now()) || math.IsInf(td.Now(), 0)) {
+					t.Fatalf("time-decay clock is %v", td.Now())
+				}
+			})
 		}
 	})
 }

@@ -8,6 +8,7 @@ import (
 	"biasedres/internal/core"
 	"biasedres/internal/durable"
 	"biasedres/internal/stream"
+	"biasedres/internal/wire"
 )
 
 // Durability wiring: with WithDurability enabled, every stream's sampler
@@ -17,10 +18,10 @@ import (
 //     its configuration) before the 201 is acknowledged, so a stream that
 //     existed exists after a crash.
 //   - Every applied ingest batch is framed onto the stream's append-only
-//     journal (ops carry arrival indices, and explicit timestamps for
-//     time-decay streams). Appends hit the OS immediately; fsyncs are
-//     coalesced on JournalSyncInterval, bounding post-kill loss to that
-//     window.
+//     journal as it was applied, in the batch layout of internal/wire
+//     (arrival indices, labels, weights, timestamps, values). Appends hit
+//     the OS immediately; fsyncs are coalesced on JournalSyncInterval,
+//     bounding post-kill loss to that window.
 //   - A background checkpointer wakes on CheckpointInterval, skips
 //     streams whose sampler mutation counter (core.VersionedSampler)
 //     advanced fewer than CheckpointMinOps times, and for the rest cuts
@@ -101,32 +102,38 @@ func createRequestOf(meta durable.StreamMeta) CreateRequest {
 	}
 }
 
-// journalOps appends a batch to dst as journal ops, with the timestamps
-// ts holds (nil when no point carries one).
-func journalOps(dst []durable.Op, batch []stream.Point, ts []*float64) []durable.Op {
-	for i, p := range batch {
-		op := durable.Op{P: p}
-		if ts != nil && ts[i] != nil {
-			op.TS, op.HasTS = *ts[i], true
-		}
-		dst = append(dst, op)
-	}
-	return dst
-}
-
-// appendJournal frames one applied batch onto the stream's journal. Called
-// under the sampler lock by apply, so journal order matches apply order.
-// Failures degrade durability, not availability: they are logged and
-// counted, and ingest continues.
-func (s *Server) appendJournal(name string, ops []durable.Op) {
-	if s.durable == nil || len(ops) == 0 {
+// appendJournal frames the first n points of an applied batch onto the
+// stream's journal. Called under the sampler lock by apply, so journal
+// order matches apply order. Failures degrade durability, not
+// availability: they are logged and counted, and ingest continues.
+func (s *Server) appendJournal(name string, f *wire.Frame, n int) {
+	if n == 0 {
 		return
 	}
-	if err := s.durable.Append(name, ops); err != nil {
+	if n < f.Count {
+		f = head(f, n)
+	}
+	if err := s.durable.Append(name, f); err != nil {
 		if s.log != nil {
 			s.log.Warn("journal append failed", "stream", name, "error", err)
 		}
 	}
+}
+
+// head is a sealed batch cut to its first n points.
+func head(f *wire.Frame, n int) *wire.Frame {
+	h := *f
+	h.Count, h.Values, h.Labels = n, f.Values[:n*f.Dim], f.Labels[:n]
+	h.Indices, h.Weights, h.TS, h.HasTS = cut(f.Indices, n), cut(f.Weights, n), cut(f.TS, n), cut(f.HasTS, n)
+	return &h
+}
+
+// cut is s's first n elements, or nil for an absent column.
+func cut[T any](s []T, n int) []T {
+	if s == nil {
+		return nil
+	}
+	return s[:n]
 }
 
 // version reads a sampler's mutation counter; every core sampler keeps one.
@@ -233,30 +240,27 @@ func (s *Server) runDurability() {
 	}
 }
 
-// applyOps applies journal ops to a sampler in order: time-decay samplers
-// (including time-decay ladders) take AddAt for ops carrying a timestamp
-// and Add otherwise, reproducing their clock; everything else takes the
-// batch path. It returns how many ops were applied before an error.
-func applyOps(sm core.Sampler, ops []durable.Op) (int, error) {
+// applyBatch applies batch f, whose points are pts, to a sampler in
+// order: time-decay samplers (including time-decay ladders) take AddAt
+// for points carrying a timestamp and Add otherwise, reproducing their
+// clock; everything else takes the batch path. It returns how many
+// points were applied before an error.
+func applyBatch(sm core.Sampler, f *wire.Frame, pts []stream.Point) (int, error) {
 	td, timed := core.AsTimed(sm)
 	if !timed {
-		batch := make([]stream.Point, len(ops))
-		for i, op := range ops {
-			batch[i] = op.P
-		}
-		core.AddBatch(sm, batch)
-		return len(ops), nil
+		core.AddBatch(sm, pts)
+		return len(pts), nil
 	}
-	for i, op := range ops {
-		if !op.HasTS {
-			td.Add(op.P)
+	for i, p := range pts {
+		if f.HasTS == nil || !f.HasTS[i] {
+			td.Add(p)
 			continue
 		}
-		if err := td.AddAt(op.P, op.TS); err != nil {
+		if err := td.AddAt(p, f.TS[i]); err != nil {
 			return i, err
 		}
 	}
-	return len(ops), nil
+	return len(pts), nil
 }
 
 // resume replays from's journal tail, in order, onto a sampler restored
@@ -267,16 +271,18 @@ func applyOps(sm core.Sampler, ops []durable.Op) (int, error) {
 // would refuse every later ingest. A dim of 0 adopts the sample's.
 func resume(sampler core.Sampler, from *durable.Recovered) (uint64, int, error) {
 	next, dim := from.Checkpoint.Next, from.Checkpoint.Dim
-	for _, r := range from.Tail {
-		if _, err := applyOps(sampler, r.Ops); err != nil {
+	var pts []stream.Point
+	for _, f := range from.Tail {
+		pts = f.Points(pts)
+		if _, err := applyBatch(sampler, f, pts); err != nil {
 			return 0, 0, fmt.Errorf("replaying journal: %w", err)
 		}
-		for _, op := range r.Ops {
-			if op.P.Index > next {
-				next = op.P.Index
+		for _, p := range pts {
+			if p.Index > next {
+				next = p.Index
 			}
-			if dim == 0 && len(op.P.Values) > 0 {
-				dim = len(op.P.Values)
+			if dim == 0 && len(p.Values) > 0 {
+				dim = len(p.Values)
 			}
 		}
 	}

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"biasedres/internal/durable"
+	"biasedres/internal/wire"
 )
 
 // quietDurability keeps the background loops out of the way: both tickers
@@ -440,5 +441,41 @@ func TestDurableConcurrentIngestReplays(t *testing.T) {
 		if got.Responses[q] != body {
 			t.Errorf("%s: got %s want %s", q, got.Responses[q], body)
 		}
+	}
+}
+
+// TestJournalSameOverBothTransports: a batch journals the same record
+// over HTTP and over the wire, in the one batch layout: for 10 values and
+// a label, 88 bytes a point, the consecutive indices stored as the first.
+func TestJournalSameOverBothTransports(t *testing.T) {
+	const n, dim = 256, 10
+	journal := func(ingest func(base string, srv *Server)) []byte {
+		fs := durable.NewMemFS()
+		ts, srv, _ := newDurableServer(t, fs)
+		createStream(t, ts.URL, "s", CreateRequest{Policy: "variable", Lambda: 1e-3, Capacity: 100})
+		ingest(ts.URL, srv)
+		for name := range fs.Files() {
+			if strings.HasSuffix(name, ".journal") {
+				data, _ := fs.ReadFile(name)
+				return data
+			}
+		}
+		t.Fatal("the stream has no journal")
+		return nil
+	}
+	viaHTTP := journal(func(base string, _ *Server) { ingest(t, base, "s", wireHTTPPoints(n, dim)) })
+	viaWire := journal(func(_ string, srv *Server) {
+		f := wireTestFrame(n, dim)
+		f.Name = []byte("s")
+		if r := srv.IngestFrame(f); r.Status != wire.StatusOK {
+			t.Fatalf("IngestFrame: %+v", r)
+		}
+	})
+	if !bytes.Equal(viaHTTP, viaWire) {
+		t.Fatalf("journals differ: HTTP %d bytes, wire %d bytes", len(viaHTTP), len(viaWire))
+	}
+	// File header, record length and CRC, batch header, first index.
+	if want := 16 + 8 + 13 + 8 + n*(8+8*dim); len(viaWire) != want {
+		t.Fatalf("journal is %d bytes, want %d", len(viaWire), want)
 	}
 }

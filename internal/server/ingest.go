@@ -10,9 +10,9 @@ import (
 	"unsafe"
 
 	"biasedres/internal/core"
-	"biasedres/internal/durable"
 	"biasedres/internal/obs"
 	"biasedres/internal/stream"
+	"biasedres/internal/wire"
 )
 
 // ingestBatchBuckets are the batch-size histogram bounds: powers of two
@@ -21,16 +21,20 @@ import (
 var ingestBatchBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384}
 
 // batchBuf is one ingest batch's storage, pooled across batches and
-// transports: the points handed to admit and, for a wire frame, the one
-// values backing they slice (an HTTP batch's points keep the values
-// decodeIngest made for each). Samplers copy the values of the points
-// they retain, so the storage is free again once the batch is applied or
-// refused. Whoever
-// applies the batch releases it: admit after an inline apply or any
-// refusal, the shard worker after apply and model scoring.
+// transports. A transport fills pts, copying their values into f's one
+// values column, and ts. admit completes f's shape, indices and
+// timestamps once the batch is valid, and apply its labels and weights
+// when it journals f, the batch as applied. Samplers copy the values of
+// the points they retain, so the storage is free again once the batch is
+// applied or refused. Whoever applies the batch releases it: admit after
+// an inline apply or any refusal, the shard worker after apply and model
+// scoring.
 type batchBuf struct {
-	pts  []stream.Point
-	vals []float64
+	pts []stream.Point
+	ts  []float64 // point i's timestamp, when has[i]
+	has []bool
+	f   wire.Frame
+	w   []float64 // backs f.Weights
 }
 
 var batchPool = sync.Pool{New: func() any { return new(batchBuf) }}
@@ -49,10 +53,38 @@ func getBatch() *batchBuf {
 	return b
 }
 
-// points returns b's point slice resized to n, reusing its storage.
-func (b *batchBuf) points(n int) []stream.Point {
+// points resizes b to n points without timestamps, and an empty values
+// column with room for vals values, and returns the points.
+func (b *batchBuf) points(n, vals int) []stream.Point {
 	b.pts = slices.Grow(b.pts[:0], n)[:n]
+	b.ts, b.has = slices.Grow(b.ts[:0], n)[:n], slices.Grow(b.has[:0], n)[:n]
+	clear(b.ts)
+	clear(b.has)
+	b.f.Values = slices.Grow(b.f.Values[:0], vals)
 	return b.pts
+}
+
+// values appends v to the values column and returns the copy; within the
+// room points made, the column never moves.
+func (b *batchBuf) values(v []float64) []float64 {
+	start := len(b.f.Values)
+	b.f.Values = append(b.f.Values, v...)
+	return b.f.Values[start:len(b.f.Values):len(b.f.Values)]
+}
+
+// journaled fills f's label and weight columns (weights when one is not
+// 1) from the applied points and returns f, the batch as journaled.
+func (b *batchBuf) journaled() *wire.Frame {
+	f, n := &b.f, len(b.pts)
+	f.Labels, b.w = slices.Grow(f.Labels[:0], n)[:n], slices.Grow(b.w[:0], n)[:n]
+	f.Weights = nil
+	for i := range b.pts {
+		f.Labels[i], b.w[i] = int64(b.pts[i].Label), b.pts[i].Weight
+		if b.w[i] != 1 {
+			f.Weights = b.w
+		}
+	}
+	return f
 }
 
 // release returns b to the pool; neither b nor its points may be used
@@ -62,13 +94,9 @@ func (b *batchBuf) release() {
 	if h := batchHook.Load(); h != nil {
 		(*h)(b, true)
 	}
-	if cap(b.vals)*8+cap(b.pts)*int(unsafe.Sizeof(stream.Point{})) > maxPooledBody {
+	if cap(b.f.Values)*8+cap(b.pts)*int(unsafe.Sizeof(stream.Point{})) > maxPooledBody {
 		return
 	}
-	// Drop the points' references to values not in vals (an HTTP body's),
-	// so the pool pins none.
-	clear(b.pts)
-	b.pts, b.vals = b.pts[:0], b.vals[:0]
 	batchPool.Put(b)
 }
 
@@ -93,15 +121,15 @@ func (s *Server) startIngestShard(name string, ms *managedStream) {
 // bounds how many shards apply batches simultaneously (the -ingest-workers
 // flag), so thousands of idle streams cost goroutines but not CPU
 // contention. Model scoring runs inside the semaphore slot too:
-// classification is CPU work and must respect -ingest-workers. Queued
-// batches carry no timestamps and time-decay streams have no shard, so
-// apply cannot refuse here. The worker releases each batch it applied.
+// classification is CPU work and must respect -ingest-workers. Time-decay
+// streams have no shard, so apply cannot refuse here. The worker releases
+// each batch it applied.
 func (s *Server) runIngestShard(name string, ms *managedStream) {
 	defer s.ingestWG.Done()
 	for b := range ms.shard.ch {
 		n := len(b.pts)
 		s.ingestSem <- struct{}{}
-		s.apply(name, ms, b.pts, nil)
+		s.apply(name, ms, b)
 		s.observeModel(ms, b.pts)
 		<-s.ingestSem
 		b.release()
@@ -127,16 +155,14 @@ func refuse(status int, format string, args ...any) admission {
 }
 
 // admit is the one admission step of HTTP and wire ingest; the transports
-// only decode a batch and render the outcome. ts holds the points'
-// optional timestamps (nil when none carries one); indexed marks a batch
-// whose points carry explicit arrival indices (wire frames with
-// FlagIndices), which must advance the stream. Every other batch is
-// sequenced here, under qmu, so arrival indices are handed out in one
-// order. A refused batch consumes nothing: next and dim commit only once
-// the batch is queued or applied. admit takes b over: it releases b after
-// an inline apply or a refusal, and a queued b passes to the shard
-// worker.
-func (s *Server) admit(name string, ms *managedStream, b *batchBuf, ts []*float64, indexed bool) (a admission) {
+// only decode a batch and render the outcome. indexed marks a batch whose
+// points carry explicit arrival indices (wire frames), which must advance
+// the stream. Every other batch is sequenced here, under qmu, so arrival
+// indices are handed out in one order. A refused batch consumes nothing:
+// next and dim commit only once the batch is queued or applied. admit
+// takes b over: it releases b after an inline apply or a refusal, and a
+// queued b passes to the shard worker.
+func (s *Server) admit(name string, ms *managedStream, b *batchBuf, indexed bool) (a admission) {
 	defer func() {
 		if !a.queued {
 			b.release()
@@ -147,7 +173,7 @@ func (s *Server) admit(name string, ms *managedStream, b *batchBuf, ts []*float6
 	if len(batch) == 0 {
 		return refuse(http.StatusBadRequest, "no points")
 	}
-	dim := len(batch[0].Values)
+	dim, stamped := len(batch[0].Values), false
 	for i := range batch {
 		p := &batch[i]
 		if len(p.Values) == 0 {
@@ -157,14 +183,23 @@ func (s *Server) admit(name string, ms *managedStream, b *batchBuf, ts []*float6
 			return refuse(http.StatusBadRequest, "point %d has dim %d, batch has %d", i, len(p.Values), dim)
 		}
 		// x-x is 0 for a finite x and NaN for NaN and ±Inf, so the sum
-		// flags a non-finite value or weight with one branch per point.
-		nan := p.Weight - p.Weight
+		// flags a non-finite value, weight or timestamp with one branch
+		// per point.
+		nan := p.Weight - p.Weight + b.ts[i] - b.ts[i]
 		for _, v := range p.Values {
 			nan += v - v
 		}
 		if nan != 0 {
-			return refuse(http.StatusBadRequest, "point %d has a non-finite value or weight", i)
+			return refuse(http.StatusBadRequest, "point %d has a non-finite value, weight or timestamp", i)
 		}
+		if p.Weight == 0 {
+			p.Weight = 1 // as in JSON, on every transport
+		}
+		stamped = stamped || b.has[i]
+	}
+	b.f.Count, b.f.Dim, b.f.TS, b.f.HasTS = len(batch), dim, nil, nil
+	if stamped {
+		b.f.TS, b.f.HasTS = b.ts, b.has
 	}
 
 	ms.qmu.Lock()
@@ -181,6 +216,7 @@ func (s *Server) admit(name string, ms *managedStream, b *batchBuf, ts []*float6
 		ms.qmu.Unlock()
 		return refuse(http.StatusBadRequest, "the stream's arrival indices are exhausted (at %d)", next)
 	}
+	consecutive := true
 	for i := range batch {
 		if !indexed {
 			next++
@@ -191,7 +227,16 @@ func (s *Server) admit(name string, ms *managedStream, b *batchBuf, ts []*float6
 			ms.qmu.Unlock()
 			return refuse(http.StatusBadRequest, "index %d at point %d does not advance the stream (at %d)", idx, i, next)
 		}
+		consecutive = consecutive && (i == 0 || batch[i].Index == next+1)
 		next = batch[i].Index
+	}
+	// The journal stores consecutive indices as the first one alone.
+	b.f.First, b.f.Indices = batch[0].Index, nil
+	if !consecutive {
+		b.f.First, b.f.Indices = 0, make([]uint64, len(batch))
+		for i := range batch {
+			b.f.Indices[i] = batch[i].Index
+		}
 	}
 
 	if ms.shard != nil {
@@ -211,7 +256,7 @@ func (s *Server) admit(name string, ms *managedStream, b *batchBuf, ts []*float6
 		s.countIngest(name, len(batch))
 		return admission{queued: true, pending: pending}
 	}
-	processed, n, err := s.apply(name, ms, batch, ts)
+	processed, n, err := s.apply(name, ms, b)
 	if n > 0 {
 		ms.next, ms.dim = batch[n-1].Index, dim
 	}
@@ -228,51 +273,46 @@ func (s *Server) admit(name string, ms *managedStream, b *batchBuf, ts []*float6
 
 // apply is the one path by which a live ingest batch reaches a stream's
 // sampler, called only by admit (with qmu held) and the shard worker.
-// Under the sampler lock it adds the batch, frames it onto the journal (so
-// journal order is apply order, and a checkpoint's journal cut — also
-// under the sampler lock — cleanly separates pre- from post-snapshot ops)
-// and invalidates the snapshot cache. Time-decay samplers take the replay
-// step, applyOps, after a check against the sampler clock: timestamps
-// must be non-decreasing and no older than the clock, and a point without
-// one advances the clock by one unit, so a violation refuses the batch
-// with nothing applied. Every other sampler takes core.AddBatch. It
+// Under the sampler lock it applies the batch, journals it (so journal
+// order is apply order, and a checkpoint's journal cut — also under the
+// sampler lock — cleanly separates pre- from post-snapshot batches) and
+// invalidates the snapshot cache. A time-decay sampler first checks the
+// batch against its clock: timestamps must be non-decreasing and no
+// older than the clock, and a point without one advances the clock by
+// one unit, so a violation refuses the batch with nothing applied. It
 // returns the stream position after the batch and how many of its points
 // were applied.
-func (s *Server) apply(name string, ms *managedStream, batch []stream.Point, ts []*float64) (processed uint64, n int, err error) {
+func (s *Server) apply(name string, ms *managedStream, b *batchBuf) (processed uint64, n int, err error) {
 	ms.sm.Update(func(sm core.Sampler) {
-		td, timed := core.AsTimed(sm)
-		if timed || s.durable != nil {
-			ms.jops = journalOps(ms.jops[:0], batch, ts)
+		if td, timed := core.AsTimed(sm); timed {
+			err = checkClock(td.Now(), &b.f)
 		}
-		if !timed {
-			core.AddBatch(sm, batch)
-			n = len(batch)
-		} else if err = checkClock(td.Now(), ms.jops); err == nil {
-			// The check leaves no refusal for mid-batch; should one
+		if err == nil {
+			// The clock check leaves no refusal for mid-batch; should one
 			// happen, the applied prefix is journaled and reported.
-			if n, err = applyOps(sm, ms.jops); err != nil {
+			if n, err = applyBatch(sm, &b.f, b.pts); err != nil {
 				err = fmt.Errorf("point %d: %w (the %d points before it were applied)", n, err, n)
 			}
 		}
 		if s.durable != nil {
-			s.appendJournal(name, ms.jops[:n])
+			s.appendJournal(name, b.journaled(), n)
 		}
 		processed = sm.Processed()
 	})
 	return processed, n, err
 }
 
-// checkClock refuses ops that would run a time-decay clock backwards.
-func checkClock(clock float64, ops []durable.Op) error {
-	for i, op := range ops {
-		if !op.HasTS {
+// checkClock refuses a batch that would run a time-decay clock backwards.
+func checkClock(clock float64, f *wire.Frame) error {
+	for i := range f.Count {
+		if f.HasTS == nil || !f.HasTS[i] {
 			clock++
 			continue
 		}
-		if op.TS < clock {
-			return fmt.Errorf("point %d: timestamp %v precedes the stream clock %v", i, op.TS, clock)
+		if ts := f.TS[i]; ts < clock {
+			return fmt.Errorf("point %d: timestamp %v precedes the stream clock %v", i, ts, clock)
 		}
-		clock = op.TS
+		clock = f.TS[i]
 	}
 	return nil
 }

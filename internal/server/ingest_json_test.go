@@ -241,12 +241,14 @@ func TestClientBodiesTakeFastPath(t *testing.T) {
 
 // TestIngestValuesNotShared guards against retention: after one HTTP
 // ingest, on the fast path and the fallback alike, one retained point
-// keeps only its own values alive, and the fast path's Values slices are
-// exact-length (encoding/json rounds each point's capacity up, in an
-// allocation of that point's own). Samplers keep single points, so a
-// Values backing shared across the batch lets one retained point pin the
-// whole batch; a prototype decoder that shared one backing per body took
-// the end-to-end benchmark's ingest-http peak RSS from 37 to 83 MB (+120%).
+// keeps only its own values alive, and on the fast path a kept point's
+// Values slice is exact-length. Every point's values share a backing —
+// decodeIngest's one per body, then the batch's pooled values column — so
+// this holds only because samplers copy the values of the points they
+// retain. When a retained point still aliased a backing shared across
+// the batch, one point pinned the whole batch: a prototype decoder that
+// shared one backing per body took the end-to-end benchmark's ingest-http
+// peak RSS from 37 to 83 MB (+120%).
 func TestIngestValuesNotShared(t *testing.T) {
 	const n, dim = 64, 256 // 128 KiB of values, 2 KiB per point
 	fast := benchmarkBody(n, dim)

@@ -97,9 +97,6 @@ type managedStream struct {
 	// checkpoint; the checkpointer skips quiescent streams by comparing
 	// it to the live counter. Guarded by the sampler lock.
 	lastCkptVer uint64
-	// jops is the journal op buffer apply reuses for every batch, so
-	// journaling a batch allocates nothing. Guarded by the sampler lock.
-	jops []durable.Op
 	// fresh builds a new empty sampler with this stream's configuration;
 	// restores deserialize into a fresh instance so a rejected checkpoint
 	// cannot corrupt the live sampler.
@@ -733,26 +730,22 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	b := getBatch()
-	batch := b.points(len(req.Points))
-	var ts []*float64
+	b, vals := getBatch(), 0
+	for _, ip := range req.Points {
+		vals += len(ip.Values)
+	}
+	batch := b.points(len(req.Points), vals)
 	for i, ip := range req.Points {
-		batch[i] = stream.Point{Values: ip.Values, Label: -1, Weight: ip.Weight}
+		batch[i] = stream.Point{Values: b.values(ip.Values), Label: -1, Weight: ip.Weight}
 		if ip.Label != nil {
 			batch[i].Label = *ip.Label
 		}
-		if ip.Weight == 0 {
-			batch[i].Weight = 1
-		}
 		if ip.TS != nil {
-			if ts == nil {
-				ts = make([]*float64, len(batch))
-			}
-			ts[i] = ip.TS
+			b.ts[i], b.has[i] = *ip.TS, true
 		}
 	}
 	n := len(batch)
-	a := s.admit(name, ms, b, ts, false)
+	a := s.admit(name, ms, b, false)
 	switch {
 	case a.err != nil:
 		if a.status == http.StatusTooManyRequests {

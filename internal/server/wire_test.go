@@ -22,9 +22,9 @@ func wireTestFrame(n, dim int) *wire.Frame {
 	for i := range f.Values {
 		f.Values[i] = float64(i%17) * 0.25
 	}
-	f.Labels = make([]int32, n)
+	f.Labels = make([]int64, n)
 	for i := range f.Labels {
-		f.Labels[i] = int32(i % 3)
+		f.Labels[i] = int64(i % 3)
 	}
 	return f
 }
@@ -68,8 +68,9 @@ func createOn(t *testing.T, srv *Server, name string, req CreateRequest) {
 // must leave byte-identical sampler state, proven on the marshaled
 // checkpoint. Both servers share a seed, so any divergence in point
 // content, ordering or RNG consumption shows up in the bytes. It runs for
-// every policy plus a tier ladder, with synchronous ingest and with
-// sharded async ingest (compared once both queues have drained).
+// every policy plus a tier ladder and a time-decay stream whose points
+// carry timestamps and labels outside int32, with synchronous ingest and
+// with sharded async ingest (compared once both queues have drained).
 func TestWireHTTPEquivalence(t *testing.T) {
 	const points, dim = 300, 2
 	configs := map[string]CreateRequest{
@@ -82,8 +83,10 @@ func TestWireHTTPEquivalence(t *testing.T) {
 		"ttbs":        {Policy: "ttbs", Lambda: 1e-2, Capacity: 64},
 		"rtbs":        {Policy: "rtbs", Lambda: 1e-2, Capacity: 64},
 		"tiered":      {Policy: "variable", Lambda: 1e-2, Capacity: 32, Tiers: 3},
+		// Points with non-decreasing timestamps and labels outside int32.
+		"timestamped": {Policy: "timedecay", Lambda: 1e-2, Capacity: 64},
 	}
-	cases := append(Policies(), "tiered")
+	cases := append(Policies(), "tiered", "timestamped")
 	for _, c := range cases {
 		if _, ok := configs[c]; !ok {
 			t.Fatalf("policy %q has no equivalence config", c)
@@ -98,13 +101,22 @@ func TestWireHTTPEquivalence(t *testing.T) {
 		for _, c := range cases {
 			t.Run(mode.name+"/"+c, func(t *testing.T) {
 				cfg := configs[c]
+				pts := wireHTTPPoints(points, dim)
+				if c == "timestamped" {
+					for i := range pts {
+						ts, label := float64(i/3), 1<<40+i%3
+						if i%5 == 4 {
+							label = -1<<33 - i%2
+						}
+						pts[i].TS, pts[i].Label = &ts, &label
+					}
+				}
 				httpSrv := New(42, mode.opts...)
 				defer httpSrv.Close()
 				createOn(t, httpSrv, "s", cfg)
 				ts := httptest.NewServer(httpSrv)
 				defer ts.Close()
-				resp, body := do(t, http.MethodPost, ts.URL+"/streams/s/points",
-					IngestRequest{Points: wireHTTPPoints(points, dim)})
+				resp, body := do(t, http.MethodPost, ts.URL+"/streams/s/points", IngestRequest{Points: pts})
 				if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusAccepted {
 					t.Fatalf("HTTP ingest: status %d body %v", resp.StatusCode, body)
 				}
@@ -120,8 +132,8 @@ func TestWireHTTPEquivalence(t *testing.T) {
 				}
 				defer wc.Close()
 				var cpts []client.Point
-				for _, ip := range wireHTTPPoints(points, dim) {
-					cpts = append(cpts, client.Point{Values: ip.Values, Label: ip.Label})
+				for _, ip := range pts {
+					cpts = append(cpts, client.Point{Values: ip.Values, Label: ip.Label, TS: ip.TS})
 				}
 				if err := wc.Push("s", cpts); err != nil {
 					t.Fatalf("wire push: %v", err)

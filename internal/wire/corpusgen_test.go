@@ -1,18 +1,20 @@
 package wire
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 )
 
-// TestGenerateSeedCorpus regenerates the checked-in fuzz corpus under
-// testdata/fuzz/FuzzDecodeFrame. It only runs when WIRE_GEN_CORPUS=1 so
-// normal test runs never rewrite testdata.
+// TestGenerateSeedCorpus writes the BRW2 entries of the checked-in fuzz
+// corpus under testdata/fuzz/FuzzDecodeFrame. The BRW1 entries there
+// (every name without a "v2-" prefix) were written by the BRW1 encoder,
+// which is gone; they are the corpus's BRW1 coverage and are never
+// rewritten. It only runs when WIRE_GEN_CORPUS=1 so normal test runs
+// never rewrite testdata.
 func TestGenerateSeedCorpus(t *testing.T) {
 	if os.Getenv("WIRE_GEN_CORPUS") != "1" {
 		t.Skip("set WIRE_GEN_CORPUS=1 to regenerate the seed corpus")
@@ -21,19 +23,29 @@ func TestGenerateSeedCorpus(t *testing.T) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	mustEncode := func(name string, fr *Frame) []byte {
-		buf, err := AppendFrame(nil, name, fr)
+	mustEncode := func(fr *Frame) []byte {
+		buf, err := AppendFrame(nil, "fuzz", fr)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return buf
 	}
-	plain := mustEncode("fuzz", &Frame{Dim: 1, Count: 1, Values: []float64{0}})
-	indexed := mustEncode("fuzz", &Frame{Dim: 2, Count: 3,
-		Values: []float64{1, 2, 3, 4, 5, 6}, Indices: []uint64{1, 2, 3}})
-	full := mustEncode("fuzz", &Frame{Dim: 1, Count: 2,
-		Values: []float64{9, 8}, Labels: []int32{0, -1}, Weights: []float64{1, 2}})
-	longName := mustEncode(strings.Repeat("n", 255), &Frame{Dim: 1, Count: 1, Values: []float64{3.5}})
+	plain := mustEncode(&Frame{Dim: 1, Count: 1, Values: []float64{0}})
+	stamped := mustEncode(&Frame{Dim: 2, Count: 3, Values: []float64{1, 2, 3, 4, 5, 6},
+		TS: []float64{0.5, 0, 2}, HasTS: []bool{true, false, true}, Weights: []float64{1, 2, 0.5}})
+	wide := mustEncode(&Frame{Dim: 1, Count: 3, Values: []float64{9, 8, 7},
+		Labels: []int64{math.MaxInt64, math.MinInt64, -5}})
+	first := mustEncode(&Frame{Dim: 1, Count: 2, Values: []float64{1, 2}, First: 41})
+	indexed := mustEncode(&Frame{Dim: 1, Count: 2, Values: []float64{1, 2}, Indices: []uint64{3, 9}})
+	// A ragged batch is a valid journal record, never a valid frame: the
+	// dim-2 frame's batch rewritten as two points of 1 and 3 values.
+	ragged := mustEncode(&Frame{Dim: 2, Count: 2, Values: []float64{1, 2, 3, 4}})
+	ragged[HeaderLen+4+8] = 0                                        // dim
+	ragged[HeaderLen+4+12] |= batchRagged                            // flags
+	ragged = append(ragged[:len(ragged)-32], 1, 0, 0, 0, 3, 0, 0, 0) // value counts
+	ragged = binary.LittleEndian.AppendUint64(ragged, 0)
+	ragged = append(ragged, make([]byte, 24)...)
+	binary.LittleEndian.PutUint32(ragged[8:], uint32(len(ragged)-HeaderLen))
 
 	mutate := func(src []byte, fn func([]byte)) []byte {
 		out := append([]byte(nil), src...)
@@ -41,20 +53,16 @@ func TestGenerateSeedCorpus(t *testing.T) {
 		return out
 	}
 	entries := map[string][]byte{
-		"valid-plain":       plain,
-		"valid-indexed":     indexed,
-		"valid-all-flags":   full,
-		"valid-long-name":   longName,
-		"truncated-body":    full[:len(full)-1],
-		"bodylen-inflated":  mutate(plain, func(b []byte) { b[12]++ }),
-		"bad-magic":         mutate(plain, func(b []byte) { b[0] ^= 0xff }),
-		"bad-flags":         mutate(full, func(b []byte) { b[4] |= 0x80 }),
-		"empty-name":        mutate(plain, func(b []byte) { b[5] = 0 }),
-		"count-over-limit":  mutate(indexed, func(b []byte) { binary.LittleEndian.PutUint32(b[8:12], MaxCount+1) }),
-		"empty":             {},
-		"header-only-ones":  bytes.Repeat([]byte{0xff}, HeaderLen),
-		"two-frames-piped":  append(append([]byte(nil), plain...), full...),
-		"second-frame-torn": append(append([]byte(nil), indexed...), indexed[:7]...),
+		"v2-valid-plain":      plain,
+		"v2-timestamps":       stamped,
+		"v2-int64-labels":     wide,
+		"v2-first-index":      first,
+		"v2-indices":          indexed,
+		"v2-ragged-refused":   ragged,
+		"v2-has-ts-not-bool":  mutate(stamped, func(b []byte) { b[len(b)-6*8-1]++ }),
+		"v2-bodylen-inflated": mutate(plain, func(b []byte) { b[8]++ }),
+		"v2-count-over-limit": mutate(first, func(b []byte) { binary.LittleEndian.PutUint64(b[HeaderLen+4:], MaxCount+1) }),
+		"v2-truncated-body":   stamped[:len(stamped)-1],
 	}
 	for name, data := range entries {
 		body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", data)

@@ -13,25 +13,41 @@
 //
 // Frame layout (all integers little-endian):
 //
-//	offset 0   magic    uint32   0x42525731 ("BRW1")
-//	offset 4   flags    uint8    bit 0: explicit arrival indices present
-//	                             bit 1: labels present
-//	                             bit 2: weights present
-//	offset 5   nameLen  uint8    stream name length, 1..255
-//	offset 6   dim      uint16   point dimensionality, 1..MaxDim
-//	offset 8   count    uint32   points in the frame, 1..MaxCount
-//	offset 12  bodyLen  uint32   bytes following this 16-byte header
-//	offset 16  name     [nameLen]byte
-//	           indices  [count]uint64    (only with FlagIndices)
-//	           labels   [count]int32     (only with FlagLabels)
-//	           weights  [count]float64   (only with FlagWeights)
-//	           values   [count*dim]float64, row-major
+//	offset 0   magic    uint32   0x32575242 ("BRW2")
+//	offset 4   nameLen  uint32   stream name length, 1..255
+//	offset 8   bodyLen  uint32   bytes following this 12-byte header
+//	offset 12  name     [nameLen]byte
+//	           batch    [bodyLen-nameLen]byte, in the batch layout
 //
-// bodyLen must equal the exact sum of the sections implied by the header,
-// so a malformed header can never make the decoder over- or under-read.
-// Without FlagIndices the server assigns arrival indices itself, exactly
-// like the JSON ingest path; without FlagLabels every point is unlabeled
-// (-1); without FlagWeights every weight is 1.
+// Batch layout, the one columnar encoding of a point batch: a frame's
+// body after the name, and the payload of every journal record of
+// internal/durable. Each optional column is present only with its flag:
+//
+//	[8]        count of points
+//	[4]        dim: values per point (0 when ragged)
+//	[1]        flags: 1 first index, 2 weights, 4 timestamps, 8 ragged
+//	[8]        first index                      with flag 1
+//	[8×count]  indices                          without flag 1
+//	[8×count]  labels (int64, -1 unlabeled)
+//	[8×count]  weights (float64)                with flag 2
+//	[8×count]  timestamps (float64)             with flag 4
+//	[count]    has-ts (0 or 1)                  with flag 4
+//	[4×count]  values per point                 with flag 8
+//	[8×Σdim]   values (float64), point after point
+//
+// Every length is checked against the batch's own size before anything is
+// allocated. A frame's batch has 1..MaxCount points of dim 1..MaxDim and
+// is never ragged. Its first index 0 — never a valid arrival index —
+// leaves sequencing to the server, exactly like the JSON ingest path;
+// without the weights column every weight is 1; a point whose has-ts is 0
+// carries no timestamp.
+//
+// The listener still decodes frames of the previous layout, BRW1, from
+// older clients into the same Frame; nothing writes them any more. A BRW1
+// frame is a 16-byte header — magic 0x31575242 ("BRW1"), flags uint8,
+// nameLen uint8, dim uint16, count uint32, bodyLen uint32 — then the
+// name, [count]uint64 indices (flag bit 0), [count]int32 labels (bit 1),
+// [count]float64 weights (bit 2) and [count*dim]float64 values.
 //
 // Reply layout (server → client, one per frame):
 //
@@ -53,26 +69,43 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
+
+	"biasedres/internal/stream"
 )
 
-// Magic opens every frame: "BRW1" read as a little-endian uint32.
-const Magic uint32 = 0x31575242
-
-// HeaderLen is the fixed frame header size in bytes.
-const HeaderLen = 16
-
-// Flag bits for the frame header.
+// Magic opens every frame: "BRW2" read as a little-endian uint32.
+// MagicV1 opens a frame of the previous layout, "BRW1".
 const (
-	// FlagIndices marks explicit per-point arrival indices; without it
-	// the server sequences arrivals itself.
-	FlagIndices = 1 << 0
-	// FlagLabels marks per-point int32 class labels.
-	FlagLabels = 1 << 1
-	// FlagWeights marks per-point float64 weights.
-	FlagWeights = 1 << 2
-
-	flagAll = FlagIndices | FlagLabels | FlagWeights
+	Magic   uint32 = 0x32575242
+	MagicV1 uint32 = 0x31575242
 )
+
+// HeaderLen is the fixed frame header size in bytes; HeaderLenV1 is a
+// BRW1 frame's.
+const (
+	HeaderLen   = 12
+	HeaderLenV1 = 16
+)
+
+// BRW1 section flags.
+const (
+	v1Indices = 1 << 0
+	v1Labels  = 1 << 1
+	v1Weights = 1 << 2
+)
+
+// Batch flag bits.
+const (
+	batchFirst   = 1 << iota // indices are first, first+1, …: one index stored
+	batchWeights             // weights column present
+	batchTS                  // timestamp and has-ts columns present
+	batchRagged              // per-point value counts present; dim is 0
+	batchAll     = batchFirst | batchWeights | batchTS | batchRagged
+)
+
+// batchHeaderLen is the fixed prefix of a batch: count, dim, flags.
+const batchHeaderLen = 8 + 4 + 1
 
 // Frame size limits, enforced by the decoder before any section math so a
 // hostile header cannot size a read.
@@ -100,161 +133,201 @@ const (
 // ReplyHeaderLen is the fixed reply size before the optional message.
 const ReplyHeaderLen = 8
 
-// Frame is one decoded ingest frame. Decoding reuses the Frame's slices,
-// so a connection loop that passes the same *Frame to every DecodeBody
-// call allocates nothing once the slices have grown to the working batch
-// shape. Name aliases the decode buffer and is only valid until the buffer
-// is reused.
+// Frame is one point batch in columns: a decoded ingest frame, a journal
+// record, or a batch the server applies. Decoding reuses the Frame's
+// slices, so a connection loop that passes the same *Frame to every
+// DecodeBody call allocates nothing once the slices have grown to the
+// working batch shape. Name aliases the decode buffer and is only valid
+// until the buffer is reused.
 type Frame struct {
-	// Name is the target stream name. On decode it aliases the frame
-	// buffer; copy it (or use it before the next read) rather than
-	// retaining it.
+	// Name is the target stream name; on decode it aliases the buffer.
 	Name []byte
-	// Dim is the point dimensionality.
+	// Dim is the point dimensionality (0 for a ragged batch).
 	Dim int
 	// Count is the number of points.
 	Count int
-	// Indices holds explicit arrival indices (len Count), or is nil for
-	// server-side sequencing.
+	// First is the arrival index of the first point when Indices is nil;
+	// the points' indices are First, First+1, …. Zero, never a valid
+	// index, leaves sequencing to the server.
+	First uint64
+	// Indices holds explicit arrival indices (len Count), or is nil.
 	Indices []uint64
-	// Labels holds per-point class labels (len Count), or is nil when
-	// every point is unlabeled.
-	Labels []int32
-	// Weights holds per-point weights (len Count), or is nil when every
-	// weight is 1.
+	// Labels holds per-point class labels (len Count; -1 unlabeled), or
+	// is nil when every point is unlabeled. Decoding always fills it.
+	Labels []int64
+	// Weights holds per-point weights (len Count), or is nil: all 1.
 	Weights []float64
-	// Values holds the packed coordinates, row-major: point i occupies
-	// Values[i*Dim : (i+1)*Dim]. Len Count*Dim.
+	// TS and HasTS hold per-point timestamps (len Count each), or are nil
+	// when no point carries one; TS[i] is the point's timestamp only when
+	// HasTS[i].
+	TS    []float64
+	HasTS []bool
+	// Lens holds per-point value counts of a ragged batch (Dim 0), or is
+	// nil; only journals from before mixed dims were refused hold one.
+	Lens []uint32
+	// Values holds the packed coordinates, point after point: without
+	// Lens, point i occupies Values[i*Dim : (i+1)*Dim].
 	Values []float64
 }
 
-// Point unpacks point i of the frame: its coordinate slice (aliasing
-// Values — copy before the next decode if retained), its label (-1 when
-// the frame carries none) and its weight (1 when the frame carries
-// none). Relays that re-batch frames toward other sinks — the federation
-// coordinator's fan-out — iterate with this instead of reimplementing
-// the optional-section defaults.
-func (f *Frame) Point(i int) (values []float64, label int32, weight float64) {
-	values = f.Values[i*f.Dim : (i+1)*f.Dim]
-	label = int32(-1)
-	if f.Labels != nil {
-		label = f.Labels[i]
+// Points returns the frame's points in dst's storage: their values alias
+// f.Values (copy before the next decode if retained), a missing label is
+// -1 and a missing weight 1.
+func (f *Frame) Points(dst []stream.Point) []stream.Point {
+	dst = slices.Grow(dst[:0], f.Count)[:f.Count]
+	off := 0
+	for i := range dst {
+		k := f.Dim
+		if f.Lens != nil {
+			k = int(f.Lens[i])
+		}
+		p := &dst[i]
+		*p = stream.Point{Index: f.First + uint64(i), Values: f.Values[off : off+k : off+k], Label: -1, Weight: 1}
+		off += k
+		if f.Indices != nil {
+			p.Index = f.Indices[i]
+		}
+		if f.Labels != nil {
+			p.Label = int(f.Labels[i])
+		}
+		if f.Weights != nil {
+			p.Weight = f.Weights[i]
+		}
 	}
-	weight = 1
-	if f.Weights != nil {
-		weight = f.Weights[i]
-	}
-	return values, label, weight
+	return dst
 }
 
 // Header is the parsed fixed-size frame header; BodyLen tells the
 // transport how many bytes to read before DecodeBody can run.
 type Header struct {
-	Flags   byte
 	NameLen int
-	Dim     int
-	Count   int
 	BodyLen int
+	// v1 marks a BRW1 header, whose flags, dim and count precede the body.
+	v1         bool
+	flags      byte
+	dim, count int
 }
 
-// ParseHeader validates the fixed 16-byte header. The returned header's
-// BodyLen has already been cross-checked against the exact section sum, so
-// reading BodyLen bytes and calling DecodeBody cannot over-read.
+// ParseHeader validates the fixed header at the front of b, BRW2 or BRW1
+// by its magic; a transport reads HeaderLen bytes, and HeaderLenV1 when
+// they open with MagicV1. It bounds BodyLen against the name length;
+// DecodeBody checks the body's batch against BodyLen before it allocates.
 func ParseHeader(b []byte) (Header, error) {
-	if len(b) < HeaderLen {
+	le := binary.LittleEndian
+	if len(b) < HeaderLen || le.Uint32(b) == MagicV1 && len(b) < HeaderLenV1 {
 		return Header{}, fmt.Errorf("wire: short header: %d bytes", len(b))
 	}
-	if m := binary.LittleEndian.Uint32(b[0:4]); m != Magic {
+	switch m := le.Uint32(b); m {
+	case Magic:
+	case MagicV1:
+		return parseHeaderV1(b)
+	default:
 		return Header{}, fmt.Errorf("wire: bad magic 0x%08x", m)
 	}
+	nameLen, bodyLen := le.Uint32(b[4:8]), le.Uint32(b[8:12])
+	if nameLen == 0 || nameLen > 255 {
+		return Header{}, fmt.Errorf("wire: stream name length %d out of range [1,255]", nameLen)
+	}
+	if bodyLen < nameLen+batchHeaderLen {
+		return Header{}, fmt.Errorf("wire: body length %d cannot hold a %d-byte name and a batch", bodyLen, nameLen)
+	}
+	return Header{NameLen: int(nameLen), BodyLen: int(bodyLen)}, nil
+}
+
+// parseHeaderV1 validates a BRW1 header; its BodyLen must equal the exact
+// sum of the sections the header implies.
+func parseHeaderV1(b []byte) (Header, error) {
 	h := Header{
-		Flags:   b[4],
+		v1:      true,
+		flags:   b[4],
 		NameLen: int(b[5]),
-		Dim:     int(binary.LittleEndian.Uint16(b[6:8])),
-		Count:   int(binary.LittleEndian.Uint32(b[8:12])),
+		dim:     int(binary.LittleEndian.Uint16(b[6:8])),
+		count:   int(binary.LittleEndian.Uint32(b[8:12])),
 		BodyLen: int(binary.LittleEndian.Uint32(b[12:16])),
 	}
-	if h.Flags&^byte(flagAll) != 0 {
-		return Header{}, fmt.Errorf("wire: unknown flag bits 0x%02x", h.Flags)
+	if h.flags&^byte(v1Indices|v1Labels|v1Weights) != 0 {
+		return Header{}, fmt.Errorf("wire: unknown flag bits 0x%02x", h.flags)
 	}
 	if h.NameLen == 0 {
 		return Header{}, fmt.Errorf("wire: empty stream name")
 	}
-	if h.Dim == 0 || h.Dim > MaxDim {
-		return Header{}, fmt.Errorf("wire: dim %d out of range [1,%d]", h.Dim, MaxDim)
+	if err := checkShape(uint64(h.count), uint64(h.dim)); err != nil {
+		return Header{}, err
 	}
-	if h.Count == 0 || h.Count > MaxCount {
-		return Header{}, fmt.Errorf("wire: count %d out of range [1,%d]", h.Count, MaxCount)
+	n := h.NameLen + h.count*h.dim*8
+	if h.flags&v1Indices != 0 {
+		n += h.count * 8
 	}
-	if want := h.sectionBytes(); h.BodyLen != want {
-		return Header{}, fmt.Errorf("wire: body length %d, sections need %d", h.BodyLen, want)
+	if h.flags&v1Labels != 0 {
+		n += h.count * 4
+	}
+	if h.flags&v1Weights != 0 {
+		n += h.count * 8
+	}
+	if h.BodyLen != n {
+		return Header{}, fmt.Errorf("wire: body length %d, sections need %d", h.BodyLen, n)
 	}
 	return h, nil
 }
 
-// sectionBytes is the exact body size the header implies. Count and Dim
-// are bounded by MaxCount/MaxDim, so the product cannot overflow int64 —
-// and stays well under any int32 platform limit via the int cast check in
-// ParseHeader (BodyLen itself is a uint32).
-func (h Header) sectionBytes() int {
-	n := h.NameLen
-	if h.Flags&FlagIndices != 0 {
-		n += h.Count * 8
+// checkShape bounds a frame's point count and dimensionality.
+func checkShape(count, dim uint64) error {
+	if dim == 0 || dim > MaxDim {
+		return fmt.Errorf("wire: dim %d out of range [1,%d]", dim, MaxDim)
 	}
-	if h.Flags&FlagLabels != 0 {
-		n += h.Count * 4
+	if count == 0 || count > MaxCount {
+		return fmt.Errorf("wire: count %d out of range [1,%d]", count, MaxCount)
 	}
-	if h.Flags&FlagWeights != 0 {
-		n += h.Count * 8
-	}
-	n += h.Count * h.Dim * 8
-	return n
+	return nil
 }
 
 // DecodeBody parses a frame body of exactly h.BodyLen bytes into f,
-// reusing f's slices. f.Name aliases body. It never reads outside body.
+// reusing f's slices. f.Name aliases body. It never reads outside body,
+// and it checks a BRW2 batch's count, dim and flags before the batch
+// decoder allocates anything.
 func (h Header) DecodeBody(body []byte, f *Frame) error {
 	if len(body) != h.BodyLen {
 		return fmt.Errorf("wire: body is %d bytes, header declared %d", len(body), h.BodyLen)
 	}
 	f.Name = body[:h.NameLen]
-	f.Dim = h.Dim
-	f.Count = h.Count
-	off := h.NameLen
+	if h.v1 {
+		h.decodeV1(body[h.NameLen:], f)
+		return nil
+	}
+	p := body[h.NameLen:]
+	if p[12]&batchRagged != 0 {
+		return fmt.Errorf("wire: a frame's batch cannot be ragged")
+	}
+	if err := checkShape(binary.LittleEndian.Uint64(p), uint64(binary.LittleEndian.Uint32(p[8:]))); err != nil {
+		return err
+	}
+	return DecodeBatch(p, f)
+}
 
-	if h.Flags&FlagIndices != 0 {
-		f.Indices = growU64(f.Indices, h.Count)
-		for i := range f.Indices {
-			f.Indices[i] = binary.LittleEndian.Uint64(body[off:])
-			off += 8
+// decodeV1 parses the sections of a BRW1 body, already sized by
+// parseHeaderV1, into f.
+func (h Header) decodeV1(b []byte, f *Frame) {
+	le := binary.LittleEndian
+	section := func(flag byte, size int) []byte {
+		if h.flags&flag == 0 {
+			return nil
 		}
-	} else {
-		f.Indices = nil
+		s := b[:size*h.count]
+		b = b[size*h.count:]
+		return s
 	}
-	if h.Flags&FlagLabels != 0 {
-		f.Labels = growI32(f.Labels, h.Count)
-		for i := range f.Labels {
-			f.Labels[i] = int32(binary.LittleEndian.Uint32(body[off:]))
-			off += 4
+	indices, labels, weights := section(v1Indices, 8), section(v1Labels, 4), section(v1Weights, 8)
+	f.Dim, f.Count, f.First, f.TS, f.HasTS, f.Lens = h.dim, h.count, 0, nil, nil, nil
+	f.Indices = decodeColumn(f.Indices, indices, 8, le.Uint64)
+	f.Labels = grow(f.Labels, h.count)
+	for i := range f.Labels {
+		f.Labels[i] = -1
+		if labels != nil {
+			f.Labels[i] = int64(int32(le.Uint32(labels[4*i:])))
 		}
-	} else {
-		f.Labels = nil
 	}
-	if h.Flags&FlagWeights != 0 {
-		f.Weights = growF64(f.Weights, h.Count)
-		for i := range f.Weights {
-			f.Weights[i] = math.Float64frombits(binary.LittleEndian.Uint64(body[off:]))
-			off += 8
-		}
-	} else {
-		f.Weights = nil
-	}
-	f.Values = growF64(f.Values, h.Count*h.Dim)
-	for i := range f.Values {
-		f.Values[i] = math.Float64frombits(binary.LittleEndian.Uint64(body[off:]))
-		off += 8
-	}
-	return nil
+	f.Weights = decodeFloats(f.Weights, weights)
+	f.Values = decodeFloats(f.Values, b)
 }
 
 // DecodeFrame parses one whole frame (header + body) from the front of
@@ -266,74 +339,221 @@ func DecodeFrame(buf []byte, f *Frame) (rest []byte, err error) {
 	if err != nil {
 		return buf, err
 	}
-	if len(buf)-HeaderLen < h.BodyLen {
-		return buf, fmt.Errorf("wire: frame truncated: body has %d of %d bytes",
-			len(buf)-HeaderLen, h.BodyLen)
+	hl := HeaderLen
+	if h.v1 {
+		hl = HeaderLenV1
 	}
-	if err := h.DecodeBody(buf[HeaderLen:HeaderLen+h.BodyLen], f); err != nil {
+	if len(buf)-hl < h.BodyLen {
+		return buf, fmt.Errorf("wire: frame truncated: body has %d of %d bytes", len(buf)-hl, h.BodyLen)
+	}
+	if err := h.DecodeBody(buf[hl:hl+h.BodyLen], f); err != nil {
 		return buf, err
 	}
-	return buf[HeaderLen+h.BodyLen:], nil
+	return buf[hl+h.BodyLen:], nil
 }
 
-// AppendFrame validates f and appends its encoded form to dst, returning
-// the extended slice. The encoder is the client side's hot path; it only
-// allocates when dst must grow.
+// AppendFrame validates f and appends it as a BRW2 frame for the named
+// stream to dst, returning the extended slice. The encoder is the client
+// side's hot path; it only allocates when dst must grow.
 func AppendFrame(dst []byte, name string, f *Frame) ([]byte, error) {
 	if len(name) == 0 || len(name) > 255 {
 		return dst, fmt.Errorf("wire: stream name length %d out of range [1,255]", len(name))
 	}
-	if f.Dim <= 0 || f.Dim > MaxDim {
-		return dst, fmt.Errorf("wire: dim %d out of range [1,%d]", f.Dim, MaxDim)
+	if err := checkShape(uint64(f.Count), uint64(f.Dim)); err != nil {
+		return dst, err // a ragged batch, of dim 0, too
 	}
-	if f.Count <= 0 || f.Count > MaxCount {
-		return dst, fmt.Errorf("wire: count %d out of range [1,%d]", f.Count, MaxCount)
+	start := len(dst)
+	dst = binary.LittleEndian.AppendUint32(dst, Magic)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(name)))
+	dst = binary.LittleEndian.AppendUint32(dst, 0) // bodyLen, filled in below
+	dst = append(dst, name...)
+	dst, err := AppendBatch(dst, f)
+	if err != nil {
+		return dst[:start], err
 	}
-	if len(f.Values) != f.Count*f.Dim {
-		return dst, fmt.Errorf("wire: %d values, count %d × dim %d needs %d",
-			len(f.Values), f.Count, f.Dim, f.Count*f.Dim)
+	binary.LittleEndian.PutUint32(dst[start+8:], uint32(len(dst)-start-HeaderLen))
+	return dst, nil
+}
+
+// AppendBatch appends f's columns to dst in the batch layout: the body of
+// a frame after its name, and the payload of a journal record. It refuses
+// a column whose length disagrees with f's Count, Dim or Lens.
+func AppendBatch(dst []byte, f *Frame) ([]byte, error) {
+	n, values := f.Count, f.Count*f.Dim
+	for _, k := range f.Lens {
+		values += int(k)
+	}
+	if f.Labels != nil && len(f.Labels) != n || f.Indices != nil && (len(f.Indices) != n || f.First != 0) ||
+		f.Weights != nil && len(f.Weights) != n || (f.TS != nil || f.HasTS != nil) && (len(f.TS) != n || len(f.HasTS) != n) ||
+		f.Lens != nil && (len(f.Lens) != n || f.Dim != 0) || len(f.Values) != values {
+		return dst, fmt.Errorf("wire: the columns of a batch of %d points of dim %d disagree on its size", n, f.Dim)
 	}
 	var flags byte
-	if f.Indices != nil {
-		if len(f.Indices) != f.Count {
-			return dst, fmt.Errorf("wire: %d indices for %d points", len(f.Indices), f.Count)
-		}
-		flags |= FlagIndices
-	}
-	if f.Labels != nil {
-		if len(f.Labels) != f.Count {
-			return dst, fmt.Errorf("wire: %d labels for %d points", len(f.Labels), f.Count)
-		}
-		flags |= FlagLabels
+	if f.Indices == nil {
+		flags |= batchFirst
 	}
 	if f.Weights != nil {
-		if len(f.Weights) != f.Count {
-			return dst, fmt.Errorf("wire: %d weights for %d points", len(f.Weights), f.Count)
-		}
-		flags |= FlagWeights
+		flags |= batchWeights
 	}
-	h := Header{Flags: flags, NameLen: len(name), Dim: f.Dim, Count: f.Count}
-	h.BodyLen = h.sectionBytes()
-
-	dst = binary.LittleEndian.AppendUint32(dst, Magic)
-	dst = append(dst, flags, byte(len(name)))
-	dst = binary.LittleEndian.AppendUint16(dst, uint16(f.Dim))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(f.Count))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(h.BodyLen))
-	dst = append(dst, name...)
+	if f.TS != nil {
+		flags |= batchTS
+	}
+	if f.Lens != nil {
+		flags |= batchRagged
+	}
+	le := binary.LittleEndian
+	dst = slices.Grow(dst, batchHeaderLen+8+8*(len(f.Indices)+n+len(f.Weights)+len(f.TS)+values)+len(f.HasTS)+4*len(f.Lens))
+	dst = le.AppendUint64(dst, uint64(n))
+	dst = le.AppendUint32(dst, uint32(f.Dim))
+	dst = append(dst, flags)
+	if flags&batchFirst != 0 {
+		dst = le.AppendUint64(dst, f.First)
+	}
 	for _, v := range f.Indices {
-		dst = binary.LittleEndian.AppendUint64(dst, v)
+		dst = le.AppendUint64(dst, v)
 	}
-	for _, v := range f.Labels {
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(v))
+	for i := range n {
+		label := int64(-1)
+		if f.Labels != nil {
+			label = f.Labels[i]
+		}
+		dst = le.AppendUint64(dst, uint64(label))
 	}
-	for _, v := range f.Weights {
+	dst = appendFloats(dst, f.Weights)
+	dst = appendFloats(dst, f.TS)
+	for _, has := range f.HasTS {
+		var b byte
+		if has {
+			b = 1
+		}
+		dst = append(dst, b)
+	}
+	for _, k := range f.Lens {
+		dst = le.AppendUint32(dst, k)
+	}
+	return appendFloats(dst, f.Values), nil
+}
+
+// DecodeBatch parses one batch in the batch layout into f, reusing f's
+// slices; f.Name is left alone. Every column length is checked against
+// the bytes remaining before anything is allocated, so a batch that
+// claims more points or values than it holds fails instead of
+// allocating. f owns what it decodes: p may be reused afterwards.
+func DecodeBatch(p []byte, f *Frame) error {
+	// A batch of at most 4 GiB (a frame body's bodyLen is a uint32, a
+	// journal record's length too) keeps the column math below from
+	// overflowing.
+	if len(p) < batchHeaderLen || uint64(len(p)) > math.MaxUint32 {
+		return fmt.Errorf("wire: batch of %d bytes", len(p))
+	}
+	le := binary.LittleEndian
+	n, dim, flags := le.Uint64(p), uint64(le.Uint32(p[8:])), p[12]
+	rest, short := p[batchHeaderLen:], false
+	if flags&^batchAll != 0 {
+		return fmt.Errorf("wire: unknown batch flag bits 0x%02x", flags)
+	}
+	// Labels alone take 8 bytes per point, so this bounds n (below 2^29)
+	// before anything is allocated by it.
+	if n > uint64(len(rest))/8 {
+		return fmt.Errorf("wire: batch claims %d points in %d bytes", n, len(p))
+	}
+	if flags&batchRagged != 0 && dim != 0 {
+		return fmt.Errorf("wire: ragged batch with dim %d", dim)
+	}
+	// take cuts the next k-byte column off rest when the batch has it; a
+	// column past the end marks the batch short.
+	take := func(has bool, k uint64) []byte {
+		if !has || short || uint64(len(rest)) < k {
+			short = short || has
+			return nil
+		}
+		col := rest[:k]
+		rest = rest[k:]
+		return col
+	}
+	first, indices := take(flags&batchFirst != 0, 8), take(flags&batchFirst == 0, 8*n)
+	labels, weights := take(true, 8*n), take(flags&batchWeights != 0, 8*n)
+	ts, hasTS := take(flags&batchTS != 0, 8*n), take(flags&batchTS != 0, n)
+	lens := take(flags&batchRagged != 0, 4*n)
+	// What remains is exactly the values column. n < 2^29 and every
+	// per-point count is below 2^32, so neither n*dim nor the sum
+	// overflows.
+	if short || len(rest)%8 != 0 {
+		return fmt.Errorf("wire: batch columns do not add up to its %d bytes", len(p))
+	}
+	want := n * dim
+	if lens != nil {
+		want = 0
+		for i := uint64(0); i < n; i++ {
+			want += uint64(le.Uint32(lens[4*i:]))
+		}
+	}
+	if total := uint64(len(rest)) / 8; want != total {
+		return fmt.Errorf("wire: batch holds %d values, its points need %d", total, want)
+	}
+	for _, b := range hasTS {
+		if b > 1 {
+			return fmt.Errorf("wire: has-ts byte %d is not 0 or 1", b)
+		}
+	}
+
+	f.Count, f.Dim, f.First = int(n), int(dim), 0
+	if first != nil {
+		f.First = le.Uint64(first)
+	}
+	f.Indices = decodeColumn(f.Indices, indices, 8, le.Uint64)
+	f.Labels = grow(f.Labels, int(n))
+	for i := range f.Labels {
+		f.Labels[i] = int64(le.Uint64(labels[8*i:]))
+	}
+	f.Weights = decodeFloats(f.Weights, weights)
+	f.TS = decodeFloats(f.TS, ts)
+	f.HasTS = decodeColumn(f.HasTS, hasTS, 1, func(b []byte) bool { return b[0] == 1 })
+	f.Lens = decodeColumn(f.Lens, lens, 4, le.Uint32)
+	f.Values = decodeFloats(f.Values, rest)
+	return nil
+}
+
+// appendFloats appends vs as little-endian float64 bits.
+func appendFloats(dst []byte, vs []float64) []byte {
+	for _, v := range vs {
 		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
 	}
-	for _, v := range f.Values {
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
+	return dst
+}
+
+// decodeColumn decodes column b, of size-byte entries, into dst's
+// storage; a nil b (an absent column) yields nil.
+func decodeColumn[T any](dst []T, b []byte, size int, decode func([]byte) T) []T {
+	if b == nil {
+		return nil
 	}
-	return dst, nil
+	dst = grow(dst, len(b)/size)
+	for i := range dst {
+		dst[i] = decode(b[size*i:])
+	}
+	return dst
+}
+
+// decodeFloats decodes a column of little-endian float64s into dst's
+// storage; a nil b yields nil.
+func decodeFloats(dst []float64, b []byte) []float64 {
+	if b == nil {
+		return nil
+	}
+	dst = grow(dst, len(b)/8)
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+	}
+	return dst
+}
+
+// grow returns s resized to n, reusing capacity.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // Reply is the server's answer to one frame.
@@ -399,28 +619,4 @@ func DecodeReply(buf []byte) (Reply, []byte, error) {
 	}
 	r.Msg = string(buf[ReplyHeaderLen : ReplyHeaderLen+msgLen])
 	return r, buf[ReplyHeaderLen+msgLen:], nil
-}
-
-// growU64 returns s resized to n, reusing capacity.
-func growU64(s []uint64, n int) []uint64 {
-	if cap(s) < n {
-		return make([]uint64, n)
-	}
-	return s[:n]
-}
-
-// growI32 returns s resized to n, reusing capacity.
-func growI32(s []int32, n int) []int32 {
-	if cap(s) < n {
-		return make([]int32, n)
-	}
-	return s[:n]
-}
-
-// growF64 returns s resized to n, reusing capacity.
-func growF64(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
 }

@@ -3,6 +3,11 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -22,9 +27,9 @@ func testFrame(n, dim int, indices, labels, weights bool) *Frame {
 		}
 	}
 	if labels {
-		f.Labels = make([]int32, n)
+		f.Labels = make([]int64, n)
 		for i := range f.Labels {
-			f.Labels[i] = int32(i%3) - 1
+			f.Labels[i] = int64(i%3) - 1
 		}
 	}
 	if weights {
@@ -49,30 +54,68 @@ func TestFrameRoundTrip(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			want := testFrame(7, 3, tc.indices, tc.labels, tc.weights)
-			buf, err := AppendFrame(nil, "sensor", want)
-			if err != nil {
-				t.Fatalf("AppendFrame: %v", err)
-			}
-			var got Frame
-			rest, err := DecodeFrame(buf, &got)
-			if err != nil {
-				t.Fatalf("DecodeFrame: %v", err)
-			}
-			if len(rest) != 0 {
-				t.Fatalf("DecodeFrame left %d bytes", len(rest))
-			}
-			if string(got.Name) != "sensor" {
-				t.Errorf("name = %q", got.Name)
-			}
-			if got.Dim != want.Dim || got.Count != want.Count {
-				t.Errorf("shape = (%d,%d), want (%d,%d)", got.Count, got.Dim, want.Count, want.Dim)
-			}
-			checkSlices(t, "indices", got.Indices, want.Indices)
-			checkSlices(t, "labels", got.Labels, want.Labels)
-			checkSlices(t, "weights", got.Weights, want.Weights)
-			checkSlices(t, "values", got.Values, want.Values)
+			roundTrip(t, want)
 		})
 	}
+}
+
+// TestFrameRoundTripColumns: what BRW1 could not carry — timestamps,
+// labels outside int32 and a first index — survives the round trip.
+func TestFrameRoundTripColumns(t *testing.T) {
+	stamped := testFrame(3, 2, false, true, true)
+	stamped.TS, stamped.HasTS = []float64{1.5, 0, 2.25}, []bool{true, false, true}
+	wide := testFrame(3, 1, false, false, false)
+	wide.Labels = []int64{1 << 40, math.MinInt64, -5}
+	first := testFrame(4, 1, false, true, false)
+	first.First = 1 << 50
+	for name, f := range map[string]*Frame{"timestamps": stamped, "wide-labels": wide, "first": first} {
+		t.Run(name, func(t *testing.T) { roundTrip(t, f) })
+	}
+}
+
+// roundTrip encodes want as a frame, decodes it and compares every column.
+func roundTrip(t *testing.T, want *Frame) {
+	t.Helper()
+	buf, err := AppendFrame(nil, "sensor", want)
+	if err != nil {
+		t.Fatalf("AppendFrame: %v", err)
+	}
+	var got Frame
+	rest, err := DecodeFrame(buf, &got)
+	if err != nil {
+		t.Fatalf("DecodeFrame: %v", err)
+	}
+	if len(rest) != 0 {
+		t.Fatalf("DecodeFrame left %d bytes", len(rest))
+	}
+	if string(got.Name) != "sensor" {
+		t.Errorf("name = %q", got.Name)
+	}
+	if got.Dim != want.Dim || got.Count != want.Count {
+		t.Errorf("shape = (%d,%d), want (%d,%d)", got.Count, got.Dim, want.Count, want.Dim)
+	}
+	if got.First != want.First {
+		t.Errorf("first = %d, want %d", got.First, want.First)
+	}
+	checkSlices(t, "indices", got.Indices, want.Indices)
+	checkSlices(t, "labels", got.Labels, labelsOf(want))
+	checkSlices(t, "weights", got.Weights, want.Weights)
+	checkSlices(t, "timestamps", got.TS, want.TS)
+	checkSlices(t, "has-ts", got.HasTS, want.HasTS)
+	checkSlices(t, "values", got.Values, want.Values)
+}
+
+// labelsOf is f's label column as decoding fills it: -1 for every point
+// when f has none.
+func labelsOf(f *Frame) []int64 {
+	if f.Labels != nil {
+		return f.Labels
+	}
+	labels := make([]int64, f.Count)
+	for i := range labels {
+		labels[i] = -1
+	}
+	return labels
 }
 
 func checkSlices[T comparable](t *testing.T, what string, got, want []T) {
@@ -135,14 +178,16 @@ func TestDecodeReuseShrinks(t *testing.T) {
 	if f.Count != 2 || f.Dim != 1 || len(f.Values) != 2 {
 		t.Fatalf("small decode shape = count %d dim %d values %d", f.Count, f.Dim, len(f.Values))
 	}
-	if f.Indices != nil || f.Labels != nil || f.Weights != nil {
-		t.Fatalf("optional sections not cleared: %v %v %v", f.Indices, f.Labels, f.Weights)
+	if f.Indices != nil || f.Weights != nil || f.TS != nil || f.HasTS != nil {
+		t.Fatalf("optional sections not cleared: %v %v %v %v", f.Indices, f.Weights, f.TS, f.HasTS)
 	}
+	checkSlices(t, "labels", f.Labels, []int64{-1, -1})
 }
 
+// TestParseHeaderRejects checks the BRW1 header an older client sends.
 func TestParseHeaderRejects(t *testing.T) {
-	good, err := AppendFrame(nil, "s", testFrame(2, 2, false, false, false))
-	if err != nil {
+	good := corpusEntry(t, "valid-indexed")
+	if _, err := ParseHeader(good); err != nil {
 		t.Fatal(err)
 	}
 	mutate := func(mut func(h []byte)) []byte {
@@ -173,6 +218,139 @@ func TestParseHeaderRejects(t *testing.T) {
 	}
 }
 
+// TestParseHeaderRejectsV2 checks the BRW2 header.
+func TestParseHeaderRejectsV2(t *testing.T) {
+	good, err := AppendFrame(nil, "s", testFrame(2, 2, false, false, false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mutate := func(mut func(h []byte)) []byte {
+		b := append([]byte(nil), good...)
+		mut(b)
+		return b
+	}
+	for name, tc := range map[string]struct {
+		buf  []byte
+		want string
+	}{
+		"short":       {good[:HeaderLen-1], "short header"},
+		"empty-name":  {mutate(func(b []byte) { b[4] = 0 }), "name length 0"},
+		"long-name":   {mutate(func(b []byte) { binary.LittleEndian.PutUint32(b[4:8], 256) }), "name length 256"},
+		"no-batch":    {mutate(func(b []byte) { binary.LittleEndian.PutUint32(b[8:12], 13) }), "cannot hold"},
+		"body-shrunk": {mutate(func(b []byte) { binary.LittleEndian.PutUint32(b[8:12], 1) }), "cannot hold"},
+	} {
+		t.Run(name, func(t *testing.T) {
+			if _, err := ParseHeader(tc.buf); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("ParseHeader error = %v, want substring %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestDecodeBodyRejects: a BRW2 batch outside a frame's shape — no
+// points, too many, dim 0 or over MaxDim, ragged — is refused before the
+// batch decoder allocates, and a batch whose columns do not add up is
+// refused by it.
+func TestDecodeBodyRejects(t *testing.T) {
+	frame := func(count uint64, dim uint32, flags byte, rest int, tail ...byte) []byte {
+		body := append([]byte("s"), binary.LittleEndian.AppendUint64(nil, count)...)
+		body = binary.LittleEndian.AppendUint32(body, dim)
+		body = append(append(append(body, flags), make([]byte, rest)...), tail...)
+		buf := binary.LittleEndian.AppendUint32(nil, Magic)
+		buf = binary.LittleEndian.AppendUint32(buf, 1)
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(body)))
+		return append(buf, body...)
+	}
+	for name, tc := range map[string]struct {
+		buf  []byte
+		want string
+	}{
+		"zero-count":      {frame(0, 1, batchFirst, 8), "count 0"},
+		"count-over-max":  {frame(MaxCount+1, 1, batchFirst, 64), "count"},
+		"zero-dim":        {frame(1, 0, batchFirst, 16), "dim 0"},
+		"dim-over-max":    {frame(1, MaxDim+1, batchFirst, 64), "dim"},
+		"ragged":          {frame(1, 1, batchFirst|batchRagged, 32), "ragged"},
+		"unknown-flag":    {frame(1, 1, 0x80|batchFirst, 24), "flag"},
+		"claims-more":     {frame(4, 1, batchFirst, 24), "claims"},
+		"missing-values":  {frame(1, 2, batchFirst, 24), "values"},
+		"trailing-bytes":  {frame(1, 1, batchFirst, 25), "do not add up"},
+		"has-ts-not-bool": {frame(1, 1, batchFirst|batchTS, 24, 2, 0, 0, 0, 0, 0, 0, 0, 0), "has-ts"},
+	} {
+		t.Run(name, func(t *testing.T) {
+			var f Frame
+			if _, err := DecodeFrame(tc.buf, &f); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("DecodeFrame error = %v, want substring %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestDecodeBRW1: frames of the previous layout, as older clients send
+// them, decode into the same Frame their batch encodes to as BRW2.
+func TestDecodeBRW1(t *testing.T) {
+	for name, want := range map[string]*Frame{
+		"valid-plain":     {Dim: 1, Count: 1, Labels: []int64{-1}, Values: []float64{0}},
+		"valid-indexed":   {Dim: 2, Count: 3, Indices: []uint64{1, 2, 3}, Labels: []int64{-1, -1, -1}, Values: []float64{1, 2, 3, 4, 5, 6}},
+		"valid-all-flags": {Dim: 1, Count: 2, Labels: []int64{0, -1}, Weights: []float64{1, 2}, Values: []float64{9, 8}},
+	} {
+		t.Run(name, func(t *testing.T) {
+			var got Frame
+			rest, err := DecodeFrame(corpusEntry(t, name), &got)
+			if err != nil || len(rest) != 0 {
+				t.Fatalf("DecodeFrame: %v, %d bytes left", err, len(rest))
+			}
+			want.Name = []byte("fuzz")
+			if !sameFrame(&got, want) {
+				t.Fatalf("decoded %+v, want %+v", got, *want)
+			}
+			buf, err := AppendFrame(nil, "fuzz", &got)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var again Frame
+			if _, err := DecodeFrame(buf, &again); err != nil || !sameFrame(&again, want) {
+				t.Fatalf("BRW2 re-encoding decodes to %+v (%v), want %+v", again, err, *want)
+			}
+		})
+	}
+}
+
+// corpusEntry reads one checked-in FuzzDecodeFrame corpus file.
+func corpusEntry(t testing.TB, name string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzDecodeFrame", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(string(data), "\n")
+	lit := strings.TrimSuffix(strings.TrimPrefix(lines[1], "[]byte("), ")")
+	s, err := strconv.Unquote(lit)
+	if err != nil {
+		t.Fatalf("corpus entry %s: %v", name, err)
+	}
+	return []byte(s)
+}
+
+// sameFrame compares two frames column by column, floats bit for bit, so
+// NaNs compare equal to themselves.
+func sameFrame(a, b *Frame) bool {
+	bits := func(xs []float64) []uint64 {
+		if xs == nil {
+			return nil
+		}
+		out := make([]uint64, len(xs))
+		for i, x := range xs {
+			out[i] = math.Float64bits(x)
+		}
+		return out
+	}
+	return string(a.Name) == string(b.Name) && a.Dim == b.Dim && a.Count == b.Count && a.First == b.First &&
+		reflect.DeepEqual(a.Indices, b.Indices) && reflect.DeepEqual(a.Labels, b.Labels) &&
+		reflect.DeepEqual(bits(a.Weights), bits(b.Weights)) && reflect.DeepEqual(bits(a.TS), bits(b.TS)) &&
+		reflect.DeepEqual(a.HasTS, b.HasTS) && reflect.DeepEqual(a.Lens, b.Lens) &&
+		reflect.DeepEqual(bits(a.Values), bits(b.Values))
+}
+
 func TestDecodeFrameTruncated(t *testing.T) {
 	buf, err := AppendFrame(nil, "s", testFrame(3, 2, true, false, false))
 	if err != nil {
@@ -198,8 +376,11 @@ func TestAppendFrameValidates(t *testing.T) {
 		{"zero-count", func(f *Frame) (string, *Frame) { f.Count = 0; return "s", f }},
 		{"values-mismatch", func(f *Frame) (string, *Frame) { f.Values = f.Values[:3]; return "s", f }},
 		{"indices-mismatch", func(f *Frame) (string, *Frame) { f.Indices = []uint64{1}; return "s", f }},
-		{"labels-mismatch", func(f *Frame) (string, *Frame) { f.Labels = []int32{0}; return "s", f }},
+		{"labels-mismatch", func(f *Frame) (string, *Frame) { f.Labels = []int64{0}; return "s", f }},
 		{"weights-mismatch", func(f *Frame) (string, *Frame) { f.Weights = []float64{1}; return "s", f }},
+		{"ts-mismatch", func(f *Frame) (string, *Frame) { f.TS, f.HasTS = []float64{1, 2}, []bool{true}; return "s", f }},
+		{"first-and-indices", func(f *Frame) (string, *Frame) { f.First, f.Indices = 3, []uint64{3, 4}; return "s", f }},
+		{"ragged", func(f *Frame) (string, *Frame) { f.Dim, f.Lens = 0, []uint32{1, 3}; return "s", f }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -324,24 +505,63 @@ func BenchmarkWireEncodeFrame(b *testing.B) {
 // TestEncodedLayout pins the exact byte layout so the format cannot
 // drift silently: a one-point frame is compared field by field.
 func TestEncodedLayout(t *testing.T) {
-	f := &Frame{Dim: 2, Count: 1, Values: []float64{1, 2}, Indices: []uint64{7}}
+	f := &Frame{Dim: 2, Count: 1, Values: []float64{1, 2}, Indices: []uint64{7}, Labels: []int64{-2},
+		TS: []float64{0.5}, HasTS: []bool{true}}
 	buf, err := AppendFrame(nil, "ab", f)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := []byte{
-		0x42, 0x52, 0x57, 0x31, // "BRW1"
-		FlagIndices,
-		2,    // nameLen
-		2, 0, // dim
-		1, 0, 0, 0, // count
-		26, 0, 0, 0, // bodyLen = 2 name + 8 index + 16 values
+		0x42, 0x52, 0x57, 0x32, // "BRW2"
+		2, 0, 0, 0, // nameLen
+		56, 0, 0, 0, // bodyLen = 2 name + 13 batch header + 8 index + 8 label + 9 timestamp + 16 values
 		'a', 'b',
+		1, 0, 0, 0, 0, 0, 0, 0, // count
+		2, 0, 0, 0, // dim
+		batchTS,                // flags: explicit indices, timestamps
 		7, 0, 0, 0, 0, 0, 0, 0, // index
+		0xfe, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, // label -2
+		0, 0, 0, 0, 0, 0, 0xe0, 0x3f, // timestamp 0.5
+		1,                            // has-ts
 		0, 0, 0, 0, 0, 0, 0xf0, 0x3f, // 1.0
 		0, 0, 0, 0, 0, 0, 0x00, 0x40, // 2.0
 	}
 	if !bytes.Equal(buf, want) {
 		t.Fatalf("layout drifted:\n got %x\nwant %x", buf, want)
+	}
+}
+
+// TestCorpusVerdicts pins what the checked-in BRW2 corpus entries
+// exercise: the valid ones decode whole, each near miss is refused for
+// its own reason.
+func TestCorpusVerdicts(t *testing.T) {
+	for name, want := range map[string]string{
+		"v2-valid-plain":      "",
+		"v2-timestamps":       "",
+		"v2-int64-labels":     "",
+		"v2-first-index":      "",
+		"v2-indices":          "",
+		"v2-ragged-refused":   "ragged",
+		"v2-has-ts-not-bool":  "has-ts",
+		"v2-bodylen-inflated": "truncated",
+		"v2-count-over-limit": "count",
+		"v2-truncated-body":   "truncated",
+	} {
+		t.Run(name, func(t *testing.T) {
+			var f Frame
+			rest, err := DecodeFrame(corpusEntry(t, name), &f)
+			switch {
+			case want == "" && (err != nil || len(rest) != 0):
+				t.Fatalf("DecodeFrame: %v, %d bytes left", err, len(rest))
+			case want != "" && (err == nil || !strings.Contains(err.Error(), want)):
+				t.Fatalf("DecodeFrame error = %v, want substring %q", err, want)
+			}
+			if name == "v2-ragged-refused" {
+				// ...though its batch is a valid journal record.
+				if err := DecodeBatch(corpusEntry(t, name)[HeaderLen+4:], &f); err != nil || f.Lens == nil {
+					t.Fatalf("DecodeBatch: %v, lens %v", err, f.Lens)
+				}
+			}
+		})
 	}
 }

@@ -2,20 +2,25 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 )
 
 // FuzzDecodeFrame drives the decoder with arbitrary bytes. The properties
 // under test: it never panics, never reads outside the input (enforced by
 // handing it an exactly-sized copy so any over-read faults under
-// -race/bounds checking), and anything it accepts round-trips through the
-// encoder back to the identical bytes.
+// -race/bounds checking), an accepted BRW2 frame round-trips through the
+// encoder back to the identical bytes, and an accepted BRW1 frame
+// re-encodes as BRW2 and decodes back to an identical Frame.
 func FuzzDecodeFrame(f *testing.F) {
-	// Seed with valid frames across the flag space plus near-miss mutants.
+	// Seed with valid frames across the column space plus near-miss
+	// mutants.
 	for _, fr := range []*Frame{
 		{Dim: 1, Count: 1, Values: []float64{0}},
 		{Dim: 2, Count: 3, Values: []float64{1, 2, 3, 4, 5, 6}, Indices: []uint64{1, 2, 3}},
-		{Dim: 1, Count: 2, Values: []float64{9, 8}, Labels: []int32{0, -1}, Weights: []float64{1, 2}},
+		{Dim: 1, Count: 2, Values: []float64{9, 8}, Labels: []int64{0, -1}, Weights: []float64{1, 2}},
+		{Dim: 1, Count: 2, Values: []float64{9, 8}, Labels: []int64{1 << 40, -5}, First: 7,
+			TS: []float64{1, 2.5}, HasTS: []bool{true, false}},
 	} {
 		buf, err := AppendFrame(nil, "fuzz", fr)
 		if err != nil {
@@ -25,7 +30,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		// Mutants: truncated body, inflated bodyLen, bad magic.
 		f.Add(buf[:len(buf)-1])
 		mut := append([]byte(nil), buf...)
-		mut[12]++
+		mut[8]++
 		f.Add(mut)
 		mut = append([]byte(nil), buf...)
 		mut[0] ^= 0xff
@@ -48,30 +53,43 @@ func FuzzDecodeFrame(f *testing.F) {
 		consumed := len(in) - len(rest)
 
 		// Accepted frames must be internally consistent...
-		if fr.Count <= 0 || fr.Count > MaxCount || fr.Dim <= 0 || fr.Dim > MaxDim {
-			t.Fatalf("decoder accepted out-of-range shape count=%d dim=%d", fr.Count, fr.Dim)
+		if fr.Count <= 0 || fr.Count > MaxCount || fr.Dim <= 0 || fr.Dim > MaxDim || fr.Lens != nil {
+			t.Fatalf("decoder accepted out-of-range shape count=%d dim=%d lens=%v", fr.Count, fr.Dim, fr.Lens)
 		}
 		if len(fr.Values) != fr.Count*fr.Dim {
 			t.Fatalf("values len %d for count %d dim %d", len(fr.Values), fr.Count, fr.Dim)
 		}
-		if fr.Indices != nil && len(fr.Indices) != fr.Count {
-			t.Fatalf("indices len %d for count %d", len(fr.Indices), fr.Count)
+		if fr.Indices != nil && (len(fr.Indices) != fr.Count || fr.First != 0) {
+			t.Fatalf("indices len %d (first %d) for count %d", len(fr.Indices), fr.First, fr.Count)
 		}
-		if fr.Labels != nil && len(fr.Labels) != fr.Count {
+		if len(fr.Labels) != fr.Count {
 			t.Fatalf("labels len %d for count %d", len(fr.Labels), fr.Count)
 		}
 		if fr.Weights != nil && len(fr.Weights) != fr.Count {
 			t.Fatalf("weights len %d for count %d", len(fr.Weights), fr.Count)
 		}
+		if (fr.TS != nil || fr.HasTS != nil) && (len(fr.TS) != fr.Count || len(fr.HasTS) != fr.Count) {
+			t.Fatalf("timestamps len %d, has-ts len %d for count %d", len(fr.TS), len(fr.HasTS), fr.Count)
+		}
 
-		// ...and re-encode to exactly the bytes consumed. Name must be
-		// copied before AppendFrame reuses nothing of the input.
+		// ...and re-encode as BRW2: to exactly the bytes consumed when
+		// they were BRW2, else to a frame that decodes back to fr.
 		out, err := AppendFrame(nil, string(fr.Name), &fr)
 		if err != nil {
 			t.Fatalf("re-encoding an accepted frame failed: %v", err)
 		}
-		if !bytes.Equal(out, in[:consumed]) {
-			t.Fatalf("round trip drifted:\n in  %x\n out %x", in[:consumed], out)
+		if binary.LittleEndian.Uint32(in) == Magic {
+			if !bytes.Equal(out, in[:consumed]) {
+				t.Fatalf("round trip drifted:\n in  %x\n out %x", in[:consumed], out)
+			}
+			return
+		}
+		var again Frame
+		if _, err := DecodeFrame(out, &again); err != nil {
+			t.Fatalf("decoding the BRW2 re-encoding of a BRW1 frame: %v", err)
+		}
+		if !sameFrame(&again, &fr) {
+			t.Fatalf("BRW1 frame %+v re-encodes as BRW2 %+v", fr, again)
 		}
 	})
 }

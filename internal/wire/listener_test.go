@@ -3,6 +3,7 @@ package wire
 import (
 	"io"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -23,13 +24,13 @@ func (s *recordSink) IngestFrame(f *Frame) Reply {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	// Deep-copy: the listener reuses the frame's slices after we return.
-	cp := Frame{
-		Name:    append([]byte(nil), f.Name...),
-		Dim:     f.Dim,
-		Count:   f.Count,
-		Indices: append([]uint64(nil), f.Indices...),
-		Values:  append([]float64(nil), f.Values...),
-	}
+	cp := *f
+	cp.Name = append([]byte(nil), f.Name...)
+	cp.Indices = slices.Clone(f.Indices)
+	cp.Labels = slices.Clone(f.Labels)
+	cp.Weights = slices.Clone(f.Weights)
+	cp.TS, cp.HasTS = slices.Clone(f.TS), slices.Clone(f.HasTS)
+	cp.Values = slices.Clone(f.Values)
 	s.frames = append(s.frames, cp)
 	if len(s.replies) > 0 {
 		r := s.replies[0]
@@ -133,6 +134,44 @@ func TestListenerServesFrames(t *testing.T) {
 		if !strings.Contains(exp, want) {
 			t.Errorf("metrics missing %q", want)
 		}
+	}
+}
+
+// TestListenerServesBRW1: a BRW1 frame from an older client and the BRW2
+// frame of the same batch, on one connection, reach the sink as the same
+// Frame.
+func TestListenerServesBRW1(t *testing.T) {
+	sink := &recordSink{}
+	_, addr := startListener(t, sink)
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	v1 := corpusEntry(t, "valid-all-flags")
+	var f Frame
+	if _, err := DecodeFrame(v1, &f); err != nil {
+		t.Fatal(err)
+	}
+	v2, err := AppendFrame(nil, "fuzz", &f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write(append(append([]byte(nil), v1...), v2...)); err != nil {
+		t.Fatal(err)
+	}
+	for range 2 {
+		if r := readReply(t, conn); r.Status != StatusOK {
+			t.Fatalf("reply = %+v", r)
+		}
+	}
+	sink.mu.Lock()
+	defer sink.mu.Unlock()
+	if len(sink.frames) != 2 || !sameFrame(&sink.frames[0], &sink.frames[1]) {
+		t.Fatalf("sink saw %+v", sink.frames)
+	}
+	if got := sink.frames[0]; !slices.Equal(got.Labels, []int64{0, -1}) || !slices.Equal(got.Weights, []float64{1, 2}) {
+		t.Fatalf("BRW1 frame decoded as %+v", got)
 	}
 }
 
