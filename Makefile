@@ -71,9 +71,10 @@ bench-failover:
 bench-models:
 	$(GO) run ./cmd/benchingest -suite models
 
-# bench-smoke runs every query, federation, wire, failover, models,
-# journal and JSON ingest codec benchmark once so CI catches bit-rot in
-# the harnesses without paying for full measurement runs.
+# bench-smoke runs every query, federation (BenchmarkFedIngestFrame, the
+# coordinator's wire ingest, included), wire, failover, models, journal
+# and JSON ingest codec benchmark once so CI catches bit-rot in the
+# harnesses without paying for full measurement runs.
 bench-smoke:
 	$(GO) test -run '^$$' -bench '^BenchmarkQuery' -benchtime 1x ./internal/query
 	$(GO) test -run '^$$' -bench '^BenchmarkFed' -benchtime 1x ./internal/federation
@@ -82,7 +83,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench '^BenchmarkFailover' -benchtime 1x ./internal/federation
 	$(GO) test -run '^$$' -bench '^BenchmarkModels' -benchtime 1x ./internal/models
 	$(GO) test -run '^$$' -bench '^Benchmark(JournalAppend|DecodeJournal)$$' -benchtime 1x ./internal/durable
-	$(GO) test -run '^$$' -bench '^BenchmarkIngestDecode$$' -benchtime 1x ./internal/server
+	$(GO) test -run '^$$' -bench '^BenchmarkIngestDecode$$' -benchtime 1x ./internal/wire
 	$(GO) test -run '^$$' -bench '^BenchmarkPushEncode$$' -benchtime 1x ./internal/client
 
 # bench-e2e-smoke vets and tests the end-to-end benchmark, a separate Go
@@ -92,13 +93,14 @@ bench-e2e-smoke:
 	cd cmd/benche2e && $(GO) vet ./... && $(GO) test ./...
 
 # fuzz-smoke runs the wire-frame, journal, checkpoint and JSON ingest
-# decoder fuzzers and the wire ingest admission fuzzer briefly: long
+# decoder fuzzers and the wire and HTTP ingest admission fuzzers briefly: long
 # enough to exercise the mutation engine over the checked-in corpora and
 # seeds, short enough for CI.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeFrame -fuzztime 10s ./internal/wire
 	$(GO) test -run '^$$' -fuzz FuzzDecodeJournal -fuzztime 10s ./internal/durable
 	$(GO) test -run '^$$' -fuzz FuzzDecodeCheckpoint -fuzztime 10s ./internal/durable
+	$(GO) test -run '^$$' -fuzz FuzzDecodeIngest -fuzztime 10s ./internal/wire
 	$(GO) test -run '^$$' -fuzz FuzzDecodeIngest -fuzztime 10s ./internal/server
 	$(GO) test -run '^$$' -fuzz FuzzIngestFrame -fuzztime 10s ./internal/server
 

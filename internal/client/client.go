@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"biasedres/internal/query"
+	"biasedres/internal/wire"
 )
 
 // Client talks to one reservoird instance.
@@ -184,12 +185,7 @@ func (c *Client) ListStreams() ([]string, error) {
 }
 
 // Point is one point to ingest. Label and TS are optional.
-type Point struct {
-	Values []float64 `json:"values"`
-	Label  *int      `json:"label,omitempty"`
-	Weight float64   `json:"weight,omitempty"`
-	TS     *float64  `json:"ts,omitempty"`
-}
+type Point = wire.IngestPoint
 
 // Push ingests a batch of points. Against a synchronous server it returns
 // the stream's total processed count; a server running sharded async

@@ -246,3 +246,68 @@ func BenchmarkPushEncode(b *testing.B) {
 		}
 	})
 }
+
+// TestHTTPAndWireDeliverSameBatch ties the client's two encoders to one
+// batch: the JSON body PushContext sends (appendPush) decodes on the
+// shared decoder's one-pass path, and checks to the same frame WireConn
+// packs from the same points, floats bit for bit — labels absent or
+// present (wider than int32 too), weights of 0, 1 and others, timestamps
+// on some points. A batch the check refuses is refused alike, WireConn
+// sending nothing.
+func TestHTTPAndWireDeliverSameBatch(t *testing.T) {
+	sink := &ackSink{}
+	wc, err := DialWire(startSinkListener(t, sink), WireConnConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wc.Close()
+	rng := rand.New(rand.NewPCG(5, 6))
+	for round := 0; round < 300; round++ {
+		pts := randPoints(rng, 1+rng.IntN(20))
+		dim := 1 + rng.IntN(6)
+		for i := range pts {
+			pts[i].Values = append(make([]float64, 0, dim), pts[i].Values...)[:dim]
+			switch rng.IntN(3) {
+			case 0:
+				pts[i].Weight = 0
+			case 1:
+				pts[i].Weight = 1
+			}
+		}
+		if rng.IntN(10) == 0 { // a point the check refuses
+			pts[rng.IntN(len(pts))].Values = make([]float64, rng.IntN(dim))
+		}
+		body, err := appendPush(nil, pts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var viaHTTP wire.Frame
+		if !wire.DecodeCanonical(body, &viaHTTP) {
+			t.Fatalf("client body %q fell back to encoding/json", body)
+		}
+		httpErr := viaHTTP.Check()
+		frames := sink.frames.Load()
+		wireErr := wc.Push("s", pts)
+		var refused *WireError
+		switch {
+		case httpErr != nil:
+			if !errors.As(wireErr, &refused) || refused.Msg != httpErr.Error() || sink.frames.Load() != frames {
+				t.Fatalf("round %d: HTTP body refused with %v; WireConn: %v", round, httpErr, wireErr)
+			}
+		case wireErr != nil:
+			t.Fatalf("round %d: WireConn: %v", round, wireErr)
+		case !sameFrame(&viaHTTP, &wc.f):
+			t.Fatalf("round %d: the body decodes to %+v, WireConn packs %+v", round, viaHTTP, wc.f)
+		}
+	}
+}
+
+// sameFrame reports whether two frames hold the same batch, floats bit
+// for bit, with the same optional columns present.
+func sameFrame(a, b *wire.Frame) bool {
+	bits := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+	same := func(x, y []float64) bool { return (x == nil) == (y == nil) && slices.EqualFunc(x, y, bits) }
+	return a.Dim == b.Dim && a.Count == b.Count && a.First == b.First && a.Indices == nil && b.Indices == nil &&
+		a.Lens == nil && b.Lens == nil && slices.Equal(a.Labels, b.Labels) && slices.EqualFunc(a.Values, b.Values, bits) &&
+		same(a.Weights, b.Weights) && same(a.TS, b.TS) && slices.Equal(a.HasTS, b.HasTS)
+}

@@ -7,7 +7,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"slices"
 	"sync"
 	"time"
 
@@ -52,9 +51,6 @@ type WireConn struct {
 	br     *bufio.Reader
 	bw     *bufio.Writer
 	f      wire.Frame // reusable columns of the frame being sent
-	w      []float64  // backs f.Weights when a weight is not 1
-	ts     []float64  // backs f.TS when a point carries a timestamp
-	hasTS  []bool     // backs f.HasTS alongside ts
 	enc    []byte     // reusable frame encode buffer
 	rep    []byte     // reusable reply read buffer
 	closed bool
@@ -116,10 +112,6 @@ type WireError struct {
 // Error implements error.
 func (e *WireError) Error() string { return "wire: frame refused: " + e.Msg }
 
-func refusef(format string, args ...any) error {
-	return &WireError{Msg: fmt.Sprintf(format, args...)}
-}
-
 // DialWire connects to a reservoird wire listener at addr.
 func DialWire(addr string, cfg WireConnConfig) (*WireConn, error) {
 	w := &WireConn{addr: addr, cfg: cfg.withDefaults()}
@@ -153,55 +145,6 @@ func (w *WireConn) redial(ctx context.Context) error {
 	return nil
 }
 
-// pack packs points into w.f, reusing its columns unless they outgrew
-// maxRetainedFrame. It refuses, sending nothing, a point whose dimension
-// differs from the first's and a NaN or ±Inf value, weight or timestamp,
-// which the server refuses. Columns of defaults — every weight 1, no
-// timestamp — are left out of the frame.
-func (w *WireConn) pack(points []Point) error {
-	f := &w.f
-	if 8*(cap(f.Values)+cap(f.Labels)+cap(w.w)+cap(w.ts))+cap(w.hasTS) > maxRetainedFrame {
-		*f, w.w, w.ts, w.hasTS = wire.Frame{}, nil, nil, nil
-	}
-	n, dim := len(points), len(points[0].Values)
-	*f = wire.Frame{Count: n, Dim: dim, Values: slices.Grow(f.Values[:0], n*dim), Labels: slices.Grow(f.Labels[:0], n)[:n]}
-	w.w, w.ts, w.hasTS = slices.Grow(w.w[:0], n)[:n], slices.Grow(w.ts[:0], n)[:n], slices.Grow(w.hasTS[:0], n)[:n]
-	weighted, stamped := false, false
-	for i, p := range points {
-		if len(p.Values) != dim {
-			return refusef("point %d has dim %d, batch has %d", i, len(p.Values), dim)
-		}
-		weight, ts, label := p.Weight, 0.0, int64(-1)
-		if weight == 0 {
-			weight = 1
-		}
-		if p.TS != nil {
-			ts = *p.TS
-		}
-		if p.Label != nil {
-			label = int64(*p.Label)
-		}
-		// x-x is 0 for a finite x and NaN for NaN and ±Inf.
-		nan := weight - weight + ts - ts
-		for _, v := range p.Values {
-			nan += v - v
-		}
-		if nan != 0 {
-			return refusef("point %d has a non-finite value, weight or timestamp", i)
-		}
-		f.Values = append(f.Values, p.Values...)
-		f.Labels[i], w.w[i], w.ts[i], w.hasTS[i] = label, weight, ts, p.TS != nil
-		weighted, stamped = weighted || weight != 1, stamped || p.TS != nil
-	}
-	if weighted {
-		f.Weights = w.w
-	}
-	if stamped {
-		f.TS, f.HasTS = w.ts, w.hasTS
-	}
-	return nil
-}
-
 // Push sends one batch for the named stream as one frame. It blocks
 // until the server ACKs the frame (retrying through backpressure) or
 // refuses it.
@@ -215,7 +158,21 @@ func (w *WireConn) Push(stream string, points []Point) error {
 // round trip the frame may or may not have been applied — the same
 // at-least-once window as a reconnect.
 func (w *WireConn) PushContext(ctx context.Context, stream string, points []Point) error {
-	if len(points) == 0 {
+	return w.push(ctx, stream, len(points), func(f *wire.Frame) { f.SetPoints(points) })
+}
+
+// PushFrameContext is PushContext for a batch already in frame form; f
+// is only read, so concurrent pushes may share it, and its Name is
+// ignored.
+func (w *WireConn) PushFrameContext(ctx context.Context, stream string, f *wire.Frame) error {
+	return w.push(ctx, stream, f.Count, func(dst *wire.Frame) { dst.CopyFrom(f) })
+}
+
+// push fills the WireConn's frame, reused unless it outgrew
+// maxRetainedFrame, with a batch of n points and sends it. A batch wire's
+// Check refuses is refused here with the server's message, sending nothing.
+func (w *WireConn) push(ctx context.Context, stream string, n int, fill func(*wire.Frame)) error {
+	if n == 0 {
 		return nil
 	}
 	w.mu.Lock()
@@ -223,8 +180,13 @@ func (w *WireConn) PushContext(ctx context.Context, stream string, points []Poin
 	if w.closed {
 		return ErrWireConnClosed
 	}
-	if err := w.pack(points); err != nil {
-		return err
+	f := &w.f
+	if 8*(cap(f.Values)+cap(f.Labels)+cap(f.Weights)+cap(f.TS))+cap(f.HasTS) > maxRetainedFrame {
+		*f = wire.Frame{}
+	}
+	fill(f)
+	if err := f.Check(); err != nil {
+		return &WireError{Msg: err.Error()}
 	}
 	return w.sendCtxLocked(ctx, stream)
 }

@@ -3,6 +3,8 @@ package federation
 import (
 	"context"
 	"fmt"
+	"math/rand/v2"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"sort"
@@ -12,6 +14,7 @@ import (
 
 	"biasedres/internal/client"
 	"biasedres/internal/server"
+	"biasedres/internal/wire"
 )
 
 // BenchmarkFedQuery measures end-to-end federated query latency against
@@ -120,5 +123,48 @@ func BenchmarkFedQuery(b *testing.B) {
 			b.ReportMetric(float64(lats[len(lats)/2].Nanoseconds()), "p50-ns")
 			b.ReportMetric(float64(lats[len(lats)*99/100].Nanoseconds()), "p99-ns")
 		})
+	}
+}
+
+// BenchmarkFedIngestFrame measures the coordinator's wire ingest: one
+// Coordinator.IngestFrame of a 256-point, dim-10 labelled frame into a
+// stream of 2 shards × 2 replicas on two wire-advertising data nodes —
+// the check, the split into per-shard frames and the four replica pushes
+// over the wire, each applied by its node before it acknowledges.
+func BenchmarkFedIngestFrame(b *testing.B) {
+	nodes := startNodes(b, 2)
+	for _, n := range nodes {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			b.Fatal(err)
+		}
+		wl := wire.NewListener(n.srv)
+		go wl.Serve(ln)
+		b.Cleanup(func() { wl.Close() })
+		n.srv.SetWireAddr(ln.Addr().String())
+	}
+	co, fed := startCoordinator(b, nodes, testCfg())
+	if status, body := fedDo(b, http.MethodPut, fed.URL+"/streams/s", managedCfg(2, 2)); status != http.StatusCreated {
+		b.Fatalf("create: status %d body %v", status, body)
+	}
+	const n, dim = 256, 10
+	rng := rand.New(rand.NewPCG(7, 7))
+	f := &wire.Frame{Name: []byte("s"), Dim: dim, Count: n, Values: make([]float64, n*dim), Labels: make([]int64, n)}
+	for i := range f.Values {
+		f.Values[i] = rng.NormFloat64() * 10
+	}
+	for i := range f.Labels {
+		f.Labels[i] = int64(rng.IntN(8))
+	}
+	ingest := func() {
+		if r := co.IngestFrame(f); r.Status != wire.StatusOK {
+			b.Fatalf("ingest: %+v", r)
+		}
+	}
+	ingest() // dials the replicas' wire connections
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ingest()
 	}
 }

@@ -271,10 +271,14 @@ func httpError(w http.ResponseWriter, code int, format string, args ...any) {
 const maxBodyBytes = 8 << 20
 
 // decodeBody decodes a JSON request body bounded by maxBodyBytes, writing
-// the HTTP error itself on failure: 413 over the limit, 400 for malformed
-// JSON. It reports whether decoding succeeded.
+// the HTTP error itself on failure. It reports whether decoding succeeded.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	return bodyOK(w, json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v))
+}
+
+// bodyOK answers a body that failed to read or decode with err: 413 over
+// the limit, 400 for malformed JSON. It reports whether err is nil.
+func bodyOK(w http.ResponseWriter, err error) bool {
 	var mbe *http.MaxBytesError
 	if errors.As(err, &mbe) {
 		httpError(w, http.StatusRequestEntityTooLarge, "request body exceeds the %d-byte limit", mbe.Limit)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -245,74 +246,49 @@ func refuse(status int, format string, args ...any) admission {
 var severity = map[int]int{http.StatusServiceUnavailable: 1, http.StatusTooManyRequests: 2, http.StatusBadRequest: 3}
 
 // admit is the one admission step of the coordinator's HTTP and wire
-// ingest; the transports only decode a batch and render the outcome.
-// Before any fan-out it looks the stream up and refuses a batch without
-// points, a point without values, a second dimension (within the batch,
-// or against the stream's), and a NaN or ±Inf value, weight or timestamp:
-// a shard would refuse its part while the others applied theirs, and
-// shards of two dimensions merge into a silently wrong estimate. It then
-// round-robins the batch across the stream's shards and writes each
-// shard's part to all its replicas concurrently. The batch is accepted
-// when every part was acknowledged by some replica. Otherwise a node's
-// refusal is 400, backpressure is 429 and anything else 503; the other
-// shards may have applied their parts.
-func (co *Coordinator) admit(ctx context.Context, name string, pts []client.Point) admission {
+// ingest. Before any fan-out it refuses a batch wire's Check refuses or of
+// a dimension other than the stream's: a shard would refuse its part while
+// the others applied theirs, and shards of two dimensions merge into a
+// silently wrong estimate. It then splits the batch round-robin into
+// per-shard frames and writes each to all its shard's replicas
+// concurrently. The batch is accepted when every part was acknowledged by
+// some replica. Otherwise a node's refusal is 400, backpressure is 429 and
+// anything else 503; the other shards may have applied their parts.
+func (co *Coordinator) admit(ctx context.Context, name string, f *wire.Frame) admission {
 	fs, ok := co.lookupFed(name)
 	if !ok {
 		return refuse(http.StatusNotFound,
 			"stream %q is not a federated stream; create it through the coordinator first", name)
 	}
-	if len(pts) == 0 {
-		return refuse(http.StatusBadRequest, "no points")
+	if err := f.Check(); err != nil {
+		return refuse(http.StatusBadRequest, "%v", err)
 	}
-	dim := len(pts[0].Values)
-	for i, p := range pts {
-		if len(p.Values) == 0 {
-			return refuse(http.StatusBadRequest, "point %d has no values", i)
-		}
-		if len(p.Values) != dim {
-			return refuse(http.StatusBadRequest, "point %d has dim %d, batch has %d", i, len(p.Values), dim)
-		}
-		// x-x is 0 for a finite x and NaN for NaN and ±Inf.
-		nan := p.Weight - p.Weight
-		if p.TS != nil {
-			nan += *p.TS - *p.TS
-		}
-		for _, v := range p.Values {
-			nan += v - v
-		}
-		if nan != 0 {
-			return refuse(http.StatusBadRequest, "point %d has a non-finite value, weight or timestamp", i)
-		}
-	}
-	if d := fs.dim.Load(); d != 0 && d != int64(dim) {
-		return refuse(http.StatusBadRequest, "batch has dim %d, stream has %d", dim, d)
+	if d := fs.dim.Load(); d != 0 && d != int64(f.Dim) {
+		return refuse(http.StatusBadRequest, "batch has dim %d, stream has %d", f.Dim, d)
 	}
 
-	shards := max(fs.shards, 1)
-	start := fs.rr.Add(uint64(len(pts))) - uint64(len(pts))
-	byShard := make([][]client.Point, shards)
-	for i, p := range pts {
-		s := int((start + uint64(i)) % uint64(shards))
-		byShard[s] = append(byShard[s], p)
-	}
-	outs := make([]admission, shards)
+	n, shards := uint64(f.Count), max(fs.shards, 1)
+	parts := partsPool.Get().(*[]wire.Frame)
+	defer partsPool.Put(parts)
+	*parts = slices.Grow((*parts)[:0], shards)[:shards]
+	f.Split(*parts, fs.rr.Add(n)-n)
+	outs := make([]admission, len(*parts))
 	var wg sync.WaitGroup
-	for shard, sub := range byShard {
-		if len(sub) > 0 {
+	for shard := range *parts {
+		if part := &(*parts)[shard]; part.Count > 0 {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				outs[shard] = co.ingestShard(ctx, name, fs, shard, sub)
+				outs[shard] = co.ingestShard(ctx, name, fs, shard, part)
 			}()
 		}
 	}
 	wg.Wait()
 	var worst admission
 	for shard, a := range outs {
-		if a.status == 0 && len(byShard[shard]) > 0 {
+		if a.status == 0 && (*parts)[shard].Count > 0 {
 			// A shard that applied its part fixes the stream's dim.
-			fs.dim.CompareAndSwap(0, int64(dim))
+			fs.dim.CompareAndSwap(0, int64(f.Dim))
 		}
 		if severity[a.status] > severity[worst.status] {
 			worst = a
@@ -321,12 +297,15 @@ func (co *Coordinator) admit(ctx context.Context, name string, pts []client.Poin
 	return worst
 }
 
+// partsPool recycles the per-shard frames admit deals batches into.
+var partsPool = sync.Pool{New: func() any { return new([]wire.Frame) }}
+
 // ingestShard writes one shard's sub-batch to every healthy replica of
 // its placement. A replica that 404s (a backfilled node that has not
 // seen this stream yet) gets the stream created and the batch resent
 // once, when the coordinator knows the config. When no replica
 // acknowledged, it returns the most telling replica failure.
-func (co *Coordinator) ingestShard(ctx context.Context, name string, fs *fedStream, shard int, sub []client.Point) admission {
+func (co *Coordinator) ingestShard(ctx context.Context, name string, fs *fedStream, shard int, sub *wire.Frame) admission {
 	replicas := co.placement(name, shard, fs.replicas)
 	targets := make([]*peer, 0, len(replicas))
 	for _, p := range replicas {
@@ -398,20 +377,20 @@ func pushFailure(addr string, err error) admission {
 	return a
 }
 
-// pushReplica sends one sub-batch to a replica: as a frame when the peer
-// advertises a wire listener, else over HTTP. HTTP carries a batch meant
-// for the wire only when the frame consumed nothing: no connection could
-// be dialed, or the frame was refused whole (*client.WireError), by
+// pushReplica sends one shard's frame to a replica: as a frame when the
+// peer advertises a wire listener, else over HTTP. HTTP carries a batch
+// meant for the wire only when the frame consumed nothing: no connection
+// could be dialed, or the frame was refused whole (*client.WireError), by
 // WireConn before sending or by the node: a node older than the BRW2
 // frame refuses every frame, and a node's HTTP answer drives the 404
 // backfill. After any other wire failure the frame may have been
 // applied, so the error is final; unless it was backpressure, the pooled
 // conn is dropped so the next push dials the peer's current address.
-func (co *Coordinator) pushReplica(ctx context.Context, p *peer, stream string, pts []client.Point) error {
+func (co *Coordinator) pushReplica(ctx context.Context, p *peer, stream string, f *wire.Frame) error {
 	pctx, cancel := context.WithTimeout(ctx, co.cfg.PeerTimeout)
 	defer cancel()
 	if wc := co.wireConnFor(p); wc != nil {
-		err := wc.PushContext(pctx, stream, pts)
+		err := wc.PushFrameContext(pctx, stream, f)
 		var refused *client.WireError
 		if !errors.As(err, &refused) {
 			var busy *client.APIError
@@ -421,7 +400,7 @@ func (co *Coordinator) pushReplica(ctx context.Context, p *peer, stream string, 
 			return err
 		}
 	}
-	_, err := p.c.PushContext(pctx, stream, pts)
+	_, err := p.c.PushContext(pctx, stream, f.IngestPoints())
 	return err
 }
 
@@ -468,13 +447,11 @@ func (co *Coordinator) dropWireConns() {
 }
 
 func (co *Coordinator) handleIngest(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		Points []client.Point `json:"points"`
-	}
-	if !decodeBody(w, r, &req) {
+	var f wire.Frame
+	if !bodyOK(w, wire.ReadIngest(http.MaxBytesReader(w, r.Body, maxBodyBytes), &f)) {
 		return
 	}
-	a := co.admit(r.Context(), r.PathValue("name"), req.Points)
+	a := co.admit(r.Context(), r.PathValue("name"), &f)
 	if a.err != nil {
 		if a.status == http.StatusTooManyRequests {
 			w.Header().Set("Retry-After", strconv.Itoa(max(1, int(math.Ceil(a.retry.Seconds())))))
@@ -482,32 +459,21 @@ func (co *Coordinator) handleIngest(w http.ResponseWriter, r *http.Request) {
 		httpError(w, a.status, "%v", a.err)
 		return
 	}
-	writeJSON(w, map[string]any{"ingested": len(req.Points)})
+	writeJSON(w, map[string]any{"ingested": f.Count})
 }
 
 // IngestFrame implements wire.Sink: a coordinator can front a wire
 // listener of its own. It refuses a frame with explicit indices (each
-// shard sequences its own points), builds the batch and hands it to
-// admit, the admission step it shares with HTTP ingest. Labels point into
-// one backing per frame, timestamps into the frame's column, which lives
-// until admit returns. Backpressure is a NACK with the node's retry hint,
-// so the client resends; any other refusal is an error reply.
+// shard sequences its own points) and hands the frame to admit.
+// Backpressure is a NACK with the node's retry hint, so the client
+// resends; any other refusal is an error reply.
 func (co *Coordinator) IngestFrame(f *wire.Frame) wire.Reply {
 	if f.Indices != nil || f.First != 0 {
 		return wire.Errorf("stream %q is federated: its shards sequence points, so a frame cannot carry indices", f.Name)
 	}
-	pts := make([]client.Point, f.Count)
-	labels := make([]int, f.Count)
-	for i, p := range f.Points(nil) {
-		labels[i] = p.Label
-		pts[i] = client.Point{Values: p.Values, Label: &labels[i], Weight: p.Weight}
-		if f.HasTS != nil && f.HasTS[i] {
-			pts[i].TS = &f.TS[i]
-		}
-	}
 	ctx, cancel := context.WithTimeout(context.Background(), co.cfg.PeerTimeout)
 	defer cancel()
-	a := co.admit(ctx, string(f.Name), pts)
+	a := co.admit(ctx, string(f.Name), f)
 	switch {
 	case a.status == http.StatusTooManyRequests:
 		return wire.Nack(uint16(min(a.retry.Milliseconds(), math.MaxUint16)))

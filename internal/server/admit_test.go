@@ -1,13 +1,18 @@
 package server
 
 import (
+	"context"
+	"errors"
+	"io"
 	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
+	"biasedres/internal/client"
 	"biasedres/internal/core"
 	"biasedres/internal/durable"
 	"biasedres/internal/wire"
@@ -64,7 +69,9 @@ func fillQueue(t *testing.T, srv *Server, ms *managedStream) func() {
 // HTTP answers the status; wire answers StatusBackpressure for 429 and
 // StatusError for the rest. Either way the batch consumes nothing: next,
 // dim and pending are unchanged, and once drained the sampler has
-// processed exactly the points admitted before it.
+// processed exactly the points admitted before it. A batch the client can
+// refuse before sending (clientRefused) a WireConn refuses with the
+// node's reply text as a *client.WireError, sending no byte.
 func TestIngestRefusalParity(t *testing.T) {
 	frame := func(mut func(*wire.Frame)) *wire.Frame {
 		f := wireTestFrame(4, 2)
@@ -110,6 +117,8 @@ func TestIngestRefusalParity(t *testing.T) {
 			status: http.StatusBadRequest, want: "dim"},
 		{name: "no values", body: IngestRequest{Points: dimPoints(2, 0)},
 			status: http.StatusBadRequest, want: "no values"},
+		{name: "no values first", body: IngestRequest{Points: dimPoints(0, 2)},
+			status: http.StatusBadRequest, want: "point 0 has no values"},
 		{name: "no points", body: IngestRequest{Points: []IngestPoint{}},
 			status: http.StatusBadRequest, want: "no points"},
 		{name: "out-of-range number", body: []byte(`{"points":[{"values":[1e999,1]}]}`),
@@ -141,9 +150,12 @@ func TestIngestRefusalParity(t *testing.T) {
 			frame:  frame(func(f *wire.Frame) { stampFrame(f, 5, 6, 7, math.Inf(1)) }),
 			status: http.StatusBadRequest, want: "non-finite"},
 	}
+	clientRefused := map[string]bool{"mixed dims": true, "no values": true, "no values first": true,
+		"NaN value": true, "infinite value": true, "infinite weight": true, "NaN timestamp": true, "infinite timestamp": true}
 	for _, tc := range cases {
-		for _, transport := range []string{"http", "wire"} {
-			if transport == "http" && tc.body == nil || transport == "wire" && tc.frame == nil {
+		for _, transport := range []string{"http", "wire", "wireconn"} {
+			if transport == "http" && tc.body == nil || transport == "wire" && tc.frame == nil ||
+				transport == "wireconn" && !clientRefused[tc.name] {
 				continue
 			}
 			t.Run(tc.name+"/"+transport, func(t *testing.T) {
@@ -187,6 +199,8 @@ func TestIngestRefusalParity(t *testing.T) {
 					if resp.StatusCode != tc.status {
 						t.Fatalf("status %d body %v, want %d", resp.StatusCode, body, tc.status)
 					}
+				} else if transport == "wireconn" {
+					msg = wireConnRefusal(t, srv, tc.body, tc.frame)
 				} else {
 					r := srv.IngestFrame(tc.frame)
 					msg = r.Msg
@@ -212,6 +226,58 @@ func TestIngestRefusalParity(t *testing.T) {
 			})
 		}
 	}
+}
+
+// wireConnRefusal pushes a refusal row's batch, its HTTP body's points
+// or its frame's, through a WireConn and returns the refusal's message. It
+// fails t unless Push refuses the batch with a *client.WireError before
+// sending anything, in the words srv replies to the same batch.
+func wireConnRefusal(t *testing.T, srv *Server, body any, frame *wire.Frame) string {
+	t.Helper()
+	var pts []client.Point
+	if req, ok := body.(IngestRequest); ok {
+		pts = req.Points
+	} else {
+		pts = frame.IngestPoints()
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	sent := make(chan int64)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			sent <- -1
+			return
+		}
+		defer conn.Close()
+		n, _ := io.Copy(io.Discard, conn)
+		sent <- n
+	}()
+	wc, err := client.DialWire(ln.Addr().String(), client.WireConnConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The listener never replies, so a frame sent blocks Push until ctx ends.
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	var refused *client.WireError
+	if err := wc.PushContext(ctx, "s", pts); !errors.As(err, &refused) {
+		t.Fatalf("WireConn Push: %v, want a *client.WireError", err)
+	}
+	wc.Close()
+	if n := <-sent; n != 0 {
+		t.Errorf("WireConn sent %d bytes of a batch it refused", n)
+	}
+	var f wire.Frame
+	f.SetPoints(pts)
+	f.Name = []byte("s")
+	if r := srv.IngestFrame(&f); refused.Msg != r.Msg {
+		t.Errorf("WireConn refused with %q, the node replies %q", refused.Msg, r.Msg)
+	}
+	return refused.Msg
 }
 
 // stampFrame gives every point of f a timestamp.

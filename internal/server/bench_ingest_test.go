@@ -133,29 +133,3 @@ func BenchmarkIngestHTTPShardedParallel(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.N)*batch/b.Elapsed().Seconds(), "points/s")
 }
-
-// BenchmarkIngestDecode decodes one benchmark-shaped ingest body (256
-// labelled points, dim 10): fast is the one-pass decoder the handler
-// tries first, encoding_json the json.Decoder it falls back to.
-func BenchmarkIngestDecode(b *testing.B) {
-	body := benchmarkBody(256, 10)
-	b.Run("fast", func(b *testing.B) {
-		b.ReportAllocs()
-		b.SetBytes(int64(len(body)))
-		for i := 0; i < b.N; i++ {
-			if _, ok := decodeIngest(body); !ok {
-				b.Fatal("benchmark body fell back to encoding/json")
-			}
-		}
-	})
-	b.Run("encoding_json", func(b *testing.B) {
-		b.ReportAllocs()
-		b.SetBytes(int64(len(body)))
-		for i := 0; i < b.N; i++ {
-			var req IngestRequest
-			if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}

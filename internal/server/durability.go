@@ -1,6 +1,7 @@
 package server
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"time"
@@ -123,7 +124,7 @@ func (s *Server) appendJournal(name string, f *wire.Frame, n int) {
 // head is a sealed batch cut to its first n points.
 func head(f *wire.Frame, n int) *wire.Frame {
 	h := *f
-	h.Count, h.Values, h.Labels = n, f.Values[:n*f.Dim], f.Labels[:n]
+	h.Count, h.Values, h.Labels = n, f.Values[:n*f.Dim], cut(f.Labels, n)
 	h.Indices, h.Weights, h.TS, h.HasTS = cut(f.Indices, n), cut(f.Weights, n), cut(f.TS, n), cut(f.HasTS, n)
 	return &h
 }
@@ -240,16 +241,22 @@ func (s *Server) runDurability() {
 	}
 }
 
-// applyBatch applies batch f, whose points are pts, to a sampler in
-// order: time-decay samplers (including time-decay ladders) take AddAt
-// for points carrying a timestamp and Add otherwise, reproducing their
-// clock; everything else takes the batch path. It returns how many
-// points were applied before an error.
-func applyBatch(sm core.Sampler, f *wire.Frame, pts []stream.Point) (int, error) {
+// applyBatch applies batch f to a sampler, live or in journal replay, as
+// rows built in pts's storage: time-decay samplers (including time-decay
+// ladders) take AddAt for points carrying a timestamp and Add otherwise,
+// reproducing their clock; everything else takes the batch path. A
+// time-decay sampler first checks the batch against its clock
+// (checkClock), so a violation refuses it with nothing applied. It
+// returns the rows and how many were applied before an error.
+func applyBatch(sm core.Sampler, f *wire.Frame, pts []stream.Point) ([]stream.Point, int, error) {
+	pts = f.Points(pts)
 	td, timed := core.AsTimed(sm)
 	if !timed {
 		core.AddBatch(sm, pts)
-		return len(pts), nil
+		return pts, len(pts), nil
+	}
+	if err := checkClock(td.Now(), f); err != nil {
+		return pts, 0, err
 	}
 	for i, p := range pts {
 		if f.HasTS == nil || !f.HasTS[i] {
@@ -257,10 +264,10 @@ func applyBatch(sm core.Sampler, f *wire.Frame, pts []stream.Point) (int, error)
 			continue
 		}
 		if err := td.AddAt(p, f.TS[i]); err != nil {
-			return i, err
+			return pts, i, err
 		}
 	}
-	return len(pts), nil
+	return pts, len(pts), nil
 }
 
 // resume replays from's journal tail, in order, onto a sampler restored
@@ -273,18 +280,17 @@ func resume(sampler core.Sampler, from *durable.Recovered) (uint64, int, error) 
 	next, dim := from.Checkpoint.Next, from.Checkpoint.Dim
 	var pts []stream.Point
 	for _, f := range from.Tail {
-		pts = f.Points(pts)
-		if _, err := applyBatch(sampler, f, pts); err != nil {
+		var err error
+		if pts, _, err = applyBatch(sampler, f, pts); err != nil {
 			return 0, 0, fmt.Errorf("replaying journal: %w", err)
 		}
-		for _, p := range pts {
-			if p.Index > next {
-				next = p.Index
-			}
-			if dim == 0 && len(p.Values) > 0 {
-				dim = len(p.Values)
-			}
+		for i := range f.Count {
+			next = max(next, f.Index(i))
 		}
+		for _, k := range f.Lens {
+			dim = cmp.Or(dim, int(k))
+		}
+		dim = cmp.Or(dim, f.Dim)
 	}
 	if p := sampler.Processed(); next < p {
 		return 0, 0, fmt.Errorf("checkpoint next index %d is behind the %d points its sampler processed", next, p)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"net/http"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -20,21 +19,15 @@ import (
 // carry.
 var ingestBatchBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384}
 
-// batchBuf is one ingest batch's storage, pooled across batches and
-// transports. A transport fills pts, copying their values into f's one
-// values column, and ts. admit completes f's shape, indices and
-// timestamps once the batch is valid, and apply its labels and weights
-// when it journals f, the batch as applied. Samplers copy the values of
-// the points they retain, so the storage is free again once the batch is
-// applied or refused. Whoever applies the batch releases it: admit after
-// an inline apply or any refusal, the shard worker after apply and model
-// scoring.
+// batchBuf is one ingest batch, pooled across batches and transports: f
+// is the batch from decode to journal, pts the rows apply builds for the
+// sampler and model scoring. Samplers copy the values they retain, so the
+// storage is free once the batch is applied or refused. Whoever applies
+// the batch releases it: admit after an inline apply or any refusal, the
+// shard worker after apply and model scoring.
 type batchBuf struct {
-	pts []stream.Point
-	ts  []float64 // point i's timestamp, when has[i]
-	has []bool
 	f   wire.Frame
-	w   []float64 // backs f.Weights
+	pts []stream.Point
 }
 
 var batchPool = sync.Pool{New: func() any { return new(batchBuf) }}
@@ -53,48 +46,13 @@ func getBatch() *batchBuf {
 	return b
 }
 
-// points resizes b to n points without timestamps, and an empty values
-// column with room for vals values, and returns the points.
-func (b *batchBuf) points(n, vals int) []stream.Point {
-	b.pts = slices.Grow(b.pts[:0], n)[:n]
-	b.ts, b.has = slices.Grow(b.ts[:0], n)[:n], slices.Grow(b.has[:0], n)[:n]
-	clear(b.ts)
-	clear(b.has)
-	b.f.Values = slices.Grow(b.f.Values[:0], vals)
-	return b.pts
-}
-
-// values appends v to the values column and returns the copy; within the
-// room points made, the column never moves.
-func (b *batchBuf) values(v []float64) []float64 {
-	start := len(b.f.Values)
-	b.f.Values = append(b.f.Values, v...)
-	return b.f.Values[start:len(b.f.Values):len(b.f.Values)]
-}
-
-// journaled fills f's label and weight columns (weights when one is not
-// 1) from the applied points and returns f, the batch as journaled.
-func (b *batchBuf) journaled() *wire.Frame {
-	f, n := &b.f, len(b.pts)
-	f.Labels, b.w = slices.Grow(f.Labels[:0], n)[:n], slices.Grow(b.w[:0], n)[:n]
-	f.Weights = nil
-	for i := range b.pts {
-		f.Labels[i], b.w[i] = int64(b.pts[i].Label), b.pts[i].Weight
-		if b.w[i] != 1 {
-			f.Weights = b.w
-		}
-	}
-	return f
-}
-
 // release returns b to the pool; neither b nor its points may be used
-// afterwards. Storage over maxPooledBody bytes is left to the garbage
-// collector, as bodyPool does with bodies.
+// afterwards. Storage over 1 MiB is left to the garbage collector.
 func (b *batchBuf) release() {
 	if h := batchHook.Load(); h != nil {
 		(*h)(b, true)
 	}
-	if cap(b.f.Values)*8+cap(b.pts)*int(unsafe.Sizeof(stream.Point{})) > maxPooledBody {
+	if cap(b.f.Values)*8+cap(b.pts)*int(unsafe.Sizeof(stream.Point{})) > 1<<20 {
 		return
 	}
 	batchPool.Put(b)
@@ -127,7 +85,7 @@ func (s *Server) startIngestShard(name string, ms *managedStream) {
 func (s *Server) runIngestShard(name string, ms *managedStream) {
 	defer s.ingestWG.Done()
 	for b := range ms.shard.ch {
-		n := len(b.pts)
+		n := b.f.Count
 		s.ingestSem <- struct{}{}
 		s.apply(name, ms, b)
 		s.observeModel(ms, b.pts)
@@ -154,53 +112,51 @@ func refuse(status int, format string, args ...any) admission {
 	return admission{status: status, err: fmt.Errorf(format, args...)}
 }
 
-// admit is the one admission step of HTTP and wire ingest; the transports
-// only decode a batch and render the outcome. indexed marks a batch whose
-// points carry explicit arrival indices (wire frames), which must advance
-// the stream. Every other batch is sequenced here, under qmu, so arrival
-// indices are handed out in one order. A refused batch consumes nothing:
-// next and dim commit only once the batch is queued or applied. admit
-// takes b over: it releases b after an inline apply or a refusal, and a
-// queued b passes to the shard worker.
-func (s *Server) admit(name string, ms *managedStream, b *batchBuf, indexed bool) (a admission) {
+// IngestFrame implements wire.Sink: the binary ingest path. It copies the
+// frame into a pooled batch — the listener reuses the frame, while a
+// queued batch outlives this call — and hands it to admit. A full queue
+// (429) is StatusBackpressure with the same 1s retry hint, consuming
+// nothing; every other refusal is StatusError (resending cannot succeed).
+func (s *Server) IngestFrame(f *wire.Frame) wire.Reply {
+	// Compiles to an allocation-free map probe; the frame's name bytes
+	// never escape into a string unless a reply message needs them.
+	s.mu.RLock()
+	ms, ok := s.streams[string(f.Name)]
+	s.mu.RUnlock()
+	if !ok {
+		return wire.Errorf("stream %q not found", f.Name)
+	}
+	b := getBatch()
+	b.f.CopyFrom(f)
+	a := s.admit(string(f.Name), ms, b)
+	switch {
+	case a.status == http.StatusTooManyRequests:
+		return wire.Nack(1000)
+	case a.err != nil:
+		return wire.Errorf("%v", a.err)
+	}
+	return wire.Ack(a.pending)
+}
+
+// admit is the one admission step of HTTP and wire ingest: it checks b.f,
+// sequences it under qmu, so arrival indices are handed out in one order,
+// and queues or applies it. A refused batch consumes nothing: next and dim
+// commit only once the batch is queued or applied. admit takes b over: it
+// releases b after an inline apply or a refusal, and a queued b passes to
+// the shard worker.
+func (s *Server) admit(name string, ms *managedStream, b *batchBuf) (a admission) {
 	defer func() {
 		if !a.queued {
 			b.release()
 		}
 	}()
-	batch := b.pts
+	f := &b.f
 	// Checks that read no stream state run before qmu.
-	if len(batch) == 0 {
-		return refuse(http.StatusBadRequest, "no points")
+	if err := f.Check(); err != nil {
+		return refuse(http.StatusBadRequest, "%v", err)
 	}
-	dim, stamped := len(batch[0].Values), false
-	for i := range batch {
-		p := &batch[i]
-		if len(p.Values) == 0 {
-			return refuse(http.StatusBadRequest, "point %d has no values", i)
-		}
-		if len(p.Values) != dim {
-			return refuse(http.StatusBadRequest, "point %d has dim %d, batch has %d", i, len(p.Values), dim)
-		}
-		// x-x is 0 for a finite x and NaN for NaN and ±Inf, so the sum
-		// flags a non-finite value, weight or timestamp with one branch
-		// per point.
-		nan := p.Weight - p.Weight + b.ts[i] - b.ts[i]
-		for _, v := range p.Values {
-			nan += v - v
-		}
-		if nan != 0 {
-			return refuse(http.StatusBadRequest, "point %d has a non-finite value, weight or timestamp", i)
-		}
-		if p.Weight == 0 {
-			p.Weight = 1 // as in JSON, on every transport
-		}
-		stamped = stamped || b.has[i]
-	}
-	b.f.Count, b.f.Dim, b.f.TS, b.f.HasTS = len(batch), dim, nil, nil
-	if stamped {
-		b.f.TS, b.f.HasTS = b.ts, b.has
-	}
+	// A queued b belongs to the shard worker, so read its shape first.
+	count, dim := f.Count, f.Dim
 
 	ms.qmu.Lock()
 	if ms.closed {
@@ -211,32 +167,10 @@ func (s *Server) admit(name string, ms *managedStream, b *batchBuf, indexed bool
 		ms.qmu.Unlock()
 		return refuse(http.StatusBadRequest, "batch has dim %d, stream has %d", dim, ms.dim)
 	}
-	next := ms.next
-	if !indexed && next > math.MaxUint64-uint64(len(batch)) {
+	next, err := sequence(f, ms.next)
+	if err != nil {
 		ms.qmu.Unlock()
-		return refuse(http.StatusBadRequest, "the stream's arrival indices are exhausted (at %d)", next)
-	}
-	consecutive := true
-	for i := range batch {
-		if !indexed {
-			next++
-			batch[i].Index = next
-			continue
-		}
-		if idx := batch[i].Index; idx <= next {
-			ms.qmu.Unlock()
-			return refuse(http.StatusBadRequest, "index %d at point %d does not advance the stream (at %d)", idx, i, next)
-		}
-		consecutive = consecutive && (i == 0 || batch[i].Index == next+1)
-		next = batch[i].Index
-	}
-	// The journal stores consecutive indices as the first one alone.
-	b.f.First, b.f.Indices = batch[0].Index, nil
-	if !consecutive {
-		b.f.First, b.f.Indices = 0, make([]uint64, len(batch))
-		for i := range batch {
-			b.f.Indices[i] = batch[i].Index
-		}
+		return refuse(http.StatusBadRequest, "%v", err)
 	}
 
 	if ms.shard != nil {
@@ -251,14 +185,14 @@ func (s *Server) admit(name string, ms *managedStream, b *batchBuf, indexed bool
 				"ingest queue for stream %q is full (%d batches); retry later", name, s.ingestQueue)
 		}
 		ms.next, ms.dim = next, dim
-		pending := ms.pending.Add(int64(len(batch)))
+		pending := ms.pending.Add(int64(count))
 		ms.qmu.Unlock()
-		s.countIngest(name, len(batch))
+		s.countIngest(name, count)
 		return admission{queued: true, pending: pending}
 	}
 	processed, n, err := s.apply(name, ms, b)
 	if n > 0 {
-		ms.next, ms.dim = batch[n-1].Index, dim
+		ms.next, ms.dim = f.Index(n-1), dim
 	}
 	// Model scoring runs after qmu is released so it never holds up
 	// admission.
@@ -266,9 +200,35 @@ func (s *Server) admit(name string, ms *managedStream, b *batchBuf, indexed bool
 	if err != nil {
 		return refuse(http.StatusBadRequest, "%v", err)
 	}
-	s.observeModel(ms, batch)
+	s.observeModel(ms, b.pts)
 	s.countIngest(name, n)
 	return admission{processed: processed}
+}
+
+// sequence gives a batch without arrival indices the ones after next, or
+// checks that its own advance the stream, and returns its last index.
+// Consecutive indices become f.First, as the journal stores them.
+func sequence(f *wire.Frame, next uint64) (uint64, error) {
+	if f.First == 0 && f.Indices == nil {
+		if next > math.MaxUint64-uint64(f.Count) {
+			return 0, fmt.Errorf("the stream's arrival indices are exhausted (at %d)", next)
+		}
+		f.First = next + 1
+		return next + uint64(f.Count), nil
+	}
+	consecutive := true
+	for i := range f.Count {
+		idx := f.Index(i) // f.First+i wraps to 0 past the top of the index space
+		if idx <= next {
+			return 0, fmt.Errorf("index %d at point %d does not advance the stream (at %d)", idx, i, next)
+		}
+		consecutive = consecutive && (i == 0 || idx == next+1)
+		next = idx
+	}
+	if consecutive {
+		f.First, f.Indices = f.Index(0), nil
+	}
+	return next, nil
 }
 
 // apply is the one path by which a live ingest batch reaches a stream's
@@ -276,33 +236,27 @@ func (s *Server) admit(name string, ms *managedStream, b *batchBuf, indexed bool
 // Under the sampler lock it applies the batch, journals it (so journal
 // order is apply order, and a checkpoint's journal cut — also under the
 // sampler lock — cleanly separates pre- from post-snapshot batches) and
-// invalidates the snapshot cache. A time-decay sampler first checks the
-// batch against its clock: timestamps must be non-decreasing and no
-// older than the clock, and a point without one advances the clock by
-// one unit, so a violation refuses the batch with nothing applied. It
-// returns the stream position after the batch and how many of its points
-// were applied.
+// invalidates the snapshot cache. It returns the stream position after
+// the batch and how many of its points were applied; b.pts then holds the
+// batch's rows.
 func (s *Server) apply(name string, ms *managedStream, b *batchBuf) (processed uint64, n int, err error) {
 	ms.sm.Update(func(sm core.Sampler) {
-		if td, timed := core.AsTimed(sm); timed {
-			err = checkClock(td.Now(), &b.f)
-		}
-		if err == nil {
-			// The clock check leaves no refusal for mid-batch; should one
-			// happen, the applied prefix is journaled and reported.
-			if n, err = applyBatch(sm, &b.f, b.pts); err != nil {
-				err = fmt.Errorf("point %d: %w (the %d points before it were applied)", n, err, n)
-			}
+		// applyBatch's clock check leaves no refusal for mid-batch; should
+		// one happen, the applied prefix is journaled and reported.
+		if b.pts, n, err = applyBatch(sm, &b.f, b.pts); err != nil && n > 0 {
+			err = fmt.Errorf("point %d: %w (the %d points before it were applied)", n, err, n)
 		}
 		if s.durable != nil {
-			s.appendJournal(name, b.journaled(), n)
+			s.appendJournal(name, &b.f, n)
 		}
 		processed = sm.Processed()
 	})
 	return processed, n, err
 }
 
-// checkClock refuses a batch that would run a time-decay clock backwards.
+// checkClock refuses a batch that would run a time-decay clock backwards:
+// timestamps must be non-decreasing and no older than the clock, and a
+// point without one advances the clock by one unit.
 func checkClock(clock float64, f *wire.Frame) error {
 	for i := range f.Count {
 		if f.HasTS == nil || !f.HasTS[i] {

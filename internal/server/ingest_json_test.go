@@ -3,8 +3,6 @@ package server
 import (
 	"bytes"
 	"encoding/json"
-	"io"
-	"math"
 	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
@@ -12,11 +10,11 @@ import (
 	"strings"
 	"testing"
 
-	"biasedres/internal/client"
 	"biasedres/internal/core"
+	"biasedres/internal/wire"
 )
 
-// ingestFallbacks are bodies decodeIngest must hand to encoding/json:
+// ingestFallbacks are bodies the node hands to encoding/json:
 // each is outside the canonical shape, whether encoding/json then accepts
 // it or not.
 var ingestFallbacks = []string{
@@ -88,155 +86,50 @@ func benchmarkBody(n, dim int) []byte {
 	return blob
 }
 
-// sameIngest reports whether two decoded requests are deeply equal with
-// bit-identical floats (reflect.DeepEqual calls -0 and 0 equal).
-func sameIngest(a, b IngestRequest) bool {
-	if len(a.Points) != len(b.Points) || (a.Points == nil) != (b.Points == nil) {
-		return false
-	}
-	sameF := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
-	for i, p := range a.Points {
-		q := b.Points[i]
-		if len(p.Values) != len(q.Values) || (p.Values == nil) != (q.Values == nil) ||
-			(p.Label == nil) != (q.Label == nil) || (p.TS == nil) != (q.TS == nil) ||
-			!sameF(p.Weight, q.Weight) {
-			return false
-		}
-		for d, v := range p.Values {
-			if !sameF(v, q.Values[d]) {
-				return false
-			}
-		}
-		if p.Label != nil && *p.Label != *q.Label {
-			return false
-		}
-		if p.TS != nil && !sameF(*p.TS, *q.TS) {
-			return false
-		}
-	}
-	return true
+// decodeIngest decodes body on the one-pass canonical path alone,
+// reporting false where the node hands the body to encoding/json.
+func decodeIngest(body []byte) (*wire.Frame, bool) {
+	f := new(wire.Frame)
+	return f, wire.DecodeCanonical(body, f)
 }
 
-// checkFastPath fails t unless encoding/json accepts a body decodeIngest
-// accepted, with the same result bit for bit, and every Values slice is
-// its own exact-length slice.
-func checkFastPath(t *testing.T, body []byte, got IngestRequest) {
-	t.Helper()
-	var want IngestRequest
-	if err := json.Unmarshal(body, &want); err != nil {
-		t.Fatalf("decodeIngest accepted %q, encoding/json refuses it: %v", body, err)
-	}
-	if !sameIngest(got, want) {
-		t.Fatalf("decodeIngest(%q) = %+v, encoding/json decodes %+v", body, got, want)
-	}
-	for i, p := range got.Points {
-		if cap(p.Values) != len(p.Values) {
-			t.Fatalf("point %d: Values cap %d, len %d", i, cap(p.Values), len(p.Values))
-		}
-	}
-}
-
-func TestDecodeIngestFallsBack(t *testing.T) {
-	for _, body := range ingestFallbacks {
-		if _, ok := decodeIngest([]byte(body)); ok {
-			t.Errorf("decodeIngest(%q) took the fast path, want the encoding/json fallback", body)
-		}
-	}
-}
-
-func TestDecodeIngestCanonical(t *testing.T) {
-	for _, body := range append(ingestCanonical, string(benchmarkBody(256, 10))) {
-		got, ok := decodeIngest([]byte(body))
-		if !ok {
-			t.Errorf("decodeIngest(%.80q) fell back, want the fast path", body)
-			continue
-		}
-		checkFastPath(t, []byte(body), got)
-	}
-}
-
-// FuzzDecodeIngest: whatever decodeIngest accepts, encoding/json accepts
-// too and decodes to the same request, bit for bit.
+// FuzzDecodeIngest drives arbitrary bodies through the node's HTTP ingest:
+// decode, check and admission. A body is applied whole, advancing the
+// stream by exactly the points encoding/json decodes from it, or refused
+// with 400 and nothing consumed.
 func FuzzDecodeIngest(f *testing.F) {
 	f.Add(benchmarkBody(4, 3))
 	for _, body := range append(ingestFallbacks, ingestCanonical...) {
 		f.Add([]byte(body))
 	}
+	srv := New(1)
+	defer srv.Close()
+	if _, _, err := srv.install("s", CreateRequest{Policy: "unbiased", Capacity: 16}, nil, 1); err != nil {
+		f.Fatal(err)
+	}
+	ms, _ := srv.lookup("s")
 	f.Fuzz(func(t *testing.T, body []byte) {
-		if got, ok := decodeIngest(body); ok {
-			checkFastPath(t, body, got)
+		before, processed := readAdmission(ms), ms.sm.Processed()
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/streams/s/points", bytes.NewReader(body)))
+		var req IngestRequest
+		jsonErr := json.NewDecoder(bytes.NewReader(body)).Decode(&req)
+		switch got := ms.sm.Processed(); rec.Code {
+		case http.StatusOK:
+			if jsonErr != nil {
+				t.Fatalf("%q: applied a body encoding/json refuses: %v", body, jsonErr)
+			}
+			if want := processed + uint64(len(req.Points)); got != want {
+				t.Fatalf("%q: processed %d -> %d, want %d", body, processed, got, want)
+			}
+		case http.StatusBadRequest:
+			if after := readAdmission(ms); after != before || got != processed {
+				t.Fatalf("%q: a refused body moved the stream: %+v -> %+v, processed %d -> %d", body, before, after, processed, got)
+			}
+		default:
+			t.Fatalf("%q: status %d body %s", body, rec.Code, rec.Body)
 		}
 	})
-}
-
-// TestClientBodiesTakeFastPath: every body the Go client encodes decodes
-// on the fast path, to exactly the points it was given. Without this a
-// decoder that always fell back would pass every other test.
-func TestClientBodiesTakeFastPath(t *testing.T) {
-	var bodies [][]byte
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		body, _ := io.ReadAll(r.Body)
-		bodies = append(bodies, body)
-		w.Header().Set("Content-Type", "application/json")
-		_, _ = w.Write([]byte(`{"processed":0}`))
-	}))
-	defer ts.Close()
-	c, err := client.New(ts.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	specials := []float64{0, math.Copysign(0, -1), 5e-324, -math.MaxFloat64, 1e21, 1e-7, 123456789, 0.1}
-	rng := rand.New(rand.NewPCG(1, 2))
-	randFloat := func() float64 {
-		if rng.IntN(4) == 0 {
-			return specials[rng.IntN(len(specials))]
-		}
-		for {
-			if f := math.Float64frombits(rng.Uint64()); !math.IsNaN(f) && !math.IsInf(f, 0) {
-				return f
-			}
-		}
-	}
-	for round := 0; round < 50; round++ {
-		pts := make([]client.Point, 1+rng.IntN(20))
-		dim := 1 + rng.IntN(6)
-		for i := range pts {
-			p := client.Point{Values: make([]float64, dim)}
-			for d := range p.Values {
-				p.Values[d] = randFloat()
-			}
-			if rng.IntN(2) == 0 {
-				label := int(rng.Uint64())
-				p.Label = &label
-			}
-			if rng.IntN(2) == 0 {
-				p.Weight = randFloat()
-			}
-			if rng.IntN(2) == 0 {
-				ts := randFloat()
-				p.TS = &ts
-			}
-			pts[i] = p
-		}
-		if _, err := c.Push("s", pts); err != nil {
-			t.Fatal(err)
-		}
-		body := bodies[len(bodies)-1]
-		got, ok := decodeIngest(body)
-		if !ok {
-			t.Fatalf("client body %q fell back to encoding/json", body)
-		}
-		checkFastPath(t, body, got)
-		for i, p := range pts {
-			if p.Weight == 0 {
-				p.Weight = 0 // omitempty drops -0 too
-			}
-			want := IngestRequest{Points: []IngestPoint{{Values: p.Values, Label: p.Label, Weight: p.Weight, TS: p.TS}}}
-			if !sameIngest(IngestRequest{Points: got.Points[i : i+1]}, want) {
-				t.Fatalf("point %d decoded as %+v, pushed %+v", i, got.Points[i], p)
-			}
-		}
-	}
 }
 
 // TestIngestValuesNotShared guards against retention: after one HTTP

@@ -64,6 +64,7 @@ import (
 	"biasedres/internal/obs"
 	"biasedres/internal/query"
 	"biasedres/internal/stream"
+	"biasedres/internal/wire"
 	"biasedres/internal/xrand"
 )
 
@@ -701,24 +702,15 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 
 // IngestPoint is one point in an ingest request; arrival indices are
 // assigned server-side in arrival order.
-type IngestPoint struct {
-	Values []float64 `json:"values"`
-	Label  *int      `json:"label,omitempty"`
-	Weight float64   `json:"weight,omitempty"`
-	// TS is the point's timestamp, honoured by "timedecay" streams
-	// (must be non-decreasing) and ignored by arrival-indexed policies.
-	TS *float64 `json:"ts,omitempty"`
-}
+type IngestPoint = wire.IngestPoint
 
 // IngestRequest is the body of POST /streams/{name}/points.
-type IngestRequest struct {
-	Points []IngestPoint `json:"points"`
-}
+type IngestRequest = wire.IngestRequest
 
 // handleIngest is POST /streams/{name}/points: decode the body into a
-// batch plus the points' optional timestamps, admit it, and render the
-// outcome — 200 with the stream position when applied inline, 202 with
-// the pending count when queued, or the refusal's status.
+// batch, admit it, and render the outcome — 200 with the stream position
+// when applied inline, 202 with the pending count when queued, or the
+// refusal's status.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	ms, ok := s.lookup(name)
@@ -726,26 +718,14 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "stream %q not found", name)
 		return
 	}
-	req, ok := s.readIngest(w, r)
-	if !ok {
+	b := getBatch()
+	if err := wire.ReadIngest(http.MaxBytesReader(w, r.Body, s.maxBody), &b.f); err != nil {
+		b.release()
+		bodyError(w, err, "decoding request: %v")
 		return
 	}
-	b, vals := getBatch(), 0
-	for _, ip := range req.Points {
-		vals += len(ip.Values)
-	}
-	batch := b.points(len(req.Points), vals)
-	for i, ip := range req.Points {
-		batch[i] = stream.Point{Values: b.values(ip.Values), Label: -1, Weight: ip.Weight}
-		if ip.Label != nil {
-			batch[i].Label = *ip.Label
-		}
-		if ip.TS != nil {
-			b.ts[i], b.has[i] = *ip.TS, true
-		}
-	}
-	n := len(batch)
-	a := s.admit(name, ms, b, false)
+	n := b.f.Count
+	a := s.admit(name, ms, b)
 	switch {
 	case a.err != nil:
 		if a.status == http.StatusTooManyRequests {

@@ -1,9 +1,10 @@
-// Package wire is the binary ingest protocol: a compact, length-prefixed
-// framing for pushing point batches over persistent TCP connections,
-// bypassing HTTP request overhead and JSON decode entirely. The core
-// samplers sustain hundreds of millions of points per second; this
-// package exists so the network path in front of them is not an order of
-// magnitude slower than the reservoir maintenance it feeds.
+// Package wire is Frame, the one in-memory form of an ingest batch, with
+// its codecs — the binary ingest protocol, length-prefixed frames over
+// persistent TCP, and the JSON ingest body's decoder (ingest.go) — and
+// Check, the one batch check every ingest path admits a batch by. The
+// core samplers sustain hundreds of millions of points per second; this
+// package keeps the network path in front of them from being an order of
+// magnitude slower.
 //
 // One connection carries a sequence of ingest frames, each answered by
 // exactly one reply. A frame names its stream, so one connection can feed
@@ -133,8 +134,8 @@ const (
 // ReplyHeaderLen is the fixed reply size before the optional message.
 const ReplyHeaderLen = 8
 
-// Frame is one point batch in columns: a decoded ingest frame, a journal
-// record, or a batch the server applies. Decoding reuses the Frame's
+// Frame is one point batch in columns: a decoded ingest frame or JSON
+// body, a journal record, or a batch the server applies. Decoding reuses the Frame's
 // slices, so a connection loop that passes the same *Frame to every
 // DecodeBody call allocates nothing once the slices have grown to the
 // working batch shape. Name aliases the decode buffer and is only valid
@@ -170,6 +171,14 @@ type Frame struct {
 	Values []float64
 }
 
+// Index is the arrival index of point i.
+func (f *Frame) Index(i int) uint64 {
+	if f.Indices != nil {
+		return f.Indices[i]
+	}
+	return f.First + uint64(i)
+}
+
 // Points returns the frame's points in dst's storage: their values alias
 // f.Values (copy before the next decode if retained), a missing label is
 // -1 and a missing weight 1.
@@ -195,6 +204,23 @@ func (f *Frame) Points(dst []stream.Point) []stream.Point {
 		}
 	}
 	return dst
+}
+
+// CopyFrom makes f a copy of src's batch that shares no storage with it,
+// reusing f's columns; f.Name is left alone.
+func (f *Frame) CopyFrom(src *Frame) {
+	f.Dim, f.Count, f.First = src.Dim, src.Count, src.First
+	f.Indices, f.Labels, f.Weights = copyColumn(f.Indices, src.Indices), copyColumn(f.Labels, src.Labels), copyColumn(f.Weights, src.Weights)
+	f.TS, f.HasTS, f.Lens = copyColumn(f.TS, src.TS), copyColumn(f.HasTS, src.HasTS), copyColumn(f.Lens, src.Lens)
+	f.Values = copyColumn(f.Values, src.Values)
+}
+
+// copyColumn copies src into dst's storage; a nil src yields nil.
+func copyColumn[T any](dst, src []T) []T {
+	if src == nil {
+		return nil
+	}
+	return append(dst[:0], src...)
 }
 
 // Header is the parsed fixed-size frame header; BodyLen tells the

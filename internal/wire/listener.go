@@ -18,7 +18,8 @@ import (
 // (stream lookup, validation, enqueue/apply, backpressure decisions).
 //
 // The *Frame and its slices — including f.Name — are only valid for the
-// duration of the call; the listener reuses them for the next frame.
+// duration of the call, which may modify them (Check does); the listener
+// reuses them for the next frame.
 // IngestFrame must be safe for concurrent calls from different
 // connections (each connection is served by its own goroutine).
 type Sink interface {
