@@ -92,14 +92,15 @@ bench-smoke:
 bench-e2e-smoke:
 	cd cmd/benche2e && $(GO) vet ./... && $(GO) test ./...
 
-# fuzz-smoke runs the wire-frame, journal, checkpoint and JSON ingest
-# decoder fuzzers and the wire and HTTP ingest admission fuzzers briefly: long
-# enough to exercise the mutation engine over the checked-in corpora and
-# seeds, short enough for CI.
+# fuzz-smoke runs the wire-frame, journal, checkpoint, sampler snapshot
+# and JSON ingest decoder fuzzers and the wire and HTTP ingest admission
+# fuzzers briefly: long enough to exercise the mutation engine over the
+# checked-in corpora and seeds, short enough for CI.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeFrame -fuzztime 10s ./internal/wire
 	$(GO) test -run '^$$' -fuzz FuzzDecodeJournal -fuzztime 10s ./internal/durable
 	$(GO) test -run '^$$' -fuzz FuzzDecodeCheckpoint -fuzztime 10s ./internal/durable
+	$(GO) test -run '^$$' -fuzz FuzzUnmarshalSnapshot -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzDecodeIngest -fuzztime 10s ./internal/wire
 	$(GO) test -run '^$$' -fuzz FuzzDecodeIngest -fuzztime 10s ./internal/server
 	$(GO) test -run '^$$' -fuzz FuzzIngestFrame -fuzztime 10s ./internal/server

@@ -16,6 +16,7 @@ import (
 	"sync"
 	"time"
 
+	"biasedres/internal/core"
 	"biasedres/internal/query"
 	"biasedres/internal/wire"
 )
@@ -150,18 +151,11 @@ func (c *Client) doCtx(ctx context.Context, method, path string, body, out any) 
 	return nil
 }
 
-// StreamConfig mirrors the service's create request. Tiers > 1 asks for a
+// StreamConfig is the service's create request. Tiers > 1 asks for a
 // multi-horizon ladder: that many reservoirs at geometrically-spaced λ
 // (consecutive tiers TierRatio apart, default 8), each holding Capacity
 // points, with horizon-carrying queries routed to the best-covering tier.
-type StreamConfig struct {
-	Policy    string  `json:"policy,omitempty"`
-	Lambda    float64 `json:"lambda,omitempty"`
-	Capacity  int     `json:"capacity,omitempty"`
-	Window    uint64  `json:"window,omitempty"`
-	Tiers     int     `json:"tiers,omitempty"`
-	TierRatio float64 `json:"tier_ratio,omitempty"`
-}
+type StreamConfig = core.SamplerConfig
 
 // CreateStream registers a new named stream.
 func (c *Client) CreateStream(name string, cfg StreamConfig) error {

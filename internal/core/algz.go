@@ -21,13 +21,19 @@ import (
 // It exists as the high-throughput unbiased baseline; the statistical tests
 // assert it is exactly Algorithm R in distribution.
 type ZReservoir struct {
-	capacity int
-	pts      []stream.Point
-	t        uint64
-	skip     uint64
-	w        float64 // Vitter's W state for the envelope
-	rng      *xrand.Source
-	ver      uint64
+	st  zState
+	rng *xrand.Source
+	ver uint64
+}
+
+// zState is what a ZReservoir persists.
+type zState struct {
+	Capacity int
+	T        uint64
+	Skip     uint64
+	W        float64 // Vitter's W state for the envelope
+	Pts      []stream.Point
+	RNG      []byte
 }
 
 // thresholdFactor is Vitter's T: switch from X-style search to rejection
@@ -45,30 +51,29 @@ func NewZReservoir(capacity int, rng *xrand.Source) (*ZReservoir, error) {
 		return nil, fmt.Errorf("core: Z reservoir needs a random source")
 	}
 	return &ZReservoir{
-		capacity: capacity,
-		pts:      make([]stream.Point, 0, capacity),
-		rng:      rng,
+		st:  zState{Capacity: capacity, Pts: make([]stream.Point, 0, capacity)},
+		rng: rng,
 	}, nil
 }
 
 // Add implements Sampler.
 func (z *ZReservoir) Add(p stream.Point) {
 	z.ver++
-	z.t++
-	if len(z.pts) < z.capacity {
-		z.pts = append(z.pts, own(p))
-		if len(z.pts) == z.capacity {
-			z.w = math.Exp(-math.Log(z.u01()) / float64(z.capacity))
-			z.skip = z.drawSkip()
+	z.st.T++
+	if len(z.st.Pts) < z.st.Capacity {
+		z.st.Pts = append(z.st.Pts, own(p))
+		if len(z.st.Pts) == z.st.Capacity {
+			z.st.W = math.Exp(-math.Log(z.u01()) / float64(z.st.Capacity))
+			z.st.Skip = z.drawSkip()
 		}
 		return
 	}
-	if z.skip > 0 {
-		z.skip--
+	if z.st.Skip > 0 {
+		z.st.Skip--
 		return
 	}
-	z.pts[z.rng.Intn(z.capacity)] = own(p)
-	z.skip = z.drawSkip()
+	z.st.Pts[z.rng.Intn(z.st.Capacity)] = own(p)
+	z.st.Skip = z.drawSkip()
 }
 
 // AddBatch implements BatchSampler. It consumes identical random draws to
@@ -82,21 +87,21 @@ func (z *ZReservoir) AddBatch(pts []stream.Point) {
 	z.ver++
 	i := 0
 	// Fill phase (and the W/skip bootstrap when capacity is reached).
-	for i < n && len(z.pts) < z.capacity {
+	for i < n && len(z.st.Pts) < z.st.Capacity {
 		z.Add(pts[i])
 		i++
 	}
 	for i < n {
 		remaining := uint64(n - i)
-		if z.skip >= remaining {
-			z.skip -= remaining
-			z.t += remaining
+		if z.st.Skip >= remaining {
+			z.st.Skip -= remaining
+			z.st.T += remaining
 			return
 		}
-		i += int(z.skip)
-		z.t += z.skip + 1
-		z.pts[z.rng.Intn(z.capacity)] = own(pts[i])
-		z.skip = z.drawSkip()
+		i += int(z.st.Skip)
+		z.st.T += z.st.Skip + 1
+		z.st.Pts[z.rng.Intn(z.st.Capacity)] = own(pts[i])
+		z.st.Skip = z.drawSkip()
 		i++
 	}
 }
@@ -113,24 +118,24 @@ func (z *ZReservoir) u01() float64 {
 // drawSkip generates the number of arrivals to pass over before the next
 // replacement, given t arrivals processed so far.
 func (z *ZReservoir) drawSkip() uint64 {
-	n := float64(z.capacity)
-	if z.t <= uint64(thresholdFactor*z.capacity) {
+	n := float64(z.st.Capacity)
+	if z.st.T <= uint64(thresholdFactor*z.st.Capacity) {
 		return z.searchSkip()
 	}
 	// Vitter's Algorithm Z rejection step.
-	t := float64(z.t)
+	t := float64(z.st.T)
 	term := t - n + 1
 	for {
 		// Generate X from the envelope g(x) = (n/(t+x))·(t/(t+x))^n
 		// via the maintained W.
-		x := t * (z.w - 1)
+		x := t * (z.st.W - 1)
 		skip := math.Floor(x)
 		// Quick acceptance test against a cheaper function h.
 		u := z.u01()
 		lhs := math.Exp(math.Log(u*(t+1)/term*(t+1)/term*(term+skip)/(t+x)) / n)
 		rhs := (t + x) / (term + skip) * term / t
 		if lhs <= rhs {
-			z.w = rhs / lhs
+			z.st.W = rhs / lhs
 			return uint64(skip)
 		}
 		// Full acceptance test against the exact distribution.
@@ -147,7 +152,7 @@ func (z *ZReservoir) drawSkip() uint64 {
 			y *= numer / denom
 			denom--
 		}
-		z.w = math.Exp(-math.Log(z.u01()) / n)
+		z.st.W = math.Exp(-math.Log(z.u01()) / n)
 		if math.Exp(math.Log(y)/n) <= (t+x)/t {
 			return uint64(skip)
 		}
@@ -162,8 +167,8 @@ func (z *ZReservoir) drawSkip() uint64 {
 // and the quot > 0 guard bounds it even then.
 func (z *ZReservoir) searchSkip() uint64 {
 	u := z.u01()
-	n := float64(z.capacity)
-	t := float64(z.t)
+	n := float64(z.st.Capacity)
+	t := float64(z.st.T)
 	var skip uint64
 	quot := (t + 1 - n) / (t + 1)
 	for quot > u && quot > 0 {
@@ -175,29 +180,29 @@ func (z *ZReservoir) searchSkip() uint64 {
 }
 
 // Points implements Sampler.
-func (z *ZReservoir) Points() []stream.Point { return z.pts }
+func (z *ZReservoir) Points() []stream.Point { return z.st.Pts }
 
 // Sample implements Sampler.
-func (z *ZReservoir) Sample() []stream.Point { return copyPoints(z.pts) }
+func (z *ZReservoir) Sample() []stream.Point { return copyPoints(z.st.Pts) }
 
 // Len implements Sampler.
-func (z *ZReservoir) Len() int { return len(z.pts) }
+func (z *ZReservoir) Len() int { return len(z.st.Pts) }
 
 // Capacity implements Sampler.
-func (z *ZReservoir) Capacity() int { return z.capacity }
+func (z *ZReservoir) Capacity() int { return z.st.Capacity }
 
 // Processed implements Sampler.
-func (z *ZReservoir) Processed() uint64 { return z.t }
+func (z *ZReservoir) Processed() uint64 { return z.st.T }
 
 // Version implements VersionedSampler.
 func (z *ZReservoir) Version() uint64 { return z.ver }
 
 // InclusionProb implements Sampler (Property 2.1).
 func (z *ZReservoir) InclusionProb(r uint64) float64 {
-	if r == 0 || r > z.t || z.t == 0 {
+	if r == 0 || r > z.st.T || z.st.T == 0 {
 		return 0
 	}
-	p := float64(z.capacity) / float64(z.t)
+	p := float64(z.st.Capacity) / float64(z.st.T)
 	if p > 1 {
 		return 1
 	}

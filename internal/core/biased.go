@@ -24,18 +24,26 @@ import (
 // one — the paper's parameter-free replacement policy (Observation 2.1: the
 // reservoir size is what determines the realized bias).
 type BiasedReservoir struct {
-	lambda   float64
-	pin      float64
-	capacity int
-	pts      []stream.Point
-	t        uint64
-	rng      *xrand.Source
-	// admitted counts stream points actually inserted; exposed for
-	// fill-time analysis (Theorem 3.2 tests).
-	admitted uint64
+	st  biasedState
+	rng *xrand.Source
 	// ver counts mutations for the snapshot layer; guarded by whatever
 	// lock guards Add (see VersionedSampler).
 	ver uint64
+}
+
+// biasedState is what a BiasedReservoir persists. Its gob encoding is the
+// snapshot body (persist.go), so the names, types and order of its fields
+// are part of the checkpoint format.
+type biasedState struct {
+	Lambda   float64
+	PIn      float64
+	Capacity int
+	T        uint64
+	// Admitted counts stream points actually inserted; exposed for
+	// fill-time analysis (Theorem 3.2 tests).
+	Admitted uint64
+	Pts      []stream.Point
+	RNG      []byte // the generator's state, filled only while encoding
 }
 
 var _ Sampler = (*BiasedReservoir)(nil)
@@ -52,11 +60,8 @@ func NewBiasedReservoir(lambda float64, rng *xrand.Source) (*BiasedReservoir, er
 		return nil, fmt.Errorf("core: biased reservoir needs a random source")
 	}
 	return &BiasedReservoir{
-		lambda:   lambda,
-		pin:      1,
-		capacity: n,
-		pts:      make([]stream.Point, 0, n),
-		rng:      rng,
+		st:  biasedState{Lambda: lambda, PIn: 1, Capacity: n, Pts: make([]stream.Point, 0, n)},
+		rng: rng,
 	}, nil
 }
 
@@ -84,19 +89,16 @@ func NewConstrainedReservoir(lambda float64, capacity int, rng *xrand.Source) (*
 		return nil, fmt.Errorf("core: constrained reservoir needs a random source")
 	}
 	return &BiasedReservoir{
-		lambda:   lambda,
-		pin:      pin,
-		capacity: capacity,
-		pts:      make([]stream.Point, 0, capacity),
-		rng:      rng,
+		st:  biasedState{Lambda: lambda, PIn: pin, Capacity: capacity, Pts: make([]stream.Point, 0, capacity)},
+		rng: rng,
 	}, nil
 }
 
 // Add implements Sampler: the replacement policy of Algorithms 2.1/3.1.
 func (b *BiasedReservoir) Add(p stream.Point) {
 	b.ver++
-	b.t++
-	if b.pin < 1 && !b.rng.Bernoulli(b.pin) {
+	b.st.T++
+	if b.st.PIn < 1 && !b.rng.Bernoulli(b.st.PIn) {
 		return
 	}
 	b.admit(p)
@@ -106,12 +108,12 @@ func (b *BiasedReservoir) Add(p stream.Point) {
 // with success probability F(t) — the fill fraction just before this
 // arrival — decides replacement versus growth.
 func (b *BiasedReservoir) admit(p stream.Point) {
-	b.admitted++
-	fill := float64(len(b.pts)) / float64(b.capacity)
+	b.st.Admitted++
+	fill := float64(len(b.st.Pts)) / float64(b.st.Capacity)
 	if b.rng.Bernoulli(fill) {
-		b.pts[b.rng.Intn(len(b.pts))] = own(p)
+		b.st.Pts[b.rng.Intn(len(b.st.Pts))] = own(p)
 	} else {
-		b.pts = append(b.pts, own(p))
+		b.st.Pts = append(b.st.Pts, own(p))
 	}
 }
 
@@ -126,10 +128,10 @@ func (b *BiasedReservoir) admit(p stream.Point) {
 func (b *BiasedReservoir) AddBatch(pts []stream.Point) {
 	n := len(pts)
 	b.ver++
-	b.t += uint64(n)
+	b.st.T += uint64(n)
 	for i := 0; i < n; i++ {
-		if b.pin < 1 {
-			skip := b.rng.Geometric(b.pin)
+		if b.st.PIn < 1 {
+			skip := b.rng.Geometric(b.st.PIn)
 			if skip >= n-i {
 				return
 			}
@@ -140,40 +142,40 @@ func (b *BiasedReservoir) AddBatch(pts []stream.Point) {
 }
 
 // Points implements Sampler.
-func (b *BiasedReservoir) Points() []stream.Point { return b.pts }
+func (b *BiasedReservoir) Points() []stream.Point { return b.st.Pts }
 
 // Sample implements Sampler.
-func (b *BiasedReservoir) Sample() []stream.Point { return copyPoints(b.pts) }
+func (b *BiasedReservoir) Sample() []stream.Point { return copyPoints(b.st.Pts) }
 
 // Len implements Sampler.
-func (b *BiasedReservoir) Len() int { return len(b.pts) }
+func (b *BiasedReservoir) Len() int { return len(b.st.Pts) }
 
 // Capacity implements Sampler.
-func (b *BiasedReservoir) Capacity() int { return b.capacity }
+func (b *BiasedReservoir) Capacity() int { return b.st.Capacity }
 
 // Processed implements Sampler.
-func (b *BiasedReservoir) Processed() uint64 { return b.t }
+func (b *BiasedReservoir) Processed() uint64 { return b.st.T }
 
 // Version implements VersionedSampler.
 func (b *BiasedReservoir) Version() uint64 { return b.ver }
 
 // Admitted returns the number of points that passed the p_in insertion
 // filter (equal to Processed for Algorithm 2.1).
-func (b *BiasedReservoir) Admitted() uint64 { return b.admitted }
+func (b *BiasedReservoir) Admitted() uint64 { return b.st.Admitted }
 
 // Lambda returns the bias rate λ the reservoir realizes.
-func (b *BiasedReservoir) Lambda() float64 { return b.lambda }
+func (b *BiasedReservoir) Lambda() float64 { return b.st.Lambda }
 
 // PIn returns the insertion probability p_in (1 for Algorithm 2.1).
-func (b *BiasedReservoir) PIn() float64 { return b.pin }
+func (b *BiasedReservoir) PIn() float64 { return b.st.PIn }
 
 // InclusionProb implements Sampler using the approximate closed forms of
 // Theorems 2.2 and 3.1: p(r,t) = p_in·e^{-λ(t-r)}, capped at 1.
 func (b *BiasedReservoir) InclusionProb(r uint64) float64 {
-	if r == 0 || r > b.t {
+	if r == 0 || r > b.st.T {
 		return 0
 	}
-	p := b.pin * math.Exp(-b.lambda*float64(b.t-r))
+	p := b.st.PIn * math.Exp(-b.st.Lambda*float64(b.st.T-r))
 	if p > 1 {
 		return 1
 	}
@@ -185,8 +187,8 @@ func (b *BiasedReservoir) InclusionProb(r uint64) float64 {
 // p_in·(1 - p_in/n)^{t-r}. The difference from InclusionProb vanishes as
 // n/p_in grows; the estimator ablation benchmarks compare the two.
 func (b *BiasedReservoir) InclusionProbExact(r uint64) float64 {
-	if r == 0 || r > b.t {
+	if r == 0 || r > b.st.T {
 		return 0
 	}
-	return b.pin * math.Pow(1-b.pin/float64(b.capacity), float64(b.t-r))
+	return b.st.PIn * math.Pow(1-b.st.PIn/float64(b.st.Capacity), float64(b.st.T-r))
 }

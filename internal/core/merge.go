@@ -80,7 +80,7 @@ func MergeUnbiased(n int, rng *xrand.Source, sources ...*UnbiasedReservoir) (*Un
 		// Take a uniform random untaken resident from that source.
 		pool := remaining[src]
 		j := rng.Intn(len(pool))
-		out.pts = append(out.pts, pool[j])
+		out.st.Pts = append(out.st.Pts, pool[j])
 		pool[j] = pool[len(pool)-1]
 		remaining[src] = pool[:len(pool)-1]
 		// The taken point represented t/len(reservoir) stream points;
@@ -91,6 +91,6 @@ func MergeUnbiased(n int, rng *xrand.Source, sources ...*UnbiasedReservoir) (*Un
 			weight[src] = 0
 		}
 	}
-	out.t = total
+	out.st.T = total
 	return out, nil
 }

@@ -17,9 +17,15 @@ import (
 // after a restart, continue *identically* to an uninterrupted run. The
 // resume-identical property is what the tests assert.
 //
-// The wire format is a gob encoding of an exported state struct prefixed
-// with a one-byte kind tag, so a snapshot restored into the wrong sampler
-// type fails loudly instead of silently misbehaving.
+// The wire format is a gob encoding of a state struct prefixed with a
+// one-byte kind tag, so a snapshot restored into the wrong sampler type
+// fails loudly instead of silently misbehaving. Each family declares its
+// persisted fields once: the sampler holds its state struct as its st
+// field and runs on it directly, so the snapshot is that struct as it
+// stands. encodeState and decodeState are the one envelope every family
+// goes through; a family adds only the check of a decoded state and, where
+// it keeps derived fields beside st, their rebuild. TieredReservoir
+// persists its tiers' own snapshots instead.
 
 const (
 	kindBiased byte = 1 + iota
@@ -56,255 +62,160 @@ func unmarshalState(kind byte, data []byte, state any) error {
 	return nil
 }
 
-type biasedState struct {
-	Lambda   float64
-	PIn      float64
-	Capacity int
-	T        uint64
-	Admitted uint64
-	Pts      []stream.Point
-	RNG      []byte
+// samplerState is what a pointer to a family's state struct S provides to
+// the envelope.
+type samplerState[S any] interface {
+	*S
+	// rngField is the state's RNG field, which carries the generator only
+	// inside a snapshot.
+	rngField() *[]byte
+	// check refuses a decoded state before anything is installed.
+	check() error
 }
 
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (b *BiasedReservoir) MarshalBinary() ([]byte, error) {
-	rng, err := b.rng.MarshalBinary()
+// encodeState writes a snapshot of kind: a copy of st whose RNG field
+// carries rng's state.
+func encodeState[S any, P samplerState[S]](kind byte, st S, rng *xrand.Source) ([]byte, error) {
+	b, err := rng.MarshalBinary()
 	if err != nil {
 		return nil, err
 	}
-	return marshalState(kindBiased, biasedState{
-		Lambda: b.lambda, PIn: b.pin, Capacity: b.capacity,
-		T: b.t, Admitted: b.admitted, Pts: b.pts, RNG: rng,
-	})
+	*P(&st).rngField() = b
+	return marshalState(kind, &st)
+}
+
+// decodeState reads a snapshot of kind and, only once it has decoded and
+// passed the family's check, installs it as *st with the generator it
+// carries as *rng, and counts the mutation in *ver.
+func decodeState[S any, P samplerState[S]](kind byte, data []byte, st *S, rng **xrand.Source, ver *uint64) error {
+	var next S
+	if err := unmarshalState(kind, data, &next); err != nil {
+		return err
+	}
+	if err := P(&next).check(); err != nil {
+		return err
+	}
+	r := xrand.New(0)
+	field := P(&next).rngField()
+	if err := r.UnmarshalBinary(*field); err != nil {
+		return err
+	}
+	*field = nil
+	*st, *rng = next, r
+	*ver++
+	return nil
+}
+
+// checkFill refuses a reservoir holding more points than its capacity.
+func checkFill(n, capacity int) error {
+	if capacity <= 0 || n > capacity {
+		return fmt.Errorf("core: corrupt snapshot: %d points in capacity %d", n, capacity)
+	}
+	return nil
+}
+
+func (s *biasedState) rngField() *[]byte { return &s.RNG }
+func (s *biasedState) check() error      { return checkFill(len(s.Pts), s.Capacity) }
+
+// MarshalBinary implements encoding.BinaryMarshaler.
+func (b *BiasedReservoir) MarshalBinary() ([]byte, error) {
+	return encodeState(kindBiased, b.st, b.rng)
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (b *BiasedReservoir) UnmarshalBinary(data []byte) error {
-	var st biasedState
-	if err := unmarshalState(kindBiased, data, &st); err != nil {
-		return err
-	}
-	if st.Capacity <= 0 || len(st.Pts) > st.Capacity {
-		return fmt.Errorf("core: corrupt snapshot: %d points in capacity %d", len(st.Pts), st.Capacity)
-	}
-	rng := xrand.New(0)
-	if err := rng.UnmarshalBinary(st.RNG); err != nil {
-		return err
-	}
-	b.lambda, b.pin, b.capacity = st.Lambda, st.PIn, st.Capacity
-	b.t, b.admitted, b.pts, b.rng = st.T, st.Admitted, st.Pts, rng
-	b.ver++
-	return nil
+	return decodeState(kindBiased, data, &b.st, &b.rng, &b.ver)
 }
 
-type variableState struct {
-	Lambda    float64
-	Nmax      int
-	PIn       float64
-	TargetPIn float64
-	Reduce    float64
-	T         uint64
-	Admitted  uint64
-	Phases    int
-	Pts       []stream.Point
-	RNG       []byte
+func (s *variableState) rngField() *[]byte { return &s.RNG }
+
+// check holds a decoded state to the constructor's rule 0 < n_max·λ <= 1.
+func (s *variableState) check() error {
+	if !(s.Lambda > 0) || float64(s.Nmax)*s.Lambda > 1+1e-12 {
+		return fmt.Errorf("core: corrupt snapshot: budget %d at λ=%v", s.Nmax, s.Lambda)
+	}
+	return checkFill(len(s.Pts), s.Nmax)
 }
 
 // MarshalBinary implements encoding.BinaryMarshaler.
 func (v *VariableReservoir) MarshalBinary() ([]byte, error) {
-	rng, err := v.rng.MarshalBinary()
-	if err != nil {
-		return nil, err
-	}
-	return marshalState(kindVariable, variableState{
-		Lambda: v.lambda, Nmax: v.nmax, PIn: v.pin, TargetPIn: v.targetPin,
-		Reduce: v.reduce, T: v.t, Admitted: v.admitted, Phases: v.phases,
-		Pts: v.pts, RNG: rng,
-	})
+	return encodeState(kindVariable, v.st, v.rng)
 }
 
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
+// UnmarshalBinary implements encoding.BinaryUnmarshaler. The points are
+// re-homed in a slice with exactly n_max capacity when the snapshot's
+// budget is the receiver's own, so the restored sampler keeps the
+// never-reallocate budget invariant. A snapshot's n_max alone never sizes
+// an allocation: restored into a receiver of another budget, the points
+// keep an exact-length slice that admit grows toward n_max on demand.
 func (v *VariableReservoir) UnmarshalBinary(data []byte) error {
-	var st variableState
-	if err := unmarshalState(kindVariable, data, &st); err != nil {
+	budget := v.st.Nmax
+	if err := decodeState(kindVariable, data, &v.st, &v.rng, &v.ver); err != nil {
 		return err
 	}
-	if st.Nmax <= 0 || len(st.Pts) > st.Nmax {
-		return fmt.Errorf("core: corrupt snapshot: %d points in budget %d", len(st.Pts), st.Nmax)
+	if v.st.Nmax != budget {
+		budget = len(v.st.Pts)
 	}
-	rng := xrand.New(0)
-	if err := rng.UnmarshalBinary(st.RNG); err != nil {
-		return err
-	}
-	// Re-home the points in a slice with exactly nmax capacity so the
-	// restored sampler keeps the never-reallocate budget invariant.
-	pts := make([]stream.Point, len(st.Pts), st.Nmax)
-	copy(pts, st.Pts)
-	v.lambda, v.nmax, v.pin, v.targetPin = st.Lambda, st.Nmax, st.PIn, st.TargetPIn
-	v.reduce, v.t, v.admitted, v.phases, v.pts, v.rng = st.Reduce, st.T, st.Admitted, st.Phases, pts, rng
-	v.ver++
+	v.st.Pts = append(make([]stream.Point, 0, budget), v.st.Pts...)
 	return nil
 }
 
-type unbiasedState struct {
-	Capacity int
-	T        uint64
-	Pts      []stream.Point
-	RNG      []byte
-}
+func (s *unbiasedState) rngField() *[]byte { return &s.RNG }
+func (s *unbiasedState) check() error      { return checkFill(len(s.Pts), s.Capacity) }
 
 // MarshalBinary implements encoding.BinaryMarshaler.
 func (u *UnbiasedReservoir) MarshalBinary() ([]byte, error) {
-	rng, err := u.rng.MarshalBinary()
-	if err != nil {
-		return nil, err
-	}
-	return marshalState(kindUnbiased, unbiasedState{
-		Capacity: u.capacity, T: u.t, Pts: u.pts, RNG: rng,
-	})
+	return encodeState(kindUnbiased, u.st, u.rng)
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (u *UnbiasedReservoir) UnmarshalBinary(data []byte) error {
-	var st unbiasedState
-	if err := unmarshalState(kindUnbiased, data, &st); err != nil {
-		return err
-	}
-	if st.Capacity <= 0 || len(st.Pts) > st.Capacity {
-		return fmt.Errorf("core: corrupt snapshot: %d points in capacity %d", len(st.Pts), st.Capacity)
-	}
-	rng := xrand.New(0)
-	if err := rng.UnmarshalBinary(st.RNG); err != nil {
-		return err
-	}
-	u.capacity, u.t, u.pts, u.rng = st.Capacity, st.T, st.Pts, rng
-	u.ver++
-	return nil
+	return decodeState(kindUnbiased, data, &u.st, &u.rng, &u.ver)
 }
 
-type skipState struct {
-	Capacity int
-	T        uint64
-	Skip     uint64
-	Pts      []stream.Point
-	RNG      []byte
-}
+func (s *skipState) rngField() *[]byte { return &s.RNG }
+func (s *skipState) check() error      { return checkFill(len(s.Pts), s.Capacity) }
 
 // MarshalBinary implements encoding.BinaryMarshaler.
 func (s *SkipReservoir) MarshalBinary() ([]byte, error) {
-	rng, err := s.rng.MarshalBinary()
-	if err != nil {
-		return nil, err
-	}
-	return marshalState(kindSkip, skipState{
-		Capacity: s.capacity, T: s.t, Skip: s.skip, Pts: s.pts, RNG: rng,
-	})
+	return encodeState(kindSkip, s.st, s.rng)
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (s *SkipReservoir) UnmarshalBinary(data []byte) error {
-	var st skipState
-	if err := unmarshalState(kindSkip, data, &st); err != nil {
-		return err
-	}
-	if st.Capacity <= 0 || len(st.Pts) > st.Capacity {
-		return fmt.Errorf("core: corrupt snapshot: %d points in capacity %d", len(st.Pts), st.Capacity)
-	}
-	rng := xrand.New(0)
-	if err := rng.UnmarshalBinary(st.RNG); err != nil {
-		return err
-	}
-	s.capacity, s.t, s.skip, s.pts, s.rng = st.Capacity, st.T, st.Skip, st.Pts, rng
-	s.ver++
-	return nil
+	return decodeState(kindSkip, data, &s.st, &s.rng, &s.ver)
 }
 
-type zState struct {
-	Capacity int
-	T        uint64
-	Skip     uint64
-	W        float64
-	Pts      []stream.Point
-	RNG      []byte
-}
+func (s *zState) rngField() *[]byte { return &s.RNG }
+func (s *zState) check() error      { return checkFill(len(s.Pts), s.Capacity) }
 
 // MarshalBinary implements encoding.BinaryMarshaler.
 func (z *ZReservoir) MarshalBinary() ([]byte, error) {
-	rng, err := z.rng.MarshalBinary()
-	if err != nil {
-		return nil, err
-	}
-	return marshalState(kindZ, zState{
-		Capacity: z.capacity, T: z.t, Skip: z.skip, W: z.w, Pts: z.pts, RNG: rng,
-	})
+	return encodeState(kindZ, z.st, z.rng)
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (z *ZReservoir) UnmarshalBinary(data []byte) error {
-	var st zState
-	if err := unmarshalState(kindZ, data, &st); err != nil {
-		return err
+	return decodeState(kindZ, data, &z.st, &z.rng, &z.ver)
+}
+
+func (s *windowState) rngField() *[]byte { return &s.RNG }
+
+func (s *windowState) check() error {
+	if s.Window == 0 || s.Capacity <= 0 || len(s.Slots) != s.Capacity {
+		return fmt.Errorf("core: corrupt snapshot: window %d capacity %d slots %d", s.Window, s.Capacity, len(s.Slots))
 	}
-	if st.Capacity <= 0 || len(st.Pts) > st.Capacity {
-		return fmt.Errorf("core: corrupt snapshot: %d points in capacity %d", len(st.Pts), st.Capacity)
-	}
-	rng := xrand.New(0)
-	if err := rng.UnmarshalBinary(st.RNG); err != nil {
-		return err
-	}
-	z.capacity, z.t, z.skip, z.w, z.pts, z.rng = st.Capacity, st.T, st.Skip, st.W, st.Pts, rng
-	z.ver++
 	return nil
-}
-
-type windowChainState struct {
-	Chain []stream.Point
-	Next  uint64
-}
-
-type windowState struct {
-	Window   uint64
-	Capacity int
-	T        uint64
-	Slots    []windowChainState
-	RNG      []byte
 }
 
 // MarshalBinary implements encoding.BinaryMarshaler.
 func (w *WindowReservoir) MarshalBinary() ([]byte, error) {
-	rng, err := w.rng.MarshalBinary()
-	if err != nil {
-		return nil, err
-	}
-	slots := make([]windowChainState, len(w.slots))
-	for i, s := range w.slots {
-		slots[i] = windowChainState{Chain: s.chain, Next: s.next}
-	}
-	return marshalState(kindWindow, windowState{
-		Window: w.window, Capacity: w.capacity, T: w.t, Slots: slots, RNG: rng,
-	})
+	return encodeState(kindWindow, w.st, w.rng)
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (w *WindowReservoir) UnmarshalBinary(data []byte) error {
-	var st windowState
-	if err := unmarshalState(kindWindow, data, &st); err != nil {
-		return err
-	}
-	if st.Window == 0 || st.Capacity <= 0 || len(st.Slots) != st.Capacity {
-		return fmt.Errorf("core: corrupt snapshot: window %d capacity %d slots %d", st.Window, st.Capacity, len(st.Slots))
-	}
-	rng := xrand.New(0)
-	if err := rng.UnmarshalBinary(st.RNG); err != nil {
-		return err
-	}
-	w.window, w.capacity, w.t, w.rng = st.Window, st.Capacity, st.T, rng
-	w.slots = make([]windowChain, len(st.Slots))
-	for i, s := range st.Slots {
-		w.slots[i] = windowChain{chain: s.Chain, next: s.Next}
-	}
-	w.ver++
-	return nil
+	return decodeState(kindWindow, data, &w.st, &w.rng, &w.ver)
 }
 
 type tieredState struct {
@@ -370,172 +281,73 @@ func (tr *TieredReservoir) UnmarshalBinary(data []byte) error {
 	return nil
 }
 
-type ttbsItemState struct {
-	P      stream.Point
-	Expiry uint64
-}
+func (s *ttbsState) rngField() *[]byte { return &s.RNG }
 
-type ttbsState struct {
-	Lambda   float64
-	Target   int
-	T        uint64
-	Admitted uint64
-	Items    []ttbsItemState
-	RNG      []byte
+func (s *ttbsState) check() error {
+	if !(s.Lambda > 0) || s.Target <= 0 {
+		return fmt.Errorf("core: corrupt T-TBS snapshot: λ=%v target=%d", s.Lambda, s.Target)
+	}
+	return nil
 }
 
 // MarshalBinary implements encoding.BinaryMarshaler.
 func (s *TTBSReservoir) MarshalBinary() ([]byte, error) {
-	rng, err := s.rng.MarshalBinary()
-	if err != nil {
-		return nil, err
-	}
-	items := make([]ttbsItemState, len(s.items))
-	for i, it := range s.items {
-		items[i] = ttbsItemState{P: it.p, Expiry: it.expiry}
-	}
-	return marshalState(kindTTBS, ttbsState{
-		Lambda: s.lambda, Target: s.target, T: s.t,
-		Admitted: s.admitted, Items: items, RNG: rng,
-	})
+	return encodeState(kindTTBS, s.st, s.rng)
 }
 
-// UnmarshalBinary implements encoding.BinaryUnmarshaler. The expiry heap
-// is rebuilt from the serialized items; q and p are recomputed from λ and
-// the target, since they are pure functions of the parameters.
+// UnmarshalBinary implements encoding.BinaryUnmarshaler. q, p and the
+// expiry heap are derived from the restored state.
 func (s *TTBSReservoir) UnmarshalBinary(data []byte) error {
-	var st ttbsState
-	if err := unmarshalState(kindTTBS, data, &st); err != nil {
+	if err := decodeState(kindTTBS, data, &s.st, &s.rng, &s.ver); err != nil {
 		return err
 	}
-	if !(st.Lambda > 0) || st.Target <= 0 {
-		return fmt.Errorf("core: corrupt T-TBS snapshot: λ=%v target=%d", st.Lambda, st.Target)
-	}
-	rng := xrand.New(0)
-	if err := rng.UnmarshalBinary(st.RNG); err != nil {
-		return err
-	}
-	q := -math.Expm1(-st.Lambda)
-	p := float64(st.Target) * q
-	if p > 1 {
-		p = 1
-	}
-	s.lambda, s.q, s.p, s.target = st.Lambda, q, p, st.Target
-	s.t, s.admitted, s.rng = st.T, st.Admitted, rng
-	s.items = s.items[:0]
-	s.heap = s.heap[:0]
-	for _, it := range st.Items {
-		s.insert(ttbsItem{p: it.P, expiry: it.Expiry})
-	}
-	s.ver++
+	s.derive()
 	return nil
 }
 
-type rtbsState struct {
-	Lambda     float64
-	Capacity   int
-	T          uint64
-	NFull      int
-	HasPartial bool
-	Frac       float64
-	Deliver    bool
-	Items      []stream.Point
-	RNG        []byte
+func (s *rtbsState) rngField() *[]byte { return &s.RNG }
+
+func (s *rtbsState) check() error {
+	want := s.NFull
+	if s.HasPartial {
+		want++
+	}
+	if !(s.Lambda > 0) || s.Capacity <= 0 || s.NFull < 0 ||
+		len(s.Items) != want || len(s.Items) > s.Capacity ||
+		s.Frac < 0 || s.Frac >= 1 {
+		return fmt.Errorf("core: corrupt R-TBS snapshot: capacity=%d nFull=%d items=%d frac=%v",
+			s.Capacity, s.NFull, len(s.Items), s.Frac)
+	}
+	return nil
 }
 
 // MarshalBinary implements encoding.BinaryMarshaler.
 func (s *RTBSReservoir) MarshalBinary() ([]byte, error) {
-	rng, err := s.rng.MarshalBinary()
-	if err != nil {
-		return nil, err
-	}
-	return marshalState(kindRTBS, rtbsState{
-		Lambda: s.lambda, Capacity: s.capacity, T: s.t,
-		NFull: s.nFull, HasPartial: s.hasPartial, Frac: s.frac,
-		Deliver: s.deliver, Items: s.items, RNG: rng,
-	})
+	return encodeState(kindRTBS, s.st, s.rng)
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (s *RTBSReservoir) UnmarshalBinary(data []byte) error {
-	var st rtbsState
-	if err := unmarshalState(kindRTBS, data, &st); err != nil {
-		return err
-	}
-	want := st.NFull
-	if st.HasPartial {
-		want++
-	}
-	if !(st.Lambda > 0) || st.Capacity <= 0 || st.NFull < 0 ||
-		len(st.Items) != want || len(st.Items) > st.Capacity ||
-		st.Frac < 0 || st.Frac >= 1 {
-		return fmt.Errorf("core: corrupt R-TBS snapshot: capacity=%d nFull=%d items=%d frac=%v",
-			st.Capacity, st.NFull, len(st.Items), st.Frac)
-	}
-	rng := xrand.New(0)
-	if err := rng.UnmarshalBinary(st.RNG); err != nil {
-		return err
-	}
-	s.lambda, s.capacity, s.t = st.Lambda, st.Capacity, st.T
-	s.nFull, s.hasPartial, s.frac, s.deliver = st.NFull, st.HasPartial, st.Frac, st.Deliver
-	s.items, s.rng = st.Items, rng
-	s.ver++
-	return nil
+	return decodeState(kindRTBS, data, &s.st, &s.rng, &s.ver)
 }
 
-type timeDecayItemState struct {
-	P      stream.Point
-	TS     float64
-	Expiry float64
-}
+func (s *timeDecayState) rngField() *[]byte { return &s.RNG }
 
-type timeDecayState struct {
-	Lambda   float64
-	Capacity int
-	PIn      float64
-	Now      float64
-	T        uint64
-	Items    []timeDecayItemState
-	RNG      []byte
+func (s *timeDecayState) check() error {
+	return checkFill(len(s.Items), s.Capacity)
 }
 
 // MarshalBinary implements encoding.BinaryMarshaler.
 func (d *TimeDecayReservoir) MarshalBinary() ([]byte, error) {
-	rng, err := d.rng.MarshalBinary()
-	if err != nil {
-		return nil, err
-	}
-	items := make([]timeDecayItemState, len(d.items))
-	for i, it := range d.items {
-		items[i] = timeDecayItemState{P: it.p, TS: it.ts, Expiry: it.expiry}
-	}
-	return marshalState(kindTimeDecay, timeDecayState{
-		Lambda: d.lambda, Capacity: d.capacity, PIn: d.pin,
-		Now: d.now, T: d.t, Items: items, RNG: rng,
-	})
+	return encodeState(kindTimeDecay, d.st, d.rng)
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler. The expiry heap
-// and index map are rebuilt from the serialized items.
+// and index map are rebuilt from the restored items.
 func (d *TimeDecayReservoir) UnmarshalBinary(data []byte) error {
-	var st timeDecayState
-	if err := unmarshalState(kindTimeDecay, data, &st); err != nil {
+	if err := decodeState(kindTimeDecay, data, &d.st, &d.rng, &d.ver); err != nil {
 		return err
 	}
-	if st.Capacity <= 0 || len(st.Items) > st.Capacity {
-		return fmt.Errorf("core: corrupt snapshot: %d items in capacity %d", len(st.Items), st.Capacity)
-	}
-	rng := xrand.New(0)
-	if err := rng.UnmarshalBinary(st.RNG); err != nil {
-		return err
-	}
-	d.lambda, d.capacity, d.pin, d.now, d.t, d.rng = st.Lambda, st.Capacity, st.PIn, st.Now, st.T, rng
-	d.items = d.items[:0]
-	d.heap = d.heap[:0]
-	d.byIdx = make(map[uint64]int, len(st.Items))
-	for _, it := range st.Items {
-		d.insert(timeItem{p: it.P, ts: it.TS, expiry: it.Expiry})
-	}
-	d.ver++
+	d.rebuild()
 	return nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding"
 	"testing"
 
@@ -203,4 +204,94 @@ func TestXrandSnapshotRoundTrip(t *testing.T) {
 	if err := b.UnmarshalBinary([]byte{1, 2, 3}); err == nil {
 		t.Fatal("short snapshot accepted")
 	}
+}
+
+// A snapshot's own budget must never size an allocation. Re-encoded with
+// n_max = 2^38, a variable snapshot used to make a 13 TB slice on decode
+// and kill the process; now a budget the snapshot's λ forbids is refused,
+// and one it allows is not allocated up front.
+func TestVariableRestoreHugeBudget(t *testing.T) {
+	src, _ := NewVariableReservoir(0.02, 40, xrand.New(1))
+	feed(src, 200)
+	blob, err := src.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st variableState
+	if err := unmarshalState(kindVariable, blob, &st); err != nil {
+		t.Fatal(err)
+	}
+	st.Nmax = 1 << 38
+	crafted, err := marshalState(kindVariable, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, _ := NewVariableReservoir(0.02, 40, xrand.New(2))
+	if err := v.UnmarshalBinary(crafted); err == nil {
+		t.Fatal("budget 2^38 at λ=0.02 accepted")
+	}
+
+	st.Lambda = 1e-13 // n_max·λ < 1: a valid budget, just not the receiver's
+	if crafted, err = marshalState(kindVariable, st); err != nil {
+		t.Fatal(err)
+	}
+	if err := v.UnmarshalBinary(crafted); err != nil {
+		t.Fatal(err)
+	}
+	if c := cap(v.st.Pts); c != v.Len() {
+		t.Fatalf("restore allocated %d slots for %d points", c, v.Len())
+	}
+	for i := 0; i < 100; i++ {
+		v.Add(stream.Point{Index: v.Processed() + 1, Weight: 1})
+		if c := cap(v.st.Pts); c > 2*v.Len()+1 {
+			t.Fatalf("cap %d for %d points: grew past doubling", c, v.Len())
+		}
+	}
+}
+
+// FuzzUnmarshalSnapshot feeds arbitrary bytes to every sampler kind's
+// UnmarshalBinary. Decoding must never panic, and a snapshot a sampler
+// accepts must re-marshal to bytes that decode to the same state, which
+// within one process means they re-marshal to the same bytes again.
+func FuzzUnmarshalSnapshot(f *testing.F) {
+	for i, k := range goldenKinds {
+		s, err := k.mk(xrand.New(uint64(i + 1)))
+		if err != nil {
+			f.Fatal(err)
+		}
+		for _, n := range []int{0, 5, 300} {
+			blob, err := s.MarshalBinary()
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(blob)
+			goldenFeed(f, s, int(s.Processed())+1, n)
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, k := range goldenKinds {
+			s, err := k.mk(xrand.New(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s.UnmarshalBinary(data) != nil {
+				continue
+			}
+			once, err := s.MarshalBinary()
+			if err != nil {
+				t.Fatalf("%s: re-marshal: %v", k.name, err)
+			}
+			again, _ := k.mk(xrand.New(2))
+			if err := again.UnmarshalBinary(once); err != nil {
+				t.Fatalf("%s: re-marshaled snapshot refused: %v", k.name, err)
+			}
+			twice, err := again.MarshalBinary()
+			if err != nil {
+				t.Fatalf("%s: re-marshal: %v", k.name, err)
+			}
+			if !bytes.Equal(once, twice) {
+				t.Fatalf("%s: state changed across a round trip", k.name)
+			}
+		}
+	})
 }

@@ -7,23 +7,27 @@ import (
 )
 
 // SamplerConfig names a sampler policy and its parameters. It is the one
-// description every deployment builds samplers from: the server's create
-// request and durable stream meta carry the same fields, and multi.Manager
-// fills in its own λ and per-stream share.
+// description every deployment builds samplers from: it is the server's
+// create request (PUT /streams/{name}) and the client's StreamConfig, the
+// durable stream meta carries the same fields, and multi.Manager fills in
+// its own λ and per-stream share.
 type SamplerConfig struct {
-	// Policy is one of Policies().
-	Policy string
+	// Policy is one of Policies(); the server defaults an empty policy.
+	Policy string `json:"policy,omitempty"`
 	// Lambda is the bias rate (biased policies).
-	Lambda float64
-	// Capacity is the reservoir budget; 0 derives ⌊1/λ⌋ for "biased".
-	Capacity int
+	Lambda float64 `json:"lambda,omitempty"`
+	// Capacity is the reservoir budget; 0 derives ⌊1/λ⌋ for "biased". In
+	// a ladder it is the per-tier budget.
+	Capacity int `json:"capacity,omitempty"`
 	// Window is the window length for the "window" policy.
-	Window uint64
+	Window uint64 `json:"window,omitempty"`
 	// Tiers, when > 1, builds a TieredReservoir: tier i runs the policy at
-	// λ/TierRatio^i with the same Capacity.
-	Tiers int
+	// λ/TierRatio^i with the same Capacity, so horizon-carrying queries can
+	// be routed to the tier covering them. Every policy with a λ supports
+	// tiers (see policies).
+	Tiers int `json:"tiers,omitempty"`
 	// TierRatio is the λ spacing between tiers (0 = DefaultTierRatio).
-	TierRatio float64
+	TierRatio float64 `json:"tier_ratio,omitempty"`
 }
 
 // DefaultTierRatio is the λ spacing between consecutive tiers when a

@@ -35,21 +35,27 @@ import (
 // C(t)/W(t); the branch probabilities below make the per-item delivery
 // marginals telescope exactly. Work per arrival is O(1) expected.
 type RTBSReservoir struct {
-	lambda   float64
-	capacity int // n, the hard item bound
-	t        uint64
-	rng      *xrand.Source
-	ver      uint64
+	st  rtbsState
+	rng *xrand.Source
+	ver uint64
+}
 
-	// items holds the latent sample: items[:nFull] are the full items and,
-	// when hasPartial, items[nFull] is the partial item of weight frac.
-	items      []stream.Point
-	nFull      int
-	hasPartial bool
-	frac       float64
-	// deliver is the partial item's current delivery coin, redrawn
-	// Bernoulli(frac) after every mutation.
-	deliver bool
+// rtbsState is what an RTBSReservoir persists, latent partial item
+// included.
+type rtbsState struct {
+	Lambda   float64
+	Capacity int // n, the hard item bound
+	T        uint64
+	// Items holds the latent sample: Items[:NFull] are the full items and,
+	// when HasPartial, Items[NFull] is the partial item of weight Frac.
+	NFull      int
+	HasPartial bool
+	Frac       float64
+	// Deliver is the partial item's current delivery coin, redrawn
+	// Bernoulli(Frac) after every mutation.
+	Deliver bool
+	Items   []stream.Point
+	RNG     []byte
 }
 
 var (
@@ -76,7 +82,7 @@ func NewRTBSReservoir(lambda float64, capacity int, rng *xrand.Source) (*RTBSRes
 	if rng == nil {
 		return nil, fmt.Errorf("core: R-TBS needs a random source")
 	}
-	return &RTBSReservoir{lambda: lambda, capacity: capacity, rng: rng}, nil
+	return &RTBSReservoir{st: rtbsState{Lambda: lambda, Capacity: capacity}, rng: rng}, nil
 }
 
 // weightAt returns W(t) in the numerically stable closed form
@@ -88,12 +94,12 @@ func (s *RTBSReservoir) weightAt(t uint64) float64 {
 	if t == 0 {
 		return 0
 	}
-	return math.Expm1(-s.lambda*float64(t)) / math.Expm1(-s.lambda)
+	return math.Expm1(-s.st.Lambda*float64(t)) / math.Expm1(-s.st.Lambda)
 }
 
 // latentAt returns C(t) = min(n, W(t)), the latent sample's total weight.
 func (s *RTBSReservoir) latentAt(t uint64) float64 {
-	return math.Min(float64(s.capacity), s.weightAt(t))
+	return math.Min(float64(s.st.Capacity), s.weightAt(t))
 }
 
 // Add implements Sampler: one exact decay step followed by the weighted
@@ -121,13 +127,13 @@ func (s *RTBSReservoir) AddBatch(pts []stream.Point) {
 
 // step advances the clock by one arrival and folds p in.
 func (s *RTBSReservoir) step(p stream.Point) {
-	s.t++
-	wNew := s.weightAt(s.t)
-	cNew := math.Min(float64(s.capacity), wNew)
+	s.st.T++
+	wNew := s.weightAt(s.st.T)
+	cNew := math.Min(float64(s.st.Capacity), wNew)
 	w := cNew / wNew // arriving item's weight, ≤ 1
 	// Every existing item's inclusion probability shrinks by exactly
 	// (C_new·e^{-λ}·W_old) / (W_new·C_old) = (C_new - w)/C_old.
-	if cOld := s.latentAt(s.t - 1); cOld > 0 {
+	if cOld := s.latentAt(s.st.T - 1); cOld > 0 {
 		s.downsample((cNew - w) / cOld)
 	}
 	s.union(p, w)
@@ -148,7 +154,7 @@ func (s *RTBSReservoir) step(p stream.Point) {
 // when the partial slot is empty and f_t > 0 — which scales each full
 // item's marginal to exactly α as well (see docs/THEORY.md §11).
 func (s *RTBSReservoir) downsample(alpha float64) {
-	cOld := float64(s.nFull) + s.frac
+	cOld := float64(s.st.NFull) + s.st.Frac
 	if cOld <= 0 || alpha >= 1 {
 		return
 	}
@@ -167,18 +173,18 @@ func (s *RTBSReservoir) downsample(alpha float64) {
 
 	lo := 0 // fulls below this index are exempt from eviction/demotion
 	partialStays := false
-	if s.hasPartial {
-		af := alpha * s.frac
+	if s.st.HasPartial {
+		af := alpha * s.st.Frac
 		u := s.rng.Float64()
 		switch {
 		case af > fT && u < (af-fT)/(1-fT):
 			// Promote: the partial item becomes an unconditional full. It
-			// already sits at items[nFull]; move it to slot 0 so the
+			// already sits at Items[NFull]; move it to slot 0 so the
 			// uniform eviction/demotion below cannot touch it.
-			s.hasPartial = false
-			s.frac = 0
-			s.nFull++
-			s.items[0], s.items[s.nFull-1] = s.items[s.nFull-1], s.items[0]
+			s.st.HasPartial = false
+			s.st.Frac = 0
+			s.st.NFull++
+			s.st.Items[0], s.st.Items[s.st.NFull-1] = s.st.Items[s.st.NFull-1], s.st.Items[0]
 			lo = 1
 		case af > fT || (fT > 0 && u < af/fT):
 			partialStays = true
@@ -192,19 +198,19 @@ func (s *RTBSReservoir) downsample(alpha float64) {
 	if needPartial {
 		targetFulls++ // one survivor is demoted to partial below
 	}
-	for s.nFull > targetFulls {
-		s.evictFull(lo + s.rng.Intn(s.nFull-lo))
+	for s.st.NFull > targetFulls {
+		s.evictFull(lo + s.rng.Intn(s.st.NFull-lo))
 	}
 	if needPartial {
-		s.demoteFull(lo + s.rng.Intn(s.nFull-lo))
+		s.demoteFull(lo + s.rng.Intn(s.st.NFull-lo))
 	}
-	if s.hasPartial {
-		s.frac = fT
+	if s.st.HasPartial {
+		s.st.Frac = fT
 		if fT == 0 {
 			s.evictPartial() // a zero-weight partial is simply absent
 		}
 	} else {
-		s.frac = 0
+		s.st.Frac = 0
 	}
 }
 
@@ -219,108 +225,108 @@ func (s *RTBSReservoir) union(p stream.Point, w float64) {
 		s.addFull(p)
 		return
 	}
-	if !s.hasPartial {
+	if !s.st.HasPartial {
 		s.setPartial(p, w)
 		return
 	}
-	f := s.frac
+	f := s.st.Frac
 	total := f + w
 	switch {
 	case total < 1-fracEps:
 		// Two fractions merge into one partial of weight f+w; the survivor
 		// is the new item w.p. w/(f+w), preserving both marginals.
 		if s.rng.Bernoulli(w / total) {
-			s.items[s.nFull] = own(p)
+			s.st.Items[s.st.NFull] = own(p)
 		}
-		s.frac = total
+		s.st.Frac = total
 	case total <= 1+fracEps:
 		// The weights sum to 1: one of the two becomes a full item (the
 		// new one w.p. w/(f+w) ≈ w), the other is evicted.
 		if s.rng.Bernoulli(w / total) {
-			s.items[s.nFull] = own(p)
+			s.st.Items[s.st.NFull] = own(p)
 		}
-		s.nFull++
-		s.hasPartial = false
-		s.frac = 0
+		s.st.NFull++
+		s.st.HasPartial = false
+		s.st.Frac = 0
 	default:
 		// Overflow: one becomes full, the other partial at weight
 		// f' = f+w-1. P[new is the full] = (w-f')/(1-f') makes the new
 		// item's marginal exactly w·1 + (1-·)·f' = w, and the old one's f.
 		fp := total - 1
-		s.items = append(s.items, own(p)) // layout: [fulls..., old, p]
+		s.st.Items = append(s.st.Items, own(p)) // layout: [fulls..., old, p]
 		if s.rng.Bernoulli((w - fp) / (1 - fp)) {
-			last := len(s.items) - 1
-			s.items[s.nFull], s.items[last] = s.items[last], s.items[s.nFull]
+			last := len(s.st.Items) - 1
+			s.st.Items[s.st.NFull], s.st.Items[last] = s.st.Items[last], s.st.Items[s.st.NFull]
 		}
-		s.nFull++ // items[nFull-1] is the winner, items[nFull] the partial
-		s.frac = fp
+		s.st.NFull++ // Items[NFull-1] is the winner, Items[NFull] the partial
+		s.st.Frac = fp
 	}
 }
 
 // addFull appends a full item, keeping the partial (if any) at the tail.
 func (s *RTBSReservoir) addFull(p stream.Point) {
-	s.items = append(s.items, own(p))
-	if s.hasPartial {
-		last := len(s.items) - 1
-		s.items[s.nFull], s.items[last] = s.items[last], s.items[s.nFull]
+	s.st.Items = append(s.st.Items, own(p))
+	if s.st.HasPartial {
+		last := len(s.st.Items) - 1
+		s.st.Items[s.st.NFull], s.st.Items[last] = s.st.Items[last], s.st.Items[s.st.NFull]
 	}
-	s.nFull++
+	s.st.NFull++
 }
 
 // setPartial installs p as the partial item of weight w (no partial may
 // exist).
 func (s *RTBSReservoir) setPartial(p stream.Point, w float64) {
-	s.items = append(s.items, own(p))
-	s.hasPartial = true
-	s.frac = w
+	s.st.Items = append(s.st.Items, own(p))
+	s.st.HasPartial = true
+	s.st.Frac = w
 }
 
 // evictFull removes full item i by swap-remove, keeping the partial (if
 // any) at the tail.
 func (s *RTBSReservoir) evictFull(i int) {
-	s.items[i] = s.items[s.nFull-1]
-	if s.hasPartial {
-		s.items[s.nFull-1] = s.items[s.nFull]
+	s.st.Items[i] = s.st.Items[s.st.NFull-1]
+	if s.st.HasPartial {
+		s.st.Items[s.st.NFull-1] = s.st.Items[s.st.NFull]
 	}
-	s.items = s.items[:len(s.items)-1]
-	s.nFull--
+	s.st.Items = s.st.Items[:len(s.st.Items)-1]
+	s.st.NFull--
 }
 
 // evictPartial drops the partial item.
 func (s *RTBSReservoir) evictPartial() {
-	s.items = s.items[:len(s.items)-1]
-	s.hasPartial = false
-	s.frac = 0
+	s.st.Items = s.st.Items[:len(s.st.Items)-1]
+	s.st.HasPartial = false
+	s.st.Frac = 0
 }
 
 // demoteFull turns full item i into the partial item (no partial may
 // exist).
 func (s *RTBSReservoir) demoteFull(i int) {
-	s.items[i], s.items[s.nFull-1] = s.items[s.nFull-1], s.items[i]
-	s.nFull--
-	s.hasPartial = true
+	s.st.Items[i], s.st.Items[s.st.NFull-1] = s.st.Items[s.st.NFull-1], s.st.Items[i]
+	s.st.NFull--
+	s.st.HasPartial = true
 }
 
 // redraw refreshes the partial item's delivery coin.
 func (s *RTBSReservoir) redraw() {
-	if s.hasPartial {
-		s.deliver = s.rng.Bernoulli(s.frac)
+	if s.st.HasPartial {
+		s.st.Deliver = s.rng.Bernoulli(s.st.Frac)
 	} else {
-		s.deliver = false
+		s.st.Deliver = false
 	}
 }
 
-// delivered returns how many leading items of s.items are in the delivered
+// delivered returns how many leading items of s.st.Items are in the delivered
 // sample.
 func (s *RTBSReservoir) delivered() int {
-	if s.hasPartial && s.deliver {
-		return s.nFull + 1
+	if s.st.HasPartial && s.st.Deliver {
+		return s.st.NFull + 1
 	}
-	return s.nFull
+	return s.st.NFull
 }
 
 // Points implements Sampler: the delivered sample as a read-only view.
-func (s *RTBSReservoir) Points() []stream.Point { return s.items[:s.delivered()] }
+func (s *RTBSReservoir) Points() []stream.Point { return s.st.Items[:s.delivered()] }
 
 // Sample implements Sampler.
 func (s *RTBSReservoir) Sample() []stream.Point { return copyPoints(s.Points()) }
@@ -329,44 +335,44 @@ func (s *RTBSReservoir) Sample() []stream.Point { return copyPoints(s.Points()) 
 func (s *RTBSReservoir) Len() int { return s.delivered() }
 
 // Capacity implements Sampler: the hard item bound n.
-func (s *RTBSReservoir) Capacity() int { return s.capacity }
+func (s *RTBSReservoir) Capacity() int { return s.st.Capacity }
 
 // Processed implements Sampler.
-func (s *RTBSReservoir) Processed() uint64 { return s.t }
+func (s *RTBSReservoir) Processed() uint64 { return s.st.T }
 
 // Version implements VersionedSampler.
 func (s *RTBSReservoir) Version() uint64 { return s.ver }
 
 // Lambda returns the decay rate λ the sampler realizes.
-func (s *RTBSReservoir) Lambda() float64 { return s.lambda }
+func (s *RTBSReservoir) Lambda() float64 { return s.st.Lambda }
 
 // PIn returns the newest arrival's inclusion probability C(t)/W(t) (1 while
 // the stream still fits the reservoir).
 func (s *RTBSReservoir) PIn() float64 {
-	if s.t == 0 {
+	if s.st.T == 0 {
 		return 1
 	}
-	return s.latentAt(s.t) / s.weightAt(s.t)
+	return s.latentAt(s.st.T) / s.weightAt(s.st.T)
 }
 
 // TotalWeight returns W(t), the decayed weight of the whole stream.
-func (s *RTBSReservoir) TotalWeight() float64 { return s.weightAt(s.t) }
+func (s *RTBSReservoir) TotalWeight() float64 { return s.weightAt(s.st.T) }
 
 // LatentWeight returns C(t) = min(n, W(t)), the expected delivered sample
 // size.
-func (s *RTBSReservoir) LatentWeight() float64 { return s.latentAt(s.t) }
+func (s *RTBSReservoir) LatentWeight() float64 { return s.latentAt(s.st.T) }
 
 // InclusionProb implements Sampler. The closed form is exact by
 // construction: p(r,t) = C(t)·e^{-λ(t-r)}/W(t) ≤ 1.
 func (s *RTBSReservoir) InclusionProb(r uint64) float64 {
-	if r == 0 || r > s.t {
+	if r == 0 || r > s.st.T {
 		return 0
 	}
-	w := s.weightAt(s.t)
+	w := s.weightAt(s.st.T)
 	if w <= 0 {
 		return 0
 	}
-	return s.latentAt(s.t) * math.Exp(-s.lambda*float64(s.t-r)) / w
+	return s.latentAt(s.st.T) * math.Exp(-s.st.Lambda*float64(s.st.T-r)) / w
 }
 
 // CompactBelow implements Compactor: residents whose delivery marginal has
@@ -377,12 +383,12 @@ func (s *RTBSReservoir) CompactBelow(floor float64) int {
 		return 0
 	}
 	removed := 0
-	if s.hasPartial && s.InclusionProb(s.items[s.nFull].Index) < floor {
+	if s.st.HasPartial && s.InclusionProb(s.st.Items[s.st.NFull].Index) < floor {
 		s.evictPartial()
 		removed++
 	}
-	for i := 0; i < s.nFull; {
-		if s.InclusionProb(s.items[i].Index) < floor {
+	for i := 0; i < s.st.NFull; {
+		if s.InclusionProb(s.st.Items[i].Index) < floor {
 			s.evictFull(i)
 			removed++
 		} else {

@@ -111,28 +111,28 @@ func TestRTBSBoundedAndInvariants(t *testing.T) {
 	s := newRTBS(t, lambda, capacity, 41)
 	for i := 1; i <= total; i++ {
 		s.Add(batchPoints(uint64(i), 1)[0])
-		if len(s.items) > capacity {
-			t.Fatalf("arrival %d: %d items exceed capacity %d", i, len(s.items), capacity)
+		if len(s.st.Items) > capacity {
+			t.Fatalf("arrival %d: %d items exceed capacity %d", i, len(s.st.Items), capacity)
 		}
-		wantLen := s.nFull
-		if s.hasPartial {
+		wantLen := s.st.NFull
+		if s.st.HasPartial {
 			wantLen++
-			if !(s.frac > 0 && s.frac < 1) {
-				t.Fatalf("arrival %d: partial weight %v out of (0,1)", i, s.frac)
+			if !(s.st.Frac > 0 && s.st.Frac < 1) {
+				t.Fatalf("arrival %d: partial weight %v out of (0,1)", i, s.st.Frac)
 			}
 		}
-		if len(s.items) != wantLen {
-			t.Fatalf("arrival %d: %d items but nFull=%d hasPartial=%v", i, len(s.items), s.nFull, s.hasPartial)
+		if len(s.st.Items) != wantLen {
+			t.Fatalf("arrival %d: %d items but nFull=%d hasPartial=%v", i, len(s.st.Items), s.st.NFull, s.st.HasPartial)
 		}
 		// Latent total weight tracks C(t) = min(n, W(t)).
-		c := s.latentAt(s.t)
-		got := float64(s.nFull) + s.frac
+		c := s.latentAt(s.st.T)
+		got := float64(s.st.NFull) + s.st.Frac
 		if math.Abs(got-c) > 1e-6 {
 			t.Fatalf("arrival %d: latent weight %.8f, want C(t)=%.8f", i, got, c)
 		}
 	}
-	if s.Len() < s.nFull || s.Len() > s.nFull+1 {
-		t.Fatalf("delivered %d outside [%d,%d]", s.Len(), s.nFull, s.nFull+1)
+	if s.Len() < s.st.NFull || s.Len() > s.st.NFull+1 {
+		t.Fatalf("delivered %d outside [%d,%d]", s.Len(), s.st.NFull, s.st.NFull+1)
 	}
 }
 
@@ -228,12 +228,12 @@ func TestRTBSCompactBelow(t *testing.T) {
 	}
 	floor := 0.1
 	removed := s.CompactBelow(floor)
-	for i := 0; i < s.nFull; i++ {
-		if s.InclusionProb(s.items[i].Index) < floor {
-			t.Fatalf("full item %d kept below floor", s.items[i].Index)
+	for i := 0; i < s.st.NFull; i++ {
+		if s.InclusionProb(s.st.Items[i].Index) < floor {
+			t.Fatalf("full item %d kept below floor", s.st.Items[i].Index)
 		}
 	}
-	if s.hasPartial && s.InclusionProb(s.items[s.nFull].Index) < floor {
+	if s.st.HasPartial && s.InclusionProb(s.st.Items[s.st.NFull].Index) < floor {
 		t.Fatal("partial item kept below floor")
 	}
 	if removed == 0 {
@@ -244,7 +244,7 @@ func TestRTBSCompactBelow(t *testing.T) {
 	if s.Processed() != 700 {
 		t.Fatalf("processed %d, want 700", s.Processed())
 	}
-	if len(s.items) > s.Capacity() {
-		t.Fatalf("%d items exceed capacity after compaction+ingest", len(s.items))
+	if len(s.st.Items) > s.Capacity() {
+		t.Fatalf("%d items exceed capacity after compaction+ingest", len(s.st.Items))
 	}
 }

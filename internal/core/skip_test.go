@@ -77,12 +77,12 @@ func TestSkipReservoirUniformity(t *testing.T) {
 func TestSkipReservoirSkipsGrow(t *testing.T) {
 	s, _ := NewSkipReservoir(10, xrand.New(3))
 	feed(s, 10)
-	firstSkip := s.skip
+	firstSkip := s.st.Skip
 	feed(s, 100000)
-	if s.skip <= firstSkip && s.skip < 100 {
+	if s.st.Skip <= firstSkip && s.st.Skip < 100 {
 		// Late-stream skips are ~t/n ≈ 10000 in expectation; a tiny
 		// value here would indicate the schedule is not advancing.
-		t.Fatalf("late-stream skip = %d, early %d; expected growth", s.skip, firstSkip)
+		t.Fatalf("late-stream skip = %d, early %d; expected growth", s.st.Skip, firstSkip)
 	}
 }
 
@@ -132,7 +132,7 @@ func TestSkipDrawZeroUniform(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.t = 1 << 50
+	s.st.T = 1 << 50
 	done := make(chan uint64, 1)
 	go func() { done <- s.skipFor(1 - 0) }()
 	select {
@@ -157,7 +157,7 @@ func TestSkipForClampsNonPositive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.t = 1 << 20
+	s.st.T = 1 << 20
 	done := make(chan uint64, 1)
 	go func() { done <- s.skipFor(0) }()
 	select {

@@ -59,46 +59,34 @@ var (
 // CompactBelow implements Compactor: residents with
 // p_in·e^{-λ(t-r)} < floor are dropped in place.
 func (b *BiasedReservoir) CompactBelow(floor float64) int {
-	if !(floor > 0) {
-		return 0
-	}
-	keep := b.pts[:0]
-	for _, p := range b.pts {
-		if b.InclusionProb(p.Index) >= floor {
-			keep = append(keep, p)
-		}
-	}
-	removed := len(b.pts) - len(keep)
-	for i := len(keep); i < len(b.pts); i++ {
-		b.pts[i] = stream.Point{}
-	}
-	b.pts = keep
-	if removed > 0 {
-		b.ver++
-	}
-	return removed
+	return compactPts(&b.st.Pts, &b.ver, floor, b.InclusionProb)
 }
 
 // CompactBelow implements Compactor. Compaction never changes p_in or the
 // phase schedule — it only removes points whose retention probability has
 // decayed below the floor.
 func (v *VariableReservoir) CompactBelow(floor float64) int {
+	return compactPts(&v.st.Pts, &v.ver, floor, v.InclusionProb)
+}
+
+// compactPts drops in place every point of *pts whose inclusion
+// probability is below floor, clears the vacated slots, and counts a
+// mutation in *ver when any point went.
+func compactPts(pts *[]stream.Point, ver *uint64, floor float64, prob func(uint64) float64) int {
 	if !(floor > 0) {
 		return 0
 	}
-	keep := v.pts[:0]
-	for _, p := range v.pts {
-		if v.InclusionProb(p.Index) >= floor {
+	keep := (*pts)[:0]
+	for _, p := range *pts {
+		if prob(p.Index) >= floor {
 			keep = append(keep, p)
 		}
 	}
-	removed := len(v.pts) - len(keep)
-	for i := len(keep); i < len(v.pts); i++ {
-		v.pts[i] = stream.Point{}
-	}
-	v.pts = keep
+	removed := len(*pts) - len(keep)
+	clear((*pts)[len(keep):])
+	*pts = keep
 	if removed > 0 {
-		v.ver++
+		*ver++
 	}
 	return removed
 }
@@ -110,8 +98,8 @@ func (d *TimeDecayReservoir) CompactBelow(floor float64) int {
 		return 0
 	}
 	removed := 0
-	for i := 0; i < len(d.items); {
-		p := d.pin * math.Exp(-d.lambda*(d.now-d.items[i].ts))
+	for i := 0; i < len(d.st.Items); {
+		p := d.st.PIn * math.Exp(-d.st.Lambda*(d.st.Now-d.st.Items[i].TS))
 		if p < floor {
 			d.removeAt(i)
 			removed++

@@ -30,23 +30,30 @@ import (
 // proportionality to p_in·e^{-λ(T-T_r)} is preserved (the Theorem 3.3
 // argument, applied in time).
 type TimeDecayReservoir struct {
-	lambda   float64
-	capacity int
-	pin      float64
-	now      float64
-	t        uint64
-	rng      *xrand.Source
-	ver      uint64
+	st  timeDecayState
+	rng *xrand.Source
+	ver uint64
 
-	items []timeItem // live residents, unordered
-	heap  []int      // indices into items, min-heap by expiry
+	// Derived from st.Items by rebuild.
+	heap  []int // indices into st.Items, min-heap by expiry
 	byIdx map[uint64]int
 }
 
-type timeItem struct {
-	p       stream.Point
-	ts      float64 // admission timestamp
-	expiry  float64
+// timeDecayState is what a TimeDecayReservoir persists.
+type timeDecayState struct {
+	Lambda   float64
+	Capacity int
+	PIn      float64
+	Now      float64
+	T        uint64
+	Items    []timeDecayItemState // live residents, unordered
+	RNG      []byte
+}
+
+type timeDecayItemState struct {
+	P       stream.Point
+	TS      float64 // admission timestamp
+	Expiry  float64
 	heapPos int
 }
 
@@ -65,11 +72,9 @@ func NewTimeDecayReservoir(lambda float64, capacity int, rng *xrand.Source) (*Ti
 		return nil, fmt.Errorf("core: time-decay reservoir needs a random source")
 	}
 	return &TimeDecayReservoir{
-		lambda:   lambda,
-		capacity: capacity,
-		pin:      1,
-		rng:      rng,
-		byIdx:    make(map[uint64]int),
+		st:    timeDecayState{Lambda: lambda, Capacity: capacity, PIn: 1},
+		rng:   rng,
+		byIdx: make(map[uint64]int),
 	}, nil
 }
 
@@ -77,30 +82,31 @@ func NewTimeDecayReservoir(lambda float64, capacity int, rng *xrand.Source) (*Ti
 // time unit per point), which reduces exactly to the paper's
 // arrival-indexed bias.
 func (d *TimeDecayReservoir) Add(p stream.Point) {
-	d.AddAt(p, d.now+1)
+	d.AddAt(p, d.st.Now+1)
 }
 
 // AddAt admits a point carrying its own timestamp. Timestamps must be
 // non-decreasing; a point older than the current clock is rejected with an
 // error.
 func (d *TimeDecayReservoir) AddAt(p stream.Point, ts float64) error {
-	if ts < d.now {
-		return fmt.Errorf("core: out-of-order timestamp %v < %v", ts, d.now)
+	if ts < d.st.Now {
+		return fmt.Errorf("core: out-of-order timestamp %v < %v", ts, d.st.Now)
 	}
 	d.ver++
-	d.t++
-	d.now = ts
+	d.st.T++
+	d.st.Now = ts
 	d.expire()
-	if d.pin < 1 && !d.rng.Bernoulli(d.pin) {
+	if d.st.PIn < 1 && !d.rng.Bernoulli(d.st.PIn) {
 		return nil
 	}
-	lifetime := d.rng.ExpFloat64() / d.lambda
-	d.insert(timeItem{p: own(p), ts: ts, expiry: ts + lifetime})
-	if len(d.items) > d.capacity {
+	lifetime := d.rng.ExpFloat64() / d.st.Lambda
+	d.st.Items = append(d.st.Items, timeDecayItemState{P: own(p), TS: ts, Expiry: ts + lifetime})
+	d.push(len(d.st.Items) - 1)
+	if len(d.st.Items) > d.st.Capacity {
 		// Evict one uniformly random resident and rescale p_in so all
 		// presence probabilities stay proportional to p_in·f.
-		d.removeAt(d.rng.Intn(len(d.items)))
-		d.pin *= float64(d.capacity) / float64(d.capacity+1)
+		d.removeAt(d.rng.Intn(len(d.st.Items)))
+		d.st.PIn *= float64(d.st.Capacity) / float64(d.st.Capacity+1)
 	}
 	return nil
 }
@@ -109,49 +115,57 @@ func (d *TimeDecayReservoir) AddAt(p stream.Point, ts float64) error {
 func (d *TimeDecayReservoir) expire() {
 	for len(d.heap) > 0 {
 		top := d.heap[0]
-		if d.items[top].expiry > d.now {
+		if d.st.Items[top].Expiry > d.st.Now {
 			return
 		}
 		d.removeAt(top)
 	}
 }
 
-// insert appends an item and pushes it onto the heap.
-func (d *TimeDecayReservoir) insert(it timeItem) {
-	d.items = append(d.items, it)
-	i := len(d.items) - 1
-	d.items[i].heapPos = len(d.heap)
+// push adds st.Items[i] to the heap and the index map.
+func (d *TimeDecayReservoir) push(i int) {
+	d.st.Items[i].heapPos = len(d.heap)
 	d.heap = append(d.heap, i)
 	d.siftUp(len(d.heap) - 1)
-	d.byIdx[it.p.Index] = i
+	d.byIdx[d.st.Items[i].P.Index] = i
+}
+
+// rebuild derives the heap and the index map from st.Items in their
+// stored order.
+func (d *TimeDecayReservoir) rebuild() {
+	d.heap = d.heap[:0]
+	d.byIdx = make(map[uint64]int, len(d.st.Items))
+	for i := range d.st.Items {
+		d.push(i)
+	}
 }
 
 // removeAt deletes items[i], maintaining the heap and the dense items
 // slice.
 func (d *TimeDecayReservoir) removeAt(i int) {
 	// Remove from the heap by swapping with the last heap slot.
-	hp := d.items[i].heapPos
+	hp := d.st.Items[i].heapPos
 	last := len(d.heap) - 1
 	d.swapHeap(hp, last)
 	d.heap = d.heap[:last]
 	if hp < last {
 		d.siftDown(d.siftUp(hp))
 	}
-	delete(d.byIdx, d.items[i].p.Index)
+	delete(d.byIdx, d.st.Items[i].P.Index)
 	// Remove from items by swapping with the last item.
-	lastItem := len(d.items) - 1
+	lastItem := len(d.st.Items) - 1
 	if i != lastItem {
-		d.items[i] = d.items[lastItem]
-		d.heap[d.items[i].heapPos] = i
-		d.byIdx[d.items[i].p.Index] = i
+		d.st.Items[i] = d.st.Items[lastItem]
+		d.heap[d.st.Items[i].heapPos] = i
+		d.byIdx[d.st.Items[i].P.Index] = i
 	}
-	d.items = d.items[:lastItem]
+	d.st.Items = d.st.Items[:lastItem]
 }
 
 func (d *TimeDecayReservoir) swapHeap(a, b int) {
 	d.heap[a], d.heap[b] = d.heap[b], d.heap[a]
-	d.items[d.heap[a]].heapPos = a
-	d.items[d.heap[b]].heapPos = b
+	d.st.Items[d.heap[a]].heapPos = a
+	d.st.Items[d.heap[b]].heapPos = b
 }
 
 // siftUp restores the heap upward from position i and returns the final
@@ -159,7 +173,7 @@ func (d *TimeDecayReservoir) swapHeap(a, b int) {
 func (d *TimeDecayReservoir) siftUp(i int) int {
 	for i > 0 {
 		parent := (i - 1) / 2
-		if d.items[d.heap[parent]].expiry <= d.items[d.heap[i]].expiry {
+		if d.st.Items[d.heap[parent]].Expiry <= d.st.Items[d.heap[i]].Expiry {
 			break
 		}
 		d.swapHeap(i, parent)
@@ -173,10 +187,10 @@ func (d *TimeDecayReservoir) siftDown(i int) {
 	for {
 		left, right := 2*i+1, 2*i+2
 		smallest := i
-		if left < n && d.items[d.heap[left]].expiry < d.items[d.heap[smallest]].expiry {
+		if left < n && d.st.Items[d.heap[left]].Expiry < d.st.Items[d.heap[smallest]].Expiry {
 			smallest = left
 		}
-		if right < n && d.items[d.heap[right]].expiry < d.items[d.heap[smallest]].expiry {
+		if right < n && d.st.Items[d.heap[right]].Expiry < d.st.Items[d.heap[smallest]].Expiry {
 			smallest = right
 		}
 		if smallest == i {
@@ -196,9 +210,9 @@ type TimedPoint struct {
 // Residents returns the reservoir contents together with their timestamps,
 // for time-horizon estimation (see query semantics in docs/THEORY.md §7).
 func (d *TimeDecayReservoir) Residents() []TimedPoint {
-	out := make([]TimedPoint, len(d.items))
-	for i := range d.items {
-		out[i] = TimedPoint{P: d.items[i].p, TS: d.items[i].ts}
+	out := make([]TimedPoint, len(d.st.Items))
+	for i := range d.st.Items {
+		out[i] = TimedPoint{P: d.st.Items[i].P, TS: d.st.Items[i].TS}
 	}
 	return out
 }
@@ -206,9 +220,9 @@ func (d *TimeDecayReservoir) Residents() []TimedPoint {
 // Points implements Sampler. The slice is rebuilt on each call; use Sample
 // for a stable copy.
 func (d *TimeDecayReservoir) Points() []stream.Point {
-	out := make([]stream.Point, len(d.items))
-	for i := range d.items {
-		out[i] = d.items[i].p
+	out := make([]stream.Point, len(d.st.Items))
+	for i := range d.st.Items {
+		out[i] = d.st.Items[i].P
 	}
 	return out
 }
@@ -217,22 +231,25 @@ func (d *TimeDecayReservoir) Points() []stream.Point {
 func (d *TimeDecayReservoir) Sample() []stream.Point { return d.Points() }
 
 // Len implements Sampler.
-func (d *TimeDecayReservoir) Len() int { return len(d.items) }
+func (d *TimeDecayReservoir) Len() int { return len(d.st.Items) }
 
 // Capacity implements Sampler.
-func (d *TimeDecayReservoir) Capacity() int { return d.capacity }
+func (d *TimeDecayReservoir) Capacity() int { return d.st.Capacity }
 
 // Processed implements Sampler.
-func (d *TimeDecayReservoir) Processed() uint64 { return d.t }
+func (d *TimeDecayReservoir) Processed() uint64 { return d.st.T }
 
 // Version implements VersionedSampler.
 func (d *TimeDecayReservoir) Version() uint64 { return d.ver }
 
 // Now returns the reservoir's clock (the largest timestamp seen).
-func (d *TimeDecayReservoir) Now() float64 { return d.now }
+func (d *TimeDecayReservoir) Now() float64 { return d.st.Now }
+
+// Lambda returns the decay rate λ per unit time.
+func (d *TimeDecayReservoir) Lambda() float64 { return d.st.Lambda }
 
 // PIn returns the current admission probability.
-func (d *TimeDecayReservoir) PIn() float64 { return d.pin }
+func (d *TimeDecayReservoir) PIn() float64 { return d.st.PIn }
 
 // InclusionProb implements Sampler for *resident* points: the probability
 // that the resident with arrival index r is present is
@@ -244,7 +261,7 @@ func (d *TimeDecayReservoir) InclusionProb(r uint64) float64 {
 	if !ok {
 		return 0
 	}
-	p := d.pin * math.Exp(-d.lambda*(d.now-d.items[i].ts))
+	p := d.st.PIn * math.Exp(-d.st.Lambda*(d.st.Now-d.st.Items[i].TS))
 	if p > 1 {
 		return 1
 	}

@@ -30,23 +30,31 @@ import (
 // exceed it). Lazy expiry via a min-heap keyed on the death time makes
 // arrivals O(log n) worst case and O(1+p·log n) expected.
 type TTBSReservoir struct {
-	lambda float64
-	q      float64 // per-arrival death probability 1 - e^{-λ}
-	p      float64 // admission probability n·q
-	target int
-	t      uint64
-	rng    *xrand.Source
-	// admitted counts points that passed the Bernoulli(p) filter.
-	admitted uint64
-	ver      uint64
+	st  ttbsState
+	rng *xrand.Source
+	ver uint64
 
-	items []ttbsItem // live residents, unordered
-	heap  []int      // indices into items, min-heap by expiry
+	// Derived from st by derive: q and p are pure functions of λ and the
+	// target, and the heap indexes st.Items.
+	q    float64 // per-arrival death probability 1 - e^{-λ}
+	p    float64 // admission probability n·q
+	heap []int   // indices into st.Items, min-heap by expiry
 }
 
-type ttbsItem struct {
-	p       stream.Point
-	expiry  uint64 // last arrival index at which the item is still present
+// ttbsState is what a TTBSReservoir persists.
+type ttbsState struct {
+	Lambda float64
+	Target int
+	T      uint64
+	// Admitted counts points that passed the Bernoulli(p) filter.
+	Admitted uint64
+	Items    []ttbsItemState // live residents, unordered
+	RNG      []byte
+}
+
+type ttbsItemState struct {
+	P       stream.Point
+	Expiry  uint64 // last arrival index at which the item is still present
 	heapPos int
 }
 
@@ -71,23 +79,32 @@ func NewTTBSReservoir(lambda float64, target int, rng *xrand.Source) (*TTBSReser
 	if rng == nil {
 		return nil, fmt.Errorf("core: T-TBS needs a random source")
 	}
-	q := -math.Expm1(-lambda) // 1 - e^{-λ}, stable for small λ
-	p := float64(target) * q
-	if p > 1+1e-12 {
+	s := &TTBSReservoir{st: ttbsState{Lambda: lambda, Target: target}, rng: rng}
+	s.derive()
+	if p := float64(target) * s.q; p > 1+1e-12 {
 		return nil, fmt.Errorf(
 			"core: T-TBS target %d exceeds the maximum 1/(1-e^{-λ}) = %.4g; admission probability n·q = %.4g > 1",
-			target, 1/q, p)
+			target, 1/s.q, p)
 	}
-	if p > 1 {
-		p = 1
+	return s, nil
+}
+
+// derive recomputes what the sampler keeps beside its persisted state: q
+// and p from λ and the target, and the expiry heap over st.Items in their
+// stored order.
+func (s *TTBSReservoir) derive() {
+	s.q = -math.Expm1(-s.st.Lambda) // 1 - e^{-λ}, stable for small λ
+	s.p = math.Min(float64(s.st.Target)*s.q, 1)
+	s.heap = s.heap[:0]
+	for i := range s.st.Items {
+		s.push(i)
 	}
-	return &TTBSReservoir{lambda: lambda, q: q, p: p, target: target, rng: rng}, nil
 }
 
 // Add implements Sampler.
 func (s *TTBSReservoir) Add(p stream.Point) {
 	s.ver++
-	s.t++
+	s.st.T++
 	s.expire()
 	if s.p < 1 && !s.rng.Bernoulli(s.p) {
 		return
@@ -99,9 +116,10 @@ func (s *TTBSReservoir) Add(p stream.Point) {
 // geometric lifetime: the item survives exactly G further arrivals where
 // P[G ≥ k] = e^{-λk}.
 func (s *TTBSReservoir) admit(p stream.Point) {
-	s.admitted++
+	s.st.Admitted++
 	life := s.rng.Geometric(s.q)
-	s.insert(ttbsItem{p: own(p), expiry: s.t + uint64(life)})
+	s.st.Items = append(s.st.Items, ttbsItemState{P: own(p), Expiry: s.st.T + uint64(life)})
+	s.push(len(s.st.Items) - 1)
 }
 
 // AddBatch implements BatchSampler: distributionally identical to Add-ing
@@ -112,7 +130,7 @@ func (s *TTBSReservoir) admit(p stream.Point) {
 func (s *TTBSReservoir) AddBatch(pts []stream.Point) {
 	n := len(pts)
 	s.ver++
-	base := s.t
+	base := s.st.T
 	for i := 0; i < n; i++ {
 		if s.p < 1 {
 			skip := s.rng.Geometric(s.p)
@@ -121,11 +139,11 @@ func (s *TTBSReservoir) AddBatch(pts []stream.Point) {
 			}
 			i += skip
 		}
-		s.t = base + uint64(i) + 1
+		s.st.T = base + uint64(i) + 1
 		s.expire()
 		s.admit(pts[i])
 	}
-	s.t = base + uint64(n)
+	s.st.T = base + uint64(n)
 	s.expire()
 }
 
@@ -133,18 +151,16 @@ func (s *TTBSReservoir) AddBatch(pts []stream.Point) {
 func (s *TTBSReservoir) expire() {
 	for len(s.heap) > 0 {
 		top := s.heap[0]
-		if s.items[top].expiry >= s.t {
+		if s.st.Items[top].Expiry >= s.st.T {
 			return
 		}
 		s.removeAt(top)
 	}
 }
 
-// insert appends an item and pushes it onto the expiry heap.
-func (s *TTBSReservoir) insert(it ttbsItem) {
-	s.items = append(s.items, it)
-	i := len(s.items) - 1
-	s.items[i].heapPos = len(s.heap)
+// push adds st.Items[i] to the expiry heap.
+func (s *TTBSReservoir) push(i int) {
+	s.st.Items[i].heapPos = len(s.heap)
 	s.heap = append(s.heap, i)
 	s.siftUp(len(s.heap) - 1)
 }
@@ -152,25 +168,25 @@ func (s *TTBSReservoir) insert(it ttbsItem) {
 // removeAt deletes items[i], maintaining the heap and the dense items
 // slice.
 func (s *TTBSReservoir) removeAt(i int) {
-	hp := s.items[i].heapPos
+	hp := s.st.Items[i].heapPos
 	last := len(s.heap) - 1
 	s.swapHeap(hp, last)
 	s.heap = s.heap[:last]
 	if hp < last {
 		s.siftDown(s.siftUp(hp))
 	}
-	lastItem := len(s.items) - 1
+	lastItem := len(s.st.Items) - 1
 	if i != lastItem {
-		s.items[i] = s.items[lastItem]
-		s.heap[s.items[i].heapPos] = i
+		s.st.Items[i] = s.st.Items[lastItem]
+		s.heap[s.st.Items[i].heapPos] = i
 	}
-	s.items = s.items[:lastItem]
+	s.st.Items = s.st.Items[:lastItem]
 }
 
 func (s *TTBSReservoir) swapHeap(a, b int) {
 	s.heap[a], s.heap[b] = s.heap[b], s.heap[a]
-	s.items[s.heap[a]].heapPos = a
-	s.items[s.heap[b]].heapPos = b
+	s.st.Items[s.heap[a]].heapPos = a
+	s.st.Items[s.heap[b]].heapPos = b
 }
 
 // heapLess orders heap slots by (expiry, arrival index). Integer expiries
@@ -179,11 +195,11 @@ func (s *TTBSReservoir) swapHeap(a, b int) {
 // (whose heap is rebuilt in serialization order) resume identically to the
 // uninterrupted run.
 func (s *TTBSReservoir) heapLess(a, b int) bool {
-	ia, ib := &s.items[s.heap[a]], &s.items[s.heap[b]]
-	if ia.expiry != ib.expiry {
-		return ia.expiry < ib.expiry
+	ia, ib := &s.st.Items[s.heap[a]], &s.st.Items[s.heap[b]]
+	if ia.Expiry != ib.Expiry {
+		return ia.Expiry < ib.Expiry
 	}
-	return ia.p.Index < ib.p.Index
+	return ia.P.Index < ib.P.Index
 }
 
 // siftUp restores the heap upward from position i and returns the final
@@ -222,9 +238,9 @@ func (s *TTBSReservoir) siftDown(i int) {
 // Points implements Sampler. The slice is rebuilt on each call; use Sample
 // for a stable copy.
 func (s *TTBSReservoir) Points() []stream.Point {
-	out := make([]stream.Point, len(s.items))
-	for i := range s.items {
-		out[i] = s.items[i].p
+	out := make([]stream.Point, len(s.st.Items))
+	for i := range s.st.Items {
+		out[i] = s.st.Items[i].P
 	}
 	return out
 }
@@ -233,38 +249,38 @@ func (s *TTBSReservoir) Points() []stream.Point {
 func (s *TTBSReservoir) Sample() []stream.Point { return s.Points() }
 
 // Len implements Sampler.
-func (s *TTBSReservoir) Len() int { return len(s.items) }
+func (s *TTBSReservoir) Len() int { return len(s.st.Items) }
 
 // Capacity implements Sampler. T-TBS has no hard size bound; the reported
 // capacity is the target size n the sample size fluctuates around.
-func (s *TTBSReservoir) Capacity() int { return s.target }
+func (s *TTBSReservoir) Capacity() int { return s.st.Target }
 
 // Processed implements Sampler.
-func (s *TTBSReservoir) Processed() uint64 { return s.t }
+func (s *TTBSReservoir) Processed() uint64 { return s.st.T }
 
 // Version implements VersionedSampler.
 func (s *TTBSReservoir) Version() uint64 { return s.ver }
 
 // Admitted returns the number of points that passed the admission filter.
-func (s *TTBSReservoir) Admitted() uint64 { return s.admitted }
+func (s *TTBSReservoir) Admitted() uint64 { return s.st.Admitted }
 
 // Lambda returns the decay rate λ the sampler realizes.
-func (s *TTBSReservoir) Lambda() float64 { return s.lambda }
+func (s *TTBSReservoir) Lambda() float64 { return s.st.Lambda }
 
 // PIn returns the admission probability p = n·(1-e^{-λ}).
 func (s *TTBSReservoir) PIn() float64 { return s.p }
 
 // Target returns the target sample size n.
-func (s *TTBSReservoir) Target() int { return s.target }
+func (s *TTBSReservoir) Target() int { return s.st.Target }
 
 // InclusionProb implements Sampler. Unlike Theorems 2.2/3.1 this closed
 // form is exact: admission and survival are independent Bernoulli/geometric
 // draws, so p(r,t) = p·e^{-λ(t-r)} with no approximation.
 func (s *TTBSReservoir) InclusionProb(r uint64) float64 {
-	if r == 0 || r > s.t {
+	if r == 0 || r > s.st.T {
 		return 0
 	}
-	return s.p * math.Exp(-s.lambda*float64(s.t-r))
+	return s.p * math.Exp(-s.st.Lambda*float64(s.st.T-r))
 }
 
 // CompactBelow implements Compactor: residents with p·e^{-λ(t-r)} < floor
@@ -274,8 +290,8 @@ func (s *TTBSReservoir) CompactBelow(floor float64) int {
 		return 0
 	}
 	removed := 0
-	for i := 0; i < len(s.items); {
-		if s.InclusionProb(s.items[i].p.Index) < floor {
+	for i := 0; i < len(s.st.Items); {
+		if s.InclusionProb(s.st.Items[i].P.Index) < floor {
 			s.removeAt(i)
 			removed++
 		} else {

@@ -178,16 +178,16 @@ func TestTTBSAddBatchDistribution(t *testing.T) {
 func TestTTBSExpiry(t *testing.T) {
 	s := newTTBS(t, 0.05, 20, 3)
 	feed(s, 5000)
-	for _, it := range s.items {
-		if it.expiry < s.t {
-			t.Fatalf("resident %d expired at %d but clock is %d", it.p.Index, it.expiry, s.t)
+	for _, it := range s.st.Items {
+		if it.Expiry < s.st.T {
+			t.Fatalf("resident %d expired at %d but clock is %d", it.P.Index, it.Expiry, s.st.T)
 		}
 	}
 	// P[survive 2000 arrivals] = e^{-100}; none of the first 3000 points
 	// should remain.
 	for _, p := range s.Points() {
 		if p.Index <= 3000 {
-			t.Fatalf("point %d survived %d arrivals at λ=0.05", p.Index, s.t-p.Index)
+			t.Fatalf("point %d survived %d arrivals at λ=0.05", p.Index, s.st.T-p.Index)
 		}
 	}
 }

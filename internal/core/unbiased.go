@@ -14,11 +14,17 @@ import (
 // Property 2.1: after t arrivals every stream point is present with
 // probability n/t.
 type UnbiasedReservoir struct {
-	capacity int
-	pts      []stream.Point
-	t        uint64
-	rng      *xrand.Source
-	ver      uint64
+	st  unbiasedState
+	rng *xrand.Source
+	ver uint64
+}
+
+// unbiasedState is what an UnbiasedReservoir persists.
+type unbiasedState struct {
+	Capacity int
+	T        uint64
+	Pts      []stream.Point
+	RNG      []byte
 }
 
 var _ Sampler = (*UnbiasedReservoir)(nil)
@@ -33,50 +39,49 @@ func NewUnbiasedReservoir(capacity int, rng *xrand.Source) (*UnbiasedReservoir, 
 		return nil, fmt.Errorf("core: unbiased reservoir needs a random source")
 	}
 	return &UnbiasedReservoir{
-		capacity: capacity,
-		pts:      make([]stream.Point, 0, capacity),
-		rng:      rng,
+		st:  unbiasedState{Capacity: capacity, Pts: make([]stream.Point, 0, capacity)},
+		rng: rng,
 	}, nil
 }
 
 // Add implements Sampler.
 func (u *UnbiasedReservoir) Add(p stream.Point) {
 	u.ver++
-	u.t++
-	if len(u.pts) < u.capacity {
-		u.pts = append(u.pts, own(p))
+	u.st.T++
+	if len(u.st.Pts) < u.st.Capacity {
+		u.st.Pts = append(u.st.Pts, own(p))
 		return
 	}
 	// Replace a random resident with probability capacity/t.
-	if u.rng.Float64()*float64(u.t) < float64(u.capacity) {
-		u.pts[u.rng.Intn(u.capacity)] = own(p)
+	if u.rng.Float64()*float64(u.st.T) < float64(u.st.Capacity) {
+		u.st.Pts[u.rng.Intn(u.st.Capacity)] = own(p)
 	}
 }
 
 // Points implements Sampler.
-func (u *UnbiasedReservoir) Points() []stream.Point { return u.pts }
+func (u *UnbiasedReservoir) Points() []stream.Point { return u.st.Pts }
 
 // Sample implements Sampler.
-func (u *UnbiasedReservoir) Sample() []stream.Point { return copyPoints(u.pts) }
+func (u *UnbiasedReservoir) Sample() []stream.Point { return copyPoints(u.st.Pts) }
 
 // Len implements Sampler.
-func (u *UnbiasedReservoir) Len() int { return len(u.pts) }
+func (u *UnbiasedReservoir) Len() int { return len(u.st.Pts) }
 
 // Capacity implements Sampler.
-func (u *UnbiasedReservoir) Capacity() int { return u.capacity }
+func (u *UnbiasedReservoir) Capacity() int { return u.st.Capacity }
 
 // Processed implements Sampler.
-func (u *UnbiasedReservoir) Processed() uint64 { return u.t }
+func (u *UnbiasedReservoir) Processed() uint64 { return u.st.T }
 
 // Version implements VersionedSampler.
 func (u *UnbiasedReservoir) Version() uint64 { return u.ver }
 
 // InclusionProb implements Sampler: Property 2.1, p(r,t) = min(1, n/t).
 func (u *UnbiasedReservoir) InclusionProb(r uint64) float64 {
-	if r == 0 || r > u.t || u.t == 0 {
+	if r == 0 || r > u.st.T || u.st.T == 0 {
 		return 0
 	}
-	p := float64(u.capacity) / float64(u.t)
+	p := float64(u.st.Capacity) / float64(u.st.T)
 	if p > 1 {
 		return 1
 	}

@@ -24,17 +24,24 @@ import (
 // point is ejected per phase, so the reservoir stays full up to one slot at
 // all times — the property Figure 1 demonstrates.
 type VariableReservoir struct {
-	lambda    float64
-	nmax      int
-	pin       float64
-	targetPin float64
-	reduce    float64
-	pts       []stream.Point
-	t         uint64
-	admitted  uint64
-	rng       *xrand.Source
-	phases    int
-	ver       uint64
+	st  variableState
+	rng *xrand.Source
+	ver uint64
+}
+
+// variableState is what a VariableReservoir persists; like every family's
+// state, its gob encoding is the snapshot body.
+type variableState struct {
+	Lambda    float64
+	Nmax      int
+	PIn       float64
+	TargetPIn float64
+	Reduce    float64
+	T         uint64
+	Admitted  uint64
+	Phases    int
+	Pts       []stream.Point
+	RNG       []byte
 }
 
 var _ Sampler = (*VariableReservoir)(nil)
@@ -52,7 +59,7 @@ func WithReductionFactor(f float64) VariableOption {
 		if !(f > 0) || f >= 1 || math.IsNaN(f) {
 			return fmt.Errorf("core: reduction factor must be in (0,1), got %v", f)
 		}
-		v.reduce = f
+		v.st.Reduce = f
 		return nil
 	}
 }
@@ -80,17 +87,15 @@ func NewVariableReservoir(lambda float64, nmax int, rng *xrand.Source, opts ...V
 		return nil, fmt.Errorf("core: variable reservoir needs a random source")
 	}
 	v := &VariableReservoir{
-		lambda:    lambda,
-		nmax:      nmax,
-		pin:       1,
-		targetPin: target,
-		reduce:    1 - 1/float64(nmax),
-		pts:       make([]stream.Point, 0, nmax),
-		rng:       rng,
+		st: variableState{
+			Lambda: lambda, Nmax: nmax, PIn: 1, TargetPIn: target,
+			Reduce: 1 - 1/float64(nmax), Pts: make([]stream.Point, 0, nmax),
+		},
+		rng: rng,
 	}
 	if nmax == 1 {
 		// 1 - 1/nmax would be 0; fall back to halving.
-		v.reduce = 0.5
+		v.st.Reduce = 0.5
 	}
 	for _, opt := range opts {
 		if err := opt(v); err != nil {
@@ -102,13 +107,13 @@ func NewVariableReservoir(lambda float64, nmax int, rng *xrand.Source, opts ...V
 
 // Add implements Sampler. The physical slice never exceeds nmax slots:
 // when an insertion would overflow the budget, the reduction phase runs
-// *first* to free space, so cap(v.pts) stays exactly nmax for the
+// *first* to free space, so cap(v.st.Pts) stays exactly nmax for the
 // sampler's whole lifetime (no transient nmax+1 state, no reallocation
 // past the stated budget).
 func (v *VariableReservoir) Add(p stream.Point) {
 	v.ver++
-	v.t++
-	if v.pin < 1 && !v.rng.Bernoulli(v.pin) {
+	v.st.T++
+	if v.st.PIn < 1 && !v.rng.Bernoulli(v.st.PIn) {
 		return
 	}
 	v.admit(p)
@@ -125,10 +130,10 @@ func (v *VariableReservoir) Add(p stream.Point) {
 func (v *VariableReservoir) AddBatch(pts []stream.Point) {
 	n := len(pts)
 	v.ver++
-	v.t += uint64(n)
+	v.st.T += uint64(n)
 	for i := 0; i < n; i++ {
-		if v.pin < 1 {
-			skip := v.rng.Geometric(v.pin)
+		if v.st.PIn < 1 {
+			skip := v.rng.Geometric(v.st.PIn)
 			if skip >= n-i {
 				return
 			}
@@ -142,17 +147,17 @@ func (v *VariableReservoir) AddBatch(pts []stream.Point) {
 // Section 3 replacement policy against the fictitious reservoir, with a
 // reduction phase when the physical budget would overflow.
 func (v *VariableReservoir) admit(p stream.Point) {
-	v.admitted++
+	v.st.Admitted++
 	// F(t) is computed against the *fictitious* reservoir size p_in/λ,
 	// not the physical budget (Section 3). Once p_in has decayed to the
 	// target, the fictitious size equals nmax.
-	fictitious := v.pin / v.lambda
-	fill := float64(len(v.pts)) / fictitious
+	fictitious := v.st.PIn / v.st.Lambda
+	fill := float64(len(v.st.Pts)) / fictitious
 	if fill > 1 {
 		fill = 1
 	}
-	if v.rng.Bernoulli(fill) && len(v.pts) > 0 {
-		v.pts[v.rng.Intn(len(v.pts))] = own(p)
+	if v.rng.Bernoulli(fill) && len(v.st.Pts) > 0 {
+		v.st.Pts[v.rng.Intn(len(v.st.Pts))] = own(p)
 		return
 	}
 	// Insertion path: the space limit triggers a reduction phase before
@@ -160,19 +165,25 @@ func (v *VariableReservoir) admit(p stream.Point) {
 	// physical reservoir is allowed to be full). The incoming point
 	// participates in the ejection lottery so the phase is distributed
 	// exactly as if it had been appended first.
-	if len(v.pts) >= v.nmax && v.pin > v.targetPin {
+	if len(v.st.Pts) >= v.st.Nmax && v.st.PIn > v.st.TargetPIn {
 		if v.reducePhase() {
 			return // the incoming point itself was ejected
 		}
 	}
-	if len(v.pts) >= v.nmax {
+	if len(v.st.Pts) >= v.st.Nmax {
 		// p_in is at its target and the reservoir is full; F(t)=1 makes
 		// this branch unreachable in practice, but overwrite rather than
 		// grow if floating point ever lets it happen.
-		v.pts[v.rng.Intn(len(v.pts))] = own(p)
+		v.st.Pts[v.rng.Intn(len(v.st.Pts))] = own(p)
 		return
 	}
-	v.pts = append(v.pts, own(p))
+	if len(v.st.Pts) == cap(v.st.Pts) {
+		// Only a restore into a receiver of another budget leaves the
+		// slice short of nmax (see UnmarshalBinary): double it, never
+		// past the budget.
+		v.st.Pts = append(make([]stream.Point, 0, min(2*len(v.st.Pts)+1, v.st.Nmax)), v.st.Pts...)
+	}
+	v.st.Pts = append(v.st.Pts, own(p))
 }
 
 // reducePhase multiplies p_in by the reduction factor (clamped at the
@@ -184,16 +195,16 @@ func (v *VariableReservoir) admit(p stream.Point) {
 // ever materializing it. It reports whether the incoming point was among
 // the ejected (the caller then drops it instead of appending).
 func (v *VariableReservoir) reducePhase() (incomingEjected bool) {
-	oldPin := v.pin
-	newPin := oldPin * v.reduce
-	if newPin < v.targetPin {
-		newPin = v.targetPin
+	oldPin := v.st.PIn
+	newPin := oldPin * v.st.Reduce
+	if newPin < v.st.TargetPIn {
+		newPin = v.st.TargetPIn
 	}
-	v.pin = newPin
+	v.st.PIn = newPin
 	// Retain each point with probability newPin/oldPin: eject a uniform
 	// random subset of the complementary expected size, at least one
 	// point so the phase always frees a slot for the incoming point.
-	n := len(v.pts) + 1 // residents + incoming
+	n := len(v.st.Pts) + 1 // residents + incoming
 	frac := 1 - newPin/oldPin
 	eject := int(math.Round(frac * float64(n)))
 	if eject < 1 {
@@ -202,66 +213,66 @@ func (v *VariableReservoir) reducePhase() (incomingEjected bool) {
 	if eject > n {
 		eject = n
 	}
-	v.phases++
+	v.st.Phases++
 	if v.rng.Bernoulli(float64(eject) / float64(n)) {
 		incomingEjected = true
 		eject--
 	}
-	if eject > len(v.pts) {
-		eject = len(v.pts)
+	if eject > len(v.st.Pts) {
+		eject = len(v.st.Pts)
 	}
 	for i := 0; i < eject; i++ {
-		j := v.rng.Intn(len(v.pts))
-		last := len(v.pts) - 1
-		v.pts[j] = v.pts[last]
-		v.pts = v.pts[:last]
+		j := v.rng.Intn(len(v.st.Pts))
+		last := len(v.st.Pts) - 1
+		v.st.Pts[j] = v.st.Pts[last]
+		v.st.Pts = v.st.Pts[:last]
 	}
 	return incomingEjected
 }
 
 // Points implements Sampler.
-func (v *VariableReservoir) Points() []stream.Point { return v.pts }
+func (v *VariableReservoir) Points() []stream.Point { return v.st.Pts }
 
 // Sample implements Sampler.
-func (v *VariableReservoir) Sample() []stream.Point { return copyPoints(v.pts) }
+func (v *VariableReservoir) Sample() []stream.Point { return copyPoints(v.st.Pts) }
 
 // Len implements Sampler.
-func (v *VariableReservoir) Len() int { return len(v.pts) }
+func (v *VariableReservoir) Len() int { return len(v.st.Pts) }
 
 // Capacity implements Sampler (the true space budget n_max).
-func (v *VariableReservoir) Capacity() int { return v.nmax }
+func (v *VariableReservoir) Capacity() int { return v.st.Nmax }
 
 // Processed implements Sampler.
-func (v *VariableReservoir) Processed() uint64 { return v.t }
+func (v *VariableReservoir) Processed() uint64 { return v.st.T }
 
 // Version implements VersionedSampler.
 func (v *VariableReservoir) Version() uint64 { return v.ver }
 
 // Admitted returns how many points passed the p_in coin and were placed in
 // the reservoir (by insertion or replacement) over the sampler's lifetime.
-func (v *VariableReservoir) Admitted() uint64 { return v.admitted }
+func (v *VariableReservoir) Admitted() uint64 { return v.st.Admitted }
 
 // Lambda returns the bias rate λ.
-func (v *VariableReservoir) Lambda() float64 { return v.lambda }
+func (v *VariableReservoir) Lambda() float64 { return v.st.Lambda }
 
 // PIn returns the current insertion probability; it starts at 1 and decays
 // to n_max·λ through reduction phases.
-func (v *VariableReservoir) PIn() float64 { return v.pin }
+func (v *VariableReservoir) PIn() float64 { return v.st.PIn }
 
 // TargetPIn returns the terminal insertion probability n_max·λ.
-func (v *VariableReservoir) TargetPIn() float64 { return v.targetPin }
+func (v *VariableReservoir) TargetPIn() float64 { return v.st.TargetPIn }
 
 // Phases returns how many p_in reduction phases have run.
-func (v *VariableReservoir) Phases() int { return v.phases }
+func (v *VariableReservoir) Phases() int { return v.st.Phases }
 
 // InclusionProb implements Sampler. By Theorem 3.3 the mixed sample always
 // satisfies proportionality to the *current* p_in times the bias function:
 // p(r,t) = p_in(t)·e^{-λ(t-r)}, capped at 1.
 func (v *VariableReservoir) InclusionProb(r uint64) float64 {
-	if r == 0 || r > v.t {
+	if r == 0 || r > v.st.T {
 		return 0
 	}
-	p := v.pin * math.Exp(-v.lambda*float64(v.t-r))
+	p := v.st.PIn * math.Exp(-v.st.Lambda*float64(v.st.T-r))
 	if p > 1 {
 		return 1
 	}

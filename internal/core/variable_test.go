@@ -63,7 +63,7 @@ func TestVariableBudgetCapInvariant(t *testing.T) {
 			if v.Len() > nmax {
 				t.Fatalf("trial %d (λ=%v nmax=%d): len %d > budget at point %d", trial, lambda, nmax, v.Len(), i)
 			}
-			if c := cap(v.pts); c != nmax {
+			if c := cap(v.st.Pts); c != nmax {
 				t.Fatalf("trial %d (λ=%v nmax=%d): cap %d != nmax at point %d (reallocated past budget)", trial, lambda, nmax, c, i)
 			}
 		}
@@ -85,7 +85,7 @@ func TestVariableRestoreKeepsCapInvariant(t *testing.T) {
 	if err := restored.UnmarshalBinary(blob); err != nil {
 		t.Fatal(err)
 	}
-	if c := cap(restored.pts); c != nmax {
+	if c := cap(restored.st.Pts); c != nmax {
 		t.Fatalf("restored cap = %d, want %d", c, nmax)
 	}
 	if restored.Admitted() != v.Admitted() {
@@ -93,7 +93,7 @@ func TestVariableRestoreKeepsCapInvariant(t *testing.T) {
 	}
 	for i := 0; i < 10*nmax; i++ {
 		restored.Add(stream.Point{Index: restored.Processed() + 1, Weight: 1})
-		if c := cap(restored.pts); c != nmax {
+		if c := cap(restored.st.Pts); c != nmax {
 			t.Fatalf("cap drifted to %d after post-restore adds", c)
 		}
 	}

@@ -20,20 +20,26 @@ import (
 // chain of replacements is stored as those points arrive. Expected memory is
 // O(n) chains of O(1) expected length, independent of W.
 type WindowReservoir struct {
-	window   uint64
-	capacity int
-	slots    []windowChain
-	t        uint64
-	rng      *xrand.Source
-	ver      uint64
+	st  windowState
+	rng *xrand.Source
+	ver uint64
 }
 
-// windowChain is one slot's chain: the current sample followed by its
+// windowState is what a WindowReservoir persists.
+type windowState struct {
+	Window   uint64
+	Capacity int
+	T        uint64
+	Slots    []windowChainState
+	RNG      []byte
+}
+
+// windowChainState is one slot's chain: the current sample followed by its
 // already-materialized future replacements, and the arrival index at which
 // the next link will be captured.
-type windowChain struct {
-	chain []stream.Point // chain[0] is the slot's current sample
-	next  uint64         // arrival index of the next link to capture (0 = none pending)
+type windowChainState struct {
+	Chain []stream.Point // Chain[0] is the slot's current sample
+	Next  uint64         // arrival index of the next link to capture (0 = none pending)
 }
 
 var _ Sampler = (*WindowReservoir)(nil)
@@ -51,37 +57,35 @@ func NewWindowReservoir(window uint64, capacity int, rng *xrand.Source) (*Window
 		return nil, fmt.Errorf("core: window reservoir needs a random source")
 	}
 	return &WindowReservoir{
-		window:   window,
-		capacity: capacity,
-		slots:    make([]windowChain, capacity),
-		rng:      rng,
+		st:  windowState{Window: window, Capacity: capacity, Slots: make([]windowChainState, capacity)},
+		rng: rng,
 	}, nil
 }
 
 // Add implements Sampler.
 func (w *WindowReservoir) Add(p stream.Point) {
 	w.ver++
-	w.t++
-	m := w.t
-	if m > w.window {
-		m = w.window
+	w.st.T++
+	m := w.st.T
+	if m > w.st.Window {
+		m = w.st.Window
 	}
 	// Slots that capture p share one owned copy of its values.
 	owned := false
-	for i := range w.slots {
-		s := &w.slots[i]
+	for i := range w.st.Slots {
+		s := &w.st.Slots[i]
 		// Expire the head while it has fallen out of the window and a
 		// replacement is available.
-		for len(s.chain) > 1 && w.t-s.chain[0].Index >= w.window {
-			s.chain = s.chain[1:]
+		for len(s.Chain) > 1 && w.st.T-s.Chain[0].Index >= w.st.Window {
+			s.Chain = s.Chain[1:]
 		}
 		// Capture a pending chain link.
-		if s.next != 0 && s.next == w.t {
+		if s.Next != 0 && s.Next == w.st.T {
 			if !owned {
 				p, owned = own(p), true
 			}
-			s.chain = append(s.chain, p)
-			s.next = w.scheduleNext(p.Index)
+			s.Chain = append(s.Chain, p)
+			s.Next = w.scheduleNext(p.Index)
 		}
 		// Fresh sample with probability 1/min(t, W): the new point
 		// replaces the whole chain.
@@ -89,29 +93,29 @@ func (w *WindowReservoir) Add(p stream.Point) {
 			if !owned {
 				p, owned = own(p), true
 			}
-			s.chain = append(s.chain[:0], p)
-			s.next = w.scheduleNext(p.Index)
+			s.Chain = append(s.Chain[:0], p)
+			s.Next = w.scheduleNext(p.Index)
 		}
 	}
 }
 
 // scheduleNext draws the replacement index uniformly from (r, r+W].
 func (w *WindowReservoir) scheduleNext(r uint64) uint64 {
-	return r + 1 + w.rng.Uint64n(w.window)
+	return r + 1 + w.rng.Uint64n(w.st.Window)
 }
 
 // Points implements Sampler: the current (in-window) sample of each slot.
 // Slots whose sample has expired without a materialized replacement are
 // omitted, so Len can be briefly below Capacity.
 func (w *WindowReservoir) Points() []stream.Point {
-	out := make([]stream.Point, 0, len(w.slots))
-	for i := range w.slots {
-		s := &w.slots[i]
-		if len(s.chain) == 0 {
+	out := make([]stream.Point, 0, len(w.st.Slots))
+	for i := range w.st.Slots {
+		s := &w.st.Slots[i]
+		if len(s.Chain) == 0 {
 			continue
 		}
-		head := s.chain[0]
-		if w.t-head.Index >= w.window {
+		head := s.Chain[0]
+		if w.st.T-head.Index >= w.st.Window {
 			continue
 		}
 		out = append(out, head)
@@ -126,12 +130,12 @@ func (w *WindowReservoir) Sample() []stream.Point { return w.Points() }
 // than materializing the Points slice.
 func (w *WindowReservoir) Len() int {
 	n := 0
-	for i := range w.slots {
-		s := &w.slots[i]
-		if len(s.chain) == 0 {
+	for i := range w.st.Slots {
+		s := &w.st.Slots[i]
+		if len(s.Chain) == 0 {
 			continue
 		}
-		if w.t-s.chain[0].Index >= w.window {
+		if w.st.T-s.Chain[0].Index >= w.st.Window {
 			continue
 		}
 		n++
@@ -140,16 +144,16 @@ func (w *WindowReservoir) Len() int {
 }
 
 // Capacity implements Sampler.
-func (w *WindowReservoir) Capacity() int { return w.capacity }
+func (w *WindowReservoir) Capacity() int { return w.st.Capacity }
 
 // Processed implements Sampler.
-func (w *WindowReservoir) Processed() uint64 { return w.t }
+func (w *WindowReservoir) Processed() uint64 { return w.st.T }
 
 // Version implements VersionedSampler.
 func (w *WindowReservoir) Version() uint64 { return w.ver }
 
 // Window returns the window length W.
-func (w *WindowReservoir) Window() uint64 { return w.window }
+func (w *WindowReservoir) Window() uint64 { return w.st.Window }
 
 // InclusionProb implements Sampler. Each slot holds a uniform sample of the
 // last min(t, W) points, so a point inside the window is present in any
@@ -158,15 +162,15 @@ func (w *WindowReservoir) Window() uint64 { return w.window }
 // per-slot marginal — the quantity the Horvitz-Thompson estimator needs
 // when it sums over slot contents.)
 func (w *WindowReservoir) InclusionProb(r uint64) float64 {
-	if r == 0 || r > w.t {
+	if r == 0 || r > w.st.T {
 		return 0
 	}
-	if w.t-r >= w.window {
+	if w.st.T-r >= w.st.Window {
 		return 0
 	}
-	m := w.t
-	if m > w.window {
-		m = w.window
+	m := w.st.T
+	if m > w.st.Window {
+		m = w.st.Window
 	}
 	return 1 / float64(m)
 }

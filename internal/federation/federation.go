@@ -41,6 +41,7 @@ import (
 	"log/slog"
 	"maps"
 	"net/http"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -716,7 +717,12 @@ func (co *Coordinator) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, map[string]any{"status": "ready", "peers_healthy": healthy})
 }
 
-// readyErr reports why the coordinator is not ready, or nil.
+// readyErr reports why the coordinator is not ready, or nil. It walks the
+// layout reads walk, over every managed stream and every stream hinted on
+// a peer (shard replicas belong to their managed stream): a shard is
+// served when one of its replicas is healthy and its hint may hold the
+// shard. A managed stream needs every shard served, a stream created on
+// the nodes directly one.
 func (co *Coordinator) readyErr() error {
 	if co.closing.Load() {
 		return errors.New("shutting down")
@@ -724,39 +730,34 @@ func (co *Coordinator) readyErr() error {
 	if !co.swept.Load() {
 		return errors.New("first health sweep pending")
 	}
-	healthy := co.healthyPeers()
-	if len(healthy) == 0 {
+	if len(co.healthyPeers()) == 0 {
 		return errors.New("no healthy peers")
 	}
-	reachable := func(stream string) bool {
-		for _, p := range healthy {
-			if p.mayHold(stream) {
-				return true
-			}
-		}
-		return false
+	names := map[string]bool{}
+	for name := range co.fedList() {
+		names[name] = true
 	}
-	// Every stream hinted anywhere must be reachable through some healthy
-	// peer; a stream held only by down nodes would answer 404/503.
-	seen := map[string]bool{}
 	for _, p := range co.peerList() {
 		p.mu.Lock()
 		for name := range p.streams {
-			seen[name] = true
+			if _, _, shard := parseShardStream(name); !shard {
+				names[name] = true
+			}
 		}
 		p.mu.Unlock()
 	}
-	for name := range seen {
-		if !reachable(name) {
-			return fmt.Errorf("stream %q has no reachable replica", name)
-		}
-	}
-	// Every shard of every managed stream, even before a sweep hints it.
-	for name, fs := range co.fedList() {
-		for shard := 0; shard < fs.shards; shard++ {
-			if !reachable(shardStream(name, shard)) {
-				return fmt.Errorf("stream %q shard %d has no reachable replica", name, shard)
+	for name := range names {
+		_, managed := co.lookupFed(name)
+		served := 0
+		for _, ref := range co.layout(name) {
+			if slices.ContainsFunc(ref.replicas, func(p *peer) bool { return p.isHealthy() && p.mayHold(ref.stream) }) {
+				served++
+			} else if managed {
+				return fmt.Errorf("stream %q shard %s has no reachable replica", name, ref.stream)
 			}
+		}
+		if served == 0 {
+			return fmt.Errorf("stream %q has no reachable replica", name)
 		}
 	}
 	return nil

@@ -157,8 +157,10 @@ func (co *Coordinator) handleStreamCreate(w http.ResponseWriter, r *http.Request
 
 	// Create every shard replica; a shard whose every replica refused
 	// fails the create. An existing shard stream (409) counts as created —
-	// PUT converges.
+	// PUT converges. When every replica of a failed shard refused with a
+	// 4xx, the request itself is bad: answer 400 with a node's reason.
 	var failed []string
+	refusal := ""
 	for shard := 0; shard < shards; shard++ {
 		outs := fanOut(r.Context(), co, co.placement(name, shard, replicas),
 			func(ctx context.Context, p *peer) (struct{}, error) {
@@ -169,15 +171,26 @@ func (co *Coordinator) handleStreamCreate(w http.ResponseWriter, r *http.Request
 				}
 				return struct{}{}, err
 			})
-		created := 0
+		created, refused, reason := 0, 0, ""
 		for _, o := range outs {
-			if o.err == nil && !o.notFound {
+			var apiErr *client.APIError
+			switch {
+			case o.err == nil && !o.notFound:
 				created++
+			case errors.As(o.err, &apiErr) && apiErr.StatusCode/100 == 4:
+				refused, reason = refused+1, apiErr.Message
 			}
 		}
 		if created == 0 {
 			failed = append(failed, shardStream(name, shard))
+			if refused == len(outs) {
+				refusal = reason
+			}
 		}
+	}
+	if refusal != "" {
+		httpError(w, http.StatusBadRequest, "%s", refusal)
+		return
 	}
 	if len(failed) > 0 {
 		httpError(w, http.StatusBadGateway,

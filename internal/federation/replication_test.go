@@ -1,12 +1,14 @@
 package federation
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 	"net/http"
+	"slices"
 	"strings"
 	"testing"
 
@@ -530,6 +532,64 @@ func TestReadyzTracksStreamReachability(t *testing.T) {
 		t.Fatal("readyz stayed 200 while closing")
 	}
 	co.closing.Store(false)
+}
+
+// TestCreateRefusedByNodes: a config every replica refuses with a 4xx is
+// a bad request, so the coordinator answers 400 with the node's reason,
+// not 502 "no replica accepted shards".
+func TestCreateRefusedByNodes(t *testing.T) {
+	nodes := startNodes(t, 2)
+	_, fed := startCoordinator(t, nodes, testCfg())
+	bogus := managedCfg(2, 2)
+	bogus.Policy = "bogus"
+	flat := managedCfg(2, 2)
+	flat.Tiers = 3
+	for _, c := range []struct {
+		req    createStreamRequest
+		reason string
+	}{
+		{bogus, `unknown policy "bogus"`},
+		{flat, `policy "unbiased" does not support tiers`},
+	} {
+		status, body := fedDo(t, http.MethodPut, fed.URL+"/streams/x", c.req)
+		if msg, _ := body["error"].(string); status != http.StatusBadRequest || !strings.Contains(msg, c.reason) {
+			t.Fatalf("create %+v: status %d body %v, want 400 naming %q", c.req, status, body, c.reason)
+		}
+	}
+	if status, _ := fedGet(t, fed.URL+"/streams/x/query?type=count&h=0"); status != http.StatusNotFound {
+		t.Fatalf("refused stream answers %d, want 404", status)
+	}
+}
+
+// TestReadyzFollowsReadLayout: readiness asks the shard placement reads
+// ask. A peer that joins and outranks a shard's holder takes the shard's
+// reads before any data lands on it, so the stream answers 404, and
+// /readyz must answer 503 rather than 200 off the old holder's hint.
+func TestReadyzFollowsReadLayout(t *testing.T) {
+	nodes := startNodes(t, 2)
+	key := shardKey("s", 0)
+	slices.SortFunc(nodes, func(a, b *node) int { return cmp.Compare(hrwScore(key, a.ts.URL), hrwScore(key, b.ts.URL)) })
+	holder, joiner := nodes[0], nodes[1]
+	co, fed := startCoordinator(t, []*node{holder}, testCfg())
+	if status, body := fedDo(t, http.MethodPut, fed.URL+"/streams/s", managedCfg(1, 1)); status != http.StatusCreated {
+		t.Fatalf("create: status %d body %v", status, body)
+	}
+	co.Sweep(context.Background())
+	if status, body := fedGet(t, fed.URL+"/readyz"); status != http.StatusOK {
+		t.Fatalf("readyz %d before the join: %v", status, body)
+	}
+
+	if status, body := fedDo(t, http.MethodPost, fed.URL+"/peers", map[string]string{"addr": joiner.ts.URL}); status != http.StatusCreated {
+		t.Fatalf("add peer: status %d body %v", status, body)
+	}
+	co.Sweep(context.Background())
+	co.Sweep(context.Background())
+	if status, body := fedGet(t, fed.URL+"/streams/s/query?type=count&h=0"); status != http.StatusNotFound {
+		t.Fatalf("query after the join: status %d body %v, want 404", status, body)
+	}
+	if status, body := fedGet(t, fed.URL+"/readyz"); status != http.StatusServiceUnavailable {
+		t.Fatalf("readyz %d while reads of s answer 404: %v", status, body)
+	}
 }
 
 // TestFederatedIngestKeepsWideLabels: the coordinator forwards ingest to

@@ -485,27 +485,8 @@ func (s *Server) lookup(name string) (*managedStream, bool) {
 	return ms, ok
 }
 
-// CreateRequest is the body of PUT /streams/{name}: core.SamplerConfig
-// field for field, plus JSON names, so install converts it directly.
-type CreateRequest struct {
-	// Policy is one of "variable" (default), "biased", "constrained",
-	// "unbiased", "window", "timedecay", "ttbs", "rtbs".
-	Policy string `json:"policy"`
-	// Lambda is the bias rate (biased policies).
-	Lambda float64 `json:"lambda"`
-	// Capacity is the reservoir budget; 0 derives ⌊1/λ⌋ for "biased".
-	Capacity int `json:"capacity"`
-	// Window is the window length for the "window" policy.
-	Window uint64 `json:"window"`
-	// Tiers, when > 1, turns the stream into a multi-horizon ladder: tier
-	// i runs the stream's policy at λ/TierRatio^i, so horizon-carrying
-	// queries can be routed to the tier covering them. Policies "variable",
-	// "biased", "constrained" and "timedecay" support tiers; Capacity is
-	// the per-tier budget.
-	Tiers int `json:"tiers"`
-	// TierRatio is the geometric spacing between tier λs (default 8).
-	TierRatio float64 `json:"tier_ratio"`
-}
+// CreateRequest is the body of PUT /streams/{name}.
+type CreateRequest = core.SamplerConfig
 
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
@@ -541,7 +522,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 // it durable as checkpoint seq, starts its ingest lane and registers it
 // under name. On failure it returns the HTTP status to answer with.
 func (s *Server) install(name string, req CreateRequest, from *durable.Recovered, seq uint64) (*managedStream, int, error) {
-	fresh, err := core.SamplerFactory(core.SamplerConfig(req))
+	fresh, err := core.SamplerFactory(req)
 	if err != nil {
 		return nil, http.StatusBadRequest, err
 	}
@@ -915,8 +896,9 @@ func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 // newSampler builds a scratch sampler from fresh on the next split of the
 // server's seed source and, when from is non-nil, restores it from from's
 // snapshot. Create, recovery, transfer and restore all build their
-// sampler here, so a snapshot that does not restore never reaches a live
-// stream.
+// sampler here, so a snapshot that does not restore — or that runs
+// another capacity, λ or window than the stream's configuration — never
+// reaches a live stream.
 func (s *Server) newSampler(fresh func(*xrand.Source) (core.PersistentSampler, error), from *durable.Checkpoint) (core.PersistentSampler, error) {
 	s.mu.Lock()
 	rng := s.seeds.Split()
@@ -926,11 +908,33 @@ func (s *Server) newSampler(fresh func(*xrand.Source) (core.PersistentSampler, e
 		return nil, fmt.Errorf("creating sampler: %w", err)
 	}
 	if from != nil {
+		want := shapeOf(sampler)
 		if err := sampler.UnmarshalBinary(from.Snapshot); err != nil {
 			return nil, fmt.Errorf("restoring snapshot: %w", err)
 		}
+		if got := shapeOf(sampler); got != want {
+			return nil, fmt.Errorf("snapshot runs %+v, the stream is configured for %+v", got, want)
+		}
 	}
 	return sampler, nil
+}
+
+// samplerShape is the part of a stream's configuration a sampler reports.
+type samplerShape struct {
+	Capacity int
+	Lambda   float64
+	Window   uint64
+}
+
+func shapeOf(s core.Sampler) samplerShape {
+	sh := samplerShape{Capacity: s.Capacity()}
+	if l, ok := s.(interface{ Lambda() float64 }); ok {
+		sh.Lambda = l.Lambda()
+	}
+	if w, ok := s.(interface{ Window() uint64 }); ok {
+		sh.Window = w.Window()
+	}
+	return sh
 }
 
 // pointsDim derives the stream dimensionality from restored reservoir

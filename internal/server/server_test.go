@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"encoding/gob"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -11,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"biasedres/internal/stream"
 	"biasedres/internal/xrand"
 )
 
@@ -317,6 +319,72 @@ func TestSnapshotRestoreOverHTTP(t *testing.T) {
 	resp, _ = do(t, http.MethodPost, ts.URL+"/streams/s/restore", []byte("junk"))
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("garbage restore: status %d", resp.StatusCode)
+	}
+}
+
+// A restore must be a checkpoint of the stream's own configuration: one of
+// another capacity or λ used to answer 200 and leave the stream reporting
+// a config its sampler does not run. A variable snapshot re-encoded with a
+// 2^38-point budget used to kill the process on decode.
+func TestRestoreRefusesOtherConfig(t *testing.T) {
+	ts := newTestServer(t)
+	createStream(t, ts.URL, "src", CreateRequest{Policy: "variable", Lambda: 0.02, Capacity: 40})
+	createStream(t, ts.URL, "dst", CreateRequest{Policy: "variable", Lambda: 0.05, Capacity: 10})
+	batch := make([]IngestPoint, 300)
+	for i := range batch {
+		batch[i] = IngestPoint{Values: []float64{float64(i)}}
+	}
+	ingest(t, ts.URL, "src", batch)
+	ingest(t, ts.URL, "dst", batch)
+	snapshot := func(name string) []byte {
+		resp, body := do(t, http.MethodGet, ts.URL+"/streams/"+name+"/snapshot", nil)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("snapshot %s: status %d", name, resp.StatusCode)
+		}
+		return body["raw"].([]byte)
+	}
+	// withBudget re-encodes a variable snapshot with another n_max and λ;
+	// gob matches fields by name, so a mirror of the state struct will do.
+	withBudget := func(blob []byte, nmax int, lambda float64) []byte {
+		var st struct {
+			Lambda                 float64
+			Nmax                   int
+			PIn, TargetPIn, Reduce float64
+			T, Admitted            uint64
+			Phases                 int
+			Pts                    []stream.Point
+			RNG                    []byte
+		}
+		if err := gob.NewDecoder(bytes.NewReader(blob[1:])).Decode(&st); err != nil {
+			t.Fatal(err)
+		}
+		st.Nmax, st.Lambda = nmax, lambda
+		var buf bytes.Buffer
+		buf.WriteByte(blob[0])
+		if err := gob.NewEncoder(&buf).Encode(st); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	own := snapshot("dst")
+	for _, c := range []struct {
+		name string
+		blob []byte
+	}{
+		{"other config", snapshot("src")},
+		{"budget 2^38", withBudget(own, 1<<38, 0.05)},
+		{"budget 2^38 at a tiny λ", withBudget(own, 1<<38, 1e-13)},
+	} {
+		if resp, body := do(t, http.MethodPost, ts.URL+"/streams/dst/restore", c.blob); resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: restore answered %d %v, want 400", c.name, resp.StatusCode, body)
+		}
+	}
+	resp, body := do(t, http.MethodGet, ts.URL+"/streams/dst", nil)
+	if resp.StatusCode != http.StatusOK || body["capacity"].(float64) != 10 || body["lambda"].(float64) != 0.05 {
+		t.Fatalf("dst after refused restores: status %d %v", resp.StatusCode, body)
+	}
+	if resp, body := do(t, http.MethodPost, ts.URL+"/streams/dst/restore", own); resp.StatusCode != http.StatusOK {
+		t.Fatalf("own snapshot: restore answered %d %v", resp.StatusCode, body)
 	}
 }
 
