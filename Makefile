@@ -92,10 +92,10 @@ bench-smoke:
 bench-e2e-smoke:
 	cd cmd/benche2e && $(GO) vet ./... && $(GO) test ./...
 
-# fuzz-smoke runs the wire-frame, journal, checkpoint, sampler snapshot
-# and JSON ingest decoder fuzzers and the wire and HTTP ingest admission
-# fuzzers briefly: long enough to exercise the mutation engine over the
-# checked-in corpora and seeds, short enough for CI.
+# fuzz-smoke runs the wire-frame, journal, checkpoint, sampler snapshot,
+# JSON ingest and /accum body decoder fuzzers and the wire and HTTP ingest
+# admission fuzzers briefly: long enough to exercise the mutation engine
+# over the checked-in corpora and seeds, short enough for CI.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeFrame -fuzztime 10s ./internal/wire
 	$(GO) test -run '^$$' -fuzz FuzzDecodeJournal -fuzztime 10s ./internal/durable
@@ -104,6 +104,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeIngest -fuzztime 10s ./internal/wire
 	$(GO) test -run '^$$' -fuzz FuzzDecodeIngest -fuzztime 10s ./internal/server
 	$(GO) test -run '^$$' -fuzz FuzzIngestFrame -fuzztime 10s ./internal/server
+	$(GO) test -run '^$$' -fuzz FuzzDecodeAccum -fuzztime 10s ./internal/query
 
 # test-durable runs the durability suite under the race detector: the
 # crash/fault-injection property tests, the server recovery tests, and the

@@ -315,42 +315,26 @@ func (c *Client) Average(name string, h uint64) ([]float64, error) {
 // ClassDistribution estimates the label mix of the last h arrivals.
 func (c *Client) ClassDistribution(name string, h uint64) (map[int]float64, error) {
 	var out struct {
-		Distribution map[string]float64 `json:"distribution"`
+		Distribution map[int]float64 `json:"distribution"`
 	}
 	params := url.Values{"type": {"classdist"}, "h": {strconv.FormatUint(h, 10)}}
 	if err := c.do(http.MethodGet, c.queryPath(name, params), nil, &out); err != nil {
 		return nil, err
 	}
-	dist := make(map[int]float64, len(out.Distribution))
-	for k, v := range out.Distribution {
-		label, err := strconv.Atoi(k)
-		if err != nil {
-			return nil, fmt.Errorf("client: bad label %q in response", k)
-		}
-		dist[label] = v
-	}
-	return dist, nil
+	return out.Distribution, nil
 }
 
 // GroupAverage estimates each label's per-dimension mean over the last h
 // arrivals.
 func (c *Client) GroupAverage(name string, h uint64) (map[int][]float64, error) {
 	var out struct {
-		Groups map[string][]float64 `json:"groups"`
+		Groups map[int][]float64 `json:"groups"`
 	}
 	params := url.Values{"type": {"groupavg"}, "h": {strconv.FormatUint(h, 10)}}
 	if err := c.do(http.MethodGet, c.queryPath(name, params), nil, &out); err != nil {
 		return nil, err
 	}
-	groups := make(map[int][]float64, len(out.Groups))
-	for k, v := range out.Groups {
-		label, err := strconv.Atoi(k)
-		if err != nil {
-			return nil, fmt.Errorf("client: bad label %q in response", k)
-		}
-		groups[label] = v
-	}
-	return groups, nil
+	return out.Groups, nil
 }
 
 // Quantile estimates the q-quantile of one dimension over the last h
@@ -374,34 +358,16 @@ func (c *Client) Quantile(name string, h uint64, dim int, q float64) (float64, e
 // RangeBucket is one grouping interval of a Range response: Horvitz–
 // Thompson estimates of how many points arrived in [Start, End) and their
 // per-dimension sums/means, with the Lemma-4.1 variance of the count.
-type RangeBucket struct {
-	Start    uint64    `json:"start"`
-	End      uint64    `json:"end"`
-	Count    float64   `json:"count"`
-	Variance float64   `json:"variance"`
-	Sums     []float64 `json:"sums,omitempty"`
-	Mean     []float64 `json:"mean,omitempty"`
-}
+type RangeBucket = query.Bucket
 
 // RangeTier identifies the reservoir tier that served a Range call on a
 // tiered stream.
-type RangeTier struct {
-	Index   int     `json:"index"`
-	Lambda  float64 `json:"lambda"`
-	Horizon float64 `json:"horizon"`
-}
+type RangeTier = query.RangeTier
 
 // RangeResult is the GET /streams/{name}/range response: the arrival-index
 // range actually served, the auto-selected bucket width, and one bucket per
 // granularity step (empty buckets included).
-type RangeResult struct {
-	T           uint64        `json:"t"`
-	Start       uint64        `json:"start"`
-	End         uint64        `json:"end"`
-	Granularity uint64        `json:"granularity"`
-	Tier        *RangeTier    `json:"tier,omitempty"`
-	Buckets     []RangeBucket `json:"buckets"`
-}
+type RangeResult = query.RangeResult
 
 // Range fetches bucketed estimates over the arrival-index range
 // [start, end). end == 0 means "through the newest point"; maxPoints == 0
@@ -505,27 +471,19 @@ func (c *Client) AccumContext(ctx context.Context, name string, h uint64, sums b
 		params.Set("lo", lo)
 		params.Set("hi", hi)
 	}
-	var w query.AccumWire
+	var raw []byte
 	if err := c.doCtx(ctx, http.MethodGet,
-		"/streams/"+url.PathEscape(name)+"/accum?"+params.Encode(), nil, &w); err != nil {
+		"/streams/"+url.PathEscape(name)+"/accum?"+params.Encode(), nil, &raw); err != nil {
 		return nil, err
 	}
-	return w.Accum()
+	return query.DecodeAccum(raw)
 }
 
 // SamplePoint is one reservoir resident in a Sample response.
-type SamplePoint struct {
-	Index  uint64    `json:"index"`
-	Values []float64 `json:"values"`
-	Label  int       `json:"label"`
-	Prob   float64   `json:"prob"`
-}
+type SamplePoint = query.SamplePoint
 
 // Sample is the reservoir contents of one stream at position T.
-type Sample struct {
-	T      uint64        `json:"t"`
-	Points []SamplePoint `json:"points"`
-}
+type Sample = query.Sample
 
 // SampleContext downloads the stream's current reservoir contents.
 func (c *Client) SampleContext(ctx context.Context, name string) (*Sample, error) {

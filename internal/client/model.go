@@ -3,69 +3,31 @@ package client
 import (
 	"net/http"
 	"net/url"
+
+	"biasedres/internal/models"
 )
 
 // Model management: each stream can carry one continuously retrained
 // classifier over its biased sample (see internal/models). These methods
 // mirror the /streams/{name}/model routes.
 
-// ModelConfig mirrors the service's model-attach request. Zero values take
-// the server defaults: K=1, Dim=the stream's dimensionality, ShortH=100,
+// ModelConfig is the model-attach request. Zero values take the server
+// defaults: K=1, Dim=the stream's dimensionality, ShortH=100,
 // LongH=10*ShortH, Threshold=4, CheckEvery=64, MinGap=ShortH, Window=256.
 // MaxStaleness=0 disables the forced-retrain cap.
-type ModelConfig struct {
-	K            int     `json:"k,omitempty"`
-	Dim          int     `json:"dim,omitempty"`
-	ShortH       uint64  `json:"short_h,omitempty"`
-	LongH        uint64  `json:"long_h,omitempty"`
-	Threshold    float64 `json:"threshold,omitempty"`
-	CheckEvery   uint64  `json:"check_every,omitempty"`
-	MinGap       uint64  `json:"min_gap,omitempty"`
-	MaxStaleness uint64  `json:"max_staleness,omitempty"`
-	Window       uint64  `json:"window,omitempty"`
-}
+type ModelConfig = models.Config
 
 // ModelStats is the model's state as served by GET /streams/{name}/model.
 // Accuracy is -1 before any point has been scored; WindowAcc is only
 // meaningful once WindowOK is true.
-type ModelStats struct {
-	K            int     `json:"k"`
-	Dim          int     `json:"dim"`
-	ShortH       uint64  `json:"short_h"`
-	LongH        uint64  `json:"long_h"`
-	Threshold    float64 `json:"threshold"`
-	TrainSize    int     `json:"train_size"`
-	TrainedAt    uint64  `json:"trained_at"`
-	Staleness    uint64  `json:"staleness"`
-	TrainAge     float64 `json:"train_age"`
-	Seen         uint64  `json:"seen"`
-	Scored       uint64  `json:"scored"`
-	Accuracy     float64 `json:"accuracy"`
-	WindowAcc    float64 `json:"window_accuracy"`
-	WindowOK     bool    `json:"window_ready"`
-	Checks       uint64  `json:"drift_checks"`
-	LastZ        float64 `json:"last_z"`
-	Retrains     uint64  `json:"retrains"`
-	DriftFired   uint64  `json:"drift_retrains"`
-	ForcedStale  uint64  `json:"staleness_retrains"`
-	MaxStaleness uint64  `json:"max_staleness"`
-}
+type ModelStats = models.Stats
 
 // ConfusionCell is one non-zero entry of a model's confusion matrix.
-type ConfusionCell struct {
-	True      int    `json:"true"`
-	Predicted int    `json:"predicted"`
-	Count     uint64 `json:"count"`
-}
+type ConfusionCell = models.ConfusionCell
 
 // ModelEval is the full evaluation served by GET /streams/{name}/model/eval.
 // MacroF1 is -1 before any scored point.
-type ModelEval struct {
-	Stats     ModelStats      `json:"stats"`
-	MacroF1   float64         `json:"macro_f1"`
-	Labels    []int           `json:"labels"`
-	Confusion []ConfusionCell `json:"confusion"`
-}
+type ModelEval = models.Eval
 
 func modelPath(name string) string {
 	return "/streams/" + url.PathEscape(name) + "/model"

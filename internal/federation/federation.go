@@ -10,7 +10,7 @@
 // shard streams the union's estimate is the sum of the shards' estimates
 // — and the Lemma 4.1 variance sums the same way. The coordinator
 // therefore never merges final floats: it gathers each shard's fused
-// accumulator (GET /streams/{name}/accum, see internal/query's AccumWire)
+// accumulator (GET /streams/{name}/accum, see internal/query's Accum)
 // and sums term by term, deriving count/average/classdist/groupavg/
 // selectivity from the merged accumulator exactly as a single node would
 // from its own.
@@ -618,38 +618,31 @@ func (co *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, resp)
 }
 
-// fedSamplePoint is one reservoir point in a federated sample, tagged
-// with the peer it came from.
-type fedSamplePoint struct {
-	Index  uint64    `json:"index"`
-	Values []float64 `json:"values"`
-	Label  int       `json:"label"`
-	Prob   float64   `json:"prob"`
-	Origin string    `json:"origin"`
-}
-
 func (co *Coordinator) handleSample(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	reads := gatherShards(r.Context(), co, "sample", co.layout(name),
-		func(s *client.Sample) uint64 { return s.T },
-		func(ctx context.Context, p *peer, stream string) (*client.Sample, error) {
+		func(s *query.Sample) uint64 { return s.T },
+		func(ctx context.Context, p *peer, stream string) (*query.Sample, error) {
 			return p.c.SampleContext(ctx, stream)
 		})
 	resp, ok := shardStatus(co, w, name, reads)
 	if !ok {
 		return
 	}
+	// Each point is tagged with the replica it came from.
+	type originPoint struct {
+		query.SamplePoint
+		Origin string `json:"origin"`
+	}
 	var maxT uint64
-	points := []fedSamplePoint{}
+	points := []originPoint{}
 	for _, rd := range reads {
 		if !rd.ok {
 			continue
 		}
 		maxT = max(maxT, rd.val.T)
 		for _, sp := range rd.val.Points {
-			points = append(points, fedSamplePoint{
-				Index: sp.Index, Values: sp.Values, Label: sp.Label, Prob: sp.Prob, Origin: rd.addr,
-			})
+			points = append(points, originPoint{sp, rd.addr})
 		}
 	}
 	resp["t"], resp["points"] = maxT, points

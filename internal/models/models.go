@@ -37,33 +37,36 @@ import (
 	"biasedres/internal/stream"
 )
 
-// Config parameterizes a managed model.
+// Config parameterizes a managed model. It is also the body of POST
+// /streams/{name}/model, where zero values take the server's defaults:
+// Dim the stream's dimensionality, ShortH 100 and LongH 10*ShortH.
 type Config struct {
 	// K is the neighbour count of the k-NN classifier (default 1, the
 	// paper's choice).
-	K int
+	K int `json:"k,omitempty"`
 	// Dim is the stream dimensionality the drift detector monitors.
-	Dim int
+	Dim int `json:"dim,omitempty"`
 	// ShortH and LongH are the drift detector's horizons in arrivals
 	// (0 < ShortH < LongH).
-	ShortH, LongH uint64
+	ShortH uint64 `json:"short_h,omitempty"`
+	LongH  uint64 `json:"long_h,omitempty"`
 	// Threshold is the drift z-score above which a retrain is triggered
 	// (default 4).
-	Threshold float64
+	Threshold float64 `json:"threshold,omitempty"`
 	// CheckEvery is the number of arrivals between drift checks (default
 	// 64). Checks read the stream's snapshot cache, so the cost of a small
 	// value is estimator work, not lock contention.
-	CheckEvery uint64
+	CheckEvery uint64 `json:"check_every,omitempty"`
 	// MinGap is the minimum number of arrivals between retrains (default
 	// ShortH): a hard debounce so a persistent drift episode does not
 	// retrain on every check.
-	MinGap uint64
+	MinGap uint64 `json:"min_gap,omitempty"`
 	// MaxStaleness forces a retrain when the training set is older than
 	// this many arrivals even without a drift signal; 0 disables the cap.
-	MaxStaleness uint64
+	MaxStaleness uint64 `json:"max_staleness,omitempty"`
 	// Window is the rolling-accuracy window length in scored points
 	// (default 256).
-	Window uint64
+	Window uint64 `json:"window,omitempty"`
 }
 
 // accuracyDropDrift is the accuracy-collapse drift criterion: a completed

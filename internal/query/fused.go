@@ -29,42 +29,47 @@ import (
 // count, the Lemma 4.1 variance of that count, and per-dimension weighted
 // value sums.
 type ClassAcc struct {
-	Count float64
-	Var   float64
-	Sums  []float64
+	Count float64   `json:"count"`
+	Var   float64   `json:"var"`
+	Sums  []float64 `json:"sums,omitempty"`
 }
 
 // Accum is everything one fused walk over a snapshot produces for a
 // recent-horizon workload. Derive final statistics with the methods
 // (Average, Distribution, GroupAverage, GroupCount, TopK, Selectivity) —
 // they only combine accumulator fields and never re-read the snapshot.
+//
+// Accum is also the body of GET /streams/{name}/accum, which DecodeAccum
+// reads, and the unit a federation coordinator merges; encoding/json
+// writes the int class labels as string object keys and refuses
+// non-integer keys when decoding.
 type Accum struct {
 	// T is the stream position of the snapshot the walk ran over.
-	T uint64
+	T uint64 `json:"t"`
 	// Horizon is the recent-horizon restriction (0 = whole stream).
-	Horizon uint64
+	Horizon uint64 `json:"horizon"`
 	// Dim is how many leading dimensions were accumulated.
-	Dim int
+	Dim int `json:"dim"`
 
 	// Count estimates the number of stream points in the horizon
 	// (Equation 8 with h(X) = 1).
-	Count float64
+	Count float64 `json:"count"`
 	// CountVar is the Horvitz–Thompson estimate of Count's variance
 	// (Lemma 4.1).
-	CountVar float64
+	CountVar float64 `json:"count_var"`
 	// Sums[d] estimates the horizon's sum over dimension d.
-	Sums []float64
+	Sums []float64 `json:"sums,omitempty"`
 	// Classes maps each label with sample mass in the horizon to its
 	// per-class accumulators.
-	Classes map[int]*ClassAcc
+	Classes map[int]*ClassAcc `json:"classes,omitempty"`
 
 	// HasRange marks a walk that was given a rect:
 	// RangeNum/RangeVar carry the range-selectivity numerator — the
 	// estimated in-horizon count inside the rect — and its Lemma 4.1
 	// variance. Zero-valued otherwise.
-	HasRange bool
-	RangeNum float64
-	RangeVar float64
+	HasRange bool    `json:"has_range,omitempty"`
+	RangeNum float64 `json:"range_num,omitempty"`
+	RangeVar float64 `json:"range_var,omitempty"`
 }
 
 // Accumulate is the fused walk: one pass over snap computing every Accum

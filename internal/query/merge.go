@@ -1,8 +1,8 @@
 package query
 
 import (
+	"encoding/json"
 	"fmt"
-	"strconv"
 )
 
 // This file is the cross-shard half of the query engine: the fused
@@ -93,85 +93,21 @@ func addPadded(dst, src []float64, dim int) []float64 {
 	return dst
 }
 
-// ClassAccWire is ClassAcc in wire form (JSON-safe field tags).
-type ClassAccWire struct {
-	Count float64   `json:"count"`
-	Var   float64   `json:"var"`
-	Sums  []float64 `json:"sums,omitempty"`
-}
-
-// AccumWire is the JSON form of an Accum — the payload of the server's
-// GET /streams/{name}/accum endpoint and the unit a federation
-// coordinator merges. Class labels become string keys (JSON objects
-// cannot key on ints).
-type AccumWire struct {
-	T        uint64                  `json:"t"`
-	Horizon  uint64                  `json:"horizon"`
-	Dim      int                     `json:"dim"`
-	Count    float64                 `json:"count"`
-	CountVar float64                 `json:"count_var"`
-	Sums     []float64               `json:"sums,omitempty"`
-	Classes  map[string]ClassAccWire `json:"classes,omitempty"`
-	HasRange bool                    `json:"has_range,omitempty"`
-	RangeNum float64                 `json:"range_num,omitempty"`
-	RangeVar float64                 `json:"range_var,omitempty"`
-}
-
-// Wire renders the accumulator for transport. Slices are copied, so the
-// wire form does not alias the accumulator.
-func (a *Accum) Wire() AccumWire {
-	w := AccumWire{
-		T:        a.T,
-		Horizon:  a.Horizon,
-		Dim:      a.Dim,
-		Count:    a.Count,
-		CountVar: a.CountVar,
-		HasRange: a.HasRange,
-		RangeNum: a.RangeNum,
-		RangeVar: a.RangeVar,
+// DecodeAccum decodes an /accum body, refusing one that Merge could not
+// fold in: a null class, or a sums vector, the global one or a class's,
+// whose length is not Dim. What Merge then allocates is bounded by the
+// body's own length.
+func DecodeAccum(data []byte) (*Accum, error) {
+	a := &Accum{}
+	if err := json.Unmarshal(data, a); err != nil {
+		return nil, fmt.Errorf("query: decoding accumulator: %w", err)
 	}
-	if len(a.Sums) > 0 {
-		w.Sums = append([]float64(nil), a.Sums...)
+	if len(a.Sums) != a.Dim {
+		return nil, fmt.Errorf("query: accumulator has %d sums for dim %d", len(a.Sums), a.Dim)
 	}
-	if len(a.Classes) > 0 {
-		w.Classes = make(map[string]ClassAccWire, len(a.Classes))
-		for label, ca := range a.Classes {
-			w.Classes[strconv.Itoa(label)] = ClassAccWire{
-				Count: ca.Count,
-				Var:   ca.Var,
-				Sums:  append([]float64(nil), ca.Sums...),
-			}
-		}
-	}
-	return w
-}
-
-// Accum rebuilds the accumulator from its wire form, rejecting labels that
-// do not parse as integers.
-func (w AccumWire) Accum() (*Accum, error) {
-	a := &Accum{
-		T:        w.T,
-		Horizon:  w.Horizon,
-		Dim:      w.Dim,
-		Count:    w.Count,
-		CountVar: w.CountVar,
-		HasRange: w.HasRange,
-		RangeNum: w.RangeNum,
-		RangeVar: w.RangeVar,
-		Classes:  make(map[int]*ClassAcc, len(w.Classes)),
-	}
-	if len(w.Sums) > 0 {
-		a.Sums = append([]float64(nil), w.Sums...)
-	}
-	for key, cw := range w.Classes {
-		label, err := strconv.Atoi(key)
-		if err != nil {
-			return nil, fmt.Errorf("query: bad class label %q in wire accumulator", key)
-		}
-		a.Classes[label] = &ClassAcc{
-			Count: cw.Count,
-			Var:   cw.Var,
-			Sums:  append([]float64(nil), cw.Sums...),
+	for label, ca := range a.Classes {
+		if ca == nil || len(ca.Sums) != a.Dim {
+			return nil, fmt.Errorf("query: accumulator class %d does not hold %d sums", label, a.Dim)
 		}
 	}
 	return a, nil

@@ -147,15 +147,11 @@ func TestAccumWireRoundTrip(t *testing.T) {
 	rect := Rect{Dims: []int{1}, Lo: []float64{-2}, Hi: []float64{2}}
 	orig := Accumulate(snap, 100, 2, &rect)
 
-	blob, err := json.Marshal(orig.Wire())
+	blob, err := json.Marshal(orig)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var w AccumWire
-	if err := json.Unmarshal(blob, &w); err != nil {
-		t.Fatal(err)
-	}
-	back, err := w.Accum()
+	back, err := DecodeAccum(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,8 +178,16 @@ func TestAccumWireRoundTrip(t *testing.T) {
 		}
 	}
 
-	if _, err := (AccumWire{Classes: map[string]ClassAccWire{"nope": {}}}).Accum(); err == nil {
-		t.Fatal("bad class label survived wire decoding")
+	for _, bad := range []string{
+		`{"classes":{"nope":{"count":1,"var":0}}}`,
+		`{"classes":{"1":null}}`,
+		`{"dim":2,"sums":[1]}`,
+		`{"dim":1000000000}`,
+		`{"dim":1,"sums":[1],"classes":{"1":{"count":1,"var":0}}}`,
+	} {
+		if _, err := DecodeAccum([]byte(bad)); err == nil {
+			t.Errorf("%s survived wire decoding", bad)
+		}
 	}
 }
 

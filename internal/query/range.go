@@ -18,20 +18,33 @@ import (
 // with no resident sample points report zero mass — for old intervals this
 // means "fully decayed", not "provably empty".
 type Bucket struct {
-	Start uint64    // first arrival index of the bucket, inclusive
-	End   uint64    // one past the last arrival index, exclusive
-	Count float64   // HT estimate of the number of arrivals in [Start, End)
-	Var   float64   // Lemma 4.1 variance of Count
-	Sums  []float64 // HT estimate of per-dimension value sums
+	Start    uint64    `json:"start"`          // first arrival index of the bucket, inclusive
+	End      uint64    `json:"end"`            // one past the last arrival index, exclusive
+	Count    float64   `json:"count"`          // HT estimate of the number of arrivals in [Start, End)
+	Variance float64   `json:"variance"`       // Lemma 4.1 variance of Count
+	Sums     []float64 `json:"sums,omitempty"` // HT estimate of per-dimension value sums
+	Mean     []float64 `json:"mean,omitempty"` // Sums/Count; nil without sample mass or sums
 }
 
-// Mean returns the bucket's estimated mean of dimension d, or 0 for an
-// empty bucket (no sample mass).
-func (b *Bucket) Mean(d int) float64 {
-	if b.Count <= 0 || d >= len(b.Sums) {
-		return 0
-	}
-	return b.Sums[d] / b.Count
+// RangeTier names the tier of a tiered stream that served a range read.
+// Fields are in key order, as are RangeResult's: the body is pinned byte
+// for byte (internal/federation/testdata/bodies).
+type RangeTier struct {
+	Horizon float64 `json:"horizon"`
+	Index   int     `json:"index"`
+	Lambda  float64 `json:"lambda"`
+}
+
+// RangeResult is the GET /streams/{name}/range body: the arrival-index
+// range [Start, End) served at stream position T, the bucket width chosen
+// for it, and one bucket per width step, empty buckets included.
+type RangeResult struct {
+	Buckets     []Bucket   `json:"buckets"`
+	End         uint64     `json:"end"`
+	Granularity uint64     `json:"granularity"`
+	Start       uint64     `json:"start"`
+	T           uint64     `json:"t"`
+	Tier        *RangeTier `json:"tier,omitempty"`
 }
 
 // granularitySteps is the 1-2-5 ladder of bucket widths, in arrival counts.
@@ -77,7 +90,8 @@ func GranularityFor(span uint64, maxPoints int) uint64 {
 //
 // Like Accumulate, each resident contributes weight w = 1/p(r,t) to
 // its bucket's count, (w-1)/p to the count variance (Lemma 4.1), and
-// Values[d]/p to the sums.
+// Values[d]/p to the sums. Each bucket with sample mass and sums gets its
+// per-dimension means.
 func AccumulateBuckets(snap *core.Snapshot, start, end, step uint64, dim int) ([]Bucket, error) {
 	if start == 0 {
 		return nil, fmt.Errorf("query: range start must be >= 1 (arrival indices are 1-based)")
@@ -114,9 +128,18 @@ func AccumulateBuckets(snap *core.Snapshot, start, end, step uint64, dim int) ([
 		b := &buckets[(p.Index-start)/step]
 		w := 1 / pr
 		b.Count += w
-		b.Var += (w - 1) / pr
+		b.Variance += (w - 1) / pr
 		for d := 0; d < dim && d < len(p.Values); d++ {
 			b.Sums[d] += p.Values[d] / pr
+		}
+	}
+	for i := range buckets {
+		b := &buckets[i]
+		if b.Count > 0 && len(b.Sums) > 0 {
+			b.Mean = make([]float64, len(b.Sums))
+			for d := range b.Sums {
+				b.Mean[d] = b.Sums[d] / b.Count
+			}
 		}
 	}
 	return buckets, nil

@@ -74,25 +74,25 @@ func TestAccumulateBucketsGolden(t *testing.T) {
 	}
 	// Each resident: w = 2, var term (2-1)/0.5 = 2, sum term v/0.5 = 2v.
 	want := []Bucket{
-		{Start: 1, End: 5, Count: 8, Var: 8, Sums: []float64{2 * (1 + 2 + 3 + 4)}},
-		{Start: 5, End: 9, Count: 8, Var: 8, Sums: []float64{2 * (5 + 6 + 7 + 8)}},
-		{Start: 9, End: 11, Count: 4, Var: 4, Sums: []float64{2 * (9 + 10)}},
+		{Start: 1, End: 5, Count: 8, Variance: 8, Sums: []float64{2 * (1 + 2 + 3 + 4)}},
+		{Start: 5, End: 9, Count: 8, Variance: 8, Sums: []float64{2 * (5 + 6 + 7 + 8)}},
+		{Start: 9, End: 11, Count: 4, Variance: 4, Sums: []float64{2 * (9 + 10)}},
 	}
 	for i, w := range want {
 		g := buckets[i]
 		if g.Start != w.Start || g.End != w.End {
 			t.Errorf("bucket %d bounds [%d,%d), want [%d,%d)", i, g.Start, g.End, w.Start, w.End)
 		}
-		if math.Abs(g.Count-w.Count) > 1e-12 || math.Abs(g.Var-w.Var) > 1e-12 {
-			t.Errorf("bucket %d count=%v var=%v, want %v/%v", i, g.Count, g.Var, w.Count, w.Var)
+		if math.Abs(g.Count-w.Count) > 1e-12 || math.Abs(g.Variance-w.Variance) > 1e-12 {
+			t.Errorf("bucket %d count=%v var=%v, want %v/%v", i, g.Count, g.Variance, w.Count, w.Variance)
 		}
 		if math.Abs(g.Sums[0]-w.Sums[0]) > 1e-12 {
 			t.Errorf("bucket %d sum=%v, want %v", i, g.Sums[0], w.Sums[0])
 		}
 	}
 	// Mean of the last bucket: (18+20)/4 = 9.5.
-	if m := buckets[2].Mean(0); math.Abs(m-9.5) > 1e-12 {
-		t.Errorf("Mean = %v, want 9.5", m)
+	if m := buckets[2].Mean; len(m) != 1 || math.Abs(m[0]-9.5) > 1e-12 {
+		t.Errorf("Mean = %v, want [9.5]", m)
 	}
 }
 
@@ -114,8 +114,8 @@ func TestAccumulateBucketsEmptyAndClipped(t *testing.T) {
 	if buckets[2].Count != 4 {
 		t.Errorf("bucket 2 count = %v, want 4", buckets[2].Count)
 	}
-	if buckets[0].Mean(0) != 0 {
-		t.Errorf("empty bucket mean = %v, want 0", buckets[0].Mean(0))
+	if buckets[0].Mean != nil {
+		t.Errorf("empty bucket mean = %v, want none", buckets[0].Mean)
 	}
 
 	// Clipping: [5, 7) step 10 → single bucket [5,7); resident excluded.

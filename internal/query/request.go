@@ -5,6 +5,8 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
+
+	"biasedres/internal/core"
 )
 
 // This file is the HTTP face of the query engine, shared by the daemon's
@@ -47,11 +49,11 @@ var linearTypes = map[string]linearType{
 	}},
 	"classdist": {false, func(a *Accum) (map[string]any, error) {
 		dist, err := a.Distribution()
-		return map[string]any{"distribution": stringKeys(dist)}, err
+		return map[string]any{"distribution": dist}, err
 	}},
 	"groupavg": {true, func(a *Accum) (map[string]any, error) {
 		groups, err := a.GroupAverage()
-		return map[string]any{"groups": stringKeys(groups)}, err
+		return map[string]any{"groups": groups}, err
 	}},
 	"selectivity": {false, func(a *Accum) (map[string]any, error) {
 		sel, err := a.Selectivity()
@@ -113,12 +115,31 @@ func Answer(typ string, a *Accum) (map[string]any, error) {
 	return lt.answer(a)
 }
 
-// stringKeys converts an int-keyed map to the string-keyed form JSON
-// objects need.
-func stringKeys[V any](in map[int]V) map[string]V {
-	out := make(map[string]V, len(in))
-	for k, v := range in {
-		out[strconv.Itoa(k)] = v
+// SamplePoint is one reservoir resident in a GET /streams/{name}/sample
+// body: the point and its inclusion probability p(r,t).
+type SamplePoint struct {
+	Index  uint64    `json:"index"`
+	Values []float64 `json:"values"`
+	Label  int       `json:"label"`
+	Prob   float64   `json:"prob"`
+}
+
+// Sample is the GET /streams/{name}/sample body: the reservoir at stream
+// position T. Fields are in key order: the body is pinned byte for byte
+// (internal/federation/testdata/bodies).
+type Sample struct {
+	Points []SamplePoint `json:"points"`
+	T      uint64        `json:"t"`
+}
+
+// SampleOf renders snap's residents with the probabilities the snapshot
+// materialized at capture time. Values are shared with snap, which never
+// changes.
+func SampleOf(snap *core.Snapshot) Sample {
+	out := Sample{Points: make([]SamplePoint, len(snap.Points)), T: snap.T}
+	for i := range snap.Points {
+		p := &snap.Points[i]
+		out.Points[i] = SamplePoint{Index: p.Index, Values: p.Values, Label: p.Label, Prob: snap.Probs[i]}
 	}
 	return out
 }

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"io"
 	"math"
 	"net/http"
@@ -26,13 +25,9 @@ func fetchAccum(t *testing.T, url string) *query.Accum {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("accum status %d: %s", resp.StatusCode, raw)
 	}
-	var w query.AccumWire
-	if err := json.Unmarshal(raw, &w); err != nil {
-		t.Fatalf("decoding accum %q: %v", raw, err)
-	}
-	acc, err := w.Accum()
+	acc, err := query.DecodeAccum(raw)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("decoding accum %q: %v", raw, err)
 	}
 	return acc
 }

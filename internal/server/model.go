@@ -6,6 +6,7 @@ import (
 	"biasedres/internal/models"
 	"biasedres/internal/obs"
 	"biasedres/internal/stream"
+	"biasedres/internal/wire"
 )
 
 // Model management routes: each stream can carry at most one managed model
@@ -22,22 +23,6 @@ import (
 // the synchronous handler) after the batch is applied, outside every sampler
 // lock — drift checks and retrains read the stream's snapshot cache.
 
-// ModelRequest is the body of POST /streams/{name}/model. Zero values take
-// defaults: k=1, dim=the stream's dimensionality, short_h=100,
-// long_h=10*short_h, threshold=4, check_every=64, min_gap=short_h,
-// window=256. max_staleness=0 disables the forced-retrain cap.
-type ModelRequest struct {
-	K            int     `json:"k"`
-	Dim          int     `json:"dim"`
-	ShortH       uint64  `json:"short_h"`
-	LongH        uint64  `json:"long_h"`
-	Threshold    float64 `json:"threshold"`
-	CheckEvery   uint64  `json:"check_every"`
-	MinGap       uint64  `json:"min_gap"`
-	MaxStaleness uint64  `json:"max_staleness"`
-	Window       uint64  `json:"window"`
-}
-
 func (s *Server) handleModelCreate(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	ms, ok := s.lookup(name)
@@ -45,18 +30,25 @@ func (s *Server) handleModelCreate(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "stream %q not found", name)
 		return
 	}
-	var req ModelRequest
+	var req models.Config
 	if !s.decodeBody(w, r, &req) {
 		return
 	}
-	if req.Dim == 0 {
-		ms.qmu.Lock()
-		req.Dim = ms.dim
-		ms.qmu.Unlock()
-	}
-	if req.Dim <= 0 {
+	ms.qmu.Lock()
+	streamDim := ms.dim
+	ms.qmu.Unlock()
+	switch {
+	case req.Dim == 0 && streamDim == 0:
 		httpError(w, http.StatusBadRequest,
 			"stream %q has no dimensionality yet; ingest points first or pass dim", name)
+		return
+	case req.Dim == 0:
+		req.Dim = streamDim
+	case streamDim != 0 && req.Dim != streamDim:
+		httpError(w, http.StatusBadRequest, "bad dim: %d is not the stream's dimensionality %d", req.Dim, streamDim)
+		return
+	case req.Dim < 0 || req.Dim > wire.MaxDim:
+		httpError(w, http.StatusBadRequest, "bad dim: %d outside [1, %d]", req.Dim, wire.MaxDim)
 		return
 	}
 	if req.ShortH == 0 {
@@ -65,11 +57,7 @@ func (s *Server) handleModelCreate(w http.ResponseWriter, r *http.Request) {
 	if req.LongH == 0 {
 		req.LongH = 10 * req.ShortH
 	}
-	m, err := models.New(models.Config{
-		K: req.K, Dim: req.Dim, ShortH: req.ShortH, LongH: req.LongH,
-		Threshold: req.Threshold, CheckEvery: req.CheckEvery, MinGap: req.MinGap,
-		MaxStaleness: req.MaxStaleness, Window: req.Window,
-	})
+	m, err := models.New(req)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return

@@ -6,7 +6,9 @@ import (
 	"sync"
 	"testing"
 
+	"biasedres/internal/models"
 	"biasedres/internal/stream"
+	"biasedres/internal/wire"
 )
 
 func labeledPoints(t *testing.T, gen *stream.RegimeGenerator, n int) []IngestPoint {
@@ -48,14 +50,25 @@ func TestModelLifecycle(t *testing.T) {
 		t.Fatalf("delete without model: status %d", resp.StatusCode)
 	}
 
-	// The stream has no dimensionality yet and the request carries none.
-	resp, _ = do(t, http.MethodPost, ts.URL+"/streams/s/model", ModelRequest{})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("model on dimensionless stream: status %d", resp.StatusCode)
+	// The stream has no dimensionality yet and the request carries none,
+	// or one above the largest a point may have.
+	for _, dim := range []int{0, wire.MaxDim + 1} {
+		resp, _ = do(t, http.MethodPost, ts.URL+"/streams/s/model", models.Config{Dim: dim})
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("model of dim %d on dimensionless stream: status %d", dim, resp.StatusCode)
+		}
 	}
 
 	ingest(t, ts.URL, "s", floatPoints(50, 0))
-	resp, body := do(t, http.MethodPost, ts.URL+"/streams/s/model", ModelRequest{ShortH: 50, LongH: 500})
+	// A model's dim must be the stream's: each drift check walks dim
+	// dimensions of every resident.
+	for _, dim := range []int{2, 1 << 20} {
+		resp, _ = do(t, http.MethodPost, ts.URL+"/streams/s/model", models.Config{Dim: dim, ShortH: 50, LongH: 500})
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("model of dim %d on a 1-dim stream: status %d", dim, resp.StatusCode)
+		}
+	}
+	resp, body := do(t, http.MethodPost, ts.URL+"/streams/s/model", models.Config{ShortH: 50, LongH: 500})
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("model create: status %d body %v", resp.StatusCode, body)
 	}
@@ -67,7 +80,7 @@ func TestModelLifecycle(t *testing.T) {
 	}
 
 	// Second attach conflicts.
-	resp, _ = do(t, http.MethodPost, ts.URL+"/streams/s/model", ModelRequest{ShortH: 50, LongH: 500})
+	resp, _ = do(t, http.MethodPost, ts.URL+"/streams/s/model", models.Config{ShortH: 50, LongH: 500})
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("double attach: status %d", resp.StatusCode)
 	}
@@ -113,7 +126,7 @@ func TestModelLifecycle(t *testing.T) {
 func TestModelDriftRetrainOverHTTP(t *testing.T) {
 	ts := newTestServer(t)
 	createStream(t, ts.URL, "s", CreateRequest{Policy: "ttbs", Lambda: 1e-2, Capacity: 80})
-	resp, body := do(t, http.MethodPost, ts.URL+"/streams/s/model", ModelRequest{
+	resp, body := do(t, http.MethodPost, ts.URL+"/streams/s/model", models.Config{
 		Dim: 2, ShortH: 100, LongH: 1500, Threshold: 4, CheckEvery: 50, MinGap: 200, Window: 100,
 	})
 	if resp.StatusCode != http.StatusCreated {
@@ -154,7 +167,7 @@ func TestModelConcurrentHammer(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted && resp.StatusCode != http.StatusOK {
 		t.Fatalf("seed ingest: status %d body %v", resp.StatusCode, body)
 	}
-	resp, body = do(t, http.MethodPost, ts.URL+"/streams/s/model", ModelRequest{ShortH: 50, LongH: 500, CheckEvery: 20})
+	resp, body = do(t, http.MethodPost, ts.URL+"/streams/s/model", models.Config{ShortH: 50, LongH: 500, CheckEvery: 20})
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("model create: status %d body %v", resp.StatusCode, body)
 	}
@@ -225,7 +238,7 @@ func TestModelOnTimeDecayStream(t *testing.T) {
 	ts := newTestServer(t)
 	createStream(t, ts.URL, "td", CreateRequest{Policy: "timedecay", Lambda: 0.05, Capacity: 40})
 	ingest(t, ts.URL, "td", floatPoints(30, 0))
-	resp, body := do(t, http.MethodPost, ts.URL+"/streams/td/model", ModelRequest{ShortH: 20, LongH: 200})
+	resp, body := do(t, http.MethodPost, ts.URL+"/streams/td/model", models.Config{ShortH: 20, LongH: 200})
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("model create: status %d body %v", resp.StatusCode, body)
 	}

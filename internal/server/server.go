@@ -609,16 +609,9 @@ func (s *Server) handleAccum(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "bad horizon: %v", err)
 		return
 	}
-	ms.qmu.Lock()
-	streamDim := ms.dim
-	ms.qmu.Unlock()
-	dim, err := parseUint(q.Get("dim"), uint64(streamDim))
+	dim, err := ms.sumDims(q.Get("dim"))
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "bad dim: %v", err)
-		return
-	}
-	if dim > uint64(streamDim) {
-		httpError(w, http.StatusBadRequest, "bad dim: %d exceeds the stream's dimensionality %d", dim, streamDim)
+		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	var rect *query.Rect
@@ -632,7 +625,24 @@ func (s *Server) handleAccum(w http.ResponseWriter, r *http.Request) {
 	}
 	snap, tier := ms.sm.SnapshotFor(h)
 	s.countTierQuery(r.PathValue("name"), tier)
-	writeJSON(w, query.Accumulate(snap, h, int(dim), rect).Wire())
+	writeJSON(w, query.Accumulate(snap, h, dim, rect))
+}
+
+// sumDims reads the dim parameter of /accum and /range: how many leading
+// dimensions a walk sums. It defaults to the stream's dimensionality and
+// may not exceed it, since each bucket or accumulator allocates dim sums.
+func (ms *managedStream) sumDims(param string) (int, error) {
+	ms.qmu.Lock()
+	streamDim := ms.dim
+	ms.qmu.Unlock()
+	dim, err := parseUint(param, uint64(streamDim))
+	if err != nil {
+		return 0, fmt.Errorf("bad dim: %v", err)
+	}
+	if dim > uint64(streamDim) {
+		return 0, fmt.Errorf("bad dim: %d exceeds the stream's dimensionality %d", dim, streamDim)
+	}
+	return int(dim), nil
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
@@ -751,14 +761,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, out)
 }
 
-// SamplePoint is one reservoir point in a sample response.
-type SamplePoint struct {
-	Index  uint64    `json:"index"`
-	Values []float64 `json:"values"`
-	Label  int       `json:"label"`
-	Prob   float64   `json:"prob"`
-}
-
 func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 	ms, ok := s.lookup(r.PathValue("name"))
 	if !ok {
@@ -768,13 +770,7 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 	// The snapshot's probability slice was materialized once at capture
 	// time, so the response costs no per-point InclusionProb calls and no
 	// sampler lock at all on a cache hit.
-	snap := ms.sm.AcquireSnapshot()
-	out := make([]SamplePoint, len(snap.Points))
-	for i := range snap.Points {
-		p := &snap.Points[i]
-		out[i] = SamplePoint{Index: p.Index, Values: p.Values, Label: p.Label, Prob: snap.Probs[i]}
-	}
-	writeJSON(w, map[string]any{"t": snap.T, "points": out})
+	writeJSON(w, query.SampleOf(ms.sm.AcquireSnapshot()))
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {

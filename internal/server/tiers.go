@@ -63,16 +63,6 @@ func (ms *managedStream) tierStats(tr *core.TieredReservoir) []core.TierStats {
 	return stats
 }
 
-// RangeBucket is one grouping interval in a GET /range response.
-type RangeBucket struct {
-	Start    uint64    `json:"start"`
-	End      uint64    `json:"end"`
-	Count    float64   `json:"count"`
-	Variance float64   `json:"variance"`
-	Sums     []float64 `json:"sums,omitempty"`
-	Mean     []float64 `json:"mean,omitempty"`
-}
-
 // handleRange is GET /streams/{name}/range?start=…&end=…&max_points=…:
 // bucketed Horvitz–Thompson estimates over the arrival-index range
 // [start, end). The bucket width is auto-selected from the span and the
@@ -105,12 +95,9 @@ func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "max_points must be in [1, %d]", rangeMaxPointsCap)
 		return
 	}
-	ms.qmu.Lock()
-	streamDim := ms.dim
-	ms.qmu.Unlock()
-	dim, err := parseUint(q.Get("dim"), uint64(streamDim))
+	dim, err := ms.sumDims(q.Get("dim"))
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "bad dim: %v", err)
+		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 
@@ -137,38 +124,16 @@ func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
 	s.countTierQuery(name, tier)
 
 	step := query.GranularityFor(end-start, int(maxPoints))
-	buckets, err := query.AccumulateBuckets(snap, start, end, step, int(dim))
+	buckets, err := query.AccumulateBuckets(snap, start, end, step, dim)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	out := make([]RangeBucket, len(buckets))
-	for i := range buckets {
-		b := &buckets[i]
-		rb := RangeBucket{Start: b.Start, End: b.End, Count: b.Count, Variance: b.Var, Sums: b.Sums}
-		if len(b.Sums) > 0 && b.Count > 0 {
-			rb.Mean = make([]float64, len(b.Sums))
-			for d := range b.Sums {
-				rb.Mean[d] = b.Sums[d] / b.Count
-			}
-		}
-		out[i] = rb
-	}
-	resp := map[string]any{
-		"t":           snap.T,
-		"start":       start,
-		"end":         end,
-		"granularity": step,
-		"buckets":     out,
-	}
+	out := query.RangeResult{Buckets: buckets, End: end, Granularity: step, Start: start, T: snap.T}
 	if tr := ms.sm.Tiered(); tier >= 0 && tr != nil {
-		resp["tier"] = map[string]any{
-			"index":   tier,
-			"lambda":  tr.TierLambda(tier),
-			"horizon": tr.TierHorizon(tier),
-		}
+		out.Tier = &query.RangeTier{Horizon: tr.TierHorizon(tier), Index: tier, Lambda: tr.TierLambda(tier)}
 	}
-	writeJSON(w, resp)
+	writeJSON(w, out)
 }
 
 // WithRetention enables the background retention sweep: every interval,

@@ -110,6 +110,8 @@ func TestRangeEndpoint(t *testing.T) {
 		"?start=5&end=5",
 		"?max_points=999999",
 		"?start=abc",
+		"?dim=2",       // the stream is 1-dimensional
+		"?dim=1048576", // each bucket would allocate dim sums
 	} {
 		resp, _ := do(t, http.MethodGet, ts.URL+"/streams/s/range"+bad, nil)
 		if resp.StatusCode != http.StatusBadRequest {
