@@ -107,11 +107,12 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeAccum -fuzztime 10s ./internal/query
 
 # test-durable runs the durability suite under the race detector: the
-# crash/fault-injection property tests, the server recovery tests, and the
-# SIGKILL crash-recovery smoke against the real binary.
+# crash/fault-injection property tests, the server recovery tests (the
+# golden data directory's included), and the SIGKILL crash-recovery smoke
+# against the real binary.
 test-durable:
 	$(GO) test -race -count=1 ./internal/durable/
-	$(GO) test -race -count=1 -run 'Durable|MaxBody' ./internal/server/
+	$(GO) test -race -count=1 -run 'Durable|MaxBody|Golden' ./internal/server/
 	$(GO) test -count=1 -run 'CrashRecoverySmoke' ./cmd/reservoird/
 
 # test-federation runs the multi-node scatter-gather suite (in-process

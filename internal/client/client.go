@@ -277,8 +277,13 @@ type Stats struct {
 
 // Stats fetches a stream's statistics.
 func (c *Client) Stats(name string) (*Stats, error) {
+	return c.StatsContext(context.Background(), name)
+}
+
+// StatsContext is Stats bounded by ctx.
+func (c *Client) StatsContext(ctx context.Context, name string) (*Stats, error) {
 	var out Stats
-	if err := c.do(http.MethodGet, "/streams/"+url.PathEscape(name), nil, &out); err != nil {
+	if err := c.doCtx(ctx, http.MethodGet, "/streams/"+url.PathEscape(name), nil, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil

@@ -10,7 +10,7 @@ import (
 // Synchronized wraps any Sampler with a mutex so one reservoir can be fed by
 // a producer goroutine while analytical tasks (queries, classification)
 // read consistent snapshots from others. Readers should use
-// AcquireSnapshot/Sample/Snapshot rather than Points: the unlocked view
+// AcquireSnapshot/Sample rather than Points: the unlocked view
 // would race with concurrent Adds.
 //
 // Reads go through a SnapshotCache: between mutations, AcquireSnapshot and
@@ -174,17 +174,3 @@ func (c *Synchronized) AcquireSnapshot() *Snapshot {
 
 // SnapshotStats returns the snapshot cache's hit/miss/rebuild counters.
 func (c *Synchronized) SnapshotStats() SnapshotCacheStats { return c.cache.Stats() }
-
-// Snapshot atomically captures the sample together with the stream position
-// it corresponds to and a probability function bound to that position, so
-// estimators can work on a consistent state while Adds continue. It is a
-// compatibility view over AcquireSnapshot; new code should use the
-// Snapshot struct directly.
-func (c *Synchronized) Snapshot() (pts []stream.Point, t uint64, prob func(r uint64) float64) {
-	snap := c.AcquireSnapshot()
-	probs := make(map[uint64]float64, len(snap.Points))
-	for i, p := range snap.Points {
-		probs[p.Index] = snap.Probs[i]
-	}
-	return snap.Points, snap.T, func(r uint64) float64 { return probs[r] }
-}

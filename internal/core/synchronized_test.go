@@ -46,7 +46,7 @@ func TestSynchronizedConcurrentAdds(t *testing.T) {
 		for i := 0; i < 200; i++ {
 			_ = s.Sample()
 			_ = s.Len()
-			_, _, _ = s.Snapshot()
+			_ = s.AcquireSnapshot()
 		}
 	}()
 	wg.Wait()
@@ -63,20 +63,20 @@ func TestSnapshotConsistency(t *testing.T) {
 	b, _ := NewBiasedReservoir(0.01, xrand.New(3))
 	s := NewSynchronized(b)
 	feed(s, 500)
-	pts, tt, prob := s.Snapshot()
-	if tt != 500 {
-		t.Fatalf("snapshot t = %d", tt)
+	snap := s.AcquireSnapshot()
+	if snap.T != 500 {
+		t.Fatalf("snapshot t = %d", snap.T)
 	}
-	for _, p := range pts {
-		if prob(p.Index) <= 0 {
-			t.Fatalf("snapshot probability for resident point %d is %v", p.Index, prob(p.Index))
+	for i, p := range snap.Points {
+		if snap.Probs[i] <= 0 {
+			t.Fatalf("snapshot probability for resident point %d is %v", p.Index, snap.Probs[i])
 		}
 	}
 	// Probabilities stay bound to the snapshot even after more Adds.
-	before := prob(pts[0].Index)
+	before := snap.Probs[0]
 	feed(s, 1000)
-	if prob(pts[0].Index) != before {
-		t.Fatal("snapshot probability function changed after subsequent Adds")
+	if snap.Probs[0] != before || snap.T != 500 {
+		t.Fatal("snapshot changed after subsequent Adds")
 	}
 }
 

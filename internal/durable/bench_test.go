@@ -10,14 +10,14 @@ import (
 
 // benchOps returns n ops shaped like a wire ingest batch: consecutive
 // indices, dim values each, unit weights, no timestamps.
-func benchOps(n, dim int) []v1Op {
-	ops := make([]v1Op, n)
+func benchOps(n, dim int) []testOp {
+	ops := make([]testOp, n)
 	vals := make([]float64, n*dim)
 	for i := range vals {
 		vals[i] = float64(i%97) * 0.25
 	}
 	for i := range ops {
-		ops[i] = v1Op{P: stream.Point{
+		ops[i] = testOp{P: stream.Point{
 			Index:  uint64(1000 + i),
 			Values: vals[i*dim : (i+1)*dim],
 			Label:  i % 5,
@@ -67,7 +67,7 @@ func BenchmarkJournalAppend(b *testing.B) {
 // BenchmarkDecodeJournal measures replaying a journal of one 256-op,
 // dim-10 record: header, frame check and record decode.
 func BenchmarkDecodeJournal(b *testing.B) {
-	image := journalBytes(b, 1, v1Record{Ops: benchOps(256, 10)})
+	image := journalBytes(b, 1, testRecord{Ops: benchOps(256, 10)})
 	b.SetBytes(int64(len(image)))
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -1,6 +1,7 @@
 package durable
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -16,7 +17,7 @@ import (
 // FuzzDecodeJournal to testdata/fuzz/FuzzDecodeJournal. It only runs when
 // DURABLE_GEN_CORPUS=1 so normal test runs never rewrite testdata. The
 // checked-in v1-plain was gob-encoded when the v1 types were named Record
-// and Op; a regenerated one names them v1Record and v1Op and decodes the
+// and Op; a regenerated one names them testRecord and testOp and decodes the
 // same.
 func TestGenerateJournalSeedCorpus(t *testing.T) {
 	if os.Getenv("DURABLE_GEN_CORPUS") != "1" {
@@ -59,9 +60,9 @@ func TestGenerateJournalSeedCorpus(t *testing.T) {
 
 // corpusRecords are the records of the seed corpus: a plain batch and one
 // that needs every optional column.
-func corpusRecords() (plain, mixed v1Record) {
-	plain = v1Record{Ops: benchOps(4, 2)}
-	mixed = v1Record{Ops: []v1Op{
+func corpusRecords() (plain, mixed testRecord) {
+	plain = testRecord{Ops: benchOps(4, 2)}
+	mixed = testRecord{Ops: []testOp{
 		{P: stream.Point{Index: 9, Values: []float64{1, 2, 3}, Label: math.MinInt64, Weight: math.NaN()}, TS: 4, HasTS: true},
 		{P: stream.Point{Index: 7, Label: -1, Weight: 1}, TS: 5},
 		{P: stream.Point{Index: 12, Values: []float64{math.Inf(-1)}, Label: math.MaxInt64, Weight: 0}},
@@ -69,13 +70,14 @@ func corpusRecords() (plain, mixed v1Record) {
 	return plain, mixed
 }
 
-// TestCorpusJournalsReplay: the checked-in v1 and v2 journals, written
-// before the batch layout moved into internal/wire and the v1 gob types
-// were renamed, still replay to the records they were written from.
+// TestCorpusJournalsReplay: the checked-in v2 journals, written before
+// the batch layout moved into internal/wire, still replay to the records
+// they were written from, and the v1 journal, which holds records, is
+// refused by name.
 func TestCorpusJournalsReplay(t *testing.T) {
 	plain, mixed := corpusRecords()
-	for name, want := range map[string][]v1Record{
-		"v1-plain":         {plain, mixed},
+	for name, want := range map[string][]testRecord{
+		"v1-plain":         nil,
 		"v2-plain":         {plain},
 		"v2-mixed-columns": {plain, mixed},
 	} {
@@ -90,6 +92,12 @@ func TestCorpusJournalsReplay(t *testing.T) {
 				t.Fatal(err)
 			}
 			scan, err := decodeJournal(strings.NewReader(image))
+			if want == nil {
+				if !errors.Is(err, errLegacyJournal) {
+					t.Fatalf("scan: %d records, err %v, want the BRESJRN1 refusal", len(scan.records), err)
+				}
+				return
+			}
 			if err != nil || scan.corrupt || scan.tornTail || len(scan.records) != len(want) {
 				t.Fatalf("scan: %d records, corrupt %v, torn %v, err %v", len(scan.records), scan.corrupt, scan.tornTail, err)
 			}

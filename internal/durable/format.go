@@ -11,7 +11,6 @@ import (
 	"io"
 	"slices"
 
-	"biasedres/internal/stream"
 	"biasedres/internal/wire"
 )
 
@@ -26,19 +25,22 @@ import (
 //
 // Journal file:
 //
-//	[8]  magic "BRESJRN2" ("BRESJRN1" for journals written before v2)
+//	[8]  magic "BRESJRN2"
 //	[8]  base checkpoint sequence (little-endian)
 //	then zero or more records, each:
 //	[4]  payload length (little-endian)
 //	[4]  CRC32-Castagnoli of the payload
 //	[n]  payload: one applied batch
 //
-// A v2 record payload is one applied batch in the batch layout of
+// A record payload is one applied batch in the batch layout of
 // internal/wire, the layout a wire frame carries after its stream name.
 // The store frames it and checks its length and CRC; the batch decoder
-// checks every length in it before anything is allocated. A v1 record
-// payload is gob(v1Record); v1 journals are still replayed (the magic
-// selects the decoder per file), but nothing writes them any more.
+// checks every length in it before anything is allocated.
+//
+// Journals of the previous version, magic "BRESJRN1", held gob records.
+// One with only its header, which is what a clean shutdown leaves, reads
+// as empty; one with anything after its header is refused
+// (errLegacyJournal), never replayed, quarantined or rewritten.
 //
 // A torn tail — the normal state after a crash mid-append — fails the
 // length or CRC check of the last record and replay stops there; the
@@ -59,6 +61,11 @@ var errCorrupt = errors.New("durable: corrupt file")
 
 // IsCorrupt reports whether err marks a corrupt checkpoint or journal.
 func IsCorrupt(err error) bool { return errors.Is(err, errCorrupt) }
+
+// errLegacyJournal marks a BRESJRN1 journal with bytes after its header:
+// records this version cannot replay. Recovery leaves such a stream's
+// files as they are instead of quarantining them.
+var errLegacyJournal = errors.New("durable: BRESJRN1 journal with records")
 
 // StreamMeta is the stream configuration a checkpoint carries, enough to
 // rebuild the sampler factory on recovery. It mirrors the server's create
@@ -172,36 +179,6 @@ func appendRecord(buf []byte, f *wire.Frame) ([]byte, error) {
 	return buf, nil
 }
 
-// v1Record and v1Op are the gob payload of a BRESJRN1 record: the points
-// of one applied batch, each with its optional timestamp.
-type v1Record struct {
-	Ops []v1Op
-}
-
-type v1Op struct {
-	P     stream.Point
-	TS    float64
-	HasTS bool
-}
-
-// decodeRecordV1 parses one gob payload of a BRESJRN1 journal into the
-// batch it records, every column explicit.
-func decodeRecordV1(p []byte, f *wire.Frame) error {
-	var rec v1Record
-	if err := gob.NewDecoder(bytes.NewReader(p)).Decode(&rec); err != nil {
-		return err
-	}
-	n := len(rec.Ops)
-	*f = wire.Frame{Count: n, Indices: make([]uint64, n), Labels: make([]int64, n),
-		Weights: make([]float64, n), TS: make([]float64, n), HasTS: make([]bool, n), Lens: make([]uint32, n)}
-	for i, op := range rec.Ops {
-		f.Indices[i], f.Labels[i], f.Weights[i] = op.P.Index, int64(op.P.Label), op.P.Weight
-		f.TS[i], f.HasTS[i], f.Lens[i] = op.TS, op.HasTS, uint32(len(op.P.Values))
-		f.Values = append(f.Values, op.P.Values...)
-	}
-	return nil
-}
-
 // journalScan is the result of reading one journal file: the base
 // sequence, every intact record in order, and how the file ended.
 // tornTail marks a cleanly truncated final frame — the normal disk state
@@ -216,25 +193,28 @@ type journalScan struct {
 	corrupt  bool
 }
 
-// decodeJournal reads a journal stream, v2 or v1 by its magic. A header
-// failure is corruption (the whole file is untrustworthy); record failures
-// end the scan with the valid prefix, classified as torn or corrupt.
+// decodeJournal reads a journal stream. A header failure is corruption
+// (the whole file is untrustworthy); record failures end the scan with the
+// valid prefix, classified as torn or corrupt. A BRESJRN1 journal reads
+// as empty when it holds only its header, and fails with
+// errLegacyJournal otherwise.
 func decodeJournal(r io.Reader) (journalScan, error) {
 	br := bufio.NewReader(r)
 	head := make([]byte, 16)
 	if _, err := io.ReadFull(br, head); err != nil {
 		return journalScan{}, fmt.Errorf("%w: journal header truncated: %v", errCorrupt, err)
 	}
-	var decode func([]byte, *wire.Frame) error
+	scan := journalScan{base: binary.LittleEndian.Uint64(head[8:16])}
 	switch [8]byte(head[:8]) {
 	case journalMagic:
-		decode = wire.DecodeBatch
 	case journalMagicV1:
-		decode = decodeRecordV1
+		if _, err := br.Peek(1); err == io.EOF {
+			return scan, nil
+		}
+		return journalScan{}, errLegacyJournal
 	default:
 		return journalScan{}, fmt.Errorf("%w: bad journal magic %q", errCorrupt, head[:8])
 	}
-	scan := journalScan{base: binary.LittleEndian.Uint64(head[8:16])}
 	frame := make([]byte, 8)
 	var payload []byte
 	for {
@@ -260,7 +240,7 @@ func decodeJournal(r io.Reader) (journalScan, error) {
 			return scan, nil
 		}
 		rec := new(wire.Frame)
-		if err := decode(payload, rec); err != nil {
+		if err := wire.DecodeBatch(payload, rec); err != nil {
 			scan.corrupt = true
 			return scan, nil
 		}

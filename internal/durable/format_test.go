@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"math/rand"
@@ -147,20 +148,42 @@ func TestTransferCorruptionDetected(t *testing.T) {
 }
 
 // journalFormat builds journal file images of one on-disk version: a
-// header for base seq plus one frame per record. v1 is still decoded but
-// no longer written by the store, so its encoder lives here.
+// header for base seq plus one frame per record. The store writes only
+// v2; v1 images, written before it, are refused, so their encoder lives
+// here.
 type journalFormat struct {
-	name  string
-	bytes func(t testing.TB, seq uint64, recs ...v1Record) []byte
+	name   string
+	bytes  func(t testing.TB, seq uint64, recs ...testRecord) []byte
+	legacy bool
 }
 
 var journalFormats = []journalFormat{
-	{"v1", journalBytesV1},
-	{"v2", journalBytes},
+	{"v1", journalBytesV1, true},
+	{"v2", journalBytes, false},
+}
+
+// scan decodes a journal image of format jf. A v1 image holding anything
+// past its header is refused by name whatever its state — intact, torn or
+// corrupt — and never classified torn or corrupt, which recovery would
+// act on; scan then reports false, and the v2 checks that follow do not
+// apply.
+func (jf journalFormat) scan(t *testing.T, data []byte) (journalScan, bool) {
+	t.Helper()
+	scan, err := decodeJournal(bytes.NewReader(data))
+	if jf.legacy {
+		if !errors.Is(err, errLegacyJournal) || IsCorrupt(err) {
+			t.Fatalf("%d-byte v1 image: err = %v, want the BRESJRN1 refusal", len(data), err)
+		}
+		return scan, false
+	}
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	return scan, true
 }
 
 // journalBytes builds a v2 journal file image.
-func journalBytes(t testing.TB, seq uint64, recs ...v1Record) []byte {
+func journalBytes(t testing.TB, seq uint64, recs ...testRecord) []byte {
 	t.Helper()
 	buf := encodeJournalHeader(seq)
 	for _, rec := range recs {
@@ -173,7 +196,7 @@ func journalBytes(t testing.TB, seq uint64, recs ...v1Record) []byte {
 }
 
 // journalBytesV1 builds a BRESJRN1 journal file image: gob payloads.
-func journalBytesV1(t testing.TB, seq uint64, recs ...v1Record) []byte {
+func journalBytesV1(t testing.TB, seq uint64, recs ...testRecord) []byte {
 	t.Helper()
 	buf := append(journalMagicV1[:len(journalMagicV1):len(journalMagicV1)], make([]byte, 8)...)
 	binary.LittleEndian.PutUint64(buf[8:], seq)
@@ -189,19 +212,24 @@ func journalBytesV1(t testing.TB, seq uint64, recs ...v1Record) []byte {
 	return buf
 }
 
-func opWithValue(v float64) v1Op {
-	return v1Op{P: stream.Point{Index: uint64(v), Values: []float64{v}, Label: -1, Weight: 1}}
+func opWithValue(v float64) testOp {
+	return testOp{P: stream.Point{Index: uint64(v), Values: []float64{v}, Label: -1, Weight: 1}}
 }
 
 func TestJournalRoundtrip(t *testing.T) {
-	r1 := v1Record{Ops: []v1Op{opWithValue(1), opWithValue(2)}}
-	r2 := v1Record{Ops: []v1Op{{P: stream.Point{Index: 3, Values: []float64{3}}, TS: 9.5, HasTS: true}}}
+	r1 := testRecord{Ops: []testOp{opWithValue(1), opWithValue(2)}}
+	r2 := testRecord{Ops: []testOp{{P: stream.Point{Index: 3, Values: []float64{3}}, TS: 9.5, HasTS: true}}}
 	for _, jf := range journalFormats {
 		t.Run(jf.name, func(t *testing.T) {
-			data := jf.bytes(t, 4, r1, r2)
-			scan, err := decodeJournal(bytes.NewReader(data))
-			if err != nil {
-				t.Fatalf("decode: %v", err)
+			// A journal with only its header — all a clean shutdown
+			// leaves — reads as empty in either version.
+			empty, err := decodeJournal(bytes.NewReader(jf.bytes(t, 4)))
+			if err != nil || empty.base != 4 || len(empty.records) != 0 || empty.tornTail || empty.corrupt {
+				t.Fatalf("header-only journal: scan=%+v err=%v", empty, err)
+			}
+			scan, ok := jf.scan(t, jf.bytes(t, 4, r1, r2))
+			if !ok {
+				return
 			}
 			if scan.base != 4 {
 				t.Fatalf("base = %d, want 4", scan.base)
@@ -217,8 +245,8 @@ func TestJournalRoundtrip(t *testing.T) {
 }
 
 func TestJournalTornTailIsNotCorrupt(t *testing.T) {
-	r1 := v1Record{Ops: []v1Op{opWithValue(1)}}
-	r2 := v1Record{Ops: []v1Op{opWithValue(2)}}
+	r1 := testRecord{Ops: []testOp{opWithValue(1)}}
+	r2 := testRecord{Ops: []testOp{opWithValue(2)}}
 	for _, jf := range journalFormats {
 		t.Run(jf.name, func(t *testing.T) {
 			full := jf.bytes(t, 1, r1, r2)
@@ -226,9 +254,9 @@ func TestJournalTornTailIsNotCorrupt(t *testing.T) {
 			// Every truncation point inside the second frame must classify
 			// as a torn tail with the first record intact.
 			for cut := headerAndFirst + 1; cut < len(full); cut++ {
-				scan, err := decodeJournal(bytes.NewReader(full[:cut]))
-				if err != nil {
-					t.Fatalf("cut %d: decode: %v", cut, err)
+				scan, ok := jf.scan(t, full[:cut])
+				if !ok {
+					continue
 				}
 				if !scan.tornTail {
 					t.Fatalf("cut %d: truncated frame not flagged torn", cut)
@@ -242,17 +270,17 @@ func TestJournalTornTailIsNotCorrupt(t *testing.T) {
 			}
 			// A truncation exactly at a frame boundary is indistinguishable
 			// from a cleanly ended journal.
-			scan, err := decodeJournal(bytes.NewReader(full[:headerAndFirst]))
-			if err != nil || scan.tornTail || scan.corrupt || len(scan.records) != 1 {
-				t.Fatalf("boundary cut: scan=%+v err=%v", scan, err)
+			scan, ok := jf.scan(t, full[:headerAndFirst])
+			if ok && (scan.tornTail || scan.corrupt || len(scan.records) != 1) {
+				t.Fatalf("boundary cut: scan=%+v", scan)
 			}
 		})
 	}
 }
 
 func TestJournalCorruptionClassified(t *testing.T) {
-	r1 := v1Record{Ops: []v1Op{opWithValue(1)}}
-	r2 := v1Record{Ops: []v1Op{opWithValue(2)}}
+	r1 := testRecord{Ops: []testOp{opWithValue(1)}}
+	r2 := testRecord{Ops: []testOp{opWithValue(2)}}
 	for _, jf := range journalFormats {
 		t.Run(jf.name, func(t *testing.T) {
 			data := jf.bytes(t, 1, r1, r2)
@@ -261,14 +289,9 @@ func TestJournalCorruptionClassified(t *testing.T) {
 			// mid-file.
 			flipped := append([]byte(nil), data...)
 			flipped[len(flipped)-1] ^= 0x10
-			scan, err := decodeJournal(bytes.NewReader(flipped))
-			if err != nil {
-				t.Fatalf("decode: %v", err)
-			}
-			if !scan.corrupt || scan.tornTail {
+			if scan, ok := jf.scan(t, flipped); ok && (!scan.corrupt || scan.tornTail) {
 				t.Fatalf("CRC mismatch: corrupt=%v torn=%v, want corrupt only", scan.corrupt, scan.tornTail)
-			}
-			if len(scan.records) != 1 {
+			} else if ok && len(scan.records) != 1 {
 				t.Fatalf("valid prefix lost: %d records", len(scan.records))
 			}
 
@@ -277,11 +300,7 @@ func TestJournalCorruptionClassified(t *testing.T) {
 			garbage := jf.bytes(t, 1, r1)
 			garbage = binary.LittleEndian.AppendUint32(garbage, maxRecordBytes+1)
 			garbage = binary.LittleEndian.AppendUint32(garbage, 0)
-			scan, err = decodeJournal(bytes.NewReader(garbage))
-			if err != nil {
-				t.Fatalf("decode: %v", err)
-			}
-			if !scan.corrupt {
+			if scan, ok := jf.scan(t, garbage); ok && !scan.corrupt {
 				t.Fatal("garbage length field not flagged corrupt")
 			}
 
@@ -291,9 +310,8 @@ func TestJournalCorruptionClassified(t *testing.T) {
 			bogus = binary.LittleEndian.AppendUint32(bogus, uint32(len(junk)))
 			bogus = binary.LittleEndian.AppendUint32(bogus, crc32.Checksum(junk, castagnoli))
 			bogus = append(bogus, junk...)
-			scan, err = decodeJournal(bytes.NewReader(bogus))
-			if err != nil || !scan.corrupt || scan.tornTail || len(scan.records) != 1 {
-				t.Fatalf("undecodable payload: scan=%+v err=%v, want corrupt after 1 record", scan, err)
+			if scan, ok := jf.scan(t, bogus); ok && (!scan.corrupt || scan.tornTail || len(scan.records) != 1) {
+				t.Fatalf("undecodable payload: scan=%+v, want corrupt after 1 record", scan)
 			}
 		})
 	}

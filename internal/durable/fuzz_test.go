@@ -3,6 +3,7 @@ package durable
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"math"
 	"reflect"
@@ -10,22 +11,22 @@ import (
 )
 
 // FuzzDecodeJournal drives the journal decoder with arbitrary file
-// images. The properties under test: it never panics, a v1 or v2 image
-// yields only well-formed records, every record it returns re-encodes as
-// v2 and decodes back to the same ops bit for bit, and a payload claiming
+// images. The properties under test: it never panics, it fails only on
+// corruption or the BRESJRN1 refusal, every record it returns re-encodes
+// and decodes back to the same ops bit for bit, and a payload claiming
 // more than it holds classifies as corrupt (the checked-in corpus holds
 // such claims; the decoder's length checks keep them from allocating).
 func FuzzDecodeJournal(f *testing.F) {
-	f.Add(journalBytes(f, 1, v1Record{Ops: benchOps(3, 2)}))
-	f.Add(journalBytesV1(f, 1, v1Record{Ops: benchOps(2, 1)}))
+	f.Add(journalBytes(f, 1, testRecord{Ops: benchOps(3, 2)}))
+	f.Add(journalBytesV1(f, 1, testRecord{Ops: benchOps(2, 1)}))
 	f.Add(payloadFrame(recordHeader(1<<32, 1, recSeqIndex)))
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		scan, err := decodeJournal(bytes.NewReader(data))
 		if err != nil {
-			if !IsCorrupt(err) {
-				t.Fatalf("header failure not classified corrupt: %v", err)
+			if !IsCorrupt(err) && !errors.Is(err, errLegacyJournal) {
+				t.Fatalf("failure neither corrupt nor the BRESJRN1 refusal: %v", err)
 			}
 			return
 		}

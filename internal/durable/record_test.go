@@ -16,9 +16,19 @@ import (
 	"biasedres/internal/wire"
 )
 
-// v1Op, the per-point form BRESJRN1 journals stored, is also these
-// tests' view of a batch: frameOf packs ops into a batch as the server
-// seals one, and opsOf unpacks a batch into ops.
+// testOp is one point of a batch with its optional timestamp, and
+// testRecord one batch as ops: these tests' view of a batch, and the gob
+// payload of a BRESJRN1 record. frameOf packs ops into a batch as the
+// server seals one, and opsOf unpacks a batch into ops.
+type testOp struct {
+	P     stream.Point
+	TS    float64
+	HasTS bool
+}
+
+type testRecord struct {
+	Ops []testOp
+}
 
 // Batch layout constants, pinned here so a drift in the on-disk format
 // fails these tests.
@@ -32,7 +42,7 @@ const (
 // frameOf packs ops into a batch the way the server seals one: indices as
 // the first one when they are consecutive, and the weight, timestamp and
 // value-count columns only when some op needs them.
-func frameOf(ops []v1Op) *wire.Frame {
+func frameOf(ops []testOp) *wire.Frame {
 	n := len(ops)
 	f := &wire.Frame{Count: n, Labels: make([]int64, n)}
 	idx, w, lens := make([]uint64, n), make([]float64, n), make([]uint32, n)
@@ -73,8 +83,8 @@ func decodeRecord(p []byte) (*wire.Frame, error) {
 }
 
 // opsOf unpacks a batch into ops.
-func opsOf(f *wire.Frame) []v1Op {
-	ops := make([]v1Op, f.Count)
+func opsOf(f *wire.Frame) []testOp {
+	ops := make([]testOp, f.Count)
 	for i, p := range f.Points(nil) {
 		ops[i].P = p
 		if f.TS != nil {
@@ -86,7 +96,7 @@ func opsOf(f *wire.Frame) []v1Op {
 
 // sameOps compares op slices bit for bit, so NaN weights and negative-zero
 // timestamps must survive too. nil and empty Values are the same point.
-func sameOps(a, b []v1Op) bool {
+func sameOps(a, b []testOp) bool {
 	if len(a) != len(b) {
 		return false
 	}
@@ -108,7 +118,7 @@ func sameOps(a, b []v1Op) bool {
 }
 
 // roundtrip frames ops as one v2 record, checks the frame, and decodes it.
-func roundtrip(t *testing.T, ops []v1Op) []v1Op {
+func roundtrip(t *testing.T, ops []testOp) []testOp {
 	t.Helper()
 	frame, err := appendRecord(nil, frameOf(ops))
 	if err != nil {
@@ -135,10 +145,10 @@ func pt(index uint64, label int, weight float64, values ...float64) stream.Point
 // edgeCases are batches at the edges of every column: ragged dims, empty
 // values, extreme labels, special floats, timestamps without has-ts, and
 // indices that are not, or only across the wrap, consecutive.
-func edgeCases() map[string][]v1Op {
+func edgeCases() map[string][]testOp {
 	nan, inf := math.NaN(), math.Inf(1)
 	negZero := math.Copysign(0, -1)
-	return map[string][]v1Op{
+	return map[string][]testOp{
 		"single op":   {{P: pt(1, -1, 1, 2.5)}},
 		"ragged dims": {{P: pt(1, 0, 1, 1, 2, 3)}, {P: pt(2, 0, 1)}, {P: pt(3, 0, 1, 4)}, {P: pt(4, 0, 1, 5, 6, 7, 8, 9)}},
 		"empty values": {
@@ -194,7 +204,7 @@ func TestRecordRoundtripProperty(t *testing.T) {
 		ragged, seq := r.IntN(3) == 0, r.IntN(2) == 0
 		weighted, timed := r.IntN(2) == 0, r.IntN(2) == 0
 		next := r.Uint64()
-		ops := make([]v1Op, n)
+		ops := make([]testOp, n)
 		for i := range ops {
 			op := &ops[i]
 			op.P.Index = next
@@ -257,7 +267,7 @@ func recordHeader(count uint64, dim uint32, flags byte) []byte {
 // more than the payload holds. Each must classify as corrupt, and none may
 // allocate in proportion to its claim.
 func TestDecodeRecordBounded(t *testing.T) {
-	one, err := appendRecord(nil, frameOf([]v1Op{{P: pt(1, 0, 1, 1, 2)}}))
+	one, err := appendRecord(nil, frameOf([]testOp{{P: pt(1, 0, 1, 1, 2)}}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,9 +322,9 @@ func TestJournalGolden(t *testing.T) {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	var recs []v1Record
+	var recs []testRecord
 	for _, name := range names {
-		recs = append(recs, v1Record{Ops: cases[name]})
+		recs = append(recs, testRecord{Ops: cases[name]})
 	}
 	if got := journalBytes(t, 1, recs...); !bytes.Equal(got, golden) {
 		t.Fatalf("journal bytes drifted from the golden file:\n got %x\nwant %x", got, golden)

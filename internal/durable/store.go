@@ -1,10 +1,12 @@
 package durable
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"net/url"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -39,6 +41,9 @@ type Store struct {
 
 	mu      sync.Mutex
 	streams map[string]*streamChain
+	// refused holds, by stream name, why Recover left a stream's files
+	// alone; Attach refuses the name while any of those files remain.
+	refused map[string]error
 
 	// Counters for the biasedres_durable_* metrics family.
 	checkpoints    atomic.Uint64
@@ -79,7 +84,7 @@ func Open(fs FS, dir string) (*Store, error) {
 	if err := fs.MkdirAll(dir); err != nil {
 		return nil, fmt.Errorf("durable: creating data dir %s: %w", dir, err)
 	}
-	return &Store{fs: fs, dir: dir, streams: make(map[string]*streamChain)}, nil
+	return &Store{fs: fs, dir: dir, streams: make(map[string]*streamChain), refused: make(map[string]error)}, nil
 }
 
 // Dir returns the store's data directory.
@@ -205,7 +210,12 @@ func (s *Store) openJournal(name string, seq uint64) (File, error) {
 // Attach establishes a stream's durable chain at ck.Seq: the checkpoint
 // is written first, then the journal for appends on top of it. Used when
 // a stream is created (Seq 1) and after recovery rebaselines a stream.
+// It refuses, touching nothing, a stream Recover refused while any file
+// of that stream remains: opening its journal would truncate records.
 func (s *Store) Attach(name string, ck Checkpoint) error {
+	if err := s.refusal(name); err != nil {
+		return err
+	}
 	c := s.chain(name)
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -228,6 +238,43 @@ func (s *Store) Attach(name string, ck Checkpoint) error {
 	s.checkpoints.Add(1)
 	s.prune(name, ck.Seq)
 	return nil
+}
+
+// refusal is why Recover refused stream name, or nil once it did not or
+// every file of the stream is gone.
+func (s *Store) refusal(name string) error {
+	s.mu.Lock()
+	err := s.refused[name]
+	s.mu.Unlock()
+	if err == nil {
+		return nil
+	}
+	entries, rerr := s.fs.ReadDir(s.dir)
+	if rerr != nil {
+		return err
+	}
+	for _, e := range entries {
+		if n, _, _, ok := parseFile(e); ok && n == name {
+			return err
+		}
+	}
+	s.mu.Lock()
+	delete(s.refused, name)
+	s.mu.Unlock()
+	return nil
+}
+
+// Refused lists, in stream-name order, the streams the last Recover left
+// on disk unrecovered, each error naming the file at fault and the remedy.
+func (s *Store) Refused() []error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	errs := make([]error, 0, len(s.refused))
+	for _, err := range s.refused {
+		errs = append(errs, err)
+	}
+	slices.SortFunc(errs, func(a, b error) int { return strings.Compare(a.Error(), b.Error()) })
+	return errs
 }
 
 // Append frames the applied batch f onto the stream's active journal.
@@ -456,7 +503,9 @@ type Recovered struct {
 // then every journal at or above it replayed in sequence order. Corrupt
 // or truncated files are quarantined — moved aside, counted, never fatal.
 // Streams whose every checkpoint is corrupt are dropped (their files all
-// quarantined); the error return is reserved for systemic failures
+// quarantined). A stream whose replay needs a BRESJRN1 journal with
+// records is skipped with every file left as it is, and listed by
+// Refused. The error return is reserved for systemic failures
 // (unreadable data directory).
 func (s *Store) Recover() ([]Recovered, error) {
 	entries, err := s.fs.ReadDir(s.dir)
@@ -529,24 +578,27 @@ func (s *Store) recoverStream(name string, ckpts, journals []uint64) (Recovered,
 
 	var ck Checkpoint
 	found := false
+	// Checkpoints that fail verification are quarantined only once the
+	// stream is known to recover, so a refused stream keeps every file.
+	var bad []uint64
 	for _, seq := range ckpts {
 		data, err := s.readFile(s.ckptPath(name, seq))
-		if err != nil {
-			s.quarantineSeq(name, seq, "ckpt")
+		if err == nil {
+			ck, err = DecodeCheckpoint(data)
+		}
+		if err != nil || ck.Seq != seq || ck.Meta.Name != name {
+			bad = append(bad, seq)
 			continue
 		}
-		c, err := DecodeCheckpoint(data)
-		if err != nil || c.Seq != seq || c.Meta.Name != name {
-			s.quarantineSeq(name, seq, "ckpt")
-			continue
-		}
-		ck = c
 		found = true
 		break
 	}
 	if !found {
 		// No checkpoint verified: quarantine the journals too — without a
 		// base state their records cannot be applied.
+		for _, seq := range bad {
+			s.quarantineSeq(name, seq, "ckpt")
+		}
 		for _, seq := range journals {
 			s.quarantineSeq(name, seq, "journal")
 		}
@@ -571,6 +623,13 @@ func (s *Store) recoverStream(name string, ckpts, journals []uint64) (Recovered,
 		}
 		scan, err := decodeJournal(r)
 		r.Close()
+		if errors.Is(err, errLegacyJournal) {
+			s.mu.Lock()
+			s.refused[name] = fmt.Errorf("durable: stream %q not recovered, its files left as they are: %s is a BRESJRN1 journal with records, which this version cannot replay; "+
+				"run the previous version on this data directory once more and stop it with SIGTERM, whose final checkpoint leaves only empty journals", name, s.journalPath(name, seq))
+			s.mu.Unlock()
+			return Recovered{}, false
+		}
 		if err != nil || scan.base != seq {
 			s.quarantineSeq(name, seq, "journal")
 			// Records in later journals assume this one's ops were applied;
@@ -586,6 +645,9 @@ func (s *Store) recoverStream(name string, ckpts, journals []uint64) (Recovered,
 			rec.TornTail = true
 			break
 		}
+	}
+	for _, seq := range bad {
+		s.quarantineSeq(name, seq, "ckpt")
 	}
 	return rec, true
 }

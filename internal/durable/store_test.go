@@ -31,7 +31,7 @@ func snapshotCount(t *testing.T, blob []byte) uint64 {
 // after `from`: point i carries value from+i+1. Recovery assertions
 // rebuild the applied prefix from these values.
 func makeOps(from uint64, n int) *wire.Frame {
-	ops := make([]v1Op, n)
+	ops := make([]testOp, n)
 	for i := range ops {
 		v := from + uint64(i) + 1
 		ops[i] = opWithValue(float64(v))
@@ -316,6 +316,81 @@ func TestRecoverStopsAtJournalGap(t *testing.T) {
 	})
 }
 
+// TestRecoverRefusesV1Journal: a stream whose replay needs a BRESJRN1
+// journal with records is not recovered, and none of its files moves or
+// changes, not even a corrupt checkpoint recovery would otherwise
+// quarantine; Attach refuses its name until those files are gone. A
+// stream whose BRESJRN1 journal holds only its header recovers.
+func TestRecoverRefusesV1Journal(t *testing.T) {
+	withEachFS(t, func(t *testing.T, fs testFS, dir string) {
+		for _, name := range []string{"sensor", "other"} {
+			if err := buildChain(t, fs, dir, name).Close(); err != nil {
+				t.Fatalf("Close: %v", err)
+			}
+		}
+		st, err := Open(fs, dir)
+		if err != nil {
+			t.Fatalf("reopen: %v", err)
+		}
+		fs.write(t, st.journalPath("sensor", 2), journalBytesV1(t, 2, testRecord{Ops: opsOf(makeOps(3, 2))}))
+		fs.write(t, st.ckptPath("sensor", 2), []byte("garbage"))
+		fs.write(t, st.journalPath("other", 2), journalBytesV1(t, 2))
+		sensorFiles := func() map[string]string {
+			entries, err := fs.ReadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			files := make(map[string]string)
+			for _, e := range entries {
+				if strings.HasPrefix(e, "st-sensor.") {
+					files[e] = string(fs.read(t, filepath.Join(dir, e)))
+				}
+			}
+			return files
+		}
+		before := sensorFiles()
+
+		recs, err := st.Recover()
+		if err != nil || len(recs) != 1 || recs[0].Checkpoint.Meta.Name != "other" {
+			t.Fatalf("Recover: %v, %+v, want the other stream only", err, recs)
+		}
+		if n := tailCount(t, recs[0]); n != 3 {
+			t.Fatalf("other recovered %d ops, want the checkpoint's 3", n)
+		}
+		refused := st.Refused()
+		if len(refused) != 1 || !strings.Contains(refused[0].Error(), "st-sensor.2.journal") || !strings.Contains(refused[0].Error(), "SIGTERM") {
+			t.Fatalf("Refused() = %v, want one error naming the journal and the remedy", refused)
+		}
+		if q := st.StatsNow().Quarantined; q != 0 {
+			t.Fatalf("quarantined %d files, want 0", q)
+		}
+		if err := st.Attach("sensor", Checkpoint{Seq: 1, Meta: StreamMeta{Name: "sensor"}, Snapshot: countSnapshot(0)}); err == nil {
+			t.Fatal("Attach accepted a refused stream")
+		}
+		if after := sensorFiles(); len(after) != len(before) || len(before) != 4 {
+			t.Fatalf("sensor files %d before, %d after, want 4", len(before), len(after))
+		} else {
+			for name, data := range before {
+				if after[name] != data {
+					t.Fatalf("%s changed", name)
+				}
+			}
+		}
+
+		for name := range before {
+			if err := fs.Remove(filepath.Join(dir, name)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := st.Attach("sensor", Checkpoint{Seq: 1, Meta: StreamMeta{Name: "sensor"}, Snapshot: countSnapshot(0)}); err != nil {
+			t.Fatalf("Attach once the refused files are gone: %v", err)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
 func TestPruneRetention(t *testing.T) {
 	withEachFS(t, func(t *testing.T, fs testFS, dir string) {
 		st := buildChain(t, fs, dir, "sensor")
@@ -466,13 +541,13 @@ func TestAppendConcurrent(t *testing.T) {
 			for k := 0; k < batches; k++ {
 				// Every op of a batch carries the writer and batch number,
 				// and batches differ in dim so their records differ in size.
-				ops := make([]v1Op, batchLen)
+				ops := make([]testOp, batchLen)
 				for i := range ops {
 					vals := make([]float64, 1+(w+k)%3)
 					for d := range vals {
 						vals[d] = float64(w*1000 + k)
 					}
-					ops[i] = v1Op{P: stream.Point{Index: uint64(i), Values: vals, Label: w, Weight: 1}}
+					ops[i] = testOp{P: stream.Point{Index: uint64(i), Values: vals, Label: w, Weight: 1}}
 				}
 				if err := st.Append(streams[k%2], frameOf(ops)); err != nil {
 					t.Error(err)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/url"
 	"sort"
@@ -120,7 +121,12 @@ func (co *Coordinator) drain(ctx context.Context, src *peer) drainReport {
 
 // migrateStream ships one stream off src: export its checkpoint (from
 // src, or a sibling replica when src cannot answer), install it on the
-// stream's next-ranked peer, then best-effort delete the source copy.
+// stream's next-ranked peer, then best-effort delete the source copy. A
+// destination that already holds a stream by that name — per its hint,
+// or answering 409 to the install — keeps its own copy, so src's copy is
+// deleted and the stream counted as migrated only when that copy has
+// processed at least as many points as the exported one; otherwise the
+// migration fails and src keeps its data.
 func (co *Coordinator) migrateStream(ctx context.Context, src *peer, name string) (migratedStream, error) {
 	// The placement key of a shard replica is its federated shard key, so
 	// the destination matches what placement() will answer once src is
@@ -140,7 +146,7 @@ func (co *Coordinator) migrateStream(ctx context.Context, src *peer, name string
 		return migratedStream{}, errors.New("no remaining peers to migrate to")
 	}
 
-	blob, err := co.exportTransfer(ctx, src, name)
+	blob, from, err := co.exportTransfer(ctx, src, name)
 	if err != nil {
 		return migratedStream{}, err
 	}
@@ -153,21 +159,25 @@ func (co *Coordinator) migrateStream(ctx context.Context, src *peer, name string
 		dst.mu.Lock()
 		holds := dst.hasStreams && dst.streams[name]
 		dst.mu.Unlock()
+		shipped := len(blob)
+		if !holds {
+			ictx, cancel := context.WithTimeout(ctx, co.cfg.PeerTimeout)
+			err := dst.c.InstallTransferContext(ictx, name, blob)
+			cancel()
+			var apiErr *client.APIError
+			holds = errors.As(err, &apiErr) && apiErr.StatusCode == http.StatusConflict
+			if err != nil && !holds {
+				lastErr = err
+				continue
+			}
+		}
 		if holds {
-			// A sibling replica already carries this shard — nothing to
-			// ship; the data survives src's departure as is.
-			return migratedStream{Stream: name, To: dst.addr, Bytes: 0}, nil
-		}
-		ictx, cancel := context.WithTimeout(ctx, co.cfg.PeerTimeout)
-		err := dst.c.InstallTransferContext(ictx, name, blob)
-		cancel()
-		var apiErr *client.APIError
-		if errors.As(err, &apiErr) && apiErr.StatusCode == http.StatusConflict {
-			err = nil // stale hint: the stream is already there
-		}
-		if err != nil {
-			lastErr = err
-			continue
+			// A sibling replica, or a copy a backfill created after a
+			// join: it replaces the exported one only if it is not behind.
+			if err := co.caughtUp(ctx, from, dst, name); err != nil {
+				return migratedStream{}, err
+			}
+			shipped = 0
 		}
 		// Mark the hint immediately so reads route to the new holder
 		// before the next sweep.
@@ -180,7 +190,7 @@ func (co *Coordinator) migrateStream(ctx context.Context, src *peer, name string
 		dctx, dcancel := context.WithTimeout(ctx, co.cfg.PeerTimeout)
 		_ = src.c.DeleteStreamContext(dctx, name) // best-effort source cleanup
 		dcancel()
-		return migratedStream{Stream: name, To: dst.addr, Bytes: len(blob)}, nil
+		return migratedStream{Stream: name, To: dst.addr, Bytes: shipped}, nil
 	}
 	if lastErr == nil {
 		lastErr = errors.New("no healthy destination peer")
@@ -188,16 +198,43 @@ func (co *Coordinator) migrateStream(ctx context.Context, src *peer, name string
 	return migratedStream{}, lastErr
 }
 
+// caughtUp checks that dst's copy of the stream has processed at least as
+// many points as the copy on from, the peer that served the export.
+func (co *Coordinator) caughtUp(ctx context.Context, from, dst *peer, name string) error {
+	processed := func(p *peer) (uint64, error) {
+		sctx, cancel := context.WithTimeout(ctx, co.cfg.PeerTimeout)
+		defer cancel()
+		st, err := p.c.StatsContext(sctx, name)
+		if err != nil {
+			return 0, fmt.Errorf("reading %s on %s: %w", name, p.addr, err)
+		}
+		return st.Processed, nil
+	}
+	want, err := processed(from)
+	if err != nil {
+		return err
+	}
+	have, err := processed(dst)
+	if err != nil {
+		return err
+	}
+	if have < want {
+		return fmt.Errorf("%s already holds %s with %d points processed, behind the %d of the copy on %s",
+			dst.addr, name, have, want, from.addr)
+	}
+	return nil
+}
+
 // exportTransfer fetches the stream's checkpoint bytes from src, falling
 // back to any other healthy peer holding the same stream (a replica)
 // when src cannot answer — the path that re-homes a crashed node's
-// shards.
-func (co *Coordinator) exportTransfer(ctx context.Context, src *peer, name string) ([]byte, error) {
+// shards. It returns the peer that served the bytes.
+func (co *Coordinator) exportTransfer(ctx context.Context, src *peer, name string) ([]byte, *peer, error) {
 	tctx, cancel := context.WithTimeout(ctx, co.cfg.PeerTimeout)
 	blob, err := src.c.TransferContext(tctx, name)
 	cancel()
 	if err == nil {
-		return blob, nil
+		return blob, src, nil
 	}
 	srcErr := err
 	for _, p := range co.healthyPeers() {
@@ -214,8 +251,8 @@ func (co *Coordinator) exportTransfer(ctx context.Context, src *peer, name strin
 		blob, err = p.c.TransferContext(tctx, name)
 		cancel()
 		if err == nil {
-			return blob, nil
+			return blob, p, nil
 		}
 	}
-	return nil, srcErr
+	return nil, nil, srcErr
 }

@@ -2,8 +2,10 @@ package federation
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"net/http"
+	"slices"
 	"testing"
 
 	"biasedres/internal/client"
@@ -330,5 +332,61 @@ func TestDrainFailureKeepsPeer(t *testing.T) {
 	if status, _ := fedDo(t, http.MethodPost, fed.URL+"/peers/drain",
 		map[string]string{"addr": "http://127.0.0.1:1"}); status != http.StatusNotFound {
 		t.Fatalf("drain of unknown peer: status %d, want 404", status)
+	}
+}
+
+// TestDrainKeepsSourceOverBehindCopy: after a peer joins and outranks a
+// one-replica shard's holder, the next ingest backfills an empty shard
+// stream on the joiner. Draining the old holder must not delete its 100
+// points in favour of the joiner's 10 — whether the joiner's copy is
+// known from a sweep's hint or only from its 409 to the install. The
+// drain answers 502 with the shard under failed, and the holder stays
+// registered with its data.
+func TestDrainKeepsSourceOverBehindCopy(t *testing.T) {
+	for _, sweep := range []bool{true, false} {
+		name := map[bool]string{true: "hinted", false: "conflict"}[sweep]
+		t.Run(name, func(t *testing.T) {
+			nodes := startNodes(t, 2)
+			key := shardKey("s", 0)
+			slices.SortFunc(nodes, func(a, b *node) int { return cmp.Compare(hrwScore(key, a.ts.URL), hrwScore(key, b.ts.URL)) })
+			holder, joiner := nodes[0], nodes[1]
+			co, fed := startCoordinator(t, []*node{holder}, testCfg())
+			ctx := context.Background()
+			if status, body := fedDo(t, http.MethodPut, fed.URL+"/streams/s", managedCfg(1, 1)); status != http.StatusCreated {
+				t.Fatalf("create: status %d body %v", status, body)
+			}
+			if status, body := fedDo(t, http.MethodPost, fed.URL+"/streams/s/points", map[string]any{"points": testPoints(100)}); status != http.StatusOK {
+				t.Fatalf("ingest: status %d body %v", status, body)
+			}
+			co.Sweep(ctx)
+			if status, body := fedDo(t, http.MethodPost, fed.URL+"/peers", map[string]string{"addr": joiner.ts.URL}); status != http.StatusCreated {
+				t.Fatalf("add peer: status %d body %v", status, body)
+			}
+			co.Sweep(ctx)
+			co.Sweep(ctx)
+			if status, body := fedDo(t, http.MethodPost, fed.URL+"/streams/s/points", map[string]any{"points": testPoints(10)}); status != http.StatusOK {
+				t.Fatalf("ingest after the join: status %d body %v", status, body)
+			}
+			if st, err := joiner.c.Stats("s@0"); err != nil || st.Processed != 10 {
+				t.Fatalf("joiner's backfilled shard: %+v, %v, want 10 points", st, err)
+			}
+			if sweep {
+				co.Sweep(ctx)
+			}
+
+			status, body := fedDo(t, http.MethodPost, fed.URL+"/peers/drain", map[string]string{"addr": holder.ts.URL})
+			if status != http.StatusBadGateway {
+				t.Fatalf("drain: status %d body %v, want 502", status, body)
+			}
+			if failed, _ := body["failed"].(map[string]any); failed["s@0"] == nil {
+				t.Fatalf("drain report does not fail s@0: %v", body)
+			}
+			if !slices.ContainsFunc(co.peerList(), func(p *peer) bool { return p.addr == holder.ts.URL }) {
+				t.Fatal("failed drain removed the holder")
+			}
+			if st, err := holder.c.Stats("s@0"); err != nil || st.Processed != 100 {
+				t.Fatalf("holder's shard after the drain: %+v, %v, want its 100 points", st, err)
+			}
+		})
 	}
 }

@@ -394,9 +394,8 @@ func pushFailure(addr string, err error) admission {
 // peer advertises a wire listener, else over HTTP. HTTP carries a batch
 // meant for the wire only when the frame consumed nothing: no connection
 // could be dialed, or the frame was refused whole (*client.WireError), by
-// WireConn before sending or by the node: a node older than the BRW2
-// frame refuses every frame, and a node's HTTP answer drives the 404
-// backfill. After any other wire failure the frame may have been
+// WireConn before sending or by the node, whose HTTP answer then drives
+// the 404 backfill. After any other wire failure the frame may have been
 // applied, so the error is final; unless it was backpressure, the pooled
 // conn is dropped so the next push dials the peer's current address.
 func (co *Coordinator) pushReplica(ctx context.Context, p *peer, stream string, f *wire.Frame) error {

@@ -437,11 +437,11 @@ func (m *Manager) Collect() []obs.Family {
 		Help: "Current insertion probability p_in of the stream's sampler."}
 	fill := obs.Family{Name: "biasedres_multi_stream_fill_fraction", Type: "gauge",
 		Help: "Fill fraction F(t) of the stream's reservoir."}
-	snapHits := obs.Family{Name: "biasedres_snapshot_cache_hits_total", Type: "counter",
+	snapHits := obs.Family{Name: "biasedres_multi_snapshot_cache_hits_total", Type: "counter",
 		Help: "Snapshot reads served lock-free from the published snapshot."}
-	snapMisses := obs.Family{Name: "biasedres_snapshot_cache_misses_total", Type: "counter",
+	snapMisses := obs.Family{Name: "biasedres_multi_snapshot_cache_misses_total", Type: "counter",
 		Help: "Snapshot reads that found the published snapshot stale or absent."}
-	snapRebuilds := obs.Family{Name: "biasedres_snapshot_cache_rebuilds_total", Type: "counter",
+	snapRebuilds := obs.Family{Name: "biasedres_multi_snapshot_cache_rebuilds_total", Type: "counter",
 		Help: "Snapshots rebuilt under the sampler lock (at most one per mutation)."}
 	for _, st := range stats {
 		label := []obs.Label{{Key: "stream", Value: st.Name}}

@@ -31,7 +31,8 @@ import (
 //   - Startup recovery (New) loads each stream's newest verifying
 //     checkpoint, replays its journal tail, rebaselines with a fresh
 //     checkpoint, and serves. Corrupt files are quarantined by the store,
-//     never fatal.
+//     never fatal; a stream whose tail is a BRESJRN1 journal with records
+//     is left on disk, absent, and its name refused until its files go.
 //   - Close drains the ingest shards, takes a final checkpoint of every
 //     stream, and closes the journals.
 
@@ -310,11 +311,18 @@ func resume(sampler core.Sampler, from *durable.Recovered) (uint64, int, error) 
 // recoverDurable rebuilds every stream the data directory holds. Per-file
 // corruption was already quarantined by the store; per-stream semantic
 // failures (a snapshot that does not restore) quarantine the stream's
-// files and skip it. Only a systemic scan failure is returned.
+// files and skip it. A stream the store refused (a BRESJRN1 journal with
+// records) is logged at Error and stays absent. Only a systemic scan
+// failure is returned.
 func (s *Server) recoverDurable() error {
 	recs, err := s.durable.Recover()
 	if err != nil {
 		return err
+	}
+	if s.log != nil {
+		for _, err := range s.durable.Refused() {
+			s.log.Error("stream not recovered", "error", err)
+		}
 	}
 	for _, rec := range recs {
 		name := rec.Checkpoint.Meta.Name

@@ -1,14 +1,19 @@
 package server
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"os"
 	"path"
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"biasedres/internal/durable"
@@ -21,6 +26,13 @@ import (
 // recovers the directory and checks that every stream re-marshals to the
 // same bytes and answers the same queries — the guard that the checkpoint
 // format and the recovery path stay compatible with files already on disk.
+//
+// The checkpoints and manifest were written by an older binary, whose
+// journals were gob-encoded BRESJRN1 files. Those journals were converted
+// once to BRESJRN2, record for record: the same base sequence and the same
+// batches the BRESJRN1 decoder produced (explicit indices, labels, weights,
+// timestamps and per-point value counts). testdata/legacy keeps one
+// original BRESJRN1 journal for TestGoldenRefusesV1Journal.
 //
 // Gob numbers types in the order a process first encodes them, so snapshot
 // bytes are only comparable within one process: the test restores the
@@ -237,13 +249,13 @@ func loadGoldenFS(t *testing.T) *durable.MemFS {
 	return fs
 }
 
-// TestGoldenUpgradeThenCrash upgrades the golden directory, whose journals
-// are gob-encoded BRESJRN1 files, and keeps ingesting into BRESJRN2
-// journals. It then stops the process three ways: cleanly, by a crash that
+// TestGoldenUpgradeThenCrash recovers the golden directory, whose
+// checkpoints an older binary wrote, and keeps ingesting into a new
+// journal. It then stops the process three ways: cleanly, by a crash that
 // kills the final checkpoint, and by that crash plus a scribbled-over
 // newest checkpoint, which forces recovery back onto the golden checkpoint
-// and a chain of one v1 and one v2 journal. Each recovers to the same
-// counts, snapshots and answers. Pure crashes quarantine nothing.
+// and a chain of the golden journal and the new one. Each recovers to the
+// same counts, snapshots and answers. Pure crashes quarantine nothing.
 func TestGoldenUpgradeThenCrash(t *testing.T) {
 	const extra = 30 // points past the golden 210
 	run := func(t *testing.T, stop string) map[string]goldenStream {
@@ -313,5 +325,92 @@ func TestGoldenUpgradeThenCrash(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// lockedBuffer is a log sink safe for the server's concurrent writers.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// TestGoldenRefusesV1Journal: the golden directory with the "variable"
+// stream's tail journal swapped for the original BRESJRN1 one, which
+// holds records. Recovery leaves that stream out and logs an Error naming
+// the file and the remedy; a create or a transfer install of its name is
+// refused, and every file of it is byte-identical afterwards. The
+// "biased" stream's tail swapped for a header-only BRESJRN1 journal, all
+// a clean shutdown leaves, recovers from its checkpoint.
+func TestGoldenRefusesV1Journal(t *testing.T) {
+	fs := loadGoldenFS(t)
+	legacy, err := os.ReadFile(filepath.Join("testdata", "legacy", "st-variable.2.journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs.WriteFile("data/st-variable.2.journal", legacy)
+	fs.WriteFile("data/st-biased.2.journal", binary.LittleEndian.AppendUint64([]byte("BRESJRN1"), 2))
+	variableFiles := func() map[string]string {
+		files := make(map[string]string)
+		for p := range fs.Files() {
+			if strings.HasPrefix(p, "data/st-variable.") {
+				data, _ := fs.ReadFile(p)
+				files[p] = string(data)
+			}
+		}
+		return files
+	}
+	before := variableFiles()
+	ckpt, _ := fs.ReadFile("data/st-variable.2.ckpt")
+
+	var logs lockedBuffer
+	ts, srv, _ := newDurableServer(t, fs, WithLogger(slog.New(slog.NewTextHandler(&logs, nil))))
+	if resp, _ := do(t, http.MethodGet, ts.URL+"/streams/variable", nil); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET variable: status %d, want 404", resp.StatusCode)
+	}
+	if got := streamProcessed(t, ts.URL, "biased"); got != 150 {
+		t.Fatalf("biased processed %v, want its checkpoint's 150", got)
+	}
+	for _, req := range []struct {
+		method, path string
+		body         any
+	}{
+		{http.MethodPut, "/streams/variable", goldenStreams[0].req},
+		{http.MethodPost, "/streams/variable/transfer", ckpt},
+	} {
+		resp, body := do(t, req.method, ts.URL+req.path, req.body)
+		if resp.StatusCode < 400 || !strings.Contains(fmt.Sprint(body["error"]), "BRESJRN1") {
+			t.Fatalf("%s %s: status %d body %v, want a refusal naming BRESJRN1", req.method, req.path, resp.StatusCode, body)
+		}
+	}
+	if q := scrape(t, ts.URL)["biasedres_durable_quarantined_total"]; q != 0 {
+		t.Fatalf("quarantined %v files, want 0", q)
+	}
+	ts.Close()
+	srv.Close()
+
+	after := variableFiles()
+	if len(after) != len(before) {
+		t.Fatalf("variable files: %d before, %d after", len(before), len(after))
+	}
+	for p, data := range before {
+		if after[p] != data {
+			t.Errorf("%s changed", p)
+		}
+	}
+	out := logs.String()
+	if !strings.Contains(out, "level=ERROR") || !strings.Contains(out, "st-variable.2.journal") || !strings.Contains(out, "SIGTERM") {
+		t.Fatalf("no Error log naming the journal and the remedy:\n%s", out)
 	}
 }

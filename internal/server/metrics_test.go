@@ -8,10 +8,14 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"biasedres/internal/multi"
+	"biasedres/internal/stream"
 )
 
 // scrape fetches /metrics, validates every line against the text
-// exposition grammar, and returns the samples keyed by series string.
+// exposition grammar, refuses a series that appears twice, and returns the
+// samples keyed by series string.
 func scrape(t *testing.T, base string) map[string]float64 {
 	t.Helper()
 	resp, err := http.Get(base + "/metrics")
@@ -44,6 +48,9 @@ func scrape(t *testing.T, base string) map[string]float64 {
 		v, err := strconv.ParseFloat(m[2], 64)
 		if err != nil && m[2] != "+Inf" && m[2] != "-Inf" && m[2] != "NaN" {
 			t.Fatalf("metrics line %d: bad value %q", i+1, m[2])
+		}
+		if _, dup := samples[m[1]]; dup {
+			t.Fatalf("metrics line %d repeats series %s", i+1, m[1])
 		}
 		samples[m[1]] = v
 	}
@@ -132,5 +139,66 @@ func TestMetricsManyStreams(t *testing.T) {
 		if samples[series] != 1 {
 			t.Fatalf("%s = %v", series, samples[series])
 		}
+	}
+}
+
+// TestMetricsWithManagerRegistered: a multi.Manager registered on the
+// server's registry, as OPERATIONS §3 says to, holding a stream of the
+// same name as one of the server's, still leaves a valid exposition:
+// every family has one # TYPE line, and no series appears twice.
+func TestMetricsWithManagerRegistered(t *testing.T) {
+	srv := New(1)
+	t.Cleanup(func() { srv.Close() })
+	ts := newTestServerFor(t, srv)
+	createStream(t, ts.URL, "s", CreateRequest{Policy: "variable", Lambda: 1e-2, Capacity: 50})
+	ingest(t, ts.URL, "s", []IngestPoint{{Values: []float64{1}}, {Values: []float64{2}}})
+	if resp, _ := do(t, http.MethodGet, ts.URL+"/streams/s/query?type=count&h=0", nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("query status %d", resp.StatusCode)
+	}
+	mgr, err := multi.NewManager(100, 0.01, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mgr.Register("s", 50); err != nil {
+		t.Fatal(err)
+	}
+	if err := mgr.Add("s", stream.Point{Index: 1, Values: []float64{1}, Weight: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mgr.Snapshot("s"); err != nil {
+		t.Fatal(err)
+	}
+	srv.Metrics().Register(mgr)
+
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	types, series := map[string]int{}, map[string]int{}
+	for _, line := range strings.Split(strings.TrimRight(string(raw), "\n"), "\n") {
+		switch {
+		case strings.HasPrefix(line, "# TYPE "):
+			types[strings.Fields(line)[2]]++
+		case !strings.HasPrefix(line, "#"):
+			series[line[:strings.LastIndexByte(line, ' ')]]++
+		}
+	}
+	for name, n := range types {
+		if n != 1 {
+			t.Errorf("family %s has %d # TYPE lines", name, n)
+		}
+	}
+	for s, n := range series {
+		if n != 1 {
+			t.Errorf("series %s appears %d times", s, n)
+		}
+	}
+	if types["biasedres_snapshot_cache_hits_total"] != 1 || types["biasedres_multi_snapshot_cache_hits_total"] != 1 {
+		t.Fatalf("want the server's and the manager's snapshot cache families, got %v", types)
 	}
 }

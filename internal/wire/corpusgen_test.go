@@ -10,10 +10,9 @@ import (
 )
 
 // TestGenerateSeedCorpus writes the BRW2 entries of the checked-in fuzz
-// corpus under testdata/fuzz/FuzzDecodeFrame. The BRW1 entries there
-// (every name without a "v2-" prefix) were written by the BRW1 encoder,
-// which is gone; they are the corpus's BRW1 coverage and are never
-// rewritten. It only runs when WIRE_GEN_CORPUS=1 so normal test runs
+// corpus under testdata/fuzz/FuzzDecodeFrame. The other entries (every
+// name without a "v2-" prefix) were written by the BRW1 encoder, which is
+// gone; they pin the refusal of BRW1 frames and are never rewritten. It only runs when WIRE_GEN_CORPUS=1 so normal test runs
 // never rewrite testdata.
 func TestGenerateSeedCorpus(t *testing.T) {
 	if os.Getenv("WIRE_GEN_CORPUS") != "1" {

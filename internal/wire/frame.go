@@ -43,12 +43,8 @@
 // without the weights column every weight is 1; a point whose has-ts is 0
 // carries no timestamp.
 //
-// The listener still decodes frames of the previous layout, BRW1, from
-// older clients into the same Frame; nothing writes them any more. A BRW1
-// frame is a 16-byte header — magic 0x31575242 ("BRW1"), flags uint8,
-// nameLen uint8, dim uint16, count uint32, bodyLen uint32 — then the
-// name, [count]uint64 indices (flag bit 0), [count]int32 labels (bit 1),
-// [count]float64 weights (bit 2) and [count*dim]float64 values.
+// A frame that opens with the previous layout's magic, "BRW1", is refused
+// by name: the error reply says to send BRW2.
 //
 // Reply layout (server → client, one per frame):
 //
@@ -76,25 +72,14 @@ import (
 )
 
 // Magic opens every frame: "BRW2" read as a little-endian uint32.
-// MagicV1 opens a frame of the previous layout, "BRW1".
+// magicV1 opened frames of the previous layout, "BRW1", which are refused.
 const (
 	Magic   uint32 = 0x32575242
-	MagicV1 uint32 = 0x31575242
+	magicV1 uint32 = 0x31575242
 )
 
-// HeaderLen is the fixed frame header size in bytes; HeaderLenV1 is a
-// BRW1 frame's.
-const (
-	HeaderLen   = 12
-	HeaderLenV1 = 16
-)
-
-// BRW1 section flags.
-const (
-	v1Indices = 1 << 0
-	v1Labels  = 1 << 1
-	v1Weights = 1 << 2
-)
+// HeaderLen is the fixed frame header size in bytes.
+const HeaderLen = 12
 
 // Batch flag bits.
 const (
@@ -228,27 +213,23 @@ func copyColumn[T any](dst, src []T) []T {
 type Header struct {
 	NameLen int
 	BodyLen int
-	// v1 marks a BRW1 header, whose flags, dim and count precede the body.
-	v1         bool
-	flags      byte
-	dim, count int
 }
 
-// ParseHeader validates the fixed header at the front of b, BRW2 or BRW1
-// by its magic; a transport reads HeaderLen bytes, and HeaderLenV1 when
-// they open with MagicV1. It bounds BodyLen against the name length;
-// DecodeBody checks the body's batch against BodyLen before it allocates.
+// ParseHeader validates the HeaderLen-byte header at the front of b. It
+// refuses any magic but BRW2's, naming BRW2, and bounds BodyLen against
+// the name length; DecodeBody checks the body's batch against BodyLen
+// before it allocates.
 func ParseHeader(b []byte) (Header, error) {
 	le := binary.LittleEndian
-	if len(b) < HeaderLen || le.Uint32(b) == MagicV1 && len(b) < HeaderLenV1 {
-		return Header{}, fmt.Errorf("wire: short header: %d bytes", len(b))
+	if len(b) < HeaderLen {
+		return Header{}, fmt.Errorf("wire: short header: %d of the %d bytes of a BRW2 header", len(b), HeaderLen)
 	}
 	switch m := le.Uint32(b); m {
 	case Magic:
-	case MagicV1:
-		return parseHeaderV1(b)
+	case magicV1:
+		return Header{}, fmt.Errorf("wire: BRW1 frames are no longer accepted; send BRW2 frames")
 	default:
-		return Header{}, fmt.Errorf("wire: bad magic 0x%08x", m)
+		return Header{}, fmt.Errorf("wire: bad magic 0x%08x, want BRW2 (0x%08x)", m, Magic)
 	}
 	nameLen, bodyLen := le.Uint32(b[4:8]), le.Uint32(b[8:12])
 	if nameLen == 0 || nameLen > 255 {
@@ -258,42 +239,6 @@ func ParseHeader(b []byte) (Header, error) {
 		return Header{}, fmt.Errorf("wire: body length %d cannot hold a %d-byte name and a batch", bodyLen, nameLen)
 	}
 	return Header{NameLen: int(nameLen), BodyLen: int(bodyLen)}, nil
-}
-
-// parseHeaderV1 validates a BRW1 header; its BodyLen must equal the exact
-// sum of the sections the header implies.
-func parseHeaderV1(b []byte) (Header, error) {
-	h := Header{
-		v1:      true,
-		flags:   b[4],
-		NameLen: int(b[5]),
-		dim:     int(binary.LittleEndian.Uint16(b[6:8])),
-		count:   int(binary.LittleEndian.Uint32(b[8:12])),
-		BodyLen: int(binary.LittleEndian.Uint32(b[12:16])),
-	}
-	if h.flags&^byte(v1Indices|v1Labels|v1Weights) != 0 {
-		return Header{}, fmt.Errorf("wire: unknown flag bits 0x%02x", h.flags)
-	}
-	if h.NameLen == 0 {
-		return Header{}, fmt.Errorf("wire: empty stream name")
-	}
-	if err := checkShape(uint64(h.count), uint64(h.dim)); err != nil {
-		return Header{}, err
-	}
-	n := h.NameLen + h.count*h.dim*8
-	if h.flags&v1Indices != 0 {
-		n += h.count * 8
-	}
-	if h.flags&v1Labels != 0 {
-		n += h.count * 4
-	}
-	if h.flags&v1Weights != 0 {
-		n += h.count * 8
-	}
-	if h.BodyLen != n {
-		return Header{}, fmt.Errorf("wire: body length %d, sections need %d", h.BodyLen, n)
-	}
-	return h, nil
 }
 
 // checkShape bounds a frame's point count and dimensionality.
@@ -309,17 +254,13 @@ func checkShape(count, dim uint64) error {
 
 // DecodeBody parses a frame body of exactly h.BodyLen bytes into f,
 // reusing f's slices. f.Name aliases body. It never reads outside body,
-// and it checks a BRW2 batch's count, dim and flags before the batch
+// and it checks the batch's count, dim and flags before the batch
 // decoder allocates anything.
 func (h Header) DecodeBody(body []byte, f *Frame) error {
 	if len(body) != h.BodyLen {
 		return fmt.Errorf("wire: body is %d bytes, header declared %d", len(body), h.BodyLen)
 	}
 	f.Name = body[:h.NameLen]
-	if h.v1 {
-		h.decodeV1(body[h.NameLen:], f)
-		return nil
-	}
 	p := body[h.NameLen:]
 	if p[12]&batchRagged != 0 {
 		return fmt.Errorf("wire: a frame's batch cannot be ragged")
@@ -328,32 +269,6 @@ func (h Header) DecodeBody(body []byte, f *Frame) error {
 		return err
 	}
 	return DecodeBatch(p, f)
-}
-
-// decodeV1 parses the sections of a BRW1 body, already sized by
-// parseHeaderV1, into f.
-func (h Header) decodeV1(b []byte, f *Frame) {
-	le := binary.LittleEndian
-	section := func(flag byte, size int) []byte {
-		if h.flags&flag == 0 {
-			return nil
-		}
-		s := b[:size*h.count]
-		b = b[size*h.count:]
-		return s
-	}
-	indices, labels, weights := section(v1Indices, 8), section(v1Labels, 4), section(v1Weights, 8)
-	f.Dim, f.Count, f.First, f.TS, f.HasTS, f.Lens = h.dim, h.count, 0, nil, nil, nil
-	f.Indices = decodeColumn(f.Indices, indices, 8, le.Uint64)
-	f.Labels = grow(f.Labels, h.count)
-	for i := range f.Labels {
-		f.Labels[i] = -1
-		if labels != nil {
-			f.Labels[i] = int64(int32(le.Uint32(labels[4*i:])))
-		}
-	}
-	f.Weights = decodeFloats(f.Weights, weights)
-	f.Values = decodeFloats(f.Values, b)
 }
 
 // DecodeFrame parses one whole frame (header + body) from the front of
@@ -365,17 +280,14 @@ func DecodeFrame(buf []byte, f *Frame) (rest []byte, err error) {
 	if err != nil {
 		return buf, err
 	}
-	hl := HeaderLen
-	if h.v1 {
-		hl = HeaderLenV1
+	body := buf[HeaderLen:]
+	if len(body) < h.BodyLen {
+		return buf, fmt.Errorf("wire: frame truncated: body has %d of %d bytes", len(body), h.BodyLen)
 	}
-	if len(buf)-hl < h.BodyLen {
-		return buf, fmt.Errorf("wire: frame truncated: body has %d of %d bytes", len(buf)-hl, h.BodyLen)
-	}
-	if err := h.DecodeBody(buf[hl:hl+h.BodyLen], f); err != nil {
+	if err := h.DecodeBody(body[:h.BodyLen], f); err != nil {
 		return buf, err
 	}
-	return buf[hl+h.BodyLen:], nil
+	return body[h.BodyLen:], nil
 }
 
 // AppendFrame validates f and appends it as a BRW2 frame for the named

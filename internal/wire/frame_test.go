@@ -59,8 +59,8 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFrameRoundTripColumns: what BRW1 could not carry — timestamps,
-// labels outside int32 and a first index — survives the round trip.
+// TestFrameRoundTripColumns: timestamps, labels outside int32 and a first
+// index survive the round trip.
 func TestFrameRoundTripColumns(t *testing.T) {
 	stamped := testFrame(3, 2, false, true, true)
 	stamped.TS, stamped.HasTS = []float64{1.5, 0, 2.25}, []bool{true, false, true}
@@ -184,35 +184,26 @@ func TestDecodeReuseShrinks(t *testing.T) {
 	checkSlices(t, "labels", f.Labels, []int64{-1, -1})
 }
 
-// TestParseHeaderRejects checks the BRW1 header an older client sends.
+// TestParseHeaderRejects: a header too short for BRW2, or opening with
+// another magic, is refused with a message naming BRW2 (BRW1's magic:
+// TestDecodeBRW1).
 func TestParseHeaderRejects(t *testing.T) {
-	good := corpusEntry(t, "valid-indexed")
-	if _, err := ParseHeader(good); err != nil {
+	good, err := AppendFrame(nil, "s", testFrame(2, 2, false, false, false))
+	if err != nil {
 		t.Fatal(err)
 	}
-	mutate := func(mut func(h []byte)) []byte {
-		b := append([]byte(nil), good...)
-		mut(b)
-		return b
-	}
-	cases := []struct {
-		name string
+	bad := append([]byte{'X'}, good[1:]...)
+	for name, tc := range map[string]struct {
 		buf  []byte
 		want string
 	}{
-		{"short", good[:HeaderLen-1], "short header"},
-		{"magic", mutate(func(b []byte) { b[0] = 'X' }), "bad magic"},
-		{"flags", mutate(func(b []byte) { b[4] = 0x80 }), "unknown flag"},
-		{"empty-name", mutate(func(b []byte) { b[5] = 0 }), "empty stream name"},
-		{"zero-dim", mutate(func(b []byte) { binary.LittleEndian.PutUint16(b[6:8], 0) }), "dim 0 out of range"},
-		{"zero-count", mutate(func(b []byte) { binary.LittleEndian.PutUint32(b[8:12], 0) }), "count 0 out of range"},
-		{"count-over-limit", mutate(func(b []byte) { binary.LittleEndian.PutUint32(b[8:12], MaxCount+1) }), "out of range"},
-		{"body-mismatch", mutate(func(b []byte) { binary.LittleEndian.PutUint32(b[12:16], 7) }), "sections need"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			if _, err := ParseHeader(tc.buf); err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("ParseHeader error = %v, want substring %q", err, tc.want)
+		"short": {good[:HeaderLen-1], "short header"},
+		"magic": {bad, "bad magic"},
+	} {
+		t.Run(name, func(t *testing.T) {
+			_, err := ParseHeader(tc.buf)
+			if err == nil || !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), "BRW2") {
+				t.Fatalf("ParseHeader error = %v, want substring %q and BRW2", err, tc.want)
 			}
 		})
 	}
@@ -285,31 +276,19 @@ func TestDecodeBodyRejects(t *testing.T) {
 	}
 }
 
-// TestDecodeBRW1: frames of the previous layout, as older clients send
-// them, decode into the same Frame their batch encodes to as BRW2.
+// TestDecodeBRW1: well-formed frames of the previous layout, as older
+// clients send them, are refused from the 12 header bytes a listener reads
+// first, before their body, and DecodeFrame refuses them whole.
 func TestDecodeBRW1(t *testing.T) {
-	for name, want := range map[string]*Frame{
-		"valid-plain":     {Dim: 1, Count: 1, Labels: []int64{-1}, Values: []float64{0}},
-		"valid-indexed":   {Dim: 2, Count: 3, Indices: []uint64{1, 2, 3}, Labels: []int64{-1, -1, -1}, Values: []float64{1, 2, 3, 4, 5, 6}},
-		"valid-all-flags": {Dim: 1, Count: 2, Labels: []int64{0, -1}, Weights: []float64{1, 2}, Values: []float64{9, 8}},
-	} {
+	for _, name := range []string{"valid-plain", "valid-indexed", "valid-all-flags"} {
 		t.Run(name, func(t *testing.T) {
-			var got Frame
-			rest, err := DecodeFrame(corpusEntry(t, name), &got)
-			if err != nil || len(rest) != 0 {
-				t.Fatalf("DecodeFrame: %v, %d bytes left", err, len(rest))
+			buf := corpusEntry(t, name)
+			if _, err := ParseHeader(buf[:HeaderLen]); err == nil || !strings.Contains(err.Error(), "send BRW2") {
+				t.Fatalf("ParseHeader error = %v, want a refusal naming BRW2", err)
 			}
-			want.Name = []byte("fuzz")
-			if !sameFrame(&got, want) {
-				t.Fatalf("decoded %+v, want %+v", got, *want)
-			}
-			buf, err := AppendFrame(nil, "fuzz", &got)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var again Frame
-			if _, err := DecodeFrame(buf, &again); err != nil || !sameFrame(&again, want) {
-				t.Fatalf("BRW2 re-encoding decodes to %+v (%v), want %+v", again, err, *want)
+			var f Frame
+			if rest, err := DecodeFrame(buf, &f); err == nil || len(rest) != len(buf) || f.Count != 0 {
+				t.Fatalf("DecodeFrame: %v, %d of %d bytes left, frame %+v", err, len(rest), len(buf), f)
 			}
 		})
 	}
@@ -531,11 +510,26 @@ func TestEncodedLayout(t *testing.T) {
 	}
 }
 
-// TestCorpusVerdicts pins what the checked-in BRW2 corpus entries
-// exercise: the valid ones decode whole, each near miss is refused for
-// its own reason.
+// TestCorpusVerdicts pins what the checked-in corpus entries exercise:
+// the valid BRW2 ones decode whole, each BRW2 near miss is refused for its
+// own reason, and every entry written before BRW2 is refused by a message
+// naming BRW2.
 func TestCorpusVerdicts(t *testing.T) {
-	for name, want := range map[string]string{
+	verdicts := map[string]string{
+		"valid-plain":         "send BRW2",
+		"valid-indexed":       "send BRW2",
+		"valid-all-flags":     "send BRW2",
+		"valid-long-name":     "send BRW2",
+		"bad-flags":           "send BRW2",
+		"bodylen-inflated":    "send BRW2",
+		"count-over-limit":    "send BRW2",
+		"empty-name":          "send BRW2",
+		"second-frame-torn":   "send BRW2",
+		"truncated-body":      "send BRW2",
+		"two-frames-piped":    "send BRW2",
+		"bad-magic":           "want BRW2",
+		"header-only-ones":    "want BRW2",
+		"empty":               "BRW2 header",
 		"v2-valid-plain":      "",
 		"v2-timestamps":       "",
 		"v2-int64-labels":     "",
@@ -546,7 +540,12 @@ func TestCorpusVerdicts(t *testing.T) {
 		"v2-bodylen-inflated": "truncated",
 		"v2-count-over-limit": "count",
 		"v2-truncated-body":   "truncated",
-	} {
+	}
+	entries, err := os.ReadDir(filepath.Join("testdata", "fuzz", "FuzzDecodeFrame"))
+	if err != nil || len(entries) != len(verdicts) {
+		t.Fatalf("corpus holds %d entries (%v), %d verdicts pinned", len(entries), err, len(verdicts))
+	}
+	for name, want := range verdicts {
 		t.Run(name, func(t *testing.T) {
 			var f Frame
 			rest, err := DecodeFrame(corpusEntry(t, name), &f)

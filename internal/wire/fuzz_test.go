@@ -2,16 +2,14 @@ package wire
 
 import (
 	"bytes"
-	"encoding/binary"
 	"testing"
 )
 
 // FuzzDecodeFrame drives the decoder with arbitrary bytes. The properties
 // under test: it never panics, never reads outside the input (enforced by
 // handing it an exactly-sized copy so any over-read faults under
-// -race/bounds checking), an accepted BRW2 frame round-trips through the
-// encoder back to the identical bytes, and an accepted BRW1 frame
-// re-encodes as BRW2 and decodes back to an identical Frame.
+// -race/bounds checking), and every accepted frame round-trips through the
+// encoder back to the identical bytes.
 func FuzzDecodeFrame(f *testing.F) {
 	// Seed with valid frames across the column space plus near-miss
 	// mutants.
@@ -72,24 +70,13 @@ func FuzzDecodeFrame(f *testing.F) {
 			t.Fatalf("timestamps len %d, has-ts len %d for count %d", len(fr.TS), len(fr.HasTS), fr.Count)
 		}
 
-		// ...and re-encode as BRW2: to exactly the bytes consumed when
-		// they were BRW2, else to a frame that decodes back to fr.
+		// ...and re-encode to exactly the bytes consumed.
 		out, err := AppendFrame(nil, string(fr.Name), &fr)
 		if err != nil {
 			t.Fatalf("re-encoding an accepted frame failed: %v", err)
 		}
-		if binary.LittleEndian.Uint32(in) == Magic {
-			if !bytes.Equal(out, in[:consumed]) {
-				t.Fatalf("round trip drifted:\n in  %x\n out %x", in[:consumed], out)
-			}
-			return
-		}
-		var again Frame
-		if _, err := DecodeFrame(out, &again); err != nil {
-			t.Fatalf("decoding the BRW2 re-encoding of a BRW1 frame: %v", err)
-		}
-		if !sameFrame(&again, &fr) {
-			t.Fatalf("BRW1 frame %+v re-encodes as BRW2 %+v", fr, again)
+		if !bytes.Equal(out, in[:consumed]) {
+			t.Fatalf("round trip drifted:\n in  %x\n out %x", in[:consumed], out)
 		}
 	})
 }

@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -201,26 +200,19 @@ func (l *Listener) serveConn(conn net.Conn) {
 	br := bufio.NewReaderSize(conn, 64<<10)
 	bw := bufio.NewWriterSize(conn, 4<<10)
 	var (
-		head  [HeaderLenV1]byte
+		head  [HeaderLen]byte
 		body  []byte
 		reply []byte
 		frame Frame
 	)
 	for {
-		// A BRW1 header, from an older client, is 4 bytes longer.
-		hl := HeaderLen
-		_, err := io.ReadFull(br, head[:hl])
-		if err == nil && binary.LittleEndian.Uint32(head[:]) == MagicV1 {
-			hl = HeaderLenV1
-			_, err = io.ReadFull(br, head[HeaderLen:hl])
-		}
-		if err != nil {
+		if _, err := io.ReadFull(br, head[:]); err != nil {
 			if err != io.EOF && !errors.Is(err, net.ErrClosed) && l.log != nil {
 				l.log.Warn("wire: reading frame header", "remote", conn.RemoteAddr(), "error", err)
 			}
 			return
 		}
-		h, err := ParseHeader(head[:hl])
+		h, err := ParseHeader(head[:])
 		if err == nil && h.BodyLen > l.maxFrame {
 			err = fmt.Errorf("wire: frame body %d bytes exceeds limit %d", h.BodyLen, l.maxFrame)
 		}
@@ -237,7 +229,7 @@ func (l *Listener) serveConn(conn net.Conn) {
 			return
 		}
 		if l.bytesRead != nil {
-			l.bytesRead.Add(uint64(hl + h.BodyLen))
+			l.bytesRead.Add(uint64(HeaderLen + h.BodyLen))
 		}
 		if err := h.DecodeBody(body, &frame); err != nil {
 			l.fail(conn, bw, err)

@@ -137,41 +137,47 @@ func TestListenerServesFrames(t *testing.T) {
 	}
 }
 
-// TestListenerServesBRW1: a BRW1 frame from an older client and the BRW2
-// frame of the same batch, on one connection, reach the sink as the same
-// Frame.
-func TestListenerServesBRW1(t *testing.T) {
+// TestListenerRefusesBRW1: a BRW1 frame from an older client, after a
+// BRW2 frame on the same connection, gets an error reply naming BRW2, is
+// counted as a decode error and closes the connection; only the BRW2
+// frame reaches the sink.
+func TestListenerRefusesBRW1(t *testing.T) {
 	sink := &recordSink{}
-	_, addr := startListener(t, sink)
+	reg := obs.NewRegistry()
+	_, addr := startListener(t, sink, WithMetrics(reg))
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	v1 := corpusEntry(t, "valid-all-flags")
-	var f Frame
-	if _, err := DecodeFrame(v1, &f); err != nil {
-		t.Fatal(err)
-	}
-	v2, err := AppendFrame(nil, "fuzz", &f)
+	v2, err := AppendFrame(nil, "fuzz", testFrame(2, 1, false, true, true))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := conn.Write(append(append([]byte(nil), v1...), v2...)); err != nil {
+	if _, err := conn.Write(append(v2, corpusEntry(t, "valid-all-flags")...)); err != nil {
 		t.Fatal(err)
 	}
-	for range 2 {
-		if r := readReply(t, conn); r.Status != StatusOK {
-			t.Fatalf("reply = %+v", r)
-		}
+	if r := readReply(t, conn); r.Status != StatusOK {
+		t.Fatalf("BRW2 reply = %+v", r)
+	}
+	if r := readReply(t, conn); r.Status != StatusError || !strings.Contains(r.Msg, "send BRW2") {
+		t.Fatalf("BRW1 reply = %+v, want an error naming BRW2", r)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := conn.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("connection still open after a BRW1 frame (read err %v)", err)
 	}
 	sink.mu.Lock()
-	defer sink.mu.Unlock()
-	if len(sink.frames) != 2 || !sameFrame(&sink.frames[0], &sink.frames[1]) {
-		t.Fatalf("sink saw %+v", sink.frames)
+	frames := len(sink.frames)
+	sink.mu.Unlock()
+	if frames != 1 {
+		t.Fatalf("sink saw %d frames, want the BRW2 one only", frames)
 	}
-	if got := sink.frames[0]; !slices.Equal(got.Labels, []int64{0, -1}) || !slices.Equal(got.Weights, []float64{1, 2}) {
-		t.Fatalf("BRW1 frame decoded as %+v", got)
+	exp := reg.Expose()
+	for _, want := range []string{"biasedres_wire_frames_total 1", "biasedres_wire_decode_errors_total 1"} {
+		if !strings.Contains(exp, want) {
+			t.Errorf("metrics missing %q", want)
+		}
 	}
 }
 
