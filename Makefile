@@ -51,7 +51,8 @@ bench-federation:
 	$(GO) run ./cmd/benchingest -suite federation
 
 # bench-wire regenerates BENCH_wire.json: binary-TCP ingest vs
-# JSON-over-HTTP on identical loopback connections and batches.
+# JSON-over-HTTP on identical loopback connections and batches, plus the
+# JSON ingest body's decode and encode.
 bench-wire:
 	$(GO) run ./cmd/benchingest -suite wire
 
@@ -93,11 +94,13 @@ bench-e2e-smoke:
 	cd cmd/benche2e && $(GO) vet ./... && $(GO) test ./...
 
 # fuzz-smoke runs the wire-frame, journal, checkpoint, sampler snapshot,
-# JSON ingest and /accum body decoder fuzzers and the wire and HTTP ingest
-# admission fuzzers briefly: long enough to exercise the mutation engine
-# over the checked-in corpora and seeds, short enough for CI.
+# JSON ingest and /accum body decoder fuzzers, the JSON number kernel's
+# strconv-parity fuzzer and the wire and HTTP ingest admission fuzzers
+# briefly: long enough to exercise the mutation engine over the
+# checked-in corpora and seeds, short enough for CI.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeFrame -fuzztime 10s ./internal/wire
+	$(GO) test -run '^$$' -fuzz FuzzParseNumber -fuzztime 10s ./internal/wire
 	$(GO) test -run '^$$' -fuzz FuzzDecodeJournal -fuzztime 10s ./internal/durable
 	$(GO) test -run '^$$' -fuzz FuzzDecodeCheckpoint -fuzztime 10s ./internal/durable
 	$(GO) test -run '^$$' -fuzz FuzzUnmarshalSnapshot -fuzztime 10s ./internal/core

@@ -220,24 +220,32 @@ func (s *Server) CheckpointNow() {
 	s.checkpointAll(true)
 }
 
-// runDurability is the background loop: journal fsyncs on the coalescing
-// interval, checkpoints on the checkpoint interval.
+// runDurability starts the background loops: journal fsyncs on the
+// coalescing interval and checkpoints on the checkpoint interval. Each
+// runs on its own goroutine, so a long checkpoint pass never holds back
+// the fsyncs that bound acknowledged-point loss; Sync and Rotate
+// serialize on each stream's chain lock.
 func (s *Server) runDurability() {
+	s.durWG.Add(2)
+	go s.every(s.dcfg.JournalSyncInterval, func() {
+		if err := s.durable.Sync(); err != nil && s.log != nil {
+			s.log.Warn("journal sync failed", "error", err)
+		}
+	})
+	go s.every(s.dcfg.CheckpointInterval, func() { s.checkpointAll(false) })
+}
+
+// every runs fn each interval until durStop closes.
+func (s *Server) every(interval time.Duration, fn func()) {
 	defer s.durWG.Done()
-	ckpt := time.NewTicker(s.dcfg.CheckpointInterval)
-	defer ckpt.Stop()
-	sync := time.NewTicker(s.dcfg.JournalSyncInterval)
-	defer sync.Stop()
+	t := time.NewTicker(interval)
+	defer t.Stop()
 	for {
 		select {
 		case <-s.durStop:
 			return
-		case <-sync.C:
-			if err := s.durable.Sync(); err != nil && s.log != nil {
-				s.log.Warn("journal sync failed", "error", err)
-			}
-		case <-ckpt.C:
-			s.checkpointAll(false)
+		case <-t.C:
+			fn()
 		}
 	}
 }

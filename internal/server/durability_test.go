@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -325,6 +326,82 @@ func TestDurableCheckpointSkipsQuiescentStreams(t *testing.T) {
 	if got := store.StatsNow().Checkpoints; got != base+1 {
 		t.Fatalf("second quiescent sweep wrote %d extra checkpoints", got-base-1)
 	}
+}
+
+// checkpointBlockingFS is a MemFS that counts completed journal fsyncs
+// and, once armed, holds every checkpoint write until release closes.
+type checkpointBlockingFS struct {
+	*durable.MemFS
+	armed   atomic.Bool
+	blocked chan struct{} // closed when a checkpoint write first waits
+	release chan struct{}
+	once    sync.Once
+	syncs   atomic.Int64
+}
+
+func (b *checkpointBlockingFS) Create(p string) (durable.File, error) {
+	if b.armed.Load() && strings.HasSuffix(p, ".ckpt.tmp") {
+		b.once.Do(func() { close(b.blocked) })
+		<-b.release
+	}
+	f, err := b.MemFS.Create(p)
+	if err == nil && strings.HasSuffix(p, ".journal") {
+		f = countingFile{f, &b.syncs}
+	}
+	return f, err
+}
+
+// countingFile counts the fsyncs that complete on its file.
+type countingFile struct {
+	durable.File
+	syncs *atomic.Int64
+}
+
+func (f countingFile) Sync() error {
+	err := f.File.Sync()
+	f.syncs.Add(1)
+	return err
+}
+
+// TestDurableSyncDuringCheckpoint: journal fsyncs keep their interval
+// while a checkpoint pass is stuck writing a file, so the loss bound of
+// JournalSyncInterval holds however long checkpoints take.
+func TestDurableSyncDuringCheckpoint(t *testing.T) {
+	fs := &checkpointBlockingFS{MemFS: durable.NewMemFS(), blocked: make(chan struct{}), release: make(chan struct{})}
+	store, err := durable.Open(fs, "data")
+	if err != nil {
+		t.Fatalf("durable.Open: %v", err)
+	}
+	srv := New(1, WithDurability(store, DurabilityConfig{
+		CheckpointInterval:  10 * time.Millisecond,
+		JournalSyncInterval: 5 * time.Millisecond,
+	}))
+	ts := httptest.NewServer(srv)
+	var release sync.Once
+	t.Cleanup(func() {
+		release.Do(func() { close(fs.release) })
+		ts.Close()
+		srv.Close()
+	})
+	createStream(t, ts.URL, "s", CreateRequest{Policy: "variable", Lambda: 1e-2, Capacity: 10})
+	fs.armed.Store(true)
+	ingest(t, ts.URL, "s", floatPoints(10, 0))
+	select {
+	case <-fs.blocked:
+	case <-time.After(5 * time.Second):
+		t.Fatal("no checkpoint pass started")
+	}
+
+	// The pass rotated the journal and now waits on its checkpoint file;
+	// points acknowledged meanwhile must still reach disk.
+	before := fs.syncs.Load()
+	ingest(t, ts.URL, "s", floatPoints(10, 10))
+	for deadline := time.Now().Add(2 * time.Second); fs.syncs.Load() == before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("no journal fsync in 2s while a checkpoint pass was blocked")
+		}
+	}
+	release.Do(func() { close(fs.release) })
 }
 
 func TestMaxBodyBytesReturns413(t *testing.T) {

@@ -135,13 +135,13 @@ func FuzzDecodeIngest(f *testing.F) {
 // TestIngestValuesNotShared guards against retention: after one HTTP
 // ingest, on the fast path and the fallback alike, one retained point
 // keeps only its own values alive, and on the fast path a kept point's
-// Values slice is exact-length. Every point's values share a backing —
-// decodeIngest's one per body, then the batch's pooled values column — so
-// this holds only because samplers copy the values of the points they
-// retain. When a retained point still aliased a backing shared across
-// the batch, one point pinned the whole batch: a prototype decoder that
-// shared one backing per body took the end-to-end benchmark's ingest-http
-// peak RSS from 37 to 83 MB (+120%).
+// Values slice is exact-length. Every point's values share one backing,
+// the values column of the batch's pooled frame, so this holds only
+// because samplers copy the values of the points they retain. When a
+// retained point still aliased a backing shared across the batch, one
+// point pinned the whole batch: a prototype decoder that shared one
+// backing per body took the end-to-end benchmark's ingest-http peak RSS
+// from 37 to 83 MB (+120%).
 func TestIngestValuesNotShared(t *testing.T) {
 	const n, dim = 64, 256 // 128 KiB of values, 2 KiB per point
 	fast := benchmarkBody(n, dim)

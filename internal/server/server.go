@@ -329,8 +329,7 @@ func New(seed uint64, opts ...Option) *Server {
 			s.log.Error("durability recovery failed", "error", err)
 		}
 		s.durStop = make(chan struct{})
-		s.durWG.Add(1)
-		go s.runDurability()
+		s.runDurability()
 	}
 	if s.retFloor > 0 {
 		s.retStop = make(chan struct{})

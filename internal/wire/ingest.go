@@ -222,11 +222,11 @@ var ingestKeys = map[string]int{"values": keyValues, "label": keyLabel, "weight"
 // DecodeCanonical parses the canonical ingest body
 // {"points":[{"values":[…],"label":n,"weight":w,"ts":t},…]} into f:
 // lowercase, escape-free keys, each at most once per object, RFC 8259
-// numbers parsed by the strconv calls encoding/json makes, so the frame
-// is bit-identical to the one SetPoints builds from encoding/json's
-// decode. Any other body (null, other keys or key cases, duplicates,
-// non-integer labels, out-of-range numbers, trailing bytes) reports
-// false, for the caller to hand to encoding/json.
+// numbers parsed to the bits of the strconv calls encoding/json makes,
+// so the frame is bit-identical to the one SetPoints builds from
+// encoding/json's decode. Any other body (null, other keys or key
+// cases, duplicates, non-integer labels, out-of-range numbers, trailing
+// bytes) reports false, for the caller to hand to encoding/json.
 func DecodeCanonical(body []byte, f *Frame) bool {
 	s := ingestScanner{b: body, f: f}
 	f.clear()
@@ -328,16 +328,19 @@ func (s *ingestScanner) key() int {
 	return key
 }
 
-// float scans a number into dst, parsed as encoding/json parses a float64.
+// float scans a number into dst in one pass, parsed bit for bit as
+// encoding/json parses a float64 (see parseNumber).
 func (s *ingestScanner) float(dst *float64) bool {
-	f, err := strconv.ParseFloat(s.number(), 64)
-	*dst = f
-	return err == nil
+	s.space()
+	f, n, ok := parseNumber(s.b[s.i:])
+	*dst, s.i = f, s.i+n
+	return ok
 }
 
 // number scans an RFC 8259 number and returns its text, or "" when none
-// comes next. The text is a view of the body, parsed on the spot: strconv
-// copies it into any error it returns, so it never outlives the buffer.
+// comes next: a label's, for strconv.Atoi. The text is a view of the
+// body, parsed on the spot: strconv copies it into any error it returns,
+// so it never outlives the buffer.
 func (s *ingestScanner) number() string {
 	s.space()
 	b, i := s.b, s.i
