@@ -111,11 +111,13 @@ fuzz-smoke:
 
 # test-durable runs the durability suite under the race detector: the
 # crash/fault-injection property tests, the server recovery tests (the
-# golden data directory's included), and the SIGKILL crash-recovery smoke
-# against the real binary.
+# golden data directory's included), the retention tests (the sweep
+# shares the background loops with the journal sync and the
+# checkpointer), and the SIGKILL crash-recovery smoke against the real
+# binary.
 test-durable:
 	$(GO) test -race -count=1 ./internal/durable/
-	$(GO) test -race -count=1 -run 'Durable|MaxBody|Golden' ./internal/server/
+	$(GO) test -race -count=1 -run 'Durable|MaxBody|Golden|Retention' ./internal/server/
 	$(GO) test -count=1 -run 'CrashRecoverySmoke' ./cmd/reservoird/
 
 # test-federation runs the multi-node scatter-gather suite (in-process

@@ -7,7 +7,6 @@ import (
 	"net/url"
 	"path/filepath"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -35,6 +34,11 @@ import (
 // Rotate/WriteCheckpoint are split so the caller can pin "journal cut
 // point" to the exact sampler state it marshals (both under its sampler
 // lock) while the slow checkpoint write happens outside every lock.
+//
+// Recover is the only listing of the data directory: it learns every
+// stream's files there, and from then on each chain keeps its own list as
+// the store writes, prunes, quarantines and removes them. A file put into
+// the directory by hand is seen at the next Recover.
 type Store struct {
 	fs  FS
 	dir string
@@ -64,6 +68,11 @@ type streamChain struct {
 	// buf is the record encoding buffer Append reuses, so a steady stream
 	// of batches encodes without allocating.
 	buf []byte
+	// ckpts and journals are the ascending sequences of the stream's
+	// checkpoint and journal files in the data directory. A checkpoint
+	// enters ckpts only once its rename published it, a journal enters
+	// journals once its file is created.
+	ckpts, journals []uint64
 }
 
 // maxReusedRecordBuf caps the encoding buffer a chain keeps between
@@ -150,48 +159,94 @@ func (s *Store) chain(name string) *streamChain {
 	return c
 }
 
+// locked returns stream name's chain with c.mu held, or an error when
+// the stream has no active journal.
+func (s *Store) locked(name string) (*streamChain, error) {
+	s.mu.Lock()
+	c, ok := s.streams[name]
+	s.mu.Unlock()
+	if ok {
+		c.mu.Lock()
+		if c.journal != nil {
+			return c, nil
+		}
+		c.mu.Unlock()
+	}
+	return nil, fmt.Errorf("durable: stream %q has no active journal", name)
+}
+
+// chains lists every chain the store holds, in stream-name order.
+func (s *Store) chains() []*streamChain {
+	s.mu.Lock()
+	cs := make([]*streamChain, 0, len(s.streams))
+	for _, c := range s.streams {
+		cs = append(cs, c)
+	}
+	s.mu.Unlock()
+	slices.SortFunc(cs, func(a, b *streamChain) int { return strings.Compare(a.name, b.name) })
+	return cs
+}
+
+// insertSeq adds seq to the ascending list seqs, once.
+func insertSeq(seqs []uint64, seq uint64) []uint64 {
+	i, found := slices.BinarySearch(seqs, seq)
+	if found {
+		return seqs
+	}
+	return slices.Insert(seqs, i, seq)
+}
+
 // writeCheckpointFile writes ck's bytes crash-safely: temp file, fsync,
-// atomic rename over the final name, directory fsync.
-func (s *Store) writeCheckpointFile(name string, ck Checkpoint) error {
+// atomic rename over the final name, directory fsync. published reports
+// that the rename happened, so the file is in the directory even if err
+// reports the directory fsync failing. A failure before the rename
+// removes the temp file, best-effort.
+func (s *Store) writeCheckpointFile(name string, ck Checkpoint) (published bool, err error) {
 	data, err := EncodeCheckpoint(ck)
 	if err != nil {
-		return err
+		return false, err
 	}
 	final := s.ckptPath(name, ck.Seq)
 	tmp := final + ".tmp"
+	defer func() {
+		if !published {
+			_ = s.fs.Remove(tmp)
+		}
+	}()
 	f, err := s.fs.Create(tmp)
 	if err != nil {
-		return fmt.Errorf("durable: creating %s: %w", tmp, err)
+		return false, fmt.Errorf("durable: creating %s: %w", tmp, err)
 	}
 	if _, err := f.Write(data); err != nil {
 		f.Close()
-		return fmt.Errorf("durable: writing %s: %w", tmp, err)
+		return false, fmt.Errorf("durable: writing %s: %w", tmp, err)
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
-		return fmt.Errorf("durable: syncing %s: %w", tmp, err)
+		return false, fmt.Errorf("durable: syncing %s: %w", tmp, err)
 	}
 	if err := f.Close(); err != nil {
-		return fmt.Errorf("durable: closing %s: %w", tmp, err)
+		return false, fmt.Errorf("durable: closing %s: %w", tmp, err)
 	}
 	if err := s.fs.Rename(tmp, final); err != nil {
-		return fmt.Errorf("durable: publishing %s: %w", final, err)
+		return false, fmt.Errorf("durable: publishing %s: %w", final, err)
 	}
 	if err := s.fs.SyncDir(s.dir); err != nil {
-		return fmt.Errorf("durable: syncing data dir: %w", err)
+		return true, fmt.Errorf("durable: syncing data dir: %w", err)
 	}
-	return nil
+	return true, nil
 }
 
-// openJournal opens (creating) the journal for base seq and writes its
+// openJournal opens (creating) c's journal for base seq and writes its
 // header. The header is synced immediately so recovery can always tell
-// which checkpoint the journal follows.
-func (s *Store) openJournal(name string, seq uint64) (File, error) {
-	path := s.journalPath(name, seq)
+// which checkpoint the journal follows. The caller holds c.mu.
+func (s *Store) openJournal(c *streamChain, seq uint64) (File, error) {
+	path := s.journalPath(c.name, seq)
 	f, err := s.fs.Create(path)
 	if err != nil {
 		return nil, fmt.Errorf("durable: creating journal %s: %w", path, err)
 	}
+	c.journals = insertSeq(c.journals, seq)
 	if _, err := f.Write(encodeJournalHeader(seq)); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("durable: writing journal header %s: %w", path, err)
@@ -219,11 +274,15 @@ func (s *Store) Attach(name string, ck Checkpoint) error {
 	c := s.chain(name)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err := s.writeCheckpointFile(name, ck); err != nil {
+	published, err := s.writeCheckpointFile(name, ck)
+	if published {
+		c.ckpts = insertSeq(c.ckpts, ck.Seq)
+	}
+	if err != nil {
 		s.writeErrors.Add(1)
 		return err
 	}
-	j, err := s.openJournal(name, ck.Seq)
+	j, err := s.openJournal(c, ck.Seq)
 	if err != nil {
 		s.writeErrors.Add(1)
 		return err
@@ -236,7 +295,7 @@ func (s *Store) Attach(name string, ck Checkpoint) error {
 	c.dirty = false
 	c.lastCkpt = time.Now()
 	s.checkpoints.Add(1)
-	s.prune(name, ck.Seq)
+	s.removeFiles(s.expire(c))
 	return nil
 }
 
@@ -285,12 +344,11 @@ func (s *Store) Append(name string, f *wire.Frame) error {
 	if f.Count == 0 {
 		return nil
 	}
-	c := s.chain(name)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.journal == nil {
-		return fmt.Errorf("durable: stream %q has no active journal", name)
+	c, err := s.locked(name)
+	if err != nil {
+		return err
 	}
+	defer c.mu.Unlock()
 	data, err := appendRecord(c.buf[:0], f)
 	if err != nil {
 		return err
@@ -310,14 +368,8 @@ func (s *Store) Append(name string, f *wire.Frame) error {
 // Sync fsyncs every journal with unsynced appends. Called on the
 // coalescing interval; one failed journal does not stop the others.
 func (s *Store) Sync() error {
-	s.mu.Lock()
-	chains := make([]*streamChain, 0, len(s.streams))
-	for _, c := range s.streams {
-		chains = append(chains, c)
-	}
-	s.mu.Unlock()
 	var firstErr error
-	for _, c := range chains {
+	for _, c := range s.chains() {
 		c.mu.Lock()
 		if c.dirty && c.journal != nil {
 			if err := c.journal.Sync(); err != nil {
@@ -344,19 +396,18 @@ func (s *Store) Sync() error {
 // The old journal is synced before the cut so its records survive even if
 // the upcoming checkpoint write fails.
 func (s *Store) Rotate(name string) (uint64, error) {
-	c := s.chain(name)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.journal == nil {
-		return 0, fmt.Errorf("durable: stream %q has no active journal", name)
+	c, err := s.locked(name)
+	if err != nil {
+		return 0, err
 	}
+	defer c.mu.Unlock()
 	if err := c.journal.Sync(); err != nil {
 		s.writeErrors.Add(1)
 		return 0, fmt.Errorf("durable: syncing journal of %q before rotation: %w", name, err)
 	}
 	c.dirty = false
 	next := c.seq + 1
-	j, err := s.openJournal(name, next)
+	j, err := s.openJournal(c, next)
 	if err != nil {
 		s.writeErrors.Add(1)
 		return 0, err
@@ -372,93 +423,107 @@ func (s *Store) Rotate(name string) (uint64, error) {
 // call outside every stream lock; a failure leaves the previous chain
 // (old checkpoint + both journals) fully recoverable.
 func (s *Store) WriteCheckpoint(name string, ck Checkpoint) error {
-	c := s.chain(name)
-	if err := s.writeCheckpointFile(name, ck); err != nil {
+	c, err := s.locked(name) // the stream must still have a journal
+	if err != nil {
+		return err
+	}
+	c.mu.Unlock()
+	published, err := s.writeCheckpointFile(name, ck)
+	var expired []string
+	c.mu.Lock()
+	switch {
+	case published && c.journal == nil:
+		// Remove detached the chain (or Close ended the store) during the
+		// write: the checkpoint must not outlive its stream, or the next
+		// Recover would revive it.
+		expired = []string{s.ckptPath(name, ck.Seq)}
+	case published:
+		c.ckpts = insertSeq(c.ckpts, ck.Seq)
+		if err == nil {
+			c.lastCkpt = time.Now()
+			expired = s.expire(c)
+		}
+	}
+	c.mu.Unlock()
+	// The removals run outside c.mu: Append waits on it while its caller
+	// holds the sampler lock.
+	s.removeFiles(expired)
+	if err != nil {
 		s.writeErrors.Add(1)
 		return err
 	}
-	c.mu.Lock()
-	c.lastCkpt = time.Now()
-	c.mu.Unlock()
 	s.checkpoints.Add(1)
-	s.prune(name, ck.Seq)
 	return nil
 }
 
-// prune deletes checkpoint generations older than the retention window
-// and journals that no retained checkpoint could replay. Failed writes
-// leave gaps in the sequence numbering; pruning keys off the files that
-// actually exist.
-func (s *Store) prune(name string, latest uint64) {
-	entries, err := s.fs.ReadDir(s.dir)
-	if err != nil {
-		return
+// expire drops from c's lists the checkpoint generations older than the
+// retention window and the journals no retained checkpoint could replay,
+// and returns their paths. Failed writes leave gaps in the sequence
+// numbering; the lists hold only files that exist. The caller holds c.mu.
+func (s *Store) expire(c *streamChain) []string {
+	old := len(c.ckpts) - checkpointRetention
+	if old <= 0 {
+		return nil
 	}
-	var ckptSeqs []uint64
-	var journalSeqs []uint64
-	for _, e := range entries {
-		n, seq, kind, ok := parseFile(e)
-		if !ok || n != name {
-			continue
-		}
-		switch kind {
-		case "ckpt":
-			ckptSeqs = append(ckptSeqs, seq)
-		case "journal":
-			journalSeqs = append(journalSeqs, seq)
-		}
-	}
-	sort.Slice(ckptSeqs, func(i, j int) bool { return ckptSeqs[i] > ckptSeqs[j] })
-	if len(ckptSeqs) <= checkpointRetention {
-		return
-	}
-	// Keep the newest retention checkpoints; every journal at or above the
-	// oldest retained checkpoint is still needed for fallback replay.
-	floor := ckptSeqs[checkpointRetention-1]
-	for _, seq := range ckptSeqs[checkpointRetention:] {
-		_ = s.fs.Remove(s.ckptPath(name, seq))
-	}
-	for _, seq := range journalSeqs {
-		if seq < floor {
-			_ = s.fs.Remove(s.journalPath(name, seq))
-		}
-	}
-	_ = s.fs.SyncDir(s.dir)
+	// Every journal at or above the oldest retained checkpoint is still
+	// needed for fallback replay.
+	stale, _ := slices.BinarySearch(c.journals, c.ckpts[old])
+	paths := s.paths(c.name, c.ckpts[:old], c.journals[:stale])
+	c.ckpts = slices.Delete(c.ckpts, 0, old)
+	c.journals = slices.Delete(c.journals, 0, stale)
+	return paths
 }
 
-// Remove drops every file of a deleted stream, including its tmp leftovers.
-func (s *Store) Remove(name string) error {
-	s.mu.Lock()
-	c, ok := s.streams[name]
-	delete(s.streams, name)
-	s.mu.Unlock()
-	if ok {
-		c.mu.Lock()
-		if c.journal != nil {
-			c.journal.Close()
-			c.journal = nil
-		}
-		c.mu.Unlock()
+// removeFiles deletes paths, best-effort, and pins the deletions.
+func (s *Store) removeFiles(paths []string) error {
+	if len(paths) == 0 {
+		return nil
 	}
-	entries, err := s.fs.ReadDir(s.dir)
-	if err != nil {
-		return err
-	}
-	for _, e := range entries {
-		n, _, _, okf := parseFile(strings.TrimSuffix(e, ".tmp"))
-		if okf && n == name {
-			_ = s.fs.Remove(filepath.Join(s.dir, e))
-		}
+	for _, p := range paths {
+		_ = s.fs.Remove(p)
 	}
 	return s.fs.SyncDir(s.dir)
 }
 
+// detach forgets stream name's chain, closing its journal, and returns
+// the paths of the chain's files.
+func (s *Store) detach(name string) []string {
+	s.mu.Lock()
+	c, ok := s.streams[name]
+	delete(s.streams, name)
+	s.mu.Unlock()
+	if !ok {
+		return nil
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.journal != nil {
+		c.journal.Close()
+		c.journal = nil
+	}
+	return s.paths(name, c.ckpts, c.journals)
+}
+
+// paths names stream name's checkpoint files ckpts and journal files
+// journals.
+func (s *Store) paths(name string, ckpts, journals []uint64) []string {
+	out := make([]string, 0, len(ckpts)+len(journals))
+	for _, seq := range ckpts {
+		out = append(out, s.ckptPath(name, seq))
+	}
+	for _, seq := range journals {
+		out = append(out, s.journalPath(name, seq))
+	}
+	return out
+}
+
+// Remove drops every file of a deleted stream.
+func (s *Store) Remove(name string) error { return s.removeFiles(s.detach(name)) }
+
 // Close syncs and closes every journal. The store is unusable afterwards.
 func (s *Store) Close() error {
 	err := s.Sync()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, c := range s.streams {
+	for _, c := range s.chains() {
 		c.mu.Lock()
 		if c.journal != nil {
 			c.journal.Close()
@@ -506,17 +571,14 @@ type Recovered struct {
 // quarantined). A stream whose replay needs a BRESJRN1 journal with
 // records is skipped with every file left as it is, and listed by
 // Refused. The error return is reserved for systemic failures
-// (unreadable data directory).
+// (unreadable data directory). Recover must run before any other use of
+// the store: the chains it builds here are the store's only inventory of
+// the directory.
 func (s *Store) Recover() ([]Recovered, error) {
 	entries, err := s.fs.ReadDir(s.dir)
 	if err != nil {
 		return nil, fmt.Errorf("durable: scanning %s: %w", s.dir, err)
 	}
-	type files struct {
-		ckpts    []uint64
-		journals []uint64
-	}
-	streams := make(map[string]*files)
 	for _, e := range entries {
 		if strings.HasSuffix(e, ".tmp") {
 			// An unpublished checkpoint temp file: a crash mid-write. The
@@ -528,30 +590,21 @@ func (s *Store) Recover() ([]Recovered, error) {
 		if !ok {
 			continue
 		}
-		f := streams[name]
-		if f == nil {
-			f = &files{}
-			streams[name] = f
-		}
-		switch kind {
-		case "ckpt":
-			f.ckpts = append(f.ckpts, seq)
-		case "journal":
-			f.journals = append(f.journals, seq)
+		c := s.chain(name)
+		if kind == "ckpt" {
+			c.ckpts = append(c.ckpts, seq)
+		} else {
+			c.journals = append(c.journals, seq)
 		}
 	}
-
-	names := make([]string, 0, len(streams))
-	for name := range streams {
-		names = append(names, name)
-	}
-	sort.Strings(names)
 
 	var out []Recovered
-	for _, name := range names {
-		f := streams[name]
-		rec, ok := s.recoverStream(name, f.ckpts, f.journals)
+	for _, c := range s.chains() {
+		rec, ok := s.recoverStream(c)
 		if !ok {
+			// Forget the chain, so a later Attach of the name starts from
+			// none of these sequences.
+			s.detach(c.name)
 			continue
 		}
 		s.recoveries.Add(1)
@@ -560,28 +613,21 @@ func (s *Store) Recover() ([]Recovered, error) {
 	return out, nil
 }
 
-// recoverStream reconstructs one stream from its on-disk sequences.
-func (s *Store) recoverStream(name string, ckpts, journals []uint64) (Recovered, bool) {
-	sort.Slice(ckpts, func(i, j int) bool { return ckpts[i] > ckpts[j] }) // newest first
-	sort.Slice(journals, func(i, j int) bool { return journals[i] < journals[j] })
-	maxSeq := uint64(0)
-	for _, seq := range ckpts {
-		if seq > maxSeq {
-			maxSeq = seq
-		}
-	}
-	for _, seq := range journals {
-		if seq > maxSeq {
-			maxSeq = seq
-		}
-	}
+// recoverStream reconstructs one stream from its chain's sequences,
+// dropping from them every file it quarantines.
+func (s *Store) recoverStream(c *streamChain) (Recovered, bool) {
+	name := c.name
+	slices.Sort(c.ckpts)
+	slices.Sort(c.journals)
+	maxSeq := slices.Max(slices.Concat(c.ckpts, c.journals)) // Recover made c for a file
 
 	var ck Checkpoint
 	found := false
 	// Checkpoints that fail verification are quarantined only once the
 	// stream is known to recover, so a refused stream keeps every file.
 	var bad []uint64
-	for _, seq := range ckpts {
+	for i := len(c.ckpts) - 1; i >= 0; i-- { // newest first
+		seq := c.ckpts[i]
 		data, err := s.readFile(s.ckptPath(name, seq))
 		if err == nil {
 			ck, err = DecodeCheckpoint(data)
@@ -596,18 +642,16 @@ func (s *Store) recoverStream(name string, ckpts, journals []uint64) (Recovered,
 	if !found {
 		// No checkpoint verified: quarantine the journals too — without a
 		// base state their records cannot be applied.
-		for _, seq := range bad {
-			s.quarantineSeq(name, seq, "ckpt")
-		}
-		for _, seq := range journals {
-			s.quarantineSeq(name, seq, "journal")
+		for _, p := range s.paths(name, bad, c.journals) {
+			s.quarantine(filepath.Base(p))
 		}
 		return Recovered{}, false
 	}
 
 	rec := Recovered{Checkpoint: ck, MaxSeq: maxSeq}
 	expect := ck.Seq
-	for _, seq := range journals {
+	var badJournal []uint64
+	for _, seq := range c.journals {
 		if seq < ck.Seq {
 			continue // already folded into the checkpoint
 		}
@@ -631,14 +675,14 @@ func (s *Store) recoverStream(name string, ckpts, journals []uint64) (Recovered,
 			return Recovered{}, false
 		}
 		if err != nil || scan.base != seq {
-			s.quarantineSeq(name, seq, "journal")
 			// Records in later journals assume this one's ops were applied;
 			// stop replay here rather than leave a gap.
+			badJournal = append(badJournal, seq)
 			break
 		}
 		rec.Tail = append(rec.Tail, scan.records...)
 		if scan.corrupt {
-			s.quarantineSeq(name, seq, "journal")
+			badJournal = append(badJournal, seq)
 			break
 		}
 		if scan.tornTail {
@@ -646,40 +690,20 @@ func (s *Store) recoverStream(name string, ckpts, journals []uint64) (Recovered,
 			break
 		}
 	}
-	for _, seq := range bad {
-		s.quarantineSeq(name, seq, "ckpt")
+	for _, p := range s.paths(name, bad, badJournal) {
+		s.quarantine(filepath.Base(p))
 	}
+	c.ckpts = slices.DeleteFunc(c.ckpts, func(seq uint64) bool { return slices.Contains(bad, seq) })
+	c.journals = slices.DeleteFunc(c.journals, func(seq uint64) bool { return slices.Contains(badJournal, seq) })
 	return rec, true
-}
-
-func (s *Store) quarantineSeq(name string, seq uint64, kind string) {
-	s.quarantine(fmt.Sprintf("st-%s.%d.%s", escapeName(name), seq, kind))
 }
 
 // QuarantineStream moves every file of a stream aside — the caller's
 // escape hatch when a chain verifies structurally but fails semantically
 // (e.g. a snapshot the sampler refuses to restore).
 func (s *Store) QuarantineStream(name string) {
-	s.mu.Lock()
-	if c, ok := s.streams[name]; ok {
-		c.mu.Lock()
-		if c.journal != nil {
-			c.journal.Close()
-			c.journal = nil
-		}
-		c.mu.Unlock()
-		delete(s.streams, name)
-	}
-	s.mu.Unlock()
-	entries, err := s.fs.ReadDir(s.dir)
-	if err != nil {
-		return
-	}
-	for _, e := range entries {
-		n, _, _, ok := parseFile(e)
-		if ok && n == name {
-			s.quarantine(e)
-		}
+	for _, p := range s.detach(name) {
+		s.quarantine(filepath.Base(p))
 	}
 }
 
@@ -735,21 +759,8 @@ func (s *Store) Collect() []obs.Family {
 	}
 	age := obs.Family{Name: "biasedres_durable_last_checkpoint_age_seconds", Type: "gauge",
 		Help: "Seconds since each stream's newest durable checkpoint."}
-	s.mu.Lock()
-	names := make([]string, 0, len(s.streams))
-	for name := range s.streams {
-		names = append(names, name)
-	}
-	s.mu.Unlock()
-	sort.Strings(names)
 	now := time.Now()
-	for _, name := range names {
-		s.mu.Lock()
-		c, ok := s.streams[name]
-		s.mu.Unlock()
-		if !ok {
-			continue
-		}
+	for _, c := range s.chains() {
 		c.mu.Lock()
 		last := c.lastCkpt
 		c.mu.Unlock()
@@ -757,7 +768,7 @@ func (s *Store) Collect() []obs.Family {
 			continue
 		}
 		age.Samples = append(age.Samples, obs.Sample{
-			Labels: []obs.Label{{Key: "stream", Value: name}},
+			Labels: []obs.Label{{Key: "stream", Value: c.name}},
 			Value:  now.Sub(last).Seconds(),
 		})
 	}

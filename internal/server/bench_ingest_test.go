@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -10,12 +11,25 @@ import (
 	"time"
 )
 
+// benchValues are the values of the benchmarks' n 2-dim points: seeded
+// uniform draws, which take 16 or 17 significant digits in shortest form
+// like the values real clients send, so JSON decode pays a full float
+// conversion per value. Every call returns the same values.
+func benchValues(n int) [][]float64 {
+	rng := rand.New(rand.NewPCG(28, 1))
+	vals := make([][]float64, n)
+	for i := range vals {
+		vals[i] = []float64{rng.Float64(), rng.Float64()}
+	}
+	return vals
+}
+
 // benchIngestBody pre-encodes one ingest request of n points.
 func benchIngestBody(b *testing.B, n int) []byte {
 	b.Helper()
 	pts := make([]IngestPoint, n)
-	for i := range pts {
-		pts[i] = IngestPoint{Values: []float64{float64(i), float64(n - i)}}
+	for i, v := range benchValues(n) {
+		pts[i] = IngestPoint{Values: v}
 	}
 	blob, err := json.Marshal(IngestRequest{Points: pts})
 	if err != nil {

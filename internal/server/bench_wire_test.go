@@ -20,11 +20,12 @@ import (
 
 const wireBenchBatch = 256
 
-// benchWirePoints builds one client batch of n 2-dim points.
+// benchWirePoints builds one client batch of n 2-dim points, the values
+// of benchIngestBody's batch.
 func benchWirePoints(n int) []client.Point {
 	pts := make([]client.Point, n)
-	for i := range pts {
-		pts[i] = client.Point{Values: []float64{float64(i), float64(n - i)}}
+	for i, v := range benchValues(n) {
+		pts[i] = client.Point{Values: v}
 	}
 	return pts
 }

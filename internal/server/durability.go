@@ -226,28 +226,31 @@ func (s *Server) CheckpointNow() {
 // the fsyncs that bound acknowledged-point loss; Sync and Rotate
 // serialize on each stream's chain lock.
 func (s *Server) runDurability() {
-	s.durWG.Add(2)
-	go s.every(s.dcfg.JournalSyncInterval, func() {
+	s.every(s.dcfg.JournalSyncInterval, func() {
 		if err := s.durable.Sync(); err != nil && s.log != nil {
 			s.log.Warn("journal sync failed", "error", err)
 		}
 	})
-	go s.every(s.dcfg.CheckpointInterval, func() { s.checkpointAll(false) })
+	s.every(s.dcfg.CheckpointInterval, func() { s.checkpointAll(false) })
 }
 
-// every runs fn each interval until durStop closes.
+// every runs fn on its own goroutine each interval until Close closes
+// stop.
 func (s *Server) every(interval time.Duration, fn func()) {
-	defer s.durWG.Done()
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.durStop:
-			return
-		case <-t.C:
-			fn()
+	s.loops.Add(1)
+	go func() {
+		defer s.loops.Done()
+		t := time.NewTicker(interval)
+		defer t.Stop()
+		for {
+			select {
+			case <-s.stop:
+				return
+			case <-t.C:
+				fn()
+			}
 		}
-	}
+	}()
 }
 
 // applyBatch applies batch f to a sampler, live or in journal replay, as

@@ -309,15 +309,11 @@ func (s *Server) Close() {
 			closeShard(ns.ms)
 		}
 		s.ingestWG.Wait()
-		if s.retStop != nil {
-			// Stop the retention sweep before the final checkpoint so the
-			// shutdown cut is not raced by compactions.
-			close(s.retStop)
-			s.retWG.Wait()
-		}
+		// Stop every background loop before the final checkpoint, so the
+		// shutdown cut is not raced by a checkpoint pass or a compaction.
+		close(s.stop)
+		s.loops.Wait()
 		if s.durable != nil {
-			close(s.durStop)
-			s.durWG.Wait()
 			// Every queue is drained, so this checkpoint captures every
 			// acknowledged point; the rotation inside it leaves each
 			// stream's active journal empty.

@@ -153,14 +153,15 @@ type Server struct {
 	retSweeps   atomic.Uint64
 	retFloor    float64
 	retInterval time.Duration
-	retStop     chan struct{}
-	retWG       sync.WaitGroup
 
 	// Durability layer (nil = in-memory only).
-	durable   *durable.Store
-	dcfg      DurabilityConfig
-	durStop   chan struct{}
-	durWG     sync.WaitGroup
+	durable *durable.Store
+	dcfg    DurabilityConfig
+
+	// stop ends the background loops (every), which loops tracks: the
+	// journal sync, the checkpointer and the retention sweep.
+	stop      chan struct{}
+	loops     sync.WaitGroup
 	closeOnce sync.Once
 
 	// ready flips true once New has finished (durability recovery done,
@@ -253,6 +254,7 @@ func WithMaxBodyBytes(n int64) Option {
 func New(seed uint64, opts ...Option) *Server {
 	s := &Server{
 		streams:       make(map[string]*managedStream),
+		stop:          make(chan struct{}),
 		seeds:         xrand.New(seed),
 		maxBody:       defaultMaxBodyBytes,
 		defaultPolicy: "variable",
@@ -328,13 +330,10 @@ func New(seed uint64, opts ...Option) *Server {
 			// The server still serves, but nothing was recovered.
 			s.log.Error("durability recovery failed", "error", err)
 		}
-		s.durStop = make(chan struct{})
 		s.runDurability()
 	}
 	if s.retFloor > 0 {
-		s.retStop = make(chan struct{})
-		s.retWG.Add(1)
-		go s.runRetention()
+		s.every(s.retInterval, s.sweepRetention)
 	}
 	return s
 }

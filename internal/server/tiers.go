@@ -158,22 +158,6 @@ func WithRetention(floor float64, interval time.Duration) Option {
 	}
 }
 
-// runRetention is the sweep loop started by New when WithRetention is
-// configured.
-func (s *Server) runRetention() {
-	defer s.retWG.Done()
-	tick := time.NewTicker(s.retInterval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-s.retStop:
-			return
-		case <-tick.C:
-			s.sweepRetention()
-		}
-	}
-}
-
 // sweepRetention compacts every stream once. Exported behaviour lives in
 // the metrics: removed points count into
 // biasedres_tier_retention_removed_points_total, and per-tier
