@@ -1,0 +1,105 @@
+package main
+
+import (
+	"net/http/httptest"
+	"os"
+	"regexp"
+	"strings"
+	"testing"
+	"time"
+
+	"biasedres/internal/client"
+	"biasedres/internal/durable"
+	"biasedres/internal/federation"
+	"biasedres/internal/server"
+	"biasedres/internal/wire"
+)
+
+// TestMetricsDocumented is the docs-freshness gate for metrics: every
+// family a data node or a coordinator exposes on /metrics has its row in
+// docs/OPERATIONS.md. The node runs every feature that adds families at
+// scrape time (durability, async ingest shards, a plain and a tiered
+// stream with retention, a model that has scored a full window, a wire
+// listener on the same registry), so a family the collectors emit only
+// for such streams is scraped too.
+func TestMetricsDocumented(t *testing.T) {
+	doc, err := os.ReadFile("../../docs/OPERATIONS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	store, err := durable.Open(durable.NewMemFS(), "data")
+	if err != nil {
+		t.Fatal(err)
+	}
+	node := server.New(1, server.WithIngestShards(1, 4),
+		server.WithRetention(0.01, time.Hour),
+		server.WithDurability(store, server.DurabilityConfig{}))
+	t.Cleanup(node.Close)
+	wire.NewListener(node, wire.WithMetrics(node.Metrics()))
+	ts := httptest.NewServer(node)
+	t.Cleanup(ts.Close)
+	c, err := client.New(ts.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts := make([]client.Point, 64)
+	for i := range pts {
+		label := i % 2
+		pts[i] = client.Point{Values: []float64{float64(i % 5), float64(i % 3)}, Label: &label}
+	}
+	for name, tiers := range map[string]int{"plain": 0, "tiered": 2} {
+		if err := c.CreateStream(name, client.StreamConfig{Policy: "variable", Lambda: 0.01, Capacity: 32, Tiers: tiers}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Push(name, pts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := c.CreateModel("tiered", client.ModelConfig{Dim: 2, ShortH: 16, LongH: 64, Window: 16}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Push("tiered", pts); err != nil {
+		t.Fatal(err)
+	}
+	// The model scores on the stream's ingest worker: wait until the batch
+	// is applied.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		st, err := c.Stats("tiered")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Pending == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d points still pending", st.Pending)
+		}
+	}
+
+	co, err := federation.New([]string{ts.URL}, federation.Config{HealthInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(co.Close)
+	wire.NewListener(co, wire.WithMetrics(co.Metrics()))
+
+	for role, text := range map[string]string{"node": node.Metrics().Expose(), "coordinator": co.Metrics().Expose()} {
+		families := 0
+		for _, line := range strings.Split(text, "\n") {
+			name, ok := strings.CutPrefix(line, "# TYPE ")
+			if !ok {
+				continue
+			}
+			name, _, _ = strings.Cut(name, " ")
+			families++
+			row := regexp.MustCompile("(?m)^\\| `" + regexp.QuoteMeta(name) + "[`{]")
+			if !row.Match(doc) {
+				t.Errorf("%s family %s has no row in docs/OPERATIONS.md", role, name)
+			}
+		}
+		if families == 0 {
+			t.Errorf("%s exposes no metric families", role)
+		}
+	}
+}

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"biasedres/internal/core"
+	"biasedres/internal/httpapi"
 	"biasedres/internal/query"
 	"biasedres/internal/wire"
 )
@@ -120,9 +121,7 @@ func (c *Client) doCtx(ctx context.Context, method, path string, body, out any) 
 		return fmt.Errorf("client: reading response: %w", err)
 	}
 	if resp.StatusCode < 200 || resp.StatusCode >= 300 {
-		var msg struct {
-			Error string `json:"error"`
-		}
+		var msg httpapi.ErrorBody
 		_ = json.Unmarshal(raw, &msg)
 		if msg.Error == "" {
 			msg.Error = string(raw)
@@ -159,23 +158,17 @@ type StreamConfig = core.SamplerConfig
 
 // CreateStream registers a new named stream.
 func (c *Client) CreateStream(name string, cfg StreamConfig) error {
-	return c.do(http.MethodPut, "/streams/"+url.PathEscape(name), cfg, nil)
+	return c.CreateStreamContext(context.Background(), name, cfg)
 }
 
 // DeleteStream drops a stream.
 func (c *Client) DeleteStream(name string) error {
-	return c.do(http.MethodDelete, "/streams/"+url.PathEscape(name), nil, nil)
+	return c.DeleteStreamContext(context.Background(), name)
 }
 
 // ListStreams returns the registered stream names.
 func (c *Client) ListStreams() ([]string, error) {
-	var out struct {
-		Streams []string `json:"streams"`
-	}
-	if err := c.do(http.MethodGet, "/streams", nil, &out); err != nil {
-		return nil, err
-	}
-	return out.Streams, nil
+	return c.ListStreamsContext(context.Background())
 }
 
 // Point is one point to ingest. Label and TS are optional.
@@ -184,8 +177,9 @@ type Point = wire.IngestPoint
 // Push ingests a batch of points. Against a synchronous server it returns
 // the stream's total processed count; a server running sharded async
 // ingest answers 202 Accepted instead and processed is 0 (the points are
-// queued, not yet applied). Use a Batcher to buffer points client-side and
-// to retry automatically on 429 backpressure.
+// queued, not yet applied), as it is through a federation coordinator,
+// whose points land on several shards. Use a Batcher to buffer points
+// client-side and to retry automatically on 429 backpressure.
 func (c *Client) Push(name string, pts []Point) (processed uint64, err error) {
 	return c.PushContext(context.Background(), name, pts)
 }
@@ -198,9 +192,7 @@ func (c *Client) PushContext(ctx context.Context, name string, pts []Point) (pro
 	if err != nil {
 		return 0, fmt.Errorf("client: encoding request: %w", err)
 	}
-	var out struct {
-		Processed uint64 `json:"processed"`
-	}
+	var out httpapi.Ingested
 	err = c.doCtx(ctx, http.MethodPost, "/streams/"+url.PathEscape(name)+"/points", body, &out)
 	// A transport may still read the body after an early reply; a 2xx
 	// comes only once the server has read it whole, so reuse only then.
@@ -264,16 +256,9 @@ func appendPush(b []byte, pts []Point) ([]byte, error) {
 	return append(b, "]}"...), err
 }
 
-// Stats describes a stream's reservoir state.
-type Stats struct {
-	Policy    string  `json:"policy"`
-	Lambda    float64 `json:"lambda"`
-	Dim       int     `json:"dim"`
-	Processed uint64  `json:"processed"`
-	Size      int     `json:"size"`
-	Capacity  int     `json:"capacity"`
-	Fill      float64 `json:"fill"`
-}
+// Stats describes a stream's reservoir state, its pending async-ingest
+// points and, for a multi-horizon stream, its tiers.
+type Stats = httpapi.Stats
 
 // Stats fetches a stream's statistics.
 func (c *Client) Stats(name string) (*Stats, error) {
@@ -449,9 +434,7 @@ func (c *Client) ReadyzContext(ctx context.Context) error {
 
 // ListStreamsContext is ListStreams bounded by ctx.
 func (c *Client) ListStreamsContext(ctx context.Context) ([]string, error) {
-	var out struct {
-		Streams []string `json:"streams"`
-	}
+	var out httpapi.StreamList
 	if err := c.doCtx(ctx, http.MethodGet, "/streams", nil, &out); err != nil {
 		return nil, err
 	}
@@ -512,12 +495,7 @@ func (c *Client) DeleteStreamContext(ctx context.Context, name string) error {
 
 // HealthInfo is the GET /healthz payload: liveness plus the node's
 // advertised capabilities (currently its wire-protocol listen address).
-type HealthInfo struct {
-	Status   string `json:"status"`
-	Streams  int    `json:"streams"`
-	Points   uint64 `json:"points"`
-	WireAddr string `json:"wire_addr"`
-}
+type HealthInfo = httpapi.Health
 
 // HealthInfoContext probes GET /healthz and returns the full payload —
 // coordinators use it to discover a peer's wire-ingest address alongside

@@ -376,20 +376,24 @@ func (tr *TieredReservoir) CompactBelow(floor float64) int {
 	return total
 }
 
-// TierStats is a point-in-time read of one tier's state for metrics.
+// TierStats is a point-in-time read of one tier's state, for metrics and
+// for the tiers of a stream's stats body. Its fields are declared in JSON
+// key order, like every body in internal/httpapi.
 type TierStats struct {
-	Lambda    float64
-	Horizon   float64
-	Len       int
-	Capacity  int
-	Compacted uint64 // points removed by retention, lifetime total
-	Drops     uint64 // retention sweeps that emptied the tier
+	Capacity  int     `json:"capacity"`
+	Compacted uint64  `json:"compacted"` // points removed by retention, lifetime total
+	Drops     uint64  `json:"drops"`     // retention sweeps that emptied the tier
+	Horizon   float64 `json:"horizon"`
+	Index     int     `json:"index"`
+	Lambda    float64 `json:"lambda"`
+	Len       int     `json:"size"`
 }
 
 // Stats returns tier i's metrics snapshot.
 func (tr *TieredReservoir) Stats(i int) TierStats {
 	t := tr.tiers[i]
 	return TierStats{
+		Index:     i,
 		Lambda:    tr.lambdas[i],
 		Horizon:   1 / tr.lambdas[i],
 		Len:       t.s.Len(),

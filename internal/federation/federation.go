@@ -35,7 +35,6 @@ package federation
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -47,6 +46,7 @@ import (
 	"time"
 
 	"biasedres/internal/client"
+	"biasedres/internal/httpapi"
 	"biasedres/internal/obs"
 	"biasedres/internal/query"
 )
@@ -261,38 +261,9 @@ func (co *Coordinator) Close() {
 	})
 }
 
-func httpError(w http.ResponseWriter, code int, format string, args ...any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	fmt.Fprintf(w, `{"error":%q}`+"\n", fmt.Sprintf(format, args...))
-}
-
 // maxBodyBytes bounds every coordinator request body, at the data node's
 // default -max-body-bytes.
 const maxBodyBytes = 8 << 20
-
-// decodeBody decodes a JSON request body bounded by maxBodyBytes, writing
-// the HTTP error itself on failure. It reports whether decoding succeeded.
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	return bodyOK(w, json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v))
-}
-
-// bodyOK answers a body that failed to read or decode with err: 413 over
-// the limit, 400 for malformed JSON. It reports whether err is nil.
-func bodyOK(w http.ResponseWriter, err error) bool {
-	var mbe *http.MaxBytesError
-	if errors.As(err, &mbe) {
-		httpError(w, http.StatusRequestEntityTooLarge, "request body exceeds the %d-byte limit", mbe.Limit)
-	} else if err != nil {
-		httpError(w, http.StatusBadRequest, "bad body: %v", err)
-	}
-	return err == nil
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(v)
-}
 
 // --- scatter-gather machinery ---
 
@@ -561,11 +532,11 @@ func shardStatus[T any](co *Coordinator, w http.ResponseWriter, name string, rea
 		}
 	}
 	if notFound == len(reads) {
-		httpError(w, http.StatusNotFound, "stream %q not found on any peer", name)
+		httpapi.Error(w, http.StatusNotFound, "stream %q not found on any peer", name)
 		return nil, false
 	}
 	if ok == 0 {
-		httpError(w, http.StatusServiceUnavailable, "all %d shards of stream %q failed", len(reads), name)
+		httpapi.Error(w, http.StatusServiceUnavailable, "all %d shards of stream %q failed", len(reads), name)
 		return nil, false
 	}
 	partial := ok < len(reads)
@@ -579,13 +550,13 @@ func (co *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	req, err := query.ParseRequest(r.URL.Query())
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+		httpapi.Error(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	// A weighted quantile is not a linear statistic, so per-shard
 	// quantiles do not compose.
 	if !req.Linear() {
-		httpError(w, http.StatusBadRequest,
+		httpapi.Error(w, http.StatusBadRequest,
 			"quantile is not linearly mergeable across shards; query a node directly")
 		return
 	}
@@ -611,11 +582,11 @@ func (co *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	fields, err := query.Answer(req.Type, merged)
 	if err != nil {
-		httpError(w, http.StatusConflict, "%v", err)
+		httpapi.Error(w, http.StatusConflict, "%v", err)
 		return
 	}
 	maps.Copy(resp, fields)
-	writeJSON(w, resp)
+	httpapi.JSON(w, http.StatusOK, resp)
 }
 
 func (co *Coordinator) handleSample(w http.ResponseWriter, r *http.Request) {
@@ -646,7 +617,7 @@ func (co *Coordinator) handleSample(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	resp["t"], resp["points"] = maxT, points
-	writeJSON(w, resp)
+	httpapi.JSON(w, http.StatusOK, resp)
 }
 
 func (co *Coordinator) handleStreams(w http.ResponseWriter, r *http.Request) {
@@ -676,7 +647,7 @@ func (co *Coordinator) handleStreams(w http.ResponseWriter, r *http.Request) {
 	if partial {
 		co.partials.Inc()
 	}
-	writeJSON(w, map[string]any{
+	httpapi.JSON(w, http.StatusOK, map[string]any{
 		"streams": names, "shards_ok": ok, "shards_total": total, "partial": partial,
 	})
 }
@@ -689,7 +660,7 @@ func (co *Coordinator) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 			healthy++
 		}
 	}
-	writeJSON(w, map[string]any{
+	httpapi.JSON(w, http.StatusOK, map[string]any{
 		"status": "ok", "role": "coordinator",
 		"peers": len(peers), "peers_healthy": healthy,
 	})
@@ -703,11 +674,11 @@ func (co *Coordinator) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 // shutdown.
 func (co *Coordinator) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	if err := co.readyErr(); err != nil {
-		httpError(w, http.StatusServiceUnavailable, "not ready: %v", err)
+		httpapi.Error(w, http.StatusServiceUnavailable, "not ready: %v", err)
 		return
 	}
 	healthy := len(co.healthyPeers())
-	writeJSON(w, map[string]any{"status": "ready", "peers_healthy": healthy})
+	httpapi.JSON(w, http.StatusOK, map[string]any{"status": "ready", "peers_healthy": healthy})
 }
 
 // readyErr reports why the coordinator is not ready, or nil. It walks the

@@ -2,7 +2,6 @@ package federation
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -11,6 +10,7 @@ import (
 	"time"
 
 	"biasedres/internal/client"
+	"biasedres/internal/httpapi"
 )
 
 // Live migration: POST /peers/drain moves every stream a departing node
@@ -45,11 +45,11 @@ func (co *Coordinator) handleDrain(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Addr string `json:"addr"`
 	}
-	if !decodeBody(w, r, &req) {
+	if !httpapi.ReadJSON(w, r, maxBodyBytes, &req, "bad body: %v") {
 		return
 	}
 	if req.Addr == "" {
-		httpError(w, http.StatusBadRequest, "missing addr")
+		httpapi.Error(w, http.StatusBadRequest, "missing addr")
 		return
 	}
 	norm := req.Addr
@@ -60,7 +60,7 @@ func (co *Coordinator) handleDrain(w http.ResponseWriter, r *http.Request) {
 	src, ok := co.peers[norm]
 	co.mu.RUnlock()
 	if !ok {
-		httpError(w, http.StatusNotFound, "peer %q not registered", norm)
+		httpapi.Error(w, http.StatusNotFound, "peer %q not registered", norm)
 		return
 	}
 
@@ -72,16 +72,14 @@ func (co *Coordinator) handleDrain(w http.ResponseWriter, r *http.Request) {
 	if len(report.Failed) > 0 {
 		// The peer stays registered: some of its data has no new home yet,
 		// and removing it would shift reads onto replicas that miss it.
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusBadGateway)
-		_ = json.NewEncoder(w).Encode(report)
+		httpapi.JSON(w, http.StatusBadGateway, report)
 		return
 	}
 	report.Removed = co.removePeer(norm)
 	if co.log != nil {
 		co.log.Info("peer drained", "peer", norm, "migrated", len(report.Migrated))
 	}
-	writeJSON(w, report)
+	httpapi.JSON(w, http.StatusOK, report)
 }
 
 // drain ships every stream src holds. The stream inventory prefers a

@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"biasedres/internal/client"
+	"biasedres/internal/httpapi"
 	"biasedres/internal/obs"
 )
 
@@ -135,45 +136,44 @@ func (co *Coordinator) handlePeersList(w http.ResponseWriter, _ *http.Request) {
 		sort.Strings(info.Streams)
 		infos = append(infos, info)
 	}
-	writeJSON(w, map[string]any{"peers": infos})
+	httpapi.JSON(w, http.StatusOK, map[string]any{"peers": infos})
 }
 
 func (co *Coordinator) handlePeerAdd(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Addr string `json:"addr"`
 	}
-	if !decodeBody(w, r, &req) {
+	if !httpapi.ReadJSON(w, r, maxBodyBytes, &req, "bad body: %v") {
 		return
 	}
 	if req.Addr == "" {
-		httpError(w, http.StatusBadRequest, "missing addr")
+		httpapi.Error(w, http.StatusBadRequest, "missing addr")
 		return
 	}
 	if err := co.addPeer(req.Addr); err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+		httpapi.Error(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	if co.log != nil {
 		co.log.Info("peer added", "addr", req.Addr)
 	}
-	w.WriteHeader(http.StatusCreated)
-	writeJSON(w, map[string]any{"added": req.Addr})
+	httpapi.JSON(w, http.StatusCreated, map[string]any{"added": req.Addr})
 }
 
 func (co *Coordinator) handlePeerRemove(w http.ResponseWriter, r *http.Request) {
 	addr := r.URL.Query().Get("addr")
 	if addr == "" {
-		httpError(w, http.StatusBadRequest, "missing addr parameter")
+		httpapi.Error(w, http.StatusBadRequest, "missing addr parameter")
 		return
 	}
 	if !co.removePeer(addr) {
-		httpError(w, http.StatusNotFound, "peer %q not registered", addr)
+		httpapi.Error(w, http.StatusNotFound, "peer %q not registered", addr)
 		return
 	}
 	if co.log != nil {
 		co.log.Info("peer removed", "addr", addr)
 	}
-	writeJSON(w, map[string]any{"removed": addr})
+	httpapi.JSON(w, http.StatusOK, map[string]any{"removed": addr})
 }
 
 // collectPeers exports the registry's scrape-time state:

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"biasedres/internal/client"
+	"biasedres/internal/httpapi"
 	"biasedres/internal/wire"
 )
 
@@ -129,11 +130,11 @@ func (co *Coordinator) createConflicts(name string, shards int) bool {
 func (co *Coordinator) handleStreamCreate(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	if err := validFederatedName(name); err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+		httpapi.Error(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	var req createStreamRequest
-	if !decodeBody(w, r, &req) {
+	if !httpapi.ReadJSON(w, r, maxBodyBytes, &req, "bad body: %v") {
 		return
 	}
 	shards, replicas := req.Shards, req.Replicas
@@ -147,11 +148,11 @@ func (co *Coordinator) handleStreamCreate(w http.ResponseWriter, r *http.Request
 	conflict := co.createConflicts(name, shards)
 	co.mu.RUnlock()
 	if conflict {
-		httpError(w, http.StatusConflict, "stream %q already exists", name)
+		httpapi.Error(w, http.StatusConflict, "stream %q already exists", name)
 		return
 	}
 	if len(co.peerList()) == 0 {
-		httpError(w, http.StatusServiceUnavailable, "no peers registered")
+		httpapi.Error(w, http.StatusServiceUnavailable, "no peers registered")
 		return
 	}
 
@@ -189,11 +190,11 @@ func (co *Coordinator) handleStreamCreate(w http.ResponseWriter, r *http.Request
 		}
 	}
 	if refusal != "" {
-		httpError(w, http.StatusBadRequest, "%s", refusal)
+		httpapi.Error(w, http.StatusBadRequest, "%s", refusal)
 		return
 	}
 	if len(failed) > 0 {
-		httpError(w, http.StatusBadGateway,
+		httpapi.Error(w, http.StatusBadGateway,
 			"no replica accepted shards %v; stream not registered", failed)
 		return
 	}
@@ -202,7 +203,7 @@ func (co *Coordinator) handleStreamCreate(w http.ResponseWriter, r *http.Request
 	co.mu.Lock()
 	if co.createConflicts(name, shards) {
 		co.mu.Unlock()
-		httpError(w, http.StatusConflict, "stream %q already exists", name)
+		httpapi.Error(w, http.StatusConflict, "stream %q already exists", name)
 		return
 	}
 	co.fstreams[name] = fs
@@ -210,15 +211,14 @@ func (co *Coordinator) handleStreamCreate(w http.ResponseWriter, r *http.Request
 	if co.log != nil {
 		co.log.Info("federated stream created", "stream", name, "shards", shards, "replicas", replicas)
 	}
-	w.WriteHeader(http.StatusCreated)
-	writeJSON(w, map[string]any{"name": name, "shards": shards, "replicas": replicas})
+	httpapi.JSON(w, http.StatusCreated, map[string]any{"name": name, "shards": shards, "replicas": replicas})
 }
 
 func (co *Coordinator) handleStreamDelete(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	fs, ok := co.lookupFed(name)
 	if !ok {
-		httpError(w, http.StatusNotFound, "stream %q not found", name)
+		httpapi.Error(w, http.StatusNotFound, "stream %q not found", name)
 		return
 	}
 	co.mu.Lock()
@@ -235,7 +235,7 @@ func (co *Coordinator) handleStreamDelete(w http.ResponseWriter, r *http.Request
 	if co.log != nil {
 		co.log.Info("federated stream deleted", "stream", name)
 	}
-	writeJSON(w, map[string]any{"deleted": name})
+	httpapi.JSON(w, http.StatusOK, map[string]any{"deleted": name})
 }
 
 // --- replicated ingest ---
@@ -460,7 +460,8 @@ func (co *Coordinator) dropWireConns() {
 
 func (co *Coordinator) handleIngest(w http.ResponseWriter, r *http.Request) {
 	var f wire.Frame
-	if !bodyOK(w, wire.ReadIngest(http.MaxBytesReader(w, r.Body, maxBodyBytes), &f)) {
+	if err := wire.ReadIngest(http.MaxBytesReader(w, r.Body, maxBodyBytes), &f); err != nil {
+		httpapi.BodyError(w, err, "bad body: %v")
 		return
 	}
 	a := co.admit(r.Context(), r.PathValue("name"), &f)
@@ -468,10 +469,10 @@ func (co *Coordinator) handleIngest(w http.ResponseWriter, r *http.Request) {
 		if a.status == http.StatusTooManyRequests {
 			w.Header().Set("Retry-After", strconv.Itoa(max(1, int(math.Ceil(a.retry.Seconds())))))
 		}
-		httpError(w, a.status, "%v", a.err)
+		httpapi.Error(w, a.status, "%v", a.err)
 		return
 	}
-	writeJSON(w, map[string]any{"ingested": f.Count})
+	httpapi.JSON(w, http.StatusOK, httpapi.Ingested{Ingested: f.Count})
 }
 
 // IngestFrame implements wire.Sink: a coordinator can front a wire

@@ -8,11 +8,13 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"net/http/httptest"
 	"slices"
 	"strings"
 	"testing"
 
 	"biasedres/internal/client"
+	"biasedres/internal/httpapi"
 	"biasedres/internal/wire"
 )
 
@@ -558,6 +560,51 @@ func TestCreateRefusedByNodes(t *testing.T) {
 	}
 	if status, _ := fedGet(t, fed.URL+"/streams/x/query?type=count&h=0"); status != http.StatusNotFound {
 		t.Fatalf("refused stream answers %d, want 404", status)
+	}
+}
+
+// TestCreateFailureBodyIsJSON: the 502 of a create no replica accepted is
+// a JSON error body naming the shard, even when the stream name holds a
+// character JSON and Go quote differently.
+func TestCreateFailureBodyIsJSON(t *testing.T) {
+	var peers []string
+	for i := 0; i < 2; i++ {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+			http.Error(w, `{"error":"induced failure"}`, http.StatusInternalServerError)
+		}))
+		t.Cleanup(ts.Close)
+		peers = append(peers, ts.URL)
+	}
+	co, err := New(peers, testCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(co.Close)
+	fed := httptest.NewServer(co)
+	t.Cleanup(fed.Close)
+
+	req, err := http.NewRequest(http.MethodPut, fed.URL+"/streams/a%07b", jsonBody(t, managedCfg(1, 2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadGateway {
+		t.Fatalf("status %d body %s, want 502", resp.StatusCode, raw)
+	}
+	var body httpapi.ErrorBody
+	if err := json.Unmarshal(raw, &body); err != nil {
+		t.Fatalf("body %s is not JSON: %v", raw, err)
+	}
+	if !strings.Contains(body.Error, "a\ab@0") {
+		t.Fatalf("error %q does not name shard a\ab@0", body.Error)
 	}
 }
 

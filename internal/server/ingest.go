@@ -175,17 +175,20 @@ func (s *Server) admit(name string, ms *managedStream, b *batchBuf) (a admission
 
 	if ms.shard != nil {
 		// Async lane: hand the batch to the stream's worker under qmu
-		// only. A full queue is backpressure.
+		// only. A full queue is backpressure. The batch counts as pending
+		// before the worker can take it, since the worker subtracts it
+		// once applied.
+		pending := ms.pending.Add(int64(count))
 		select {
 		case ms.shard.ch <- b:
 		default:
+			ms.pending.Add(-int64(count))
 			ms.qmu.Unlock()
 			s.rejected.With(name).Inc()
 			return refuse(http.StatusTooManyRequests,
 				"ingest queue for stream %q is full (%d batches); retry later", name, s.ingestQueue)
 		}
 		ms.next, ms.dim = next, dim
-		pending := ms.pending.Add(int64(count))
 		ms.qmu.Unlock()
 		s.countIngest(name, count)
 		return admission{queued: true, pending: pending}

@@ -3,6 +3,7 @@ package server
 import (
 	"net/http"
 
+	"biasedres/internal/httpapi"
 	"biasedres/internal/models"
 	"biasedres/internal/obs"
 	"biasedres/internal/stream"
@@ -27,11 +28,11 @@ func (s *Server) handleModelCreate(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	ms, ok := s.lookup(name)
 	if !ok {
-		httpError(w, http.StatusNotFound, "stream %q not found", name)
+		httpapi.Error(w, http.StatusNotFound, "stream %q not found", name)
 		return
 	}
 	var req models.Config
-	if !s.decodeBody(w, r, &req) {
+	if !httpapi.ReadJSON(w, r, s.maxBody, &req, "decoding request: %v") {
 		return
 	}
 	ms.qmu.Lock()
@@ -39,16 +40,16 @@ func (s *Server) handleModelCreate(w http.ResponseWriter, r *http.Request) {
 	ms.qmu.Unlock()
 	switch {
 	case req.Dim == 0 && streamDim == 0:
-		httpError(w, http.StatusBadRequest,
+		httpapi.Error(w, http.StatusBadRequest,
 			"stream %q has no dimensionality yet; ingest points first or pass dim", name)
 		return
 	case req.Dim == 0:
 		req.Dim = streamDim
 	case streamDim != 0 && req.Dim != streamDim:
-		httpError(w, http.StatusBadRequest, "bad dim: %d is not the stream's dimensionality %d", req.Dim, streamDim)
+		httpapi.Error(w, http.StatusBadRequest, "bad dim: %d is not the stream's dimensionality %d", req.Dim, streamDim)
 		return
 	case req.Dim < 0 || req.Dim > wire.MaxDim:
-		httpError(w, http.StatusBadRequest, "bad dim: %d outside [1, %d]", req.Dim, wire.MaxDim)
+		httpapi.Error(w, http.StatusBadRequest, "bad dim: %d outside [1, %d]", req.Dim, wire.MaxDim)
 		return
 	}
 	if req.ShortH == 0 {
@@ -59,11 +60,11 @@ func (s *Server) handleModelCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	m, err := models.New(req)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+		httpapi.Error(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	if !ms.model.CompareAndSwap(nil, m) {
-		httpError(w, http.StatusConflict, "stream %q already has a model; DELETE it first", name)
+		httpapi.Error(w, http.StatusConflict, "stream %q already has a model; DELETE it first", name)
 		return
 	}
 	// Materialize the initial training set from whatever the reservoir
@@ -73,9 +74,7 @@ func (s *Server) handleModelCreate(w http.ResponseWriter, r *http.Request) {
 		s.log.Info("model attached", "stream", name, "k", m.Config().K,
 			"dim", req.Dim, "short_h", req.ShortH, "long_h", req.LongH)
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusCreated)
-	writeJSON(w, m.Stats())
+	httpapi.JSON(w, http.StatusCreated, m.Stats())
 }
 
 // modelFor resolves the {name} path segment to the stream's model, writing
@@ -84,12 +83,12 @@ func (s *Server) modelFor(w http.ResponseWriter, r *http.Request) *models.Model 
 	name := r.PathValue("name")
 	ms, ok := s.lookup(name)
 	if !ok {
-		httpError(w, http.StatusNotFound, "stream %q not found", name)
+		httpapi.Error(w, http.StatusNotFound, "stream %q not found", name)
 		return nil
 	}
 	m := ms.model.Load()
 	if m == nil {
-		httpError(w, http.StatusNotFound, "stream %q has no model", name)
+		httpapi.Error(w, http.StatusNotFound, "stream %q has no model", name)
 		return nil
 	}
 	return m
@@ -97,13 +96,13 @@ func (s *Server) modelFor(w http.ResponseWriter, r *http.Request) *models.Model 
 
 func (s *Server) handleModelGet(w http.ResponseWriter, r *http.Request) {
 	if m := s.modelFor(w, r); m != nil {
-		writeJSON(w, m.Stats())
+		httpapi.JSON(w, http.StatusOK, m.Stats())
 	}
 }
 
 func (s *Server) handleModelEval(w http.ResponseWriter, r *http.Request) {
 	if m := s.modelFor(w, r); m != nil {
-		writeJSON(w, m.Eval())
+		httpapi.JSON(w, http.StatusOK, m.Eval())
 	}
 }
 
@@ -111,11 +110,11 @@ func (s *Server) handleModelDelete(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	ms, ok := s.lookup(name)
 	if !ok {
-		httpError(w, http.StatusNotFound, "stream %q not found", name)
+		httpapi.Error(w, http.StatusNotFound, "stream %q not found", name)
 		return
 	}
 	if ms.model.Swap(nil) == nil {
-		httpError(w, http.StatusNotFound, "stream %q has no model", name)
+		httpapi.Error(w, http.StatusNotFound, "stream %q has no model", name)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)

@@ -46,7 +46,6 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -60,6 +59,7 @@ import (
 
 	"biasedres/internal/core"
 	"biasedres/internal/durable"
+	"biasedres/internal/httpapi"
 	"biasedres/internal/models"
 	"biasedres/internal/obs"
 	"biasedres/internal/query"
@@ -421,42 +421,6 @@ func (s *Server) collectStreams() []obs.Family {
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-func httpError(w http.ResponseWriter, code int, format string, args ...any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-// decodeBody decodes a JSON request body bounded by the server's body
-// limit, writing the HTTP error itself on failure: 413 with a JSON error
-// when the body exceeds the limit, 400 for malformed JSON. It reports
-// whether decoding succeeded.
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, s.maxBody)
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		bodyError(w, err, "decoding request: %v")
-		return false
-	}
-	return true
-}
-
-// bodyError answers a body that failed to read or decode: 413 when it
-// exceeded the body limit, else 400 with err formatted by format.
-func bodyError(w http.ResponseWriter, err error, format string) {
-	var mbe *http.MaxBytesError
-	if errors.As(err, &mbe) {
-		httpError(w, http.StatusRequestEntityTooLarge,
-			"request body exceeds the %d-byte limit", mbe.Limit)
-		return
-	}
-	httpError(w, http.StatusBadRequest, format, err)
-}
-
 // namedStream pairs a stream with its registered name.
 type namedStream struct {
 	name string
@@ -489,11 +453,11 @@ type CreateRequest = core.SamplerConfig
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	if name == "" {
-		httpError(w, http.StatusBadRequest, "empty stream name")
+		httpapi.Error(w, http.StatusBadRequest, "empty stream name")
 		return
 	}
 	var req CreateRequest
-	if !s.decodeBody(w, r, &req) {
+	if !httpapi.ReadJSON(w, r, s.maxBody, &req, "decoding request: %v") {
 		return
 	}
 	if req.Policy == "" {
@@ -501,7 +465,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	ms, code, err := s.install(name, req, nil, 1)
 	if err != nil {
-		httpError(w, code, "%v", err)
+		httpapi.Error(w, code, "%v", err)
 		return
 	}
 	capacity := ms.sm.Capacity()
@@ -509,8 +473,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		s.log.Info("stream created", "stream", name, "policy", req.Policy,
 			"lambda", req.Lambda, "capacity", capacity)
 	}
-	w.WriteHeader(http.StatusCreated)
-	writeJSON(w, map[string]any{"name": name, "policy": req.Policy, "capacity": capacity})
+	httpapi.JSON(w, http.StatusCreated, map[string]any{"name": name, "policy": req.Policy, "capacity": capacity})
 }
 
 // install is the one path by which a stream comes to exist — create,
@@ -578,13 +541,13 @@ func (s *Server) install(name string, req CreateRequest, from *durable.Recovered
 // checker should route on.
 func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 	if !s.ready.Load() {
-		httpError(w, http.StatusServiceUnavailable, "not ready: recovering or shutting down")
+		httpapi.Error(w, http.StatusServiceUnavailable, "not ready: recovering or shutting down")
 		return
 	}
 	s.mu.RLock()
 	streams := len(s.streams)
 	s.mu.RUnlock()
-	writeJSON(w, map[string]any{"status": "ready", "streams": streams, "durable": s.durable != nil})
+	httpapi.JSON(w, http.StatusOK, map[string]any{"status": "ready", "streams": streams, "durable": s.durable != nil})
 }
 
 // handleAccum is GET /streams/{name}/accum: the stream's fused
@@ -598,32 +561,32 @@ func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 func (s *Server) handleAccum(w http.ResponseWriter, r *http.Request) {
 	ms, ok := s.lookup(r.PathValue("name"))
 	if !ok {
-		httpError(w, http.StatusNotFound, "stream %q not found", r.PathValue("name"))
+		httpapi.Error(w, http.StatusNotFound, "stream %q not found", r.PathValue("name"))
 		return
 	}
 	q := r.URL.Query()
 	h, err := parseUint(q.Get("h"), 0)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "bad horizon: %v", err)
+		httpapi.Error(w, http.StatusBadRequest, "bad horizon: %v", err)
 		return
 	}
 	dim, err := ms.sumDims(q.Get("dim"))
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+		httpapi.Error(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	var rect *query.Rect
 	if q.Get("dims") != "" {
 		r, err := query.ParseRect(q.Get("dims"), q.Get("lo"), q.Get("hi"))
 		if err != nil {
-			httpError(w, http.StatusBadRequest, "%v", err)
+			httpapi.Error(w, http.StatusBadRequest, "%v", err)
 			return
 		}
 		rect = &r
 	}
 	snap, tier := ms.sm.SnapshotFor(h)
 	s.countTierQuery(r.PathValue("name"), tier)
-	writeJSON(w, query.Accumulate(snap, h, dim, rect))
+	httpapi.JSON(w, http.StatusOK, query.Accumulate(snap, h, dim, rect))
 }
 
 // sumDims reads the dim parameter of /accum and /range: how many leading
@@ -643,28 +606,26 @@ func (ms *managedStream) sumDims(param string) (int, error) {
 	return int(dim), nil
 }
 
+// handleHealth reads each stream's count outside s.mu: Processed waits on
+// the stream's sampler lock, and a writer queued on s.mu behind that wait
+// would stall every stream's ingest lookup.
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
-	s.mu.RLock()
-	streams := len(s.streams)
-	var points uint64
-	for _, e := range s.streams {
-		points += e.sm.Processed()
+	list := s.streamList()
+	out := httpapi.Health{Status: "ok", Streams: len(list)}
+	for _, ns := range list {
+		out.Points += ns.ms.sm.Processed()
 	}
-	s.mu.RUnlock()
-	out := map[string]any{"status": "ok", "streams": streams, "points": points}
-	if wa, ok := s.wireAddr.Load().(string); ok && wa != "" {
-		out["wire_addr"] = wa
-	}
-	writeJSON(w, out)
+	out.WireAddr, _ = s.wireAddr.Load().(string)
+	httpapi.JSON(w, http.StatusOK, out)
 }
 
 func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
 	list := s.streamList()
-	names := make([]string, len(list))
+	out := httpapi.StreamList{Streams: make([]string, len(list))}
 	for i, ns := range list {
-		names[i] = ns.name
+		out.Streams[i] = ns.name
 	}
-	writeJSON(w, map[string]any{"streams": names})
+	httpapi.JSON(w, http.StatusOK, out)
 }
 
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
@@ -673,7 +634,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	ms, ok := s.streams[name]
 	if !ok {
 		s.mu.Unlock()
-		httpError(w, http.StatusNotFound, "stream %q not found", name)
+		httpapi.Error(w, http.StatusNotFound, "stream %q not found", name)
 		return
 	}
 	delete(s.streams, name)
@@ -704,13 +665,13 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	ms, ok := s.lookup(name)
 	if !ok {
-		httpError(w, http.StatusNotFound, "stream %q not found", name)
+		httpapi.Error(w, http.StatusNotFound, "stream %q not found", name)
 		return
 	}
 	b := getBatch()
 	if err := wire.ReadIngest(http.MaxBytesReader(w, r.Body, s.maxBody), &b.f); err != nil {
 		b.release()
-		bodyError(w, err, "decoding request: %v")
+		httpapi.BodyError(w, err, "decoding request: %v")
 		return
 	}
 	n := b.f.Count
@@ -720,21 +681,19 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		if a.status == http.StatusTooManyRequests {
 			w.Header().Set("Retry-After", "1")
 		}
-		httpError(w, a.status, "%v", a.err)
+		httpapi.Error(w, a.status, "%v", a.err)
 	case a.queued:
-		w.Header().Set("Content-Type", "application/json")
 		w.Header().Set("X-Biasedres-Pending-Points", strconv.FormatInt(a.pending, 10))
-		w.WriteHeader(http.StatusAccepted)
-		_ = json.NewEncoder(w).Encode(map[string]any{"queued": n, "pending": a.pending})
+		httpapi.JSON(w, http.StatusAccepted, httpapi.Queued{Pending: a.pending, Queued: n})
 	default:
-		writeJSON(w, map[string]any{"ingested": n, "processed": a.processed})
+		httpapi.JSON(w, http.StatusOK, httpapi.Ingested{Ingested: n, Processed: a.processed})
 	}
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	ms, ok := s.lookup(r.PathValue("name"))
 	if !ok {
-		httpError(w, http.StatusNotFound, "stream %q not found", r.PathValue("name"))
+		httpapi.Error(w, http.StatusNotFound, "stream %q not found", r.PathValue("name"))
 		return
 	}
 	ms.qmu.Lock()
@@ -743,43 +702,43 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	// Serve from the snapshot: no sampler lock, and nothing is held
 	// during JSON encoding or the network write.
 	snap := ms.sm.AcquireSnapshot()
-	out := map[string]any{
-		"policy":    ms.req.Policy,
-		"lambda":    ms.req.Lambda,
-		"dim":       dim,
-		"processed": snap.T,
-		"size":      snap.Len(),
-		"capacity":  snap.Cap,
-		"fill":      snap.Fill(),
-		"pending":   ms.pending.Load(),
+	out := httpapi.Stats{
+		Capacity:  snap.Cap,
+		Dim:       dim,
+		Fill:      snap.Fill(),
+		Lambda:    ms.req.Lambda,
+		Pending:   ms.pending.Load(),
+		Policy:    ms.req.Policy,
+		Processed: snap.T,
+		Size:      snap.Len(),
 	}
 	if tr := ms.sm.Tiered(); tr != nil {
-		out["tiers"] = ms.tierInfo(tr)
+		out.Tiers = ms.tierStats(tr)
 	}
-	writeJSON(w, out)
+	httpapi.JSON(w, http.StatusOK, out)
 }
 
 func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 	ms, ok := s.lookup(r.PathValue("name"))
 	if !ok {
-		httpError(w, http.StatusNotFound, "stream %q not found", r.PathValue("name"))
+		httpapi.Error(w, http.StatusNotFound, "stream %q not found", r.PathValue("name"))
 		return
 	}
 	// The snapshot's probability slice was materialized once at capture
 	// time, so the response costs no per-point InclusionProb calls and no
 	// sampler lock at all on a cache hit.
-	writeJSON(w, query.SampleOf(ms.sm.AcquireSnapshot()))
+	httpapi.JSON(w, http.StatusOK, query.SampleOf(ms.sm.AcquireSnapshot()))
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	ms, ok := s.lookup(r.PathValue("name"))
 	if !ok {
-		httpError(w, http.StatusNotFound, "stream %q not found", r.PathValue("name"))
+		httpapi.Error(w, http.StatusNotFound, "stream %q not found", r.PathValue("name"))
 		return
 	}
 	req, err := query.ParseRequest(r.URL.Query())
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+		httpapi.Error(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	// The walk sums dimensions only for the types that read them.
@@ -805,29 +764,29 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		out = map[string]any{"quantile": v}
 	}
 	if err != nil {
-		httpError(w, http.StatusConflict, "%v", err)
+		httpapi.Error(w, http.StatusConflict, "%v", err)
 		return
 	}
-	writeJSON(w, out)
+	httpapi.JSON(w, http.StatusOK, out)
 }
 
 func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	ms, ok := s.lookup(name)
 	if !ok {
-		httpError(w, http.StatusNotFound, "stream %q not found", name)
+		httpapi.Error(w, http.StatusNotFound, "stream %q not found", name)
 		return
 	}
 	blob, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.maxBody))
 	if err != nil {
-		bodyError(w, err, "reading body: %v")
+		httpapi.BodyError(w, err, "reading body: %v")
 		return
 	}
 	if ms.pending.Load() != 0 {
 		// Queued batches would replay on top of the restored state with
 		// stale arrival indices; require a quiesced stream (see
 		// docs/OPERATIONS.md, "Checkpoint and restore").
-		httpError(w, http.StatusConflict,
+		httpapi.Error(w, http.StatusConflict,
 			"stream %q has %d pending ingest points; retry once the queue drains", name, ms.pending.Load())
 		return
 	}
@@ -835,12 +794,12 @@ func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 	// or inconsistent checkpoint must leave the live stream untouched.
 	restored, err := s.newSampler(ms.fresh, &durable.Checkpoint{Snapshot: blob})
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "restore: %v", err)
+		httpapi.Error(w, http.StatusBadRequest, "restore: %v", err)
 		return
 	}
 	dim, err := pointsDim(restored.Points())
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "restore: %v", err)
+		httpapi.Error(w, http.StatusBadRequest, "restore: %v", err)
 		return
 	}
 	ms.qmu.Lock()
@@ -848,7 +807,7 @@ func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 		// A batch was accepted between the earlier pending check and now;
 		// re-refuse rather than let it replay onto restored state.
 		ms.qmu.Unlock()
-		httpError(w, http.StatusConflict,
+		httpapi.Error(w, http.StatusConflict,
 			"stream %q has %d pending ingest points; retry once the queue drains", name, p)
 		return
 	}
@@ -884,7 +843,7 @@ func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 	if s.log != nil {
 		s.log.Info("stream restored", "stream", name, "processed", processed, "size", size, "dim", dim)
 	}
-	writeJSON(w, map[string]any{"processed": processed, "size": size})
+	httpapi.JSON(w, http.StatusOK, map[string]any{"processed": processed, "size": size})
 }
 
 // newSampler builds a scratch sampler from fresh on the next split of the

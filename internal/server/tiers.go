@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"biasedres/internal/core"
+	"biasedres/internal/httpapi"
 	"biasedres/internal/obs"
 	"biasedres/internal/query"
 )
@@ -34,24 +35,6 @@ func (s *Server) countTierQuery(name string, tier int) {
 	s.tierQueries.With(name, strconv.Itoa(tier)).Inc()
 }
 
-// tierInfo renders the ladder's per-tier state for GET /streams/{name}.
-func (ms *managedStream) tierInfo(tr *core.TieredReservoir) []map[string]any {
-	stats := ms.tierStats(tr)
-	out := make([]map[string]any, len(stats))
-	for i, st := range stats {
-		out[i] = map[string]any{
-			"index":     i,
-			"lambda":    st.Lambda,
-			"horizon":   st.Horizon,
-			"size":      st.Len,
-			"capacity":  st.Capacity,
-			"compacted": st.Compacted,
-			"drops":     st.Drops,
-		}
-	}
-	return out
-}
-
 // tierStats reads every tier's metrics under the sampler lock.
 func (ms *managedStream) tierStats(tr *core.TieredReservoir) []core.TierStats {
 	stats := make([]core.TierStats, tr.NumTiers())
@@ -73,31 +56,31 @@ func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	ms, ok := s.lookup(name)
 	if !ok {
-		httpError(w, http.StatusNotFound, "stream %q not found", name)
+		httpapi.Error(w, http.StatusNotFound, "stream %q not found", name)
 		return
 	}
 	q := r.URL.Query()
 	start, err := parseUint(q.Get("start"), 1)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "bad start: %v", err)
+		httpapi.Error(w, http.StatusBadRequest, "bad start: %v", err)
 		return
 	}
 	if start == 0 {
-		httpError(w, http.StatusBadRequest, "start must be >= 1 (arrival indices are 1-based)")
+		httpapi.Error(w, http.StatusBadRequest, "start must be >= 1 (arrival indices are 1-based)")
 		return
 	}
 	maxPoints, err := parseUint(q.Get("max_points"), rangeMaxPointsDefault)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "bad max_points: %v", err)
+		httpapi.Error(w, http.StatusBadRequest, "bad max_points: %v", err)
 		return
 	}
 	if maxPoints == 0 || maxPoints > rangeMaxPointsCap {
-		httpError(w, http.StatusBadRequest, "max_points must be in [1, %d]", rangeMaxPointsCap)
+		httpapi.Error(w, http.StatusBadRequest, "max_points must be in [1, %d]", rangeMaxPointsCap)
 		return
 	}
 	dim, err := ms.sumDims(q.Get("dim"))
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+		httpapi.Error(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 
@@ -106,11 +89,11 @@ func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
 	t := ms.sm.Processed()
 	end, err := parseUint(q.Get("end"), t+1)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "bad end: %v", err)
+		httpapi.Error(w, http.StatusBadRequest, "bad end: %v", err)
 		return
 	}
 	if end <= start {
-		httpError(w, http.StatusBadRequest, "empty range [%d, %d)", start, end)
+		httpapi.Error(w, http.StatusBadRequest, "empty range [%d, %d)", start, end)
 		return
 	}
 
@@ -126,14 +109,14 @@ func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
 	step := query.GranularityFor(end-start, int(maxPoints))
 	buckets, err := query.AccumulateBuckets(snap, start, end, step, dim)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+		httpapi.Error(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	out := query.RangeResult{Buckets: buckets, End: end, Granularity: step, Start: start, T: snap.T}
 	if tr := ms.sm.Tiered(); tier >= 0 && tr != nil {
 		out.Tier = &query.RangeTier{Horizon: tr.TierHorizon(tier), Index: tier, Lambda: tr.TierLambda(tier)}
 	}
-	writeJSON(w, out)
+	httpapi.JSON(w, http.StatusOK, out)
 }
 
 // WithRetention enables the background retention sweep: every interval,

@@ -1,12 +1,12 @@
 package server
 
 import (
-	"encoding/json"
 	"io"
 	"net/http"
 	"strconv"
 
 	"biasedres/internal/durable"
+	"biasedres/internal/httpapi"
 )
 
 // Stream transfer: the data-plane half of federated live migration. A
@@ -32,7 +32,7 @@ func (s *Server) handleExport(checkpoint bool) http.HandlerFunc {
 		name := r.PathValue("name")
 		ms, ok := s.lookup(name)
 		if !ok {
-			httpError(w, http.StatusNotFound, "stream %q not found", name)
+			httpapi.Error(w, http.StatusNotFound, "stream %q not found", name)
 			return
 		}
 		ck, err := s.cut(name, ms, nil)
@@ -41,7 +41,7 @@ func (s *Server) handleExport(checkpoint bool) http.HandlerFunc {
 			out, err = durable.EncodeCheckpoint(ck)
 		}
 		if err != nil {
-			httpError(w, http.StatusInternalServerError, "export: %v", err)
+			httpapi.Error(w, http.StatusInternalServerError, "export: %v", err)
 			return
 		}
 		w.Header().Set("Content-Type", "application/octet-stream")
@@ -63,26 +63,24 @@ func (s *Server) handleTransferPost(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.maxBody))
 	if err != nil {
-		bodyError(w, err, "reading body: %v")
+		httpapi.BodyError(w, err, "reading body: %v")
 		return
 	}
 	ck, err := durable.DecodeCheckpoint(body)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "transfer: %v", err)
+		httpapi.Error(w, http.StatusBadRequest, "transfer: %v", err)
 		return
 	}
 	// The installed stream is durable from its first moment: one
 	// checkpoint holding the shipped state, above the shipped seq.
 	ms, code, err := s.install(name, createRequestOf(ck.Meta), &durable.Recovered{Checkpoint: ck}, ck.Seq+1)
 	if err != nil {
-		httpError(w, code, "transfer: %v", err)
+		httpapi.Error(w, code, "transfer: %v", err)
 		return
 	}
 	processed, size := ms.sm.Processed(), ms.sm.Len()
 	if s.log != nil {
 		s.log.Info("stream installed from transfer", "stream", name, "processed", processed, "size", size)
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusCreated)
-	_ = json.NewEncoder(w).Encode(map[string]any{"installed": name, "processed": processed, "size": size})
+	httpapi.JSON(w, http.StatusCreated, map[string]any{"installed": name, "processed": processed, "size": size})
 }
