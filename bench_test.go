@@ -160,10 +160,6 @@ func BenchmarkAddUnbiased(b *testing.B) {
 	benchSamplerAdd(b, func() (Sampler, error) { return NewUnbiased(1000, 1) })
 }
 
-func BenchmarkAddSkipUnbiased(b *testing.B) {
-	benchSamplerAdd(b, func() (Sampler, error) { return NewSkipUnbiased(1000, 1) })
-}
-
 func BenchmarkAddZUnbiased(b *testing.B) {
 	benchSamplerAdd(b, func() (Sampler, error) { return NewZUnbiased(1000, 1) })
 }

@@ -8,6 +8,7 @@
 //	biasedres -in stream.csv -lambda 1e-4 -capacity 500 -dump sample.csv
 //	biasedres -in kddcup.data -format kdd -lambda 1e-4 -capacity 1000 \
 //	          -query classdist -h 10000
+//	biasedres -in stream.csv -policy variable -lambda 1e-4 -capacity 500
 //	biasedres -in stream.csv -policy unbiased -capacity 1000
 //
 // Input formats:
@@ -15,14 +16,12 @@
 //	csv   index,label,weight,v0,v1,...   (the library's layout; default)
 //	kdd   the raw KDD CUP 1999 format (41 features + label), z-normalized
 //
-// Policies:
-//
-//	biased     Algorithm 2.1 when -capacity is 0 (capacity ⌊1/λ⌋),
-//	           otherwise variable reservoir sampling within -capacity.
-//	unbiased   classical reservoir sampling (Vitter's Algorithm R).
-//	z          Vitter's Algorithm Z (same distribution, faster).
-//	window     uniform sample of the last -window arrivals.
-//	timedecay  exponential decay in arrival time units within -capacity.
+// Policies are the sampler families of the daemon's create request (see
+// docs/QUERY_API.md), built from the same registry with the same meaning:
+// biased is Algorithm 2.1 when -capacity is 0 (capacity ⌊1/λ⌋) and
+// Algorithm 3.1 within -capacity otherwise; variable is variable reservoir
+// sampling (Theorem 3.3). When -capacity is 0, every family except biased
+// gets 1000 slots.
 //
 // Queries (-query, evaluated at end of stream over the last -h arrivals):
 //
@@ -38,12 +37,17 @@ import (
 	"io"
 	"os"
 	"sort"
+	"strings"
 
 	"biasedres/internal/core"
 	"biasedres/internal/query"
 	"biasedres/internal/stream"
 	"biasedres/internal/xrand"
 )
+
+// defaultCapacity is the slot count of every family but biased when
+// -capacity is 0; biased then derives ⌊1/λ⌋ itself.
+const defaultCapacity = 1000
 
 func main() {
 	if err := run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr); err != nil {
@@ -72,9 +76,9 @@ func parseFlags(args []string, stderr io.Writer) (*config, error) {
 	cfg := &config{}
 	fs.StringVar(&cfg.in, "in", "", "input file (default stdin)")
 	fs.StringVar(&cfg.format, "format", "csv", "input format: csv | kdd")
-	fs.StringVar(&cfg.policy, "policy", "biased", "sampling policy: biased | unbiased | z | window | timedecay")
-	fs.Float64Var(&cfg.lambda, "lambda", 1e-4, "bias rate λ (biased/timedecay policies)")
-	fs.IntVar(&cfg.capacity, "capacity", 0, "reservoir capacity (0 = derive from λ for the biased policy)")
+	fs.StringVar(&cfg.policy, "policy", "biased", "sampling policy: "+strings.Join(core.Policies(), " | "))
+	fs.Float64Var(&cfg.lambda, "lambda", 1e-4, "bias rate λ (policies with a bias rate)")
+	fs.IntVar(&cfg.capacity, "capacity", 0, "reservoir capacity (0 = derive from λ for the biased policy, 1000 otherwise)")
 	fs.Uint64Var(&cfg.window, "window", 10000, "window length (window policy)")
 	fs.Uint64Var(&cfg.seed, "seed", 1, "random seed")
 	fs.StringVar(&cfg.dump, "dump", "", "write the final sample as CSV to this file ('-' for stdout)")
@@ -184,38 +188,18 @@ func buildSource(cfg *config, r io.Reader) (stream.Stream, func() error, error) 
 	}
 }
 
+// buildSampler builds the -policy family through core.SamplerFactory, the
+// one table of families the daemon also builds from.
 func buildSampler(cfg *config) (core.Sampler, error) {
-	rng := xrand.New(cfg.seed)
-	capacity := cfg.capacity
-	switch cfg.policy {
-	case "biased":
-		if capacity == 0 {
-			return core.NewBiasedReservoir(cfg.lambda, rng)
-		}
-		return core.NewVariableReservoir(cfg.lambda, capacity, rng)
-	case "unbiased":
-		if capacity == 0 {
-			capacity = 1000
-		}
-		return core.NewUnbiasedReservoir(capacity, rng)
-	case "z":
-		if capacity == 0 {
-			capacity = 1000
-		}
-		return core.NewZReservoir(capacity, rng)
-	case "window":
-		if capacity == 0 {
-			capacity = 1000
-		}
-		return core.NewWindowReservoir(cfg.window, capacity, rng)
-	case "timedecay":
-		if capacity == 0 {
-			capacity = 1000
-		}
-		return core.NewTimeDecayReservoir(cfg.lambda, capacity, rng)
-	default:
-		return nil, fmt.Errorf("unknown policy %q (biased | unbiased | z | window | timedecay)", cfg.policy)
+	c := core.SamplerConfig{Policy: cfg.policy, Lambda: cfg.lambda, Capacity: cfg.capacity, Window: cfg.window}
+	if c.Capacity == 0 && c.Policy != "biased" {
+		c.Capacity = defaultCapacity
 	}
+	fresh, err := core.SamplerFactory(c)
+	if err != nil {
+		return nil, err
+	}
+	return fresh(xrand.New(cfg.seed))
 }
 
 func runQuery(w io.Writer, s core.Sampler, cfg *config, dim int) error {

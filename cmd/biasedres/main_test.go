@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"biasedres/internal/core"
 	"biasedres/internal/stream"
 )
 
@@ -40,8 +41,9 @@ func TestRunBasic(t *testing.T) {
 	if !strings.Contains(errw.String(), "processed: 5000 points") {
 		t.Fatalf("report missing:\n%s", errw.String())
 	}
-	// The variable scheme keeps the reservoir full up to at most one
-	// ejected slot (paper Section 3).
+	// Within a capacity, biased is Algorithm 3.1: after t = 5000 arrivals
+	// at λ = 1e-3 about n·e^{-λt} ≈ 1.3 of its 200 slots are still empty
+	// (paper Section 3).
 	if !strings.Contains(errw.String(), "reservoir: 200 / 200") &&
 		!strings.Contains(errw.String(), "reservoir: 199 / 200") {
 		t.Fatalf("variable reservoir not essentially full:\n%s", errw.String())
@@ -82,7 +84,7 @@ func TestRunQueries(t *testing.T) {
 
 func TestRunPolicies(t *testing.T) {
 	path := clusterCSV(t, 3000)
-	for _, p := range []string{"biased", "unbiased", "z", "window", "timedecay"} {
+	for _, p := range core.Policies() {
 		var out, errw bytes.Buffer
 		if err := run([]string{"-in", path, "-policy", p, "-capacity", "100", "-lambda", "1e-3"}, nil, &out, &errw); err != nil {
 			t.Fatalf("policy %s: %v", p, err)

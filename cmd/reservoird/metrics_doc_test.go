@@ -9,8 +9,10 @@ import (
 	"time"
 
 	"biasedres/internal/client"
+	"biasedres/internal/core"
 	"biasedres/internal/durable"
 	"biasedres/internal/federation"
+	"biasedres/internal/multi"
 	"biasedres/internal/server"
 	"biasedres/internal/wire"
 )
@@ -20,8 +22,9 @@ import (
 // docs/OPERATIONS.md. The node runs every feature that adds families at
 // scrape time (durability, async ingest shards, a plain and a tiered
 // stream with retention, a model that has scored a full window, a wire
-// listener on the same registry), so a family the collectors emit only
-// for such streams is scraped too.
+// listener on the same registry, a registered multi.Manager with a
+// stream), so a family the collectors emit only for such streams is
+// scraped too.
 func TestMetricsDocumented(t *testing.T) {
 	doc, err := os.ReadFile("../../docs/OPERATIONS.md")
 	if err != nil {
@@ -77,6 +80,15 @@ func TestMetricsDocumented(t *testing.T) {
 		}
 	}
 
+	fleet, err := multi.NewManager(100, 0.01, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fleet.Register("fleet", 50); err != nil {
+		t.Fatal(err)
+	}
+	node.Metrics().Register(fleet)
+
 	co, err := federation.New([]string{ts.URL}, federation.Config{HealthInterval: time.Hour})
 	if err != nil {
 		t.Fatal(err)
@@ -100,6 +112,31 @@ func TestMetricsDocumented(t *testing.T) {
 		}
 		if families == 0 {
 			t.Errorf("%s exposes no metric families", role)
+		}
+	}
+}
+
+// TestPoliciesDocumented is the docs-freshness gate for sampler families:
+// every core.Policies() name is listed in QUERY_API's `policy` row of the
+// create request and in OPERATIONS' `-default-policy` flag row.
+func TestPoliciesDocumented(t *testing.T) {
+	for _, d := range []struct{ file, row string }{
+		{"../../docs/QUERY_API.md", "| `policy` |"},
+		{"../../docs/OPERATIONS.md", "| `-default-policy` |"},
+	} {
+		doc, err := os.ReadFile(d.file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, rest, ok := strings.Cut(string(doc), "\n"+d.row)
+		if !ok {
+			t.Fatalf("%s has no %s row", d.file, d.row)
+		}
+		row, _, _ := strings.Cut(rest, "\n")
+		for _, name := range core.Policies() {
+			if !strings.Contains(row, "`"+name+"`") {
+				t.Errorf("%s: policy %q missing from the %s row", d.file, name, d.row)
+			}
 		}
 	}
 }

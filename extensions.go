@@ -7,15 +7,13 @@ import (
 )
 
 // Extensions beyond the paper's core algorithms: the skip-based unbiased
-// reservoir (Vitter's Algorithm X), wall-clock time decay, weighted
+// reservoir (Vitter's Algorithm Z), wall-clock time decay, weighted
 // sampling, quantile estimation and k-means over samples.
 
-// SkipReservoir is Vitter's Algorithm X: distributionally identical to
-// NewUnbiased but drawing skip counts instead of one coin per arrival.
-type SkipReservoir = core.SkipReservoir
-
-// ZReservoir is Vitter's Algorithm Z: Algorithm X's skip draws replaced by
-// O(1) rejection sampling — the fastest unbiased reservoir on long streams.
+// ZReservoir is Vitter's Algorithm Z: distributionally identical to
+// NewUnbiased, but it draws how many arrivals to skip by O(1) rejection
+// sampling instead of flipping one coin per arrival — the fastest unbiased
+// reservoir on long streams.
 type ZReservoir = core.ZReservoir
 
 // TimeDecayReservoir biases by wall-clock age instead of arrival count:
@@ -42,13 +40,6 @@ type KMeansConfig = cluster.Config
 
 // KMeansResult is the outcome of a k-means run.
 type KMeansResult = cluster.Result
-
-// NewSkipUnbiased returns an Algorithm X unbiased reservoir: same
-// distribution as NewUnbiased (Property 2.1), O(1) RNG draws per retained
-// decision instead of per arrival.
-func NewSkipUnbiased(capacity int, seed uint64) (*SkipReservoir, error) {
-	return core.NewSkipReservoir(capacity, xrand.New(seed))
-}
 
 // NewZUnbiased returns an Algorithm Z unbiased reservoir: same
 // distribution as NewUnbiased, O(1) random draws per replacement.

@@ -1,29 +1,6 @@
 package biasedres
 
-import (
-	"math"
-	"testing"
-)
-
-func TestSkipUnbiasedFacade(t *testing.T) {
-	s, err := NewSkipUnbiased(50, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i <= 5000; i++ {
-		s.Add(Point{Index: uint64(i), Values: []float64{1}, Weight: 1})
-	}
-	if s.Len() != 50 {
-		t.Fatalf("len = %d", s.Len())
-	}
-	if got := s.InclusionProb(100); math.Abs(got-0.01) > 1e-12 {
-		t.Fatalf("p = %v, want 50/5000", got)
-	}
-	// The HT estimator works over Algorithm X like any other sampler.
-	if est := Estimate(s, CountQuery(0)); math.Abs(est-5000) > 1e-6 {
-		t.Fatalf("count estimate %v, want exactly 5000 (uniform probabilities)", est)
-	}
-}
+import "testing"
 
 func TestTimeDecayFacade(t *testing.T) {
 	d, err := NewTimeDecay(0.001, 100, 2)

@@ -15,8 +15,8 @@ import (
 // search, Z draws it by rejection sampling from a close-fitting envelope
 // distribution, costing O(1) random numbers per replacement regardless of
 // stream position. Following Vitter, the sampler runs Algorithm X's
-// search until t exceeds thresholdFactor·n, after which the skip lengths
-// are large enough for rejection to win.
+// search (skipFor) until t exceeds thresholdFactor·n, after which the skip
+// lengths are large enough for rejection to win.
 //
 // It exists as the high-throughput unbiased baseline; the statistical tests
 // assert it is exactly Algorithm R in distribution.
@@ -163,18 +163,26 @@ func (z *ZReservoir) drawSkip() uint64 {
 // searchSkip is Algorithm X's sequential inversion, used below the
 // threshold where rejection would be wasteful. The uniform comes from
 // u01, not Float64: a draw of exactly 0 would keep the loop grinding
-// until quot underflows (the same stall fixed in SkipReservoir.drawSkip),
-// and the quot > 0 guard bounds it even then.
-func (z *ZReservoir) searchSkip() uint64 {
-	u := z.u01()
-	n := float64(z.st.Capacity)
-	t := float64(z.st.T)
+// until quot underflows.
+func (z *ZReservoir) searchSkip() uint64 { return skipFor(z.st.Capacity, z.st.T, z.u01()) }
+
+// skipFor inverts the skip distribution P(S >= s) = Π_{i=1..s}
+// (t+i-n)/(t+i) of an n-slot reservoir after t arrivals at the uniform
+// u: the smallest s with P(S >= s+1) < u. A u at or below 0 is clamped
+// to 2^-53 and the loop also stops when quot reaches 0, so no input makes
+// it spin unbounded.
+func skipFor(n int, t uint64, u float64) uint64 {
+	if u <= 0 {
+		u = 0x1p-53
+	}
+	nf, tf := float64(n), float64(t)
+	// quot = P(S >= skip+1), shrinking as skip grows.
 	var skip uint64
-	quot := (t + 1 - n) / (t + 1)
+	quot := (tf + 1 - nf) / (tf + 1)
 	for quot > u && quot > 0 {
 		skip++
-		tt := t + float64(skip) + 1
-		quot *= (tt - n) / tt
+		tt := tf + float64(skip) + 1
+		quot *= (tt - nf) / tt
 	}
 	return skip
 }

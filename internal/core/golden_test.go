@@ -39,7 +39,6 @@ var goldenKinds = []struct {
 	{"constrained", func(rng *xrand.Source) (PersistentSampler, error) { return NewConstrainedReservoir(0.02, 30, rng) }},
 	{"variable", func(rng *xrand.Source) (PersistentSampler, error) { return NewVariableReservoir(0.02, 40, rng) }},
 	{"unbiased", func(rng *xrand.Source) (PersistentSampler, error) { return NewUnbiasedReservoir(30, rng) }},
-	{"skip", func(rng *xrand.Source) (PersistentSampler, error) { return NewSkipReservoir(30, rng) }},
 	{"algz", func(rng *xrand.Source) (PersistentSampler, error) { return NewZReservoir(8, rng) }},
 	{"window", func(rng *xrand.Source) (PersistentSampler, error) { return NewWindowReservoir(50, 10, rng) }},
 	{"timedecay", func(rng *xrand.Source) (PersistentSampler, error) { return NewTimeDecayReservoir(0.05, 30, rng) }},

@@ -73,10 +73,9 @@ func snapshotBits(s *Snapshot) []uint64 {
 }
 
 // ownershipCases are every registered family, each tiered one also as a
-// three-tier ladder, plus the Algorithm X and Z baselines.
+// three-tier ladder, plus the Algorithm Z baseline.
 func ownershipCases(t *testing.T) map[string]func(rng *xrand.Source) (Sampler, error) {
 	cases := map[string]func(rng *xrand.Source) (Sampler, error){
-		"skip": func(rng *xrand.Source) (Sampler, error) { return NewSkipReservoir(50, rng) },
 		"algz": func(rng *xrand.Source) (Sampler, error) { return NewZReservoir(50, rng) },
 	}
 	for _, name := range Policies() {

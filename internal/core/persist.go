@@ -31,6 +31,10 @@ const (
 	kindBiased byte = 1 + iota
 	kindVariable
 	kindUnbiased
+	// kindSkip was Algorithm X's tag. The family is retired (Algorithm Z
+	// draws the same sample); the tag stays reserved and is never reused,
+	// so the tags after it, and every snapshot carrying them, keep their
+	// values.
 	kindSkip
 	kindWindow
 	kindTimeDecay
@@ -106,6 +110,40 @@ func decodeState[S any, P samplerState[S]](kind byte, data []byte, st *S, rng **
 	return nil
 }
 
+// Restore loads snapshot into s, a scratch sampler freshly built from a
+// stream's configuration, and refuses a snapshot that runs another
+// capacity, λ or window than that configuration (the kind tag alone lets
+// any sampler of the family through). The daemon and multi.LoadFrom
+// restore only through it.
+func Restore(s PersistentSampler, snapshot []byte) error {
+	want := shapeOf(s)
+	if err := s.UnmarshalBinary(snapshot); err != nil {
+		return fmt.Errorf("restoring snapshot: %w", err)
+	}
+	if got := shapeOf(s); got != want {
+		return fmt.Errorf("snapshot runs %+v, the stream is configured for %+v", got, want)
+	}
+	return nil
+}
+
+// samplerShape is the part of a stream's configuration a sampler reports.
+type samplerShape struct {
+	Capacity int
+	Lambda   float64
+	Window   uint64
+}
+
+func shapeOf(s Sampler) samplerShape {
+	sh := samplerShape{Capacity: s.Capacity()}
+	if l, ok := s.(interface{ Lambda() float64 }); ok {
+		sh.Lambda = l.Lambda()
+	}
+	if w, ok := s.(interface{ Window() uint64 }); ok {
+		sh.Window = w.Window()
+	}
+	return sh
+}
+
 // checkFill refuses a reservoir holding more points than its capacity.
 func checkFill(n, capacity int) error {
 	if capacity <= 0 || n > capacity {
@@ -171,19 +209,6 @@ func (u *UnbiasedReservoir) MarshalBinary() ([]byte, error) {
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (u *UnbiasedReservoir) UnmarshalBinary(data []byte) error {
 	return decodeState(kindUnbiased, data, &u.st, &u.rng, &u.ver)
-}
-
-func (s *skipState) rngField() *[]byte { return &s.RNG }
-func (s *skipState) check() error      { return checkFill(len(s.Pts), s.Capacity) }
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (s *SkipReservoir) MarshalBinary() ([]byte, error) {
-	return encodeState(kindSkip, s.st, s.rng)
-}
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (s *SkipReservoir) UnmarshalBinary(data []byte) error {
-	return decodeState(kindSkip, data, &s.st, &s.rng, &s.ver)
 }
 
 func (s *zState) rngField() *[]byte { return &s.RNG }

@@ -73,10 +73,6 @@ func TestResumeIdenticalAcrossSamplers(t *testing.T) {
 			u, _ := NewUnbiasedReservoir(100, xrand.New(7))
 			return u
 		}},
-		{"skip", func() snapshotter {
-			s, _ := NewSkipReservoir(100, xrand.New(7))
-			return s
-		}},
 		{"algz", func() snapshotter {
 			z, _ := NewZReservoir(100, xrand.New(7))
 			return z

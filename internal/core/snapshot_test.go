@@ -46,8 +46,6 @@ func TestVersionCountsMutations(t *testing.T) {
 	samplers["variable"] = v
 	u, _ := NewUnbiasedReservoir(20, xrand.New(3))
 	samplers["unbiased"] = u
-	s, _ := NewSkipReservoir(20, xrand.New(4))
-	samplers["skip"] = s
 	z, _ := NewZReservoir(20, xrand.New(5))
 	samplers["algz"] = z
 	w, _ := NewWindowReservoir(100, 20, xrand.New(6))

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"biasedres/internal/obs"
 	"biasedres/internal/stream"
 )
 
@@ -174,3 +175,62 @@ func (c *Synchronized) AcquireSnapshot() *Snapshot {
 
 // SnapshotStats returns the snapshot cache's hit/miss/rebuild counters.
 func (c *Synchronized) SnapshotStats() SnapshotCacheStats { return c.cache.Stats() }
+
+// NamedStream is one stream of a StreamFamilies scrape.
+type NamedStream struct {
+	Name string
+	S    *Synchronized
+}
+
+// StreamFamilies renders the per-stream sampler gauges and snapshot-cache
+// counters of streams, in their order, as metric families named under
+// prefix ("biasedres_" for the daemon, "biasedres_multi_" for a
+// multi.Manager). Families no stream reports are left out: admitted, p_in
+// and phases exist only for the samplers that count them.
+func StreamFamilies(prefix string, streams []NamedStream) []obs.Family {
+	fam := func(name, typ, help string) obs.Family {
+		return obs.Family{Name: prefix + name, Type: typ, Help: help}
+	}
+	processed := fam("stream_processed_total", "counter", "Stream points processed by the sampler (t).")
+	admitted := fam("stream_admitted_total", "counter", "Points that passed the p_in coin and entered the reservoir.")
+	size := fam("stream_reservoir_size", "gauge", "Points currently resident in the reservoir.")
+	capacity := fam("stream_reservoir_capacity", "gauge", "Reservoir slot budget.")
+	fill := fam("stream_fill_fraction", "gauge", "Reservoir fill fraction F(t) in [0,1].")
+	pin := fam("stream_p_in", "gauge", "Current insertion probability p_in (policies that decay it).")
+	phases := fam("stream_reduction_phases_total", "counter", "p_in reduction phases run (variable policy).")
+	snapHits := fam("snapshot_cache_hits_total", "counter", "Snapshot reads served lock-free from the published snapshot.")
+	snapMisses := fam("snapshot_cache_misses_total", "counter", "Snapshot reads that found the published snapshot stale or absent.")
+	snapRebuilds := fam("snapshot_cache_rebuilds_total", "counter", "Snapshots rebuilt under the sampler lock (at most one per mutation).")
+
+	for _, ns := range streams {
+		label := []obs.Label{{Key: "stream", Value: ns.Name}}
+		add := func(f *obs.Family, v float64) { f.Samples = append(f.Samples, obs.Sample{Labels: label, Value: v}) }
+		ns.S.View(func(sm Sampler) {
+			add(&processed, float64(sm.Processed()))
+			add(&size, float64(sm.Len()))
+			add(&capacity, float64(sm.Capacity()))
+			add(&fill, Fill(sm))
+			if a, ok := sm.(interface{ Admitted() uint64 }); ok {
+				add(&admitted, float64(a.Admitted()))
+			}
+			if p, ok := sm.(interface{ PIn() float64 }); ok {
+				add(&pin, p.PIn())
+			}
+			if ph, ok := sm.(interface{ Phases() int }); ok {
+				add(&phases, float64(ph.Phases()))
+			}
+		})
+		st := ns.S.SnapshotStats()
+		add(&snapHits, float64(st.Hits))
+		add(&snapMisses, float64(st.Misses))
+		add(&snapRebuilds, float64(st.Rebuilds))
+	}
+
+	out := make([]obs.Family, 0, 10)
+	for _, f := range []obs.Family{processed, admitted, size, capacity, fill, pin, phases, snapHits, snapMisses, snapRebuilds} {
+		if len(f.Samples) > 0 {
+			out = append(out, f)
+		}
+	}
+	return out
+}

@@ -6,6 +6,7 @@ import (
 	"context"
 	"net/http"
 	"slices"
+	"strconv"
 	"testing"
 
 	"biasedres/internal/client"
@@ -212,7 +213,28 @@ func TestDrainInstallsFromReplicaBytes(t *testing.T) {
 	co, fed := startCoordinator(t, nodes[:2], testCfg())
 	ctx := context.Background()
 
-	const name = "r"
+	// Pick as victim an original holder whose removal ranks a new peer
+	// first for the stream's shard. HRW ranks by the httptest servers'
+	// random addresses, so try stream names until one has such a victim:
+	// with two candidate victims and two new peers most names do.
+	var name string
+	var victim *node
+	for i := 0; victim == nil; i++ {
+		name = "r" + strconv.Itoa(i)
+		for _, cand := range nodes[:2] {
+			var remaining []*peer
+			for _, nd := range nodes {
+				if nd != cand {
+					remaining = append(remaining, &peer{addr: nd.ts.URL})
+				}
+			}
+			top := rankPeers(shardKey(name, 0), remaining)[0].addr
+			if top == nodes[2].ts.URL || top == nodes[3].ts.URL {
+				victim = cand
+				break
+			}
+		}
+	}
 	if status, _ := fedDo(t, http.MethodPut, fed.URL+"/streams/"+name, managedCfg(1, 2)); status != http.StatusCreated {
 		t.Fatal("create failed")
 	}
@@ -231,28 +253,6 @@ func TestDrainInstallsFromReplicaBytes(t *testing.T) {
 		}
 	}
 	co.Sweep(ctx)
-
-	// Pick as victim an original holder whose removal ranks a new peer
-	// first for this shard; with two candidate victims and two new peers
-	// this usually exists, and the test is explicit when it does not.
-	key := shardKey(name, 0)
-	var victim *node
-	for _, cand := range nodes[:2] {
-		var remaining []*peer
-		for _, p := range co.peerList() {
-			if p.addr != cand.ts.URL {
-				remaining = append(remaining, p)
-			}
-		}
-		top := rankPeers(key, remaining)[0].addr
-		if top == nodes[2].ts.URL || top == nodes[3].ts.URL {
-			victim = cand
-			break
-		}
-	}
-	if victim == nil {
-		t.Skip("HRW ranks a sibling first for every victim choice; replica-sourced install not reachable with these addresses")
-	}
 
 	victim.down.Store(true)
 	co.Sweep(ctx)

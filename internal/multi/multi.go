@@ -167,8 +167,8 @@ func (m *Manager) register(name string, kind Kind, total int, cfg core.SamplerCo
 		return fmt.Errorf("multi: creating %s reservoir for %q: %w", kind, name, err)
 	}
 	if from != nil {
-		if err := sampler.UnmarshalBinary(from.Snapshot); err != nil {
-			return fmt.Errorf("multi: restoring %q: %w", name, err)
+		if err := core.Restore(sampler, from.Snapshot); err != nil {
+			return fmt.Errorf("multi: stream %q: %w", name, err)
 		}
 	}
 	m.streams[name] = &entry{sm: core.NewSynchronized(sampler), kind: kind, share: total}
@@ -374,20 +374,11 @@ type Stats struct {
 
 // StreamStats returns per-stream reservoir statistics, sorted by name.
 func (m *Manager) StreamStats() []Stats {
-	m.mu.RLock()
-	names := make([]string, 0, len(m.streams))
-	for name := range m.streams {
-		names = append(names, name)
-	}
-	m.mu.RUnlock()
-	sort.Strings(names)
-	out := make([]Stats, 0, len(names))
-	for _, name := range names {
-		e, err := m.lookup(name)
-		if err != nil {
-			continue // unregistered since the listing
-		}
-		st := Stats{Name: name, Kind: e.kind, Share: e.share}
+	list := m.list()
+	out := make([]Stats, 0, len(list))
+	for _, ne := range list {
+		e := ne.e
+		st := Stats{Name: ne.name, Kind: e.kind, Share: e.share}
 		e.sm.View(func(s core.Sampler) {
 			st.Len, st.Processed, st.Fill = s.Len(), s.Processed(), core.Fill(s)
 			st.PIn = 1
@@ -402,15 +393,34 @@ func (m *Manager) StreamStats() []Stats {
 	return out
 }
 
+// namedEntry pairs an entry with its registered name.
+type namedEntry struct {
+	name string
+	e    *entry
+}
+
+// list snapshots the registered streams, sorted by name.
+func (m *Manager) list() []namedEntry {
+	m.mu.RLock()
+	out := make([]namedEntry, 0, len(m.streams))
+	for name, e := range m.streams {
+		out = append(out, namedEntry{name, e})
+	}
+	m.mu.RUnlock()
+	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
+	return out
+}
+
 // Collect implements obs.Collector: registering the manager on an
 // obs.Registry exports the global budget and every stream's reservoir
 // state at one scrape point — the "thousands of independent streams"
-// deployment stays observable through a single /metrics endpoint.
+// deployment stays observable through a single /metrics endpoint. The
+// per-stream families are core.StreamFamilies under biasedres_multi_.
 func (m *Manager) Collect() []obs.Family {
 	m.mu.RLock()
-	budget, used, streams := m.budget, m.used, len(m.streams)
+	budget, used := m.budget, m.used
 	m.mu.RUnlock()
-
+	list := m.list()
 	out := []obs.Family{
 		{Name: "biasedres_multi_budget_slots", Type: "gauge",
 			Help:    "Total reservoir slots the manager may allocate.",
@@ -420,41 +430,20 @@ func (m *Manager) Collect() []obs.Family {
 			Samples: []obs.Sample{{Value: float64(used)}}},
 		{Name: "biasedres_multi_streams", Type: "gauge",
 			Help:    "Streams currently registered with the manager.",
-			Samples: []obs.Sample{{Value: float64(streams)}}},
+			Samples: []obs.Sample{{Value: float64(len(list))}}},
 	}
-
-	stats := m.StreamStats()
-	if len(stats) == 0 {
+	if len(list) == 0 {
 		return out
 	}
 	share := obs.Family{Name: "biasedres_multi_stream_share_slots", Type: "gauge",
 		Help: "Reservoir slots allocated to the stream."}
-	size := obs.Family{Name: "biasedres_multi_stream_reservoir_size", Type: "gauge",
-		Help: "Points currently resident in the stream's reservoir."}
-	processed := obs.Family{Name: "biasedres_multi_stream_processed_total", Type: "counter",
-		Help: "Stream points processed by the stream's sampler."}
-	pin := obs.Family{Name: "biasedres_multi_stream_p_in", Type: "gauge",
-		Help: "Current insertion probability p_in of the stream's sampler."}
-	fill := obs.Family{Name: "biasedres_multi_stream_fill_fraction", Type: "gauge",
-		Help: "Fill fraction F(t) of the stream's reservoir."}
-	snapHits := obs.Family{Name: "biasedres_multi_snapshot_cache_hits_total", Type: "counter",
-		Help: "Snapshot reads served lock-free from the published snapshot."}
-	snapMisses := obs.Family{Name: "biasedres_multi_snapshot_cache_misses_total", Type: "counter",
-		Help: "Snapshot reads that found the published snapshot stale or absent."}
-	snapRebuilds := obs.Family{Name: "biasedres_multi_snapshot_cache_rebuilds_total", Type: "counter",
-		Help: "Snapshots rebuilt under the sampler lock (at most one per mutation)."}
-	for _, st := range stats {
-		label := []obs.Label{{Key: "stream", Value: st.Name}}
-		share.Samples = append(share.Samples, obs.Sample{Labels: label, Value: float64(st.Share)})
-		size.Samples = append(size.Samples, obs.Sample{Labels: label, Value: float64(st.Len)})
-		processed.Samples = append(processed.Samples, obs.Sample{Labels: label, Value: float64(st.Processed)})
-		pin.Samples = append(pin.Samples, obs.Sample{Labels: label, Value: st.PIn})
-		fill.Samples = append(fill.Samples, obs.Sample{Labels: label, Value: st.Fill})
-		snapHits.Samples = append(snapHits.Samples, obs.Sample{Labels: label, Value: float64(st.SnapshotHits)})
-		snapMisses.Samples = append(snapMisses.Samples, obs.Sample{Labels: label, Value: float64(st.SnapshotMisses)})
-		snapRebuilds.Samples = append(snapRebuilds.Samples, obs.Sample{Labels: label, Value: float64(st.SnapshotRebuilds)})
+	streams := make([]core.NamedStream, len(list))
+	for i, ne := range list {
+		share.Samples = append(share.Samples, obs.Sample{
+			Labels: []obs.Label{{Key: "stream", Value: ne.name}}, Value: float64(ne.e.share)})
+		streams[i] = core.NamedStream{Name: ne.name, S: ne.e.sm}
 	}
-	return append(out, share, size, processed, pin, fill, snapHits, snapMisses, snapRebuilds)
+	return append(append(out, share), core.StreamFamilies("biasedres_multi_", streams)...)
 }
 
 // Budget returns the total slot budget.

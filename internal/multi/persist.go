@@ -38,23 +38,12 @@ type streamState struct {
 // Concurrent Adds are safe during the call; each stream is snapshotted
 // under its own lock, so the checkpoint is per-stream consistent.
 func (m *Manager) SaveTo(w io.Writer) error {
-	m.mu.RLock()
-	names := make([]string, 0, len(m.streams))
-	for name := range m.streams {
-		names = append(names, name)
-	}
-	state := fleetState{
-		Budget:  m.budget,
-		Lambda:  m.lambda,
-		Streams: make(map[string]streamState, len(names)),
-	}
-	m.mu.RUnlock()
-	for _, name := range names {
-		e, err := m.lookup(name)
-		if err != nil {
-			continue // unregistered mid-save
-		}
+	list := m.list()
+	state := fleetState{Budget: m.budget, Lambda: m.lambda, Streams: make(map[string]streamState, len(list))}
+	for _, ne := range list {
+		name, e := ne.name, ne.e
 		st := streamState{Share: e.share, Kind: string(e.kind)}
+		var err error
 		e.sm.View(func(s core.Sampler) {
 			st.Snapshot, err = s.(core.PersistentSampler).MarshalBinary()
 			if tr := e.sm.Tiered(); tr != nil {

@@ -2,11 +2,14 @@ package multi
 
 import (
 	"bytes"
+	"encoding/gob"
 	"fmt"
 	"strings"
 	"testing"
 
+	"biasedres/internal/core"
 	"biasedres/internal/stream"
+	"biasedres/internal/xrand"
 )
 
 func TestFleetCheckpointRoundTrip(t *testing.T) {
@@ -79,6 +82,37 @@ func TestFleetCheckpointRoundTrip(t *testing.T) {
 func TestFleetCheckpointRejectsGarbage(t *testing.T) {
 	if _, err := LoadFrom(strings.NewReader("not a gob"), 1); err == nil {
 		t.Fatal("garbage accepted")
+	}
+}
+
+// A fleet checkpoint whose stream snapshot runs another capacity and λ
+// than the share and manager λ it is charged at is refused with the
+// daemon's shape error: loaded as is, the stream would hold 1000 slots
+// while the budget counts 10.
+func TestFleetCheckpointRefusesMismatchedSnapshot(t *testing.T) {
+	v, err := core.NewVariableReservoir(0.001, 1000, xrand.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 3000; i++ {
+		v.Add(stream.Point{Index: uint64(i), Values: []float64{float64(i)}, Weight: 1})
+	}
+	snap, err := v.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(fleetState{Budget: 10, Lambda: 0.1,
+		Streams: map[string]streamState{"s": {Share: 10, Snapshot: snap, Kind: string(KindVariable)}}}); err != nil {
+		t.Fatal(err)
+	}
+	m, err := LoadFrom(&buf, 1)
+	if err == nil {
+		t.Fatalf("mismatched snapshot loaded: used %d of budget %d", m.Used(), m.Budget())
+	}
+	want := `snapshot runs {Capacity:1000 Lambda:0.001 Window:0}, the stream is configured for {Capacity:10 Lambda:0.1 Window:0}`
+	if !strings.Contains(err.Error(), want) {
+		t.Fatalf("error %q does not name the shape mismatch %q", err, want)
 	}
 }
 

@@ -311,6 +311,10 @@ func (s *Server) Close() {
 		for _, ns := range s.streamList() {
 			closeShard(ns.ms)
 		}
+		// streamList took s.mu after readiness failed, so no install can
+		// reserve a name from here on; wait out those that did before the
+		// store they write to closes.
+		s.installs.Wait()
 		s.ingestWG.Wait()
 		// Stop every background loop before the final checkpoint, so the
 		// shutdown cut is not raced by a checkpoint pass or a compaction.

@@ -122,12 +122,17 @@ type managedStream struct {
 type Server struct {
 	mu      sync.RWMutex
 	streams map[string]*managedStream
-	seeds   *xrand.Source
-	mux     *http.ServeMux
-	log     *slog.Logger
-	metrics *obs.Registry
-	httpm   *obs.HTTPMetrics
-	ingest  *obs.CounterVec
+	// reserved names the installs under way (see reserve); installs
+	// counts them so Close can wait for them.
+	reserved map[string]struct{}
+	installs sync.WaitGroup
+	seedMu   sync.Mutex // guards seeds
+	seeds    *xrand.Source
+	mux      *http.ServeMux
+	log      *slog.Logger
+	metrics  *obs.Registry
+	httpm    *obs.HTTPMetrics
+	ingest   *obs.CounterVec
 
 	// Async ingest pipeline (zero values = synchronous ingest).
 	ingestWorkers int
@@ -254,6 +259,7 @@ func WithMaxBodyBytes(n int64) Option {
 func New(seed uint64, opts ...Option) *Server {
 	s := &Server{
 		streams:       make(map[string]*managedStream),
+		reserved:      make(map[string]struct{}),
 		stop:          make(chan struct{}),
 		seeds:         xrand.New(seed),
 		maxBody:       defaultMaxBodyBytes,
@@ -363,59 +369,12 @@ func (s *Server) instrument(route string, h http.Handler) http.Handler {
 
 // collectStreams exports per-stream sampler gauges at scrape time.
 func (s *Server) collectStreams() []obs.Family {
-
-	label := func(name string) []obs.Label { return []obs.Label{{Key: "stream", Value: name}} }
-	processed := obs.Family{Name: "biasedres_stream_processed_total", Type: "counter",
-		Help: "Stream points processed by the sampler (t)."}
-	admitted := obs.Family{Name: "biasedres_stream_admitted_total", Type: "counter",
-		Help: "Points that passed the p_in coin and entered the reservoir."}
-	size := obs.Family{Name: "biasedres_stream_reservoir_size", Type: "gauge",
-		Help: "Points currently resident in the reservoir."}
-	capacity := obs.Family{Name: "biasedres_stream_reservoir_capacity", Type: "gauge",
-		Help: "Reservoir slot budget."}
-	fill := obs.Family{Name: "biasedres_stream_fill_fraction", Type: "gauge",
-		Help: "Reservoir fill fraction F(t) in [0,1]."}
-	pin := obs.Family{Name: "biasedres_stream_p_in", Type: "gauge",
-		Help: "Current insertion probability p_in (policies that decay it)."}
-	phases := obs.Family{Name: "biasedres_stream_reduction_phases_total", Type: "counter",
-		Help: "p_in reduction phases run (variable policy)."}
-	snapHits := obs.Family{Name: "biasedres_snapshot_cache_hits_total", Type: "counter",
-		Help: "Snapshot reads served lock-free from the published snapshot."}
-	snapMisses := obs.Family{Name: "biasedres_snapshot_cache_misses_total", Type: "counter",
-		Help: "Snapshot reads that found the published snapshot stale or absent."}
-	snapRebuilds := obs.Family{Name: "biasedres_snapshot_cache_rebuilds_total", Type: "counter",
-		Help: "Snapshots rebuilt under the sampler lock (at most one per mutation)."}
-
-	for _, ns := range s.streamList() {
-		name, ms := ns.name, ns.ms
-		ms.sm.View(func(sm core.Sampler) {
-			processed.Samples = append(processed.Samples, obs.Sample{Labels: label(name), Value: float64(sm.Processed())})
-			size.Samples = append(size.Samples, obs.Sample{Labels: label(name), Value: float64(sm.Len())})
-			capacity.Samples = append(capacity.Samples, obs.Sample{Labels: label(name), Value: float64(sm.Capacity())})
-			fill.Samples = append(fill.Samples, obs.Sample{Labels: label(name), Value: core.Fill(sm)})
-			if a, ok := sm.(interface{ Admitted() uint64 }); ok {
-				admitted.Samples = append(admitted.Samples, obs.Sample{Labels: label(name), Value: float64(a.Admitted())})
-			}
-			if p, ok := sm.(interface{ PIn() float64 }); ok {
-				pin.Samples = append(pin.Samples, obs.Sample{Labels: label(name), Value: p.PIn()})
-			}
-			if ph, ok := sm.(interface{ Phases() int }); ok {
-				phases.Samples = append(phases.Samples, obs.Sample{Labels: label(name), Value: float64(ph.Phases())})
-			}
-		})
-		st := ms.sm.SnapshotStats()
-		snapHits.Samples = append(snapHits.Samples, obs.Sample{Labels: label(name), Value: float64(st.Hits)})
-		snapMisses.Samples = append(snapMisses.Samples, obs.Sample{Labels: label(name), Value: float64(st.Misses)})
-		snapRebuilds.Samples = append(snapRebuilds.Samples, obs.Sample{Labels: label(name), Value: float64(st.Rebuilds)})
+	list := s.streamList()
+	streams := make([]core.NamedStream, len(list))
+	for i, ns := range list {
+		streams[i] = core.NamedStream{Name: ns.name, S: ns.ms.sm}
 	}
-
-	out := make([]obs.Family, 0, 10)
-	for _, fam := range []obs.Family{processed, admitted, size, capacity, fill, pin, phases, snapHits, snapMisses, snapRebuilds} {
-		if len(fam.Samples) > 0 {
-			out = append(out, fam)
-		}
-	}
-	return out
+	return core.StreamFamilies("biasedres_", streams)
 }
 
 // ServeHTTP implements http.Handler.
@@ -482,6 +441,10 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 // tail on recovery) and checks the restored bookkeeping (resume), makes
 // it durable as checkpoint seq, starts its ingest lane and registers it
 // under name. On failure it returns the HTTP status to answer with.
+//
+// The durable checkpoint is written with the name reserved but s.mu not
+// held: it costs file and directory fsyncs, and every stream's ingest
+// lookup takes s.mu.
 func (s *Server) install(name string, req CreateRequest, from *durable.Recovered, seq uint64) (*managedStream, int, error) {
 	fresh, err := core.SamplerFactory(req)
 	if err != nil {
@@ -502,19 +465,10 @@ func (s *Server) install(name string, req CreateRequest, from *durable.Recovered
 	ms.sm = core.NewSynchronized(sampler)
 	ms.lastCkptVer = version(sampler)
 
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	// Close fails readiness before snapshotting the stream map; checking it
-	// under s.mu means an install either lands before Close's snapshot (and
-	// gets its shard closed and drained like every other stream) or is
-	// refused here — never after, where its worker would leak and its
-	// ingestWG.Add would race Close's Wait.
-	if !s.ready.Load() {
-		return nil, http.StatusServiceUnavailable, errors.New("not ready: recovering or shutting down")
+	if code, err := s.reserve(name); err != nil {
+		return nil, code, err
 	}
-	if _, ok := s.streams[name]; ok {
-		return nil, http.StatusConflict, fmt.Errorf("stream %q already exists", name)
-	}
+	defer s.installs.Done()
 	if s.durable != nil {
 		// A stream exists once a checkpoint of it is durable; a crash after
 		// the install must not forget it.
@@ -524,14 +478,62 @@ func (s *Server) install(name string, req CreateRequest, from *durable.Recovered
 				Seq: seq, Meta: durableMeta(name, req), Next: ms.next, Dim: ms.dim, Snapshot: blob})
 		}
 		if err != nil {
+			s.publish(name, nil, false)
 			return nil, http.StatusInternalServerError, fmt.Errorf("checkpointing stream: %w", err)
 		}
 	}
-	if _, timed := core.AsTimed(sampler); s.ingestWorkers > 0 && !timed {
+	_, timed := core.AsTimed(sampler)
+	if !s.publish(name, ms, s.ingestWorkers > 0 && !timed) {
+		// Close began while the checkpoint was written: the stream is not
+		// registered, so nothing may be left to recover at restart.
+		if s.durable != nil {
+			if err := s.durable.Remove(name); err != nil && s.log != nil {
+				s.log.Warn("removing refused stream's files failed", "stream", name, "error", err)
+			}
+		}
+		return nil, http.StatusServiceUnavailable, errNotReady
+	}
+	return ms, 0, nil
+}
+
+var errNotReady = errors.New("not ready: recovering or shutting down")
+
+// reserve claims name for an install. A reserved name answers 409 to a
+// second create and 404 to lookups until publish ends the reservation.
+// Close fails readiness before it takes s.mu to list the streams, so a
+// reservation either lands before that listing — and Close waits for it on
+// s.installs — or is refused here.
+func (s *Server) reserve(name string) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.ready.Load() {
+		return http.StatusServiceUnavailable, errNotReady
+	}
+	_, live := s.streams[name]
+	if _, held := s.reserved[name]; live || held {
+		return http.StatusConflict, fmt.Errorf("stream %q already exists", name)
+	}
+	s.reserved[name] = struct{}{}
+	s.installs.Add(1)
+	return 0, nil
+}
+
+// publish ends name's reservation and, unless ms is nil (the install
+// failed), registers ms under name, starting its ingest lane when lane is
+// set. It reports false when Close began since the reservation: the stream
+// is then not registered, and no lane started.
+func (s *Server) publish(name string, ms *managedStream, lane bool) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	delete(s.reserved, name)
+	if ms == nil || !s.ready.Load() {
+		return false
+	}
+	if lane {
 		s.startIngestShard(name, ms)
 	}
 	s.streams[name] = ms
-	return ms, 0, nil
+	return true
 }
 
 // handleReady is GET /readyz: 200 once the server can take traffic
@@ -848,46 +850,24 @@ func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 
 // newSampler builds a scratch sampler from fresh on the next split of the
 // server's seed source and, when from is non-nil, restores it from from's
-// snapshot. Create, recovery, transfer and restore all build their
-// sampler here, so a snapshot that does not restore — or that runs
-// another capacity, λ or window than the stream's configuration — never
-// reaches a live stream.
+// snapshot through core.Restore. Create, recovery, transfer and restore all
+// build their sampler here, so a snapshot that does not restore — or that
+// runs another capacity, λ or window than the stream's configuration —
+// never reaches a live stream.
 func (s *Server) newSampler(fresh func(*xrand.Source) (core.PersistentSampler, error), from *durable.Checkpoint) (core.PersistentSampler, error) {
-	s.mu.Lock()
+	s.seedMu.Lock()
 	rng := s.seeds.Split()
-	s.mu.Unlock()
+	s.seedMu.Unlock()
 	sampler, err := fresh(rng)
 	if err != nil {
 		return nil, fmt.Errorf("creating sampler: %w", err)
 	}
 	if from != nil {
-		want := shapeOf(sampler)
-		if err := sampler.UnmarshalBinary(from.Snapshot); err != nil {
-			return nil, fmt.Errorf("restoring snapshot: %w", err)
-		}
-		if got := shapeOf(sampler); got != want {
-			return nil, fmt.Errorf("snapshot runs %+v, the stream is configured for %+v", got, want)
+		if err := core.Restore(sampler, from.Snapshot); err != nil {
+			return nil, err
 		}
 	}
 	return sampler, nil
-}
-
-// samplerShape is the part of a stream's configuration a sampler reports.
-type samplerShape struct {
-	Capacity int
-	Lambda   float64
-	Window   uint64
-}
-
-func shapeOf(s core.Sampler) samplerShape {
-	sh := samplerShape{Capacity: s.Capacity()}
-	if l, ok := s.(interface{ Lambda() float64 }); ok {
-		sh.Lambda = l.Lambda()
-	}
-	if w, ok := s.(interface{ Window() uint64 }); ok {
-		sh.Window = w.Window()
-	}
-	return sh
 }
 
 // pointsDim derives the stream dimensionality from restored reservoir
