@@ -52,7 +52,8 @@ bench-federation:
 
 # bench-wire regenerates BENCH_wire.json: binary-TCP ingest vs
 # JSON-over-HTTP on identical loopback connections and batches, plus the
-# JSON ingest body's decode and encode.
+# JSON ingest body's decode and encode and the float writer against
+# strconv.
 bench-wire:
 	$(GO) run ./cmd/benchingest -suite wire
 
@@ -73,9 +74,9 @@ bench-models:
 	$(GO) run ./cmd/benchingest -suite models
 
 # bench-smoke runs every query, federation (BenchmarkFedIngestFrame, the
-# coordinator's wire ingest, included), wire, failover, models, journal
-# and JSON ingest codec benchmark once so CI catches bit-rot in the
-# harnesses without paying for full measurement runs.
+# coordinator's wire ingest, included), wire, failover, models, journal,
+# JSON ingest codec and float writer benchmark once so CI catches
+# bit-rot in the harnesses without paying for full measurement runs.
 bench-smoke:
 	$(GO) test -run '^$$' -bench '^BenchmarkQuery' -benchtime 1x ./internal/query
 	$(GO) test -run '^$$' -bench '^BenchmarkFed' -benchtime 1x ./internal/federation
@@ -85,6 +86,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench '^BenchmarkModels' -benchtime 1x ./internal/models
 	$(GO) test -run '^$$' -bench '^Benchmark(JournalAppend|DecodeJournal)$$' -benchtime 1x ./internal/durable
 	$(GO) test -run '^$$' -bench '^BenchmarkIngestDecode$$' -benchtime 1x ./internal/wire
+	$(GO) test -run '^$$' -bench '^BenchmarkAppendFloat$$' -benchtime 1x ./internal/wire
 	$(GO) test -run '^$$' -bench '^BenchmarkPushEncode$$' -benchtime 1x ./internal/client
 
 # bench-e2e-smoke vets and tests the end-to-end benchmark, a separate Go
@@ -94,13 +96,14 @@ bench-e2e-smoke:
 	cd cmd/benche2e && $(GO) vet ./... && $(GO) test ./...
 
 # fuzz-smoke runs the wire-frame, journal, checkpoint, sampler snapshot,
-# JSON ingest and /accum body decoder fuzzers, the JSON number kernel's
-# strconv-parity fuzzer and the wire and HTTP ingest admission fuzzers
-# briefly: long enough to exercise the mutation engine over the
-# checked-in corpora and seeds, short enough for CI.
+# JSON ingest and /accum body decoder fuzzers, the JSON number parser's
+# and float writer's strconv-parity fuzzers and the wire and HTTP ingest
+# admission fuzzers briefly: long enough to exercise the mutation engine
+# over the checked-in corpora and seeds, short enough for CI.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeFrame -fuzztime 10s ./internal/wire
 	$(GO) test -run '^$$' -fuzz FuzzParseNumber -fuzztime 10s ./internal/wire
+	$(GO) test -run '^$$' -fuzz FuzzAppendFloat -fuzztime 10s ./internal/wire
 	$(GO) test -run '^$$' -fuzz FuzzDecodeJournal -fuzztime 10s ./internal/durable
 	$(GO) test -run '^$$' -fuzz FuzzDecodeCheckpoint -fuzztime 10s ./internal/durable
 	$(GO) test -run '^$$' -fuzz FuzzUnmarshalSnapshot -fuzztime 10s ./internal/core

@@ -29,13 +29,13 @@
 // suite races the binary TCP ingest protocol against JSON-over-HTTP on
 // identical loopback connections and batches, and reports the protocol
 // speedup plus the decoder's steady-state allocations per frame; it also
-// times the JSON ingest body's decode and the client's encode. The
-// failover suite blackholes a replicated data node behind a fault proxy
-// and reports the mean time until the coordinator serves a whole
-// (partial:false, exact) answer again. The models suite runs the
-// model-management drift scenario over the Aggarwal, T-TBS and R-TBS
-// samplers and reports each policy's training-set staleness and
-// prequential accuracy side by side.
+// times the JSON ingest body's decode, the client's encode and the float
+// writer that encode uses against strconv. The failover suite blackholes
+// a replicated data node behind a fault proxy and reports the mean time
+// until the coordinator serves a whole (partial:false, exact) answer
+// again. The models suite runs the model-management drift scenario over
+// the Aggarwal, T-TBS and R-TBS samplers and reports each policy's
+// training-set staleness and prequential accuracy side by side.
 package main
 
 import (
@@ -177,7 +177,7 @@ func run(suite, out, benchtime string, count int) error {
 	case "federation":
 		pattern, pkgs = "^BenchmarkFed", []string{"./internal/federation"}
 	case "wire":
-		pattern, pkgs = "^Benchmark(Wire|IngestDecode$|PushEncode$)", []string{"./internal/server", "./internal/wire", "./internal/client"}
+		pattern, pkgs = "^Benchmark(Wire|IngestDecode$|PushEncode$|AppendFloat$)", []string{"./internal/server", "./internal/wire", "./internal/client"}
 	case "tiers":
 		pattern, pkgs = "^BenchmarkTiers", []string{"./internal/server"}
 	case "failover":

@@ -208,8 +208,9 @@ var pushBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // appendPush appends the ingest body {"points":[…]} for pts to b, with
 // the Point struct tags' fields, order and omitempty rules but without
-// reflection. Floats take their shortest round-trip form, so the server
-// decodes them bit for bit; like json.Marshal it refuses NaN and ±Inf.
+// reflection. Floats take their shortest round-trip form, strconv's
+// bytes written by wire.AppendFloat, so the server decodes them bit for
+// bit; like json.Marshal it refuses NaN and ±Inf.
 func appendPush(b []byte, pts []Point) ([]byte, error) {
 	if pts == nil {
 		return append(b, `{"points":null}`...), nil
@@ -217,9 +218,9 @@ func appendPush(b []byte, pts []Point) ([]byte, error) {
 	var err error
 	num := func(v float64) {
 		if err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
-			err = &json.UnsupportedValueError{Str: strconv.FormatFloat(v, 'g', -1, 64)}
+			err = &json.UnsupportedValueError{Str: string(wire.AppendFloat(nil, v))}
 		}
-		b = strconv.AppendFloat(b, v, 'g', -1, 64)
+		b = wire.AppendFloat(b, v)
 	}
 	b = append(b, `{"points":[`...)
 	for i, p := range pts {

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"slices"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -252,8 +253,8 @@ func BenchmarkPushEncode(b *testing.B) {
 // shared decoder's one-pass path, and checks to the same frame WireConn
 // packs from the same points, floats bit for bit — labels absent or
 // present (wider than int32 too), weights of 0, 1 and others, timestamps
-// on some points. A batch the check refuses is refused alike, WireConn
-// sending nothing.
+// on some points, and values in each of the float writer's layouts. A
+// batch the check refuses is refused alike, WireConn sending nothing.
 func TestHTTPAndWireDeliverSameBatch(t *testing.T) {
 	sink := &ackSink{}
 	wc, err := DialWire(startSinkListener(t, sink), WireConnConfig{})
@@ -261,6 +262,48 @@ func TestHTTPAndWireDeliverSameBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer wc.Close()
+	deliver := func(round string, pts []Point) error {
+		t.Helper()
+		body, err := appendPush(nil, pts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var viaHTTP wire.Frame
+		if !wire.DecodeCanonical(body, &viaHTTP) {
+			t.Fatalf("client body %q fell back to encoding/json", body)
+		}
+		httpErr := viaHTTP.Check()
+		frames := sink.frames.Load()
+		wireErr := wc.Push("s", pts)
+		var refused *WireError
+		switch {
+		case httpErr != nil:
+			if !errors.As(wireErr, &refused) || refused.Msg != httpErr.Error() || sink.frames.Load() != frames {
+				t.Fatalf("round %s: HTTP body refused with %v; WireConn: %v", round, httpErr, wireErr)
+			}
+		case wireErr != nil:
+			t.Fatalf("round %s: WireConn: %v", round, wireErr)
+		case !sameFrame(&viaHTTP, &wc.f):
+			t.Fatalf("round %s: the body decodes to %+v, WireConn packs %+v", round, viaHTTP, wc.f)
+		}
+		return httpErr
+	}
+	ts := 1e-300
+	for name, vals := range map[string][]float64{
+		"e-form large":  {1e6, 1.2345678e8, 1e21, 1e23, -6.02214076e23, math.MaxFloat64},
+		"e-form small":  {9.999e-5, 1e-5, -1.25e-7, 3.14159e-100, 0x1p-1022, 2.5e-308},
+		"negative zero": {math.Copysign(0, -1), 0, math.Copysign(0, -1), 1, -1, 0.5},
+		"subnormal":     {math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, math.Float64frombits(1<<52 - 1), 1e-310, -4.9406564584124654e-322, 2.225e-309},
+		"above 2^53":    {1 << 53, 1<<53 + 2, -(1<<54 + 4), 123456789012345680, 1e17, 1 << 63},
+	} {
+		pts := make([]Point, len(vals))
+		for i, v := range vals {
+			pts[i] = Point{Values: []float64{v, -v}, Weight: v, TS: &ts}
+		}
+		if err := deliver(name, pts); err != nil {
+			t.Fatalf("round %s: refused: %v", name, err)
+		}
+	}
 	rng := rand.New(rand.NewPCG(5, 6))
 	for round := 0; round < 300; round++ {
 		pts := randPoints(rng, 1+rng.IntN(20))
@@ -277,28 +320,7 @@ func TestHTTPAndWireDeliverSameBatch(t *testing.T) {
 		if rng.IntN(10) == 0 { // a point the check refuses
 			pts[rng.IntN(len(pts))].Values = make([]float64, rng.IntN(dim))
 		}
-		body, err := appendPush(nil, pts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var viaHTTP wire.Frame
-		if !wire.DecodeCanonical(body, &viaHTTP) {
-			t.Fatalf("client body %q fell back to encoding/json", body)
-		}
-		httpErr := viaHTTP.Check()
-		frames := sink.frames.Load()
-		wireErr := wc.Push("s", pts)
-		var refused *WireError
-		switch {
-		case httpErr != nil:
-			if !errors.As(wireErr, &refused) || refused.Msg != httpErr.Error() || sink.frames.Load() != frames {
-				t.Fatalf("round %d: HTTP body refused with %v; WireConn: %v", round, httpErr, wireErr)
-			}
-		case wireErr != nil:
-			t.Fatalf("round %d: WireConn: %v", round, wireErr)
-		case !sameFrame(&viaHTTP, &wc.f):
-			t.Fatalf("round %d: the body decodes to %+v, WireConn packs %+v", round, viaHTTP, wc.f)
-		}
+		deliver(strconv.Itoa(round), pts)
 	}
 }
 

@@ -131,3 +131,53 @@ func TestInstallDoesNotStallIngest(t *testing.T) {
 		t.Fatalf("streams recovered after restart: %s, want b,c", got)
 	}
 }
+
+// A delete holds the stream's name until its files are gone: a create of
+// the same name while the delete is under way answers 409, so the
+// delete's file removal cannot take the new stream's checkpoint chain
+// with it, and the stream created after the delete survives a restart.
+func TestDeleteHoldsNameUntilFilesRemoved(t *testing.T) {
+	fs := durable.NewMemFS()
+	ts, srv, _ := newDurableServer(t, fs)
+	req := CreateRequest{Policy: "variable", Lambda: 1e-2, Capacity: 50}
+	createStream(t, ts.URL, "a", req)
+	ingest(t, ts.URL, "a", floatPoints(10, 0))
+
+	// The delete unregisters a, then waits on the old stream's queue lock
+	// in closeShard before it removes the files.
+	old, _ := srv.lookup("a")
+	old.qmu.Lock()
+	deleted := make(chan int, 1)
+	go func() {
+		code := 0
+		if req, err := http.NewRequest(http.MethodDelete, ts.URL+"/streams/a", nil); err == nil {
+			if resp, err := http.DefaultClient.Do(req); err == nil {
+				resp.Body.Close()
+				code = resp.StatusCode
+			}
+		}
+		deleted <- code
+	}()
+	for _, live := srv.lookup("a"); live; _, live = srv.lookup("a") {
+		time.Sleep(time.Millisecond)
+	}
+	resp, _ := do(t, http.MethodPut, ts.URL+"/streams/a", req)
+	racing := resp.StatusCode
+	old.qmu.Unlock()
+	if code := <-deleted; code != http.StatusNoContent {
+		t.Fatalf("delete of a: status %d, want 204", code)
+	}
+	if racing != http.StatusCreated {
+		createStream(t, ts.URL, "a", req)
+	}
+	ingest(t, ts.URL, "a", floatPoints(5, 0))
+	srv.Close()
+
+	restarted, _, _ := newDurableServer(t, fs)
+	if _, body := do(t, http.MethodGet, restarted.URL+"/streams/a", nil); body["processed"] != 5.0 {
+		t.Fatalf("a after restart: %v, want 5 points processed (the create during the delete answered %d)", body, racing)
+	}
+	if racing != http.StatusConflict {
+		t.Fatalf("create of a while its delete was under way: status %d, want 409", racing)
+	}
+}

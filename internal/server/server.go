@@ -122,8 +122,8 @@ type managedStream struct {
 type Server struct {
 	mu      sync.RWMutex
 	streams map[string]*managedStream
-	// reserved names the installs under way (see reserve); installs
-	// counts them so Close can wait for them.
+	// reserved names the installs and deletes under way (see reserve
+	// and handleDelete); installs counts them so Close can wait for them.
 	reserved map[string]struct{}
 	installs sync.WaitGroup
 	seedMu   sync.Mutex // guards seeds
@@ -640,6 +640,15 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	delete(s.streams, name)
+	// The name stays reserved until the files are gone, so a create of
+	// it meanwhile answers 409 rather than attaching a chain the removal
+	// below would take with it. Once Close has begun no create can
+	// reserve a name, and nothing is left to hold.
+	held := s.ready.Load()
+	if held {
+		s.reserved[name] = struct{}{}
+		s.installs.Add(1)
+	}
 	s.mu.Unlock()
 	// Stop the stream's ingest worker after it drains what was accepted;
 	// in-flight requests that still hold the entry see the closed flag.
@@ -648,6 +657,10 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		if err := s.durable.Remove(name); err != nil && s.log != nil {
 			s.log.Warn("removing stream files failed", "stream", name, "error", err)
 		}
+	}
+	if held {
+		s.publish(name, nil, false)
+		s.installs.Done()
 	}
 	w.WriteHeader(http.StatusNoContent)
 }
