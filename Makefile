@@ -96,10 +96,12 @@ bench-e2e-smoke:
 	cd cmd/benche2e && $(GO) vet ./... && $(GO) test ./...
 
 # fuzz-smoke runs the wire-frame, journal, checkpoint, sampler snapshot,
-# JSON ingest and /accum body decoder fuzzers, the JSON number parser's
-# and float writer's strconv-parity fuzzers and the wire and HTTP ingest
-# admission fuzzers briefly: long enough to exercise the mutation engine
-# over the checked-in corpora and seeds, short enough for CI.
+# fleet file, JSON ingest and /accum body decoder fuzzers, the JSON number
+# parser's and float writer's strconv-parity fuzzers and the wire and HTTP
+# ingest admission fuzzers briefly: long enough to exercise the mutation
+# engine over the checked-in corpora and seeds, short enough for CI. Each
+# try at minimizing a new fleet input loads a whole fleet, so that
+# fuzzer's minimization is capped at 200 tries.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeFrame -fuzztime 10s ./internal/wire
 	$(GO) test -run '^$$' -fuzz FuzzParseNumber -fuzztime 10s ./internal/wire
@@ -107,6 +109,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeJournal -fuzztime 10s ./internal/durable
 	$(GO) test -run '^$$' -fuzz FuzzDecodeCheckpoint -fuzztime 10s ./internal/durable
 	$(GO) test -run '^$$' -fuzz FuzzUnmarshalSnapshot -fuzztime 10s ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzLoadFrom -fuzztime 10s -fuzzminimizetime 200x ./internal/multi
 	$(GO) test -run '^$$' -fuzz FuzzDecodeIngest -fuzztime 10s ./internal/wire
 	$(GO) test -run '^$$' -fuzz FuzzDecodeIngest -fuzztime 10s ./internal/server
 	$(GO) test -run '^$$' -fuzz FuzzIngestFrame -fuzztime 10s ./internal/server

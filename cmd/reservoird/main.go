@@ -104,6 +104,7 @@ import (
 	"syscall"
 	"time"
 
+	"biasedres/internal/core"
 	"biasedres/internal/durable"
 	"biasedres/internal/federation"
 	"biasedres/internal/obs"
@@ -208,9 +209,9 @@ func main() {
 			"replication", *replication, "shards", *shards)
 		api = co
 	} else {
-		if !server.ValidPolicy(*defaultPolicy) {
+		if !core.ValidPolicy(*defaultPolicy) {
 			fmt.Fprintf(os.Stderr, "reservoird: -default-policy %q is not one of %s\n",
-				*defaultPolicy, strings.Join(server.Policies(), " | "))
+				*defaultPolicy, strings.Join(core.Policies(), " | "))
 			os.Exit(2)
 		}
 		opts := []server.Option{server.WithLogger(logger), server.WithMaxBodyBytes(*maxBody),

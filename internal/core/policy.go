@@ -1,16 +1,18 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 
 	"biasedres/internal/xrand"
 )
 
 // SamplerConfig names a sampler policy and its parameters. It is the one
 // description every deployment builds samplers from: it is the server's
-// create request (PUT /streams/{name}) and the client's StreamConfig, the
-// durable stream meta carries the same fields, and multi.Manager fills in
-// its own λ and per-stream share.
+// create request (PUT /streams/{name}) and the client's StreamConfig,
+// every durable checkpoint carries it, and multi.Manager fills in its own
+// λ and per-stream share.
 type SamplerConfig struct {
 	// Policy is one of Policies(); the server defaults an empty policy.
 	Policy string `json:"policy,omitempty"`
@@ -36,6 +38,33 @@ type SamplerConfig struct {
 // overshoot (the variance cost of routing, docs/THEORY.md §10) stays
 // bounded by one ratio step.
 const DefaultTierRatio = 8
+
+// MaxSlots bounds the reservoir slots a config may claim: samplers
+// preallocate, so without it one create could exhaust memory (at the bound
+// point headers take about 200 MB). It sits far above every config the
+// repository runs (at most 73,000 slots, a three-tier uncapped biased
+// ladder at λ = 1e-3), because a recovered stream above it is refused.
+const MaxSlots = 1 << 22
+
+// Slots is the number of reservoir slots c claims, at least one per tier:
+// Capacity per tier (for "window" its slot count), or for an uncapped
+// "biased" sampler each tier's maximum requirement ⌊1/λ_i⌋ = ⌊ratio^i/λ⌋.
+// Registries charge it against their budget and SamplerFactory refuses a
+// config over MaxSlots. The sum stops once it passes MaxSlots, so a
+// refused config's figure is a lower bound.
+func (c SamplerConfig) Slots() int {
+	ratio := cmp.Or(c.TierRatio, DefaultTierRatio)
+	n := 0
+	// λ_i steps as in NewTieredReservoir; a bad λ or ratio counts 1 a tier.
+	for i, l := 0, c.Lambda; i < max(c.Tiers, 1) && n <= MaxSlots; i, l = i+1, l/ratio {
+		k := min(float64(max(c.Capacity, 1)), 2*MaxSlots)
+		if c.Policy == "biased" && c.Capacity == 0 && l > 0 {
+			k = max(1, math.Floor(min(1/l, 2*MaxSlots)))
+		}
+		n += int(k)
+	}
+	return n
+}
 
 // policy is one entry of the sampler registry.
 type policy struct {
@@ -112,6 +141,9 @@ func lookupPolicy(name string) (policy, bool) {
 func SamplerFactory(c SamplerConfig) (func(rng *xrand.Source) (PersistentSampler, error), error) {
 	if c.Tiers < 0 {
 		return nil, fmt.Errorf("tiers must be >= 0, got %d", c.Tiers)
+	}
+	if c.Slots() > MaxSlots {
+		return nil, fmt.Errorf("config claims more than %d reservoir slots", MaxSlots)
 	}
 	p, known := lookupPolicy(c.Policy)
 	if c.Tiers <= 1 {

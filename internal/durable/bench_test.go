@@ -51,7 +51,7 @@ func BenchmarkJournalAppend(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := st.Attach("s", Checkpoint{Seq: 1, Meta: StreamMeta{Name: "s"}}); err != nil {
+	if err := st.Attach("s", Checkpoint{Seq: 1, Name: "s"}); err != nil {
 		b.Fatal(err)
 	}
 	batch := frameOf(benchOps(256, 10))

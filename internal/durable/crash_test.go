@@ -17,7 +17,7 @@ func crashWorkload(t *testing.T, fs FS, dir string) (applied, floor uint64) {
 	if err != nil {
 		return 0, 0
 	}
-	if err := st.Attach("s", Checkpoint{Seq: 1, Meta: StreamMeta{Name: "s"}, Snapshot: countSnapshot(0)}); err != nil {
+	if err := st.Attach("s", Checkpoint{Seq: 1, Name: "s", Snapshot: countSnapshot(0)}); err != nil {
 		return 0, 0
 	}
 	const rounds = 12
@@ -37,7 +37,7 @@ func crashWorkload(t *testing.T, fs FS, dir string) (applied, floor uint64) {
 			if err != nil {
 				return applied, floor
 			}
-			if err := st.WriteCheckpoint("s", Checkpoint{Seq: seq, Meta: StreamMeta{Name: "s"}, Next: i, Snapshot: countSnapshot(i)}); err != nil {
+			if err := st.WriteCheckpoint("s", Checkpoint{Seq: seq, Name: "s", Next: i, Snapshot: countSnapshot(i)}); err != nil {
 				return applied, floor
 			}
 		}
@@ -67,7 +67,7 @@ func recoverCount(t *testing.T, fs FS, dir string) (uint64, bool) {
 	if len(recs) != 1 {
 		t.Fatalf("recovered %d streams, want at most 1", len(recs))
 	}
-	if got := recs[0].Checkpoint.Meta.Name; got != "s" {
+	if got := recs[0].Checkpoint.Name; got != "s" {
 		t.Fatalf("recovered stream %q, want s", got)
 	}
 	return tailCount(t, recs[0]), true
@@ -169,7 +169,7 @@ func TestCrashMidIngestTornWrite(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	if err := st.Attach("s", Checkpoint{Seq: 1, Meta: StreamMeta{Name: "s"}, Snapshot: countSnapshot(0)}); err != nil {
+	if err := st.Attach("s", Checkpoint{Seq: 1, Name: "s", Snapshot: countSnapshot(0)}); err != nil {
 		t.Fatalf("Attach: %v", err)
 	}
 	if err := st.Append("s", makeOps(0, 2)); err != nil {

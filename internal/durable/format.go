@@ -3,6 +3,7 @@ package durable
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"encoding/gob"
 	"errors"
@@ -11,6 +12,7 @@ import (
 	"io"
 	"slices"
 
+	"biasedres/internal/core"
 	"biasedres/internal/wire"
 )
 
@@ -67,29 +69,14 @@ func IsCorrupt(err error) bool { return errors.Is(err, errCorrupt) }
 // files as they are instead of quarantining them.
 var errLegacyJournal = errors.New("durable: BRESJRN1 journal with records")
 
-// StreamMeta is the stream configuration a checkpoint carries, enough to
-// rebuild the sampler factory on recovery. It mirrors the server's create
-// request.
-type StreamMeta struct {
-	Name     string
-	Policy   string
-	Lambda   float64
-	Capacity int
-	Window   uint64
-	// Tiers and TierRatio describe a multi-horizon ladder (0/absent for
-	// single-reservoir streams — gob leaves them zero when decoding
-	// checkpoints written before tiers existed, which recovery reads as
-	// untiered).
-	Tiers     int
-	TierRatio float64
-}
-
-// Checkpoint is one durable cut of a stream: its configuration, ingest
-// bookkeeping and the sampler's binary snapshot, tagged with the sequence
-// number that orders it against the stream's journals.
+// Checkpoint is one durable cut of a stream, and its one persisted record
+// (a .ckpt file, a transfer body, a stream of a fleet file): its name and
+// configuration, ingest bookkeeping and the sampler's binary snapshot,
+// tagged with the sequence that orders it against the stream's journals.
 type Checkpoint struct {
-	Seq  uint64
-	Meta StreamMeta
+	Seq    uint64
+	Name   string
+	Config core.SamplerConfig
 	// Next is the last assigned arrival index (the server's `next`
 	// counter), which can run ahead of the sampler's processed count
 	// while batches sit in the async ingest queue.
@@ -100,21 +87,48 @@ type Checkpoint struct {
 	Snapshot []byte
 }
 
-// checkpointPayload is the gob wire form of a Checkpoint.
-type checkpointPayload struct {
-	Seq      uint64
-	Meta     StreamMeta
-	Next     uint64
-	Dim      int
-	Snapshot []byte
+// gobCheckpoint runs code, a gob Encode or Decode, on ck's payload form
+// and reads it back into ck. The payload keeps the first format's fields
+// and type names (gob writes a struct's bare type name, hence the local
+// StreamMeta), so checkpoint bytes have not changed since BRESCKP1. A
+// payload without a policy predates policies: a variable reservoir.
+func gobCheckpoint(ck *Checkpoint, code func(any) error) error {
+	type StreamMeta struct {
+		Name      string
+		Policy    string
+		Lambda    float64
+		Capacity  int
+		Window    uint64
+		Tiers     int
+		TierRatio float64
+	}
+	type checkpointPayload struct {
+		Seq      uint64
+		Meta     StreamMeta
+		Next     uint64
+		Dim      int
+		Snapshot []byte
+	}
+	c := ck.Config
+	p := checkpointPayload{Seq: ck.Seq, Next: ck.Next, Dim: ck.Dim, Snapshot: ck.Snapshot,
+		Meta: StreamMeta{ck.Name, c.Policy, c.Lambda, c.Capacity, c.Window, c.Tiers, c.TierRatio}}
+	if err := code(&p); err != nil {
+		return err
+	}
+	m := p.Meta
+	*ck = Checkpoint{Seq: p.Seq, Name: m.Name, Next: p.Next, Dim: p.Dim, Snapshot: p.Snapshot,
+		Config: core.SamplerConfig{Policy: cmp.Or(m.Policy, "variable"), Lambda: m.Lambda,
+			Capacity: m.Capacity, Window: m.Window, Tiers: m.Tiers, TierRatio: m.TierRatio}}
+	return nil
 }
 
 // EncodeCheckpoint renders ck into its file bytes. These bytes are the
-// one persisted form of a stream: what a .ckpt file holds and what
-// GET /streams/{name}/transfer ships to another node.
+// one persisted form of a stream: what a .ckpt file holds, what
+// GET /streams/{name}/transfer ships to another node and what a fleet
+// file holds per stream.
 func EncodeCheckpoint(ck Checkpoint) ([]byte, error) {
 	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(checkpointPayload(ck)); err != nil {
+	if err := gobCheckpoint(&ck, gob.NewEncoder(&payload).Encode); err != nil {
 		return nil, fmt.Errorf("durable: encoding checkpoint: %w", err)
 	}
 	buf := make([]byte, 0, 20+payload.Len())
@@ -146,11 +160,26 @@ func DecodeCheckpoint(data []byte) (Checkpoint, error) {
 	if crc32.Checksum(payload, castagnoli) != sum {
 		return Checkpoint{}, fmt.Errorf("%w: checkpoint checksum mismatch", errCorrupt)
 	}
-	var p checkpointPayload
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&p); err != nil {
+	var ck Checkpoint
+	if err := gobCheckpoint(&ck, gob.NewDecoder(bytes.NewReader(payload)).Decode); err != nil {
 		return Checkpoint{}, fmt.Errorf("%w: decoding checkpoint payload: %v", errCorrupt, err)
 	}
-	return Checkpoint(p), nil
+	return ck, nil
+}
+
+// ReadCheckpoint reads and decodes one checkpoint record off r, as a
+// fleet file holds them back to back. The payload grows only as its bytes
+// arrive, so a lying length field costs no more than r delivers.
+func ReadCheckpoint(r io.Reader) (Checkpoint, error) {
+	head := make([]byte, 20)
+	if _, err := io.ReadFull(r, head); err != nil {
+		return Checkpoint{}, fmt.Errorf("%w: checkpoint header truncated: %v", errCorrupt, err)
+	}
+	payload, err := io.ReadAll(io.LimitReader(r, int64(binary.LittleEndian.Uint64(head[12:20]))))
+	if err != nil {
+		return Checkpoint{}, err
+	}
+	return DecodeCheckpoint(append(head, payload...))
 }
 
 // encodeJournalHeader renders the journal file header for base seq.

@@ -11,19 +11,15 @@ import (
 	"reflect"
 	"testing"
 
+	"biasedres/internal/core"
 	"biasedres/internal/stream"
 )
 
 func testCheckpoint() Checkpoint {
 	return Checkpoint{
-		Seq: 7,
-		Meta: StreamMeta{
-			Name:     "sensor/a b",
-			Policy:   "variable",
-			Lambda:   0.001,
-			Capacity: 128,
-			Window:   0,
-		},
+		Seq:      7,
+		Name:     "sensor/a b",
+		Config:   core.SamplerConfig{Policy: "variable", Lambda: 0.001, Capacity: 128},
 		Next:     4242,
 		Dim:      3,
 		Snapshot: []byte{1, 2, 3, 4, 5, 6, 7, 8},
@@ -36,13 +32,9 @@ func randCheckpoint(rng *rand.Rand) Checkpoint {
 	snap := make([]byte, 64+rng.Intn(512))
 	rng.Read(snap)
 	return Checkpoint{
-		Seq: uint64(rng.Intn(100) + 1),
-		Meta: StreamMeta{
-			Name:     fmt.Sprintf("s%d", rng.Intn(10)),
-			Policy:   "variable",
-			Lambda:   rng.Float64() / 100,
-			Capacity: rng.Intn(1000) + 1,
-		},
+		Seq:      uint64(rng.Intn(100) + 1),
+		Name:     fmt.Sprintf("s%d", rng.Intn(10)),
+		Config:   core.SamplerConfig{Policy: "variable", Lambda: rng.Float64() / 100, Capacity: rng.Intn(1000) + 1},
 		Next:     uint64(rng.Intn(10000)),
 		Dim:      rng.Intn(4) + 1,
 		Snapshot: snap,

@@ -91,11 +91,11 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 		// NaN is the one float reflect.DeepEqual never equates with
 		// itself; gob carries its bits unchanged, so compare those.
 		for _, p := range []*Checkpoint{&ck, &back} {
-			if math.IsNaN(p.Meta.Lambda) {
-				p.Meta.Lambda = float64(math.Float64bits(p.Meta.Lambda))
+			if math.IsNaN(p.Config.Lambda) {
+				p.Config.Lambda = float64(math.Float64bits(p.Config.Lambda))
 			}
-			if math.IsNaN(p.Meta.TierRatio) {
-				p.Meta.TierRatio = float64(math.Float64bits(p.Meta.TierRatio))
+			if math.IsNaN(p.Config.TierRatio) {
+				p.Config.TierRatio = float64(math.Float64bits(p.Config.TierRatio))
 			}
 		}
 		if !reflect.DeepEqual(back, ck) {

@@ -66,7 +66,7 @@ func checkpointRound(t *testing.T, st *Store, name string, count uint64) {
 	if err != nil {
 		t.Fatalf("Rotate: %v", err)
 	}
-	if err := st.WriteCheckpoint(name, Checkpoint{Seq: seq, Meta: StreamMeta{Name: name}, Next: count, Snapshot: countSnapshot(count)}); err != nil {
+	if err := st.WriteCheckpoint(name, Checkpoint{Seq: seq, Name: name, Next: count, Snapshot: countSnapshot(count)}); err != nil {
 		t.Fatalf("WriteCheckpoint: %v", err)
 	}
 }
@@ -92,8 +92,8 @@ func TestStoreListsDirectoryOnlyAtRecover(t *testing.T) {
 	}
 	fs.n.Store(0)
 	for _, rec := range recs {
-		name := rec.Checkpoint.Meta.Name
-		if err := st.Attach(name, Checkpoint{Seq: rec.MaxSeq + 1, Meta: StreamMeta{Name: name}, Next: 5, Snapshot: countSnapshot(5)}); err != nil {
+		name := rec.Checkpoint.Name
+		if err := st.Attach(name, Checkpoint{Seq: rec.MaxSeq + 1, Name: name, Next: 5, Snapshot: countSnapshot(5)}); err != nil {
 			t.Fatalf("rebaseline Attach: %v", err)
 		}
 	}
@@ -139,7 +139,7 @@ func TestFailedCheckpointWriteRemovesTemp(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := st.Attach("s", Checkpoint{Seq: 1, Meta: StreamMeta{Name: "s"}, Snapshot: countSnapshot(0)}); err != nil {
+			if err := st.Attach("s", Checkpoint{Seq: 1, Name: "s", Snapshot: countSnapshot(0)}); err != nil {
 				t.Fatal(err)
 			}
 			seq, err := st.Rotate("s")
@@ -147,7 +147,7 @@ func TestFailedCheckpointWriteRemovesTemp(t *testing.T) {
 				t.Fatal(err)
 			}
 			fs.FailAt(n)
-			if err := st.WriteCheckpoint("s", Checkpoint{Seq: seq, Meta: StreamMeta{Name: "s"}, Snapshot: countSnapshot(0)}); err == nil {
+			if err := st.WriteCheckpoint("s", Checkpoint{Seq: seq, Name: "s", Snapshot: countSnapshot(0)}); err == nil {
 				t.Fatalf("WriteCheckpoint with op %d failing succeeded", n)
 			}
 			checkInventory(t, st, fs, "s")
@@ -187,7 +187,7 @@ func TestRefusedStreamRecreated(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if err := st.Attach("sensor", Checkpoint{Seq: 1, Meta: StreamMeta{Name: "sensor"}, Snapshot: countSnapshot(0)}); err != nil {
+		if err := st.Attach("sensor", Checkpoint{Seq: 1, Name: "sensor", Snapshot: countSnapshot(0)}); err != nil {
 			t.Fatalf("Attach once the refused files are gone: %v", err)
 		}
 		checkInventory(t, st, fs, "sensor")
@@ -234,7 +234,7 @@ func TestQuarantineLeavesInventory(t *testing.T) {
 		if q := st.StatsNow().Quarantined; q != 2 {
 			t.Fatalf("quarantined %d files, want checkpoint 2 and journal 2", q)
 		}
-		if err := st.Attach("sensor", Checkpoint{Seq: recs[0].MaxSeq + 1, Meta: StreamMeta{Name: "sensor"}, Next: 3, Snapshot: countSnapshot(3)}); err != nil {
+		if err := st.Attach("sensor", Checkpoint{Seq: recs[0].MaxSeq + 1, Name: "sensor", Next: 3, Snapshot: countSnapshot(3)}); err != nil {
 			t.Fatal(err)
 		}
 		checkInventory(t, st, fs, "sensor")
@@ -267,7 +267,7 @@ func TestRemoveDuringCheckpointWrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Attach("s", Checkpoint{Seq: 1, Meta: StreamMeta{Name: "s"}, Snapshot: countSnapshot(0)}); err != nil {
+	if err := st.Attach("s", Checkpoint{Seq: 1, Name: "s", Snapshot: countSnapshot(0)}); err != nil {
 		t.Fatal(err)
 	}
 	seq, err := st.Rotate("s")
@@ -279,7 +279,7 @@ func TestRemoveDuringCheckpointWrite(t *testing.T) {
 			t.Errorf("Remove: %v", err)
 		}
 	}
-	_ = st.WriteCheckpoint("s", Checkpoint{Seq: seq, Meta: StreamMeta{Name: "s"}, Snapshot: countSnapshot(0)})
+	_ = st.WriteCheckpoint("s", Checkpoint{Seq: seq, Name: "s", Snapshot: countSnapshot(0)})
 	if files, _ := fs.ReadDir("data"); len(files) != 0 {
 		t.Fatalf("files %v outlived their removed stream", files)
 	}
@@ -303,7 +303,7 @@ func TestConcurrentCheckpointsKeepInventory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Attach("s", Checkpoint{Seq: 1, Meta: StreamMeta{Name: "s"}, Snapshot: countSnapshot(0)}); err != nil {
+	if err := st.Attach("s", Checkpoint{Seq: 1, Name: "s", Snapshot: countSnapshot(0)}); err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
@@ -314,7 +314,7 @@ func TestConcurrentCheckpointsKeepInventory(t *testing.T) {
 			for range rounds {
 				seq, err := st.Rotate("s")
 				if err == nil {
-					err = st.WriteCheckpoint("s", Checkpoint{Seq: seq, Meta: StreamMeta{Name: "s"}, Snapshot: countSnapshot(0)})
+					err = st.WriteCheckpoint("s", Checkpoint{Seq: seq, Name: "s", Snapshot: countSnapshot(0)})
 				}
 				if err != nil {
 					t.Error(err)

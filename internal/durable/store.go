@@ -632,7 +632,7 @@ func (s *Store) recoverStream(c *streamChain) (Recovered, bool) {
 		if err == nil {
 			ck, err = DecodeCheckpoint(data)
 		}
-		if err != nil || ck.Seq != seq || ck.Meta.Name != name {
+		if err != nil || ck.Seq != seq || ck.Name != name {
 			bad = append(bad, seq)
 			continue
 		}

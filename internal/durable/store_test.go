@@ -114,7 +114,7 @@ func buildChain(t *testing.T, fs FS, dir, name string) *Store {
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	if err := st.Attach(name, Checkpoint{Seq: 1, Meta: StreamMeta{Name: name}, Snapshot: countSnapshot(0)}); err != nil {
+	if err := st.Attach(name, Checkpoint{Seq: 1, Name: name, Snapshot: countSnapshot(0)}); err != nil {
 		t.Fatalf("Attach: %v", err)
 	}
 	if err := st.Append(name, makeOps(0, 3)); err != nil {
@@ -130,7 +130,7 @@ func buildChain(t *testing.T, fs FS, dir, name string) *Store {
 	if seq != 2 {
 		t.Fatalf("Rotate returned seq %d, want 2", seq)
 	}
-	if err := st.WriteCheckpoint(name, Checkpoint{Seq: seq, Meta: StreamMeta{Name: name}, Next: 3, Snapshot: countSnapshot(3)}); err != nil {
+	if err := st.WriteCheckpoint(name, Checkpoint{Seq: seq, Name: name, Next: 3, Snapshot: countSnapshot(3)}); err != nil {
 		t.Fatalf("WriteCheckpoint: %v", err)
 	}
 	if err := st.Append(name, makeOps(3, 2)); err != nil {
@@ -161,7 +161,7 @@ func TestStoreRecoverLifecycle(t *testing.T) {
 			t.Fatalf("recovered %d streams, want 1", len(recs))
 		}
 		rec := recs[0]
-		if rec.Checkpoint.Seq != 2 || rec.Checkpoint.Meta.Name != "sensor" {
+		if rec.Checkpoint.Seq != 2 || rec.Checkpoint.Name != "sensor" {
 			t.Fatalf("recovered checkpoint %+v, want seq 2 for sensor", rec.Checkpoint)
 		}
 		if rec.MaxSeq != 2 || rec.TornTail {
@@ -175,7 +175,7 @@ func TestStoreRecoverLifecycle(t *testing.T) {
 		}
 
 		// Rebaseline above everything on disk, then keep going.
-		if err := st2.Attach("sensor", Checkpoint{Seq: rec.MaxSeq + 1, Meta: StreamMeta{Name: "sensor"}, Next: 5, Snapshot: countSnapshot(5)}); err != nil {
+		if err := st2.Attach("sensor", Checkpoint{Seq: rec.MaxSeq + 1, Name: "sensor", Next: 5, Snapshot: countSnapshot(5)}); err != nil {
 			t.Fatalf("rebaseline Attach: %v", err)
 		}
 		if err := st2.Append("sensor", makeOps(5, 1)); err != nil {
@@ -351,7 +351,7 @@ func TestRecoverRefusesV1Journal(t *testing.T) {
 		before := sensorFiles()
 
 		recs, err := st.Recover()
-		if err != nil || len(recs) != 1 || recs[0].Checkpoint.Meta.Name != "other" {
+		if err != nil || len(recs) != 1 || recs[0].Checkpoint.Name != "other" {
 			t.Fatalf("Recover: %v, %+v, want the other stream only", err, recs)
 		}
 		if n := tailCount(t, recs[0]); n != 3 {
@@ -364,7 +364,7 @@ func TestRecoverRefusesV1Journal(t *testing.T) {
 		if q := st.StatsNow().Quarantined; q != 0 {
 			t.Fatalf("quarantined %d files, want 0", q)
 		}
-		if err := st.Attach("sensor", Checkpoint{Seq: 1, Meta: StreamMeta{Name: "sensor"}, Snapshot: countSnapshot(0)}); err == nil {
+		if err := st.Attach("sensor", Checkpoint{Seq: 1, Name: "sensor", Snapshot: countSnapshot(0)}); err == nil {
 			t.Fatal("Attach accepted a refused stream")
 		}
 		if after := sensorFiles(); len(after) != len(before) || len(before) != 4 {
@@ -382,7 +382,7 @@ func TestRecoverRefusesV1Journal(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if err := st.Attach("sensor", Checkpoint{Seq: 1, Meta: StreamMeta{Name: "sensor"}, Snapshot: countSnapshot(0)}); err != nil {
+		if err := st.Attach("sensor", Checkpoint{Seq: 1, Name: "sensor", Snapshot: countSnapshot(0)}); err != nil {
 			t.Fatalf("Attach once the refused files are gone: %v", err)
 		}
 		if err := st.Close(); err != nil {
@@ -399,7 +399,7 @@ func TestPruneRetention(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Rotate: %v", err)
 		}
-		if err := st.WriteCheckpoint("sensor", Checkpoint{Seq: seq, Meta: StreamMeta{Name: "sensor"}, Next: 5, Snapshot: countSnapshot(5)}); err != nil {
+		if err := st.WriteCheckpoint("sensor", Checkpoint{Seq: seq, Name: "sensor", Next: 5, Snapshot: countSnapshot(5)}); err != nil {
 			t.Fatalf("WriteCheckpoint: %v", err)
 		}
 		entries, err := fs.ReadDir(dir)
@@ -459,8 +459,8 @@ func TestEscapedStreamNames(t *testing.T) {
 		if err != nil || len(recs) != 1 {
 			t.Fatalf("Recover: %v, %d streams", err, len(recs))
 		}
-		if recs[0].Checkpoint.Meta.Name != name {
-			t.Fatalf("recovered name %q, want %q", recs[0].Checkpoint.Meta.Name, name)
+		if recs[0].Checkpoint.Name != name {
+			t.Fatalf("recovered name %q, want %q", recs[0].Checkpoint.Name, name)
 		}
 		if n := tailCount(t, recs[0]); n != 5 {
 			t.Fatalf("recovered %d ops, want 5", n)
@@ -529,7 +529,7 @@ func TestAppendConcurrent(t *testing.T) {
 	}
 	streams := []string{"a", "b"}
 	for _, name := range streams {
-		if err := st.Attach(name, Checkpoint{Seq: 1, Meta: StreamMeta{Name: name}}); err != nil {
+		if err := st.Attach(name, Checkpoint{Seq: 1, Name: name}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -49,6 +49,7 @@ import (
 	"biasedres/internal/httpapi"
 	"biasedres/internal/obs"
 	"biasedres/internal/query"
+	"biasedres/internal/registry"
 )
 
 // Config tunes the coordinator. Zero values pick the defaults.
@@ -111,9 +112,9 @@ type Coordinator struct {
 	httpm   *obs.HTTPMetrics
 	mux     *http.ServeMux
 
-	mu       sync.RWMutex
-	peers    map[string]*peer
-	fstreams map[string]*fedStream // coordinator-managed (sharded, replicated) streams
+	peers    *registry.Registry[*peer] // data nodes, by normalized base URL
+	mu       sync.RWMutex              // guards fstreams
+	fstreams map[string]*fedStream     // coordinator-managed (sharded, replicated) streams
 
 	wmu   sync.Mutex                  // guards wires
 	wires map[string]*client.WireConn // pooled binary-ingest conns, by peer addr
@@ -164,7 +165,7 @@ func WithMetrics(reg *obs.Registry) Option {
 func New(peers []string, cfg Config, opts ...Option) (*Coordinator, error) {
 	co := &Coordinator{
 		cfg:      cfg.withDefaults(),
-		peers:    make(map[string]*peer),
+		peers:    registry.New[*peer](0),
 		fstreams: make(map[string]*fedStream),
 		wires:    make(map[string]*client.WireConn),
 		stop:     make(chan struct{}),

@@ -56,9 +56,7 @@ func (co *Coordinator) handleDrain(w http.ResponseWriter, r *http.Request) {
 	if u, err := url.Parse(req.Addr); err == nil && u.Host != "" {
 		norm = u.Scheme + "://" + u.Host
 	}
-	co.mu.RLock()
-	src, ok := co.peers[norm]
-	co.mu.RUnlock()
+	src, ok := co.peers.Get(norm)
 	if !ok {
 		httpapi.Error(w, http.StatusNotFound, "peer %q not registered", norm)
 		return

@@ -69,15 +69,12 @@ func (co *Coordinator) addPeer(addr string) error {
 	if err != nil {
 		return err
 	}
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	if _, ok := co.peers[norm]; ok {
+	if co.peers.Reserve(norm, 0) != nil {
 		return fmt.Errorf("peer %q already registered", norm)
 	}
 	// Optimistically healthy: the fall threshold evicts dead peers after
 	// a few sweeps, while a live one is usable immediately.
-	co.peers[norm] = &peer{addr: norm, c: c, healthy: true}
-	return nil
+	return co.peers.Publish(norm, &peer{addr: norm, c: c, healthy: true})
 }
 
 func (co *Coordinator) removePeer(addr string) bool {
@@ -86,24 +83,12 @@ func (co *Coordinator) removePeer(addr string) bool {
 	if err == nil && u.Host != "" {
 		norm = u.Scheme + "://" + u.Host
 	}
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	_, ok := co.peers[norm]
-	delete(co.peers, norm)
+	_, ok := co.peers.Remove(norm, false)
 	return ok
 }
 
 // peerList returns the peers sorted by address.
-func (co *Coordinator) peerList() []*peer {
-	co.mu.RLock()
-	defer co.mu.RUnlock()
-	out := make([]*peer, 0, len(co.peers))
-	for _, p := range co.peers {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].addr < out[j].addr })
-	return out
-}
+func (co *Coordinator) peerList() []*peer { return co.peers.List() }
 
 func (co *Coordinator) healthyPeers() []*peer {
 	var out []*peer

@@ -2,14 +2,16 @@ package multi
 
 import (
 	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
 	"biasedres/internal/core"
+	"biasedres/internal/durable"
 	"biasedres/internal/query"
 	"biasedres/internal/stream"
 	"biasedres/internal/xrand"
@@ -19,8 +21,9 @@ import (
 // a manager holding a variable, a T-TBS, an R-TBS and a tiered stream, and
 // testdata/fleet.json records what each stream answered when it was
 // written. TestGoldenFleetRestores loads the file and checks the answers
-// and the re-saved bytes, so LoadFrom keeps reading checkpoints already on
-// disk.
+// and the re-saved records, so LoadFrom keeps reading checkpoints already
+// on disk. The file was written in the gob form and converted once to
+// BRESFLT1 records (see TestConvertGobFleet); fleet.json is unchanged.
 //
 // Gob numbers types in the order a process first encodes them, so a
 // stream's snapshot bytes are compared after one decode/encode round trip
@@ -118,29 +121,42 @@ func TestGenerateGoldenFleet(t *testing.T) {
 	}
 }
 
-// canonicalSnapshot decodes a stream's snapshot into a sampler built here,
-// independently of LoadFrom, and re-encodes it in this process.
-func canonicalSnapshot(t *testing.T, lambda float64, st streamState) []byte {
+// readFleet splits fleet file bytes into the header's budget and λ and
+// the stream records, independently of LoadFrom.
+func readFleet(t *testing.T, raw []byte) (int, float64, []durable.Checkpoint) {
 	t.Helper()
-	var s core.PersistentSampler
-	var err error
-	switch {
-	case st.Tiers > 1:
-		s, err = core.NewTieredReservoir(lambda, st.Ratio, st.Tiers, xrand.New(0),
-			func(_ int, l float64, rng *xrand.Source) (core.PersistentSampler, error) {
-				return core.NewVariableReservoir(l, st.Share/st.Tiers, rng)
-			})
-	case st.Kind == string(KindTTBS):
-		s, err = core.NewTTBSReservoir(lambda, st.Share, xrand.New(0))
-	case st.Kind == string(KindRTBS):
-		s, err = core.NewRTBSReservoir(lambda, st.Share, xrand.New(0))
-	default:
-		s, err = core.NewVariableReservoir(lambda, st.Share, xrand.New(0))
+	if len(raw) < 32 || !bytes.Equal(raw[:8], []byte("BRESFLT1")) {
+		t.Fatalf("not a BRESFLT1 fleet file: % x", raw[:min(len(raw), 32)])
 	}
+	r := bytes.NewReader(raw[32:])
+	var recs []durable.Checkpoint
+	for n := binary.LittleEndian.Uint64(raw[24:]); n > 0; n-- {
+		ck, err := durable.ReadCheckpoint(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs = append(recs, ck)
+	}
+	if r.Len() != 0 {
+		t.Fatalf("%d bytes after the last record", r.Len())
+	}
+	return int(binary.LittleEndian.Uint64(raw[8:])), math.Float64frombits(binary.LittleEndian.Uint64(raw[16:])), recs
+}
+
+// canonicalSnapshot decodes a record's snapshot into a sampler built here
+// from its config, independently of LoadFrom, and re-encodes it in this
+// process.
+func canonicalSnapshot(t *testing.T, ck durable.Checkpoint) []byte {
+	t.Helper()
+	fresh, err := core.SamplerFactory(ck.Config)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.UnmarshalBinary(st.Snapshot); err != nil {
+	s, err := fresh(xrand.New(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.UnmarshalBinary(ck.Snapshot); err != nil {
 		t.Fatal(err)
 	}
 	out, err := s.MarshalBinary()
@@ -175,28 +191,20 @@ func TestGoldenFleetRestores(t *testing.T) {
 	if err := m.SaveTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	var golden, saved fleetState
-	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&golden); err != nil {
-		t.Fatal(err)
+	gBudget, gLambda, golden := readFleet(t, raw)
+	sBudget, sLambda, saved := readFleet(t, buf.Bytes())
+	if gBudget != sBudget || gLambda != sLambda || len(golden) != len(saved) {
+		t.Fatalf("re-saved fleet %v/%v/%d streams, want %v/%v/%d", sBudget, sLambda, len(saved),
+			gBudget, gLambda, len(golden))
 	}
-	if err := gob.NewDecoder(&buf).Decode(&saved); err != nil {
-		t.Fatal(err)
-	}
-	if golden.Budget != saved.Budget || golden.Lambda != saved.Lambda || len(golden.Streams) != len(saved.Streams) {
-		t.Fatalf("re-saved fleet %v/%v/%d streams, want %v/%v/%d", saved.Budget, saved.Lambda, len(saved.Streams),
-			golden.Budget, golden.Lambda, len(golden.Streams))
-	}
-	for name, g := range golden.Streams {
-		s, ok := saved.Streams[name]
-		if !ok {
-			t.Fatalf("stream %q missing from the re-saved fleet", name)
+	for i, g := range golden {
+		s := saved[i]
+		if s.Name != g.Name || s.Config != g.Config || s.Next != g.Next || s.Dim != g.Dim || s.Seq != g.Seq {
+			t.Errorf("record %d re-saved as %s %+v next=%d dim=%d seq=%d, want %s %+v %d/%d/%d",
+				i, s.Name, s.Config, s.Next, s.Dim, s.Seq, g.Name, g.Config, g.Next, g.Dim, g.Seq)
 		}
-		if s.Share != g.Share || s.Tiers != g.Tiers || s.Ratio != g.Ratio || s.Kind != g.Kind {
-			t.Errorf("%s: re-saved as share=%d tiers=%d ratio=%v kind=%q, want %d/%d/%v/%q",
-				name, s.Share, s.Tiers, s.Ratio, s.Kind, g.Share, g.Tiers, g.Ratio, g.Kind)
-		}
-		if !bytes.Equal(s.Snapshot, canonicalSnapshot(t, golden.Lambda, g)) {
-			t.Errorf("%s: re-saved snapshot differs from the golden one", name)
+		if !bytes.Equal(s.Snapshot, canonicalSnapshot(t, g)) {
+			t.Errorf("%s: re-saved snapshot differs from the golden one", g.Name)
 		}
 	}
 }

@@ -2,12 +2,10 @@ package multi
 
 import (
 	"bytes"
-	"encoding/gob"
 	"testing"
 
 	"biasedres/internal/core"
 	"biasedres/internal/stream"
-	"biasedres/internal/xrand"
 )
 
 func TestRegisterKind(t *testing.T) {
@@ -124,62 +122,5 @@ func TestFleetCheckpointMixedKinds(t *testing.T) {
 				t.Fatalf("%s: post-restore sampling diverged at slot %d", name, i)
 			}
 		}
-	}
-}
-
-// legacyStreamState/legacyFleetState mirror the checkpoint schema from
-// before sampler kinds existed; gob matches fields by name, so decoding a
-// legacy blob leaves Kind empty.
-type legacyStreamState struct {
-	Share    int
-	Snapshot []byte
-	Tiers    int
-	Ratio    float64
-}
-
-type legacyFleetState struct {
-	Budget  int
-	Lambda  float64
-	Streams map[string]legacyStreamState
-}
-
-// A checkpoint written before streamState carried a Kind restores as the
-// historical default: a variable reservoir.
-func TestFleetCheckpointLegacyDecode(t *testing.T) {
-	const lambda = 1e-2
-	vr, err := core.NewVariableReservoir(lambda, 60, xrand.New(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i <= 1000; i++ {
-		vr.Add(stream.Point{Index: uint64(i), Values: []float64{float64(i)}, Weight: 1})
-	}
-	blob, err := vr.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	legacy := legacyFleetState{
-		Budget:  100,
-		Lambda:  lambda,
-		Streams: map[string]legacyStreamState{"old": {Share: 60, Snapshot: blob}},
-	}
-	if err := gob.NewEncoder(&buf).Encode(legacy); err != nil {
-		t.Fatal(err)
-	}
-	m, err := LoadFrom(&buf, 7)
-	if err != nil {
-		t.Fatalf("legacy checkpoint rejected: %v", err)
-	}
-	stats := m.StreamStats()
-	if len(stats) != 1 || stats[0].Kind != KindVariable {
-		t.Fatalf("legacy stream restored as %+v, want kind %q", stats, KindVariable)
-	}
-	pts, err := m.Sample("old")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) == 0 {
-		t.Fatal("legacy stream restored empty")
 	}
 }

@@ -13,37 +13,36 @@ package multi
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"biasedres/internal/core"
+	"biasedres/internal/durable"
 	"biasedres/internal/obs"
 	"biasedres/internal/query"
+	"biasedres/internal/registry"
 	"biasedres/internal/stream"
 	"biasedres/internal/xrand"
 )
 
-// Manager owns the global budget and the per-stream reservoirs.
+// Manager owns the global budget and the per-stream reservoirs. The
+// streams live in a registry.Registry, the daemon's stream table, which
+// charges each one its config's Slots against the budget.
 type Manager struct {
-	mu      sync.RWMutex
-	budget  int
-	used    int
-	lambda  float64
-	rng     *xrand.Source
-	streams map[string]*entry
+	budget int
+	lambda float64
+	seedMu sync.Mutex // guards rng
+	rng    *xrand.Source
+	reg    *registry.Registry[*entry]
 }
 
 // entry is one registered stream: its sampler behind the shared locked
-// wrapper (lock, snapshot cache and tier routing), plus the budget
-// bookkeeping.
+// wrapper (lock, snapshot cache and tier routing) and the configuration
+// it was built from, whose Slots are its charge against the budget.
 type entry struct {
-	sm *core.Synchronized
-	// kind names the sampler family the entry was built from (KindVariable
-	// for tiered ladders, whose tiers are variable reservoirs).
-	kind Kind
-	// share is the total slot charge against the budget (for tiered
-	// streams: per-tier share × tiers).
-	share int
+	name string
+	sm   *core.Synchronized
+	cfg  core.SamplerConfig
 }
 
 // Kind names a sampler family the manager can build for a stream: one of
@@ -71,15 +70,6 @@ var kinds = []Kind{KindRTBS, KindTTBS, KindVariable}
 // Kinds returns the registered sampler-family names, sorted.
 func Kinds() []Kind { return append([]Kind(nil), kinds...) }
 
-func knownKind(k Kind) bool {
-	for _, kk := range kinds {
-		if kk == k {
-			return true
-		}
-	}
-	return false
-}
-
 // NewManager returns a manager distributing `budget` total reservoir slots
 // across streams, each stream biased with rate lambda. Seed drives the
 // independent per-stream random sources.
@@ -91,10 +81,10 @@ func NewManager(budget int, lambda float64, seed uint64) (*Manager, error) {
 		return nil, fmt.Errorf("multi: lambda must be positive, got %v", lambda)
 	}
 	return &Manager{
-		budget:  budget,
-		lambda:  lambda,
-		rng:     xrand.New(seed),
-		streams: make(map[string]*entry),
+		budget: budget,
+		lambda: lambda,
+		rng:    xrand.New(seed),
+		reg:    registry.New[*entry](budget),
 	}, nil
 }
 
@@ -113,67 +103,58 @@ func (m *Manager) Register(name string, share int) error {
 // taken, the share is not positive, or the remaining budget is
 // insufficient.
 func (m *Manager) RegisterKind(name string, kind Kind, share int) error {
-	if !knownKind(kind) {
-		return fmt.Errorf("multi: unknown sampler kind %q (have %v)", kind, Kinds())
-	}
-	if share <= 0 {
-		return fmt.Errorf("multi: share must be positive, got %d", share)
-	}
-	// T-TBS and R-TBS constructors enforce their own parameter bounds.
-	if kind == KindVariable {
-		if err := m.checkShare(share); err != nil {
-			return err
-		}
-	}
-	return m.register(name, kind, share, core.SamplerConfig{Policy: string(kind), Lambda: m.lambda, Capacity: share}, nil)
+	return m.register(name, core.SamplerConfig{Policy: string(kind), Lambda: m.lambda, Capacity: share}, nil)
 }
 
-// checkShare applies the ⌊1/λ⌋ maximum-requirement cap (Corollary 2.1).
-func (m *Manager) checkShare(share int) error {
+// register is the one path by which a stream joins the manager, from
+// every Register variant and LoadFrom. It checks cfg against the manager,
+// charges cfg.Slots() against the budget and builds the sampler outside
+// the registry lock, on a seed from m.rng. A stream loaded from a fleet
+// record (from non-nil) is restored from its snapshot, which carries its
+// own generator state, so it builds on a throwaway source and streams
+// registered after a load still draw the same seeds from m.rng.
+func (m *Manager) register(name string, cfg core.SamplerConfig, from *durable.Checkpoint) error {
+	kind := Kind(cfg.Policy)
 	maxShare, err := core.ReservoirCapacity(m.lambda)
-	if err != nil {
+	switch {
+	case !slices.Contains(kinds, kind):
+		return fmt.Errorf("multi: unknown sampler kind %q (have %v)", kind, Kinds())
+	case cfg.Capacity <= 0:
+		return fmt.Errorf("multi: share must be positive, got %d", cfg.Capacity)
+	case cfg.Lambda != m.lambda:
+		return fmt.Errorf("multi: stream %q runs λ %v, the manager %v", name, cfg.Lambda, m.lambda)
+	case cfg.Tiers > 1 && kind != KindVariable:
+		return fmt.Errorf("multi: stream %q is tiered but has kind %q", name, kind)
+	// T-TBS and R-TBS constructors enforce their own parameter bounds. Tier
+	// 0 of a ladder runs the largest λ and so the tightest cap.
+	case kind == KindVariable && err != nil:
 		return fmt.Errorf("multi: %w", err)
+	case kind == KindVariable && cfg.Capacity > maxShare:
+		return fmt.Errorf("multi: share %d exceeds the maximum requirement 1/λ = %d", cfg.Capacity, maxShare)
 	}
-	if share > maxShare {
-		return fmt.Errorf("multi: share %d exceeds the maximum requirement 1/λ = %d", share, maxShare)
-	}
-	return nil
-}
-
-// register builds cfg's sampler and charges total slots for it. A new
-// stream's sampler draws its seed from m.rng. A stream loaded from a
-// fleet checkpoint (from non-nil) is restored from its snapshot, which
-// carries its own generator state; it builds on a throwaway source so
-// streams registered after a load still draw the same seeds from m.rng.
-func (m *Manager) register(name string, kind Kind, total int, cfg core.SamplerConfig, from *streamState) error {
 	fresh, err := core.SamplerFactory(cfg)
 	if err != nil {
 		return fmt.Errorf("multi: %w", err)
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, ok := m.streams[name]; ok {
-		return fmt.Errorf("multi: stream %q already registered", name)
-	}
-	if m.used+total > m.budget {
-		return fmt.Errorf("multi: budget exhausted: %d used + %d requested > %d total", m.used, total, m.budget)
+	if err := m.reg.Reserve(name, cfg.Slots()); err != nil {
+		return fmt.Errorf("multi: %w", err)
 	}
 	rng := xrand.New(0)
 	if from == nil {
+		m.seedMu.Lock()
 		rng = m.rng.Split()
+		m.seedMu.Unlock()
 	}
 	sampler, err := fresh(rng)
+	if err == nil && from != nil {
+		err = core.Restore(sampler, from.Snapshot)
+	}
 	if err != nil {
-		return fmt.Errorf("multi: creating %s reservoir for %q: %w", kind, name, err)
+		m.reg.Abandon(name)
+		return fmt.Errorf("multi: stream %q: %w", name, err)
 	}
-	if from != nil {
-		if err := core.Restore(sampler, from.Snapshot); err != nil {
-			return fmt.Errorf("multi: stream %q: %w", name, err)
-		}
-	}
-	m.streams[name] = &entry{sm: core.NewSynchronized(sampler), kind: kind, share: total}
-	m.used += total
-	return nil
+	// Nothing closes the manager's registry, so the publish cannot fail.
+	return m.reg.Publish(name, &entry{name: name, sm: core.NewSynchronized(sampler), cfg: cfg})
 }
 
 // RegisterTiered allocates a multi-horizon ladder to a new stream: `tiers`
@@ -195,12 +176,7 @@ func (m *Manager) RegisterTiered(name string, share, tiers int, ratio float64) e
 	if !(ratio > 1) {
 		return fmt.Errorf("multi: tier ratio must be > 1, got %v", ratio)
 	}
-	// Tier 0 runs the largest λ and therefore the tightest capacity cap
-	// ⌊1/λ⌋; deeper tiers only relax it, so one check covers the ladder.
-	if err := m.checkShare(share); err != nil {
-		return err
-	}
-	return m.register(name, KindVariable, share*tiers, core.SamplerConfig{
+	return m.register(name, core.SamplerConfig{
 		Policy: string(KindVariable), Lambda: m.lambda, Capacity: share, Tiers: tiers, TierRatio: ratio}, nil)
 }
 
@@ -231,35 +207,28 @@ func (m *Manager) RegisterEven(names []string) error {
 
 // Unregister removes a stream and returns its share to the budget.
 func (m *Manager) Unregister(name string) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	e, ok := m.streams[name]
-	if !ok {
+	if _, ok := m.reg.Remove(name, false); !ok {
 		return fmt.Errorf("multi: stream %q not registered", name)
 	}
-	delete(m.streams, name)
-	m.used -= e.share
 	return nil
 }
 
-// lookup returns the named stream's entry.
-func (m *Manager) lookup(name string) (*entry, error) {
-	m.mu.RLock()
-	e, ok := m.streams[name]
-	m.mu.RUnlock()
+// stream returns the named stream's sampler.
+func (m *Manager) stream(name string) (*core.Synchronized, error) {
+	e, ok := m.reg.Get(name)
 	if !ok {
 		return nil, fmt.Errorf("multi: stream %q not registered", name)
 	}
-	return e, nil
+	return e.sm, nil
 }
 
 // Add feeds one point to the named stream's reservoir.
 func (m *Manager) Add(name string, p stream.Point) error {
-	e, err := m.lookup(name)
+	sm, err := m.stream(name)
 	if err != nil {
 		return err
 	}
-	e.sm.Add(p)
+	sm.Add(p)
 	return nil
 }
 
@@ -270,11 +239,11 @@ func (m *Manager) Add(name string, p stream.Point) error {
 // skips — the random draws, so it is the preferred ingest call when points
 // arrive in groups.
 func (m *Manager) AddBatch(name string, pts []stream.Point) error {
-	e, err := m.lookup(name)
+	sm, err := m.stream(name)
 	if err != nil {
 		return err
 	}
-	e.sm.AddBatch(pts)
+	sm.AddBatch(pts)
 	return nil
 }
 
@@ -293,11 +262,11 @@ func (m *Manager) Sample(name string) ([]stream.Point, error) {
 // lock — the safe way to run any estimator against a concurrently fed
 // reservoir. fn must not retain the sampler beyond the call.
 func (m *Manager) With(name string, fn func(core.Sampler) error) error {
-	e, err := m.lookup(name)
+	sm, err := m.stream(name)
 	if err != nil {
 		return err
 	}
-	e.sm.View(func(s core.Sampler) { err = fn(s) })
+	sm.View(func(s core.Sampler) { err = fn(s) })
 	return err
 }
 
@@ -306,11 +275,11 @@ func (m *Manager) With(name string, fn func(core.Sampler) error) error {
 // number of query kernels (query.EstimateOn and friends) against it
 // without blocking the stream's ingest.
 func (m *Manager) Snapshot(name string) (*core.Snapshot, error) {
-	e, err := m.lookup(name)
+	sm, err := m.stream(name)
 	if err != nil {
 		return nil, err
 	}
-	return e.sm.AcquireSnapshot(), nil
+	return sm.AcquireSnapshot(), nil
 }
 
 // SnapshotFor returns the snapshot that should serve a query over the last
@@ -319,11 +288,11 @@ func (m *Manager) Snapshot(name string) (*core.Snapshot, error) {
 // streams it is Snapshot. The second return is the tier index served, -1
 // for untiered streams.
 func (m *Manager) SnapshotFor(name string, h uint64) (*core.Snapshot, int, error) {
-	e, err := m.lookup(name)
+	sm, err := m.stream(name)
 	if err != nil {
 		return nil, -1, err
 	}
-	snap, tier := e.sm.SnapshotFor(h)
+	snap, tier := sm.SnapshotFor(h)
 	return snap, tier, nil
 }
 
@@ -374,11 +343,10 @@ type Stats struct {
 
 // StreamStats returns per-stream reservoir statistics, sorted by name.
 func (m *Manager) StreamStats() []Stats {
-	list := m.list()
+	list := m.reg.List()
 	out := make([]Stats, 0, len(list))
-	for _, ne := range list {
-		e := ne.e
-		st := Stats{Name: ne.name, Kind: e.kind, Share: e.share}
+	for _, e := range list {
+		st := Stats{Name: e.name, Kind: Kind(e.cfg.Policy), Share: e.cfg.Slots()}
 		e.sm.View(func(s core.Sampler) {
 			st.Len, st.Processed, st.Fill = s.Len(), s.Processed(), core.Fill(s)
 			st.PIn = 1
@@ -393,38 +361,18 @@ func (m *Manager) StreamStats() []Stats {
 	return out
 }
 
-// namedEntry pairs an entry with its registered name.
-type namedEntry struct {
-	name string
-	e    *entry
-}
-
-// list snapshots the registered streams, sorted by name.
-func (m *Manager) list() []namedEntry {
-	m.mu.RLock()
-	out := make([]namedEntry, 0, len(m.streams))
-	for name, e := range m.streams {
-		out = append(out, namedEntry{name, e})
-	}
-	m.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
-	return out
-}
-
 // Collect implements obs.Collector: registering the manager on an
 // obs.Registry exports the global budget and every stream's reservoir
 // state at one scrape point — the "thousands of independent streams"
 // deployment stays observable through a single /metrics endpoint. The
 // per-stream families are core.StreamFamilies under biasedres_multi_.
 func (m *Manager) Collect() []obs.Family {
-	m.mu.RLock()
-	budget, used := m.budget, m.used
-	m.mu.RUnlock()
-	list := m.list()
+	used := m.reg.Used()
+	list := m.reg.List()
 	out := []obs.Family{
 		{Name: "biasedres_multi_budget_slots", Type: "gauge",
 			Help:    "Total reservoir slots the manager may allocate.",
-			Samples: []obs.Sample{{Value: float64(budget)}}},
+			Samples: []obs.Sample{{Value: float64(m.budget)}}},
 		{Name: "biasedres_multi_used_slots", Type: "gauge",
 			Help:    "Reservoir slots currently allocated to streams.",
 			Samples: []obs.Sample{{Value: float64(used)}}},
@@ -438,10 +386,10 @@ func (m *Manager) Collect() []obs.Family {
 	share := obs.Family{Name: "biasedres_multi_stream_share_slots", Type: "gauge",
 		Help: "Reservoir slots allocated to the stream."}
 	streams := make([]core.NamedStream, len(list))
-	for i, ne := range list {
+	for i, e := range list {
 		share.Samples = append(share.Samples, obs.Sample{
-			Labels: []obs.Label{{Key: "stream", Value: ne.name}}, Value: float64(ne.e.share)})
-		streams[i] = core.NamedStream{Name: ne.name, S: ne.e.sm}
+			Labels: []obs.Label{{Key: "stream", Value: e.name}}, Value: float64(e.cfg.Slots())})
+		streams[i] = core.NamedStream{Name: e.name, S: e.sm}
 	}
 	return append(append(out, share), core.StreamFamilies("biasedres_multi_", streams)...)
 }
@@ -450,22 +398,10 @@ func (m *Manager) Collect() []obs.Family {
 func (m *Manager) Budget() int { return m.budget }
 
 // Used returns the number of allocated slots.
-func (m *Manager) Used() int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.used
-}
+func (m *Manager) Used() int { return m.reg.Used() }
 
 // Remaining returns the unallocated budget.
-func (m *Manager) Remaining() int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.budget - m.used
-}
+func (m *Manager) Remaining() int { return m.budget - m.reg.Used() }
 
 // Len returns the number of registered streams.
-func (m *Manager) Len() int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return len(m.streams)
-}
+func (m *Manager) Len() int { return m.reg.Len() }

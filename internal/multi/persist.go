@@ -1,105 +1,100 @@
 package multi
 
 import (
-	"encoding/gob"
+	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 
 	"biasedres/internal/core"
+	"biasedres/internal/durable"
 )
 
-// Fleet-level checkpointing: SaveTo serializes every registered stream's
-// reservoir (each via its own resume-identical binary snapshot) together
-// with the manager's budget accounting; LoadFrom reconstructs the whole
-// fleet. A collector can thus restart without losing any stream's sample.
+// Fleet-level checkpointing: SaveTo writes each stream as the one
+// persisted record of a stream, a durable checkpoint, behind a header
+// holding the manager's budget and λ; LoadFrom registers each record
+// again. Any one record installs on a daemon as is (POST
+// /streams/{name}/transfer). Fleet file:
+//
+//	[8]  magic "BRESFLT1"
+//	[8]  budget, [8] λ (IEEE 754 bits), [8] stream count n (little-endian)
+//	then n records in name order, each what durable.EncodeCheckpoint
+//	writes: name, core.SamplerConfig, Next = processed count, Dim 0 and
+//	the sampler snapshot.
 
-// fleetState is the gob wire form of a manager checkpoint.
-type fleetState struct {
-	Budget  int
-	Lambda  float64
-	Streams map[string]streamState
-}
+var fleetMagic = [8]byte{'B', 'R', 'E', 'S', 'F', 'L', 'T', '1'}
 
-type streamState struct {
-	Share    int
-	Snapshot []byte
-	// Tiers/Ratio describe a multi-horizon ladder (RegisterTiered); zero
-	// means a plain variable reservoir — gob leaves them zero when decoding
-	// checkpoints written before tiers existed.
-	Tiers int
-	Ratio float64
-	// Kind names the sampler family (RegisterKind); gob leaves it empty
-	// when decoding checkpoints written before kinds existed, which decodes
-	// as the historical default KindVariable.
-	Kind string
+// errGobFleet refuses a fleet file in the gob form SaveTo wrote before
+// BRESFLT1, which starts with gob's description of its fleetState type.
+var errGobFleet = errors.New("multi: this is a gob fleet file (fleetState), a form this build no longer reads; " +
+	"convert it to BRESFLT1 with TestConvertGobFleet, as docs/OPERATIONS.md §5 describes")
+
+// appendFleetHeader appends the header of a fleet of n streams to buf.
+func appendFleetHeader(buf []byte, budget int, lambda float64, n int) []byte {
+	buf = append(buf, fleetMagic[:]...)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(budget))
+	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(lambda))
+	return binary.LittleEndian.AppendUint64(buf, uint64(n))
 }
 
 // SaveTo writes a checkpoint of the manager and every registered stream.
 // Concurrent Adds are safe during the call; each stream is snapshotted
 // under its own lock, so the checkpoint is per-stream consistent.
 func (m *Manager) SaveTo(w io.Writer) error {
-	list := m.list()
-	state := fleetState{Budget: m.budget, Lambda: m.lambda, Streams: make(map[string]streamState, len(list))}
-	for _, ne := range list {
-		name, e := ne.name, ne.e
-		st := streamState{Share: e.share, Kind: string(e.kind)}
+	list := m.reg.List()
+	if _, err := w.Write(appendFleetHeader(nil, m.budget, m.lambda, len(list))); err != nil {
+		return fmt.Errorf("multi: writing fleet header: %w", err)
+	}
+	for _, e := range list {
+		ck := durable.Checkpoint{Name: e.name, Config: e.cfg}
 		var err error
 		e.sm.View(func(s core.Sampler) {
-			st.Snapshot, err = s.(core.PersistentSampler).MarshalBinary()
-			if tr := e.sm.Tiered(); tr != nil {
-				st.Tiers, st.Ratio = tr.NumTiers(), tr.Ratio()
-			}
+			ck.Next = s.Processed()
+			ck.Snapshot, err = s.(core.PersistentSampler).MarshalBinary()
 		})
-		if err != nil {
-			return fmt.Errorf("multi: snapshotting %q: %w", name, err)
+		var rec []byte
+		if err == nil {
+			rec, err = durable.EncodeCheckpoint(ck)
 		}
-		state.Streams[name] = st
-	}
-	if err := gob.NewEncoder(w).Encode(state); err != nil {
-		return fmt.Errorf("multi: encoding fleet checkpoint: %w", err)
+		if err == nil {
+			_, err = w.Write(rec)
+		}
+		if err != nil {
+			return fmt.Errorf("multi: saving %q: %w", e.name, err)
+		}
 	}
 	return nil
 }
 
-// LoadFrom reconstructs a manager from a SaveTo checkpoint. seed drives
+// LoadFrom reconstructs a manager from a SaveTo checkpoint, registering
+// each record as RegisterKind and RegisterTiered do, so a record the
+// manager's budget, λ or share rules would refuse is refused. seed drives
 // the random sources of any streams registered *after* the restore;
 // restored streams resume with their checkpointed generator state.
 func LoadFrom(r io.Reader, seed uint64) (*Manager, error) {
-	var state fleetState
-	if err := gob.NewDecoder(r).Decode(&state); err != nil {
-		return nil, fmt.Errorf("multi: decoding fleet checkpoint: %w", err)
+	head := make([]byte, 32)
+	if _, err := io.ReadFull(r, head); err != nil {
+		return nil, fmt.Errorf("multi: reading fleet header: %w", err)
 	}
-	m, err := NewManager(state.Budget, state.Lambda, seed)
+	if [8]byte(head[:8]) != fleetMagic {
+		if bytes.Contains(head, []byte("fleetState")) {
+			return nil, errGobFleet
+		}
+		return nil, fmt.Errorf("multi: bad fleet magic %q", head[:8])
+	}
+	m, err := NewManager(int(binary.LittleEndian.Uint64(head[8:])),
+		math.Float64frombits(binary.LittleEndian.Uint64(head[16:])), seed)
 	if err != nil {
 		return nil, fmt.Errorf("multi: restoring manager: %w", err)
 	}
-	for name, st := range state.Streams {
-		if st.Share <= 0 {
-			return nil, fmt.Errorf("multi: stream %q has share %d in checkpoint", name, st.Share)
+	for n := binary.LittleEndian.Uint64(head[24:]); n > 0; n-- {
+		ck, err := durable.ReadCheckpoint(r)
+		if err != nil {
+			return nil, fmt.Errorf("multi: reading fleet record: %w", err)
 		}
-		// Checkpoints written before sampler kinds existed decode with an
-		// empty Kind: the historical default, a variable reservoir.
-		kind := Kind(st.Kind)
-		if kind == "" {
-			kind = KindVariable
-		}
-		if !knownKind(kind) {
-			return nil, fmt.Errorf("multi: stream %q has unknown sampler kind %q in checkpoint", name, st.Kind)
-		}
-		cfg := core.SamplerConfig{Policy: string(kind), Lambda: state.Lambda, Capacity: st.Share}
-		if st.Tiers > 1 {
-			if kind != KindVariable {
-				return nil, fmt.Errorf("multi: stream %q is tiered but has kind %q in checkpoint", name, kind)
-			}
-			// st.Share stores the whole ladder's charge; each tier holds an
-			// equal slice of it.
-			if st.Share%st.Tiers != 0 {
-				return nil, fmt.Errorf("multi: stream %q share %d is not divisible by its %d tiers",
-					name, st.Share, st.Tiers)
-			}
-			cfg.Capacity, cfg.Tiers, cfg.TierRatio = st.Share/st.Tiers, st.Tiers, st.Ratio
-		}
-		if err := m.register(name, kind, st.Share, cfg, &st); err != nil {
+		if err := m.register(ck.Name, ck.Config, &ck); err != nil {
 			return nil, err
 		}
 	}

@@ -2,12 +2,12 @@ package multi
 
 import (
 	"bytes"
-	"encoding/gob"
 	"fmt"
 	"strings"
 	"testing"
 
 	"biasedres/internal/core"
+	"biasedres/internal/durable"
 	"biasedres/internal/stream"
 	"biasedres/internal/xrand"
 )
@@ -101,12 +101,12 @@ func TestFleetCheckpointRefusesMismatchedSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(fleetState{Budget: 10, Lambda: 0.1,
-		Streams: map[string]streamState{"s": {Share: 10, Snapshot: snap, Kind: string(KindVariable)}}}); err != nil {
+	rec, err := durable.EncodeCheckpoint(durable.Checkpoint{Name: "s",
+		Config: core.SamplerConfig{Policy: string(KindVariable), Lambda: 0.1, Capacity: 10}, Next: 3000, Snapshot: snap})
+	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := LoadFrom(&buf, 1)
+	m, err := LoadFrom(bytes.NewReader(append(appendFleetHeader(nil, 10, 0.1, 1), rec...)), 1)
 	if err == nil {
 		t.Fatalf("mismatched snapshot loaded: used %d of budget %d", m.Used(), m.Budget())
 	}

@@ -74,36 +74,6 @@ func WithDurability(store *durable.Store, cfg DurabilityConfig) Option {
 	}
 }
 
-// durableMeta renders a stream's configuration for its checkpoints.
-func durableMeta(name string, req CreateRequest) durable.StreamMeta {
-	return durable.StreamMeta{
-		Name:      name,
-		Policy:    req.Policy,
-		Lambda:    req.Lambda,
-		Capacity:  req.Capacity,
-		Window:    req.Window,
-		Tiers:     req.Tiers,
-		TierRatio: req.TierRatio,
-	}
-}
-
-// createRequestOf inverts durableMeta for recovery and transfer install.
-// Checkpoints written without a policy predate policies: they hold the
-// paper's variable reservoir.
-func createRequestOf(meta durable.StreamMeta) CreateRequest {
-	if meta.Policy == "" {
-		meta.Policy = "variable"
-	}
-	return CreateRequest{
-		Policy:    meta.Policy,
-		Lambda:    meta.Lambda,
-		Capacity:  meta.Capacity,
-		Window:    meta.Window,
-		Tiers:     meta.Tiers,
-		TierRatio: meta.TierRatio,
-	}
-}
-
 // appendJournal frames the first n points of an applied batch onto the
 // stream's journal. Called under the sampler lock by apply, so journal
 // order matches apply order. Failures degrade durability, not
@@ -159,8 +129,8 @@ var errQuiescent = errors.New("stream quiescent since its last checkpoint")
 // version: it returns the sequence of the journal cut the checkpoint
 // starts, or an error to abandon the cut. A cut with rotate also records
 // the version it captured for the checkpointer's quiescence test.
-func (s *Server) cut(name string, ms *managedStream, rotate func(ver uint64) (uint64, error)) (durable.Checkpoint, error) {
-	ck := durable.Checkpoint{Seq: 1, Meta: durableMeta(name, ms.req)}
+func (s *Server) cut(ms *managedStream, rotate func(ver uint64) (uint64, error)) (durable.Checkpoint, error) {
+	ck := durable.Checkpoint{Seq: 1, Name: ms.name, Config: ms.req}
 	var err error
 	ms.qmu.Lock()
 	ck.Next, ck.Dim = ms.next, ms.dim
@@ -182,21 +152,21 @@ func (s *Server) cut(name string, ms *managedStream, rotate func(ver uint64) (ui
 // checkpointStream cuts and writes one stream's checkpoint. force skips
 // the quiescence test (restore, shutdown, retention). It returns false when
 // no checkpoint was written.
-func (s *Server) checkpointStream(name string, ms *managedStream, force bool) bool {
-	ck, err := s.cut(name, ms, func(ver uint64) (uint64, error) {
+func (s *Server) checkpointStream(ms *managedStream, force bool) bool {
+	ck, err := s.cut(ms, func(ver uint64) (uint64, error) {
 		if !force && ver-ms.lastCkptVer < s.dcfg.CheckpointMinOps {
 			return 0, errQuiescent
 		}
 		// Journal <seq> then holds exactly the ops applied after this
 		// snapshot: both happen under the sampler lock.
-		return s.durable.Rotate(name)
+		return s.durable.Rotate(ms.name)
 	})
 	if err == nil {
-		err = s.durable.WriteCheckpoint(name, ck)
+		err = s.durable.WriteCheckpoint(ms.name, ck)
 	}
 	if err != nil {
 		if !errors.Is(err, errQuiescent) && s.log != nil {
-			s.log.Warn("checkpoint failed", "stream", name, "error", err)
+			s.log.Warn("checkpoint failed", "stream", ms.name, "error", err)
 		}
 		return false
 	}
@@ -205,8 +175,8 @@ func (s *Server) checkpointStream(name string, ms *managedStream, force bool) bo
 
 // checkpointAll sweeps every stream once.
 func (s *Server) checkpointAll(force bool) {
-	for _, ns := range s.streamList() {
-		s.checkpointStream(ns.name, ns.ms, force)
+	for _, ms := range s.streamList() {
+		s.checkpointStream(ms, force)
 	}
 }
 
@@ -336,11 +306,11 @@ func (s *Server) recoverDurable() error {
 		}
 	}
 	for _, rec := range recs {
-		name := rec.Checkpoint.Meta.Name
+		name := rec.Checkpoint.Name
 		// Rebaseline: one fresh checkpoint above every sequence the disk
 		// holds (including corrupt newer generations), so the replayed
 		// state is durable again before the stream serves traffic.
-		if _, _, err := s.install(name, createRequestOf(rec.Checkpoint.Meta), &rec, rec.MaxSeq+1); err != nil {
+		if _, _, err := s.install(name, rec.Checkpoint.Config, &rec, rec.MaxSeq+1); err != nil {
 			s.durable.QuarantineStream(name)
 			if s.log != nil {
 				s.log.Warn("stream recovery failed; files quarantined", "stream", name, "error", err)

@@ -69,10 +69,10 @@ type ingestShard struct {
 // startIngestShard attaches an ingest lane to ms and starts its worker.
 // Called with the stream registered; the worker runs until the shard's
 // channel is closed (stream deletion or server Close).
-func (s *Server) startIngestShard(name string, ms *managedStream) {
+func (s *Server) startIngestShard(ms *managedStream) {
 	ms.shard = &ingestShard{ch: make(chan *batchBuf, s.ingestQueue)}
 	s.ingestWG.Add(1)
-	go s.runIngestShard(name, ms)
+	go s.runIngestShard(ms)
 }
 
 // runIngestShard drains one stream's queue. The global worker semaphore
@@ -82,17 +82,17 @@ func (s *Server) startIngestShard(name string, ms *managedStream) {
 // classification is CPU work and must respect -ingest-workers. Time-decay
 // streams have no shard, so apply cannot refuse here. The worker releases
 // each batch it applied.
-func (s *Server) runIngestShard(name string, ms *managedStream) {
+func (s *Server) runIngestShard(ms *managedStream) {
 	defer s.ingestWG.Done()
 	for b := range ms.shard.ch {
 		n := b.f.Count
 		s.ingestSem <- struct{}{}
-		s.apply(name, ms, b)
+		s.apply(ms, b)
 		s.observeModel(ms, b.pts)
 		<-s.ingestSem
 		b.release()
 		ms.pending.Add(-int64(n))
-		s.applied.With(name).Inc()
+		s.applied.With(ms.name).Inc()
 	}
 }
 
@@ -118,17 +118,15 @@ func refuse(status int, format string, args ...any) admission {
 // (429) is StatusBackpressure with the same 1s retry hint, consuming
 // nothing; every other refusal is StatusError (resending cannot succeed).
 func (s *Server) IngestFrame(f *wire.Frame) wire.Reply {
-	// Compiles to an allocation-free map probe; the frame's name bytes
-	// never escape into a string unless a reply message needs them.
-	s.mu.RLock()
-	ms, ok := s.streams[string(f.Name)]
-	s.mu.RUnlock()
+	// An allocation-free map probe; the frame's name bytes never escape
+	// into a string unless a reply message needs them.
+	ms, ok := s.reg.GetBytes(f.Name)
 	if !ok {
 		return wire.Errorf("stream %q not found", f.Name)
 	}
 	b := getBatch()
 	b.f.CopyFrom(f)
-	a := s.admit(string(f.Name), ms, b)
+	a := s.admit(ms, b)
 	switch {
 	case a.status == http.StatusTooManyRequests:
 		return wire.Nack(1000)
@@ -144,7 +142,7 @@ func (s *Server) IngestFrame(f *wire.Frame) wire.Reply {
 // commit only once the batch is queued or applied. admit takes b over: it
 // releases b after an inline apply or a refusal, and a queued b passes to
 // the shard worker.
-func (s *Server) admit(name string, ms *managedStream, b *batchBuf) (a admission) {
+func (s *Server) admit(ms *managedStream, b *batchBuf) (a admission) {
 	defer func() {
 		if !a.queued {
 			b.release()
@@ -161,7 +159,7 @@ func (s *Server) admit(name string, ms *managedStream, b *batchBuf) (a admission
 	ms.qmu.Lock()
 	if ms.closed {
 		ms.qmu.Unlock()
-		return refuse(http.StatusServiceUnavailable, "stream %q is shutting down", name)
+		return refuse(http.StatusServiceUnavailable, "stream %q is shutting down", ms.name)
 	}
 	if ms.dim != 0 && ms.dim != dim {
 		ms.qmu.Unlock()
@@ -184,16 +182,16 @@ func (s *Server) admit(name string, ms *managedStream, b *batchBuf) (a admission
 		default:
 			ms.pending.Add(-int64(count))
 			ms.qmu.Unlock()
-			s.rejected.With(name).Inc()
+			s.rejected.With(ms.name).Inc()
 			return refuse(http.StatusTooManyRequests,
-				"ingest queue for stream %q is full (%d batches); retry later", name, s.ingestQueue)
+				"ingest queue for stream %q is full (%d batches); retry later", ms.name, s.ingestQueue)
 		}
 		ms.next, ms.dim = next, dim
 		ms.qmu.Unlock()
-		s.countIngest(name, count)
+		s.countIngest(ms.name, count)
 		return admission{queued: true, pending: pending}
 	}
-	processed, n, err := s.apply(name, ms, b)
+	processed, n, err := s.apply(ms, b)
 	if n > 0 {
 		ms.next, ms.dim = f.Index(n-1), dim
 	}
@@ -204,7 +202,7 @@ func (s *Server) admit(name string, ms *managedStream, b *batchBuf) (a admission
 		return refuse(http.StatusBadRequest, "%v", err)
 	}
 	s.observeModel(ms, b.pts)
-	s.countIngest(name, n)
+	s.countIngest(ms.name, n)
 	return admission{processed: processed}
 }
 
@@ -242,7 +240,7 @@ func sequence(f *wire.Frame, next uint64) (uint64, error) {
 // invalidates the snapshot cache. It returns the stream position after
 // the batch and how many of its points were applied; b.pts then holds the
 // batch's rows.
-func (s *Server) apply(name string, ms *managedStream, b *batchBuf) (processed uint64, n int, err error) {
+func (s *Server) apply(ms *managedStream, b *batchBuf) (processed uint64, n int, err error) {
 	ms.sm.Update(func(sm core.Sampler) {
 		// applyBatch's clock check leaves no refusal for mid-batch; should
 		// one happen, the applied prefix is journaled and reported.
@@ -250,7 +248,7 @@ func (s *Server) apply(name string, ms *managedStream, b *batchBuf) (processed u
 			err = fmt.Errorf("point %d: %w (the %d points before it were applied)", n, err, n)
 		}
 		if s.durable != nil {
-			s.appendJournal(name, &b.f, n)
+			s.appendJournal(ms.name, &b.f, n)
 		}
 		processed = sm.Processed()
 	})
@@ -308,13 +306,12 @@ func (s *Server) Close() {
 		// Fail readiness first so load balancers and federation
 		// coordinators stop routing here while the queues drain.
 		s.ready.Store(false)
-		for _, ns := range s.streamList() {
-			closeShard(ns.ms)
+		// No install or delete can reserve a name from here on; wait out
+		// those that did before the store they write to closes.
+		s.reg.Close()
+		for _, ms := range s.streamList() {
+			closeShard(ms)
 		}
-		// streamList took s.mu after readiness failed, so no install can
-		// reserve a name from here on; wait out those that did before the
-		// store they write to closes.
-		s.installs.Wait()
 		s.ingestWG.Wait()
 		// Stop every background loop before the final checkpoint, so the
 		// shutdown cut is not raced by a checkpoint pass or a compaction.
@@ -343,8 +340,8 @@ func (s *Server) collectIngest() []obs.Family {
 		Help: "Batches waiting in the stream's ingest queue."}
 	pendPts := obs.Family{Name: "biasedres_ingest_pending_points", Type: "gauge",
 		Help: "Points accepted (202) but not yet applied to the stream's sampler."}
-	for _, ns := range s.streamList() {
-		name, ms := ns.name, ns.ms
+	for _, ms := range s.streamList() {
+		name := ms.name
 		// The scrape runs concurrently with enqueues, deletion, and Close,
 		// all of which mutate the queue state under qmu. Reading shard and
 		// the (depth, pending) pair under the same lock keeps the sample

@@ -24,13 +24,7 @@ import (
 // the synchronous handler) after the batch is applied, outside every sampler
 // lock — drift checks and retrains read the stream's snapshot cache.
 
-func (s *Server) handleModelCreate(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	ms, ok := s.lookup(name)
-	if !ok {
-		httpapi.Error(w, http.StatusNotFound, "stream %q not found", name)
-		return
-	}
+func (s *Server) handleModelCreate(w http.ResponseWriter, r *http.Request, ms *managedStream) {
 	var req models.Config
 	if !httpapi.ReadJSON(w, r, s.maxBody, &req, "decoding request: %v") {
 		return
@@ -41,7 +35,7 @@ func (s *Server) handleModelCreate(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case req.Dim == 0 && streamDim == 0:
 		httpapi.Error(w, http.StatusBadRequest,
-			"stream %q has no dimensionality yet; ingest points first or pass dim", name)
+			"stream %q has no dimensionality yet; ingest points first or pass dim", ms.name)
 		return
 	case req.Dim == 0:
 		req.Dim = streamDim
@@ -64,57 +58,45 @@ func (s *Server) handleModelCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if !ms.model.CompareAndSwap(nil, m) {
-		httpapi.Error(w, http.StatusConflict, "stream %q already has a model; DELETE it first", name)
+		httpapi.Error(w, http.StatusConflict, "stream %q already has a model; DELETE it first", ms.name)
 		return
 	}
 	// Materialize the initial training set from whatever the reservoir
 	// holds right now; an empty stream trains on the first ingested batch.
 	m.Retrain(ms.sm.AcquireSnapshot())
 	if s.log != nil {
-		s.log.Info("model attached", "stream", name, "k", m.Config().K,
+		s.log.Info("model attached", "stream", ms.name, "k", m.Config().K,
 			"dim", req.Dim, "short_h", req.ShortH, "long_h", req.LongH)
 	}
 	httpapi.JSON(w, http.StatusCreated, m.Stats())
 }
 
-// modelFor resolves the {name} path segment to the stream's model, writing
-// the 404 itself when either is missing.
-func (s *Server) modelFor(w http.ResponseWriter, r *http.Request) *models.Model {
-	name := r.PathValue("name")
-	ms, ok := s.lookup(name)
-	if !ok {
-		httpapi.Error(w, http.StatusNotFound, "stream %q not found", name)
-		return nil
-	}
+// modelFor returns the stream's model, writing the 404 itself when it has
+// none.
+func modelFor(w http.ResponseWriter, ms *managedStream) *models.Model {
 	m := ms.model.Load()
 	if m == nil {
-		httpapi.Error(w, http.StatusNotFound, "stream %q has no model", name)
+		httpapi.Error(w, http.StatusNotFound, "stream %q has no model", ms.name)
 		return nil
 	}
 	return m
 }
 
-func (s *Server) handleModelGet(w http.ResponseWriter, r *http.Request) {
-	if m := s.modelFor(w, r); m != nil {
+func (s *Server) handleModelGet(w http.ResponseWriter, _ *http.Request, ms *managedStream) {
+	if m := modelFor(w, ms); m != nil {
 		httpapi.JSON(w, http.StatusOK, m.Stats())
 	}
 }
 
-func (s *Server) handleModelEval(w http.ResponseWriter, r *http.Request) {
-	if m := s.modelFor(w, r); m != nil {
+func (s *Server) handleModelEval(w http.ResponseWriter, _ *http.Request, ms *managedStream) {
+	if m := modelFor(w, ms); m != nil {
 		httpapi.JSON(w, http.StatusOK, m.Eval())
 	}
 }
 
-func (s *Server) handleModelDelete(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	ms, ok := s.lookup(name)
-	if !ok {
-		httpapi.Error(w, http.StatusNotFound, "stream %q not found", name)
-		return
-	}
+func (s *Server) handleModelDelete(w http.ResponseWriter, _ *http.Request, ms *managedStream) {
 	if ms.model.Swap(nil) == nil {
-		httpapi.Error(w, http.StatusNotFound, "stream %q has no model", name)
+		httpapi.Error(w, http.StatusNotFound, "stream %q has no model", ms.name)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
@@ -156,8 +138,8 @@ func (s *Server) collectModels() []obs.Family {
 	lastZ := obs.Family{Name: "biasedres_model_last_drift_z", Type: "gauge",
 		Help: "Max per-dimension z-score of the most recent drift check."}
 
-	for _, ns := range s.streamList() {
-		name, ms := ns.name, ns.ms
+	for _, ms := range s.streamList() {
+		name := ms.name
 		m := ms.model.Load()
 		if m == nil {
 			continue

@@ -51,7 +51,6 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -63,6 +62,7 @@ import (
 	"biasedres/internal/models"
 	"biasedres/internal/obs"
 	"biasedres/internal/query"
+	"biasedres/internal/registry"
 	"biasedres/internal/stream"
 	"biasedres/internal/wire"
 	"biasedres/internal/xrand"
@@ -87,8 +87,9 @@ const defaultMaxBodyBytes = 8 << 20
 // always qmu → sampler lock. Reads are served from sm's snapshot caches
 // without either lock.
 type managedStream struct {
-	qmu sync.Mutex
-	sm  *core.Synchronized
+	name string
+	qmu  sync.Mutex
+	sm   *core.Synchronized
 	// req is the stream's configuration, embedded in durable checkpoints
 	// so recovery can rebuild the sampler.
 	req  CreateRequest
@@ -98,10 +99,6 @@ type managedStream struct {
 	// checkpoint; the checkpointer skips quiescent streams by comparing
 	// it to the live counter. Guarded by the sampler lock.
 	lastCkptVer uint64
-	// fresh builds a new empty sampler with this stream's configuration;
-	// restores deserialize into a fresh instance so a rejected checkpoint
-	// cannot corrupt the live sampler.
-	fresh func(rng *xrand.Source) (core.PersistentSampler, error)
 	// shard is the stream's async ingest lane (nil when the server runs
 	// synchronous ingest or the stream is time-decayed: its timestamp
 	// check must observe the sampler clock); closed marks the stream shut
@@ -120,19 +117,16 @@ type managedStream struct {
 // http.Handler. Servers with async ingest enabled (WithIngestShards) own
 // worker goroutines; call Close to drain and stop them.
 type Server struct {
-	mu      sync.RWMutex
-	streams map[string]*managedStream
-	// reserved names the installs and deletes under way (see reserve
-	// and handleDelete); installs counts them so Close can wait for them.
-	reserved map[string]struct{}
-	installs sync.WaitGroup
-	seedMu   sync.Mutex // guards seeds
-	seeds    *xrand.Source
-	mux      *http.ServeMux
-	log      *slog.Logger
-	metrics  *obs.Registry
-	httpm    *obs.HTTPMetrics
-	ingest   *obs.CounterVec
+	// reg holds the streams by name, and the names of the installs and
+	// deletes under way (see install and handleDelete).
+	reg     *registry.Registry[*managedStream]
+	seedMu  sync.Mutex // guards seeds
+	seeds   *xrand.Source
+	mux     *http.ServeMux
+	log     *slog.Logger
+	metrics *obs.Registry
+	httpm   *obs.HTTPMetrics
+	ingest  *obs.CounterVec
 
 	// Async ingest pipeline (zero values = synchronous ingest).
 	ingestWorkers int
@@ -226,23 +220,17 @@ func WithIngestShards(workers, queue int) Option {
 }
 
 // WithDefaultPolicy sets the sampler family used when a create request
-// omits "policy" (default "variable"). The name must be one of Policies;
-// unknown names are ignored so a misconfigured option cannot change the
-// daemon's behavior silently — validate with ValidPolicy first.
+// omits "policy" (default "variable"). The name must be one of
+// core.Policies; unknown names are ignored so a misconfigured option
+// cannot change the daemon's behavior silently — validate with
+// core.ValidPolicy first.
 func WithDefaultPolicy(policy string) Option {
 	return func(s *Server) {
-		if ValidPolicy(policy) {
+		if core.ValidPolicy(policy) {
 			s.defaultPolicy = policy
 		}
 	}
 }
-
-// Policies lists the sampler families a create request accepts, in the
-// order the documentation presents them (the core sampler registry).
-func Policies() []string { return core.Policies() }
-
-// ValidPolicy reports whether name is a known sampler family.
-func ValidPolicy(name string) bool { return core.ValidPolicy(name) }
 
 // WithMaxBodyBytes bounds request bodies at n bytes (default 8 MiB).
 // Oversized ingest/restore/create bodies are refused with 413 and a JSON
@@ -258,8 +246,7 @@ func WithMaxBodyBytes(n int64) Option {
 // New returns a Server; seed drives the samplers' randomness.
 func New(seed uint64, opts ...Option) *Server {
 	s := &Server{
-		streams:       make(map[string]*managedStream),
-		reserved:      make(map[string]struct{}),
+		reg:           registry.New[*managedStream](0),
 		stop:          make(chan struct{}),
 		seeds:         xrand.New(seed),
 		maxBody:       defaultMaxBodyBytes,
@@ -302,21 +289,21 @@ func New(seed uint64, opts ...Option) *Server {
 		{"GET /readyz", s.handleReady},
 		{"GET /streams", s.handleList},
 		{"PUT /streams/{name}", s.handleCreate},
-		{"GET /streams/{name}", s.handleStats},
+		{"GET /streams/{name}", s.onStream(s.handleStats)},
 		{"DELETE /streams/{name}", s.handleDelete},
-		{"POST /streams/{name}/points", s.handleIngest},
-		{"GET /streams/{name}/sample", s.handleSample},
-		{"GET /streams/{name}/query", s.handleQuery},
-		{"GET /streams/{name}/range", s.handleRange},
-		{"GET /streams/{name}/accum", s.handleAccum},
-		{"GET /streams/{name}/snapshot", s.handleExport(false)},
-		{"POST /streams/{name}/restore", s.handleRestore},
-		{"GET /streams/{name}/transfer", s.handleExport(true)},
+		{"POST /streams/{name}/points", s.onStream(s.handleIngest)},
+		{"GET /streams/{name}/sample", s.onStream(s.handleSample)},
+		{"GET /streams/{name}/query", s.onStream(s.handleQuery)},
+		{"GET /streams/{name}/range", s.onStream(s.handleRange)},
+		{"GET /streams/{name}/accum", s.onStream(s.handleAccum)},
+		{"GET /streams/{name}/snapshot", s.onStream(s.handleExport(false))},
+		{"POST /streams/{name}/restore", s.onStream(s.handleRestore)},
+		{"GET /streams/{name}/transfer", s.onStream(s.handleExport(true))},
 		{"POST /streams/{name}/transfer", s.handleTransferPost},
-		{"POST /streams/{name}/model", s.handleModelCreate},
-		{"GET /streams/{name}/model", s.handleModelGet},
-		{"GET /streams/{name}/model/eval", s.handleModelEval},
-		{"DELETE /streams/{name}/model", s.handleModelDelete},
+		{"POST /streams/{name}/model", s.onStream(s.handleModelCreate)},
+		{"GET /streams/{name}/model", s.onStream(s.handleModelGet)},
+		{"GET /streams/{name}/model/eval", s.onStream(s.handleModelEval)},
+		{"DELETE /streams/{name}/model", s.onStream(s.handleModelDelete)},
 	}
 	for _, rt := range routes {
 		mux.Handle(rt.pattern, s.instrument(rt.pattern, rt.handler))
@@ -324,9 +311,7 @@ func New(seed uint64, opts ...Option) *Server {
 	mux.Handle("GET /metrics", s.instrument("GET /metrics", s.metrics.Handler()))
 	s.mux = mux
 
-	// Nothing can reach the server before New returns, so readiness opens
-	// here: recovered streams then register through install exactly like
-	// created ones.
+	// Nothing can reach the server before New returns; readiness opens here.
 	s.ready.Store(true)
 	if s.durable != nil {
 		s.metrics.Register(obs.CollectorFunc(s.durable.Collect))
@@ -371,8 +356,8 @@ func (s *Server) instrument(route string, h http.Handler) http.Handler {
 func (s *Server) collectStreams() []obs.Family {
 	list := s.streamList()
 	streams := make([]core.NamedStream, len(list))
-	for i, ns := range list {
-		streams[i] = core.NamedStream{Name: ns.name, S: ns.ms.sm}
+	for i, ms := range list {
+		streams[i] = core.NamedStream{Name: ms.name, S: ms.sm}
 	}
 	return core.StreamFamilies("biasedres_", streams)
 }
@@ -380,30 +365,22 @@ func (s *Server) collectStreams() []obs.Family {
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// namedStream pairs a stream with its registered name.
-type namedStream struct {
-	name string
-	ms   *managedStream
-}
+// streamList returns the live streams in name order.
+func (s *Server) streamList() []*managedStream { return s.reg.List() }
 
-// streamList snapshots the stream map, sorted by name, for the scrapes,
-// sweeps and listings that must not hold s.mu while they work.
-func (s *Server) streamList() []namedStream {
-	s.mu.RLock()
-	out := make([]namedStream, 0, len(s.streams))
-	for name, ms := range s.streams {
-		out = append(out, namedStream{name, ms})
+func (s *Server) lookup(name string) (*managedStream, bool) { return s.reg.Get(name) }
+
+// onStream serves a route on the live stream its path names, looked up
+// once for every such route; a name that is not live answers 404.
+func (s *Server) onStream(h func(http.ResponseWriter, *http.Request, *managedStream)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		ms, ok := s.lookup(r.PathValue("name"))
+		if !ok {
+			httpapi.Error(w, http.StatusNotFound, "stream %q not found", r.PathValue("name"))
+			return
+		}
+		h(w, r, ms)
 	}
-	s.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
-	return out
-}
-
-func (s *Server) lookup(name string) (*managedStream, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	ms, ok := s.streams[name]
-	return ms, ok
 }
 
 // CreateRequest is the body of PUT /streams/{name}.
@@ -442,20 +419,16 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 // it durable as checkpoint seq, starts its ingest lane and registers it
 // under name. On failure it returns the HTTP status to answer with.
 //
-// The durable checkpoint is written with the name reserved but s.mu not
-// held: it costs file and directory fsyncs, and every stream's ingest
-// lookup takes s.mu.
+// The durable checkpoint is written with the name reserved but no
+// registry lock held: it costs file and directory fsyncs, and every
+// stream's ingest lookup takes that lock.
 func (s *Server) install(name string, req CreateRequest, from *durable.Recovered, seq uint64) (*managedStream, int, error) {
-	fresh, err := core.SamplerFactory(req)
-	if err != nil {
-		return nil, http.StatusBadRequest, err
-	}
-	ms := &managedStream{req: req, fresh: fresh}
+	ms := &managedStream{name: name, req: req}
 	var ck *durable.Checkpoint
 	if from != nil {
 		ck = &from.Checkpoint
 	}
-	sampler, err := s.newSampler(fresh, ck)
+	sampler, err := s.newSampler(req, ck)
 	if err == nil && from != nil {
 		ms.next, ms.dim, err = resume(sampler, from)
 	}
@@ -465,76 +438,45 @@ func (s *Server) install(name string, req CreateRequest, from *durable.Recovered
 	ms.sm = core.NewSynchronized(sampler)
 	ms.lastCkptVer = version(sampler)
 
-	if code, err := s.reserve(name); err != nil {
-		return nil, code, err
+	// A reserved name answers 409 to a second create and 404 to lookups
+	// until the stream is published or abandoned.
+	if err := s.reg.Reserve(name, req.Slots()); errors.Is(err, registry.ErrClosed) {
+		return nil, http.StatusServiceUnavailable, errNotReady
+	} else if err != nil {
+		return nil, http.StatusConflict, err
 	}
-	defer s.installs.Done()
 	if s.durable != nil {
 		// A stream exists once a checkpoint of it is durable; a crash after
 		// the install must not forget it.
 		blob, err := sampler.MarshalBinary()
 		if err == nil {
 			err = s.durable.Attach(name, durable.Checkpoint{
-				Seq: seq, Meta: durableMeta(name, req), Next: ms.next, Dim: ms.dim, Snapshot: blob})
+				Seq: seq, Name: name, Config: req, Next: ms.next, Dim: ms.dim, Snapshot: blob})
 		}
 		if err != nil {
-			s.publish(name, nil, false)
+			s.reg.Abandon(name)
 			return nil, http.StatusInternalServerError, fmt.Errorf("checkpointing stream: %w", err)
 		}
 	}
-	_, timed := core.AsTimed(sampler)
-	if !s.publish(name, ms, s.ingestWorkers > 0 && !timed) {
+	if _, timed := core.AsTimed(sampler); s.ingestWorkers > 0 && !timed {
+		s.startIngestShard(ms)
+	}
+	if s.reg.Publish(name, ms) != nil {
 		// Close began while the checkpoint was written: the stream is not
 		// registered, so nothing may be left to recover at restart.
+		closeShard(ms)
 		if s.durable != nil {
 			if err := s.durable.Remove(name); err != nil && s.log != nil {
 				s.log.Warn("removing refused stream's files failed", "stream", name, "error", err)
 			}
 		}
+		s.reg.Abandon(name)
 		return nil, http.StatusServiceUnavailable, errNotReady
 	}
 	return ms, 0, nil
 }
 
 var errNotReady = errors.New("not ready: recovering or shutting down")
-
-// reserve claims name for an install. A reserved name answers 409 to a
-// second create and 404 to lookups until publish ends the reservation.
-// Close fails readiness before it takes s.mu to list the streams, so a
-// reservation either lands before that listing — and Close waits for it on
-// s.installs — or is refused here.
-func (s *Server) reserve(name string) (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.ready.Load() {
-		return http.StatusServiceUnavailable, errNotReady
-	}
-	_, live := s.streams[name]
-	if _, held := s.reserved[name]; live || held {
-		return http.StatusConflict, fmt.Errorf("stream %q already exists", name)
-	}
-	s.reserved[name] = struct{}{}
-	s.installs.Add(1)
-	return 0, nil
-}
-
-// publish ends name's reservation and, unless ms is nil (the install
-// failed), registers ms under name, starting its ingest lane when lane is
-// set. It reports false when Close began since the reservation: the stream
-// is then not registered, and no lane started.
-func (s *Server) publish(name string, ms *managedStream, lane bool) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.reserved, name)
-	if ms == nil || !s.ready.Load() {
-		return false
-	}
-	if lane {
-		s.startIngestShard(name, ms)
-	}
-	s.streams[name] = ms
-	return true
-}
 
 // handleReady is GET /readyz: 200 once the server can take traffic
 // (durability recovery finished, ingest shards accepting — i.e. New has
@@ -546,10 +488,7 @@ func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 		httpapi.Error(w, http.StatusServiceUnavailable, "not ready: recovering or shutting down")
 		return
 	}
-	s.mu.RLock()
-	streams := len(s.streams)
-	s.mu.RUnlock()
-	httpapi.JSON(w, http.StatusOK, map[string]any{"status": "ready", "streams": streams, "durable": s.durable != nil})
+	httpapi.JSON(w, http.StatusOK, map[string]any{"status": "ready", "streams": s.reg.Len(), "durable": s.durable != nil})
 }
 
 // handleAccum is GET /streams/{name}/accum: the stream's fused
@@ -560,12 +499,7 @@ func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 // and optionally dims/lo/hi for the range-selectivity numerator. An empty
 // stream answers a zero accumulator, not an error: merging decides
 // whether the union has sample mass.
-func (s *Server) handleAccum(w http.ResponseWriter, r *http.Request) {
-	ms, ok := s.lookup(r.PathValue("name"))
-	if !ok {
-		httpapi.Error(w, http.StatusNotFound, "stream %q not found", r.PathValue("name"))
-		return
-	}
+func (s *Server) handleAccum(w http.ResponseWriter, r *http.Request, ms *managedStream) {
 	q := r.URL.Query()
 	h, err := parseUint(q.Get("h"), 0)
 	if err != nil {
@@ -608,14 +542,14 @@ func (ms *managedStream) sumDims(param string) (int, error) {
 	return int(dim), nil
 }
 
-// handleHealth reads each stream's count outside s.mu: Processed waits on
-// the stream's sampler lock, and a writer queued on s.mu behind that wait
-// would stall every stream's ingest lookup.
+// handleHealth reads each stream's count outside the registry lock:
+// Processed waits on the stream's sampler lock, and a writer queued on the
+// registry behind that wait would stall every stream's ingest lookup.
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	list := s.streamList()
 	out := httpapi.Health{Status: "ok", Streams: len(list)}
-	for _, ns := range list {
-		out.Points += ns.ms.sm.Processed()
+	for _, ms := range list {
+		out.Points += ms.sm.Processed()
 	}
 	out.WireAddr, _ = s.wireAddr.Load().(string)
 	httpapi.JSON(w, http.StatusOK, out)
@@ -624,32 +558,23 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
 	list := s.streamList()
 	out := httpapi.StreamList{Streams: make([]string, len(list))}
-	for i, ns := range list {
-		out.Streams[i] = ns.name
+	for i, ms := range list {
+		out.Streams[i] = ms.name
 	}
 	httpapi.JSON(w, http.StatusOK, out)
 }
 
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	s.mu.Lock()
-	ms, ok := s.streams[name]
+	// The name stays held until the files are gone, so a create of it
+	// meanwhile answers 409 rather than attaching a chain the removal below
+	// would take with it. Once Close has begun nothing is held, and
+	// Abandon does nothing.
+	ms, ok := s.reg.Remove(name, true)
 	if !ok {
-		s.mu.Unlock()
 		httpapi.Error(w, http.StatusNotFound, "stream %q not found", name)
 		return
 	}
-	delete(s.streams, name)
-	// The name stays reserved until the files are gone, so a create of
-	// it meanwhile answers 409 rather than attaching a chain the removal
-	// below would take with it. Once Close has begun no create can
-	// reserve a name, and nothing is left to hold.
-	held := s.ready.Load()
-	if held {
-		s.reserved[name] = struct{}{}
-		s.installs.Add(1)
-	}
-	s.mu.Unlock()
 	// Stop the stream's ingest worker after it drains what was accepted;
 	// in-flight requests that still hold the entry see the closed flag.
 	closeShard(ms)
@@ -658,10 +583,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 			s.log.Warn("removing stream files failed", "stream", name, "error", err)
 		}
 	}
-	if held {
-		s.publish(name, nil, false)
-		s.installs.Done()
-	}
+	s.reg.Abandon(name)
 	w.WriteHeader(http.StatusNoContent)
 }
 
@@ -676,13 +598,7 @@ type IngestRequest = wire.IngestRequest
 // batch, admit it, and render the outcome — 200 with the stream position
 // when applied inline, 202 with the pending count when queued, or the
 // refusal's status.
-func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	ms, ok := s.lookup(name)
-	if !ok {
-		httpapi.Error(w, http.StatusNotFound, "stream %q not found", name)
-		return
-	}
+func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request, ms *managedStream) {
 	b := getBatch()
 	if err := wire.ReadIngest(http.MaxBytesReader(w, r.Body, s.maxBody), &b.f); err != nil {
 		b.release()
@@ -690,7 +606,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	n := b.f.Count
-	a := s.admit(name, ms, b)
+	a := s.admit(ms, b)
 	switch {
 	case a.err != nil:
 		if a.status == http.StatusTooManyRequests {
@@ -705,12 +621,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	ms, ok := s.lookup(r.PathValue("name"))
-	if !ok {
-		httpapi.Error(w, http.StatusNotFound, "stream %q not found", r.PathValue("name"))
-		return
-	}
+func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request, ms *managedStream) {
 	ms.qmu.Lock()
 	dim := ms.dim
 	ms.qmu.Unlock()
@@ -733,24 +644,14 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	httpapi.JSON(w, http.StatusOK, out)
 }
 
-func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
-	ms, ok := s.lookup(r.PathValue("name"))
-	if !ok {
-		httpapi.Error(w, http.StatusNotFound, "stream %q not found", r.PathValue("name"))
-		return
-	}
+func (s *Server) handleSample(w http.ResponseWriter, _ *http.Request, ms *managedStream) {
 	// The snapshot's probability slice was materialized once at capture
 	// time, so the response costs no per-point InclusionProb calls and no
 	// sampler lock at all on a cache hit.
 	httpapi.JSON(w, http.StatusOK, query.SampleOf(ms.sm.AcquireSnapshot()))
 }
 
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	ms, ok := s.lookup(r.PathValue("name"))
-	if !ok {
-		httpapi.Error(w, http.StatusNotFound, "stream %q not found", r.PathValue("name"))
-		return
-	}
+func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, ms *managedStream) {
 	req, err := query.ParseRequest(r.URL.Query())
 	if err != nil {
 		httpapi.Error(w, http.StatusBadRequest, "%v", err)
@@ -785,13 +686,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	httpapi.JSON(w, http.StatusOK, out)
 }
 
-func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	ms, ok := s.lookup(name)
-	if !ok {
-		httpapi.Error(w, http.StatusNotFound, "stream %q not found", name)
-		return
-	}
+func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request, ms *managedStream) {
 	blob, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.maxBody))
 	if err != nil {
 		httpapi.BodyError(w, err, "reading body: %v")
@@ -802,12 +697,12 @@ func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 		// stale arrival indices; require a quiesced stream (see
 		// docs/OPERATIONS.md, "Checkpoint and restore").
 		httpapi.Error(w, http.StatusConflict,
-			"stream %q has %d pending ingest points; retry once the queue drains", name, ms.pending.Load())
+			"stream %q has %d pending ingest points; retry once the queue drains", ms.name, ms.pending.Load())
 		return
 	}
 	// Deserialize and validate against a scratch sampler first: a corrupt
 	// or inconsistent checkpoint must leave the live stream untouched.
-	restored, err := s.newSampler(ms.fresh, &durable.Checkpoint{Snapshot: blob})
+	restored, err := s.newSampler(ms.req, &durable.Checkpoint{Snapshot: blob})
 	if err != nil {
 		httpapi.Error(w, http.StatusBadRequest, "restore: %v", err)
 		return
@@ -823,7 +718,7 @@ func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 		// re-refuse rather than let it replay onto restored state.
 		ms.qmu.Unlock()
 		httpapi.Error(w, http.StatusConflict,
-			"stream %q has %d pending ingest points; retry once the queue drains", name, p)
+			"stream %q has %d pending ingest points; retry once the queue drains", ms.name, p)
 		return
 	}
 	processed, size := restored.Processed(), restored.Len()
@@ -839,35 +734,39 @@ func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 		if s.durable == nil {
 			return
 		}
-		seq, err := s.durable.Rotate(name)
+		seq, err := s.durable.Rotate(ms.name)
 		if err != nil {
 			if s.log != nil {
-				s.log.Warn("journal rotation after restore failed", "stream", name, "error", err)
+				s.log.Warn("journal rotation after restore failed", "stream", ms.name, "error", err)
 			}
 			return
 		}
 		ms.lastCkptVer = version(restored)
-		ckpt = &durable.Checkpoint{Seq: seq, Meta: durableMeta(name, ms.req), Next: ms.next, Dim: dim, Snapshot: blob}
+		ckpt = &durable.Checkpoint{Seq: seq, Name: ms.name, Config: ms.req, Next: ms.next, Dim: dim, Snapshot: blob}
 	})
 	ms.qmu.Unlock()
 	if ckpt != nil {
-		if err := s.durable.WriteCheckpoint(name, *ckpt); err != nil && s.log != nil {
-			s.log.Warn("checkpoint after restore failed", "stream", name, "error", err)
+		if err := s.durable.WriteCheckpoint(ms.name, *ckpt); err != nil && s.log != nil {
+			s.log.Warn("checkpoint after restore failed", "stream", ms.name, "error", err)
 		}
 	}
 	if s.log != nil {
-		s.log.Info("stream restored", "stream", name, "processed", processed, "size", size, "dim", dim)
+		s.log.Info("stream restored", "stream", ms.name, "processed", processed, "size", size, "dim", dim)
 	}
 	httpapi.JSON(w, http.StatusOK, map[string]any{"processed": processed, "size": size})
 }
 
-// newSampler builds a scratch sampler from fresh on the next split of the
+// newSampler builds a scratch sampler of cfg on the next split of the
 // server's seed source and, when from is non-nil, restores it from from's
 // snapshot through core.Restore. Create, recovery, transfer and restore all
 // build their sampler here, so a snapshot that does not restore — or that
 // runs another capacity, λ or window than the stream's configuration —
-// never reaches a live stream.
-func (s *Server) newSampler(fresh func(*xrand.Source) (core.PersistentSampler, error), from *durable.Checkpoint) (core.PersistentSampler, error) {
+// never reaches a live stream, and a live one is never rebuilt in place.
+func (s *Server) newSampler(cfg CreateRequest, from *durable.Checkpoint) (core.PersistentSampler, error) {
+	fresh, err := core.SamplerFactory(cfg)
+	if err != nil {
+		return nil, err
+	}
 	s.seedMu.Lock()
 	rng := s.seeds.Split()
 	s.seedMu.Unlock()

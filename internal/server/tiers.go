@@ -52,13 +52,7 @@ func (ms *managedStream) tierStats(tr *core.TieredReservoir) []core.TierStats {
 // max_points budget (1-2-5 ladder, ≤ max_points buckets); tiered streams
 // serve the request from the tier covering the oldest requested arrival.
 // end defaults to t+1 (everything up to the newest point), start to 1.
-func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	ms, ok := s.lookup(name)
-	if !ok {
-		httpapi.Error(w, http.StatusNotFound, "stream %q not found", name)
-		return
-	}
+func (s *Server) handleRange(w http.ResponseWriter, r *http.Request, ms *managedStream) {
 	q := r.URL.Query()
 	start, err := parseUint(q.Get("start"), 1)
 	if err != nil {
@@ -104,7 +98,7 @@ func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
 		h = t - start + 1
 	}
 	snap, tier := ms.sm.SnapshotFor(h)
-	s.countTierQuery(name, tier)
+	s.countTierQuery(ms.name, tier)
 
 	step := query.GranularityFor(end-start, int(maxPoints))
 	buckets, err := query.AccumulateBuckets(snap, start, end, step, dim)
@@ -147,8 +141,8 @@ func WithRetention(floor float64, interval time.Duration) Option {
 // compacted/drop totals surface through collectTiers.
 func (s *Server) sweepRetention() {
 	s.retSweeps.Add(1)
-	for _, ns := range s.streamList() {
-		name, ms := ns.name, ns.ms
+	for _, ms := range s.streamList() {
+		name := ms.name
 		removed := 0
 		ms.sm.Update(func(sm core.Sampler) {
 			if c, ok := sm.(core.Compactor); ok {
@@ -167,7 +161,7 @@ func (s *Server) sweepRetention() {
 			// Persist the compacted state right away: recovery must
 			// restore the post-compaction ladder byte-identically rather
 			// than resurrect dropped residents from an older checkpoint.
-			s.checkpointStream(name, ms, true)
+			s.checkpointStream(ms, true)
 		}
 	}
 }
@@ -197,8 +191,8 @@ func (s *Server) collectTiers() []obs.Family {
 	drops := obs.Family{Name: "biasedres_tier_drops_total", Type: "counter",
 		Help: "Retention sweeps that emptied the tier (its data had fully decayed)."}
 
-	for _, ns := range s.streamList() {
-		name, ms := ns.name, ns.ms
+	for _, ms := range s.streamList() {
+		name := ms.name
 		tr := ms.sm.Tiered()
 		if tr == nil {
 			continue

@@ -27,15 +27,9 @@ import (
 // in the cut; the X-Biasedres-Pending header reports how many, so a
 // migrating caller can wait for quiescence when it needs a loss-free cut.
 // X-Biasedres-Next-Index carries the cut's last assigned arrival index.
-func (s *Server) handleExport(checkpoint bool) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		name := r.PathValue("name")
-		ms, ok := s.lookup(name)
-		if !ok {
-			httpapi.Error(w, http.StatusNotFound, "stream %q not found", name)
-			return
-		}
-		ck, err := s.cut(name, ms, nil)
+func (s *Server) handleExport(checkpoint bool) func(http.ResponseWriter, *http.Request, *managedStream) {
+	return func(w http.ResponseWriter, _ *http.Request, ms *managedStream) {
+		ck, err := s.cut(ms, nil)
 		out := ck.Snapshot
 		if err == nil && checkpoint {
 			out, err = durable.EncodeCheckpoint(ck)
@@ -52,7 +46,7 @@ func (s *Server) handleExport(checkpoint bool) http.HandlerFunc {
 }
 
 // handleTransferPost is POST /streams/{name}/transfer: install checkpoint
-// bytes as a new stream under the path name. The checkpoint's meta
+// bytes as a new stream under the path name. The checkpoint's config
 // supplies the configuration; its name is advisory (a checkpoint can
 // install under a different name). A checkpoint whose (next, dim)
 // bookkeeping contradicts its own sampler is refused with 400. Installing
@@ -73,7 +67,7 @@ func (s *Server) handleTransferPost(w http.ResponseWriter, r *http.Request) {
 	}
 	// The installed stream is durable from its first moment: one
 	// checkpoint holding the shipped state, above the shipped seq.
-	ms, code, err := s.install(name, createRequestOf(ck.Meta), &durable.Recovered{Checkpoint: ck}, ck.Seq+1)
+	ms, code, err := s.install(name, ck.Config, &durable.Recovered{Checkpoint: ck}, ck.Seq+1)
 	if err != nil {
 		httpapi.Error(w, code, "transfer: %v", err)
 		return

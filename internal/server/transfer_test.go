@@ -2,9 +2,11 @@ package server
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"testing"
 
 	"biasedres/internal/durable"
@@ -268,5 +270,57 @@ func TestTransferRefusesContradictoryBookkeeping(t *testing.T) {
 	}
 	if q := scrape(t, rec.URL)["biasedres_durable_quarantined_total"]; q < 2 {
 		t.Fatalf("quarantined %v files, want both checkpoints", q)
+	}
+}
+
+// A multi.Manager fleet file is a header and then one checkpoint record
+// per stream, the record a .ckpt file holds and a transfer ships. So each
+// record of internal/multi's golden fleet installs on a node as is and
+// answers the counts internal/multi/testdata/fleet.json recorded for it:
+// the library and the daemon persist the same unit.
+func TestFleetRecordInstallsThroughTransfer(t *testing.T) {
+	raw, err := os.ReadFile("../multi/testdata/fleet.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := os.ReadFile("../multi/testdata/fleet.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []struct {
+		Name   string  `json:"name"`
+		Count  float64 `json:"count"`
+		Routed float64 `json:"routed_count"`
+	}
+	if err := json.Unmarshal(blob, &want); err != nil {
+		t.Fatal(err)
+	}
+	ts := newTestServer(t)
+	r := bytes.NewReader(raw[32:]) // past the fleet header: magic, budget, λ, count
+	for _, w := range want {
+		ck, err := durable.ReadCheckpoint(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ck.Name != w.Name {
+			t.Fatalf("fleet record %q, fleet.json names %q", ck.Name, w.Name)
+		}
+		rec, err := durable.EncodeCheckpoint(ck)
+		if err != nil {
+			t.Fatal(err)
+		}
+		installTransfer(t, ts.URL, "fleet-"+ck.Name, rec)
+		queries := map[string]float64{"h=0": w.Routed}
+		if ck.Config.Tiers <= 1 {
+			// The manager answers Estimate from the whole stream's
+			// snapshot; the node routes a horizon to a tier.
+			queries["h=50"] = w.Count
+		}
+		for h, count := range queries {
+			_, body := do(t, http.MethodGet, ts.URL+"/streams/fleet-"+ck.Name+"/query?type=count&"+h, nil)
+			if body["estimate"] != count {
+				t.Errorf("%s: count over %s is %v on the node, %v in fleet.json", ck.Name, h, body["estimate"], count)
+			}
+		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"biasedres/internal/client"
+	"biasedres/internal/core"
 	"biasedres/internal/wire"
 )
 
@@ -86,7 +87,7 @@ func TestWireHTTPEquivalence(t *testing.T) {
 		// Points with non-decreasing timestamps and labels outside int32.
 		"timestamped": {Policy: "timedecay", Lambda: 1e-2, Capacity: 64},
 	}
-	cases := append(Policies(), "tiered", "timestamped")
+	cases := append(core.Policies(), "tiered", "timestamped")
 	for _, c := range cases {
 		if _, ok := configs[c]; !ok {
 			t.Fatalf("policy %q has no equivalence config", c)
@@ -191,9 +192,7 @@ func TestWireIngestExplicitIndices(t *testing.T) {
 	if r := srv.IngestFrame(f); r.Status != wire.StatusError {
 		t.Fatalf("replayed frame accepted: %+v", r)
 	}
-	srv.mu.RLock()
-	ms := srv.streams["s"]
-	srv.mu.RUnlock()
+	ms, _ := srv.lookup("s")
 	ms.qmu.Lock()
 	defer ms.qmu.Unlock()
 	if ms.next != 12 {
@@ -208,9 +207,7 @@ func TestWireIngestBackpressure(t *testing.T) {
 	srv := New(1, WithIngestShards(1, 1))
 	defer srv.Close()
 	createOn(t, srv, "s", CreateRequest{Policy: "unbiased", Capacity: 32})
-	srv.mu.RLock()
-	ms := srv.streams["s"]
-	srv.mu.RUnlock()
+	ms, _ := srv.lookup("s")
 
 	unstall := stallSampler(ms) // pin the shard worker mid-apply
 	var acked, nacked int
@@ -262,9 +259,7 @@ func TestWireIngestClosedStream(t *testing.T) {
 	srv := New(1, WithIngestShards(1, 4))
 	defer srv.Close()
 	createOn(t, srv, "s", CreateRequest{Policy: "unbiased", Capacity: 8})
-	srv.mu.RLock()
-	ms := srv.streams["s"]
-	srv.mu.RUnlock()
+	ms, _ := srv.lookup("s")
 	closeShard(ms)
 	f := wireTestFrame(2, 1)
 	f.Name = []byte("s")
@@ -284,9 +279,7 @@ func TestWireIngestTimeDecay(t *testing.T) {
 	if r := srv.IngestFrame(f); r.Status != wire.StatusOK {
 		t.Fatalf("time-decay frame rejected: %+v", r)
 	}
-	srv.mu.RLock()
-	ms := srv.streams["td"]
-	srv.mu.RUnlock()
+	ms, _ := srv.lookup("td")
 	processed := ms.sm.Processed()
 	if processed != 5 {
 		t.Fatalf("processed = %d, want 5", processed)
@@ -320,9 +313,7 @@ func TestWireEndToEndAsync(t *testing.T) {
 	if err := wc.Close(); err != nil {
 		t.Fatal(err)
 	}
-	srv.mu.RLock()
-	ms := srv.streams["s"]
-	srv.mu.RUnlock()
+	ms, _ := srv.lookup("s")
 	deadline := time.Now().Add(5 * time.Second)
 	for ms.pending.Load() != 0 {
 		if time.Now().After(deadline) {
@@ -368,9 +359,7 @@ func TestWireConnReconnect(t *testing.T) {
 	if err != nil {
 		t.Fatalf("push across reconnect: %v", err)
 	}
-	srv.mu.RLock()
-	ms := srv.streams["s"]
-	srv.mu.RUnlock()
+	ms, _ := srv.lookup("s")
 	processed := ms.sm.Processed()
 	if processed != 2 {
 		t.Fatalf("processed = %d, want 2", processed)
@@ -386,9 +375,7 @@ func TestWireConnBackpressureRetry(t *testing.T) {
 	wl, addr := startWireListener(t, srv)
 	defer wl.Close()
 
-	srv.mu.RLock()
-	ms := srv.streams["s"]
-	srv.mu.RUnlock()
+	ms, _ := srv.lookup("s")
 
 	wc, err := client.DialWire(addr, client.WireConnConfig{MaxRetries: 50})
 	if err != nil {
