@@ -1,11 +1,18 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt loc linkcheck flagcheck bench bench-query bench-federation bench-wire bench-tiers bench-failover bench-models bench-smoke bench-e2e-smoke fuzz-smoke test-durable test-federation test-failover test-models ci
+.PHONY: all build cross-be test race vet fmt loc linkcheck flagcheck bench bench-query bench-federation bench-wire bench-tiers bench-failover bench-models bench-smoke bench-e2e-smoke fuzz-smoke test-durable test-federation test-failover test-models ci
 
 all: build
 
 build:
 	$(GO) build ./...
+
+# cross-be builds everything for a big-endian host (s390x) and vets the
+# batch codec's packages there: no test host runs the word-by-word path a
+# big-endian host takes, so this keeps it compiling and vetted. Offline.
+cross-be:
+	CGO_ENABLED=0 GOARCH=s390x $(GO) build ./...
+	CGO_ENABLED=0 GOARCH=s390x $(GO) vet ./internal/wire ./internal/durable
 
 test:
 	$(GO) test ./...
@@ -52,8 +59,8 @@ bench-federation:
 
 # bench-wire regenerates BENCH_wire.json: binary-TCP ingest vs
 # JSON-over-HTTP on identical loopback connections and batches, plus the
-# JSON ingest body's decode and encode and the float writer against
-# strconv.
+# JSON ingest body's decode and encode, the float writer against
+# strconv and the one batch check.
 bench-wire:
 	$(GO) run ./cmd/benchingest -suite wire
 
@@ -75,7 +82,7 @@ bench-models:
 
 # bench-smoke runs every query, federation (BenchmarkFedIngestFrame, the
 # coordinator's wire ingest, included), wire, failover, models, journal,
-# JSON ingest codec and float writer benchmark once so CI catches
+# JSON ingest codec, float writer and batch check benchmark once so CI catches
 # bit-rot in the harnesses without paying for full measurement runs.
 bench-smoke:
 	$(GO) test -run '^$$' -bench '^BenchmarkQuery' -benchtime 1x ./internal/query
@@ -87,6 +94,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench '^Benchmark(JournalAppend|DecodeJournal)$$' -benchtime 1x ./internal/durable
 	$(GO) test -run '^$$' -bench '^BenchmarkIngestDecode$$' -benchtime 1x ./internal/wire
 	$(GO) test -run '^$$' -bench '^BenchmarkAppendFloat$$' -benchtime 1x ./internal/wire
+	$(GO) test -run '^$$' -bench '^BenchmarkCheck$$' -benchtime 1x ./internal/wire
 	$(GO) test -run '^$$' -bench '^BenchmarkPushEncode$$' -benchtime 1x ./internal/client
 
 # bench-e2e-smoke vets and tests the end-to-end benchmark, a separate Go
@@ -147,4 +155,4 @@ test-models:
 	$(GO) test -race -count=1 ./internal/models/ ./internal/drift/
 	$(GO) test -race -count=1 -run 'TTBS|RTBS|NewSampler|Model' ./internal/core/ ./internal/server/ ./internal/client/
 
-ci: fmt build vet linkcheck flagcheck test race bench-smoke bench-e2e-smoke fuzz-smoke test-durable test-federation test-failover test-models
+ci: fmt build cross-be vet linkcheck flagcheck test race bench-smoke bench-e2e-smoke fuzz-smoke test-durable test-federation test-failover test-models

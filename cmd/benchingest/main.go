@@ -30,7 +30,8 @@
 // identical loopback connections and batches, and reports the protocol
 // speedup plus the decoder's steady-state allocations per frame; it also
 // times the JSON ingest body's decode, the client's encode and the float
-// writer that encode uses against strconv. The failover suite blackholes
+// writer that encode uses against strconv, and the one batch check,
+// wire.Frame.Check, on the same batch shape. The failover suite blackholes
 // a replicated data node behind a fault proxy and reports the mean time
 // until the coordinator serves a whole (partial:false, exact) answer
 // again. The models suite runs the model-management drift scenario over
@@ -177,7 +178,7 @@ func run(suite, out, benchtime string, count int) error {
 	case "federation":
 		pattern, pkgs = "^BenchmarkFed", []string{"./internal/federation"}
 	case "wire":
-		pattern, pkgs = "^Benchmark(Wire|IngestDecode$|PushEncode$|AppendFloat$)", []string{"./internal/server", "./internal/wire", "./internal/client"}
+		pattern, pkgs = "^Benchmark(Wire|IngestDecode$|PushEncode$|AppendFloat$|Check$)", []string{"./internal/server", "./internal/wire", "./internal/client"}
 	case "tiers":
 		pattern, pkgs = "^BenchmarkTiers", []string{"./internal/server"}
 	case "failover":

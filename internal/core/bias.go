@@ -167,14 +167,15 @@ func ExpMaxRequirementLimit(lambda float64) float64 {
 // ReservoirCapacity returns ⌊1/λ⌋, the reservoir size Algorithm 2.1 uses to
 // realize the exponential bias with parameter λ (Approximation 2.1 and
 // Observation 2.1: the reservoir size *is* the bias parameter). It returns
-// an error when λ is outside (0, 1].
+// an error when λ is outside (0, 1], or so small that ⌊1/λ⌋ does not fit
+// an int.
 func ReservoirCapacity(lambda float64) (int, error) {
 	if !(lambda > 0) || lambda > 1 || math.IsNaN(lambda) {
 		return 0, fmt.Errorf("core: reservoir capacity needs 0 < λ <= 1, got %v", lambda)
 	}
-	n := int(math.Floor(1 / lambda))
-	if n < 1 {
-		n = 1
+	n := math.Floor(1 / lambda)
+	if n >= math.MaxInt+1.0 {
+		return 0, fmt.Errorf("core: reservoir capacity ⌊1/λ⌋ = %v for λ = %v exceeds the largest int", n, lambda)
 	}
-	return n, nil
+	return int(n), nil // n >= 1, as λ <= 1
 }

@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"biasedres/internal/xrand"
 )
 
 func TestNewExponentialValidation(t *testing.T) {
@@ -155,9 +157,18 @@ func TestReservoirCapacity(t *testing.T) {
 	if err != nil || n != 1 {
 		t.Fatalf("capacity(1) = %d, %v", n, err)
 	}
-	for _, bad := range []float64{0, -1, 1.5, math.NaN()} {
-		if _, err := ReservoirCapacity(bad); err == nil {
-			t.Errorf("λ=%v accepted", bad)
+	// A quarter of the int range still fits.
+	if n, err := ReservoirCapacity(4 / (math.MaxInt + 1.0)); err != nil || n != math.MaxInt/4+1 {
+		t.Errorf("capacity(4/(MaxInt+1)) = %d, %v", n, err)
+	}
+	// From 1/(MaxInt+1) down ⌊1/λ⌋ no longer fits an int: refused, not clamped to
+	// one slot, by the rule and by the Algorithm 2.1 constructor.
+	for _, bad := range []float64{0, -1, 1.5, math.NaN(), 1e-20, 1 / (math.MaxInt + 1.0), math.SmallestNonzeroFloat64} {
+		if n, err := ReservoirCapacity(bad); err == nil {
+			t.Errorf("λ=%v accepted: capacity %d", bad, n)
+		}
+		if _, err := NewBiasedReservoir(bad, xrand.New(1)); err == nil {
+			t.Errorf("NewBiasedReservoir(%v) accepted", bad)
 		}
 	}
 }

@@ -106,37 +106,43 @@ func (s *RTBSReservoir) latentAt(t uint64) float64 {
 // union of the arriving item.
 func (s *RTBSReservoir) Add(p stream.Point) {
 	s.ver++
-	s.step(p)
+	s.step(p, s.weightAt(s.st.T), math.Expm1(-s.st.Lambda))
 	s.redraw()
 }
 
 // AddBatch implements BatchSampler. R-TBS arrivals are O(1) expected, so
 // the batch path is the per-point loop with a single version bump and one
 // delivery-coin redraw at the end (the coin is only observable between
-// mutations, so redrawing once is distributionally identical).
+// mutations, so redrawing once is distributionally identical). Each step
+// hands W(t) to the next, so an arrival costs one expm1.
 func (s *RTBSReservoir) AddBatch(pts []stream.Point) {
 	if len(pts) == 0 {
 		return
 	}
 	s.ver++
+	w, den := s.weightAt(s.st.T), math.Expm1(-s.st.Lambda)
 	for _, p := range pts {
-		s.step(p)
+		w = s.step(p, w, den)
 	}
 	s.redraw()
 }
 
-// step advances the clock by one arrival and folds p in.
-func (s *RTBSReservoir) step(p stream.Point) {
+// step advances the clock by one arrival and folds p in. wOld is W(t)
+// before the arrival and den weightAt's denominator expm1(-λ); it returns
+// W(t+1), computed as weightAt computes it, so a carried W is bit for bit
+// the one weightAt would return.
+func (s *RTBSReservoir) step(p stream.Point, wOld, den float64) float64 {
 	s.st.T++
-	wNew := s.weightAt(s.st.T)
+	wNew := math.Expm1(-s.st.Lambda*float64(s.st.T)) / den
 	cNew := math.Min(float64(s.st.Capacity), wNew)
 	w := cNew / wNew // arriving item's weight, ≤ 1
 	// Every existing item's inclusion probability shrinks by exactly
 	// (C_new·e^{-λ}·W_old) / (W_new·C_old) = (C_new - w)/C_old.
-	if cOld := s.latentAt(s.st.T - 1); cOld > 0 {
+	if cOld := math.Min(float64(s.st.Capacity), wOld); cOld > 0 {
 		s.downsample((cNew - w) / cOld)
 	}
 	s.union(p, w)
+	return wNew
 }
 
 // downsample scales every resident's delivery marginal by exactly alpha,

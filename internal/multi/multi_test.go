@@ -116,13 +116,21 @@ func TestShareCapMatchesReservoirCapacity(t *testing.T) {
 	}
 }
 
+// Registration at a λ the capacity rule refuses — above 1, or so small
+// that ⌊1/λ⌋ does not fit an int — answers with the rule's refusal.
 func TestRegisterRejectsLambdaOutsideCapacityRule(t *testing.T) {
-	m, _ := NewManager(100, 1.5, 1) // NewManager only checks λ > 0
-	if err := m.Register("a", 1); err == nil {
-		t.Error("λ > 1 registration accepted; no reservoir capacity rule exists for it")
-	}
-	if err := m.RegisterEven([]string{"a", "b"}); err == nil {
-		t.Error("λ > 1 RegisterEven accepted")
+	for _, lambda := range []float64{1.5, 1e-20} {
+		m, _ := NewManager(100, lambda, 1) // NewManager only checks λ > 0
+		_, want := core.ReservoirCapacity(lambda)
+		if want == nil {
+			t.Fatalf("λ=%v: the capacity rule accepts it", lambda)
+		}
+		if err := m.Register("a", 2); err == nil || err.Error() != "multi: "+want.Error() {
+			t.Errorf("λ=%v: Register = %v, want multi: %v", lambda, err, want)
+		}
+		if err := m.RegisterEven([]string{"a", "b"}); err == nil || err.Error() != "multi: "+want.Error() {
+			t.Errorf("λ=%v: RegisterEven = %v, want multi: %v", lambda, err, want)
+		}
 	}
 }
 

@@ -36,6 +36,9 @@
 //	[4×count]  values per point                 with flag 8
 //	[8×Σdim]   values (float64), point after point
 //
+// On a little-endian host each 8-byte column is its own memory, so the
+// codec moves it as one copy; a big-endian host converts it word by word.
+//
 // Every length is checked against the batch's own size before anything is
 // allocated. A frame's batch has 1..MaxCount points of dim 1..MaxDim and
 // is never ragged. Its first index 0 — never a valid arrival index —
@@ -67,6 +70,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"unsafe"
 
 	"biasedres/internal/stream"
 )
@@ -347,18 +351,16 @@ func AppendBatch(dst []byte, f *Frame) ([]byte, error) {
 	if flags&batchFirst != 0 {
 		dst = le.AppendUint64(dst, f.First)
 	}
-	for _, v := range f.Indices {
-		dst = le.AppendUint64(dst, v)
-	}
-	for i := range n {
-		label := int64(-1)
-		if f.Labels != nil {
-			label = f.Labels[i]
+	dst = appendWords(dst, f.Indices)
+	if f.Labels != nil {
+		dst = appendWords(dst, f.Labels)
+	} else {
+		for range n {
+			dst = le.AppendUint64(dst, math.MaxUint64) // -1, unlabeled
 		}
-		dst = le.AppendUint64(dst, uint64(label))
 	}
-	dst = appendFloats(dst, f.Weights)
-	dst = appendFloats(dst, f.TS)
+	dst = appendWords(dst, f.Weights)
+	dst = appendWords(dst, f.TS)
 	for _, has := range f.HasTS {
 		var b byte
 		if has {
@@ -369,7 +371,7 @@ func AppendBatch(dst []byte, f *Frame) ([]byte, error) {
 	for _, k := range f.Lens {
 		dst = le.AppendUint32(dst, k)
 	}
-	return appendFloats(dst, f.Values), nil
+	return appendWords(dst, f.Values), nil
 }
 
 // DecodeBatch parses one batch in the batch layout into f, reusing f's
@@ -439,23 +441,57 @@ func DecodeBatch(p []byte, f *Frame) error {
 	if first != nil {
 		f.First = le.Uint64(first)
 	}
-	f.Indices = decodeColumn(f.Indices, indices, 8, le.Uint64)
-	f.Labels = grow(f.Labels, int(n))
-	for i := range f.Labels {
-		f.Labels[i] = int64(le.Uint64(labels[8*i:]))
-	}
-	f.Weights = decodeFloats(f.Weights, weights)
-	f.TS = decodeFloats(f.TS, ts)
+	f.Indices = decodeWords(f.Indices, indices)
+	f.Labels = decodeWords(f.Labels, labels)
+	f.Weights = decodeWords(f.Weights, weights)
+	f.TS = decodeWords(f.TS, ts)
 	f.HasTS = decodeColumn(f.HasTS, hasTS, 1, func(b []byte) bool { return b[0] == 1 })
 	f.Lens = decodeColumn(f.Lens, lens, 4, le.Uint32)
-	f.Values = decodeFloats(f.Values, rest)
+	f.Values = decodeWords(f.Values, rest)
 	return nil
 }
 
-// appendFloats appends vs as little-endian float64 bits.
-func appendFloats(dst []byte, vs []float64) []byte {
-	for _, v := range vs {
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
+// word is the type of an 8-byte column of the batch layout.
+type word interface{ ~uint64 | ~int64 | ~float64 }
+
+// hostLE is whether the host stores an 8-byte word in the batch layout's
+// byte order, little-endian: then a word column's memory is its encoding,
+// and appendWords and decodeWords move it as one copy.
+var hostLE = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// wordBytes views column vs as its bytes in memory.
+func wordBytes[T word](vs []T) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(vs))), 8*len(vs))
+}
+
+// appendWords appends vs to dst as little-endian words: in one copy on a
+// little-endian host, word by word on any other.
+func appendWords[T word](dst []byte, vs []T) []byte {
+	b := wordBytes(vs)
+	if hostLE {
+		return append(dst, b...)
+	}
+	for i := 0; i < len(b); i += 8 {
+		dst = binary.LittleEndian.AppendUint64(dst, binary.NativeEndian.Uint64(b[i:]))
+	}
+	return dst
+}
+
+// decodeWords decodes column b of little-endian words into dst's storage,
+// in one copy on a little-endian host and word by word on any other; a
+// nil b (an absent column) yields nil.
+func decodeWords[T word](dst []T, b []byte) []T {
+	if b == nil {
+		return nil
+	}
+	dst = grow(dst, len(b)/8)
+	out := wordBytes(dst)
+	if hostLE {
+		copy(out, b)
+		return dst
+	}
+	for i := 0; i < len(b); i += 8 {
+		binary.NativeEndian.PutUint64(out[i:], binary.LittleEndian.Uint64(b[i:]))
 	}
 	return dst
 }
@@ -469,19 +505,6 @@ func decodeColumn[T any](dst []T, b []byte, size int, decode func([]byte) T) []T
 	dst = grow(dst, len(b)/size)
 	for i := range dst {
 		dst[i] = decode(b[size*i:])
-	}
-	return dst
-}
-
-// decodeFloats decodes a column of little-endian float64s into dst's
-// storage; a nil b yields nil.
-func decodeFloats(dst []float64, b []byte) []float64 {
-	if b == nil {
-		return nil
-	}
-	dst = grow(dst, len(b)/8)
-	for i := range dst {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
 	}
 	return dst
 }

@@ -59,8 +59,40 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFrameRoundTripColumns: timestamps, labels outside int32 and a first
-// index survive the round trip.
+// specials are float bit patterns a word codec must carry unchanged:
+// quiet and signalling NaNs with payloads, both zeros, the subnormal and
+// normal extremes and both infinities.
+var specials = []float64{
+	math.Float64frombits(0x7ff8000000000000), // quiet NaN
+	math.Float64frombits(0xfff8000000000abc), // negative quiet NaN, payload
+	math.Float64frombits(0x7ff0000000000001), // signalling NaN
+	math.Float64frombits(0x7ff4000000c0ffee), // signalling NaN, payload
+	math.Copysign(0, -1), 0,
+	math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+	math.Float64frombits(0x000fffffffffffff), // largest subnormal
+	math.MaxFloat64, math.Inf(1), math.Inf(-1),
+}
+
+// specialFrame is a frame of n points of the given dim with every float
+// column (values, weights, timestamps) cycling through specials, each
+// column from its own offset.
+func specialFrame(n, dim int) *Frame {
+	f := testFrame(n, dim, true, true, true)
+	f.TS, f.HasTS = make([]float64, n), make([]bool, n)
+	for i := range n {
+		f.Weights[i] = specials[(i+1)%len(specials)]
+		f.TS[i], f.HasTS[i] = specials[(i+2)%len(specials)], i%2 == 0
+	}
+	for i := range f.Values {
+		f.Values[i] = specials[i%len(specials)]
+	}
+	return f
+}
+
+// TestFrameRoundTripColumns: timestamps, labels outside int32, a first
+// index, every special float in every float column and frames without
+// optional columns survive the round trip, on the host's word codec and
+// on the word-by-word one alike.
 func TestFrameRoundTripColumns(t *testing.T) {
 	stamped := testFrame(3, 2, false, true, true)
 	stamped.TS, stamped.HasTS = []float64{1.5, 0, 2.25}, []bool{true, false, true}
@@ -68,25 +100,80 @@ func TestFrameRoundTripColumns(t *testing.T) {
 	wide.Labels = []int64{1 << 40, math.MinInt64, -5}
 	first := testFrame(4, 1, false, true, false)
 	first.First = 1 << 50
-	for name, f := range map[string]*Frame{"timestamps": stamped, "wide-labels": wide, "first": first} {
+	bare := testFrame(len(specials)/3, 3, false, false, false)
+	bare.Values = specials
+	for name, f := range map[string]*Frame{"timestamps": stamped, "wide-labels": wide, "first": first,
+		"specials": specialFrame(13, 3), "specials-dim1": specialFrame(len(specials), 1), "specials-bare": bare} {
 		t.Run(name, func(t *testing.T) { roundTrip(t, f) })
 	}
 }
 
-// roundTrip encodes want as a frame, decodes it and compares every column.
+// TestBatchRoundTripRagged: a ragged batch, which only a journal record
+// may hold, round-trips through the batch codec on both word codecs.
+func TestBatchRoundTripRagged(t *testing.T) {
+	for name, f := range map[string]*Frame{
+		"bare":     {Count: 3, Lens: []uint32{2, 0, 3}, Values: specials[:5]},
+		"all":      {Count: 3, Indices: []uint64{4, 9, 11}, Labels: []int64{-1, 7, 1 << 40}, Weights: specials[1:4], TS: specials[6:9], HasTS: []bool{true, false, true}, Lens: []uint32{1, 4, 2}, Values: specials[3:10]},
+		"one-wide": {Count: 1, First: 1, Lens: []uint32{uint32(len(specials))}, Values: specials},
+	} {
+		t.Run(name, func(t *testing.T) {
+			var bulk, loop []byte
+			var err error
+			if bulk, err = AppendBatch(nil, f); err != nil {
+				t.Fatal(err)
+			}
+			withLoopCodec(func() { loop, err = AppendBatch(nil, f) })
+			if err != nil || !bytes.Equal(bulk, loop) {
+				t.Fatalf("AppendBatch: %v; bulk %x, loop %x", err, bulk, loop)
+			}
+			var got, gotLoop Frame
+			if err := DecodeBatch(bulk, &got); err != nil {
+				t.Fatal(err)
+			}
+			withLoopCodec(func() { err = DecodeBatch(bulk, &gotLoop) })
+			want := *f
+			want.Labels = labelsOf(f)
+			if err != nil || !sameFrame(&got, &want) || !sameFrame(&gotLoop, &want) {
+				t.Fatalf("DecodeBatch: %v\n bulk %+v\n loop %+v\n want %+v", err, got, gotLoop, want)
+			}
+		})
+	}
+}
+
+// withLoopCodec runs fn with the word-by-word codec, the path a
+// big-endian host takes, in place of the host's.
+func withLoopCodec(fn func()) {
+	saved := hostLE
+	hostLE = false
+	defer func() { hostLE = saved }()
+	fn()
+}
+
+// roundTrip encodes want as a frame, decodes it and compares every column
+// bit for bit. The host's word codec and the word-by-word one must encode
+// the same bytes and decode the same bits.
 func roundTrip(t *testing.T, want *Frame) {
 	t.Helper()
 	buf, err := AppendFrame(nil, "sensor", want)
 	if err != nil {
 		t.Fatalf("AppendFrame: %v", err)
 	}
-	var got Frame
+	var loop []byte
+	withLoopCodec(func() { loop, err = AppendFrame(nil, "sensor", want) })
+	if err != nil || !bytes.Equal(buf, loop) {
+		t.Fatalf("word-by-word AppendFrame: %v; bytes differ: %x, want %x", err, loop, buf)
+	}
+	var got, gotLoop Frame
 	rest, err := DecodeFrame(buf, &got)
 	if err != nil {
 		t.Fatalf("DecodeFrame: %v", err)
 	}
 	if len(rest) != 0 {
 		t.Fatalf("DecodeFrame left %d bytes", len(rest))
+	}
+	withLoopCodec(func() { _, err = DecodeFrame(buf, &gotLoop) })
+	if err != nil || !sameFrame(&got, &gotLoop) {
+		t.Fatalf("word-by-word DecodeFrame: %v; got %+v, want %+v", err, gotLoop, got)
 	}
 	if string(got.Name) != "sensor" {
 		t.Errorf("name = %q", got.Name)
@@ -127,7 +214,9 @@ func checkSlices[T comparable](t *testing.T, what string, got, want []T) {
 		t.Fatalf("%s: len %d, want %d", what, len(got), len(want))
 	}
 	for i := range got {
-		if got[i] != want[i] {
+		// Floats compare by bits, so NaNs, their payloads and -0 count.
+		if g, ok := any(got[i]).(float64); ok && math.Float64bits(g) != math.Float64bits(any(want[i]).(float64)) ||
+			!ok && got[i] != want[i] {
 			t.Fatalf("%s[%d] = %v, want %v", what, i, got[i], want[i])
 		}
 	}
@@ -482,31 +571,73 @@ func BenchmarkWireEncodeFrame(b *testing.B) {
 }
 
 // TestEncodedLayout pins the exact byte layout so the format cannot
-// drift silently: a one-point frame is compared field by field.
+// drift silently: one-point frames are compared field by field, encoded
+// and decoded on the host's word codec and on the word-by-word one.
 func TestEncodedLayout(t *testing.T) {
-	f := &Frame{Dim: 2, Count: 1, Values: []float64{1, 2}, Indices: []uint64{7}, Labels: []int64{-2},
-		TS: []float64{0.5}, HasTS: []bool{true}}
-	buf, err := AppendFrame(nil, "ab", f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []byte{
-		0x42, 0x52, 0x57, 0x32, // "BRW2"
-		2, 0, 0, 0, // nameLen
-		56, 0, 0, 0, // bodyLen = 2 name + 13 batch header + 8 index + 8 label + 9 timestamp + 16 values
-		'a', 'b',
-		1, 0, 0, 0, 0, 0, 0, 0, // count
-		2, 0, 0, 0, // dim
-		batchTS,                // flags: explicit indices, timestamps
-		7, 0, 0, 0, 0, 0, 0, 0, // index
-		0xfe, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, // label -2
-		0, 0, 0, 0, 0, 0, 0xe0, 0x3f, // timestamp 0.5
-		1,                            // has-ts
-		0, 0, 0, 0, 0, 0, 0xf0, 0x3f, // 1.0
-		0, 0, 0, 0, 0, 0, 0x00, 0x40, // 2.0
-	}
-	if !bytes.Equal(buf, want) {
-		t.Fatalf("layout drifted:\n got %x\nwant %x", buf, want)
+	for _, tc := range []struct {
+		name string
+		f    *Frame
+		want []byte
+	}{{
+		name: "indexed",
+		f: &Frame{Dim: 2, Count: 1, Values: []float64{1, 2}, Indices: []uint64{7}, Labels: []int64{-2},
+			TS: []float64{0.5}, HasTS: []bool{true}},
+		want: []byte{
+			0x42, 0x52, 0x57, 0x32, // "BRW2"
+			2, 0, 0, 0, // nameLen
+			56, 0, 0, 0, // bodyLen = 2 name + 13 batch header + 8 index + 8 label + 9 timestamp + 16 values
+			'a', 'b',
+			1, 0, 0, 0, 0, 0, 0, 0, // count
+			2, 0, 0, 0, // dim
+			batchTS,                // flags: explicit indices, timestamps
+			7, 0, 0, 0, 0, 0, 0, 0, // index
+			0xfe, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, // label -2
+			0, 0, 0, 0, 0, 0, 0xe0, 0x3f, // timestamp 0.5
+			1,                            // has-ts
+			0, 0, 0, 0, 0, 0, 0xf0, 0x3f, // 1.0
+			0, 0, 0, 0, 0, 0, 0x00, 0x40, // 2.0
+		},
+	}, {
+		name: "specials",
+		f: &Frame{Dim: 2, Count: 1, First: 3, Weights: []float64{math.Float64frombits(0x7ff0000000000001)},
+			TS: []float64{math.SmallestNonzeroFloat64}, HasTS: []bool{false}, Values: []float64{math.Copysign(0, -1), math.Inf(1)}},
+		want: []byte{
+			0x42, 0x52, 0x57, 0x32, // "BRW2"
+			2, 0, 0, 0, // nameLen
+			64, 0, 0, 0, // bodyLen = 2 name + 13 batch header + 8 first + 8 label + 8 weight + 9 timestamp + 16 values
+			'a', 'b',
+			1, 0, 0, 0, 0, 0, 0, 0, // count
+			2, 0, 0, 0, // dim
+			batchFirst | batchWeights | batchTS, // flags
+			3, 0, 0, 0, 0, 0, 0, 0,              // first index
+			0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, // no labels column: -1
+			1, 0, 0, 0, 0, 0, 0xf0, 0x7f, // weight: signalling NaN
+			1, 0, 0, 0, 0, 0, 0, 0, // timestamp: smallest subnormal
+			0,                         // has-ts
+			0, 0, 0, 0, 0, 0, 0, 0x80, // -0
+			0, 0, 0, 0, 0, 0, 0xf0, 0x7f, // +Inf
+		},
+	}} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, codec := range []func(func()){func(fn func()) { fn() }, withLoopCodec} {
+				var buf []byte
+				var err error
+				var got Frame
+				codec(func() { buf, err = AppendFrame(nil, "ab", tc.f) })
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(buf, tc.want) {
+					t.Fatalf("layout drifted:\n got %x\nwant %x", buf, tc.want)
+				}
+				codec(func() { _, err = DecodeFrame(tc.want, &got) })
+				want := *tc.f
+				want.Name, want.Labels = []byte("ab"), labelsOf(tc.f)
+				if err != nil || !sameFrame(&got, &want) {
+					t.Fatalf("DecodeFrame: %v\n got %+v\nwant %+v", err, got, want)
+				}
+			}
+		})
 	}
 }
 

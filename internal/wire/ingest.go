@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"sync"
 	"unsafe"
@@ -31,6 +32,11 @@ type IngestRequest struct {
 // optional column (weights, timestamps, Lens) only when a point needs it.
 func (f *Frame) SetPoints(pts []IngestPoint) {
 	f.clear()
+	values := 0
+	for _, p := range pts {
+		values += len(p.Values)
+	}
+	f.Values, f.Labels = slices.Grow(f.Values, values), slices.Grow(f.Labels, len(pts))
 	for _, p := range pts {
 		label := int64(-1)
 		if p.Label != nil {
@@ -142,12 +148,28 @@ func at[T any](col []T, i int, def T) T {
 // timestamp. It normalizes what it admits to the batch a journal records:
 // no Lens, a weight of 0 read as 1, no weights column of ones and no
 // timestamp column without a stamped point.
+//
+// A batch without Lens is checked column by column; only a batch that
+// fails there, or has Lens, takes checkPoints, which names the first bad
+// point.
 func (f *Frame) Check() error {
+	n := f.Count
+	if f.Lens != nil || n == 0 || f.Dim == 0 || !finite(f.Values[:n*f.Dim]) ||
+		f.Weights != nil && !finite(f.Weights[:n]) || f.TS != nil && !finite(f.TS[:n]) {
+		return f.checkPoints()
+	}
+	f.normalize()
+	return nil
+}
+
+// checkPoints is Check point by point: it refuses the batch at its first
+// bad point, with that point's message.
+func (f *Frame) checkPoints() error {
 	if f.Count == 0 {
 		return errors.New("no points")
 	}
 	f.Dim = int(at(f.Lens, 0, uint32(f.Dim)))
-	ones, stamped, off := true, false, 0
+	off := 0
 	for i := range f.Count {
 		k := int(at(f.Lens, i, uint32(f.Dim)))
 		switch {
@@ -155,36 +177,50 @@ func (f *Frame) Check() error {
 			return fmt.Errorf("point %d has no values", i)
 		case k != f.Dim:
 			return fmt.Errorf("point %d has dim %d, batch has %d", i, k, f.Dim)
-		}
-		// x-x is 0 for a finite x and NaN for NaN and ±Inf, so one sum
-		// per point flags a non-finite value, weight or timestamp.
-		var nan float64
-		for _, v := range f.Values[off : off+k] {
-			nan += v - v
-		}
-		off += k
-		if f.Weights != nil {
-			w := &f.Weights[i]
-			if *w == 0 {
-				*w = 1
-			}
-			nan, ones = nan+*w-*w, ones && *w == 1
-		}
-		if f.TS != nil {
-			nan, stamped = nan+f.TS[i]-f.TS[i], stamped || f.HasTS[i]
-		}
-		if nan != 0 {
+		case !finite(f.Values[off:off+k]) || f.Weights != nil && !finite(f.Weights[i:i+1]) || f.TS != nil && !finite(f.TS[i:i+1]):
 			return fmt.Errorf("point %d has a non-finite value, weight or timestamp", i)
 		}
+		off += k
+	}
+	f.normalize()
+	return nil
+}
+
+// normalize makes checked batch f the batch a journal records: a weight
+// of 0 reads as 1, and a weights column of ones, a timestamp column
+// without a stamped point and Lens are dropped.
+func (f *Frame) normalize() {
+	ones := true
+	for i, w := range f.Weights {
+		if w == 0 {
+			f.Weights[i] = 1
+		}
+		ones = ones && f.Weights[i] == 1
 	}
 	if ones {
 		f.Weights = nil
 	}
-	if !stamped {
+	if f.TS == nil || !slices.Contains(f.HasTS, true) {
 		f.TS, f.HasTS = nil, nil
 	}
 	f.Lens = nil
-	return nil
+}
+
+// finite reports whether every x in xs is finite. x-x is 0 for a finite x
+// and NaN for NaN and ±Inf, and a NaN makes every sum it enters NaN; four
+// independent sums keep each add from waiting on the one before.
+func finite(xs []float64) bool {
+	var a, b, c, d float64
+	for ; len(xs) >= 4; xs = xs[4:] {
+		a += xs[0] - xs[0]
+		b += xs[1] - xs[1]
+		c += xs[2] - xs[2]
+		d += xs[3] - xs[3]
+	}
+	for _, x := range xs {
+		a += x - x
+	}
+	return a+b+c+d == 0
 }
 
 // bodyPool recycles ingest body buffers of up to 1 MiB: a decoded frame

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"strings"
@@ -170,6 +171,12 @@ func TestCheck(t *testing.T) {
 		return &f
 	}
 	v := func(vals ...float64) IngestPoint { return IngestPoint{Values: vals} }
+	// lanes is 5 points of dim 3 whose value i is x.
+	lanes := func(i int, x float64) *Frame {
+		f := &Frame{Dim: 3, Count: 5, Values: make([]float64, 15)}
+		f.Values[i] = x
+		return f
+	}
 	for _, tc := range []struct {
 		f    *Frame
 		want string
@@ -183,6 +190,16 @@ func TestCheck(t *testing.T) {
 		{pts(v(1), IngestPoint{Values: []float64{1}, Weight: math.Inf(1)}), "point 1 has a non-finite value, weight or timestamp"},
 		{pts(IngestPoint{Values: []float64{1}, TS: &nan}), "point 0 has a non-finite value, weight or timestamp"},
 		{&Frame{Dim: 2, Count: 1, Values: []float64{1, math.Inf(-1)}}, "point 0 has a non-finite value, weight or timestamp"},
+		// 15 values, not a multiple of Check's four lanes.
+		{lanes(0, nan), "point 0 has a non-finite value, weight or timestamp"},
+		{lanes(7, math.Inf(1)), "point 2 has a non-finite value, weight or timestamp"},
+		{lanes(14, nan), "point 4 has a non-finite value, weight or timestamp"},
+		{lanes(12, math.Inf(-1)), "point 4 has a non-finite value, weight or timestamp"},
+		{&Frame{Dim: 1, Count: 4, Values: []float64{1, 2, 3, 4}, Weights: []float64{2, 0, nan, 3}}, "point 2 has a non-finite value, weight or timestamp"},
+		{&Frame{Dim: 1, Count: 3, Values: []float64{1, 2, 3}, TS: []float64{1, 2, math.Inf(1)}, HasTS: []bool{true, false, false}}, "point 2 has a non-finite value, weight or timestamp"},
+		// The first bad point names the error, whatever its fault.
+		{&Frame{Dim: 1, Count: 3, Lens: []uint32{1, 0, 1}, Values: []float64{1, nan}}, "point 1 has no values"},
+		{&Frame{Dim: 1, Count: 3, Values: []float64{1, 2, nan}, Weights: []float64{1, math.Inf(1), 1}}, "point 1 has a non-finite value, weight or timestamp"},
 	} {
 		if err := tc.f.Check(); err == nil || err.Error() != tc.want {
 			t.Errorf("Check(%+v) = %v, want %q", tc.f, err, tc.want)
@@ -200,11 +217,83 @@ func TestCheck(t *testing.T) {
 			&Frame{Dim: 1, Count: 2, Values: []float64{1, 2}, Labels: []int64{-1, -1}, TS: []float64{0, 1.5}, HasTS: []bool{false, true}}},
 		{&Frame{Dim: 1, Count: 2, Values: []float64{1, 2}, TS: []float64{0, 0}, HasTS: []bool{false, false}},
 			&Frame{Dim: 1, Count: 2, Values: []float64{1, 2}}},
+		{&Frame{Dim: 1, Count: 3, Values: []float64{1, 2, 3}, Weights: []float64{2, 0, 0.5}},
+			&Frame{Dim: 1, Count: 3, Values: []float64{1, 2, 3}, Weights: []float64{2, 1, 0.5}}},
+		{&Frame{Dim: 1, Count: 3, Values: []float64{1, 2, 3}, Weights: []float64{0, 1, 0}},
+			&Frame{Dim: 1, Count: 3, Values: []float64{1, 2, 3}}},
+		{&Frame{Dim: 2, Count: 2, Lens: []uint32{2, 2}, Values: []float64{1, 2, 3, 4}},
+			&Frame{Dim: 2, Count: 2, Values: []float64{1, 2, 3, 4}}},
 	} {
 		for range 2 { // a checked frame checks unchanged
 			if err := tc.f.Check(); err != nil || !sameFrame(tc.f, tc.want) {
 				t.Fatalf("Check: %v, frame %+v, want %+v", err, tc.f, tc.want)
 			}
+		}
+	}
+}
+
+// TestCheckMatchesCheckPoints: on random batches with faults at random
+// points, Check gives checkPoints' verdict and leaves the batch as
+// checkPoints leaves it.
+func TestCheckMatchesCheckPoints(t *testing.T) {
+	rng := rand.New(rand.NewPCG(3, 4))
+	odd := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1), 1, math.SmallestNonzeroFloat64}
+	for range 5000 {
+		n, dim := 1+rng.IntN(9), 1+rng.IntN(6)
+		f := &Frame{Dim: dim, Count: n, Values: make([]float64, n*dim)}
+		for i := range f.Values {
+			f.Values[i] = rng.NormFloat64()
+		}
+		if rng.IntN(2) == 0 {
+			f.Weights = make([]float64, n)
+			for i := range f.Weights {
+				f.Weights[i] = float64(rng.IntN(3))
+			}
+		}
+		if rng.IntN(2) == 0 {
+			f.TS, f.HasTS = make([]float64, n), make([]bool, n)
+			for i := range f.TS {
+				f.TS[i], f.HasTS[i] = float64(i), rng.IntN(4) == 0
+			}
+		}
+		if rng.IntN(3) == 0 {
+			f.Lens = make([]uint32, n)
+			for i := range f.Lens {
+				f.Lens[i] = uint32(dim)
+			}
+			f.Lens[rng.IntN(n)] = uint32(rng.IntN(dim + 1))
+			f.Dim = 0
+		}
+		for range rng.IntN(3) {
+			col := [][]float64{f.Values, f.Weights, f.TS}[rng.IntN(3)]
+			if len(col) > 0 {
+				col[rng.IntN(len(col))] = odd[rng.IntN(len(odd))]
+			}
+		}
+		var want Frame
+		want.CopyFrom(f)
+		wantErr, gotErr := want.checkPoints(), f.Check()
+		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || wantErr == nil && !sameFrame(f, &want) {
+			t.Fatalf("Check = %v, frame %+v; checkPoints = %v, frame %+v", gotErr, f, wantErr, want)
+		}
+	}
+}
+
+// BenchmarkCheck checks one benchmark-shaped batch (256 labelled points,
+// dim 10) with a weights column Check keeps as it is.
+func BenchmarkCheck(b *testing.B) {
+	var f Frame
+	if !DecodeCanonical(benchmarkBody(256, 10), &f) {
+		b.Fatal("benchmark body fell back to encoding/json")
+	}
+	f.Weights = make([]float64, f.Count)
+	for i := range f.Weights {
+		f.Weights[i] = float64(1 + i%2)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := f.Check(); err != nil {
+			b.Fatal(err)
 		}
 	}
 }
