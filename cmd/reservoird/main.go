@@ -85,7 +85,8 @@
 //	curl -X POST localhost:8080/streams/sensor/points \
 //	     -d '{"points":[{"values":[0.3,0.7],"label":1}]}'
 //	curl 'localhost:8080/streams/sensor/query?type=average&h=1000'
-//	curl 'localhost:8080/streams/sensor/snapshot' -o sensor.ckpt
+//	curl 'localhost:8080/streams/sensor/transfer' -o sensor.ckpt
+//	curl -X POST localhost:8080/streams/sensor/restore --data-binary @sensor.ckpt
 //	curl 'localhost:8080/metrics'
 package main
 

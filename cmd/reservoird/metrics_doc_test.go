@@ -116,6 +116,67 @@ func TestMetricsDocumented(t *testing.T) {
 	}
 }
 
+// TestRoutesDocumented is the docs-freshness gate for routes: the
+// `### METHOD /path` headings of docs/QUERY_API.md §1 are exactly the data
+// node's routes, and the rows of §2's route table exactly the
+// coordinator's. A route taken out of a mux must lose its section, and a
+// new route must gain one. Both muxes register a per-route latency series
+// for every route as they are built, so the served routes are read off a
+// fresh /metrics.
+func TestRoutesDocumented(t *testing.T) {
+	raw, err := os.ReadFile("../../docs/QUERY_API.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, nodeDoc, _ := strings.Cut(string(raw), "\n## 1. ")
+	nodeDoc, coordDoc, _ := strings.Cut(nodeDoc, "\n## 2. ")
+	coordDoc, _, _ = strings.Cut(coordDoc, "\n## 3. ")
+
+	node := server.New(1)
+	t.Cleanup(node.Close)
+	ts := httptest.NewServer(node)
+	t.Cleanup(ts.Close)
+	co, err := federation.New([]string{ts.URL}, federation.Config{HealthInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(co.Close)
+
+	matches := func(re, text string) map[string]bool {
+		set := make(map[string]bool)
+		for _, m := range regexp.MustCompile(re).FindAllStringSubmatch(text, -1) {
+			set[m[1]] = true
+		}
+		return set
+	}
+	const method = `(?:GET|PUT|POST|DELETE) /`
+	for _, c := range []struct {
+		role, where     string
+		documented, mux map[string]bool
+	}{
+		{"node", "§1 heading",
+			matches("(?m)^### ("+method+"\\S*)$", nodeDoc),
+			matches(`biasedres_http_request_seconds_count\{route="([^"]+)"\}`, node.Metrics().Expose())},
+		{"coordinator", "row in §2's route table",
+			matches("(?m)^\\| `("+method+"[^`?]*)", coordDoc),
+			matches(`biasedres_fed_http_request_seconds_count\{route="([^"]+)"\}`, co.Metrics().Expose())},
+	} {
+		if len(c.mux) == 0 {
+			t.Fatalf("%s: no routes read off /metrics", c.role)
+		}
+		for route := range c.mux {
+			if !c.documented[route] {
+				t.Errorf("%s route %s has no %s in docs/QUERY_API.md", c.role, route, c.where)
+			}
+		}
+		for route := range c.documented {
+			if !c.mux[route] {
+				t.Errorf("docs/QUERY_API.md has a %s for %s, but the %s does not serve it", c.where, route, c.role)
+			}
+		}
+	}
+}
+
 // TestPoliciesDocumented is the docs-freshness gate for sampler families:
 // every core.Policies() name is listed in QUERY_API's `policy` row of the
 // create request and in OPERATIONS' `-default-policy` flag row.

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"net"
@@ -109,7 +110,7 @@ func main() {
 	fmt.Printf("median of dim 0:        %.3f\n\n", med)
 
 	// Checkpoint, mutate, roll back.
-	blob, err := c.Snapshot("sensor")
+	blob, err := c.TransferContext(context.Background(), "sensor")
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -3,11 +3,14 @@ package client
 import (
 	"errors"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"biasedres/internal/httpapi"
 	"biasedres/internal/server"
 )
 
@@ -161,33 +164,30 @@ func TestBatcherSurfacesHardErrors(t *testing.T) {
 	}
 }
 
-// The 429 response must carry its Retry-After hint into APIError.
+// The 429 response must carry its Retry-After hint into APIError. The
+// handler answers what a data node's ingest route answers on a full
+// queue — Retry-After "1" and a JSON error body — so the 429 is certain
+// rather than a race against the node's worker.
 func TestAPIErrorRetryAfter(t *testing.T) {
-	c, srv := newShardedPair(t, 1, 1)
-	if err := c.CreateStream("s", StreamConfig{Policy: "variable", Lambda: 1e-2, Capacity: 50}); err != nil {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Retry-After", "1")
+		httpapi.Error(w, http.StatusTooManyRequests, "ingest queue for stream %q is full (%d batches); retry later", "s", 1)
+	}))
+	t.Cleanup(ts.Close)
+	c, err := New(ts.URL)
+	if err != nil {
 		t.Fatal(err)
 	}
-	_ = srv // the stall below relies only on queue capacity 1
-	// Saturate: with one worker and queue depth 1, a burst of pushes must
-	// eventually see a 429.
+	_, err = c.Push("s", []Point{{Values: []float64{1}}})
 	var apiErr *APIError
-	for i := 0; i < 1000; i++ {
-		pts := make([]Point, 64)
-		for j := range pts {
-			pts[j] = Point{Values: []float64{float64(j)}}
-		}
-		if _, err := c.Push("s", pts); errors.As(err, &apiErr) && apiErr.StatusCode == 429 {
-			break
-		}
+	if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("push into a full queue: %v, want a 429 APIError", err)
 	}
-	if apiErr == nil || apiErr.StatusCode != 429 {
-		t.Skip("queue never filled; timing-dependent")
+	if apiErr.RetryAfter != time.Second {
+		t.Fatalf("429 APIError.RetryAfter = %v, want the header's 1s", apiErr.RetryAfter)
 	}
-	if apiErr.RetryAfter <= 0 {
-		t.Fatalf("429 APIError.RetryAfter = %v, want > 0", apiErr.RetryAfter)
-	}
-	if apiErr.Error() == "" || fmt.Sprint(apiErr) == "" {
-		t.Fatal("empty error text")
+	if !strings.Contains(apiErr.Error(), "queue") || fmt.Sprint(apiErr) != apiErr.Error() {
+		t.Fatalf("error text %q does not carry the server's message", apiErr.Error())
 	}
 }
 

@@ -402,16 +402,8 @@ func (c *Client) Metrics() (string, error) {
 	return string(raw), nil
 }
 
-// Snapshot downloads the stream's binary checkpoint.
-func (c *Client) Snapshot(name string) ([]byte, error) {
-	var raw []byte
-	if err := c.do(http.MethodGet, "/streams/"+url.PathEscape(name)+"/snapshot", nil, &raw); err != nil {
-		return nil, err
-	}
-	return raw, nil
-}
-
-// Restore uploads a checkpoint previously produced by Snapshot.
+// Restore replaces an existing stream's state with checkpoint bytes: what
+// TransferContext downloads and a .ckpt file holds.
 func (c *Client) Restore(name string, blob []byte) error {
 	return c.do(http.MethodPost, "/streams/"+url.PathEscape(name)+"/restore", blob, nil)
 }

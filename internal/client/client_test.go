@@ -1,6 +1,7 @@
 package client
 
 import (
+	"context"
 	"errors"
 	"math"
 	"net/http/httptest"
@@ -114,9 +115,9 @@ func TestEndToEnd(t *testing.T) {
 	}
 
 	// Checkpoint round trip.
-	blob, err := c.Snapshot("s")
+	blob, err := c.TransferContext(context.Background(), "s")
 	if err != nil || len(blob) == 0 {
-		t.Fatalf("snapshot: %d bytes, %v", len(blob), err)
+		t.Fatalf("transfer: %d bytes, %v", len(blob), err)
 	}
 	if _, err := c.Push("s", batch); err != nil {
 		t.Fatal(err)

@@ -64,6 +64,10 @@ var errCorrupt = errors.New("durable: corrupt file")
 // IsCorrupt reports whether err marks a corrupt checkpoint or journal.
 func IsCorrupt(err error) bool { return errors.Is(err, errCorrupt) }
 
+// ErrNotCheckpoint marks bytes of checkpoint length that do not open with
+// the checkpoint magic: some other body, not a damaged checkpoint.
+var ErrNotCheckpoint = errors.New("not a BRESCKP1 checkpoint")
+
 // errLegacyJournal marks a BRESJRN1 journal with bytes after its header:
 // records this version cannot replay. Recovery leaves such a stream's
 // files as they are instead of quarantining them.
@@ -142,13 +146,13 @@ func EncodeCheckpoint(ck Checkpoint) ([]byte, error) {
 // DecodeCheckpoint parses and verifies checkpoint file bytes, read from
 // disk or received over the network. Structural failures (bad magic, CRC
 // mismatch, truncation, an undecodable payload) return errCorrupt-wrapped
-// errors.
+// errors; a bad magic wraps ErrNotCheckpoint too.
 func DecodeCheckpoint(data []byte) (Checkpoint, error) {
 	if len(data) < 20 {
 		return Checkpoint{}, fmt.Errorf("%w: checkpoint header truncated at %d bytes", errCorrupt, len(data))
 	}
 	if !bytes.Equal(data[:8], ckptMagic[:]) {
-		return Checkpoint{}, fmt.Errorf("%w: bad checkpoint magic %q", errCorrupt, data[:8])
+		return Checkpoint{}, fmt.Errorf("%w: %w: bad checkpoint magic %q", errCorrupt, ErrNotCheckpoint, data[:8])
 	}
 	sum := binary.LittleEndian.Uint32(data[8:12])
 	n := binary.LittleEndian.Uint64(data[12:20])

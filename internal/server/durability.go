@@ -120,8 +120,8 @@ func version(sm core.Sampler) uint64 {
 // changed enough since its last checkpoint.
 var errQuiescent = errors.New("stream quiescent since its last checkpoint")
 
-// cut is the one checkpoint cut of a live stream, shared by GET /snapshot,
-// GET /transfer and the checkpointer. It captures (next, dim) under qmu and
+// cut is the one checkpoint cut of a live stream, shared by GET /transfer
+// and the checkpointer. It captures (next, dim) under qmu and
 // takes the sampler lock before letting qmu go, so the pair matches the
 // marshaled sampler state; the marshal then runs under the sampler lock
 // alone, never blocking ingest admission. rotate, when non-nil, runs under

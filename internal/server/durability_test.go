@@ -254,14 +254,10 @@ func TestDurableRestoreRewritesChain(t *testing.T) {
 	ts, srv, _ := newDurableServer(t, fs)
 	createStream(t, ts.URL, "s", CreateRequest{Policy: "variable", Lambda: 1e-2, Capacity: 10})
 	ingest(t, ts.URL, "s", floatPoints(5, 0))
-	resp, body := do(t, http.MethodGet, ts.URL+"/streams/s/snapshot", nil)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("snapshot: status %d", resp.StatusCode)
-	}
-	blob := body["raw"].([]byte)
+	blob := fetchTransfer(t, ts.URL, "s")
 	ingest(t, ts.URL, "s", floatPoints(5, 5))
 
-	resp, body = do(t, http.MethodPost, ts.URL+"/streams/s/restore", blob)
+	resp, body := do(t, http.MethodPost, ts.URL+"/streams/s/restore", blob)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("restore: status %d body %v", resp.StatusCode, body)
 	}

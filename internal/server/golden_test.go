@@ -12,6 +12,7 @@ import (
 	"path"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -36,7 +37,8 @@ import (
 //
 // Gob numbers types in the order a process first encodes them, so snapshot
 // bytes are only comparable within one process: the test restores the
-// manifest's snapshot into a scratch stream of the same configuration and
+// manifest's snapshot and next index, as a checkpoint, into a scratch
+// stream of the same configuration and
 // compares that stream's re-marshaled bytes with the recovered stream's.
 //
 // Regenerate with:
@@ -95,10 +97,11 @@ func goldenPoints(from, n int, timed bool) []IngestPoint {
 	return pts
 }
 
-// goldenRead fetches one stream's snapshot and pinned query bodies.
+// goldenRead fetches one stream's snapshot and next index, off its
+// exported checkpoint, and its pinned query bodies.
 func goldenRead(t *testing.T, base, name string) goldenStream {
 	t.Helper()
-	get := func(p string) (*http.Response, []byte) {
+	get := func(p string) []byte {
 		resp, err := http.Get(base + "/streams/" + name + "/" + p)
 		if err != nil {
 			t.Fatal(err)
@@ -111,18 +114,17 @@ func goldenRead(t *testing.T, base, name string) goldenStream {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("%s %s: status %d body %s", name, p, resp.StatusCode, body)
 		}
-		return resp, body
+		return body
 	}
-	resp, snap := get("snapshot")
+	ck := exportState(t, base, name)
 	out := goldenStream{
 		Name:      name,
-		Next:      resp.Header.Get("X-Biasedres-Next-Index"),
-		Snapshot:  snap,
+		Next:      strconv.FormatUint(ck.Next, 10),
+		Snapshot:  ck.Snapshot,
 		Responses: make(map[string]string, len(goldenQueries)),
 	}
 	for _, q := range goldenQueries {
-		_, body := get(q)
-		out.Responses[q] = string(body)
+		out.Responses[q] = string(get(q))
 	}
 	return out
 }
@@ -216,7 +218,16 @@ func TestGoldenCheckpointsRestore(t *testing.T) {
 		}
 		scratch := gs.Name + "-scratch"
 		createStream(t, ts.URL, scratch, gs.Config)
-		if resp, body := do(t, http.MethodPost, ts.URL+"/streams/"+scratch+"/restore", gs.Snapshot); resp.StatusCode != http.StatusOK {
+		next, err := strconv.ParseUint(gs.Next, 10, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ckpt, err := durable.EncodeCheckpoint(durable.Checkpoint{
+			Seq: 1, Name: gs.Name, Config: gs.Config, Next: next, Snapshot: gs.Snapshot})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp, body := do(t, http.MethodPost, ts.URL+"/streams/"+scratch+"/restore", ckpt); resp.StatusCode != http.StatusOK {
 			t.Fatalf("%s: restoring the golden snapshot: status %d body %v", gs.Name, resp.StatusCode, body)
 		}
 		if want := goldenRead(t, ts.URL, scratch); string(got.Snapshot) != string(want.Snapshot) {

@@ -231,16 +231,12 @@ func TestShardedRestoreRequiresQuiescedStream(t *testing.T) {
 	}
 	ingestAsync(10)
 	waitPending(t, srv, "s")
-	resp, body := do(t, http.MethodGet, ts.URL+"/streams/s/snapshot", nil)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("snapshot: status %d", resp.StatusCode)
-	}
-	blob := body["raw"].([]byte)
+	blob := fetchTransfer(t, ts.URL, "s")
 
 	ms, _ := srv.lookup("s")
 	unstall := stallSampler(ms) // stall the worker so pending stays non-zero
 	ingestAsync(10)
-	resp, body = do(t, http.MethodPost, ts.URL+"/streams/s/restore", blob)
+	resp, body := do(t, http.MethodPost, ts.URL+"/streams/s/restore", blob)
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("restore with pending points: status %d body %v, want 409", resp.StatusCode, body)
 	}

@@ -6,7 +6,7 @@ import (
 )
 
 // End-to-end coverage of the new sampler policies through the stream API:
-// create, ingest, query, sample, snapshot/restore.
+// create, ingest, query, sample, export/restore.
 func TestNewSamplerPoliciesRoundTrip(t *testing.T) {
 	for _, policy := range []string{"ttbs", "rtbs"} {
 		t.Run(policy, func(t *testing.T) {
@@ -46,12 +46,8 @@ func TestNewSamplerPoliciesRoundTrip(t *testing.T) {
 				t.Fatalf("count estimate %v wildly off for h=100", est)
 			}
 
-			// Snapshot → more ingest → restore rewinds the stream.
-			resp, body = do(t, http.MethodGet, ts.URL+"/streams/s/snapshot", nil)
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("snapshot: status %d", resp.StatusCode)
-			}
-			blob := body["raw"].([]byte)
+			// Export → more ingest → restore rewinds the stream.
+			blob := fetchTransfer(t, ts.URL, "s")
 			ingest(t, ts.URL, "s", floatPoints(100, 500))
 			resp, body = do(t, http.MethodPost, ts.URL+"/streams/s/restore", blob)
 			if resp.StatusCode != http.StatusOK {

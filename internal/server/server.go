@@ -18,9 +18,8 @@
 //	GET    /streams/{name}/query      estimate; see Query parameters below
 //	GET    /streams/{name}/range      bucketed estimates over [start,end)
 //	GET    /streams/{name}/accum      fused HT accumulator (federation wire form)
-//	GET    /streams/{name}/snapshot   sampler snapshot (octet-stream)
-//	POST   /streams/{name}/restore    restore from a snapshot body
 //	GET    /streams/{name}/transfer   live checkpoint file bytes (octet-stream)
+//	POST   /streams/{name}/restore    replace the stream's state with checkpoint file bytes
 //	POST   /streams/{name}/transfer   install checkpoint file bytes as a new stream
 //	POST   /streams/{name}/model      attach a managed classifier (see model.go)
 //	GET    /streams/{name}/model      model statistics
@@ -48,7 +47,6 @@ package server
 import (
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"strconv"
@@ -296,9 +294,8 @@ func New(seed uint64, opts ...Option) *Server {
 		{"GET /streams/{name}/query", s.onStream(s.handleQuery)},
 		{"GET /streams/{name}/range", s.onStream(s.handleRange)},
 		{"GET /streams/{name}/accum", s.onStream(s.handleAccum)},
-		{"GET /streams/{name}/snapshot", s.onStream(s.handleExport(false))},
 		{"POST /streams/{name}/restore", s.onStream(s.handleRestore)},
-		{"GET /streams/{name}/transfer", s.onStream(s.handleExport(true))},
+		{"GET /streams/{name}/transfer", s.onStream(s.handleTransferGet)},
 		{"POST /streams/{name}/transfer", s.handleTransferPost},
 		{"POST /streams/{name}/model", s.onStream(s.handleModelCreate)},
 		{"GET /streams/{name}/model", s.onStream(s.handleModelGet)},
@@ -414,8 +411,8 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 
 // install is the one path by which a stream comes to exist — create,
 // startup recovery and transfer all call it. It builds the sampler for
-// req, restores it from `from` when given (a checkpoint, plus its journal
-// tail on recovery) and checks the restored bookkeeping (resume), makes
+// req, restored from `from` when given (a checkpoint, plus its journal
+// tail on recovery) with its bookkeeping checked (newSampler), makes
 // it durable as checkpoint seq, starts its ingest lane and registers it
 // under name. On failure it returns the HTTP status to answer with.
 //
@@ -424,17 +421,11 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 // stream's ingest lookup takes that lock.
 func (s *Server) install(name string, req CreateRequest, from *durable.Recovered, seq uint64) (*managedStream, int, error) {
 	ms := &managedStream{name: name, req: req}
-	var ck *durable.Checkpoint
-	if from != nil {
-		ck = &from.Checkpoint
-	}
-	sampler, err := s.newSampler(req, ck)
-	if err == nil && from != nil {
-		ms.next, ms.dim, err = resume(sampler, from)
-	}
+	sampler, next, dim, err := s.newSampler(req, from)
 	if err != nil {
 		return nil, http.StatusBadRequest, err
 	}
+	ms.next, ms.dim = next, dim
 	ms.sm = core.NewSynchronized(sampler)
 	ms.lastCkptVer = version(sampler)
 
@@ -686,49 +677,38 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, ms *managed
 	httpapi.JSON(w, http.StatusOK, out)
 }
 
+// handleRestore is POST /streams/{name}/restore: replace a stream's state
+// with checkpoint bytes. The checkpoint restores into the stream's own
+// configuration, and its checked (next, dim) become the stream's.
 func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request, ms *managedStream) {
-	blob, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.maxBody))
-	if err != nil {
-		httpapi.BodyError(w, err, "reading body: %v")
+	ck, ok := s.readCheckpoint(w, r, "restore")
+	if !ok {
 		return
 	}
-	if ms.pending.Load() != 0 {
-		// Queued batches would replay on top of the restored state with
-		// stale arrival indices; require a quiesced stream (see
-		// docs/OPERATIONS.md, "Checkpoint and restore").
-		httpapi.Error(w, http.StatusConflict,
-			"stream %q has %d pending ingest points; retry once the queue drains", ms.name, ms.pending.Load())
-		return
-	}
-	// Deserialize and validate against a scratch sampler first: a corrupt
-	// or inconsistent checkpoint must leave the live stream untouched.
-	restored, err := s.newSampler(ms.req, &durable.Checkpoint{Snapshot: blob})
-	if err != nil {
-		httpapi.Error(w, http.StatusBadRequest, "restore: %v", err)
-		return
-	}
-	dim, err := pointsDim(restored.Points())
+	// Build and check a scratch sampler first: a corrupt or inconsistent
+	// checkpoint must leave the live stream untouched.
+	restored, next, dim, err := s.newSampler(ms.req, &durable.Recovered{Checkpoint: ck})
 	if err != nil {
 		httpapi.Error(w, http.StatusBadRequest, "restore: %v", err)
 		return
 	}
 	ms.qmu.Lock()
 	if p := ms.pending.Load(); p != 0 {
-		// A batch was accepted between the earlier pending check and now;
-		// re-refuse rather than let it replay onto restored state.
+		// Queued batches would replay on top of the restored state with
+		// stale arrival indices; require a quiesced stream (see
+		// docs/OPERATIONS.md, "Checkpoint and restore").
 		ms.qmu.Unlock()
 		httpapi.Error(w, http.StatusConflict,
 			"stream %q has %d pending ingest points; retry once the queue drains", ms.name, p)
 		return
 	}
 	processed, size := restored.Processed(), restored.Len()
-	ms.dim = dim
-	ms.next = processed
+	ms.next, ms.dim = next, dim
 	// Re-anchor durability on the restored state while the stream is
 	// still quiesced: cut the journal in the same sampler-lock hold as the
 	// swap (ops journaled before the restore must not replay on top of it)
-	// and persist the uploaded snapshot itself as the new checkpoint
-	// outside the locks.
+	// and persist the uploaded state as the new checkpoint outside the
+	// locks.
 	var ckpt *durable.Checkpoint
 	ms.sm.Swap(restored, func() {
 		if s.durable == nil {
@@ -742,7 +722,7 @@ func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request, ms *manag
 			return
 		}
 		ms.lastCkptVer = version(restored)
-		ckpt = &durable.Checkpoint{Seq: seq, Name: ms.name, Config: ms.req, Next: ms.next, Dim: dim, Snapshot: blob}
+		ckpt = &durable.Checkpoint{Seq: seq, Name: ms.name, Config: ms.req, Next: next, Dim: dim, Snapshot: ck.Snapshot}
 	})
 	ms.qmu.Unlock()
 	if ckpt != nil {
@@ -758,28 +738,28 @@ func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request, ms *manag
 
 // newSampler builds a scratch sampler of cfg on the next split of the
 // server's seed source and, when from is non-nil, restores it from from's
-// snapshot through core.Restore. Create, recovery, transfer and restore all
-// build their sampler here, so a snapshot that does not restore — or that
-// runs another capacity, λ or window than the stream's configuration —
-// never reaches a live stream, and a live one is never rebuilt in place.
-func (s *Server) newSampler(cfg CreateRequest, from *durable.Checkpoint) (core.PersistentSampler, error) {
+// checkpoint through core.Restore and returns the (next, dim) bookkeeping
+// resume checks. Create, recovery, transfer and restore all build their
+// sampler here, so a checkpoint that runs another capacity, λ or window
+// than the stream's configuration, or whose bookkeeping its sample
+// contradicts, never reaches a live stream.
+func (s *Server) newSampler(cfg CreateRequest, from *durable.Recovered) (sampler core.PersistentSampler, next uint64, dim int, err error) {
 	fresh, err := core.SamplerFactory(cfg)
 	if err != nil {
-		return nil, err
+		return nil, 0, 0, err
 	}
 	s.seedMu.Lock()
 	rng := s.seeds.Split()
 	s.seedMu.Unlock()
-	sampler, err := fresh(rng)
-	if err != nil {
-		return nil, fmt.Errorf("creating sampler: %w", err)
+	if sampler, err = fresh(rng); err != nil {
+		return nil, 0, 0, fmt.Errorf("creating sampler: %w", err)
 	}
 	if from != nil {
-		if err := core.Restore(sampler, from.Snapshot); err != nil {
-			return nil, err
+		if err = core.Restore(sampler, from.Checkpoint.Snapshot); err == nil {
+			next, dim, err = resume(sampler, from)
 		}
 	}
-	return sampler, nil
+	return sampler, next, dim, err
 }
 
 // pointsDim derives the stream dimensionality from restored reservoir

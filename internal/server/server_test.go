@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"biasedres/internal/durable"
 	"biasedres/internal/stream"
 	"biasedres/internal/xrand"
 )
@@ -297,14 +298,7 @@ func TestSnapshotRestoreOverHTTP(t *testing.T) {
 	}
 	ingest(t, ts.URL, "s", batch)
 
-	resp, body := do(t, http.MethodGet, ts.URL+"/streams/s/snapshot", nil)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("snapshot: status %d", resp.StatusCode)
-	}
-	blob := body["raw"].([]byte)
-	if len(blob) == 0 {
-		t.Fatal("empty snapshot")
-	}
+	blob := fetchTransfer(t, ts.URL, "s")
 
 	// More ingestion mutates the stream; restore rolls it back.
 	ingest(t, ts.URL, "s", batch)
@@ -336,16 +330,12 @@ func TestRestoreRefusesOtherConfig(t *testing.T) {
 	}
 	ingest(t, ts.URL, "src", batch)
 	ingest(t, ts.URL, "dst", batch)
-	snapshot := func(name string) []byte {
-		resp, body := do(t, http.MethodGet, ts.URL+"/streams/"+name+"/snapshot", nil)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("snapshot %s: status %d", name, resp.StatusCode)
-		}
-		return body["raw"].([]byte)
-	}
-	// withBudget re-encodes a variable snapshot with another n_max and λ;
-	// gob matches fields by name, so a mirror of the state struct will do.
-	withBudget := func(blob []byte, nmax int, lambda float64) []byte {
+	own := exportState(t, ts.URL, "dst")
+	// withBudget re-encodes dst's checkpoint with a variable snapshot of
+	// another n_max and λ; gob matches fields by name, so a mirror of the
+	// state struct will do.
+	withBudget := func(nmax int, lambda float64) []byte {
+		blob := own.Snapshot
 		var st struct {
 			Lambda                 float64
 			Nmax                   int
@@ -364,16 +354,21 @@ func TestRestoreRefusesOtherConfig(t *testing.T) {
 		if err := gob.NewEncoder(&buf).Encode(st); err != nil {
 			t.Fatal(err)
 		}
-		return buf.Bytes()
+		ck := own
+		ck.Snapshot = buf.Bytes()
+		data, err := durable.EncodeCheckpoint(ck)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
 	}
-	own := snapshot("dst")
 	for _, c := range []struct {
 		name string
 		blob []byte
 	}{
-		{"other config", snapshot("src")},
-		{"budget 2^38", withBudget(own, 1<<38, 0.05)},
-		{"budget 2^38 at a tiny λ", withBudget(own, 1<<38, 1e-13)},
+		{"other config", fetchTransfer(t, ts.URL, "src")},
+		{"budget 2^38", withBudget(1<<38, 0.05)},
+		{"budget 2^38 at a tiny λ", withBudget(1<<38, 1e-13)},
 	} {
 		if resp, body := do(t, http.MethodPost, ts.URL+"/streams/dst/restore", c.blob); resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("%s: restore answered %d %v, want 400", c.name, resp.StatusCode, body)
@@ -383,8 +378,8 @@ func TestRestoreRefusesOtherConfig(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || body["capacity"].(float64) != 10 || body["lambda"].(float64) != 0.05 {
 		t.Fatalf("dst after refused restores: status %d %v", resp.StatusCode, body)
 	}
-	if resp, body := do(t, http.MethodPost, ts.URL+"/streams/dst/restore", own); resp.StatusCode != http.StatusOK {
-		t.Fatalf("own snapshot: restore answered %d %v", resp.StatusCode, body)
+	if resp, body := do(t, http.MethodPost, ts.URL+"/streams/dst/restore", fetchTransfer(t, ts.URL, "dst")); resp.StatusCode != http.StatusOK {
+		t.Fatalf("own checkpoint: restore answered %d %v", resp.StatusCode, body)
 	}
 }
 
@@ -392,7 +387,7 @@ func TestRestoreRefusesOtherConfig(t *testing.T) {
 // value, so restoring a checkpoint into a fresh stream (dim 0) made
 // average/groupavg return 409 "stream has no points yet", and ingesting
 // points of a different dimensionality afterwards silently switched the
-// stream's shape. The dim must be re-derived from the restored reservoir.
+// stream's shape. The dim must come with the restored checkpoint.
 func TestRestoreRecoversDimension(t *testing.T) {
 	ts := newTestServer(t)
 	createStream(t, ts.URL, "orig", CreateRequest{Policy: "variable", Lambda: 1e-2, Capacity: 50})
@@ -408,11 +403,7 @@ func TestRestoreRecoversDimension(t *testing.T) {
 	}
 	origAvg := body["average"].([]any)
 
-	resp, body = do(t, http.MethodGet, ts.URL+"/streams/orig/snapshot", nil)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("snapshot: status %d", resp.StatusCode)
-	}
-	blob := body["raw"].([]byte)
+	blob := fetchTransfer(t, ts.URL, "orig")
 
 	// Restore into a brand-new stream that has never seen a point.
 	createStream(t, ts.URL, "clone", CreateRequest{Policy: "variable", Lambda: 1e-2, Capacity: 50})

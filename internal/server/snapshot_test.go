@@ -103,8 +103,8 @@ func TestQueryIngestHammer(t *testing.T) {
 						fail("stats: status %d", resp.StatusCode)
 						return
 					}
-					if resp, _ := do(t, http.MethodGet, ts.URL+"/streams/s/snapshot", nil); resp.StatusCode != http.StatusOK {
-						fail("snapshot: status %d", resp.StatusCode)
+					if resp, _ := do(t, http.MethodGet, ts.URL+"/streams/s/transfer", nil); resp.StatusCode != http.StatusOK {
+						fail("transfer: status %d", resp.StatusCode)
 						return
 					}
 				}

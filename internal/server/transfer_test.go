@@ -7,9 +7,11 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"strings"
 	"testing"
 
 	"biasedres/internal/durable"
+	"biasedres/internal/wire"
 )
 
 // fetchTransfer GETs a stream's transfer blob.
@@ -20,6 +22,17 @@ func fetchTransfer(t *testing.T, base, name string) []byte {
 		t.Fatalf("GET transfer: status %d body %v", resp.StatusCode, body)
 	}
 	return body["raw"].([]byte)
+}
+
+// exportState GETs a stream's /transfer body and decodes it: how the tests
+// read a stream's sampler snapshot and (next, dim) bookkeeping.
+func exportState(t *testing.T, base, name string) durable.Checkpoint {
+	t.Helper()
+	ck, err := durable.DecodeCheckpoint(fetchTransfer(t, base, name))
+	if err != nil {
+		t.Fatalf("decoding %s's transfer: %v", name, err)
+	}
+	return ck
 }
 
 // installTransfer POSTs a transfer blob under name.
@@ -68,17 +81,12 @@ func TestTransferByteIdentical(t *testing.T) {
 
 			// The source's raw snapshot and the destination's must match
 			// byte for byte: same residents, same probabilities, same RNG.
-			srcResp, srcBody := do(t, http.MethodGet, src.URL+"/streams/s/snapshot", nil)
-			dstResp, dstBody := do(t, http.MethodGet, dst.URL+"/streams/s/snapshot", nil)
-			if srcResp.StatusCode != http.StatusOK || dstResp.StatusCode != http.StatusOK {
-				t.Fatalf("snapshot statuses %d / %d", srcResp.StatusCode, dstResp.StatusCode)
-			}
-			if !bytes.Equal(srcBody["raw"].([]byte), dstBody["raw"].([]byte)) {
+			srcCk, dstCk := exportState(t, src.URL, "s"), exportState(t, dst.URL, "s")
+			if !bytes.Equal(srcCk.Snapshot, dstCk.Snapshot) {
 				t.Fatal("destination snapshot differs from source after transfer install")
 			}
-			if srcResp.Header.Get("X-Biasedres-Next-Index") != dstResp.Header.Get("X-Biasedres-Next-Index") {
-				t.Fatalf("next-index diverged: src %s dst %s",
-					srcResp.Header.Get("X-Biasedres-Next-Index"), dstResp.Header.Get("X-Biasedres-Next-Index"))
+			if srcCk.Next != dstCk.Next {
+				t.Fatalf("next-index diverged: src %d dst %d", srcCk.Next, dstCk.Next)
 			}
 
 			// Re-exporting from the destination reproduces the blob too.
@@ -152,7 +160,7 @@ func TestTransferInstallDurable(t *testing.T) {
 	dstSrv := New(1, WithDurability(store, DurabilityConfig{}))
 	dst := httptest.NewServer(dstSrv)
 	installTransfer(t, dst.URL, "s", blob)
-	_, before := do(t, http.MethodGet, dst.URL+"/streams/s/snapshot", nil)
+	before := exportState(t, dst.URL, "s")
 	dst.Close()
 	dstSrv.Close()
 
@@ -163,11 +171,7 @@ func TestTransferInstallDurable(t *testing.T) {
 	reSrv := New(1, WithDurability(store2, DurabilityConfig{}))
 	re := httptest.NewServer(reSrv)
 	t.Cleanup(func() { re.Close(); reSrv.Close() })
-	resp, after := do(t, http.MethodGet, re.URL+"/streams/s/snapshot", nil)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("recovered stream snapshot: status %d", resp.StatusCode)
-	}
-	if !bytes.Equal(before["raw"].([]byte), after["raw"].([]byte)) {
+	if after := exportState(t, re.URL, "s"); !bytes.Equal(before.Snapshot, after.Snapshot) {
 		t.Fatal("recovered snapshot differs from the installed state")
 	}
 }
@@ -181,37 +185,132 @@ func TestTransferInstallsCheckpointFile(t *testing.T) {
 	src, srcSrv, _ := newDurableServer(t, fs)
 	createStream(t, src.URL, "s", CreateRequest{Policy: "variable", Lambda: 0.01, Capacity: 64})
 	ingest(t, src.URL, "s", floatPoints(200, 0))
-	resp, want := do(t, http.MethodGet, src.URL+"/streams/s/snapshot", nil)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("source snapshot: status %d", resp.StatusCode)
-	}
+	want := exportState(t, src.URL, "s")
 	src.Close()
 	srcSrv.Close() // the final checkpoint holds all 200 points
 
+	dst := newTestServer(t)
+	installTransfer(t, dst.URL, "s", newestCheckpointFile(t, fs, "s"))
+	if got := exportState(t, dst.URL, "s"); !bytes.Equal(got.Snapshot, want.Snapshot) {
+		t.Fatal("stream installed from the newest checkpoint file differs from the source's snapshot")
+	}
+	if n := streamProcessed(t, dst.URL, "s"); n != 200 {
+		t.Fatalf("installed stream processed %v points, want 200", n)
+	}
+}
+
+// newestCheckpointFile reads the newest .ckpt file of stream name off a
+// data directory at "data".
+func newestCheckpointFile(t *testing.T, fs *durable.MemFS, name string) []byte {
+	t.Helper()
 	var file string
 	var seq uint64
 	for p := range fs.Files() {
 		var n uint64
-		if _, err := fmt.Sscanf(p, "data/st-s.%d.ckpt", &n); err == nil && n > seq {
+		if _, err := fmt.Sscanf(p, "data/st-"+name+".%d.ckpt", &n); err == nil && n > seq {
 			file, seq = p, n
 		}
 	}
 	data, ok := fs.ReadFile(file)
 	if !ok {
-		t.Fatalf("no checkpoint file of stream s on disk: %v", fs.Files())
+		t.Fatalf("no checkpoint file of stream %s on disk: %v", name, fs.Files())
+	}
+	return data
+}
+
+// TestRestoreTakesCheckpointFile checks that POST /restore takes the same
+// body as POST /transfer: the newest .ckpt file of a durable node restores
+// over a live stream of the same configuration, which then exports the
+// file's state — its snapshot, next index and dim.
+func TestRestoreTakesCheckpointFile(t *testing.T) {
+	fs := durable.NewMemFS()
+	src, srcSrv, _ := newDurableServer(t, fs)
+	req := CreateRequest{Policy: "variable", Lambda: 0.01, Capacity: 64}
+	createStream(t, src.URL, "s", req)
+	ingest(t, src.URL, "s", wireHTTPPoints(200, 2))
+	src.Close()
+	srcSrv.Close()
+	data := newestCheckpointFile(t, fs, "s")
+	want, err := durable.DecodeCheckpoint(data)
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	dst := newTestServer(t)
-	installTransfer(t, dst.URL, "s", data)
-	resp, got := do(t, http.MethodGet, dst.URL+"/streams/s/snapshot", nil)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("installed snapshot: status %d", resp.StatusCode)
+	createStream(t, dst.URL, "live", req)
+	ingest(t, dst.URL, "live", wireHTTPPoints(50, 2))
+	if resp, body := do(t, http.MethodPost, dst.URL+"/streams/live/restore", data); resp.StatusCode != http.StatusOK {
+		t.Fatalf("restoring a .ckpt file: status %d body %v", resp.StatusCode, body)
 	}
-	if !bytes.Equal(got["raw"].([]byte), want["raw"].([]byte)) {
-		t.Fatalf("stream installed from %s differs from the source's snapshot", file)
+	got := exportState(t, dst.URL, "live")
+	if !bytes.Equal(got.Snapshot, want.Snapshot) || got.Next != want.Next || got.Dim != want.Dim {
+		t.Fatalf("restored stream exports next %d dim %d and a %d-byte snapshot; the file holds next %d dim %d and %d bytes",
+			got.Next, got.Dim, len(got.Snapshot), want.Next, want.Dim, len(want.Snapshot))
 	}
-	if n := streamProcessed(t, dst.URL, "s"); n != 200 {
-		t.Fatalf("installed stream processed %v points, want 200", n)
+}
+
+// TestRestoreKeepsArrivalOrder checks that a restore takes the stream's
+// position from the checkpoint, not from its sampler's processed count:
+// after points at indices 10 and 20, an export and a restore, a point at
+// index 15 is refused — live, and again after a crash and restart.
+func TestRestoreKeepsArrivalOrder(t *testing.T) {
+	fs := durable.NewMemFS()
+	ts, srv, _ := newDurableServer(t, fs)
+	createStream(t, ts.URL, "s", CreateRequest{Policy: "unbiased", Capacity: 16})
+	frame := func(idx ...uint64) *wire.Frame {
+		f := wireTestFrame(len(idx), 1)
+		f.Name, f.Indices = []byte("s"), idx
+		return f
+	}
+	if r := srv.IngestFrame(frame(10, 20)); r.Status != wire.StatusOK {
+		t.Fatalf("indexed frame: reply %+v", r)
+	}
+	if resp, body := do(t, http.MethodPost, ts.URL+"/streams/s/restore", fetchTransfer(t, ts.URL, "s")); resp.StatusCode != http.StatusOK {
+		t.Fatalf("restore: status %d body %v", resp.StatusCode, body)
+	}
+	refused := func(srv *Server, when string) {
+		t.Helper()
+		const want = "does not advance the stream (at 20)"
+		if r := srv.IngestFrame(frame(15)); r.Status != wire.StatusError || !strings.Contains(r.Msg, want) {
+			t.Fatalf("%s: index 15 got reply %+v, want an error saying %q", when, r, want)
+		}
+	}
+	refused(srv, "after the restore")
+	// A crash, not a clean shutdown: no final checkpoint is cut, so the
+	// restart reads the one the restore wrote.
+	fs.Crash()
+	ts.Close()
+	fs.Reboot()
+
+	_, srv2, _ := newDurableServer(t, fs)
+	refused(srv2, "after a crash and restart")
+}
+
+// TestRestoreRefusesBareSnapshot checks that the checkpoint is the only
+// body a stream's state enters by: a bare sampler snapshot, the body the
+// retired GET /snapshot served, is refused by /restore and /transfer with
+// a 400 that names it and the route to export with, and the stream keeps
+// its state.
+func TestRestoreRefusesBareSnapshot(t *testing.T) {
+	ts := newTestServer(t)
+	createStream(t, ts.URL, "s", CreateRequest{Policy: "variable", Lambda: 0.01, Capacity: 16})
+	ingest(t, ts.URL, "s", floatPoints(40, 0))
+	before := fetchTransfer(t, ts.URL, "s")
+	ck, err := durable.DecodeCheckpoint(before)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, route := range []string{"s/restore", "other/transfer"} {
+		resp, body := do(t, http.MethodPost, ts.URL+"/streams/"+route, ck.Snapshot)
+		msg, _ := body["error"].(string)
+		if resp.StatusCode != http.StatusBadRequest ||
+			!strings.Contains(msg, "bare sampler snapshot") || !strings.Contains(msg, "GET /streams/{name}/transfer") {
+			t.Fatalf("%s with a bare snapshot: status %d body %v, want 400 naming the form and GET /transfer",
+				route, resp.StatusCode, body)
+		}
+	}
+	if !bytes.Equal(fetchTransfer(t, ts.URL, "s"), before) {
+		t.Fatal("a refused restore changed the stream")
 	}
 }
 
@@ -225,10 +324,7 @@ func TestTransferRefusesContradictoryBookkeeping(t *testing.T) {
 	src := newTestServer(t)
 	createStream(t, src.URL, "s", CreateRequest{Policy: "timedecay", Lambda: 0.05, Capacity: 30})
 	ingest(t, src.URL, "s", floatPoints(100, 0))
-	ck, err := durable.DecodeCheckpoint(fetchTransfer(t, src.URL, "s"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	ck := exportState(t, src.URL, "s")
 	edited := func(edit func(*durable.Checkpoint)) []byte {
 		c := ck
 		edit(&c)

@@ -44,18 +44,6 @@ func wireHTTPPoints(n, dim int) []IngestPoint {
 	return pts
 }
 
-// snapshotBytes fetches a stream's binary checkpoint over the HTTP API.
-func snapshotBytes(t *testing.T, srv *Server, name string) []byte {
-	t.Helper()
-	req := httptest.NewRequest(http.MethodGet, "/streams/"+name+"/snapshot", nil)
-	rec := httptest.NewRecorder()
-	srv.ServeHTTP(rec, req)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("snapshot: status %d body %s", rec.Code, rec.Body)
-	}
-	return rec.Body.Bytes()
-}
-
 func createOn(t *testing.T, srv *Server, name string, req CreateRequest) {
 	t.Helper()
 	ts := httptest.NewServer(srv)
@@ -142,23 +130,16 @@ func TestWireHTTPEquivalence(t *testing.T) {
 				waitPending(t, httpSrv, "s")
 				waitPending(t, wireSrv, "s")
 
-				httpCkpt := snapshotBytes(t, httpSrv, "s")
-				wireCkpt := snapshotBytes(t, wireSrv, "s")
-				if string(httpCkpt) != string(wireCkpt) {
-					t.Fatalf("checkpoints diverge: HTTP %d bytes, wire %d bytes", len(httpCkpt), len(wireCkpt))
+				wts := httptest.NewServer(wireSrv)
+				defer wts.Close()
+				httpCkpt, wireCkpt := exportState(t, ts.URL, "s"), exportState(t, wts.URL, "s")
+				if string(httpCkpt.Snapshot) != string(wireCkpt.Snapshot) {
+					t.Fatalf("checkpoints diverge: HTTP %d bytes, wire %d bytes", len(httpCkpt.Snapshot), len(wireCkpt.Snapshot))
 				}
 				// Both paths must also agree on the arrival cursor.
-				cursor := func(srv *Server) (uint64, int) {
-					ms, _ := srv.lookup("s")
-					ms.qmu.Lock()
-					defer ms.qmu.Unlock()
-					return ms.next, ms.dim
-				}
-				hNext, hDim := cursor(httpSrv)
-				wNext, wDim := cursor(wireSrv)
-				if hNext != wNext || hDim != wDim || hNext != points {
+				if httpCkpt.Next != wireCkpt.Next || httpCkpt.Dim != wireCkpt.Dim || httpCkpt.Next != points {
 					t.Fatalf("cursors diverge: HTTP (next=%d dim=%d), wire (next=%d dim=%d), want next=%d",
-						hNext, hDim, wNext, wDim, points)
+						httpCkpt.Next, httpCkpt.Dim, wireCkpt.Next, wireCkpt.Dim, points)
 				}
 			})
 		}
